@@ -3,12 +3,16 @@
 # reconnecting client, real-mode runtime, serving) plus the nn
 # checkpoint-vs-Forward concurrency tests; running it repo-wide would
 # multiply simulation test time ~20x for no extra coverage.
-.PHONY: check build vet test race fuzz-smoke conformance bench bench-serve bench-sim chaos e2e-jobs audit-gate
+.PHONY: check build fmt vet test race fuzz-smoke conformance bench bench-serve bench-sim bench-e2e chaos e2e-jobs audit-gate
 
-check: build vet test race fuzz-smoke
+check: build fmt vet test race fuzz-smoke
 
 build:
 	go build ./...
+
+# gofmt -l prints the files it would rewrite; any output fails the gate.
+fmt:
+	@out="$$(gofmt -l .)"; if [ -n "$$out" ]; then echo "gofmt needed:"; echo "$$out"; exit 1; fi
 
 vet:
 	go vet ./...
@@ -17,7 +21,7 @@ test:
 	go test ./...
 
 race:
-	go test -race ./internal/queue/... ./internal/realtime/... ./internal/serve/... ./internal/jobs/...
+	go test -race ./internal/bufpool/... ./internal/wire/... ./internal/queue/... ./internal/realtime/... ./internal/serve/... ./internal/jobs/...
 	go test -race -run 'Concurrent' ./internal/nn/... ./internal/obs/...
 	go test -race ./internal/simclock/...
 	go test -race -run 'ParallelEval' ./internal/cluster/...
@@ -43,10 +47,13 @@ conformance:
 # Kernel microbenchmarks, emitted as a BENCH JSON report (see METRICS.md).
 # The committed BENCH_kernels.json doubles as the baseline: benchfmt reads it
 # before overwriting, prints per-benchmark deltas, and BENCH_REGRESS (a
-# percentage, empty = off) turns the comparison into a hard gate.
+# percentage, empty = off) turns the comparison into a hard gate. -cpu 1
+# keeps the benchmark names free of the -N GOMAXPROCS suffix, so the
+# baseline matches by name on any box.
 bench:
-	go test -run='^$$' -bench=. -benchmem \
+	go test -run='^$$' -bench=. -benchmem -cpu 1 \
 		./internal/tensor/... ./internal/nn/... ./internal/grad/... ./internal/wire/... \
+		./internal/queue/... \
 		| go run ./cmd/dlion-benchfmt -out BENCH_kernels.json \
 			-baseline BENCH_kernels.json -regress '$(or $(BENCH_REGRESS),0)'
 
@@ -64,6 +71,12 @@ bench-sim:
 	go test -run='^$$' -bench=SimEvents -benchtime=1x -timeout 60m ./internal/cluster \
 		| go run ./cmd/dlion-benchfmt -name sim -out BENCH_sim.json \
 			-baseline BENCH_sim.json -regress '$(or $(BENCH_REGRESS),0)'
+
+# The repository benchmark (BENCHMARK.json, benchmark/README.md): all four
+# workloads end to end, then a traced pass for the per-layer ledger. Compare
+# two commits by running this in a checkout of each, interleaved.
+bench-e2e:
+	bash benchmark/run.sh --trace 1
 
 # Control-plane end-to-end gate (see TESTING.md): one broker, two
 # concurrent jobs with different sync strategies trained to completion over

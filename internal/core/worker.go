@@ -622,6 +622,7 @@ func (w *Worker) HandleMessage(m *wire.Message) {
 			// Not admitted yet: the WELCOME snapshot will supersede the
 			// local weights, and the roster-of-one divisor would overweight
 			// the update.
+			m.Release()
 			return
 		}
 		if m.Iter > w.peerIter[from] {
@@ -632,6 +633,7 @@ func (w *Worker) HandleMessage(m *wire.Message) {
 			w.flushOrdered()
 		} else {
 			w.timedApply(func() { w.applyRemoteGradient(m) })
+			m.Release()
 		}
 		if w.waitingSync && w.canProceed() {
 			w.unblockSync()
@@ -673,6 +675,7 @@ func (w *Worker) HandleMessage(m *wire.Message) {
 func (w *Worker) bufferOrdered(m *wire.Message) {
 	r := m.Iter
 	if r <= w.orderedFlushed {
+		m.Release()
 		return
 	}
 	byPeer := w.pendGrad[r]
@@ -680,6 +683,7 @@ func (w *Worker) bufferOrdered(m *wire.Message) {
 		byPeer = map[int]*wire.Message{}
 		w.pendGrad[r] = byPeer
 	}
+	byPeer[int(m.From)].Release() // a duplicate supersedes the buffered copy
 	byPeer[int(m.From)] = m
 }
 
@@ -706,6 +710,7 @@ func (w *Worker) flushOrdered() {
 		for _, p := range peers {
 			m := byPeer[p]
 			w.timedApply(func() { w.applyRemoteGradient(m) })
+			m.Release()
 		}
 		delete(w.pendGrad, r)
 		w.orderedFlushed = r

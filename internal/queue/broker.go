@@ -111,7 +111,9 @@ func (b *Broker) Subscribe(channel string, buf int) (*Subscription, error) {
 }
 
 // Publish delivers payload to every current subscriber of channel and
-// returns how many received it (after drop-oldest handling).
+// returns how many received it (after drop-oldest handling). Subscribers
+// share the one slice, so nobody owns it: neither the publisher nor a
+// subscriber may modify or recycle it.
 func (b *Broker) Publish(channel string, payload []byte) (int, error) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
@@ -144,6 +146,11 @@ func (b *Broker) Publish(channel string, payload []byte) (int, error) {
 // takes from the head) the list is FIFO, matching the prototype's
 // LPUSH/BRPOP usage. If a consumer is blocked on the key, the payload is
 // handed to it directly.
+//
+// The broker stores the slice itself, not a copy, so a successful LPush
+// takes ownership of payload: the caller must not write to, reuse or recycle
+// it afterwards — whoever pops it may recycle it (DESIGN.md §9). On error
+// the caller still owns it.
 func (b *Broker) LPush(key string, payload []byte) error {
 	b.mu.Lock()
 	defer b.mu.Unlock()
@@ -153,6 +160,7 @@ func (b *Broker) LPush(key string, payload []byte) error {
 	b.mPushed.Inc()
 	if ws := b.waiters[key]; len(ws) > 0 {
 		w := ws[0]
+		ws[0] = nil // do not pin the channel (and its frame) from the backing array
 		b.waiters[key] = ws[1:]
 		w <- payload // waiter channel is buffered size 1
 		b.mPopped.Inc()
@@ -165,7 +173,7 @@ func (b *Broker) LPush(key string, payload []byte) error {
 }
 
 // RPop removes and returns the head of the list, reporting ok=false when
-// the list is empty.
+// the list is empty. Ownership passes to the caller as with BRPop.
 func (b *Broker) RPop(key string) ([]byte, bool) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
@@ -181,6 +189,7 @@ func (b *Broker) RPop(key string) ([]byte, bool) {
 // maintaining the depth accounting.
 func (b *Broker) popLocked(key string, l [][]byte) []byte {
 	head := l[0]
+	l[0] = nil // the popped frame may be recycled; the backing array must not pin it
 	if len(l) == 1 {
 		delete(b.lists, key)
 	} else {
@@ -192,7 +201,9 @@ func (b *Broker) popLocked(key string, l [][]byte) []byte {
 	return head
 }
 
-// BRPop blocks until an element is available on key or ctx is done.
+// BRPop blocks until an element is available on key or ctx is done. The
+// caller becomes the sole owner of the returned slice (the broker keeps no
+// reference) and, as its last user, may recycle it with bufpool.Bytes.Put.
 func (b *Broker) BRPop(ctx context.Context, key string) ([]byte, error) {
 	b.mu.Lock()
 	if b.closed {

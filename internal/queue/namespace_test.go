@@ -71,7 +71,8 @@ func TestJobNamespaceIsolation(t *testing.T) {
 				defer wg.Done()
 				for i := 0; i < msgsPerWorker; i++ {
 					payload := []byte(fmt.Sprintf("%s:%d:%d", j, w, i))
-					if err := b.LPush(ns.DataKey(w), payload); err != nil {
+					// LPush takes ownership of its slice; Publish gets its own.
+					if err := b.LPush(ns.DataKey(w), append([]byte(nil), payload...)); err != nil {
 						t.Errorf("LPush %s: %v", j, err)
 						return
 					}

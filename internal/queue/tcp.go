@@ -10,6 +10,8 @@ import (
 	"net"
 	"sync"
 	"time"
+
+	"dlion/internal/bufpool"
 )
 
 // Wire protocol: each request frame is
@@ -29,7 +31,10 @@ const (
 	cmdSub     = 4
 )
 
-const maxFrame = 64 << 20
+const (
+	maxFrame = 64 << 20
+	maxKey   = 4096
+)
 
 // Server exposes a Broker over TCP.
 type Server struct {
@@ -110,7 +115,7 @@ func (s *Server) handle(conn net.Conn) {
 	defer s.wg.Done()
 	defer s.dropConn(conn)
 	r := bufio.NewReader(conn)
-	w := bufio.NewWriter(conn)
+	var hdr []byte // response/push header scratch, reused across frames
 	for {
 		cmd, key, payload, err := readRequest(r)
 		if err != nil {
@@ -133,11 +138,15 @@ func (s *Server) handle(conn net.Conn) {
 			if err != nil {
 				status, data = 1, nil
 			}
-			if err := writeResponse(w, status, data); err != nil {
+			hdr = lenHeader(append(hdr[:0], status), data)
+			if err := writeFrame(conn, hdr, data); err != nil {
 				return
 			}
+			// The pop made this handler the frame's owner and the response
+			// was its last use.
+			bufpool.Bytes.Put(data)
 		case cmdSub:
-			s.servePush(conn, w, key)
+			s.servePush(conn, key)
 			return
 		default:
 			return
@@ -145,12 +154,13 @@ func (s *Server) handle(conn net.Conn) {
 	}
 }
 
-func (s *Server) servePush(conn net.Conn, w *bufio.Writer, channel string) {
+func (s *Server) servePush(conn net.Conn, channel string) {
 	sub, err := s.broker.Subscribe(channel, 256)
 	if err != nil {
 		return
 	}
 	defer sub.Cancel()
+	hdr := make([]byte, 0, 4)
 	// Detect client disconnect by reading (the client sends nothing more).
 	done := make(chan struct{})
 	go func() {
@@ -163,15 +173,8 @@ func (s *Server) servePush(conn net.Conn, w *bufio.Writer, channel string) {
 			if !ok {
 				return
 			}
-			var hdr [4]byte
-			binary.LittleEndian.PutUint32(hdr[:], uint32(len(p)))
-			if _, err := w.Write(hdr[:]); err != nil {
-				return
-			}
-			if _, err := w.Write(p); err != nil {
-				return
-			}
-			if err := w.Flush(); err != nil {
+			// p is shared with the channel's other subscribers: never recycled.
+			if err := writeFrame(conn, lenHeader(hdr[:0], p), p); err != nil {
 				return
 			}
 		case <-done:
@@ -190,66 +193,68 @@ func contextWithOptionalTimeout(parent context.Context, d time.Duration) (contex
 	return context.WithTimeout(parent, d)
 }
 
+// readRequest reads one request frame. Headers are decoded in place from
+// the bufio buffer (Peek, then a Discard of the same length, which cannot
+// fail), so the only allocations are the key string and the payload. An LPUSH payload comes from the frame free list:
+// it is about to be owned by the broker and recycled by whoever pops it
+// last. PUBLISH payloads are shared by subscribers and BRPOP/SUBSCRIBE
+// payloads are tiny, so those are plain allocations.
 func readRequest(r *bufio.Reader) (cmd byte, key string, payload []byte, err error) {
-	cmd, err = r.ReadByte()
+	b, err := r.Peek(3)
 	if err != nil {
 		return 0, "", nil, err
 	}
-	var klen uint16
-	if err = binary.Read(r, binary.LittleEndian, &klen); err != nil {
-		return 0, "", nil, err
-	}
-	if klen > 4096 {
+	cmd = b[0]
+	klen := int(binary.LittleEndian.Uint16(b[1:]))
+	r.Discard(3)
+	if klen > maxKey {
 		return 0, "", nil, errors.New("queue: key too long")
 	}
-	kb := make([]byte, klen)
-	if _, err = io.ReadFull(r, kb); err != nil {
+	if b, err = r.Peek(klen); err != nil {
 		return 0, "", nil, err
 	}
-	var plen uint32
-	if err = binary.Read(r, binary.LittleEndian, &plen); err != nil {
+	key = string(b)
+	r.Discard(klen)
+	if b, err = r.Peek(4); err != nil {
 		return 0, "", nil, err
 	}
+	plen := binary.LittleEndian.Uint32(b)
+	r.Discard(4)
 	if plen > maxFrame {
 		return 0, "", nil, fmt.Errorf("queue: payload %d exceeds limit", plen)
 	}
-	payload = make([]byte, plen)
+	if cmd == cmdLPush {
+		payload = bufpool.Bytes.Get(int(plen))
+	} else {
+		payload = make([]byte, plen)
+	}
 	if _, err = io.ReadFull(r, payload); err != nil {
 		return 0, "", nil, err
 	}
-	return cmd, string(kb), payload, nil
+	return cmd, key, payload, nil
 }
 
-func writeRequest(w *bufio.Writer, cmd byte, key string, payload []byte) error {
-	if err := w.WriteByte(cmd); err != nil {
-		return err
-	}
-	if err := binary.Write(w, binary.LittleEndian, uint16(len(key))); err != nil {
-		return err
-	}
-	if _, err := w.WriteString(key); err != nil {
-		return err
-	}
-	if err := binary.Write(w, binary.LittleEndian, uint32(len(payload))); err != nil {
-		return err
-	}
-	if _, err := w.Write(payload); err != nil {
-		return err
-	}
-	return w.Flush()
+// writeFrame writes a frame's header and payload with one vectored write
+// (net.Buffers: writev on a TCP conn), so a megabyte payload is never copied
+// through a staging buffer. hdr is the caller's reusable scratch.
+func writeFrame(conn net.Conn, hdr, payload []byte) error {
+	bufs := net.Buffers{hdr, payload}
+	_, err := bufs.WriteTo(conn)
+	return err
 }
 
-func writeResponse(w *bufio.Writer, status byte, payload []byte) error {
-	if err := w.WriteByte(status); err != nil {
-		return err
-	}
-	if err := binary.Write(w, binary.LittleEndian, uint32(len(payload))); err != nil {
-		return err
-	}
-	if _, err := w.Write(payload); err != nil {
-		return err
-	}
-	return w.Flush()
+// lenHeader appends a payload's 4-byte length, the field that ends every
+// frame header.
+func lenHeader(hdr, payload []byte) []byte {
+	return binary.LittleEndian.AppendUint32(hdr, uint32(len(payload)))
+}
+
+// requestHeader appends a request frame's header to hdr.
+func requestHeader(hdr []byte, cmd byte, key string, payload []byte) []byte {
+	hdr = append(hdr, cmd)
+	hdr = binary.LittleEndian.AppendUint16(hdr, uint16(len(key)))
+	hdr = append(hdr, key...)
+	return lenHeader(hdr, payload)
 }
 
 // Client talks to a queue Server. One client multiplexes Publish, LPush
@@ -261,7 +266,7 @@ type Client struct {
 	mu   sync.Mutex
 	conn net.Conn
 	r    *bufio.Reader
-	w    *bufio.Writer
+	hdr  []byte // request header scratch, guarded by mu
 
 	subMu   sync.Mutex
 	subs    []net.Conn
@@ -277,28 +282,39 @@ func Dial(addr string) (*Client, error) {
 		return nil, err
 	}
 	return &Client{addr: addr, conn: conn, done: make(chan struct{}),
-		r: bufio.NewReader(conn), w: bufio.NewWriter(conn)}, nil
+		r: bufio.NewReader(conn)}, nil
 }
 
-// Publish sends payload to all subscribers of channel.
+// request writes one request frame. Callers hold c.mu.
+func (c *Client) request(cmd byte, key string, payload []byte) error {
+	c.hdr = requestHeader(c.hdr[:0], cmd, key, payload)
+	return writeFrame(c.conn, c.hdr, payload)
+}
+
+// Publish sends payload to all subscribers of channel. The payload is only
+// read; the caller keeps it.
 func (c *Client) Publish(channel string, payload []byte) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return writeRequest(c.w, cmdPublish, channel, payload)
+	return c.request(cmdPublish, channel, payload)
 }
 
-// LPush appends payload to the named list.
+// LPush appends payload to the named list. The payload is only read — the
+// server ends up with its own copy — so the caller keeps it and may reuse
+// or recycle it once LPush returns.
 func (c *Client) LPush(key string, payload []byte) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return writeRequest(c.w, cmdLPush, key, payload)
+	return c.request(cmdLPush, key, payload)
 }
 
 // ErrTimeout is returned by BRPop when the server-side wait expires.
 var ErrTimeout = errors.New("queue: BRPOP timeout")
 
 // BRPop blocks until an element is available on key or timeout elapses
-// (timeout <= 0 waits forever).
+// (timeout <= 0 waits forever). The caller owns the returned frame; it comes
+// from the frame free list, so a caller that is done with it may hand it
+// back with bufpool.Bytes.Put.
 func (c *Client) BRPop(key string, timeout time.Duration) ([]byte, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -311,18 +327,22 @@ func (c *Client) BRPop(key string, timeout time.Duration) ([]byte, error) {
 		}
 	}
 	binary.LittleEndian.PutUint64(tbuf[:], uint64(ms))
-	if err := writeRequest(c.w, cmdBRPop, key, tbuf[:]); err != nil {
+	if err := c.request(cmdBRPop, key, tbuf[:]); err != nil {
 		return nil, err
 	}
-	status, err := c.r.ReadByte()
+	b, err := c.r.Peek(5)
 	if err != nil {
 		return nil, err
 	}
-	var plen uint32
-	if err := binary.Read(c.r, binary.LittleEndian, &plen); err != nil {
-		return nil, err
+	status, plen := b[0], binary.LittleEndian.Uint32(b[1:])
+	c.r.Discard(5)
+	if plen > maxFrame {
+		// A corrupt or hostile length must not size an allocation. The
+		// stream is unusable past this point; the error makes a
+		// ReconnectingClient drop the connection and redial.
+		return nil, fmt.Errorf("queue: response payload %d exceeds limit", plen)
 	}
-	payload := make([]byte, plen)
+	payload := bufpool.Bytes.Get(int(plen))
 	if _, err := io.ReadFull(c.r, payload); err != nil {
 		return nil, err
 	}
@@ -340,8 +360,7 @@ func (c *Client) Subscribe(channel string, buf int) (<-chan []byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	w := bufio.NewWriter(conn)
-	if err := writeRequest(w, cmdSub, channel, nil); err != nil {
+	if err := writeFrame(conn, requestHeader(nil, cmdSub, channel, nil), nil); err != nil {
 		conn.Close()
 		return nil, err
 	}
@@ -365,10 +384,12 @@ func (c *Client) Subscribe(channel string, buf int) (<-chan []byte, error) {
 		defer conn.Close()
 		r := bufio.NewReader(conn)
 		for {
-			var plen uint32
-			if err := binary.Read(r, binary.LittleEndian, &plen); err != nil {
+			b, err := r.Peek(4)
+			if err != nil {
 				return
 			}
+			plen := binary.LittleEndian.Uint32(b)
+			r.Discard(4)
 			if plen > maxFrame {
 				return
 			}

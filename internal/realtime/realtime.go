@@ -13,6 +13,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"dlion/internal/bufpool"
 	"dlion/internal/core"
 	"dlion/internal/data"
 	"dlion/internal/lineage"
@@ -24,6 +25,13 @@ import (
 
 // Transport moves encoded messages between workers. Implementations:
 // BrokerTransport (in-process broker) and ClientTransport (TCP broker).
+//
+// A frame has exactly one owner (DESIGN.md §9). Send takes ownership of
+// payload, whether or not it succeeds: the caller must not read, reuse or
+// recycle it afterwards, because the transport (or the receiver it hands the
+// slice to) recycles it through bufpool.Bytes once the last reader is done.
+// Recv gives ownership to the caller, who recycles the frame after decoding
+// it. A wrapper that wants to keep a frame it forwards must copy it.
 type Transport interface {
 	// Send delivers payload to the worker with the given id.
 	Send(to int, payload []byte) error
@@ -180,7 +188,8 @@ func (n *Node) enqueue(to int, payload []byte) {
 		default:
 			// full: shed the oldest queued message and retry
 			select {
-			case <-ch:
+			case old := <-ch:
+				bufpool.Bytes.Put(old)
 				n.sendPending.Add(-1)
 				n.fifoDrops.Inc()
 			default:
@@ -444,6 +453,9 @@ func (n *Node) Run(ctx context.Context) error {
 				return
 			}
 			m, err := wire.Decode(payload)
+			// Decode copies everything it keeps, so the pump — the frame's
+			// owner since Recv — was its last reader.
+			bufpool.Bytes.Put(payload)
 			if err != nil {
 				continue // corrupt frame: drop
 			}

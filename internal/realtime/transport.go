@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 
+	"dlion/internal/bufpool"
 	"dlion/internal/obs"
 	"dlion/internal/queue"
 )
@@ -41,7 +42,9 @@ func NewBrokerTransportNS(b *queue.Broker, id int, ns queue.Namespace) *BrokerTr
 	return &BrokerTransport{b: b, id: id, ns: ns, ctx: ctx, cancel: cancel}
 }
 
-// Send implements Transport.
+// Send implements Transport. The slice itself travels through the broker to
+// the receiving node, so ownership only passes through here: the receiver's
+// pump recycles the frame.
 func (t *BrokerTransport) Send(to int, payload []byte) error {
 	return t.b.LPush(t.ns.DataKey(to), payload)
 }
@@ -111,9 +114,13 @@ func (t *ClientTransport) SetMetrics(reg *obs.Registry) {
 	t.recv.SetMetrics(reg)
 }
 
-// Send implements Transport.
+// Send implements Transport. The broker process reads its own copy off the
+// socket, so once the write (with its reconnect retries) has returned, this
+// was the frame's last reader and recycles it.
 func (t *ClientTransport) Send(to int, payload []byte) error {
-	return t.send.LPush(t.ns.DataKey(to), payload)
+	err := t.send.LPush(t.ns.DataKey(to), payload)
+	bufpool.Bytes.Put(payload)
+	return err
 }
 
 // Publish broadcasts payload on one of the broker's PUB/SUB channels,

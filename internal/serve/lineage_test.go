@@ -143,11 +143,13 @@ func TestWatchDirRejectsTornCheckpoint(t *testing.T) {
 
 	// Phase 3: the write completes (with a sidecar manifest) — the same
 	// file name must now be picked up.
+	// The sidecar lands first: the watcher polls, and a checkpoint it sees
+	// complete before its sidecar exists is published without a manifest.
 	man := manifestFor(t, full, 3)
-	if err := os.WriteFile(path, full, 0o644); err != nil {
+	if err := lineage.WriteFile(path, man); err != nil {
 		t.Fatal(err)
 	}
-	if err := lineage.WriteFile(path, man); err != nil {
+	if err := os.WriteFile(path, full, 0o644); err != nil {
 		t.Fatal(err)
 	}
 	deadline := time.Now().Add(2 * time.Second)

@@ -151,11 +151,11 @@ func TestIterTimePositiveProperty(t *testing.T) {
 func TestScheduleBoundaries(t *testing.T) {
 	s := Steps(1, 10, 2, 0, 3, 20)
 	cases := []struct{ t, want float64 }{
-		{0, 10},   // before the first step: first value extends backwards
+		{0, 10}, // before the first step: first value extends backwards
 		{0.999, 10},
 		{1, 10},
 		{1.999, 10},
-		{2, 0},    // zero-capacity window opens exactly at its step time
+		{2, 0}, // zero-capacity window opens exactly at its step time
 		{2.999, 0},
 		{3, 20},   // and closes exactly at the next
 		{100, 20}, // constant after the last step

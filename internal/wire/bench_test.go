@@ -3,6 +3,7 @@ package wire
 import (
 	"testing"
 
+	"dlion/internal/bufpool"
 	"dlion/internal/grad"
 	"dlion/internal/stats"
 )
@@ -66,6 +67,48 @@ func BenchmarkEncodeDenseF32(b *testing.B) {
 		Encode(m)
 	}
 	b.ReportMetric(float64(len(enc)), "wire_bytes/op")
+}
+
+func BenchmarkDecodeDenseF32(b *testing.B) {
+	enc := Encode(benchDenseMessage(10_000))
+	b.SetBytes(int64(len(enc)))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := Decode(enc); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// frameValues is the size of the model the end-to-end benchmark trains
+// (≈ 340 k parameters): one dense f32 frame of 1.37 MB per iteration. The
+// two frame-sized rows recycle what they produce, as the realtime node does,
+// so they price the steady state and -benchmem shows what is left per frame.
+const frameValues = 340_000
+
+func BenchmarkEncodeFrameF32(b *testing.B) {
+	m := benchDenseMessage(frameValues)
+	b.SetBytes(int64(m.encodedLen()))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		bufpool.Bytes.Put(Encode(m))
+	}
+}
+
+func BenchmarkDecodeFrameF32(b *testing.B) {
+	enc := Encode(benchDenseMessage(frameValues))
+	b.SetBytes(int64(len(enc)))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		m, err := Decode(enc)
+		if err != nil {
+			b.Fatal(err)
+		}
+		m.Release()
+	}
 }
 
 func BenchmarkEncodeDenseF16(b *testing.B) {

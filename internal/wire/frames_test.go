@@ -1,0 +1,231 @@
+package wire
+
+import (
+	"bytes"
+	"math"
+	"os"
+	"path/filepath"
+	"strconv"
+	"strings"
+	"testing"
+
+	"dlion/internal/grad"
+	"dlion/internal/tensor"
+)
+
+// withPerElement runs fn with the block copy switched off, the way a
+// big-endian host would run. Tests using it must not run in parallel.
+func withPerElement(fn func()) {
+	saved := hostLE
+	hostLE = false
+	defer func() { hostLE = saved }()
+	fn()
+}
+
+// awkwardFloats are values whose bits a float round trip could disturb:
+// quiet and signalling NaNs with payloads, both zeros, denormals, extremes.
+func awkwardFloats() []float32 {
+	bits := []uint32{
+		0x7fc00000, 0x7fc00001, 0xffc12345, 0x7f800001, 0x7fbfffff, // NaNs
+		0x00000000, 0x80000000, // +0, -0
+		0x00000001, 0x807fffff, 0x00400000, // denormals
+		0x7f800000, 0xff800000, 0x7f7fffff, 0x00800000, 0x3f800000,
+	}
+	out := make([]float32, len(bits))
+	for i, b := range bits {
+		out[i] = math.Float32frombits(b)
+	}
+	return out
+}
+
+// TestBlockCopyMatchesPerElement: the block copy a little-endian host uses
+// for f32 value blocks produces and accepts exactly the bytes of the
+// per-element path, down to NaN payloads and the sign of zero.
+func TestBlockCopyMatchesPerElement(t *testing.T) {
+	if !hostLE {
+		t.Skip("big-endian host: the per-element path is the only one")
+	}
+	awkward := awkwardFloats()
+	big := make([]float32, 40_000) // pooled storage on decode
+	for i := range big {
+		big[i] = awkward[i%len(awkward)]
+	}
+	weights := map[string]*tensor.Tensor{"w": tensor.FromSlice(append([]float32(nil), awkward...), len(awkward))}
+	msgs := []*Message{
+		{Type: TypeGradient, Selections: []*grad.Selection{{Var: "a", Total: len(awkward), Dense: awkward}}},
+		{Type: TypeGradient, Selections: []*grad.Selection{{Var: "empty", Total: 0, Dense: []float32{}}}},
+		{Type: TypeGradient, Selections: []*grad.Selection{{Var: "one", Total: 1, Dense: []float32{awkward[2]}}}},
+		{Type: TypeGradient, Selections: []*grad.Selection{
+			{Var: "big", Total: len(big), Dense: big},
+			{Var: "sparse", Total: 64, Idx: []int32{1, 9, 63}, Val: awkward[:3]}}},
+		{Type: TypeWeights, Weights: weights},
+		{Type: TypeWelcome, Epoch: 2, Members: []int32{0, 1}, Weights: weights},
+	}
+	for _, m := range msgs {
+		block := Encode(m)
+		var loop []byte
+		withPerElement(func() { loop = Encode(m) })
+		if !bytes.Equal(block, loop) {
+			t.Fatalf("%v: block-copy encoding differs from per-element encoding", m.Type)
+		}
+		gotBlock, err := Decode(block)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var gotLoop *Message
+		withPerElement(func() { gotLoop, err = Decode(block) })
+		if err != nil {
+			t.Fatal(err)
+		}
+		assertMessageBitsEqual(t, m, gotBlock)
+		assertMessageBitsEqual(t, gotLoop, gotBlock)
+	}
+}
+
+// corpusFrames returns every frame committed under testdata/fuzz/FuzzDecode.
+func corpusFrames(t *testing.T) map[string][]byte {
+	t.Helper()
+	files, err := filepath.Glob(filepath.Join("testdata", "fuzz", "FuzzDecode", "*"))
+	if err != nil || len(files) == 0 {
+		t.Fatalf("no committed corpus: %v", err)
+	}
+	out := map[string][]byte{}
+	for _, f := range files {
+		raw, err := os.ReadFile(f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		lines := strings.Split(strings.TrimSpace(string(raw)), "\n")
+		if len(lines) != 2 || !strings.HasPrefix(lines[1], "[]byte(") {
+			t.Fatalf("%s: not a one-value fuzz corpus file", f)
+		}
+		s, err := strconv.Unquote(strings.TrimSuffix(strings.TrimPrefix(lines[1], "[]byte("), ")"))
+		if err != nil {
+			t.Fatalf("%s: %v", f, err)
+		}
+		out[filepath.Base(f)] = []byte(s)
+	}
+	return out
+}
+
+// TestCommittedFramesDecodeIdentically: both codec paths agree on every
+// committed frame — same error, or the same message re-encoding to the
+// committed bytes.
+func TestCommittedFramesDecodeIdentically(t *testing.T) {
+	for name, frame := range corpusFrames(t) {
+		block, errBlock := Decode(frame)
+		var loop *Message
+		var errLoop error
+		withPerElement(func() { loop, errLoop = Decode(frame) })
+		if (errBlock == nil) != (errLoop == nil) {
+			t.Fatalf("%s: block path err %v, per-element path err %v", name, errBlock, errLoop)
+		}
+		if errBlock != nil {
+			continue
+		}
+		assertMessageBitsEqual(t, loop, block)
+		if block.Type == TypeWeights || block.Type == TypeWelcome {
+			continue // map order makes multi-variable re-encodes non-canonical
+		}
+		var reLoop []byte
+		withPerElement(func() { reLoop = Encode(loop) })
+		if re := Encode(block); !bytes.Equal(re, frame) || !bytes.Equal(reLoop, frame) {
+			t.Fatalf("%s: re-encoding differs from the committed frame", name)
+		}
+	}
+}
+
+// TestEncodedLenIsExact: Encode sizes its buffer from encodedLen, so for
+// every message type, precision and a long variable name the buffer is never
+// regrown, while WireBytes stays the (approximate) cost model.
+func TestEncodedLenIsExact(t *testing.T) {
+	long := strings.Repeat("v", 200)
+	msgs := seedMessages()
+	for _, p := range []grad.Precision{grad.PrecF32, grad.PrecF16, grad.PrecI8} {
+		dense := &grad.Selection{Var: long, Total: 5, Dense: []float32{1, -2, 3, 0, 5}}
+		sparse := &grad.Selection{Var: long, Total: 9, Idx: []int32{0, 4, 8}, Val: []float32{.1, .2, .3}}
+		empty := &grad.Selection{Var: long, Total: 0}
+		grad.QuantizeAll([]*grad.Selection{dense, sparse, empty}, p)
+		msgs = append(msgs, &Message{Type: TypeGradient, Selections: []*grad.Selection{dense, sparse, empty}})
+	}
+	msgs = append(msgs, &Message{Type: TypeWelcome, Members: []int32{1, 2, 3},
+		Weights: map[string]*tensor.Tensor{long: tensor.New(7), "b": tensor.New(0)}})
+	for _, m := range msgs {
+		want := m.encodedLen()
+		if got := len(Encode(m)); got != want {
+			t.Fatalf("%v: encodedLen %d, encoded %d bytes", m.Type, want, got)
+		}
+		dst := make([]byte, 3, 3+want)
+		out := AppendEncode(dst, m)
+		if len(out) != 3+want || &out[0] != &dst[0] {
+			t.Fatalf("%v: AppendEncode regrew a buffer with exactly encodedLen spare bytes", m.Type)
+		}
+	}
+	m := &Message{Type: TypeGradient, Selections: []*grad.Selection{{Var: long, Total: 1, Dense: []float32{1}}}}
+	if m.WireBytes() == m.encodedLen() {
+		t.Fatal("WireBytes tracked the 200-byte name: the simulator's cost model must not change")
+	}
+}
+
+// TestReleaseRecyclesWithoutAliasing: storage handed back by Release may
+// back the next decoded message, but never two live ones.
+func TestReleaseRecyclesWithoutAliasing(t *testing.T) {
+	const n = 50_000 // 200 KB of values: above the free-list threshold
+	frame := func(seed float32) []byte {
+		dense := make([]float32, n)
+		idx := make([]int32, n)
+		val := make([]float32, n)
+		for i := range dense {
+			dense[i], idx[i], val[i] = seed+float32(i), int32(i), seed-float32(i)
+		}
+		return Encode(&Message{Type: TypeGradient, Selections: []*grad.Selection{
+			{Var: "d", Total: n, Dense: dense},
+			{Var: "s", Total: n, Idx: idx, Val: val},
+			{Var: "small", Total: 2, Dense: []float32{seed, seed}}}})
+	}
+	check := func(m *Message, seed float32) {
+		t.Helper()
+		if len(m.Selections) != 3 {
+			t.Fatalf("message has %d selections", len(m.Selections))
+		}
+		d, s := m.Selections[0], m.Selections[1]
+		for i := 0; i < n; i++ {
+			if d.Dense[i] != seed+float32(i) || s.Idx[i] != int32(i) || s.Val[i] != seed-float32(i) {
+				t.Fatalf("seed %v: value %d corrupted", seed, i)
+			}
+		}
+	}
+	decode := func(f []byte) *Message {
+		t.Helper()
+		m, err := Decode(f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return m
+	}
+	fa, fb := frame(1), frame(-7)
+
+	a := decode(fa)
+	check(a, 1)
+	a.Release()
+	if a.Selections != nil {
+		t.Fatal("Release left the selections reachable")
+	}
+	a.Release() // second call: no-op
+
+	b := decode(fb) // likely reuses a's storage
+	a2 := decode(fa)
+	check(b, -7)
+	check(a2, 1)
+	b.Release()
+	check(a2, 1) // releasing b must not disturb a live message
+
+	// A message that was built, not decoded, keeps its (shared) selections.
+	shared := []float32{1, 2, 3}
+	built := &Message{Type: TypeGradient, Selections: []*grad.Selection{{Var: "x", Total: 3, Dense: shared}}}
+	built.Release()
+	if len(built.Selections) != 1 || &built.Selections[0].Dense[0] != &shared[0] {
+		t.Fatal("Release touched a message that was never decoded")
+	}
+	(*Message)(nil).Release()
+}

@@ -12,7 +12,9 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"unsafe"
 
+	"dlion/internal/bufpool"
 	"dlion/internal/grad"
 	"dlion/internal/tensor"
 )
@@ -100,16 +102,61 @@ type Message struct {
 	// message that carries the roster, and members learn the joiner's from
 	// its Hello before any gradient frame is sent.
 	Quant uint8
+
+	// pooled marks a message whose Selection storage Decode drew from the
+	// free lists; only then does Release have anything to hand back.
+	pooled bool
 }
 
-// WireBytes returns the encoded size of the message without encoding it,
-// used by the simulator to charge transfer time.
-func (m *Message) WireBytes() int {
+// Free lists for the storage Decode fills (see Release). Encoded frames use
+// bufpool.Bytes, which the transport layers share.
+var (
+	f32Pool bufpool.Pool[float32]
+	i32Pool bufpool.Pool[int32]
+)
+
+// Release hands the Selection storage of a decoded message back for reuse
+// and empties the message's Selections. The caller must be the message's
+// only user and done with it: core calls Release once a peer gradient has
+// been applied or dropped. It is a no-op on a nil message, on one that was
+// built rather than decoded (the simulator delivers the sender's Message,
+// whose Selections other links share), and on a second call; a message that
+// is never released is simply garbage-collected.
+func (m *Message) Release() {
+	if m == nil || !m.pooled {
+		return
+	}
+	m.pooled = false
+	for _, s := range m.Selections {
+		f32Pool.Put(s.Dense)
+		f32Pool.Put(s.Val)
+		i32Pool.Put(s.Idx)
+		s.Dense, s.Val, s.Idx = nil, nil, nil
+	}
+	m.Selections = nil
+}
+
+// WireBytes returns the approximate encoded size of the message without
+// encoding it. It is the simulator's cost model — transfer time is charged
+// by it — so it keeps grad's flat per-variable header estimate; buffers are
+// sized by encodedLen instead.
+func (m *Message) WireBytes() int { return m.size(false) }
+
+// encodedLen returns exactly len(Encode(m)).
+func (m *Message) encodedLen() int { return m.size(true) }
+
+func (m *Message) size(exact bool) int {
 	n := 1 + 4 + 4 + 8 // type, from, to, iter
 	switch m.Type {
 	case TypeGradient:
 		n += 4 + 4 // LBS, selection count
-		n += grad.TotalBytes(m.Selections)
+		if exact {
+			for _, s := range m.Selections {
+				n += selectionLen(s)
+			}
+		} else {
+			n += grad.TotalBytes(m.Selections)
+		}
 	case TypeWeights:
 		n += 4 // count
 		for name, t := range m.Weights {
@@ -140,10 +187,36 @@ var (
 	ErrCorrupt = errors.New("wire: corrupt message")
 )
 
-// Encode serializes m in little-endian binary.
+// hostLE reports a little-endian host, where a []float32's memory already is
+// its wire image and f32 value blocks move with one copy. The per-element
+// loops stay as the path for every other precision and for big-endian hosts.
+var hostLE = binary.NativeEndian.Uint16([]byte{1, 0}) == 1
+
+// f32Bytes views vals' memory as bytes.
+func f32Bytes(vals []float32) []byte {
+	return unsafe.Slice((*byte)(unsafe.Pointer(unsafe.SliceData(vals))), 4*len(vals))
+}
+
+// appendF32s appends vals as little-endian IEEE-754 words.
+func appendF32s(buf []byte, vals []float32) []byte {
+	if hostLE {
+		return append(buf, f32Bytes(vals)...)
+	}
+	for _, v := range vals {
+		buf = le32(buf, math.Float32bits(v))
+	}
+	return buf
+}
+
+// Encode serializes m in little-endian binary. The caller owns the returned
+// frame; handing it to a realtime.Transport passes that ownership on.
 func Encode(m *Message) []byte {
-	buf := make([]byte, 0, m.WireBytes())
-	buf = append(buf, byte(m.Type))
+	return AppendEncode(bufpool.Bytes.Get(m.encodedLen())[:0], m)
+}
+
+// AppendEncode appends m's encoding to dst and returns the extended slice.
+func AppendEncode(dst []byte, m *Message) []byte {
+	buf := append(dst, byte(m.Type))
 	buf = le32(buf, uint32(m.From))
 	buf = le32(buf, uint32(m.To))
 	buf = le64(buf, uint64(m.Iter))
@@ -186,11 +259,21 @@ func encodeWeights(buf []byte, w map[string]*tensor.Tensor) []byte {
 		buf = le16(buf, uint16(len(name)))
 		buf = append(buf, name...)
 		buf = le32(buf, uint32(t.Len()))
-		for _, v := range t.Data {
-			buf = le32(buf, math.Float32bits(v))
-		}
+		buf = appendF32s(buf, t.Data)
 	}
 	return buf
+}
+
+// selectionLen returns exactly the bytes encodeSelection appends for s.
+func selectionLen(s *grad.Selection) int {
+	n := 2 + len(s.Var) + 4 + 1 + 4 // name, total, flag, count
+	if s.Prec == grad.PrecI8 {
+		n += 4 + 1 // scale, zero point
+	}
+	if s.Dense != nil {
+		return n + s.Prec.ElemBytes()*len(s.Dense)
+	}
+	return n + (4+s.Prec.ElemBytes())*len(s.Val)
 }
 
 func encodeSelection(buf []byte, s *grad.Selection) []byte {
@@ -212,6 +295,9 @@ func encodeSelection(buf []byte, s *grad.Selection) []byte {
 		// empty selection so the layout is position-independent of count.
 		buf = le32(buf, math.Float32bits(s.Scale))
 		buf = append(buf, byte(s.Zero))
+	}
+	if s.Dense != nil && s.Prec == grad.PrecF32 {
+		return appendF32s(buf, vals)
 	}
 	for k, v := range vals {
 		if s.Dense == nil {
@@ -282,6 +368,7 @@ func Decode(data []byte) (*Message, error) {
 			}
 			m.Selections = append(m.Selections, s)
 		}
+		m.pooled = r.pooled
 	case TypeWeights:
 		if m.Weights, err = decodeWeights(r); err != nil {
 			return nil, err
@@ -385,10 +472,7 @@ func decodeWeights(r *reader) (map[string]*tensor.Tensor, error) {
 			return nil, ErrTruncated
 		}
 		t := tensor.New(int(n))
-		for k := 0; k < int(n); k++ {
-			bits, _ := r.u32()
-			t.Data[k] = math.Float32frombits(bits)
-		}
+		r.f32s(t.Data)
 		w[name] = t
 	}
 	return w, nil
@@ -433,7 +517,8 @@ func decodeSelection(r *reader) (*grad.Selection, error) {
 		if int(n)*elem > r.remaining() {
 			return nil, ErrTruncated
 		}
-		s.Dense = make([]float32, n)
+		s.Dense = f32Pool.Get(int(n))
+		r.pooled = r.pooled || f32Pool.Recyclable(s.Dense)
 		fillValues(r, s, s.Dense)
 		return s, nil
 	}
@@ -443,8 +528,9 @@ func decodeSelection(r *reader) (*grad.Selection, error) {
 	if n == 0 {
 		return s, nil
 	}
-	s.Idx = make([]int32, n)
-	s.Val = make([]float32, n)
+	s.Idx = i32Pool.Get(int(n))
+	s.Val = f32Pool.Get(int(n))
+	r.pooled = r.pooled || f32Pool.Recyclable(s.Val)
 	fillValues(r, s, s.Val)
 	return s, nil
 }
@@ -481,11 +567,13 @@ func fillValues(r *reader, s *grad.Selection, dst []float32) {
 			dst[i] = grad.DequantizeI8(s.Q8[i], s.Scale, s.Zero)
 		}
 	default:
+		if s.Idx == nil {
+			r.f32s(dst)
+			return
+		}
 		for i := range dst {
-			if s.Idx != nil {
-				idx, _ := r.u32()
-				s.Idx[i] = int32(idx)
-			}
+			idx, _ := r.u32()
+			s.Idx[i] = int32(idx)
 			bits, _ := r.u32()
 			dst[i] = math.Float32frombits(bits)
 		}
@@ -544,8 +632,9 @@ func le64(b []byte, v uint64) []byte {
 }
 
 type reader struct {
-	data []byte
-	off  int
+	data   []byte
+	off    int
+	pooled bool // some Selection storage came from a free list
 }
 
 func (r *reader) remaining() int { return len(r.data) - r.off }
@@ -589,6 +678,19 @@ func (r *reader) u64() (uint64, error) {
 	v := binary.LittleEndian.Uint64(r.data[r.off:])
 	r.off += 8
 	return v, nil
+}
+
+// f32s fills dst with the next len(dst) little-endian IEEE-754 words. The
+// caller has verified that r holds them.
+func (r *reader) f32s(dst []float32) {
+	if hostLE {
+		r.off += copy(f32Bytes(dst), r.data[r.off:r.off+4*len(dst)])
+		return
+	}
+	for i := range dst {
+		bits, _ := r.u32()
+		dst[i] = math.Float32frombits(bits)
+	}
 }
 
 func (r *reader) str() (string, error) {
