@@ -1,7 +1,8 @@
 # Tier-1 gate: everything a change must pass before merging.
 # The -race pass covers the concurrency-heavy packages (TCP broker,
 # reconnecting client, real-mode runtime, serving) plus the nn
-# checkpoint-vs-Forward concurrency tests; running it repo-wide would
+# checkpoint-vs-Forward concurrency tests and the sim driver's parallel
+# evaluation beside its replicas' shared arena; running it repo-wide would
 # multiply simulation test time ~20x for no extra coverage.
 .PHONY: check build fmt vet test race fuzz-smoke conformance bench bench-serve bench-sim bench-e2e chaos e2e-jobs audit-gate
 
@@ -24,10 +25,10 @@ race:
 	go test -race ./internal/bufpool/... ./internal/wire/... ./internal/queue/... ./internal/realtime/... ./internal/serve/... ./internal/jobs/...
 	go test -race -run 'Concurrent' ./internal/nn/... ./internal/obs/...
 	go test -race ./internal/simclock/...
-	go test -race -run 'ParallelEval' ./internal/cluster/...
+	go test -race -run 'ParallelEval|RunGoldens' ./internal/cluster/...
 
 # Short fuzz pass over the wire decoder, framer, lineage-manifest codecs,
-# and the calendar-queue-vs-heap scheduler oracle: catches panics,
+# and the scheduler-vs-reference-heap oracle: catches panics,
 # canonicalization regressions, and event-ordering divergence without the
 # cost of a long campaign. The committed corpus under
 # internal/wire/testdata/fuzz seeds the wire targets.
@@ -35,7 +36,7 @@ fuzz-smoke:
 	go test -run='^$$' -fuzz=FuzzDecode -fuzztime=10s ./internal/wire
 	go test -run='^$$' -fuzz=FuzzReadFrame -fuzztime=10s ./internal/wire
 	go test -run='^$$' -fuzz=FuzzManifestDecode -fuzztime=10s ./internal/wire
-	go test -run='^$$' -fuzz=FuzzCalendarVsHeap -fuzztime=10s ./internal/simclock
+	go test -run='^$$' -fuzz=FuzzSchedulerVsHeap -fuzztime=10s ./internal/simclock
 
 # Conformance harness (see TESTING.md): gradcheck on every nn layer,
 # sim<->realtime weight equivalence, and the golden convergence gates, all
@@ -44,7 +45,9 @@ fuzz-smoke:
 conformance:
 	go test -race -count=1 ./internal/testkit/...
 
-# Kernel microbenchmarks, emitted as a BENCH JSON report (see METRICS.md).
+# Kernel and scheduler microbenchmarks (simclock's EngineBurst is the
+# 256-worker all-to-all schedule, EngineHold the constant-size hold model),
+# emitted as a BENCH JSON report (see METRICS.md).
 # The committed BENCH_kernels.json doubles as the baseline: benchfmt reads it
 # before overwriting, prints per-benchmark deltas, and BENCH_REGRESS (a
 # percentage, empty = off) turns the comparison into a hard gate. -cpu 1
@@ -53,7 +56,7 @@ conformance:
 bench:
 	go test -run='^$$' -bench=. -benchmem -cpu 1 \
 		./internal/tensor/... ./internal/nn/... ./internal/grad/... ./internal/wire/... \
-		./internal/queue/... \
+		./internal/queue/... ./internal/simclock/... \
 		| go run ./cmd/dlion-benchfmt -out BENCH_kernels.json \
 			-baseline BENCH_kernels.json -regress '$(or $(BENCH_REGRESS),0)'
 
@@ -65,10 +68,12 @@ bench-serve:
 # DES throughput: events per wall second at 6/32/128 workers (flat mesh,
 # with and without elastic churn) and 256/512/1024 workers (4-cloud
 # hierarchical federations), emitted as BENCH_sim.json. The committed
-# report is the baseline, like BENCH_kernels.json. For profiling one
-# workload, use `go run ./cmd/dlion-bench -sim -cpuprofile sim.pprof`.
+# report is the baseline, like BENCH_kernels.json, and -cpu 1 keeps the
+# names free of the GOMAXPROCS suffix for the same reason as in `bench`.
+# For profiling one workload, use
+# `go run ./cmd/dlion-bench -sim -cpuprofile sim.pprof`.
 bench-sim:
-	go test -run='^$$' -bench=SimEvents -benchtime=1x -timeout 60m ./internal/cluster \
+	go test -run='^$$' -bench=SimEvents -benchtime=1x -cpu 1 -timeout 60m ./internal/cluster \
 		| go run ./cmd/dlion-benchfmt -name sim -out BENCH_sim.json \
 			-baseline BENCH_sim.json -regress '$(or $(BENCH_REGRESS),0)'
 

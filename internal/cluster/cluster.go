@@ -98,7 +98,9 @@ type Result struct {
 	// drop straight into an obs.Report's workers section.
 	Obs []obs.WorkerReport
 
-	// Models exposes the final model replicas (inspection and tests).
+	// Models exposes the final model replicas (inspection and tests). They
+	// share one activation arena (nn.Spec.Replicas), so use them from one
+	// goroutine at a time; weights may be read concurrently.
 	Models []*nn.Model
 
 	// Membership is each worker's roster mutation history (always present;
@@ -309,12 +311,11 @@ func Run(cfg Config) (*Result, error) {
 		inj:      fault.NewInjector(cfg.Faults),
 		egress:   make([]float64, cfg.N),
 	}
-	models := make([]*nn.Model, cfg.N)
 	spec := cfg.Model
 	spec.Seed = cfg.Seed + 1000 // all replicas share this seed: identical init
-	for i := range models {
-		models[i] = spec.Build()
-	}
+	// The event loop steps one replica at a time, so all of them draw from
+	// one arena instead of keeping n private ones idle between events.
+	models := spec.Replicas(cfg.N)
 	env.wireScale = float64(spec.ExchangeBytes()) / float64(models[0].SizeBytes())
 	if env.wireScale < 1 {
 		env.wireScale = 1
@@ -388,24 +389,35 @@ func Run(cfg Config) (*Result, error) {
 		ok        bool
 	}
 	evalBuf := make([]evalSlot, cfg.N)
+	// scratch[slot] is the evaluation goroutine's private replica, built on
+	// first use: forward passes need an arena, and the training replicas'
+	// shared one is single-goroutine.
+	scratch := make([]*nn.Model, cfg.N)
 	evaluate := func() {
 		// Dormant (not yet admitted) joiners are excluded: their fresh
 		// replicas are not part of the federation. Crashed and departed
 		// workers keep contributing their frozen models, as before.
 		//
-		// The forward passes are read-only on independent replicas, so they
-		// run concurrently (tensor.ParallelReplicas); each pass is itself
-		// bit-identical at any kernel worker count, and the accs slice and
-		// loss sum are merged serially in worker-id order, so the timeline
-		// is byte-for-byte the same as the sequential loop produced.
+		// The forward passes run concurrently (tensor.ParallelReplicas),
+		// each goroutine copying replica i's weights into its own scratch
+		// model and evaluating that; each pass is itself bit-identical at
+		// any kernel worker count, and the accs slice and loss sum are
+		// merged serially in worker-id order, so the timeline is
+		// byte-for-byte the same as a sequential loop over the replicas
+		// themselves produces.
 		for i := range evalBuf {
 			evalBuf[i] = evalSlot{}
 		}
-		tensor.ParallelReplicas(cfg.N, func(i int) {
+		tensor.ParallelReplicas(cfg.N, func(slot, i int) {
 			if st := env.workers[i].State(); st == core.StateJoining || st == core.StateSyncing {
 				return
 			}
-			a, l := models[i].Evaluate(evalSet, cfg.EvalBatch)
+			if scratch[slot] == nil {
+				scratch[slot] = spec.BuildZero()
+			}
+			// same spec, same shapes: the copy cannot fail
+			_ = scratch[slot].CopyWeightsFrom(models[i])
+			a, l := scratch[slot].Evaluate(evalSet, cfg.EvalBatch)
 			evalBuf[i] = evalSlot{acc: a, loss: l, ok: true}
 		})
 		accs := make([]float64, 0, cfg.N)

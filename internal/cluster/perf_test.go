@@ -20,13 +20,19 @@ import (
 // TestParallelEvalDeterministic runs the same seeded experiment with
 // evaluation fanned out across goroutines and with everything forced
 // inline, and requires bit-identical timelines — the merge in worker-id
-// order makes scheduling invisible.
+// order makes scheduling invisible. Evaluating every 10 s puts five fan-outs
+// in the middle of training, while the replicas' shared arena is in use:
+// under -race (make race) this is the check that the evaluation goroutines
+// work on their private scratch replicas and only read the shared ones'
+// weights.
 func TestParallelEvalDeterministic(t *testing.T) {
+	cfg := tinyConfig(systems.DLion())
+	cfg.EvalPeriod = 10
 	prevW := tensor.SetMaxWorkers(4)
 	prevD := tensor.SetDeterministic(false)
-	parallel, err := Run(tinyConfig(systems.DLion()))
+	parallel, err := Run(cfg)
 	tensor.SetDeterministic(true)
-	inline, err2 := Run(tinyConfig(systems.DLion()))
+	inline, err2 := Run(cfg)
 	tensor.SetMaxWorkers(prevW)
 	tensor.SetDeterministic(prevD)
 	if err != nil || err2 != nil {

@@ -111,13 +111,22 @@ func (w *Worker) initMembership() error {
 	return nil
 }
 
-// rebuildMembers refreshes the sorted member cache after a roster mutation.
+// rebuildMembers refreshes the sorted member cache, and the peer list
+// derived from it, after a roster mutation. The peer list is allocated
+// fresh rather than rewritten in place, so a slice peers() handed out
+// before the mutation stays the roster it was.
 func (w *Worker) rebuildMembers() {
 	w.members = w.members[:0]
 	for id := range w.roster {
 		w.members = append(w.members, id)
 	}
 	sort.Ints(w.members)
+	w.peerIDs = make([]int, 0, len(w.members))
+	for _, id := range w.members {
+		if id != w.ID {
+			w.peerIDs = append(w.peerIDs, id)
+		}
+	}
 }
 
 // clusterSize is the roster size including self — the n of Eq. 5 and Eq. 7.

@@ -196,6 +196,50 @@ func TestLeaveRenormalizesSurvivors(t *testing.T) {
 	}
 }
 
+// TestPeerCacheFollowsRoster pins the peer list rebuildMembers caches: a
+// join and a leave must both refresh it on every member that observes them,
+// a slice handed out before a mutation stays the roster it was, and the
+// exported LivePeers copy is the caller's to scribble on.
+func TestPeerCacheFollowsRoster(t *testing.T) {
+	env := newFakeEnv(3, []float64{1, 1, 1})
+	founder := asyncConfig()
+	founder.Membership.InitialMembers = []int{0, 1}
+	joiner := asyncConfig()
+	joiner.Membership.Join = true
+	joiner.Membership.Sponsor = 0
+	ws := buildClusterCfgs(t, []Config{founder, founder, joiner}, env)
+	ws[0].Start()
+	ws[1].Start()
+	before := ws[0].peers()
+	if !equalInts(before, []int{1}) {
+		t.Fatalf("founder peers %v before the join, want [1]", before)
+	}
+	env.eng.At(5, ws[2].Start)
+	env.eng.Run(15)
+	for i, want := range [][]int{{1, 2}, {0, 2}, {0, 1}} {
+		if got := ws[i].peers(); !equalInts(got, want) {
+			t.Fatalf("worker %d peers %v after the join, want %v", i, got, want)
+		}
+	}
+	if !equalInts(before, []int{1}) {
+		t.Fatalf("peer slice taken before the join was rewritten to %v", before)
+	}
+
+	ws[1].Leave()
+	env.eng.Run(30)
+	for i, want := range [][]int{{2}, {}, {0}} {
+		if got := ws[i].peers(); !equalInts(got, want) {
+			t.Fatalf("worker %d peers %v after the leave, want %v", i, got, want)
+		}
+	}
+
+	own := ws[0].LivePeers()
+	own[0] = 99
+	if got := ws[0].peers(); !equalInts(got, []int{2}) {
+		t.Fatalf("writing to LivePeers' result reached the cache: %v", got)
+	}
+}
+
 func TestLeaveUnblocksSyncFullPeer(t *testing.T) {
 	cfg := asyncConfig()
 	cfg.Sync.Mode = SyncFull

@@ -120,11 +120,13 @@ type Worker struct {
 	recheckArmed bool    // a sync-liveness recheck timer is pending
 
 	// Elastic membership (membership.go). roster is the believed member
-	// set including self; members is its sorted cache; epoch counts roster
-	// mutations; memLog records them for the renormalization gates.
+	// set including self; members is its sorted cache and peerIDs the same
+	// without self; epoch counts roster mutations; memLog records them for
+	// the renormalization gates.
 	state     MemberState
 	roster    map[int]bool
 	members   []int
+	peerIDs   []int
 	epoch     int64
 	memLog    []EpochChange
 	joinStart float64 // when the admission handshake began
@@ -365,16 +367,11 @@ func (w *Worker) profileAndBroadcast() {
 
 // peers returns the roster members other than self, in id order. Every
 // exchange path fans out over this set, so admissions and departures
-// renormalize the fan-out the moment the roster mutates.
-func (w *Worker) peers() []int {
-	out := make([]int, 0, len(w.members)-1)
-	for _, id := range w.members {
-		if id != w.ID {
-			out = append(out, id)
-		}
-	}
-	return out
-}
+// renormalize the fan-out the moment the roster mutates. The slice is the
+// cache rebuildMembers maintains — it is reached per delivered gradient
+// while a worker waits on its sync strategy — so callers must not modify
+// it.
+func (w *Worker) peers() []int { return w.peerIDs }
 
 // peerLive reports whether peer p is considered alive: heard from within
 // LivenessTimeout, or within the grace period after this worker started.
@@ -392,6 +389,7 @@ func (w *Worker) peerLive(p int) bool {
 }
 
 // livePeers returns the peers currently considered alive, in id order.
+// Read-only like peers(), which it returns as is when liveness is off.
 func (w *Worker) livePeers() []int {
 	peers := w.peers()
 	if w.cfg.LivenessTimeout <= 0 {
@@ -410,8 +408,9 @@ func (w *Worker) livePeers() []int {
 	return live
 }
 
-// LivePeers exposes the live peer set (drivers and tests).
-func (w *Worker) LivePeers() []int { return w.livePeers() }
+// LivePeers exposes the live peer set (drivers and tests), as a copy the
+// caller owns.
+func (w *Worker) LivePeers() []int { return append([]int(nil), w.livePeers()...) }
 
 func (w *Worker) send(m *wire.Message) {
 	wb := m.WireBytes()

@@ -6,11 +6,13 @@ import (
 )
 
 // workspaceUser is implemented by layers that draw activations and scratch
-// from a model-owned arena. NewModel injects its workspace into every layer
+// from a model's arena. NewModel injects its workspace into every layer
 // that implements it; a standalone layer keeps a nil workspace, which makes
-// every arena call degrade to a plain heap allocation.
+// every arena call degrade to a plain heap allocation. release hands every
+// arena buffer the layer still holds back to the workspace.
 type workspaceUser interface {
 	setWorkspace(ws *tensor.Workspace)
+	release()
 }
 
 // arena is the per-layer handle to the model workspace plus the layer's
@@ -19,7 +21,8 @@ type workspaceUser interface {
 // producing its successor — by which point the rest of the model has
 // finished reading it (Forward outputs are consumed by the next layer and
 // the loss, Backward outputs by the preceding layer, all before the next
-// pass begins).
+// pass begins). Model.TrainStep releases them all once Backward is done, so
+// a finished training step holds nothing and replicas can share one arena.
 type arena struct {
 	ws     *tensor.Workspace
 	prevY  *tensor.Tensor
@@ -27,6 +30,12 @@ type arena struct {
 }
 
 func (a *arena) setWorkspace(ws *tensor.Workspace) { a.ws = ws }
+
+func (a *arena) release() {
+	a.ws.Put(a.prevY)
+	a.ws.Put(a.prevDx)
+	a.prevY, a.prevDx = nil, nil
+}
 
 // nextY recycles the layer's previous Forward output and draws the next
 // one. The returned buffer is dirty; callers must write every element.
@@ -58,7 +67,8 @@ type Dense struct {
 	x       *tensor.Tensor // cached input
 }
 
-// NewDense builds a Dense layer with He-initialized weights.
+// NewDense builds a Dense layer with He-initialized weights (all-zero
+// weights when rng is nil: a shell to copy or restore weights into).
 func NewDense(name string, in, out int, rng *stats.RNG) *Dense {
 	d := &Dense{name: name, In: in, Out: out,
 		w: newParam(name+"/W", out, in),
@@ -125,7 +135,8 @@ type Conv2D struct {
 	inH, inW, outH, out int // cached geometry; out = outW
 }
 
-// NewConv2D builds a Conv2D layer with He-initialized kernels.
+// NewConv2D builds a Conv2D layer with He-initialized kernels (all-zero
+// when rng is nil).
 func NewConv2D(name string, inCh, filters, k, stride, pad int, rng *stats.RNG) *Conv2D {
 	c := &Conv2D{name: name, InCh: inCh, Filters: filters, K: k, Stride: stride, Pad: pad,
 		w: newParam(name+"/W", filters, inCh*k*k),
@@ -137,6 +148,13 @@ func NewConv2D(name string, inCh, filters, k, stride, pad int, rng *stats.RNG) *
 
 // Name implements Layer.
 func (c *Conv2D) Name() string { return c.name }
+
+// release also returns the im2col columns Forward keeps for Backward.
+func (c *Conv2D) release() {
+	c.arena.release()
+	c.ws.Put(c.cols)
+	c.cols = nil
+}
 
 // Params implements Layer.
 func (c *Conv2D) Params() []*Param { return []*Param{c.w, c.b} }
@@ -219,7 +237,8 @@ type DepthwiseConv2D struct {
 	outH, outW     int
 }
 
-// NewDepthwiseConv2D builds a depthwise convolution layer.
+// NewDepthwiseConv2D builds a depthwise convolution layer with
+// He-initialized kernels (all-zero when rng is nil).
 func NewDepthwiseConv2D(name string, ch, k, stride, pad int, rng *stats.RNG) *DepthwiseConv2D {
 	d := &DepthwiseConv2D{name: name, Ch: ch, K: k, Stride: stride, Pad: pad,
 		w: newParam(name+"/W", ch, k, k),

@@ -11,33 +11,42 @@ import (
 // A model owns its weights; DLion gives each worker its own replica built
 // from the same Spec and seed so all replicas start identical.
 //
-// A model also owns a tensor.Workspace its layers draw activations and
-// scratch from, so the steady-state training loop recycles a constant set
-// of buffers instead of allocating megabytes per step. The aliasing
-// consequence (DESIGN.md §9): tensors returned by Forward and TrainStep's
-// internal activations are valid only until the next Forward/TrainStep on
-// the same model — callers that retain results across steps must Clone.
-// Models remain single-goroutine; concurrent use of one model was already
-// a race before the workspace existed.
+// A model draws activations and scratch from a tensor.Workspace, so the
+// steady-state training loop recycles a constant set of buffers instead of
+// allocating megabytes per step. The arena is the model's own, except that
+// the replicas Spec.Replicas builds share one. The rules (DESIGN.md §9):
+//
+//   - One goroutine at a time per arena: a model built by NewModel or
+//     Spec.Build is single-goroutine, and so is a whole Spec.Replicas set.
+//   - TrainStep leaves no arena buffer held: by the time it returns, every
+//     activation, column matrix and the loss gradient is back in the arena,
+//     which is what lets replicas that take turns share one.
+//   - The tensor Forward returns (and the buffers behind it) stay valid
+//     until that model's next Forward or TrainStep; callers that retain
+//     results longer must Clone.
 type Model struct {
 	ModelName string
 	Layers    []Layer
 
-	params   []*Param
-	byName   map[string]*Param
-	ws       *tensor.Workspace
-	prevDout *tensor.Tensor // last loss gradient, recycled next TrainStep
-	lastOut  *tensor.Tensor
+	params []*Param
+	byName map[string]*Param
+	ws     *tensor.Workspace
+	users  []workspaceUser // the layers holding arena buffers
 }
 
 // NewModel assembles a model from layers and indexes its parameters.
 // Duplicate parameter names are a programming error and panic.
 func NewModel(name string, layers ...Layer) *Model {
-	m := &Model{ModelName: name, Layers: layers, byName: map[string]*Param{},
-		ws: tensor.NewWorkspace()}
+	return newModel(tensor.NewWorkspace(), name, layers...)
+}
+
+// newModel is NewModel on a given arena.
+func newModel(ws *tensor.Workspace, name string, layers ...Layer) *Model {
+	m := &Model{ModelName: name, Layers: layers, byName: map[string]*Param{}, ws: ws}
 	for _, l := range layers {
 		if wu, ok := l.(workspaceUser); ok {
-			wu.setWorkspace(m.ws)
+			wu.setWorkspace(ws)
+			m.users = append(m.users, wu)
 		}
 		for _, p := range l.Params() {
 			if _, dup := m.byName[p.Name]; dup {
@@ -76,7 +85,6 @@ func (m *Model) Forward(x *tensor.Tensor) *tensor.Tensor {
 	for _, l := range m.Layers {
 		x = l.Forward(x)
 	}
-	m.lastOut = x
 	return x
 }
 
@@ -91,15 +99,19 @@ func (m *Model) ZeroGrads() {
 // gradient in each Param's G buffer (replacing previous contents), and
 // returns the batch loss and accuracy. It does NOT update weights — in
 // DLion the model-update module applies gradients separately (possibly
-// combined with remote gradients).
+// combined with remote gradients). Everything the step drew from the arena
+// is returned before TrainStep does (see Model).
 func (m *Model) TrainStep(x *tensor.Tensor, labels []int) (loss, acc float64) {
 	m.ZeroGrads()
 	logits := m.Forward(x)
-	m.ws.Put(m.prevDout) // last step's loss gradient is dead by now
-	loss, acc, dout := softmaxCrossEntropyWS(m.ws, logits, labels)
-	m.prevDout = dout
+	loss, acc, dlogits := softmaxCrossEntropyWS(m.ws, logits, labels)
+	dout := dlogits
 	for i := len(m.Layers) - 1; i >= 0; i-- {
 		dout = m.Layers[i].Backward(dout)
+	}
+	m.ws.Put(dlogits)
+	for _, u := range m.users {
+		u.release()
 	}
 	return loss, acc
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"dlion/internal/stats"
+	"dlion/internal/tensor"
 )
 
 // Spec describes a model to construct. Identical specs (same seed) build
@@ -40,15 +41,50 @@ func MobileNetLiteSpec(channels, h, w, classes int, seed uint64) Spec {
 		Classes: classes, Seed: seed, WireBytes: 17 << 20}
 }
 
-// Build constructs the model. Unknown kinds panic (specs are authored in
-// code, not parsed from input).
+// Build constructs the model, He-initialized from Seed, on an arena of its
+// own. Unknown kinds panic (specs are authored in code, not parsed from
+// input).
 func (s Spec) Build() *Model {
-	rng := stats.NewRNG(s.Seed)
+	return s.build(stats.NewRNG(s.Seed), tensor.NewWorkspace())
+}
+
+// BuildZero constructs the model with all-zero weights on an arena of its
+// own: a shell for CopyWeightsFrom, Restore or SetWeights, at none of the
+// cost of drawing an initialization that is about to be overwritten.
+func (s Spec) BuildZero() *Model {
+	return s.build(nil, tensor.NewWorkspace())
+}
+
+// Replicas constructs n replicas with the weights Build gives — the first
+// He-initialized from Seed, the rest zero-built and copied from it — all
+// drawing from ONE shared arena. That makes the whole set single-goroutine
+// (see Model): it is for a driver that steps its replicas in turn, like the
+// simulator's event loop, where n private arenas would sit idle between
+// events. Concurrent readers copy the weights into a BuildZero replica of
+// their own.
+func (s Spec) Replicas(n int) []*Model {
+	ws := tensor.NewWorkspace()
+	ms := make([]*Model, n)
+	for i := range ms {
+		if i == 0 {
+			ms[i] = s.build(stats.NewRNG(s.Seed), ws)
+			continue
+		}
+		ms[i] = s.build(nil, ws)
+		if err := ms[i].CopyWeightsFrom(ms[0]); err != nil {
+			panic(err) // same spec, same shapes: cannot fail
+		}
+	}
+	return ms
+}
+
+// build assembles the model on ws; a nil rng leaves the weights zero.
+func (s Spec) build(rng *stats.RNG, ws *tensor.Workspace) *Model {
 	switch s.Kind {
 	case "cipher":
-		return buildCipher(s, rng)
+		return buildCipher(s, rng, ws)
 	case "mobilenet-lite":
-		return buildMobileNetLite(s, rng)
+		return buildMobileNetLite(s, rng, ws)
 	default:
 		panic(fmt.Sprintf("nn: unknown model kind %q", s.Kind))
 	}
@@ -60,12 +96,12 @@ func (s Spec) ExchangeBytes() int {
 	if s.WireBytes > 0 {
 		return s.WireBytes
 	}
-	return s.Build().SizeBytes()
+	return s.BuildZero().SizeBytes()
 }
 
 // buildCipher assembles the Cipher CNN: conv(10)-relu-pool,
 // conv(20)-relu-pool, conv(100)-relu, fc(200)-relu, fc(classes).
-func buildCipher(s Spec, rng *stats.RNG) *Model {
+func buildCipher(s Spec, rng *stats.RNG, ws *tensor.Workspace) *Model {
 	h, w := s.Height, s.Width
 	conv1 := NewConv2D("conv1", s.Channels, 10, 3, 1, 1, rng)
 	pool1 := NewMaxPool2("pool1")
@@ -75,7 +111,7 @@ func buildCipher(s Spec, rng *stats.RNG) *Model {
 	h, w = h/2, w/2
 	conv3 := NewConv2D("conv3", 20, 100, 3, 1, 1, rng)
 	flat := h * w * 100
-	return NewModel("cipher",
+	return newModel(ws, "cipher",
 		conv1, NewReLU("relu1"), pool1,
 		conv2, NewReLU("relu2"), pool2,
 		conv3, NewReLU("relu3"),
@@ -88,7 +124,7 @@ func buildCipher(s Spec, rng *stats.RNG) *Model {
 // buildMobileNetLite assembles a reduced MobileNet: a stem convolution
 // followed by depthwise-separable blocks (depthwise 3x3 + pointwise 1x1),
 // global average pooling, and a classifier head.
-func buildMobileNetLite(s Spec, rng *stats.RNG) *Model {
+func buildMobileNetLite(s Spec, rng *stats.RNG, ws *tensor.Workspace) *Model {
 	type block struct{ in, out, stride int }
 	blocks := []block{
 		{32, 64, 1},
@@ -114,5 +150,5 @@ func buildMobileNetLite(s Spec, rng *stats.RNG) *Model {
 		NewGlobalAvgPool("gap"),
 		NewDense("fc", 256, s.Classes, rng),
 	)
-	return NewModel("mobilenet-lite", layers...)
+	return newModel(ws, "mobilenet-lite", layers...)
 }

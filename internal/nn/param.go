@@ -27,8 +27,11 @@ func newParam(name string, shape ...int) *Param {
 }
 
 // initHe fills p.W with He-normal values (good default for ReLU nets) using
-// fanIn as the scaling denominator.
+// fanIn as the scaling denominator. A nil rng leaves the weights zero.
 func (p *Param) initHe(rng *stats.RNG, fanIn int) {
+	if rng == nil {
+		return
+	}
 	std := math.Sqrt(2 / float64(fanIn))
 	for i := range p.W.Data {
 		p.W.Data[i] = float32(rng.NormFloat64() * std)

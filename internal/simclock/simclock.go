@@ -5,9 +5,10 @@
 // virtual time by the cost models in simcompute and simnet.
 //
 // Events fire in (time, insertion-order) order, so simulations are fully
-// deterministic. The scheduler is a calendar queue (calqueue.go): value-typed
-// events in time-bucketed sorted slices with O(1) amortized enqueue/dequeue,
-// sized for the fleet-scale federations of DESIGN.md §14.
+// deterministic. The scheduler is a 4-ary min-heap of value-typed events
+// (heap.go): O(log n) push and pop whatever the schedule's shape, which is
+// what the all-to-all bursts of the fleet-scale federations in DESIGN.md
+// §14 need.
 package simclock
 
 // Engine is a single-threaded discrete-event scheduler. It is not safe for
@@ -17,7 +18,7 @@ type Engine struct {
 	now      float64
 	seq      uint64
 	executed uint64
-	q        calQueue
+	q        eventHeap
 }
 
 // Handler is a pre-bound event callback. Scheduling one stores the
@@ -26,6 +27,12 @@ type Engine struct {
 // a fresh closure per event.
 type Handler interface{ Fire() }
 
+// funcHandler adapts a closure to Handler. A func value is pointer-shaped,
+// so the conversion itself allocates nothing.
+type funcHandler func()
+
+func (f funcHandler) Fire() { f() }
+
 // New returns an engine with the clock at 0.
 func New() *Engine { return &Engine{} }
 
@@ -33,7 +40,7 @@ func New() *Engine { return &Engine{} }
 func (e *Engine) Now() float64 { return e.now }
 
 // Pending returns the number of scheduled events.
-func (e *Engine) Pending() int { return e.q.size }
+func (e *Engine) Pending() int { return len(e.q) }
 
 // Executed returns how many events have fired since construction — the
 // numerator of a DES throughput measurement (events per wall second).
@@ -41,13 +48,7 @@ func (e *Engine) Executed() uint64 { return e.executed }
 
 // At schedules fn to run at absolute virtual time t. Scheduling in the past
 // (t < Now) clamps to Now: the event runs next, preserving causality.
-func (e *Engine) At(t float64, fn func()) {
-	if t < e.now {
-		t = e.now
-	}
-	e.seq++
-	e.q.push(event{at: t, seq: e.seq, fn: fn})
-}
+func (e *Engine) At(t float64, fn func()) { e.AtHandler(t, funcHandler(fn)) }
 
 // After schedules fn to run d seconds from now. Negative d clamps to 0.
 func (e *Engine) After(d float64, fn func()) {
@@ -103,11 +104,7 @@ func (e *Engine) Step() bool {
 	}
 	e.now = ev.at
 	e.executed++
-	if ev.h != nil {
-		ev.h.Fire()
-	} else {
-		ev.fn()
-	}
+	ev.h.Fire()
 	return true
 }
 

@@ -152,15 +152,19 @@ func parallelFor(n int, body func(i int)) {
 	parallelRun(n, &seqRange{f: body})
 }
 
-// ParallelReplicas runs body(i) for i in [0,n) across up to SetMaxWorkers
-// goroutines. Unlike the kernel pool above, bodies MAY invoke pooled kernels:
-// the fan-out uses dedicated short-lived goroutines rather than pool helpers,
-// so replica-level parallelism (e.g. evaluating many model replicas) composes
-// with kernel-level parallelism without the nested-wait starvation parallelRun
-// forbids. Each body(i) must own the data for index i; callers merge results
-// in index order afterwards, so output is independent of scheduling.
-// Deterministic mode and single-worker settings run inline, in index order.
-func ParallelReplicas(n int, body func(i int)) {
+// ParallelReplicas runs body(slot, i) for i in [0,n) across up to
+// SetMaxWorkers goroutines. Unlike the kernel pool above, bodies MAY invoke
+// pooled kernels: the fan-out uses dedicated short-lived goroutines rather
+// than pool helpers, so replica-level parallelism (e.g. evaluating many model
+// replicas) composes with kernel-level parallelism without the nested-wait
+// starvation parallelRun forbids. Each body must own the data for index i;
+// callers merge results in index order afterwards, so output is independent
+// of scheduling. slot numbers the goroutine running the body, 0 <= slot <
+// min(SetMaxWorkers, n): bodies given the same slot never overlap, so state
+// indexed by slot (a scratch model with its own arena) needs no locking.
+// Deterministic mode and single-worker settings run inline, in index order,
+// on slot 0.
+func ParallelReplicas(n int, body func(slot, i int)) {
 	workers := int(maxWorkers.Load())
 	if deterministic.Load() {
 		workers = 1
@@ -170,28 +174,28 @@ func ParallelReplicas(n int, body func(i int)) {
 	}
 	if workers <= 1 || n < 2 {
 		for i := 0; i < n; i++ {
-			body(i)
+			body(0, i)
 		}
 		return
 	}
 	var next atomic.Int64
 	var wg sync.WaitGroup
-	claim := func() {
+	claim := func(slot int) {
 		for {
 			i := int(next.Add(1)) - 1
 			if i >= n {
 				return
 			}
-			body(i)
+			body(slot, i)
 		}
 	}
 	for w := 1; w < workers; w++ {
 		wg.Add(1)
-		go func() {
+		go func(slot int) {
 			defer wg.Done()
-			claim()
-		}()
+			claim(slot)
+		}(w)
 	}
-	claim()
+	claim(0)
 	wg.Wait()
 }

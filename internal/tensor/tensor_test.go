@@ -2,6 +2,8 @@ package tensor
 
 import (
 	"math"
+	"runtime"
+	"sync/atomic"
 	"testing"
 	"testing/quick"
 )
@@ -437,6 +439,35 @@ func TestKernelsBitIdenticalAcrossWorkerCounts(t *testing.T) {
 					t.Fatalf("%s diverged at workers=%d index=%d: %v != %v",
 						name, workers, i, pair[0][i], pair[1][i])
 				}
+			}
+		}
+	}
+}
+
+// TestParallelReplicasSlots pins what cluster.Run's evaluation relies on:
+// every index runs exactly once, slots stay below min(workers, n), and two
+// bodies holding the same slot never overlap — so per-slot scratch state
+// needs no lock.
+func TestParallelReplicasSlots(t *testing.T) {
+	defer SetMaxWorkers(SetMaxWorkers(3))
+	for _, n := range []int{1, 2, 3, 50} {
+		ran := make([]atomic.Int32, n)
+		busy := make([]atomic.Bool, n)
+		ParallelReplicas(n, func(slot, i int) {
+			if slot < 0 || slot >= 3 || slot >= n {
+				t.Errorf("n=%d: slot %d out of range", n, slot)
+				return
+			}
+			if !busy[slot].CompareAndSwap(false, true) {
+				t.Errorf("n=%d: two bodies share slot %d at once", n, slot)
+			}
+			ran[i].Add(1)
+			runtime.Gosched()
+			busy[slot].Store(false)
+		})
+		for i := range ran {
+			if c := ran[i].Load(); c != 1 {
+				t.Fatalf("n=%d: index %d ran %d times", n, i, c)
 			}
 		}
 	}

@@ -16,8 +16,12 @@ import (
 //
 // Ownership and aliasing contract (DESIGN.md §9):
 //
-//   - A Workspace is NOT safe for concurrent use. Each owner — one model,
-//     one goroutine — holds its own; sharing one across goroutines is a race.
+//   - A Workspace is NOT safe for concurrent use: one goroutine at a time.
+//     A model normally holds its own. Several models may share one when a
+//     single goroutine steps them in turn and each returns what it drew
+//     before the next runs — nn.Spec.Replicas builds such a set for the
+//     simulator's event loop, where a private arena per replica would sit
+//     idle between events. Sharing one across goroutines is a race.
 //   - Only tensors born from Get/GetZeroed are recyclable; Put silently
 //     ignores foreign tensors (from New, FromSlice, Reshape views), so a
 //     view of an arena buffer can never re-enter the free lists as a second
