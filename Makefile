@@ -56,7 +56,7 @@ conformance:
 bench:
 	go test -run='^$$' -bench=. -benchmem -cpu 1 \
 		./internal/tensor/... ./internal/nn/... ./internal/grad/... ./internal/wire/... \
-		./internal/queue/... ./internal/simclock/... \
+		./internal/queue/... ./internal/simclock/... ./internal/core/... \
 		| go run ./cmd/dlion-benchfmt -out BENCH_kernels.json \
 			-baseline BENCH_kernels.json -regress '$(or $(BENCH_REGRESS),0)'
 

@@ -115,9 +115,10 @@ type MembershipConfig struct {
 	// WELCOME's epoch-stamped roster and weight snapshot, announce itself to
 	// the remaining members — and only then starts iterating.
 	Join bool
-	// Sponsor is the member the joiner sends its HELLO to. Drivers that
-	// resolve the sponsor at join time (e.g. freshest live member) call
-	// StartJoin directly and may leave this zero.
+	// Sponsor is the member the joiner sends its HELLO to, in
+	// [0, NumWorkers). Drivers that resolve the sponsor at join time (e.g.
+	// freshest live member) call StartJoin directly and may leave this zero
+	// or negative.
 	Sponsor int
 	// JoinTimeout bounds the admission handshake (seconds). When no WELCOME
 	// arrives in time the joiner degrades to solo training — roster of one,

@@ -33,22 +33,23 @@ func (w *Worker) maybeDKT() {
 // requests the transfer; in the Best2worst variant only the worst does.
 // Loss reports from peers that have since gone silent past the liveness
 // timeout are expired first — electing a dead peer as "best" would stall
-// the transfer forever.
+// the transfer forever. The table is walked in id order, so among equal
+// losses the lowest id wins.
 func (w *Worker) decideDKT() {
-	for p := range w.peerLoss {
-		if !w.peerLive(p) {
-			delete(w.peerLoss, p)
-		}
-	}
 	myLoss := w.AvgRecentLoss()
 	best, bestLoss := w.ID, myLoss
 	worst, worstLoss := w.ID, myLoss
-	for p, l := range w.peerLoss {
-		if l < bestLoss {
-			best, bestLoss = p, l
+	for p := range w.peers {
+		ps := &w.peers[p]
+		ps.hasLoss = ps.hasLoss && w.peerLive(p)
+		if !ps.hasLoss {
+			continue
 		}
-		if l > worstLoss {
-			worst, worstLoss = p, l
+		if ps.loss < bestLoss {
+			best, bestLoss = p, ps.loss
+		}
+		if ps.loss > worstLoss {
+			worst, worstLoss = p, ps.loss
 		}
 	}
 	if best == w.ID {

@@ -46,8 +46,8 @@ func TestDKTElectionTargetsBestLoss(t *testing.T) {
 	w := ws[1]
 	// worker 1 knows: self 0.8, peer 0 has 0.2 (best), peer 2 has 1.5
 	w.lossWin = []float64{0.8}
-	w.peerLoss[0] = 0.2
-	w.peerLoss[2] = 1.5
+	w.peers[0].loss, w.peers[0].hasLoss = 0.2, true
+	w.peers[2].loss, w.peers[2].hasLoss = 1.5, true
 	w.decideDKT()
 	if len(env.sent) != 1 || env.sent[0].Type != wire.TypeDKTRequest || env.sent[0].To != 0 {
 		t.Fatalf("expected one request to worker 0, got %+v", env.sent)
@@ -58,6 +58,23 @@ func TestDKTElectionTargetsBestLoss(t *testing.T) {
 	w.decideDKT()
 	if len(env.sent) != 0 {
 		t.Fatalf("best worker must not request: %+v", env.sent)
+	}
+}
+
+// TestDKTElectionTieGoesToLowestID: two peers reporting bit-equal losses
+// must elect the same best worker on every run — the lower id.
+func TestDKTElectionTieGoesToLowestID(t *testing.T) {
+	env, ws := dktCluster(t, 3, false)
+	w := ws[0]
+	w.lossWin = []float64{0.8}
+	for rep := 0; rep < 50; rep++ {
+		env.sent = nil
+		w.peers[1].loss, w.peers[1].hasLoss = 0.3, true
+		w.peers[2].loss, w.peers[2].hasLoss = 0.3, true
+		w.decideDKT()
+		if len(env.sent) != 1 || env.sent[0].Type != wire.TypeDKTRequest || env.sent[0].To != 1 {
+			t.Fatalf("repetition %d: expected one request to worker 1, got %+v", rep, env.sent)
+		}
 	}
 }
 

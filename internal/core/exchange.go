@@ -78,7 +78,8 @@ func (w *Worker) exchangeGradients() {
 				selBudget = int(float64(budget) * grad.BudgetInflation(prec))
 			}
 		}
-		w.lastPrec[p] = prec
+		link := &w.peers[p]
+		link.prec = prec
 
 		var entry *selCacheEntry
 		if w.selInvariant {
@@ -106,8 +107,8 @@ func (w *Worker) exchangeGradients() {
 			w.stats.QuantBytesSaved += int64(entry.saved)
 			w.obs.AddQuantSaved(entry.saved)
 		}
-		w.lastBudget[p] = budget
-		w.lastSelCount[p] = entry.count
+		link.budget = budget
+		link.selCount = entry.count
 		w.stats.GradValuesSent += int64(entry.count)
 		w.stats.GradMsgsSent++
 		if len(entry.sels) == 0 {

@@ -30,17 +30,19 @@ func computeRCP(batchSizes, seconds []float64) float64 {
 }
 
 // lbsShares implements Eq. 5: LBS_i = GBS · RCP_i / Σ_j RCP_j, floored at
-// minLBS per worker. rcp maps worker id to its latest reported RCP; workers
-// without a report get the mean of the known ones (cold start).
-func lbsShares(gbs int, n int, rcp map[int]float64, minLBS int) []int {
+// minLBS per worker. rcp holds each worker's latest reported RCP; workers
+// without a report (anything not > 0) get the mean of the known ones (cold
+// start). rcp is the function's working storage and is overwritten.
+func lbsShares(gbs int, rcp []float64, minLBS int) []int {
+	n := len(rcp)
 	shares := make([]int, n)
-	filled := make([]float64, n)
 	var sum, known float64
-	for i := 0; i < n; i++ {
-		if v, ok := rcp[i]; ok && v > 0 {
-			filled[i] = v
+	for i, v := range rcp {
+		if v > 0 {
 			sum += v
 			known++
+		} else {
+			rcp[i] = 0
 		}
 	}
 	mean := 1.0
@@ -49,14 +51,14 @@ func lbsShares(gbs int, n int, rcp map[int]float64, minLBS int) []int {
 	}
 	total := 0.0
 	for i := 0; i < n; i++ {
-		if filled[i] == 0 {
-			filled[i] = mean
+		if rcp[i] == 0 {
+			rcp[i] = mean
 		}
-		total += filled[i]
+		total += rcp[i]
 	}
 	assigned := 0
 	for i := 0; i < n; i++ {
-		s := int(float64(gbs) * filled[i] / total)
+		s := int(float64(gbs) * rcp[i] / total)
 		if s < minLBS {
 			s = minLBS
 		}
@@ -68,13 +70,13 @@ func lbsShares(gbs int, n int, rcp map[int]float64, minLBS int) []int {
 	for assigned < gbs {
 		best := 0
 		for i := 1; i < n; i++ {
-			if filled[i] > filled[best] {
+			if rcp[i] > rcp[best] {
 				best = i
 			}
 		}
 		shares[best]++
 		assigned++
-		filled[best] *= 0.999 // spread ties
+		rcp[best] *= 0.999 // spread ties
 	}
 	return shares
 }

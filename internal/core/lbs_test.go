@@ -52,8 +52,8 @@ func TestComputeRCPDegenerateFallback(t *testing.T) {
 }
 
 func TestLBSSharesEqualCapacity(t *testing.T) {
-	rcp := map[int]float64{0: 10, 1: 10, 2: 10}
-	shares := lbsShares(96, 3, rcp, 1)
+	rcp := []float64{10, 10, 10}
+	shares := lbsShares(96, rcp, 1)
 	total := 0
 	for i, s := range shares {
 		if s != 32 {
@@ -68,8 +68,8 @@ func TestLBSSharesEqualCapacity(t *testing.T) {
 
 func TestLBSSharesProportional(t *testing.T) {
 	// cores 24/12/6/6 at GBS 192: shares 96/48/24/24
-	rcp := map[int]float64{0: 24, 1: 12, 2: 6, 3: 6}
-	shares := lbsShares(192, 4, rcp, 1)
+	rcp := []float64{24, 12, 6, 6}
+	shares := lbsShares(192, rcp, 1)
 	want := []int{96, 48, 24, 24}
 	for i := range want {
 		if shares[i] != want[i] {
@@ -79,9 +79,9 @@ func TestLBSSharesProportional(t *testing.T) {
 }
 
 func TestLBSSharesSumTracksGBS(t *testing.T) {
-	rcp := map[int]float64{0: 7, 1: 13, 2: 29, 3: 3, 4: 17, 5: 11}
+	rcp := []float64{7, 13, 29, 3, 17, 11}
 	for _, gbs := range []int{50, 192, 1000, 777} {
-		shares := lbsShares(gbs, 6, rcp, 1)
+		shares := lbsShares(gbs, append([]float64(nil), rcp...), 1)
 		sum := 0
 		for _, s := range shares {
 			sum += s
@@ -93,8 +93,8 @@ func TestLBSSharesSumTracksGBS(t *testing.T) {
 }
 
 func TestLBSSharesMinFloor(t *testing.T) {
-	rcp := map[int]float64{0: 1000, 1: 1}
-	shares := lbsShares(64, 2, rcp, 4)
+	rcp := []float64{1000, 1}
+	shares := lbsShares(64, rcp, 4)
 	if shares[1] < 4 {
 		t.Fatalf("floor violated: %v", shares)
 	}
@@ -102,14 +102,14 @@ func TestLBSSharesMinFloor(t *testing.T) {
 
 func TestLBSSharesColdStart(t *testing.T) {
 	// no reports at all: even split
-	shares := lbsShares(60, 6, map[int]float64{}, 1)
+	shares := lbsShares(60, make([]float64, 6), 1)
 	for _, s := range shares {
 		if s != 10 {
 			t.Fatalf("cold start shares %v", shares)
 		}
 	}
 	// partial reports: unknown workers get the mean of known
-	shares = lbsShares(90, 3, map[int]float64{0: 10, 1: 20}, 1)
+	shares = lbsShares(90, []float64{10, 20, 0}, 1)
 	// filled: 10, 20, 15 -> 20, 40, 30
 	if shares[0] != 20 || shares[1] != 40 || shares[2] != 30 {
 		t.Fatalf("partial shares %v", shares)

@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"sort"
 
 	"dlion/internal/grad"
 	"dlion/internal/wire"
@@ -13,7 +12,10 @@ import (
 // without restarting it (ROADMAP: "workers joining/leaving mid-training").
 //
 // Every worker keeps a roster — the set of worker ids it believes are
-// members — and an epoch counter that increments on every roster mutation.
+// members, held as the member bits of its peer table (worker.go), whose
+// index is the worker id: ids from outside are checked against
+// [0, NumWorkers) first — and an epoch counter that increments on every
+// roster mutation.
 // All renormalization-sensitive paths (GBS divisor, LBS shares, gradient
 // fan-out, sync strategies, DKT electorates) derive their cluster size from
 // the roster, so admission and departure renormalize them immediately. The
@@ -86,41 +88,54 @@ type EpochChange struct {
 // space); joiners start alone in StateJoining and acquire the roster from
 // their sponsor's WELCOME.
 func (w *Worker) initMembership() error {
-	w.roster = map[int]bool{}
 	mc := w.cfg.Membership
 	switch {
 	case mc.Join:
-		if mc.Sponsor == w.ID {
-			return fmt.Errorf("core: worker %d sponsoring its own join", w.ID)
+		if mc.Sponsor == w.ID || mc.Sponsor >= len(w.peers) {
+			return fmt.Errorf("core: worker %d cannot join through sponsor %d", w.ID, mc.Sponsor)
 		}
 		w.state = StateJoining
-		w.roster[w.ID] = true
+		w.peers[w.ID].member = true
 	case len(mc.InitialMembers) > 0:
 		for _, id := range mc.InitialMembers {
-			w.roster[id] = true
+			if id < 0 || id >= len(w.peers) {
+				return fmt.Errorf("core: InitialMembers %v outside [0,%d)", mc.InitialMembers, len(w.peers))
+			}
+			w.peers[id].member = true
 		}
-		if !w.roster[w.ID] {
+		if !w.peers[w.ID].member {
 			return fmt.Errorf("core: worker %d not in InitialMembers %v", w.ID, mc.InitialMembers)
 		}
 	default:
-		for i := 0; i < w.env.NumWorkers(); i++ {
-			w.roster[i] = true
+		for i := range w.peers {
+			w.peers[i].member = true
 		}
 	}
 	w.rebuildMembers()
 	return nil
 }
 
-// rebuildMembers refreshes the sorted member cache, and the peer list
-// derived from it, after a roster mutation. The peer list is allocated
-// fresh rather than rewritten in place, so a slice peers() handed out
-// before the mutation stays the roster it was.
+// rosterOfOne shrinks the believed roster to this worker alone.
+func (w *Worker) rosterOfOne() {
+	for i := range w.peers {
+		w.peers[i].member = i == w.ID
+	}
+}
+
+// rebuildMembers refreshes the member cache, and the peer list derived
+// from it, after a roster mutation: one ascending scan of the table, so
+// both come out in id order. Every exchange path fans out over peerIDs —
+// it is reached per delivered gradient while a worker waits on its sync
+// strategy — so readers must not modify it, and it is allocated fresh
+// rather than rewritten in place, so a slice taken before the mutation
+// stays the roster it was.
 func (w *Worker) rebuildMembers() {
 	w.members = w.members[:0]
-	for id := range w.roster {
-		w.members = append(w.members, id)
+	for id := range w.peers {
+		if w.peers[id].member {
+			w.members = append(w.members, id)
+		}
 	}
-	sort.Ints(w.members)
 	w.peerIDs = make([]int, 0, len(w.members))
 	for _, id := range w.members {
 		if id != w.ID {
@@ -198,13 +213,13 @@ func (w *Worker) StartJoin(sponsor int) {
 	if w.started {
 		panic("core: worker started twice")
 	}
-	if sponsor == w.ID {
-		panic("core: worker sponsoring its own join")
+	if sponsor == w.ID || sponsor < 0 || sponsor >= len(w.peers) {
+		panic(fmt.Sprintf("core: worker %d cannot join through sponsor %d", w.ID, sponsor))
 	}
 	w.started = true
 	w.aliveFrom = w.env.Now()
 	w.state = StateJoining
-	w.roster = map[int]bool{w.ID: true}
+	w.rosterOfOne()
 	w.rebuildMembers()
 	w.joinStart = w.env.Now()
 	w.joinWait = w.cfg.Membership.JoinRetry
@@ -269,19 +284,17 @@ func (w *Worker) handleHello(m *wire.Message) {
 		return // not yet a member; cannot admit or sponsor anyone
 	}
 	from := int(m.From)
+	peer := &w.peers[from]
 	// Record the sender's precision capabilities even on duplicate HELLOs:
 	// the mask rides every handshake message, so the freshest wins.
-	w.peerQuant[from] = grad.PrecMask(m.Quant)
-	if !w.roster[from] {
-		w.roster[from] = true
-		if m.Iter > w.peerIter[from] {
-			w.peerIter[from] = m.Iter
+	peer.quant = grad.PrecMask(m.Quant)
+	if !peer.member {
+		peer.member = true
+		if m.Iter > peer.iter {
+			peer.iter = m.Iter
 		}
 		w.bumpEpoch("join")
-		if w.waitingSync && w.canProceed() {
-			w.unblockSync()
-			w.startIteration()
-		}
+		w.recheckSync()
 	}
 	if m.Flags&wire.HelloNeedSync != 0 {
 		w.sendWelcome(from)
@@ -305,32 +318,30 @@ func (w *Worker) sendWelcome(to int) {
 
 // handleWelcome completes the joiner's admission: adopt the sponsor's
 // roster, epoch, weights, iteration, and (fixed-mode) GBS, announce the
-// join to the remaining members, then start training.
+// join to the remaining members, then start training. (A joining worker's
+// roster is itself alone, and HandleMessage has bounded the ids.)
 func (w *Worker) handleWelcome(m *wire.Message) {
 	if w.state != StateJoining {
 		return // duplicate WELCOME from a retried HELLO
 	}
 	w.state = StateSyncing
 	sponsor := int(m.From)
-	w.peerQuant[sponsor] = grad.PrecMask(m.Quant)
-	w.roster = map[int]bool{w.ID: true}
+	w.peers[sponsor].quant = grad.PrecMask(m.Quant)
 	for _, id := range m.Members {
-		w.roster[int(id)] = true
+		w.peers[id].member = true
 	}
-	w.roster[sponsor] = true
+	w.peers[sponsor].member = true
 	w.epoch = m.Epoch // the sponsor's epoch already counts this join
 	w.rebuildMembers()
 	now := w.env.Now()
-	for _, p := range w.members {
-		if p == w.ID {
-			continue
-		}
-		w.lastHeard[p] = now
+	for _, p := range w.peerIDs {
+		peer := &w.peers[p]
+		peer.lastHeard, peer.heard = now, true
 		// The cohort is at least at the sponsor's iteration; starting the
 		// sync bookkeeping there keeps SyncFull from waiting on history the
 		// joiner never ran.
-		if w.peerIter[p] < m.Iter {
-			w.peerIter[p] = m.Iter
+		if peer.iter < m.Iter {
+			peer.iter = m.Iter
 		}
 	}
 	if len(m.Weights) > 0 {
@@ -344,8 +355,8 @@ func (w *Worker) handleWelcome(m *wire.Message) {
 	w.obs.ObserveJoin(now - w.joinStart)
 	// Announce the join to every member the sponsor did not admit us
 	// through. FIFO links deliver these before our first gradients.
-	for _, p := range w.members {
-		if p != w.ID && p != sponsor {
+	for _, p := range w.peerIDs {
+		if p != sponsor {
 			w.sendHello(p, false)
 		}
 	}
@@ -354,48 +365,37 @@ func (w *Worker) handleWelcome(m *wire.Message) {
 }
 
 // handleLeave removes a tombstoned member and renormalizes: the roster
-// shrinks, the epoch advances, and the departed worker's sync, loss, and
-// capacity state is dropped in the same event. A blocked sync strategy
-// re-evaluates immediately — the leaver can no longer block anyone.
+// shrinks, the epoch advances, and the departed worker's row of the peer
+// table goes back to zero in the same event, so the id re-joining later
+// starts clean. A blocked sync strategy re-evaluates immediately — the
+// leaver can no longer block anyone.
 func (w *Worker) handleLeave(m *wire.Message) {
 	from := int(m.From)
-	if !w.roster[from] {
+	if !w.peers[from].member {
 		return // duplicate tombstone
 	}
-	delete(w.roster, from)
-	delete(w.peerIter, from)
-	delete(w.peerLoss, from)
-	delete(w.rcp, from)
-	delete(w.lastHeard, from)
-	delete(w.deadSeen, from)
-	delete(w.peerQuant, from)
+	w.peers[from] = peerState{}
 	w.bumpEpoch("leave")
-	if w.waitingSync && w.canProceed() {
-		w.unblockSync()
-		w.startIteration()
-	}
+	w.recheckSync()
 }
 
 // Leave departs the federation gracefully: a LEAVE tombstone to every
 // roster peer (queued behind any gradients already sent on the same FIFO
-// links, so peers apply them first), then the worker goes silent. Pending
-// timers are invalidated the same way Stop does it.
+// links, so peers apply them first), then the worker goes silent, its
+// pending timers invalidated by Stop.
 func (w *Worker) Leave() {
 	if w.stopped || w.state == StateDraining || w.state == StateLeft {
 		return
 	}
 	if w.state != StateJoining && w.state != StateSyncing {
 		w.state = StateDraining
-		for _, p := range w.peers() {
+		for _, p := range w.peerIDs {
 			w.send(&wire.Message{Type: wire.TypeLeave, From: int32(w.ID),
 				To: int32(p), Iter: w.iter, Epoch: w.epoch})
 		}
 	}
-	w.roster = map[int]bool{w.ID: true}
+	w.rosterOfOne()
 	w.bumpEpoch("left")
 	w.state = StateLeft
-	w.stopped = true
-	w.gen++
-	w.waitingSync = false
-	w.recheckArmed = false
+	w.Stop()
 }

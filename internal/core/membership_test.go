@@ -2,10 +2,13 @@ package core
 
 import (
 	"fmt"
+	"math"
 	"testing"
 
 	"dlion/internal/data"
+	"dlion/internal/grad"
 	"dlion/internal/nn"
+	"dlion/internal/tensor"
 	"dlion/internal/wire"
 )
 
@@ -210,14 +213,14 @@ func TestPeerCacheFollowsRoster(t *testing.T) {
 	ws := buildClusterCfgs(t, []Config{founder, founder, joiner}, env)
 	ws[0].Start()
 	ws[1].Start()
-	before := ws[0].peers()
+	before := ws[0].peerIDs
 	if !equalInts(before, []int{1}) {
 		t.Fatalf("founder peers %v before the join, want [1]", before)
 	}
 	env.eng.At(5, ws[2].Start)
 	env.eng.Run(15)
 	for i, want := range [][]int{{1, 2}, {0, 2}, {0, 1}} {
-		if got := ws[i].peers(); !equalInts(got, want) {
+		if got := ws[i].peerIDs; !equalInts(got, want) {
 			t.Fatalf("worker %d peers %v after the join, want %v", i, got, want)
 		}
 	}
@@ -228,15 +231,194 @@ func TestPeerCacheFollowsRoster(t *testing.T) {
 	ws[1].Leave()
 	env.eng.Run(30)
 	for i, want := range [][]int{{2}, {}, {0}} {
-		if got := ws[i].peers(); !equalInts(got, want) {
+		if got := ws[i].peerIDs; !equalInts(got, want) {
 			t.Fatalf("worker %d peers %v after the leave, want %v", i, got, want)
 		}
 	}
 
 	own := ws[0].LivePeers()
 	own[0] = 99
-	if got := ws[0].peers(); !equalInts(got, []int{2}) {
+	if got := ws[0].peerIDs; !equalInts(got, []int{2}) {
 		t.Fatalf("writing to LivePeers' result reached the cache: %v", got)
+	}
+}
+
+// TestPeerTableFollowsRoster covers the whole peer-table row, not only the
+// roster bit: a leave zeroes the departed id's row on every observer, the
+// same id re-joining starts from a clean row seeded by its HELLO/WELCOME,
+// and Stop+Resume clears exactly the soft fields.
+func TestPeerTableFollowsRoster(t *testing.T) {
+	env := newFakeEnv(3, []float64{1, 1, 1})
+	founder := asyncConfig()
+	founder.LivenessTimeout = 10
+	founder.LinkBudget = true
+	founder.Batch.DynamicBatching = true
+	founder.DKT = DKTConfig{Enabled: true, Period: 2, Lambda: 0.5}
+	joiner := founder
+	joiner.Membership.Join = true
+	joiner.Membership.Sponsor = 0
+	ws := buildClusterCfgs(t, []Config{founder, founder, founder}, env)
+	for _, w := range ws {
+		w.Start()
+	}
+	env.eng.Run(10)
+	for _, i := range []int{0, 2} {
+		e := ws[i].peers[1]
+		if !e.member || e.rcp <= 0 || e.iter == 0 || !e.hasLoss || !e.heard ||
+			e.selCount == 0 || e.budget == 0 {
+			t.Fatalf("worker %d knows too little about peer 1 for the leave to prove anything: %+v", i, e)
+		}
+	}
+
+	ws[1].Leave()
+	env.eng.Run(12)
+	for _, i := range []int{0, 2} {
+		if e := ws[i].peers[1]; e != (peerState{}) {
+			t.Fatalf("worker %d kept state about departed peer 1: %+v", i, e)
+		}
+	}
+
+	// The id comes back as a new process: no iterations, default weights.
+	again, err := New(1, joiner, ws[1].model, ws[1].shard, env)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ws[1], env.workers[1] = again, again
+	again.Start()
+	// The handshake is instantaneous on this env; half a second stays short
+	// of the rejoiner's first gradient, which would move iter past its seed.
+	env.eng.Run(12.5)
+	if got := again.Members(); !equalInts(got, []int{0, 1, 2}) {
+		t.Fatalf("rejoiner roster %v, want [0 1 2]", got)
+	}
+	seed := again.Iter() // adopted from the sponsor's WELCOME
+	if seed == 0 {
+		t.Fatal("rejoiner did not adopt the sponsor's iteration")
+	}
+	for _, i := range []int{0, 2} {
+		e := ws[i].peers[1]
+		if !e.member || !e.heard || e.quant != grad.MaskAll || e.hasLoss || e.deadSeen {
+			t.Fatalf("worker %d's row for rejoined peer 1: %+v", i, e)
+		}
+		// The sponsor saw the admission HELLO (iteration 0), everyone else
+		// the announce sent after the WELCOME was adopted.
+		if want := map[int]int64{0: 0, 2: seed}[i]; e.iter != want {
+			t.Fatalf("worker %d seeded peer 1 at iteration %d, want %d", i, e.iter, want)
+		}
+		if e := again.peers[i]; !e.member || !e.heard || e.iter < seed {
+			t.Fatalf("rejoiner's row for member %d: %+v (sponsor iteration %d)", i, e, seed)
+		}
+	}
+
+	env.eng.Run(25)
+	w := ws[0]
+	w.peers[2].deadSeen = true // as if an attached obs sink had counted an expiry
+	before := append([]peerState(nil), w.peers...)
+	w.Stop()
+	w.Resume(-1)
+	for id, was := range before {
+		if id == w.ID {
+			continue
+		}
+		if !was.heard || !was.hasLoss || was.iter == 0 || was.rcp <= 0 {
+			t.Fatalf("peer %d had too little state before the restart: %+v", id, was)
+		}
+		want := was
+		want.heard, want.hasLoss, want.deadSeen = false, false, false
+		got := w.peers[id]
+		// What the cleared flags guarded is stale, not part of the contract.
+		want.lastHeard, got.lastHeard, want.loss, got.loss = 0, 0, 0, 0
+		if got != want {
+			t.Fatalf("peer %d across Stop+Resume: %+v, want %+v", id, got, want)
+		}
+	}
+}
+
+// TestOutOfRangeIDsRejected: worker ids index the peer table, so an id that
+// arrives from outside the program is bounded before it is used. A message
+// whose From is outside [0, NumWorkers), or a WELCOME naming such a member,
+// is dropped before it touches any state, and New refuses a configuration
+// that names one.
+func TestOutOfRangeIDsRejected(t *testing.T) {
+	env := newFakeEnv(3, []float64{1, 1, 1})
+	founder := asyncConfig()
+	founder.Membership.InitialMembers = []int{0, 1}
+	joiner := asyncConfig()
+	joiner.Membership.Join = true
+	joiner.Membership.Sponsor = 0
+	ws := buildClusterCfgs(t, []Config{founder, founder, joiner}, env)
+	ws[0].Start()
+	ws[1].Start()
+	env.eng.Run(3)
+
+	foreign := map[string]*tensor.Tensor{}
+	for _, p := range ws[0].model.Params() {
+		foreign[p.Name] = tensor.New(p.W.Shape...)
+	}
+	snapshot := func(w *Worker) string {
+		s := fmt.Sprint(w.Members(), w.Epoch(), w.State(), w.Iter(), len(w.peers), w.peers, len(env.sent))
+		for _, p := range w.model.Params() {
+			s += fmt.Sprint(p.W.Data)
+		}
+		return s
+	}
+	types := []wire.MsgType{wire.TypeGradient, wire.TypeLossReport, wire.TypeDKTRequest,
+		wire.TypeWeights, wire.TypeRCPReport, wire.TypeSync, wire.TypeHello,
+		wire.TypeWelcome, wire.TypeLeave}
+	froms := []int32{-1, int32(env.n), math.MaxInt32}
+	rejected := int64(len(froms) * len(types))
+	for wi, w := range []*Worker{ws[0], ws[2]} { // an active member and a joiner
+		want, recvd := snapshot(w), w.Stats().MsgsRecvd
+		for _, from := range froms {
+			for _, typ := range types {
+				w.HandleMessage(&wire.Message{Type: typ, From: from, To: int32(w.ID),
+					Iter: 99, Epoch: 99, Flags: wire.HelloNeedSync, RCP: 5, Loss: 1e-9,
+					GBS: 64, Members: []int32{0, 1, 2}, Weights: foreign})
+				if got := snapshot(w); got != want {
+					t.Fatalf("worker %d changed on a %v from %d:\n got %s\nwant %s", wi, typ, from, got, want)
+				}
+			}
+		}
+		if s := w.Stats(); s.MsgsRejected != rejected || s.MsgsRecvd != recvd {
+			t.Fatalf("worker %d: %d rejected (want %d), %d received (want %d)",
+				wi, s.MsgsRejected, rejected, s.MsgsRecvd, recvd)
+		}
+	}
+
+	// A WELCOME from a real sponsor whose roster names an impossible id.
+	j := ws[2]
+	want := snapshot(j)
+	for _, members := range [][]int32{{0, 1, 3}, {-1, 0}, {0, math.MaxInt32}} {
+		j.HandleMessage(&wire.Message{Type: wire.TypeWelcome, From: 0, To: 2,
+			Iter: 99, Epoch: 99, GBS: 64, Members: members, Weights: foreign})
+		if got := snapshot(j); got != want {
+			t.Fatalf("joiner adopted part of a WELCOME naming %v:\n got %s\nwant %s", members, got, want)
+		}
+	}
+	if got := j.Stats().MsgsRejected; got != rejected+3 {
+		t.Fatalf("joiner rejected %d messages, want %d", got, rejected+3)
+	}
+	// The handshake is still open: a well-formed WELCOME admits the worker.
+	j.Start()
+	env.eng.Run(10)
+	if got := j.Members(); j.State() != StateActive || !equalInts(got, []int{0, 1, 2}) {
+		t.Fatalf("joiner %v with roster %v after a valid handshake", j.State(), got)
+	}
+
+	for name, mutate := range map[string]func(id *int, c *Config){
+		"member past the cluster": func(_ *int, c *Config) { c.Membership.InitialMembers = []int{0, 1, 3} },
+		"negative member":         func(_ *int, c *Config) { c.Membership.InitialMembers = []int{-1, 0} },
+		"sponsor past the cluster": func(id *int, c *Config) {
+			*id, c.Membership = 2, MembershipConfig{Join: true, Sponsor: 3}
+		},
+		"id past the cluster": func(id *int, _ *Config) { *id = 3 },
+		"negative id":         func(id *int, _ *Config) { *id = -1 },
+	} {
+		id, cfg := 0, founder
+		mutate(&id, &cfg)
+		if _, err := New(id, cfg, ws[0].model, ws[0].shard, env); err == nil {
+			t.Errorf("%s: New accepted it", name)
+		}
 	}
 }
 

@@ -106,7 +106,7 @@ func TestQuantPeerMaskClamp(t *testing.T) {
 	cfg.Quant = QuantConfig{Precision: grad.PrecI8}
 	ws := buildCluster(t, cfg, env)
 	// As if peers had advertised these masks during a handshake.
-	ws[0].peerQuant[1] = grad.MaskF16
+	ws[0].peers[1].quant = grad.MaskF16
 	for _, w := range ws {
 		w.Start()
 	}

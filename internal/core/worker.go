@@ -53,6 +53,7 @@ type Stats struct {
 	DKTMerges        int64
 	WelcomesSent     int64 // admission snapshots served as a sponsor
 	DegradedIters    int64 // iterations completed below the quorum floor
+	MsgsRejected     int64 // messages dropped for naming an id outside [0, NumWorkers)
 	QuantBytesSaved  int64 // wire bytes avoided by reduced-precision gradients
 }
 
@@ -73,29 +74,20 @@ type Worker struct {
 	iterSec float64 // duration charged for the in-flight iteration
 	gbs     *gbsController
 
-	rcp       map[int]float64 // latest RCP report per worker (incl. self)
-	peerIter  map[int]int64   // highest gradient iteration received per peer
-	peerLoss  map[int]float64 // latest loss report per peer
-	lastHeard map[int]float64 // last time each peer was heard from (liveness)
+	// The peer table: everything kept about worker id (self included) is
+	// peers[id]. Allocated once, in New, over the [0, NumWorkers) address
+	// space; cohortRCP is currentLBS's scratch of the same capacity.
+	peers     []peerState
+	cohortRCP []float64
 
 	lossWin     []float64
 	lastDKTIter int64
-
-	lastSelCount map[int]int // per-peer gradient values sent last iteration
-	lastBudget   map[int]int // per-peer byte budget last iteration
 
 	// Per-iteration selection cache (exchange.go). selInvariant is set when
 	// the selector implements grad.LinkInvariant; selCache is the reused
 	// slot array, cleared at the end of every exchange.
 	selInvariant bool
 	selCache     []selCacheEntry
-
-	// Per-link precision state (§3.3's precision half; see exchange.go).
-	// peerQuant holds the accept masks peers advertised in HELLO/WELCOME;
-	// absent peers default to accept-all (static founders never handshake).
-	// lastPrec records the precision chosen for each link last iteration.
-	peerQuant map[int]grad.PrecMask
-	lastPrec  map[int]grad.Precision
 
 	epochSamples float64 // cumulative global samples (GBS summed per iter)
 	trainSize    int
@@ -104,10 +96,11 @@ type Worker struct {
 	started     bool
 
 	// Ordered-apply discipline (cfg.OrderedApply): peer gradients are held in
-	// pendGrad[round][peer] and applied only when their round completes
-	// locally, in peer-id order. orderedFlushed is the last round whose peer
-	// gradients have all been applied.
-	pendGrad       map[int64]map[int]*wire.Message
+	// pendGrad[round][peer] (each round a slice over the peer table's index)
+	// and applied only when their round completes locally, in peer-id order.
+	// orderedFlushed is the last round whose peer gradients have all been
+	// applied.
+	pendGrad       map[int64][]*wire.Message
 	orderedFlushed int64
 
 	// Crash/restart lifecycle. A stopped worker ignores messages and its
@@ -119,12 +112,11 @@ type Worker struct {
 	rejoining    bool    // next weights message is a rejoin snapshot: adopt fully
 	recheckArmed bool    // a sync-liveness recheck timer is pending
 
-	// Elastic membership (membership.go). roster is the believed member
-	// set including self; members is its sorted cache and peerIDs the same
-	// without self; epoch counts roster mutations; memLog records them for
-	// the renormalization gates.
+	// Elastic membership (membership.go). The believed member set is the
+	// table's member bits; members caches it in id order (self included)
+	// and peerIDs is the same without self; epoch counts roster mutations;
+	// memLog records them for the renormalization gates.
 	state     MemberState
-	roster    map[int]bool
 	members   []int
 	peerIDs   []int
 	epoch     int64
@@ -138,8 +130,29 @@ type Worker struct {
 	// worker charges compute, apply, and recv-wait; the Env charges
 	// serialize and send, where those durations are known.
 	obs       *obs.WorkerObs
-	waitStart float64      // when the current sync block began
-	deadSeen  map[int]bool // peers already counted as liveness-expired
+	waitStart float64 // when the current sync block began
+}
+
+// peerState is one row of the peer table. The zero value is a worker this
+// one knows nothing about, which is what a departure resets the row to.
+// Fields run from widest to narrowest so a row packs into 56 bytes.
+type peerState struct {
+	rcp       float64 // latest RCP report (0 = none yet)
+	iter      int64   // highest gradient iteration received
+	loss      float64 // latest loss report, valid while hasLoss
+	lastHeard float64 // when the peer was last heard from, valid while heard
+
+	// What the last gradient exchange sent on the link to this peer.
+	selCount int            // gradient values
+	budget   int            // byte budget
+	prec     grad.Precision // wire precision (§3.3's precision half)
+
+	// quant is the accept mask the peer advertised in HELLO/WELCOME; 0 (a
+	// static founder never handshakes) reads as accept-all.
+	quant grad.PrecMask
+
+	member, hasLoss, heard bool
+	deadSeen               bool // already counted as liveness-expired
 }
 
 // New builds a worker. The model must be this worker's own replica; the
@@ -149,8 +162,8 @@ func New(id int, cfg Config, model *nn.Model, shard *data.Shard, env Env) (*Work
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	if env.NumWorkers() < 1 {
-		return nil, fmt.Errorf("core: empty cluster")
+	if id < 0 || id >= env.NumWorkers() {
+		return nil, fmt.Errorf("core: worker id %d outside [0,%d)", id, env.NumWorkers())
 	}
 	trainSize := shard.Dataset().Len()
 	gcfg := cfg.Batch.GBS
@@ -163,19 +176,13 @@ func New(id int, cfg Config, model *nn.Model, shard *data.Shard, env Env) (*Work
 	}
 	w := &Worker{
 		ID: id, cfg: cfg, env: env, model: model, shard: shard,
-		selector:     cfg.NewSelector(),
-		lbs:          cfg.Batch.InitialLBS,
-		rcp:          map[int]float64{},
-		peerIter:     map[int]int64{},
-		peerLoss:     map[int]float64{},
-		lastHeard:    map[int]float64{},
-		lastSelCount: map[int]int{},
-		lastBudget:   map[int]int{},
-		peerQuant:    map[int]grad.PrecMask{},
-		lastPrec:     map[int]grad.Precision{},
-		pendGrad:     map[int64]map[int]*wire.Message{},
-		trainSize:    trainSize,
-		deadSeen:     map[int]bool{},
+		selector:  cfg.NewSelector(),
+		lbs:       cfg.Batch.InitialLBS,
+		peers:     make([]peerState, env.NumWorkers()),
+		cohortRCP: make([]float64, 0, env.NumWorkers()),
+		members:   make([]int, 0, env.NumWorkers()),
+		pendGrad:  map[int64][]*wire.Message{},
+		trainSize: trainSize,
 	}
 	_, w.selInvariant = w.selector.(grad.LinkInvariant)
 	if err := w.initMembership(); err != nil {
@@ -225,20 +232,20 @@ func classOf(t wire.MsgType) obs.MsgClass {
 
 // LastSelectedCount returns the number of gradient values sent to peer on
 // the most recent iteration (Figures 8 and 20).
-func (w *Worker) LastSelectedCount(peer int) int { return w.lastSelCount[peer] }
+func (w *Worker) LastSelectedCount(peer int) int { return w.peers[peer].selCount }
 
 // LastBudget returns the most recent per-link byte budget for peer.
-func (w *Worker) LastBudget(peer int) int { return w.lastBudget[peer] }
+func (w *Worker) LastBudget(peer int) int { return w.peers[peer].budget }
 
 // LastPrecision returns the wire precision chosen for the link to peer on
 // the most recent gradient exchange (PrecF32 before any exchange).
-func (w *Worker) LastPrecision(peer int) grad.Precision { return w.lastPrec[peer] }
+func (w *Worker) LastPrecision(peer int) grad.Precision { return w.peers[peer].prec }
 
 // PeerAcceptMask returns the reduced-precision accept mask peer advertised
 // during membership negotiation; peers that never handshook (static
 // founders) default to accept-all.
 func (w *Worker) PeerAcceptMask(peer int) grad.PrecMask {
-	if m, ok := w.peerQuant[peer]; ok && m != 0 {
+	if m := w.peers[peer].quant; m != 0 {
 		return m
 	}
 	return grad.MaskAll
@@ -283,7 +290,7 @@ func (w *Worker) Start() {
 }
 
 // startTraining arms the profiling loop and the first iteration — shared by
-// founder start, join admission, and solo fallback.
+// founder start, join admission, solo fallback, and Resume.
 func (w *Worker) startTraining() {
 	if w.cfg.Batch.DynamicBatching {
 		w.profileAndBroadcast()
@@ -319,20 +326,17 @@ func (w *Worker) Resume(syncPeer int) {
 	w.stopped = false
 	w.aliveFrom = w.env.Now()
 	w.lossWin = nil
-	w.lastHeard = map[int]float64{}
-	w.peerLoss = map[int]float64{}
-	w.deadSeen = map[int]bool{}
+	for i := range w.peers {
+		p := &w.peers[i]
+		p.heard, p.hasLoss, p.deadSeen = false, false, false
+	}
 	w.waitingSync = false
 	if syncPeer >= 0 && syncPeer != w.ID {
 		w.rejoining = true
 		w.send(&wire.Message{Type: wire.TypeDKTRequest, From: int32(w.ID),
 			To: int32(syncPeer), Iter: w.iter})
 	}
-	if w.cfg.Batch.DynamicBatching {
-		w.profileAndBroadcast()
-		w.after(w.cfg.Batch.ProfilePeriod, w.profileLoop)
-	}
-	w.startIteration()
+	w.startTraining()
 }
 
 // after schedules fn like env.After, but arms it to the current lifecycle
@@ -358,20 +362,12 @@ func (w *Worker) profileLoop() {
 func (w *Worker) profileAndBroadcast() {
 	x, y := w.env.ProfileCompute(w.ID, profileBatches(w.cfg.Batch.InitialLBS))
 	r := computeRCP(x, y)
-	w.rcp[w.ID] = r
+	w.peers[w.ID].rcp = r
 	for _, p := range w.livePeers() {
 		w.send(&wire.Message{Type: wire.TypeRCPReport, From: int32(w.ID), To: int32(p),
 			Iter: w.iter, RCP: r})
 	}
 }
-
-// peers returns the roster members other than self, in id order. Every
-// exchange path fans out over this set, so admissions and departures
-// renormalize the fan-out the moment the roster mutates. The slice is the
-// cache rebuildMembers maintains — it is reached per delivered gradient
-// while a worker waits on its sync strategy — so callers must not modify
-// it.
-func (w *Worker) peers() []int { return w.peerIDs }
 
 // peerLive reports whether peer p is considered alive: heard from within
 // LivenessTimeout, or within the grace period after this worker started.
@@ -381,27 +377,26 @@ func (w *Worker) peerLive(p int) bool {
 	if w.cfg.LivenessTimeout <= 0 {
 		return true
 	}
-	last, ok := w.lastHeard[p]
-	if !ok {
-		last = w.aliveFrom
+	last := w.aliveFrom
+	if w.peers[p].heard {
+		last = w.peers[p].lastHeard
 	}
 	return w.env.Now()-last <= w.cfg.LivenessTimeout
 }
 
 // livePeers returns the peers currently considered alive, in id order.
-// Read-only like peers(), which it returns as is when liveness is off.
+// Read-only like peerIDs, which it returns as is when liveness is off.
 func (w *Worker) livePeers() []int {
-	peers := w.peers()
 	if w.cfg.LivenessTimeout <= 0 {
-		return peers
+		return w.peerIDs
 	}
-	live := make([]int, 0, len(peers))
-	for _, p := range peers {
+	live := make([]int, 0, len(w.peerIDs))
+	for _, p := range w.peerIDs {
 		if w.peerLive(p) {
 			live = append(live, p)
-		} else if w.obs != nil && !w.deadSeen[p] {
+		} else if w.obs != nil && !w.peers[p].deadSeen {
 			// first observation of this peer's liveness expiry
-			w.deadSeen[p] = true
+			w.peers[p].deadSeen = true
 			w.obs.IncLivenessExpiry()
 		}
 	}
@@ -433,27 +428,19 @@ func (w *Worker) currentLBS() int {
 		}
 		return l
 	}
-	// Build the live cohort (self + live roster peers) in id order and remap
-	// RCP reports onto compact indices so lbsShares splits GBS among them
-	// only.
-	ids := make([]int, 0, len(w.members))
-	for _, i := range w.members {
-		if i == w.ID || w.peerLive(i) {
-			ids = append(ids, i)
-		}
-	}
+	// Gather the live cohort's RCP reports (self + live roster peers) in id
+	// order so lbsShares splits GBS among them only.
 	me := 0
-	rcp := make(map[int]float64, len(ids))
-	for k, id := range ids {
+	rcp := w.cohortRCP[:0]
+	for _, id := range w.members {
 		if id == w.ID {
-			me = k
+			me = len(rcp)
+		} else if !w.peerLive(id) {
+			continue
 		}
-		if v, ok := w.rcp[id]; ok {
-			rcp[k] = v
-		}
+		rcp = append(rcp, w.peers[id].rcp)
 	}
-	shares := lbsShares(gbs, len(ids), rcp, w.cfg.Batch.MinLBS)
-	return shares[me]
+	return lbsShares(gbs, rcp, w.cfg.Batch.MinLBS)[me]
 }
 
 // startIteration draws a batch, computes gradients against the current
@@ -532,11 +519,15 @@ func (w *Worker) maybeStartNext() {
 	w.armSyncRecheck()
 }
 
-// unblockSync ends a sync wait, charging the blocked interval to the
-// recv-wait phase.
-func (w *Worker) unblockSync() {
-	w.waitingSync = false
-	w.obs.AddPhase(obs.PhaseRecvWait, w.env.Now()-w.waitStart)
+// recheckSync ends a sync wait once the strategy allows — a qualifying
+// gradient arrived, or the roster or live set changed under the blocked
+// worker — charging the blocked interval to the recv-wait phase.
+func (w *Worker) recheckSync() {
+	if w.waitingSync && w.canProceed() {
+		w.waitingSync = false
+		w.obs.AddPhase(obs.PhaseRecvWait, w.env.Now()-w.waitStart)
+		w.startIteration()
+	}
 }
 
 func (w *Worker) armSyncRecheck() {
@@ -546,15 +537,10 @@ func (w *Worker) armSyncRecheck() {
 	w.recheckArmed = true
 	w.after(w.cfg.LivenessTimeout, func() {
 		w.recheckArmed = false
-		if !w.waitingSync {
-			return
+		w.recheckSync()
+		if w.waitingSync {
+			w.armSyncRecheck()
 		}
-		if w.canProceed() {
-			w.unblockSync()
-			w.startIteration()
-			return
-		}
-		w.armSyncRecheck()
 	})
 }
 
@@ -573,7 +559,7 @@ func (w *Worker) canProceed() bool {
 		return true
 	case SyncFull:
 		for _, p := range w.livePeers() {
-			if w.peerIter[p] < w.iter {
+			if w.peers[p].iter < w.iter {
 				return false
 			}
 		}
@@ -586,11 +572,11 @@ func (w *Worker) canProceed() bool {
 		arrived := 0
 		minIter := int64(1 << 62)
 		for _, p := range live {
-			if w.peerIter[p] >= w.iter {
+			if w.peers[p].iter >= w.iter {
 				arrived++
 			}
-			if w.peerIter[p] < minIter {
-				minIter = w.peerIter[p]
+			if w.peers[p].iter < minIter {
+				minIter = w.peers[p].iter
 			}
 		}
 		need := len(live) - w.cfg.Sync.BackupWorkers
@@ -608,12 +594,25 @@ func (w *Worker) HandleMessage(m *wire.Message) {
 	if w.stopped {
 		return
 	}
+	// Worker ids index the peer table, so a sender — or a WELCOME roster
+	// entry — outside the address space is refused before it touches state.
 	from := int(m.From)
+	valid := from >= 0 && from < len(w.peers)
+	for _, id := range m.Members {
+		valid = valid && id >= 0 && int(id) < len(w.peers)
+	}
+	if !valid {
+		w.stats.MsgsRejected++
+		w.obs.IncMsgRejected()
+		m.Release()
+		return
+	}
 	w.stats.MsgsRecvd++
-	w.lastHeard[from] = w.env.Now()
+	peer := &w.peers[from]
+	peer.lastHeard, peer.heard = w.env.Now(), true
+	peer.deadSeen = false // demonstrably alive again
 	if w.obs != nil {
 		w.obs.AddRecv(classOf(m.Type), m.WireBytes())
-		delete(w.deadSeen, from) // peer is demonstrably alive again
 	}
 	switch m.Type {
 	case wire.TypeGradient:
@@ -624,8 +623,8 @@ func (w *Worker) HandleMessage(m *wire.Message) {
 			m.Release()
 			return
 		}
-		if m.Iter > w.peerIter[from] {
-			w.peerIter[from] = m.Iter
+		if m.Iter > peer.iter {
+			peer.iter = m.Iter
 		}
 		if w.cfg.OrderedApply {
 			w.bufferOrdered(m)
@@ -634,10 +633,7 @@ func (w *Worker) HandleMessage(m *wire.Message) {
 			w.timedApply(func() { w.applyRemoteGradient(m) })
 			m.Release()
 		}
-		if w.waitingSync && w.canProceed() {
-			w.unblockSync()
-			w.startIteration()
-		}
+		w.recheckSync()
 	case wire.TypeHello:
 		w.handleHello(m)
 	case wire.TypeWelcome:
@@ -645,9 +641,9 @@ func (w *Worker) HandleMessage(m *wire.Message) {
 	case wire.TypeLeave:
 		w.handleLeave(m)
 	case wire.TypeRCPReport:
-		w.rcp[from] = m.RCP
+		peer.rcp = m.RCP
 	case wire.TypeLossReport:
-		w.peerLoss[from] = m.Loss
+		peer.loss, peer.hasLoss = m.Loss, true
 	case wire.TypeDKTRequest:
 		w.sendWeights(from)
 	case wire.TypeWeights:
@@ -679,7 +675,7 @@ func (w *Worker) bufferOrdered(m *wire.Message) {
 	}
 	byPeer := w.pendGrad[r]
 	if byPeer == nil {
-		byPeer = map[int]*wire.Message{}
+		byPeer = make([]*wire.Message, len(w.peers))
 		w.pendGrad[r] = byPeer
 	}
 	byPeer[int(m.From)].Release() // a duplicate supersedes the buffered copy
@@ -695,18 +691,14 @@ func (w *Worker) bufferOrdered(m *wire.Message) {
 // simulator and the realtime broker, which is what the lineage audit's
 // bit-exact replay relies on.
 func (w *Worker) flushOrdered() {
-	peers := w.peers()
 	for r := w.orderedFlushed + 1; r <= w.iter; r++ {
 		byPeer := w.pendGrad[r]
-		if len(byPeer) < len(peers) {
-			return
-		}
-		for _, p := range peers {
-			if byPeer[p] == nil {
+		for _, p := range w.peerIDs {
+			if byPeer == nil || byPeer[p] == nil {
 				return
 			}
 		}
-		for _, p := range peers {
+		for _, p := range w.peerIDs {
 			m := byPeer[p]
 			w.timedApply(func() { w.applyRemoteGradient(m) })
 			m.Release()

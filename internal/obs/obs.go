@@ -237,6 +237,7 @@ type WorkerObs struct {
 
 	livenessExpiries atomic.Int64
 	syncBlocks       atomic.Int64
+	msgsRejected     atomic.Int64
 
 	// wire.quant_bytes_saved (METRICS.md): wire bytes avoided by encoding
 	// gradient selections at reduced precision instead of f32.
@@ -320,6 +321,14 @@ func (o *WorkerObs) IncSyncBlock() {
 	}
 }
 
+// IncMsgRejected records one message dropped for naming a worker id outside
+// the cluster's address space.
+func (o *WorkerObs) IncMsgRejected() {
+	if o != nil {
+		o.msgsRejected.Add(1)
+	}
+}
+
 // SetMembership records the worker's current roster size and roster epoch.
 // The roster size gauge keeps its high-water mark via Snapshot consumers;
 // here it is a plain last-value pair updated on every epoch change.
@@ -382,6 +391,7 @@ func (o *WorkerObs) Snapshot(id int) WorkerReport {
 	}
 	w.LivenessExpiries = o.livenessExpiries.Load()
 	w.SyncBlocks = o.syncBlocks.Load()
+	w.MsgsRejected = o.msgsRejected.Load()
 	w.QuantBytesSaved = o.quantBytesSaved.Load()
 	w.RosterSize = o.rosterSize.Load()
 	w.Epoch = o.epoch.Load()

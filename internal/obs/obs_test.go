@@ -175,14 +175,15 @@ func TestMembershipObs(t *testing.T) {
 	o.SetMembership(5, 2)
 	o.IncDegradedIter()
 	o.IncDegradedIter()
+	o.IncMsgRejected()
 	o.ObserveJoin(1.5)
 
 	w := o.Snapshot(3)
 	if w.RosterSize != 5 || w.Epoch != 2 {
 		t.Fatalf("roster/epoch %d/%d, want 5/2", w.RosterSize, w.Epoch)
 	}
-	if w.DegradedIters != 2 {
-		t.Fatalf("degraded iters %d, want 2", w.DegradedIters)
+	if w.DegradedIters != 2 || w.MsgsRejected != 1 {
+		t.Fatalf("degraded iters %d, rejected messages %d, want 2 and 1", w.DegradedIters, w.MsgsRejected)
 	}
 	if w.JoinLatencyS < 1.4 || w.JoinLatencyS > 1.6 {
 		t.Fatalf("join latency %g, want ~1.5", w.JoinLatencyS)
@@ -202,6 +203,7 @@ func TestMembershipObs(t *testing.T) {
 	var nilObs *WorkerObs
 	nilObs.SetMembership(1, 1)
 	nilObs.IncDegradedIter()
+	nilObs.IncMsgRejected()
 	nilObs.SetJoinHistogram(nil)
 	nilObs.ObserveJoin(1)
 	if w := nilObs.Snapshot(0); w.RosterSize != 0 || w.DegradedIters != 0 {

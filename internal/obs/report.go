@@ -81,6 +81,7 @@ type WorkerReport struct {
 
 	LivenessExpiries int64 `json:"liveness_expiries,omitempty"`
 	SyncBlocks       int64 `json:"sync_blocks,omitempty"`
+	MsgsRejected     int64 `json:"msgs_rejected,omitempty"`
 	QuantBytesSaved  int64 `json:"quant_bytes_saved,omitempty"`
 
 	// Elastic membership (zero for static clusters).
