@@ -217,11 +217,16 @@ func (e *simEnv) newDelivery(to int, bytes float64, m *wire.Message) *delivery {
 	return &delivery{env: e, to: to, bytes: bytes, m: m}
 }
 
-func (e *simEnv) SendScale() float64           { return e.wireScale }
-func (e *simEnv) Now() float64                 { return e.eng.Now() }
-func (e *simEnv) After(d float64, fn func())   { e.eng.After(d, fn) }
-func (e *simEnv) NumWorkers() int              { return len(e.computes) }
-func (e *simEnv) IterSeconds(w, b int) float64 { return e.computes[w].IterTime(b, e.eng.Now()) }
+func (e *simEnv) SendScale() float64         { return e.wireScale }
+func (e *simEnv) Now() float64               { return e.eng.Now() }
+func (e *simEnv) After(d float64, fn func()) { e.eng.After(d, fn) }
+func (e *simEnv) NumWorkers() int            { return len(e.computes) }
+
+// IterSeconds: TrainStep costs no virtual time, so wait = charged.
+func (e *simEnv) IterSeconds(w, b int) (charged, wait float64) {
+	d := e.computes[w].IterTime(b, e.eng.Now())
+	return d, d
+}
 
 func (e *simEnv) ProfileCompute(w int, batches []int) (x, y []float64) {
 	return e.computes[w].Profile(batches, e.eng.Now())

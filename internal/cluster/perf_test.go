@@ -65,13 +65,13 @@ func TestParallelEvalDeterministic(t *testing.T) {
 // trace-allocation measurement; nothing is ever scheduled on it.
 type traceEnv struct{ n int }
 
-func (e *traceEnv) Now() float64                       { return 0 }
-func (e *traceEnv) After(d float64, fn func())         {}
-func (e *traceEnv) NumWorkers() int                    { return e.n }
-func (e *traceEnv) Send(from, to int, m *wire.Message) {}
-func (e *traceEnv) Bandwidth(from, to int) float64     { return 100 }
-func (e *traceEnv) IterSeconds(w, batch int) float64   { return 1 }
-func (e *traceEnv) SendScale() float64                 { return 1 }
+func (e *traceEnv) Now() float64                                     { return 0 }
+func (e *traceEnv) After(d float64, fn func())                       {}
+func (e *traceEnv) NumWorkers() int                                  { return e.n }
+func (e *traceEnv) Send(from, to int, m *wire.Message)               {}
+func (e *traceEnv) Bandwidth(from, to int) float64                   { return 100 }
+func (e *traceEnv) IterSeconds(w, batch int) (charged, wait float64) { return 1, 1 }
+func (e *traceEnv) SendScale() float64                               { return 1 }
 func (e *traceEnv) ProfileCompute(w int, batches []int) (x, y []float64) {
 	for _, b := range batches {
 		x = append(x, float64(b))

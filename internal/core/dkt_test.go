@@ -147,18 +147,24 @@ func TestDKTMergeMovesTowardBest(t *testing.T) {
 }
 
 func TestBudgetFormula(t *testing.T) {
-	// budget = bw_bytes * iterSec / ((n-1) * sendScale)
-	cfg := asyncConfig()
-	cfg.LinkBudget = true
-	env := newFakeEnv(3, []float64{2, 2, 2})
-	env.bw = 8 // Mbps -> 1e6 bytes/s
-	env.sendScale = 4
-	ws := buildCluster(t, cfg, env)
-	ws[0].Start()
-	env.eng.Run(3)
-	want := int(1e6 * 2 / (2 * 4.0))
-	got := ws[0].LastBudget(1)
-	if got != want {
-		t.Fatalf("budget %d, want %d", got, want)
+	// budget = bw_bytes * charged iterSec / ((n-1) * sendScale), on both
+	// substrates: with the wall time already paid (wait 0) the budget is the
+	// same, because it reads what the iteration was charged.
+	for _, wallPaid := range []bool{false, true} {
+		cfg := asyncConfig()
+		cfg.LinkBudget = true
+		cfg.MaxIters = 2 // at wait 0 virtual time stands still; the budget ends the run
+		env := newFakeEnv(3, []float64{2, 2, 2})
+		env.wallPaid = wallPaid
+		env.bw = 8 // Mbps -> 1e6 bytes/s
+		env.sendScale = 4
+		ws := buildCluster(t, cfg, env)
+		ws[0].Start()
+		env.eng.Run(3)
+		want := int(1e6 * 2 / (2 * 4.0))
+		got := ws[0].LastBudget(1)
+		if got != want {
+			t.Fatalf("wallPaid=%v: budget %d, want %d", wallPaid, got, want)
+		}
 	}
 }

@@ -64,10 +64,21 @@ func TestQuantFixedPrecision(t *testing.T) {
 // TestQuantAutoPrecision pins the auto policy's thresholds: budget >= full
 // dense f32 keeps f32, half budget drops to f16, anything lower to int8.
 func TestQuantAutoPrecision(t *testing.T) {
+	for _, wallPaid := range []bool{false, true} {
+		testQuantAutoPrecision(t, wallPaid)
+	}
+}
+
+// testQuantAutoPrecision runs the thresholds on one substrate's time
+// contract: the budget behind the policy is bw · charged seconds either way,
+// so with the wall time already paid (wait 0) the choices are the same.
+func testQuantAutoPrecision(t *testing.T, wallPaid bool) {
 	run := func(bwMbps float64) grad.Precision {
 		env := newFakeEnv(2, []float64{1, 1})
+		env.wallPaid = wallPaid
 		env.bw = bwMbps
 		cfg := asyncConfig()
+		cfg.MaxIters = 3 // at wait 0 virtual time stands still; the budget ends the run
 		cfg.LinkBudget = true
 		cfg.Quant = QuantConfig{Auto: true}
 		ws := buildCluster(t, cfg, env)
@@ -87,13 +98,13 @@ func TestQuantAutoPrecision(t *testing.T) {
 	f16BW := float64(full) / 2 * 1.2 * 8 / 1e6 // between full/2 and full
 	i8BW := float64(full) / 4 * 8 / 1e6        // below full/2
 	if got := run(f32BW); got != grad.PrecF32 {
-		t.Fatalf("ample budget chose %v, want f32", got)
+		t.Fatalf("wallPaid=%v: ample budget chose %v, want f32", wallPaid, got)
 	}
 	if got := run(f16BW); got != grad.PrecF16 {
-		t.Fatalf("half budget chose %v, want f16", got)
+		t.Fatalf("wallPaid=%v: half budget chose %v, want f16", wallPaid, got)
 	}
 	if got := run(i8BW); got != grad.PrecI8 {
-		t.Fatalf("tight budget chose %v, want int8", got)
+		t.Fatalf("wallPaid=%v: tight budget chose %v, want int8", wallPaid, got)
 	}
 }
 

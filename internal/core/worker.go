@@ -27,9 +27,11 @@ type Env interface {
 	// Bandwidth returns the currently available bandwidth (Mbps) of the
 	// link from->to — the network resource monitor of Figure 10.
 	Bandwidth(from, to int) float64
-	// IterSeconds returns the duration one training iteration over batch
-	// samples costs worker w right now.
-	IterSeconds(w, batch int) float64
+	// IterSeconds is asked right after worker w's TrainStep over batch
+	// samples returns: charged is what that iteration costs (PhaseCompute and
+	// the §3.3 link budget read it), wait how long from now its completion is
+	// still due (only After gets it): charged in the sim, 0 over wall time.
+	IterSeconds(w, batch int) (charged, wait float64)
 	// ProfileCompute measures iteration seconds at each batch size — the
 	// LBS controller's capacity probe.
 	ProfileCompute(w int, batches []int) (x, y []float64)
@@ -444,7 +446,8 @@ func (w *Worker) currentLBS() int {
 }
 
 // startIteration draws a batch, computes gradients against the current
-// weights, and schedules completion after the modeled iteration time.
+// weights, and schedules completion for when the Env says it is due — through
+// After even at wait 0, so messages that arrived during the step go first.
 // Gradients live in the model's G buffers until completeIteration; remote
 // updates arriving meanwhile modify W only, mirroring a real worker whose
 // backward pass uses the weight snapshot it started from.
@@ -456,8 +459,9 @@ func (w *Worker) startIteration() {
 	x, y := w.shard.NextBatch(w.lbs)
 	loss, _ := w.model.TrainStep(x, y)
 	w.pushLoss(loss)
-	w.iterSec = w.env.IterSeconds(w.ID, w.lbs)
-	w.after(w.iterSec, w.completeIteration)
+	var wait float64
+	w.iterSec, wait = w.env.IterSeconds(w.ID, w.lbs)
+	w.after(wait, w.completeIteration)
 }
 
 func (w *Worker) pushLoss(l float64) {

@@ -7,6 +7,7 @@ import (
 	"dlion/internal/data"
 	"dlion/internal/grad"
 	"dlion/internal/nn"
+	"dlion/internal/obs"
 	"dlion/internal/simclock"
 	"dlion/internal/wire"
 )
@@ -24,6 +25,9 @@ type fakeEnv struct {
 	sent      []*wire.Message
 	dropTo    map[int]bool // blackholed receivers
 	sendScale float64
+	// wallPaid mimics the real-mode substrate: the iteration is charged
+	// iterSec but nothing is left to wait (the step already took the time).
+	wallPaid bool
 }
 
 func newFakeEnv(n int, iterSec []float64) *fakeEnv {
@@ -38,7 +42,12 @@ func (e *fakeEnv) SendScale() float64         { return e.sendScale }
 func (e *fakeEnv) Bandwidth(from, to int) float64 {
 	return e.bw
 }
-func (e *fakeEnv) IterSeconds(w, batch int) float64 { return e.iterSec[w] }
+func (e *fakeEnv) IterSeconds(w, batch int) (charged, wait float64) {
+	if e.wallPaid {
+		return e.iterSec[w], 0
+	}
+	return e.iterSec[w], e.iterSec[w]
+}
 func (e *fakeEnv) ProfileCompute(w int, batches []int) (x, y []float64) {
 	for _, b := range batches {
 		x = append(x, float64(b))
@@ -443,5 +452,39 @@ func TestMaxItersValidation(t *testing.T) {
 	c.MaxIters = -1
 	if err := c.Validate(); err == nil {
 		t.Fatal("negative MaxIters must be rejected")
+	}
+}
+
+// TestChargedIsNotWait is the core half of the Env time contract: on a
+// substrate whose steps already took their time (charged 0.5, wait 0) every
+// iteration completes at the virtual instant it started, is still charged 0.5
+// of compute, and completes through After — behind whatever is already
+// queued for that instant — rather than inline.
+func TestChargedIsNotWait(t *testing.T) {
+	cfg := asyncConfig()
+	cfg.MaxIters = 4
+	env := newFakeEnv(1, []float64{0.5})
+	env.wallPaid = true
+	w := buildCluster(t, cfg, env)[0]
+	sink := obs.NewWorkerObs()
+	w.SetObs(sink)
+
+	seenByQueued, seenNextInstant := int64(-1), int64(-1)
+	env.eng.At(0, w.Start)
+	// Stands for a gradient that arrived during the first step: queued at the
+	// same instant, before the step's completion is.
+	env.eng.At(0, func() { seenByQueued = w.Iter() })
+	env.eng.At(1e-9, func() { seenNextInstant = w.Iter() })
+	env.eng.Run(1)
+
+	if seenByQueued != 0 {
+		t.Fatalf("an event queued before the step ended ran after %d completions, want 0", seenByQueued)
+	}
+	if seenNextInstant != cfg.MaxIters {
+		t.Fatalf("%d of %d iterations had completed before virtual time moved: wait 0 must not be waited",
+			seenNextInstant, cfg.MaxIters)
+	}
+	if got, want := sink.PhaseSeconds(obs.PhaseCompute), 0.5*float64(cfg.MaxIters); got != want {
+		t.Fatalf("PhaseCompute %v over %d iterations, want %v: compute is what was charged", got, cfg.MaxIters, want)
 	}
 }

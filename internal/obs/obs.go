@@ -28,7 +28,7 @@ type Phase uint8
 
 // The five phases of a DLion worker's loop (§5 time breakdowns).
 const (
-	PhaseCompute   Phase = iota // forward+backward pass (IterSeconds)
+	PhaseCompute   Phase = iota // forward+backward pass: what the Env charged the iteration (DESIGN.md §2)
 	PhaseSerialize              // encoding messages onto the wire / egress serialization
 	PhaseSend                   // transport send / modeled propagation delay
 	PhaseRecvWait               // blocked on the sync strategy waiting for peer gradients

@@ -79,8 +79,8 @@ type Node struct {
 	loop   chan func()
 	start  time.Time
 
-	evStart  time.Time // when the currently-executing event began
-	profiled [][2][]float64
+	evStart time.Time // when the currently-executing event began
+	scratch *nn.Model // ProfileCompute's replica, built on first probe
 
 	// Per-peer FIFO senders: outbound messages to one peer are serialized
 	// through a single goroutine so a stale weight snapshot can never
@@ -111,14 +111,18 @@ type realEnv struct{ n *Node }
 func (e realEnv) Now() float64 { return time.Since(e.n.start).Seconds() }
 
 func (e realEnv) After(d float64, fn func()) {
-	if d <= 0 {
-		// run on the next loop turn, preserving the single-thread contract
-		go func() { e.n.loop <- fn }()
+	if d > 0 {
+		time.AfterFunc(time.Duration(d*float64(time.Second)), func() { e.n.loop <- fn })
 		return
 	}
-	time.AfterFunc(time.Duration(d*float64(time.Second)), func() {
-		e.n.loop <- fn
-	})
+	// Back of the loop, never inline: events already queued run first. The
+	// caller is the loop goroutine itself, so a blocking send into a full loop
+	// would deadlock; only then does a goroutine carry fn (and lose its place).
+	select {
+	case e.n.loop <- fn:
+	default:
+		go func() { e.n.loop <- fn }()
+	}
 }
 
 func (e realEnv) NumWorkers() int    { return e.n.cfg.N }
@@ -131,25 +135,27 @@ func (e realEnv) Bandwidth(_, to int) float64 {
 	return 100
 }
 
-// IterSeconds reports how long the current event has been executing — by
-// the time the worker asks (right after its TrainStep), that is the real
-// compute duration of the iteration.
-func (e realEnv) IterSeconds(_, _ int) float64 {
-	d := time.Since(e.n.evStart).Seconds()
-	if d < 1e-3 {
-		d = 1e-3
-	}
-	return d
+// IterSeconds charges the iteration what the current event has run for — by
+// the time the worker asks (right after its TrainStep), the real compute
+// duration — and leaves nothing to wait: that wall time is already spent.
+func (e realEnv) IterSeconds(_, _ int) (charged, wait float64) {
+	return max(time.Since(e.n.evStart).Seconds(), 1e-3), 0
 }
 
 // ProfileCompute measures actual TrainStep wall time at each batch size on
-// a scratch replica, so profiling never perturbs the live model.
+// the node's scratch replica (zero-built once, then given the live weights
+// before each probe), so profiling never perturbs the live model.
 func (e realEnv) ProfileCompute(_ int, batches []int) (x, y []float64) {
-	scratch := e.n.cfg.Spec.Build()
+	if e.n.scratch == nil {
+		e.n.scratch = e.n.cfg.Spec.BuildZero()
+	}
+	if err := e.n.scratch.CopyWeightsFrom(e.n.worker.Model()); err != nil {
+		panic(err) // same spec, same shapes: cannot fail
+	}
 	for _, b := range batches {
 		xb, yb := e.n.cfg.Shard.NextBatch(b)
 		t0 := time.Now()
-		scratch.TrainStep(xb, yb)
+		e.n.scratch.TrainStep(xb, yb)
 		x = append(x, float64(b))
 		y = append(y, time.Since(t0).Seconds())
 	}

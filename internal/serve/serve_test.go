@@ -149,6 +149,11 @@ func TestMicroBatchingCoalesces(t *testing.T) {
 	if failures.Load() != 0 {
 		t.Fatalf("%d requests failed", failures.Load())
 	}
+	// A runner counts a batch after it has replied to it, so the last batch's
+	// counters can trail the last response: wait for the runners to finish.
+	if err := s.Shutdown(context.Background()); err != nil {
+		t.Fatal(err)
+	}
 	answered := metrics.Counter("serve.answered").Load()
 	batchesRun := metrics.Counter("serve.batches").Load()
 	if answered != clients*perClient {
