@@ -290,6 +290,11 @@ func (e *simEnv) Send(from, to int, m *wire.Message) {
 	if e.obs != nil {
 		e.obs[from].AddPhase(obs.PhaseSend, arrival-(start+ser))
 	}
+	// The message outlives this call, so it may no longer borrow the sender's
+	// gradient. Links of one iteration share their selections: one copy.
+	for _, s := range m.Selections {
+		s.Own()
+	}
 	e.eng.AtHandler(arrival, e.newDelivery(to, bytes, m))
 }
 

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"testing"
 
+	"dlion/internal/bufpool"
 	"dlion/internal/data"
 	"dlion/internal/grad"
 	"dlion/internal/nn"
@@ -69,5 +70,49 @@ func BenchmarkWorkerRound(b *testing.B) {
 				}
 			}
 		})
+	}
+}
+
+// encodingEnv sends the way realtime's realEnv does: the message is encoded
+// into a recycled frame before Send returns and nothing of it is kept, so
+// its selections may go on borrowing the gradient.
+type encodingEnv struct {
+	*fakeEnv
+	frameLen int
+}
+
+func (e *encodingEnv) Send(_, _ int, m *wire.Message) {
+	frame := wire.Encode(m)
+	e.frameLen = len(frame)
+	bufpool.Bytes.Put(frame)
+}
+
+// BenchmarkExchangeDenseRealEnv is the sender's half of a dense real-mode
+// iteration at the repository benchmark's model (train_wire: Cipher 16×16,
+// a 1.37 MB frame): Full selection, message, encode. B/op is what the
+// sender allocates per iteration beside the recycled frame; it read one
+// frame (the selection's copy of the gradient) until selections borrowed.
+func BenchmarkExchangeDenseRealEnv(b *testing.B) {
+	env := &encodingEnv{fakeEnv: newFakeEnv(2, []float64{1, 1})}
+	tr, _, err := data.Generate(data.Config{Name: "b", NumClasses: 10, Train: 40, Test: 10,
+		Channels: 1, Height: 16, Width: 16, Noise: 0.3, Bumps: 3, Seed: 4})
+	if err != nil {
+		b.Fatal(err)
+	}
+	shards, err := data.Partition(tr, 1, 5)
+	if err != nil {
+		b.Fatal(err)
+	}
+	w, err := New(0, asyncConfig(), nn.CipherSpec(1, 16, 16, 10, 77).Build(), shards[0], env)
+	if err != nil {
+		b.Fatal(err)
+	}
+	w.Start() // one backward pass: the gradient tensors hold values
+	w.exchangeGradients()
+	b.SetBytes(int64(env.frameLen))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		w.exchangeGradients()
 	}
 }

@@ -34,14 +34,6 @@ func (w *Worker) exchangeGradients() {
 	params := w.model.Params()
 	peers := w.livePeers()
 	quantOn := w.cfg.Quant.Auto || w.cfg.Quant.Precision != grad.PrecF32
-	fullDense := 0
-	if w.cfg.Quant.Auto {
-		totals := make([]int, len(params))
-		for i, p := range params {
-			totals[i] = p.G.Len()
-		}
-		fullDense = grad.DenseBytes(totals)
-	}
 	// With a LinkInvariant selector (MaxN, Full), links that resolve to the
 	// same (budget, precision) receive the same Selection set, so it is
 	// computed once and shared across their messages. Under a uniform or
@@ -70,7 +62,7 @@ func (w *Worker) exchangeGradients() {
 		prec := grad.PrecF32
 		selBudget := budget
 		if quantOn {
-			prec = w.linkPrecision(p, budget, fullDense)
+			prec = w.linkPrecision(p, budget)
 			if prec != grad.PrecF32 {
 				// The selector thinks in f32 byte costs; a reduced-precision
 				// payload fits more values per budget byte, so the budget it
@@ -134,13 +126,13 @@ func (w *Worker) exchangeGradients() {
 // exchange (f32 when the budget covers it, f16 at half, int8 below). The
 // result is clamped by the peer's advertised accept mask, so a sender never
 // emits a precision its receiver did not negotiate for.
-func (w *Worker) linkPrecision(p, budget, fullDense int) grad.Precision {
+func (w *Worker) linkPrecision(p, budget int) grad.Precision {
 	prec := w.cfg.Quant.Precision
 	if w.cfg.Quant.Auto {
 		switch {
-		case budget <= 0 || budget >= fullDense:
+		case budget <= 0 || budget >= w.fullDense:
 			prec = grad.PrecF32
-		case 2*budget >= fullDense:
+		case 2*budget >= w.fullDense:
 			prec = grad.PrecF16
 		default:
 			prec = grad.PrecI8

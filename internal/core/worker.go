@@ -22,7 +22,10 @@ type Env interface {
 	// NumWorkers returns the cluster size n.
 	NumWorkers() int
 	// Send delivers m from worker `from` to worker `to`, charging the
-	// network model for m's wire size.
+	// network model for m's wire size. m's selections may alias the
+	// sender's live gradient and are the worker's again when Send returns:
+	// an Env that keeps m past the call makes each its own first
+	// (grad.Selection.Own).
 	Send(from, to int, m *wire.Message)
 	// Bandwidth returns the currently available bandwidth (Mbps) of the
 	// link from->to — the network resource monitor of Figure 10.
@@ -90,6 +93,7 @@ type Worker struct {
 	// slot array, cleared at the end of every exchange.
 	selInvariant bool
 	selCache     []selCacheEntry
+	fullDense    int // grad.DenseBytes of the model: Quant.Auto's reference
 
 	epochSamples float64 // cumulative global samples (GBS summed per iter)
 	trainSize    int
@@ -187,6 +191,11 @@ func New(id int, cfg Config, model *nn.Model, shard *data.Shard, env Env) (*Work
 		trainSize: trainSize,
 	}
 	_, w.selInvariant = w.selector.(grad.LinkInvariant)
+	totals := make([]int, 0, len(model.Params()))
+	for _, p := range model.Params() {
+		totals = append(totals, p.G.Len())
+	}
+	w.fullDense = grad.DenseBytes(totals)
 	if err := w.initMembership(); err != nil {
 		return nil, err
 	}

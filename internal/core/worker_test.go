@@ -28,6 +28,9 @@ type fakeEnv struct {
 	// wallPaid mimics the real-mode substrate: the iteration is charged
 	// iterSec but nothing is left to wait (the step already took the time).
 	wallPaid bool
+	// onSend sees each message as the worker hands it over, before the env
+	// makes it its own.
+	onSend func(m *wire.Message)
 }
 
 func newFakeEnv(n int, iterSec []float64) *fakeEnv {
@@ -57,6 +60,12 @@ func (e *fakeEnv) ProfileCompute(w int, batches []int) (x, y []float64) {
 	return x, y
 }
 func (e *fakeEnv) Send(from, to int, m *wire.Message) {
+	if e.onSend != nil {
+		e.onSend(m)
+	}
+	for _, s := range m.Selections {
+		s.Own() // the log and the delayed delivery outlive the call
+	}
 	e.sent = append(e.sent, m)
 	if e.dropTo[to] {
 		return

@@ -1,6 +1,8 @@
 package grad
 
 import (
+	"math"
+
 	"dlion/internal/nn"
 )
 
@@ -51,15 +53,24 @@ func (m *MaxN) LinkInvariantSelection() {}
 // for every peer of the current iteration; MaxN keeps no cross-iteration
 // state, so per-link differences come only from the per-link budget.
 func (m *MaxN) Select(_ int, params []*nn.Param, budgetBytes int) []*Selection {
-	n := m.N
 	if budgetBytes > 0 {
-		n = m.AutoN(params, budgetBytes)
+		// AutoN's histogram pass left every variable's max behind.
+		return m.selectN(params, m.AutoN(params, budgetBytes))
 	}
-	return m.SelectN(params, n)
+	return m.SelectN(params, m.N)
 }
 
 // SelectN runs the Max N rule with an explicit N over all variables.
 func (m *MaxN) SelectN(params []*nn.Param, n float64) []*Selection {
+	m.hist.maxAbs = m.hist.maxAbs[:0]
+	for _, p := range params {
+		m.hist.maxAbs = append(m.hist.maxAbs, p.G.MaxAbs())
+	}
+	return m.selectN(params, n)
+}
+
+// selectN is SelectN once m.hist.maxAbs holds each variable's max |g|.
+func (m *MaxN) selectN(params []*nn.Param, n float64) []*Selection {
 	if n <= 0 {
 		n = m.MinN
 	}
@@ -68,8 +79,8 @@ func (m *MaxN) SelectN(params []*nn.Param, n float64) []*Selection {
 	}
 	frac := 1 - n/100
 	out := make([]*Selection, 0, len(params))
-	for _, p := range params {
-		out = append(out, selectVariable(p, frac))
+	for i, p := range params {
+		out = append(out, selectVariable(p, frac, m.hist.maxAbs[i]))
 	}
 	return out
 }
@@ -78,9 +89,8 @@ func (m *MaxN) SelectN(params []*nn.Param, n float64) []*Selection {
 // threshold admits every value the dense encoding is used (half the wire
 // cost); otherwise the selection stays sparse so that exactly the chosen
 // values — and nothing below the threshold — are transmitted.
-func selectVariable(p *nn.Param, frac float64) *Selection {
+func selectVariable(p *nn.Param, frac float64, maxAbs float32) *Selection {
 	g := p.G.Data
-	maxAbs := p.G.MaxAbs()
 	thresh := float32(frac) * maxAbs
 	count := 0
 	for _, v := range g {
@@ -129,12 +139,12 @@ func (m *MaxN) AutoN(params []*nn.Param, budgetBytes int) float64 {
 // with ratio in [k/B, (k+1)/B); selection at threshold frac counts buckets
 // >= frac·B. Dense fallback is accounted per variable.
 type histogram struct {
-	buckets   int
-	perVar    [][]int // counts per variable
-	varLens   []int
-	varCumul  [][]int // suffix sums: cumul[v][k] = #values with ratio >= k/B
-	numVars   int
-	threshold []float64
+	buckets  int
+	perVar   [][]int // counts per variable
+	varLens  []int
+	maxAbs   []float32 // per variable, kept for the SelectN that follows
+	varCumul [][]int   // suffix sums: cumul[v][k] = #values with ratio >= k/B
+	numVars  int
 }
 
 const histBuckets = 512
@@ -150,6 +160,7 @@ func (h *histogram) build(params []*nn.Param) {
 	h.perVar = h.perVar[:len(params)]
 	h.varCumul = h.varCumul[:len(params)]
 	h.varLens = h.varLens[:len(params)]
+	h.maxAbs = h.maxAbs[:0]
 	for vi, p := range params {
 		if h.perVar[vi] == nil {
 			h.perVar[vi] = make([]int, h.buckets)
@@ -162,15 +173,18 @@ func (h *histogram) build(params []*nn.Param) {
 		g := p.G.Data
 		h.varLens[vi] = len(g)
 		maxAbs := p.G.MaxAbs()
+		h.maxAbs = append(h.maxAbs, maxAbs)
 		if maxAbs == 0 {
 			// all-zero gradient: everything is "at the max"; bucket B-1
 			counts[h.buckets-1] = len(g)
 		} else {
 			inv := float64(h.buckets) / float64(maxAbs)
 			for _, v := range g {
-				k := int(float64(abs32(v)) * inv)
-				if k >= h.buckets {
-					k = h.buckets - 1
+				// Compared before converting: a NaN ratio (a NaN value, or
+				// Inf under an Inf max) has no int and lands at the max.
+				k := h.buckets - 1
+				if r := float64(abs32(v)) * inv; r < float64(k) {
+					k = int(r)
 				}
 				counts[k]++
 			}
@@ -206,9 +220,8 @@ func (h *histogram) bytesAtN(n float64) int {
 	return total
 }
 
+// abs32 clears the sign bit. A sign test instead mispredicts on every other
+// element of a zero-centred gradient, which was most of Max-N's cost.
 func abs32(v float32) float32 {
-	if v < 0 {
-		return -v
-	}
-	return v
+	return math.Float32frombits(math.Float32bits(v) &^ (1 << 31))
 }

@@ -231,14 +231,17 @@ func i8Scale(g []float32) float32 {
 // Quantize re-encodes the selection's values at precision p, storing the
 // quantized payload (Q8 or F16) and overwriting the float32 values with
 // their dequantized image — the exact values a receiver reconstructs, so
-// sender-side math, the simulator, and the wire all agree. Gradients are
-// zero-centered, so the int8 zero-point is 0 (the wire format carries an
-// explicit zero-point for asymmetric payloads). Quantizing to PrecF32, or
-// re-quantizing an already-quantized selection, is a no-op.
+// sender-side math, the simulator, and the wire all agree. Because it
+// writes the values in place, it owns a borrowed Dense first: the sender's
+// Param.G is never touched. Gradients are zero-centered, so the int8
+// zero-point is 0 (the wire format carries an explicit zero-point for
+// asymmetric payloads). Quantizing to PrecF32, or re-quantizing an
+// already-quantized selection, is a no-op.
 func (s *Selection) Quantize(p Precision) {
 	if p == PrecF32 || s.Prec != PrecF32 {
 		return
 	}
+	s.Own()
 	vals := s.Dense
 	if vals == nil {
 		vals = s.Val

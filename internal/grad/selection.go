@@ -32,8 +32,11 @@ type Selection struct {
 	Prec  Precision
 	Scale float32
 	Zero  int8
-	Q8    []int8
-	F16   []uint16
+	// borrowed: Dense aliases the sender's live Param.G (see Own). The flag
+	// sits in the padding after Zero, so Selection stays 160 bytes.
+	borrowed bool
+	Q8       []int8
+	F16      []uint16
 }
 
 // sparseEntryBytes is the wire cost of one sparse (index, value) pair.
@@ -82,6 +85,18 @@ func (s *Selection) AddTo(dst []float32, scale float32) error {
 	return nil
 }
 
+// Own makes a borrowed Dense the selection's own, by one copy; on an owned,
+// sparse or decoded selection it does nothing. A selector may hand out a
+// Dense that aliases the sender's live gradient (Full, and the dense
+// fallbacks of Max-N and Random-K): it is good until Env.Send returns, so an
+// Env that keeps the message past the call owns its selections first.
+func (s *Selection) Own() {
+	if s.borrowed {
+		s.Dense = append([]float32(nil), s.Dense...)
+		s.borrowed = false
+	}
+}
+
 // TotalBytes sums the wire size of a set of selections.
 func TotalBytes(sels []*Selection) int {
 	n := 0
@@ -119,8 +134,9 @@ type Selector interface {
 // across every link of the iteration: with n-1 equal-bandwidth links that
 // turns the per-iteration selection cost from O(n·model) into O(model),
 // which is what makes thousand-worker federations simulable (DESIGN.md
-// §14). Shared Selections are read-only after creation — AddTo and the wire
-// encoders never mutate them.
+// §14). Shared Selections have two writers, both before a second reader
+// exists: Quantize (before the first Send) and Own (at the latest inside
+// it). AddTo and the wire encoders never mutate them.
 //
 // MaxN and Full qualify (MaxN documents that per-link differences come only
 // from the per-link budget). Gaia and Ako keep per-peer accumulators and
@@ -130,11 +146,12 @@ type LinkInvariant interface {
 	LinkInvariantSelection()
 }
 
-// denseSelection copies a parameter's full gradient into a dense Selection.
+// denseSelection returns a parameter's full gradient as a dense Selection
+// that borrows p.G.Data (capacity clipped, so an append cannot reach past
+// it): selecting everything costs no copy. See Selection.Own.
 func denseSelection(p *nn.Param) *Selection {
-	d := make([]float32, p.G.Len())
-	copy(d, p.G.Data)
-	return &Selection{Var: p.Name, Total: p.G.Len(), Dense: d}
+	n := p.G.Len()
+	return &Selection{Var: p.Name, Total: n, Dense: p.G.Data[:n:n], borrowed: true}
 }
 
 // Full sends every gradient value to every peer — the paper's Baseline
@@ -148,7 +165,8 @@ func (Full) Name() string { return "full" }
 // peer and the budget.
 func (Full) LinkInvariantSelection() {}
 
-// Select implements Selector.
+// Select implements Selector. The selections borrow the gradient tensors
+// (see Selection.Own); nothing is copied.
 func (Full) Select(_ int, params []*nn.Param, _ int) []*Selection {
 	out := make([]*Selection, 0, len(params))
 	for _, p := range params {

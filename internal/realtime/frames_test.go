@@ -113,8 +113,9 @@ func TestFrameIntegrityBothTransports(t *testing.T) {
 
 // trainDense runs two nodes exchanging dense f32 gradients in lock-step with
 // ordered apply for a fixed number of iterations and returns each replica's
-// weights plus the mean frame size.
-func trainDense(t *testing.T, trs []Transport, iters int64) ([]map[string]*tensor.Tensor, int64) {
+// weights plus the mean frame size. observe, if not nil, runs on node 0's
+// event loop at every poll for completion.
+func trainDense(t *testing.T, trs []Transport, iters int64, observe func(*core.Worker)) ([]map[string]*tensor.Tensor, int64) {
 	t.Helper()
 	dc := data.Config{Name: "frames", NumClasses: 3, Train: 120, Test: 30,
 		Channels: 1, Height: 8, Width: 8, Noise: 0.4, Jitter: 0, Bumps: 3, Seed: 33}
@@ -157,6 +158,9 @@ func trainDense(t *testing.T, trs []Transport, iters int64) ([]map[string]*tenso
 	for i, nd := range nodes {
 		for done := false; !done; {
 			err := nd.Inspect(ctx, func(w *core.Worker) {
+				if i == 0 && observe != nil {
+					observe(w)
+				}
 				if done = w.Iter() == iters && w.Stats().MsgsRecvd == want; done {
 					weights[i] = w.Model().Weights()
 					frameBytes = w.Stats().BytesSent / w.Stats().MsgsSent
@@ -181,7 +185,7 @@ func TestPooledFramesTrainIdentically(t *testing.T) {
 	const iters = 12
 	var ref []map[string]*tensor.Tensor
 	for name, trs := range transportPairs(t, 2) {
-		weights, frameBytes := trainDense(t, trs, iters)
+		weights, frameBytes := trainDense(t, trs, iters, nil)
 		if frameBytes < 2*64<<10 {
 			t.Fatalf("%s: frames of %d bytes are too small to be recycled", name, frameBytes)
 		}
@@ -204,30 +208,29 @@ func TestPooledFramesTrainIdentically(t *testing.T) {
 }
 
 // TestSteadyStateFrameAllocation: once the free list is warm, a frame's trip
-// Encode → Send → broker → Recv → Decode → Release allocates a small
+// Select → Encode → Send → broker → Recv → Decode → Release allocates a small
 // fraction of its size — headers and bookkeeping, never a frame-sized buffer.
+// The sender's half is in the loop: Full's selections borrow the gradient
+// tensor and the encoder copies it straight into a recycled frame, so a
+// selector that copied first would show as one frame per trip.
 func TestSteadyStateFrameAllocation(t *testing.T) {
 	if raceEnabled {
 		t.Skip("under -race sync.Pool drops items at random")
 	}
-	// Start from empty free lists (two cycles: sync.Pool keeps a victim
-	// generation). Earlier tests in this package leave shorter buffers in
-	// the same size class, and each one that surfaces during the measurement
-	// is dropped for a fresh frame-sized allocation — one run in five failed
-	// on that when the whole package ran, never the test alone.
-	runtime.GC()
-	runtime.GC()
-	defer debug.SetGCPercent(debug.SetGCPercent(-1)) // a GC would empty the free list mid-measurement
+	defer coldFreeLists()()
 	vals := make([]float32, 340_000)
 	for i := range vals {
 		vals[i] = float32(i)
 	}
-	m := &wire.Message{Type: wire.TypeGradient, From: 0, To: 1,
-		Selections: []*grad.Selection{{Var: "w", Total: len(vals), Dense: vals}}}
-	frameLen := len(wire.Encode(m))
+	params := []*nn.Param{{Name: "w", W: tensor.New(1), G: tensor.FromSlice(vals, len(vals))}}
+	message := func() *wire.Message {
+		return &wire.Message{Type: wire.TypeGradient, From: 0, To: 1,
+			Selections: grad.Full{}.Select(1, params, 0)}
+	}
+	frameLen := len(wire.Encode(message()))
 	for name, trs := range transportPairs(t, 2) {
 		trip := func() error {
-			if err := trs[0].Send(1, wire.Encode(m)); err != nil {
+			if err := trs[0].Send(1, wire.Encode(message())); err != nil {
 				return err
 			}
 			frame, err := trs[1].Recv()
@@ -260,10 +263,57 @@ func TestSteadyStateFrameAllocation(t *testing.T) {
 		}
 		runtime.ReadMemStats(&after)
 		perFrame := (after.TotalAlloc - before.TotalAlloc) / trips
-		if limit := uint64(frameLen / 10); perFrame > limit {
+		if limit := uint64(frameLen / 20); perFrame > limit {
 			t.Fatalf("%s: %d bytes allocated per %d-byte frame, want under %d",
 				name, perFrame, frameLen, limit)
 		}
 		t.Logf("%s: %d bytes allocated per %d-byte frame", name, perFrame, frameLen)
 	}
+}
+
+// coldFreeLists is the preamble of the steady-state allocation tests: start
+// from empty free lists (two cycles: sync.Pool keeps a victim generation;
+// shorter buffers left in a size class by earlier tests are each dropped
+// for a fresh frame-sized allocation when they surface), then keep the
+// collector from emptying them mid-measurement. Call the result to restore.
+func coldFreeLists() (restore func()) {
+	runtime.GC()
+	runtime.GC()
+	old := debug.SetGCPercent(-1)
+	return func() { debug.SetGCPercent(old) }
+}
+
+// TestSteadyStateIterationAllocation: two nodes training in lock-step on
+// dense f32 gradients allocate, per node and iteration, a small fraction of
+// the frame they exchange: step, select, encode, send, receive, decode and
+// apply all run on recycled or borrowed storage. (With a copying Full this
+// read about 105 % of a frame.)
+func TestSteadyStateIterationAllocation(t *testing.T) {
+	if raceEnabled {
+		t.Skip("under -race sync.Pool drops items at random")
+	}
+	defer coldFreeLists()()
+	const warm, iters = 40, 240
+	var start, end runtime.MemStats
+	var startIter, endIter int64
+	_, frameBytes := trainDense(t, transportPairs(t, 2)["tcp"], iters, func(w *core.Worker) {
+		switch {
+		case startIter == 0 && w.Iter() >= warm:
+			startIter = w.Iter()
+			runtime.ReadMemStats(&start)
+		case w.Iter() == iters && endIter == 0:
+			endIter = w.Iter()
+			runtime.ReadMemStats(&end)
+		}
+	})
+	if startIter == 0 || endIter-startIter < 100 {
+		t.Fatalf("measured iterations %d..%d: too few to read a steady state from", startIter, endIter)
+	}
+	perIter := int64(end.TotalAlloc-start.TotalAlloc) / (endIter - startIter) / 2 // two nodes in this process
+	if limit := frameBytes / 10; perIter > limit {
+		t.Fatalf("%d bytes allocated per node-iteration exchanging %d-byte frames, want under %d",
+			perIter, frameBytes, limit)
+	}
+	t.Logf("%d bytes allocated per node-iteration, %d-byte frames, iterations %d..%d",
+		perIter, frameBytes, startIter, endIter)
 }

@@ -180,14 +180,13 @@ func (t *Tensor) L2() float64 {
 }
 
 // MaxAbs returns the maximum absolute element value (0 for empty tensors).
+// The magnitude is taken by clearing the sign bit: a sign test mispredicts
+// on every other element of a zero-centred gradient.
 func (t *Tensor) MaxAbs() float32 {
 	var m float32
 	for _, v := range t.Data {
-		if v < 0 {
-			v = -v
-		}
-		if v > m {
-			m = v
+		if a := math.Float32frombits(math.Float32bits(v) &^ (1 << 31)); a > m {
+			m = a
 		}
 	}
 	return m

@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"dlion/internal/grad"
+	"dlion/internal/nn"
 	"dlion/internal/tensor"
 )
 
@@ -226,6 +227,26 @@ func TestReleaseRecyclesWithoutAliasing(t *testing.T) {
 	built.Release()
 	if len(built.Selections) != 1 || &built.Selections[0].Dense[0] != &shared[0] {
 		t.Fatal("Release touched a message that was never decoded")
+	}
+	// Nor may a built message's borrowed Dense reach the free list: it is the
+	// sender's live gradient tensor (large enough here to be filed if put).
+	g := tensor.New(n)
+	for i := range g.Data {
+		g.Data[i] = 1 + float32(i)
+	}
+	borrowed := &Message{Type: TypeGradient,
+		Selections: grad.Full{}.Select(0, []*nn.Param{{Name: "d", W: tensor.New(n), G: g}}, 0)}
+	borrowed.Release()
+	if len(borrowed.Selections) != 1 || &borrowed.Selections[0].Dense[0] != &g.Data[0] {
+		t.Fatal("Release took a selection that borrows the sender's gradient")
+	}
+	c := decode(fa) // would draw the gradient's storage from the pool
+	if &c.Selections[0].Dense[0] == &g.Data[0] {
+		t.Fatal("Decode filled the sender's gradient tensor")
+	}
+	check(c, 1)
+	if g.Data[n-1] != float32(n) {
+		t.Fatal("the gradient was overwritten")
 	}
 	(*Message)(nil).Release()
 }
