@@ -1,11 +1,13 @@
 # Tier-1 gate: everything a change must pass before merging.
 # The -race pass covers the concurrency-heavy packages (TCP broker,
-# reconnecting client, real-mode runtime, serving) plus the nn
-# checkpoint-vs-Forward concurrency tests and the sim driver's parallel
-# evaluation beside its replicas' shared arena, and grad whole plus the
-# ownership tests of core and cluster, so the alias between Param.G and an
-# in-flight encode is race-checked (all of core is 80 s under -race); running
-# it repo-wide would multiply simulation test time ~20x for no extra coverage.
+# reconnecting client, real-mode runtime, serving) plus tensor whole (replica
+# fan-out and the matmul scratch pool are all it shares), the nn
+# checkpoint-vs-Forward and concurrent-replica tests and the sim driver's
+# parallel evaluation beside its replicas' shared arena, and grad whole plus
+# the ownership tests of core and cluster, so the alias between Param.G and
+# an in-flight encode is race-checked (all of core is 80 s under -race);
+# running it repo-wide would multiply simulation test time ~20x for no extra
+# coverage.
 .PHONY: check build fmt vet test race fuzz-smoke conformance bench bench-serve bench-sim bench-e2e chaos e2e-jobs audit-gate
 
 check: build fmt vet test race fuzz-smoke
@@ -24,7 +26,7 @@ test:
 	go test ./...
 
 race:
-	go test -race ./internal/bufpool/... ./internal/wire/... ./internal/queue/... ./internal/realtime/... ./internal/serve/... ./internal/jobs/... ./internal/grad/...
+	go test -race ./internal/bufpool/... ./internal/wire/... ./internal/queue/... ./internal/realtime/... ./internal/serve/... ./internal/jobs/... ./internal/grad/... ./internal/tensor/...
 	go test -race -run 'Borrow|Own' ./internal/core/... ./internal/cluster/...
 	go test -race -run 'Concurrent' ./internal/nn/... ./internal/obs/...
 	go test -race ./internal/simclock/...

@@ -410,8 +410,7 @@ func Run(cfg Config) (*Result, error) {
 		//
 		// The forward passes run concurrently (tensor.ParallelReplicas),
 		// each goroutine copying replica i's weights into its own scratch
-		// model and evaluating that; each pass is itself bit-identical at
-		// any kernel worker count, and the accs slice and loss sum are
+		// model and evaluating that; the accs slice and loss sum are
 		// merged serially in worker-id order, so the timeline is
 		// byte-for-byte the same as a sequential loop over the replicas
 		// themselves produces.

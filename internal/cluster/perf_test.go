@@ -28,13 +28,11 @@ import (
 func TestParallelEvalDeterministic(t *testing.T) {
 	cfg := tinyConfig(systems.DLion())
 	cfg.EvalPeriod = 10
-	prevW := tensor.SetMaxWorkers(4)
-	prevD := tensor.SetDeterministic(false)
+	prev := tensor.SetMaxWorkers(4)
 	parallel, err := Run(cfg)
-	tensor.SetDeterministic(true)
+	tensor.SetMaxWorkers(1)
 	inline, err2 := Run(cfg)
-	tensor.SetMaxWorkers(prevW)
-	tensor.SetDeterministic(prevD)
+	tensor.SetMaxWorkers(prev)
 	if err != nil || err2 != nil {
 		t.Fatal(err, err2)
 	}

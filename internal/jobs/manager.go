@@ -722,7 +722,7 @@ func (r *run) evaluate() (acc, loss float64, err error) {
 	if best == nil {
 		return 0, 0, fmt.Errorf("jobs: no checkpoint captured")
 	}
-	model := r.mspec.Build()
+	model := r.mspec.BuildZero()
 	if err := model.Restore(best); err != nil {
 		return 0, 0, fmt.Errorf("jobs: final evaluation: %w", err)
 	}

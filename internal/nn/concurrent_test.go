@@ -2,10 +2,12 @@ package nn
 
 import (
 	"bytes"
+	"runtime"
 	"sync"
 	"testing"
 
 	"dlion/internal/stats"
+	"dlion/internal/tensor"
 )
 
 // TestConcurrentCheckpointForward exercises the serving contract: a Model
@@ -150,4 +152,59 @@ func TestConcurrentWorkspaceForward(t *testing.T) {
 		}(g)
 	}
 	wg.Wait()
+}
+
+// TestConcurrentReplicasTrainIdentically pins the one thing replicas on
+// different goroutines still share inside tensor, the matmul pack-scratch
+// pool: four goroutines each train a replica of their own for 20 seeded
+// steps at once and must end on the checkpoint bytes one replica reaches
+// alone. Under -race, a scratch buffer handed to two replicas shows up here.
+func TestConcurrentReplicasTrainIdentically(t *testing.T) {
+	spec := CipherSpec(1, 8, 8, 3, 11)
+	x, y := smallBatch(stats.NewRNG(29), 8, 1, 8, 8, 3)
+	train := func() []byte {
+		m := spec.Build()
+		for i := 0; i < 20; i++ {
+			m.TrainStep(x, y)
+			m.ApplySGD(0.05)
+		}
+		return m.Checkpoint()
+	}
+	want := train()
+
+	const goroutines = 4
+	got := make([][]byte, goroutines)
+	var wg sync.WaitGroup
+	for g := range got {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			got[g] = train()
+		}()
+	}
+	wg.Wait()
+	for g, ckpt := range got {
+		if !bytes.Equal(ckpt, want) {
+			t.Errorf("goroutine %d: checkpoint differs from the replica trained alone", g)
+		}
+	}
+}
+
+// TestKernelsRunOnCallerGoroutine pins the parallelism rule (DESIGN.md §9):
+// a training step and a large matmul start no goroutine, whatever the
+// replica fan-out bound is.
+func TestKernelsRunOnCallerGoroutine(t *testing.T) {
+	m := CipherSpec(1, 16, 16, 10, 1).Build()
+	x, y := smallBatch(stats.NewRNG(31), 32, 1, 16, 16, 10)
+	a, c := tensor.New(128, 128), tensor.New(128, 128)
+	for i := range a.Data {
+		a.Data[i] = float32(i%7) - 3
+	}
+	before := runtime.NumGoroutine()
+	defer tensor.SetMaxWorkers(tensor.SetMaxWorkers(4))
+	m.TrainStep(x, y)
+	tensor.MatMul(c, a, a)
+	if after := runtime.NumGoroutine(); after > before {
+		t.Fatalf("kernels left %d goroutines running, %d before", after, before)
+	}
 }

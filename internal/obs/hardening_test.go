@@ -2,6 +2,8 @@ package obs
 
 import (
 	"fmt"
+	"math"
+	"math/rand"
 	"sync"
 	"testing"
 )
@@ -87,13 +89,11 @@ func TestHistogramQuantileSingleSample(t *testing.T) {
 	const v = 0.0042
 	h.Observe(v)
 	// With one sample every quantile's owning bucket holds it, and the
-	// interpolation is capped at the exact recorded max, so no quantile may
-	// exceed v; the bucket floor bounds it from below.
-	lo, _ := bucketBounds(bucketOf(v))
+	// interpolation is floored at the exact recorded min and capped at the
+	// exact max, so every quantile is v itself.
 	for _, q := range []float64{0, 0.5, 0.99, 1} {
-		got := h.Quantile(q)
-		if got > v || got < lo {
-			t.Errorf("single-sample Quantile(%g) = %g outside [%g,%g]", q, got, lo, v)
+		if got := h.Quantile(q); got != v {
+			t.Errorf("single-sample Quantile(%g) = %g, want %g", q, got, v)
 		}
 	}
 	if got := h.Max(); got != v {
@@ -101,25 +101,47 @@ func TestHistogramQuantileSingleSample(t *testing.T) {
 	}
 }
 
+// TestHistogramQuantileAllOneBucket: identical observations report
+// themselves, not a point between their bucket's lower edge and them (a
+// batch-fill histogram that only ever saw 1 used to report p50 = 0.908).
 func TestHistogramQuantileAllOneBucket(t *testing.T) {
-	h := NewHistogram()
-	// All observations land in one bucket: identical values.
-	const v = 0.010
-	for i := 0; i < 1000; i++ {
-		h.Observe(v)
-	}
-	lo, hi := bucketBounds(bucketOf(v))
-	if hi > v { // interpolation cap: max bounds the bucket ceiling
-		hi = v
-	}
-	for _, q := range []float64{0.01, 0.5, 0.9, 0.999} {
-		got := h.Quantile(q)
-		if got < lo || got > v {
-			t.Errorf("Quantile(%g) = %g outside bucket bounds [%g,%g]", q, got, lo, hi)
+	for _, v := range []float64{1, 0.010} {
+		h := NewHistogram()
+		for i := 0; i < 1000; i++ {
+			h.Observe(v)
+		}
+		for _, q := range []float64{0, 0.01, 0.5, 0.9, 0.999, 1} {
+			if got := h.Quantile(q); got != v {
+				t.Errorf("all-%g Quantile(%g) = %g, want %g", v, q, got, v)
+			}
 		}
 	}
-	if got := h.Quantile(1); got > v {
-		t.Errorf("Quantile(1) = %g above the exact max %g", got, v)
+}
+
+// TestHistogramQuantileMonotone: on a seeded mix spanning many buckets the
+// estimate never decreases in q and stays inside [min, max].
+func TestHistogramQuantileMonotone(t *testing.T) {
+	h := NewHistogram()
+	rng := rand.New(rand.NewSource(7))
+	min, max := math.Inf(1), 0.0
+	for i := 0; i < 500; i++ {
+		v := math.Exp(rng.Float64()*12 - 10) // ~45 µs .. ~7
+		h.Observe(v)
+		min, max = math.Min(min, v), math.Max(max, v)
+	}
+	prev := h.Quantile(0)
+	if prev < min {
+		t.Errorf("Quantile(0) = %g below the observed min %g", prev, min)
+	}
+	for q := 0.01; q <= 1; q += 0.01 {
+		got := h.Quantile(q)
+		if got < prev {
+			t.Errorf("Quantile(%.2f) = %g below Quantile(%.2f) = %g", q, got, q-0.01, prev)
+		}
+		prev = got
+	}
+	if prev > max {
+		t.Errorf("Quantile(1) = %g above the observed max %g", prev, max)
 	}
 }
 

@@ -21,17 +21,18 @@ var logHistGrowth = math.Log(histGrowth)
 
 // Histogram is a lock-free fixed-bucket histogram of non-negative float64
 // observations (seconds for latencies, counts for batch sizes). Recording
-// is a single atomic add on the owning bucket plus count/sum/max updates,
+// is a single atomic add on the owning bucket plus count/sum/min/max updates,
 // so it is safe — and cheap — to call from every request. Like Counter and
 // Gauge, every method is a no-op (or zero) on a nil receiver.
 //
 // Quantiles are estimated by linear interpolation inside the owning
 // exponential bucket, so their relative error is bounded by the 25% bucket
-// growth; the recorded maximum is exact.
+// growth; the recorded minimum and maximum are exact and bound them.
 type Histogram struct {
 	count   atomic.Int64
 	sumNano atomic.Int64  // sum in 1e-9 fixed point, overflow-safe to ~9e9 units
 	maxBits atomic.Uint64 // math.Float64bits of the max (bit order = value order for v >= 0)
+	minInv  atomic.Uint64 // ^math.Float64bits of the min: the zero value is "none yet", and a smaller min is a larger word
 	buckets [numBuckets]atomic.Int64
 }
 
@@ -73,9 +74,15 @@ func (h *Histogram) Observe(v float64) {
 	h.count.Add(1)
 	h.sumNano.Add(int64(v * 1e9))
 	bits := math.Float64bits(v)
+	raise(&h.maxBits, bits)
+	raise(&h.minInv, ^bits)
+}
+
+// raise lifts a to at least bits.
+func raise(a *atomic.Uint64, bits uint64) {
 	for {
-		m := h.maxBits.Load()
-		if bits <= m || h.maxBits.CompareAndSwap(m, bits) {
+		cur := a.Load()
+		if bits <= cur || a.CompareAndSwap(cur, bits) {
 			return
 		}
 	}
@@ -136,6 +143,7 @@ func (h *Histogram) Quantile(q float64) float64 {
 		rank = 1
 	}
 	max := h.Max()
+	min := math.Float64frombits(^h.minInv.Load())
 	var cum int64
 	for i := 0; i < numBuckets; i++ {
 		n := h.buckets[i].Load()
@@ -152,6 +160,11 @@ func (h *Histogram) Quantile(q float64) float64 {
 		// a lone large value doesn't report above anything ever observed.
 		if math.IsInf(hi, 1) || hi > max {
 			hi = max
+		}
+		// Likewise floor it at the exact min: a histogram that only ever
+		// saw 1 reports 1, not its bucket's lower edge.
+		if min > lo {
+			lo = min
 		}
 		if hi < lo {
 			return lo

@@ -181,7 +181,6 @@ func trainDense(t *testing.T, trs []Transport, iters int64, observe func(*core.W
 // the TCP one. A frame or a decoded gradient recycled while core still
 // needed it would show as a divergence.
 func TestPooledFramesTrainIdentically(t *testing.T) {
-	defer tensor.SetDeterministic(tensor.SetDeterministic(true))
 	const iters = 12
 	var ref []map[string]*tensor.Tensor
 	for name, trs := range transportPairs(t, 2) {

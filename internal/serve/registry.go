@@ -149,7 +149,7 @@ func (r *Registry) PublishManifest(seq int64, source string, ckpt []byte, man *l
 	}
 	// Restore into a scratch replica: proves the checkpoint matches the
 	// spec (names, shapes, length) before any runner sees it.
-	scratch := r.spec.Build()
+	scratch := r.spec.BuildZero()
 	if err := scratch.Restore(ckpt); err != nil {
 		r.rejected.Inc()
 		return fmt.Errorf("serve: reject version %d from %s: %w", seq, source, err)

@@ -357,7 +357,7 @@ func (s *Server) runner() {
 		}
 		if v.Seq != seq {
 			if model == nil {
-				model = s.cfg.Registry.Spec().Build()
+				model = s.cfg.Registry.Spec().BuildZero()
 			}
 			if err := model.Restore(v.Ckpt); err != nil {
 				// Validated at publish; only memory corruption gets here.

@@ -2,7 +2,6 @@ package tensor
 
 import (
 	"math"
-	"sync"
 	"time"
 
 	"dlion/internal/obs"
@@ -26,10 +25,9 @@ import (
 // never hit VPMADDWD's lone saturation case ((-32768)² pairs).
 //
 // Determinism contract: both kernels accumulate in int32, which is exact —
-// asm and portable paths agree bit-for-bit at any worker count, with or
-// without SetDeterministic (pinned by TestInt8PanelKernelsAgree). The only
-// floats are the two scale multiplies per output element, applied in a fixed
-// order.
+// asm and portable paths agree bit-for-bit (pinned by
+// TestInt8PanelKernelsAgree). The only floats are the two scale multiplies
+// per output element, applied in a fixed order.
 
 // qmNR is the int8 panel width: 16 output channels per panel, two YMM int32
 // accumulators in the AVX2 kernel.
@@ -133,8 +131,7 @@ func (q *QuantMat) PackedK() int { return 2 * q.kp }
 
 // QuantizeRowsI8 quantizes m activation rows of x (m×k row-major) into
 // int8-range codes stored as int16, one symmetric scale per row. dst must
-// hold m·(k rounded up to even) entries; the odd-k pad code is zero. Rows
-// are independent, so the result is identical at any worker count.
+// hold m·(k rounded up to even) entries; the odd-k pad code is zero.
 func QuantizeRowsI8(dst []int16, scales []float32, x []float32, m, k int) {
 	stride := 2 * ((k + 1) / 2)
 	if len(dst) < m*stride || len(scales) < m || len(x) < m*k {
@@ -201,21 +198,9 @@ func mmPanelI8x16Go(dst *[qmNR]int32, a []int16, pb []int16, kp int) {
 	}
 }
 
-// qmJob is the pooled per-call argument block for the parallel row loop.
-type qmJob struct {
-	q       *QuantMat
-	dst     []float32
-	qa      []int16
-	aScales []float32
-	bias    []float32
-}
-
-func (j *qmJob) index(i int) {
-	q := j.q
-	stride := 2 * q.kp
-	aRow := j.qa[i*stride : i*stride+stride]
-	out := j.dst[i*q.N : i*q.N+q.N]
-	sa := j.aScales[i]
+// mulRow computes one dequantized output row: out[j] = sa·Scales[j]·(int32
+// dot of aRow with packed column j) + bias[j].
+func (q *QuantMat) mulRow(out []float32, aRow []int16, sa float32, bias []float32) {
 	var acc [qmNR]int32
 	nPanels := (q.N + qmNR - 1) / qmNR
 	for pj := 0; pj < nPanels; pj++ {
@@ -232,21 +217,19 @@ func (j *qmJob) index(i int) {
 		}
 		for l := 0; l < w; l++ {
 			y := sa * q.Scales[jBase+l] * float32(acc[l])
-			if j.bias != nil {
-				y += j.bias[jBase+l]
+			if bias != nil {
+				y += bias[jBase+l]
 			}
 			out[jBase+l] = y
 		}
 	}
 }
 
-var qmJobs = sync.Pool{New: func() any { return new(qmJob) }}
-
 // MatMulTransB computes dst = dequant(qa · Wᵀ) + bias for m quantized
 // activation rows: dst[i·N+j] = aScales[i]·Scales[j]·(int32 dot) + bias[j].
 // qa is m rows of PackedK codes from QuantizeRowsI8; bias (len N) may be
-// nil. dst must hold m·N floats. Results are bit-identical at any worker
-// count and between the asm and portable kernels.
+// nil. dst must hold m·N floats. Results are bit-identical between the asm
+// and portable kernels.
 func (q *QuantMat) MatMulTransB(dst []float32, qa []int16, aScales []float32, m int, bias []float32) {
 	stride := 2 * q.kp
 	if len(dst) < m*q.N || len(qa) < m*stride || len(aScales) < m {
@@ -256,11 +239,9 @@ func (q *QuantMat) MatMulTransB(dst []float32, qa []int16, aScales []float32, m 
 		panic("tensor: QuantMat.MatMulTransB: short bias")
 	}
 	start := time.Now()
-	j := qmJobs.Get().(*qmJob)
-	j.q, j.dst, j.qa, j.aScales, j.bias = q, dst, qa, aScales, bias
-	parallelRun(m, j)
-	*j = qmJob{}
-	qmJobs.Put(j)
+	for i := 0; i < m; i++ {
+		q.mulRow(dst[i*q.N:i*q.N+q.N], qa[i*stride:i*stride+stride], aScales[i], bias)
+	}
 	i8MatmulNs.Add(time.Since(start).Nanoseconds())
 }
 

@@ -103,38 +103,6 @@ func TestInt8PanelKernelsAgree(t *testing.T) {
 	}
 }
 
-// TestQuantMatMulDeterministic: identical results at any worker count and
-// under SetDeterministic — integer accumulation leaves nothing to reorder.
-func TestQuantMatMulDeterministic(t *testing.T) {
-	r := newTestRand(7)
-	const m, k, n = 16, 48, 32
-	x := randTensor(r, m, k)
-	w := randTensor(r, n, k)
-	q := PackQuantMat(w.Data, n, k)
-	qa := make([]int16, m*q.PackedK())
-	aScales := make([]float32, m)
-	QuantizeRowsI8(qa, aScales, x.Data, m, k)
-
-	run := func() []float32 {
-		dst := make([]float32, m*n)
-		q.MatMulTransB(dst, qa, aScales, m, nil)
-		return dst
-	}
-	base := run()
-	prev := SetMaxWorkers(4)
-	wide := run()
-	SetMaxWorkers(prev)
-	SetDeterministic(true)
-	det := run()
-	SetDeterministic(false)
-	for i := range base {
-		if base[i] != wide[i] || base[i] != det[i] {
-			t.Fatalf("dst[%d] differs across worker configs: %g %g %g",
-				i, base[i], wide[i], det[i])
-		}
-	}
-}
-
 // TestQuantMatZeroAndHostileRows: all-zero rows keep scale 1 (dequant
 // no-op), non-finite weights quantize to code 0 instead of poisoning the
 // panel, and zero-length K is tolerated.

@@ -1,55 +1,6 @@
 package tensor
 
-import (
-	"runtime"
-	"sync"
-	"sync/atomic"
-)
-
-// maxWorkers caps kernel parallelism. Tests may lower it via SetMaxWorkers;
-// it is read from every kernel call, so access must be atomic.
-var maxWorkers atomic.Int64
-
-// deterministic, when set, forces every kernel to execute its outer loop
-// inline on the calling goroutine. The kernels in this package already
-// produce bit-identical results at any worker count — each body(i) owns
-// output index i and reduces sequentially — but that is a property of the
-// current kernels, not of the parallelRun contract. Conformance runs
-// (gradcheck, sim↔realtime equivalence, golden gates in internal/testkit)
-// flip this switch so a future kernel with a cross-goroutine reduction
-// cannot silently make them order-dependent.
-var deterministic atomic.Bool
-
-func init() {
-	maxWorkers.Store(int64(runtime.GOMAXPROCS(0)))
-}
-
-// SetMaxWorkers bounds the number of goroutines the heavy kernels use and
-// returns the previous bound. n < 1 is treated as 1. Raising the bound
-// pre-spawns persistent pool helpers so the first kernel call after a resize
-// does not pay goroutine startup. Safe to call while kernels run on other
-// goroutines.
-func SetMaxWorkers(n int) int {
-	if n < 1 {
-		n = 1
-	}
-	if n > 1 {
-		ensureHelpers(int64(n - 1))
-	}
-	return int(maxWorkers.Swap(int64(n)))
-}
-
-// SetDeterministic toggles deterministic-reduction mode and returns the
-// previous setting. While enabled, kernels run sequentially regardless of
-// SetMaxWorkers/GOMAXPROCS, guaranteeing bit-reproducible float32 results.
-// Safe to call while kernels run on other goroutines; per-call sequential
-// execution does not serialize independent callers against each other.
-func SetDeterministic(on bool) bool {
-	return deterministic.Swap(on)
-}
-
-// Deterministic reports whether deterministic-reduction mode is enabled.
-func Deterministic() bool { return deterministic.Load() }
+import "sync"
 
 // All three matmul variants funnel into one cache-blocked, register-tiled
 // engine: B is packed into 8-column panels (transposing on the fly for
@@ -70,9 +21,8 @@ func Deterministic() bool { return deterministic.Load() }
 // p, zero products skipped. For finite operands this is bit-identical to the
 // previous kernels — skipped terms are ±0 products, and a float32 sum chain
 // that only ever adds terms can never sit at -0, so adding a ±0 product
-// never changes the accumulator — at any worker count, with or without
-// SetDeterministic (pinned by TestBlockedMatMulMatchesReferenceBitExact and
-// the testkit goldens).
+// never changes the accumulator (pinned by
+// TestBlockedMatMulMatchesReferenceBitExact and the testkit goldens).
 
 // mmNR is the portable register tile width: one A row against 8 packed B
 // columns (8 accumulators in XMM registers).
@@ -250,46 +200,29 @@ func store8(row []float32, w int, s0, s1, s2, s3, s4, s5, s6, s7 float32) {
 	copy(row[:w], s[:w])
 }
 
-// matMulJob computes rows of c = a·b against packed panels of b, with a in
-// row-major (m×k) form (pre-transposed by the dispatcher when needed).
-type matMulJob struct {
-	c, a, bp []float32
-	m, n, k  int
-	nPanels  int
-	wide     bool // 32-wide AVX2 panels instead of 8-wide portable ones
-}
-
-var matMulJobs = sync.Pool{New: func() any { return new(matMulJob) }}
-
-// indexWide computes output row i with the 32-wide AVX2 micro-kernel. Full
-// panels accumulate straight into the output row; the final partial panel
-// lands in stack scratch first.
-func (j *matMulJob) indexWide(i int) {
-	k, n := j.k, j.n
-	a := &j.a[i*k]
-	crow := j.c[i*n : (i+1)*n]
+// mmRowWide computes one output row of c = a·b with the 32-wide AVX2
+// micro-kernel: a points at the row of a (k floats), bp holds the packed
+// panels of b. Full panels accumulate straight into the output row; the
+// final partial panel lands in stack scratch first.
+func mmRowWide(crow []float32, a *float32, bp []float32, k int) {
+	n := len(crow)
 	nFull := n / mmNRWide
 	for pj := 0; pj < nFull; pj++ {
-		mmPanel32(&crow[pj*mmNRWide], a, &j.bp[pj*k*mmNRWide], k)
+		mmPanel32(&crow[pj*mmNRWide], a, &bp[pj*k*mmNRWide], k)
 	}
 	if rem := n - nFull*mmNRWide; rem > 0 {
 		var buf [mmNRWide]float32
-		mmPanel32(&buf[0], a, &j.bp[nFull*k*mmNRWide], k)
+		mmPanel32(&buf[0], a, &bp[nFull*k*mmNRWide], k)
 		copy(crow[nFull*mmNRWide:], buf[:rem])
 	}
 }
 
-// index computes output row i with the 1×8 zero-skipping micro-kernel.
-func (j *matMulJob) index(i int) {
-	if j.wide {
-		j.indexWide(i)
-		return
-	}
-	k, n := j.k, j.n
-	ar := j.a[i*k:][:k]
-	crow := j.c[i*n : (i+1)*n]
-	for pj := 0; pj < j.nPanels; pj++ {
-		pb := j.bp[pj*k*8:]
+// mmRow computes one output row of c = a·b with the 1×8 zero-skipping
+// micro-kernel: ar is the row of a, bp holds the packed panels of b.
+func mmRow(crow, ar, bp []float32) {
+	k, n := len(ar), len(crow)
+	for j0 := 0; j0 < n; j0 += mmNR {
+		pb := bp[j0*k:]
 		var s0, s1, s2, s3, s4, s5, s6, s7 float32
 		for p := 0; p < k; p++ {
 			av := ar[p]
@@ -306,7 +239,6 @@ func (j *matMulJob) index(i int) {
 			s6 += av * bq[6]
 			s7 += av * bq[7]
 		}
-		j0 := pj * mmNR
 		w := n - j0
 		if w > mmNR {
 			w = mmNR
@@ -323,8 +255,8 @@ const (
 )
 
 // runPacked dispatches the packed matmul: bring a into row-major form, pack
-// panels of b (transposing when b is stored n×k), shard rows across the
-// pool, recycle the scratch.
+// panels of b (transposing when b is stored n×k), compute c row by row,
+// recycle the scratch.
 func runPacked(c, a, b []float32, m, n, k, mode int) {
 	nr := mmNR
 	wide := useWideKernel && n > mmNR
@@ -349,12 +281,13 @@ func runPacked(c, a, b []float32, m, n, k, mode int) {
 		transposeInto(at.data, a, k, m)
 		a = at.data
 	}
-	j := matMulJobs.Get().(*matMulJob)
-	j.c, j.a, j.bp = c, a, pk.data
-	j.m, j.n, j.k, j.nPanels, j.wide = m, n, k, nPanels, wide
-	parallelRun(m, j)
-	j.c, j.a, j.bp = nil, nil, nil
-	matMulJobs.Put(j)
+	for i := 0; i < m; i++ {
+		if wide {
+			mmRowWide(c[i*n:(i+1)*n], &a[i*k], pk.data, k)
+		} else {
+			mmRow(c[i*n:(i+1)*n], a[i*k:][:k], pk.data)
+		}
+	}
 	if at != nil {
 		putPack(at)
 	}
@@ -448,30 +381,55 @@ func matMulSmallTB(c, a, b []float32, m, n, k int) {
 	}
 }
 
-// im2colJob unrolls one batch image into patch columns.
-type im2colJob struct {
-	dst, src                                         []float32
+// patchWalk is the geometry of one convolution's patch unrolling, shared by
+// Im2Col and its adjoint: cols holds one rowLen-long patch row per output
+// position, img the (batch, c, h, w) image tensor.
+type patchWalk struct {
+	cols, img                                        []float32
 	c, h, w, kh, kw, stride, pad, outH, outW, rowLen int
 }
 
-var im2colJobs = sync.Pool{New: func() any { return new(im2colJob) }}
-
-func (j *im2colJob) index(n int) {
-	c, h, w := j.c, j.h, j.w
-	for oy := 0; oy < j.outH; oy++ {
-		for ox := 0; ox < j.outW; ox++ {
-			row := j.dst[((n*j.outH+oy)*j.outW+ox)*j.rowLen:][:j.rowLen]
+// unroll copies batch image n's patches into cols, zero-filling the padding.
+func (p *patchWalk) unroll(n int) {
+	c, h, w := p.c, p.h, p.w
+	for oy := 0; oy < p.outH; oy++ {
+		for ox := 0; ox < p.outW; ox++ {
+			row := p.cols[((n*p.outH+oy)*p.outW+ox)*p.rowLen:][:p.rowLen]
 			ri := 0
 			for ch := 0; ch < c; ch++ {
 				base := ((n * c) + ch) * h * w
-				for ky := 0; ky < j.kh; ky++ {
-					iy := oy*j.stride + ky - j.pad
-					for kx := 0; kx < j.kw; kx++ {
-						ix := ox*j.stride + kx - j.pad
+				for ky := 0; ky < p.kh; ky++ {
+					iy := oy*p.stride + ky - p.pad
+					for kx := 0; kx < p.kw; kx++ {
+						ix := ox*p.stride + kx - p.pad
 						if iy >= 0 && iy < h && ix >= 0 && ix < w {
-							row[ri] = j.src[base+iy*w+ix]
+							row[ri] = p.img[base+iy*w+ix]
 						} else {
 							row[ri] = 0
+						}
+						ri++
+					}
+				}
+			}
+		}
+	}
+}
+
+// scatter adds batch image n's patch rows of cols back into img.
+func (p *patchWalk) scatter(n int) {
+	c, h, w := p.c, p.h, p.w
+	for oy := 0; oy < p.outH; oy++ {
+		for ox := 0; ox < p.outW; ox++ {
+			row := p.cols[((n*p.outH+oy)*p.outW+ox)*p.rowLen:][:p.rowLen]
+			ri := 0
+			for ch := 0; ch < c; ch++ {
+				base := ((n * c) + ch) * h * w
+				for ky := 0; ky < p.kh; ky++ {
+					iy := oy*p.stride + ky - p.pad
+					for kx := 0; kx < p.kw; kx++ {
+						ix := ox*p.stride + kx - p.pad
+						if iy >= 0 && iy < h && ix >= 0 && ix < w {
+							p.img[base+iy*w+ix] += row[ri]
 						}
 						ri++
 					}
@@ -497,45 +455,11 @@ func Im2ColWS(ws *Workspace, in *Tensor, kh, kw, stride, pad int) *Tensor {
 	outH := (h+2*pad-kh)/stride + 1
 	outW := (w+2*pad-kw)/stride + 1
 	cols := ws.Get(b*outH*outW, c*kh*kw)
-	j := im2colJobs.Get().(*im2colJob)
-	j.dst, j.src = cols.Data, in.Data
-	j.c, j.h, j.w, j.kh, j.kw = c, h, w, kh, kw
-	j.stride, j.pad, j.outH, j.outW, j.rowLen = stride, pad, outH, outW, c*kh*kw
-	parallelRun(b, j)
-	j.dst, j.src = nil, nil
-	im2colJobs.Put(j)
-	return cols
-}
-
-// col2imJob scatters one batch image's column gradients back to input shape.
-type col2imJob struct {
-	dst, src                                         []float32
-	c, h, w, kh, kw, stride, pad, outH, outW, rowLen int
-}
-
-var col2imJobs = sync.Pool{New: func() any { return new(col2imJob) }}
-
-func (j *col2imJob) index(n int) {
-	c, h, w := j.c, j.h, j.w
-	for oy := 0; oy < j.outH; oy++ {
-		for ox := 0; ox < j.outW; ox++ {
-			row := j.src[((n*j.outH+oy)*j.outW+ox)*j.rowLen:][:j.rowLen]
-			ri := 0
-			for ch := 0; ch < c; ch++ {
-				base := ((n * c) + ch) * h * w
-				for ky := 0; ky < j.kh; ky++ {
-					iy := oy*j.stride + ky - j.pad
-					for kx := 0; kx < j.kw; kx++ {
-						ix := ox*j.stride + kx - j.pad
-						if iy >= 0 && iy < h && ix >= 0 && ix < w {
-							j.dst[base+iy*w+ix] += row[ri]
-						}
-						ri++
-					}
-				}
-			}
-		}
+	p := patchWalk{cols.Data, in.Data, c, h, w, kh, kw, stride, pad, outH, outW, c * kh * kw}
+	for n := 0; n < b; n++ {
+		p.unroll(n)
 	}
+	return cols
 }
 
 // Col2Im is the adjoint of Im2Col: it scatters column gradients back into an
@@ -551,12 +475,9 @@ func Col2ImWS(ws *Workspace, cols *Tensor, b, c, h, w, kh, kw, stride, pad int) 
 	outH := (h+2*pad-kh)/stride + 1
 	outW := (w+2*pad-kw)/stride + 1
 	out := ws.GetZeroed(b, c, h, w)
-	j := col2imJobs.Get().(*col2imJob)
-	j.dst, j.src = out.Data, cols.Data
-	j.c, j.h, j.w, j.kh, j.kw = c, h, w, kh, kw
-	j.stride, j.pad, j.outH, j.outW, j.rowLen = stride, pad, outH, outW, c*kh*kw
-	parallelRun(b, j)
-	j.dst, j.src = nil, nil
-	col2imJobs.Put(j)
+	p := patchWalk{cols.Data, out.Data, c, h, w, kh, kw, stride, pad, outH, outW, c * kh * kw}
+	for n := 0; n < b; n++ {
+		p.scatter(n)
+	}
 	return out
 }

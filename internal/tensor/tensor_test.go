@@ -319,38 +319,6 @@ func TestSetMaxWorkers(t *testing.T) {
 	}
 }
 
-// TestSetMaxWorkersConcurrent adjusts the worker bound while kernels run on
-// another goroutine; run under -race it pins the atomic access to maxWorkers.
-func TestSetMaxWorkersConcurrent(t *testing.T) {
-	old := SetMaxWorkers(2)
-	defer SetMaxWorkers(old)
-	a := FromSlice(make([]float32, 64), 8, 8)
-	for i := range a.Data {
-		a.Data[i] = float32(i)
-	}
-	c := New(8, 8)
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		for i := 0; i < 50; i++ {
-			MatMul(c, a, a)
-		}
-	}()
-	for i := 0; i < 50; i++ {
-		SetMaxWorkers(1 + i%4)
-	}
-	<-done
-	want := New(8, 8)
-	prev := SetMaxWorkers(1)
-	MatMul(want, a, a)
-	SetMaxWorkers(prev)
-	for i := range want.Data {
-		if c.Data[i] != want.Data[i] {
-			t.Fatalf("concurrent-resize MatMul diverged at %d: %v != %v", i, c.Data[i], want.Data[i])
-		}
-	}
-}
-
 // minimal deterministic PRNG for tests (xorshift), avoids math/rand seeding
 // boilerplate in property tests.
 type testRand struct{ s uint64 }
@@ -382,66 +350,6 @@ func randTensor(r *testRand, shape ...int) *Tensor {
 		t.Data[i] = r.float32()
 	}
 	return t
-}
-
-func TestSetDeterministic(t *testing.T) {
-	if prev := SetDeterministic(true); prev {
-		t.Fatal("deterministic mode should default to off")
-	}
-	defer SetDeterministic(false)
-	if !Deterministic() {
-		t.Fatal("SetDeterministic(true) did not stick")
-	}
-	if prev := SetDeterministic(false); !prev {
-		t.Fatal("swap did not return previous value")
-	}
-}
-
-// TestKernelsBitIdenticalAcrossWorkerCounts pins the determinism contract
-// the conformance harness relies on: every kernel must produce bit-identical
-// float32 output at any worker count, with and without deterministic mode.
-func TestKernelsBitIdenticalAcrossWorkerCounts(t *testing.T) {
-	r := newTestRand(99)
-	a := randTensor(r, 37, 19)
-	b := randTensor(r, 19, 23)
-	bt := randTensor(r, 23, 19)
-	at := randTensor(r, 19, 37)
-	img := randTensor(r, 3, 2, 9, 9)
-	cols := Im2Col(img, 3, 3, 2, 1)
-
-	type result struct{ mm, ta, tb, i2c, c2i []float32 }
-	compute := func() result {
-		mm := New(37, 23)
-		MatMul(mm, a, b)
-		ta := New(37, 23)
-		MatMulTransA(ta, at, b)
-		tb := New(37, 23)
-		MatMulTransB(tb, a, bt)
-		i2c := Im2Col(img, 3, 3, 2, 1)
-		c2i := Col2Im(cols, 3, 2, 9, 9, 3, 3, 2, 1)
-		return result{mm.Data, ta.Data, tb.Data, i2c.Data, c2i.Data}
-	}
-
-	SetDeterministic(true)
-	want := compute()
-	SetDeterministic(false)
-	for _, workers := range []int{1, 2, 3, 8} {
-		prev := SetMaxWorkers(workers)
-		got := compute()
-		SetMaxWorkers(prev)
-		for name, pair := range map[string][2][]float32{
-			"MatMul": {want.mm, got.mm}, "MatMulTransA": {want.ta, got.ta},
-			"MatMulTransB": {want.tb, got.tb}, "Im2Col": {want.i2c, got.i2c},
-			"Col2Im": {want.c2i, got.c2i},
-		} {
-			for i := range pair[0] {
-				if pair[0][i] != pair[1][i] {
-					t.Fatalf("%s diverged at workers=%d index=%d: %v != %v",
-						name, workers, i, pair[0][i], pair[1][i])
-				}
-			}
-		}
-	}
 }
 
 // TestParallelReplicasSlots pins what cluster.Run's evaluation relies on:

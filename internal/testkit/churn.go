@@ -16,7 +16,6 @@ import (
 	"dlion/internal/realtime"
 	"dlion/internal/simcompute"
 	"dlion/internal/simnet"
-	"dlion/internal/tensor"
 )
 
 // Churn equivalence: the same seeded SyncFull workload with one worker
@@ -148,8 +147,6 @@ func RunChurnSim(c ChurnConfig) (*ChurnResult, error) {
 	if err := c.validate(); err != nil {
 		return nil, err
 	}
-	defer tensor.SetDeterministic(tensor.SetDeterministic(true))
-
 	eq := c.equivalence()
 	horizon := float64(c.Steps)*2 + 20
 	computes := make([]*simcompute.Compute, c.N)
@@ -188,8 +185,6 @@ func RunChurnRealtime(ctx context.Context, c ChurnConfig) (*ChurnResult, error) 
 	if err := c.validate(); err != nil {
 		return nil, err
 	}
-	defer tensor.SetDeterministic(tensor.SetDeterministic(true))
-
 	eq := c.equivalence()
 	train, _, err := data.Generate(eq.dataConfig())
 	if err != nil {

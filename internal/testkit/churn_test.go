@@ -16,7 +16,6 @@ import (
 	"dlion/internal/simcompute"
 	"dlion/internal/simnet"
 	"dlion/internal/systems"
-	"dlion/internal/tensor"
 )
 
 // TestChurnEquivalence runs the same seeded SyncFull workload with a
@@ -115,7 +114,6 @@ func TestCheckRenormalizationRejects(t *testing.T) {
 // leaving two thirds of the way in, fully seeded and bit-deterministic.
 func churnGoldenRun(t *testing.T, sys core.Config) Golden {
 	t.Helper()
-	defer tensor.SetDeterministic(tensor.SetDeterministic(true))
 	n := 4
 	computes := make([]*simcompute.Compute, n)
 	for i := range computes {

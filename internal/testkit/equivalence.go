@@ -133,8 +133,6 @@ func RunSim(c EquivalenceConfig) (*EquivalenceResult, error) {
 	if err := c.validate(); err != nil {
 		return nil, err
 	}
-	defer tensor.SetDeterministic(tensor.SetDeterministic(true))
-
 	// Round time ≈ overhead + perSample·LBS/capacity + transfer; with the
 	// constants below one SyncFull round is well under a virtual second,
 	// so the horizon leaves generous slack for Steps rounds.
@@ -186,8 +184,6 @@ func RunRealtime(ctx context.Context, c EquivalenceConfig) (*EquivalenceResult, 
 	if err := c.validate(); err != nil {
 		return nil, err
 	}
-	defer tensor.SetDeterministic(tensor.SetDeterministic(true))
-
 	train, _, err := data.Generate(c.dataConfig())
 	if err != nil {
 		return nil, err

@@ -16,7 +16,6 @@ import (
 	"dlion/internal/simcompute"
 	"dlion/internal/simnet"
 	"dlion/internal/systems"
-	"dlion/internal/tensor"
 )
 
 var updateGolden = flag.Bool("update-golden", false,
@@ -36,7 +35,6 @@ func goldenRun(t *testing.T, sys core.Config) Golden {
 // capacity pattern repeats past four workers.
 func goldenRunN(t *testing.T, sys core.Config, n int) Golden {
 	t.Helper()
-	defer tensor.SetDeterministic(tensor.SetDeterministic(true))
 	computes := make([]*simcompute.Compute, n)
 	for i := range computes {
 		// Mild heterogeneity so the dynamic systems have something to react to.

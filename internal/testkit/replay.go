@@ -91,7 +91,7 @@ func CheckpointSegment(ctx context.Context, rc ReplayConfig, parent *lineage.Man
 	if err != nil {
 		return nil, nil, err
 	}
-	model := ec.spec().Build()
+	model := ec.spec().BuildZero()
 	if err := model.SetWeights(weights); err != nil {
 		return nil, nil, fmt.Errorf("testkit: checkpoint segment: %w", err)
 	}
