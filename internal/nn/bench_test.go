@@ -21,9 +21,9 @@ func benchBatch(b *testing.B, batch int) (*tensor.Tensor, []int) {
 	return x, y
 }
 
-func BenchmarkCipherForward32(b *testing.B) {
+func benchForward(b *testing.B, batch int) {
 	m := CipherSpec(1, 16, 16, 10, 1).Build()
-	x, _ := benchBatch(b, 32)
+	x, _ := benchBatch(b, batch)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -31,15 +31,25 @@ func BenchmarkCipherForward32(b *testing.B) {
 	}
 }
 
-func BenchmarkCipherTrainStep32(b *testing.B) {
+func benchTrainStep(b *testing.B, batch int) {
 	m := CipherSpec(1, 16, 16, 10, 1).Build()
-	x, y := benchBatch(b, 32)
+	x, y := benchBatch(b, batch)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		m.TrainStep(x, y)
 	}
 }
+
+// BenchmarkCipherForward1 is the serving shape: one request per forward.
+func BenchmarkCipherForward1(b *testing.B) { benchForward(b, 1) }
+
+func BenchmarkCipherForward32(b *testing.B) { benchForward(b, 32) }
+
+// BenchmarkCipherTrainStep2 is the dense-exchange training shape (LBS 2).
+func BenchmarkCipherTrainStep2(b *testing.B) { benchTrainStep(b, 2) }
+
+func BenchmarkCipherTrainStep32(b *testing.B) { benchTrainStep(b, 32) }
 
 func BenchmarkMobileNetLiteTrainStep16(b *testing.B) {
 	m := MobileNetLiteSpec(3, 16, 16, 100, 1).Build()

@@ -1,6 +1,8 @@
 package nn
 
 import (
+	"math"
+
 	"dlion/internal/stats"
 	"dlion/internal/tensor"
 )
@@ -337,11 +339,23 @@ func (d *DepthwiseConv2D) Backward(dout *tensor.Tensor) *tensor.Tensor {
 	return dx
 }
 
-// ReLU applies max(0, x) element-wise.
+// Selects are computed, not branched (DESIGN.md §9): about half of all
+// activations are negative, so a compare-and-branch per element mispredicts
+// on every other one, and Go emits no conditional move for a float compare.
+// ReLU and MaxPool2 therefore work on the float's bits.
+
+// keepPositive is all ones when the float with bits b is > 0 (positive
+// finite or +Inf) and zero for ±0, negatives and NaN: b-1 (mod 2³²) lies
+// below +Inf's bits exactly then.
+func keepPositive(b uint32) uint32 {
+	return uint32((int64(b-1) - 0x7f800000) >> 63)
+}
+
+// ReLU applies max(0, x) element-wise. It keeps no mask: its output is
+// positive exactly where its input was, so Backward reads the kept output.
 type ReLU struct {
 	arena
 	name string
-	mask []bool
 }
 
 // NewReLU builds a ReLU layer.
@@ -356,41 +370,45 @@ func (r *ReLU) Params() []*Param { return nil }
 // Forward implements Layer.
 func (r *ReLU) Forward(x *tensor.Tensor) *tensor.Tensor {
 	y := r.nextY(x.Shape...)
-	if cap(r.mask) < len(x.Data) {
-		r.mask = make([]bool, len(x.Data))
-	}
-	r.mask = r.mask[:len(x.Data)]
+	yd := y.Data[:len(x.Data)]
 	for i, v := range x.Data {
-		if v > 0 {
-			y.Data[i] = v
-			r.mask[i] = true
-		} else {
-			y.Data[i] = 0
-			r.mask[i] = false
-		}
+		b := math.Float32bits(v)
+		yd[i] = math.Float32frombits(b & keepPositive(b))
 	}
 	return y
 }
 
-// Backward implements Layer.
+// Backward implements Layer. It reads the output of the last Forward, which
+// the arena keeps until the next one.
 func (r *ReLU) Backward(dout *tensor.Tensor) *tensor.Tensor {
 	dx := r.nextDx(false, dout.Shape...)
+	y := r.prevY.Data[:len(dout.Data)]
+	dd := dx.Data[:len(dout.Data)]
 	for i, v := range dout.Data {
-		if r.mask[i] {
-			dx.Data[i] = v
-		} else {
-			dx.Data[i] = 0
-		}
+		dd[i] = math.Float32frombits(math.Float32bits(v) & keepPositive(math.Float32bits(y[i])))
 	}
 	return dx
 }
 
+// poolKey maps float bits to an integer that orders like the float, with
+// −0 and +0 equal. A NaN maps to nan: MaxPool2 passes MinInt32 for a
+// candidate (a NaN never compares greater) and MaxInt32 for a window's first
+// element (nothing compares greater than a NaN).
+func poolKey(b uint32, nan int32) int32 {
+	mag := int32(b & 0x7fffffff)
+	sign := int32(b) >> 31
+	isNaN := (0x7f800000 - mag) >> 31
+	return ((mag^sign)-sign)&^isNaN | nan&isNaN
+}
+
 // MaxPool2 is 2x2 max pooling with stride 2 over NCHW input. Odd trailing
-// rows/columns are dropped (floor semantics).
+// rows/columns are dropped (floor semantics). Each output keeps the first
+// maximum of its window in row-major order, as a strict > would, and
+// remembers it as a window offset 0..3.
 type MaxPool2 struct {
 	arena
 	name   string
-	argmax []int
+	argmax []uint8
 	insh   []int
 }
 
@@ -413,25 +431,31 @@ func (m *MaxPool2) Forward(x *tensor.Tensor) *tensor.Tensor {
 	m.insh = append(m.insh[:0], x.Shape...)
 	y := m.nextY(b, c, oh, ow)
 	if cap(m.argmax) < y.Len() {
-		m.argmax = make([]int, y.Len())
+		m.argmax = make([]uint8, y.Len())
 	}
 	m.argmax = m.argmax[:y.Len()]
-	for n := 0; n < b; n++ {
-		for ch := 0; ch < c; ch++ {
-			in := x.Data[(n*c+ch)*h*w:][:h*w]
-			outBase := (n*c + ch) * oh * ow
-			for oy := 0; oy < oh; oy++ {
-				for ox := 0; ox < ow; ox++ {
-					iy, ix := oy*2, ox*2
-					best, bi := in[iy*w+ix], iy*w+ix
-					for _, off := range [3]int{iy*w + ix + 1, (iy+1)*w + ix, (iy+1)*w + ix + 1} {
-						if in[off] > best {
-							best, bi = in[off], off
-						}
-					}
-					y.Data[outBase+oy*ow+ox] = best
-					m.argmax[outBase+oy*ow+ox] = (n*c+ch)*h*w + bi
+	for plane := 0; plane < b*c; plane++ {
+		in := x.Data[plane*h*w:][:h*w]
+		for oy := 0; oy < oh; oy++ {
+			r0 := in[2*oy*w:][:2*ow]
+			r1 := in[(2*oy+1)*w:][:2*ow]
+			out := y.Data[(plane*oh+oy)*ow:][:ow]
+			arg := m.argmax[(plane*oh+oy)*ow:][:ow]
+			for ox := range out {
+				// Candidates in window order; each replaces the best so far
+				// only when strictly greater (gt is then all ones).
+				bb := math.Float32bits(r0[2*ox])
+				kb, ob := poolKey(bb, math.MaxInt32), uint32(0)
+				for o, v := range [3]float32{r0[2*ox+1], r1[2*ox], r1[2*ox+1]} {
+					cb := math.Float32bits(v)
+					kc := poolKey(cb, math.MinInt32)
+					gt := int32((int64(kb) - int64(kc)) >> 63)
+					kb ^= (kb ^ kc) & gt
+					bb ^= (bb ^ cb) & uint32(gt)
+					ob ^= (ob ^ uint32(o+1)) & uint32(gt)
 				}
+				out[ox] = math.Float32frombits(bb)
+				arg[ox] = uint8(ob)
 			}
 		}
 	}
@@ -440,9 +464,22 @@ func (m *MaxPool2) Forward(x *tensor.Tensor) *tensor.Tensor {
 
 // Backward implements Layer.
 func (m *MaxPool2) Backward(dout *tensor.Tensor) *tensor.Tensor {
-	dx := m.nextDx(true, m.insh...) // zeroed: the scatter accumulates
-	for i, v := range dout.Data {
-		dx.Data[m.argmax[i]] += v
+	// Zeroed: inputs no window chose get no gradient. Windows do not
+	// overlap, so each += adds to +0 once, which turns a −0 gradient into
+	// +0 exactly as the absolute-index scatter did.
+	dx := m.nextDx(true, m.insh...)
+	h, w := m.insh[2], m.insh[3]
+	oh, ow := h/2, w/2
+	for plane := 0; plane < m.insh[0]*m.insh[1]; plane++ {
+		dp := dx.Data[plane*h*w:][:h*w]
+		for oy := 0; oy < oh; oy++ {
+			d := dout.Data[(plane*oh+oy)*ow:][:ow]
+			arg := m.argmax[(plane*oh+oy)*ow:][:ow]
+			for ox, v := range d {
+				o := int(arg[ox])
+				dp[(2*oy+o>>1)*w+(2*ox+o&1)] += v
+			}
+		}
 	}
 	return dx
 }

@@ -65,7 +65,7 @@ func (p passLayer) forward(x *tensor.Tensor) *tensor.Tensor { return p.l.Forward
 
 // qBuf is the retained activation-quantization scratch shared by the
 // quantized layers: int8-range codes (widened to int16) and per-row scales,
-// grown on demand like ReLU's mask.
+// grown on demand like MaxPool2's window offsets.
 type qBuf struct {
 	codes  []int16
 	scales []float32

@@ -1,6 +1,9 @@
 package tensor
 
-import "sync"
+import (
+	"math"
+	"sync"
+)
 
 // All three matmul variants funnel into one cache-blocked, register-tiled
 // engine: B is packed into 8-column panels (transposing on the fly for
@@ -10,7 +13,9 @@ import "sync"
 // by a 1×8 micro-kernel carrying 8 scalar accumulators in registers across
 // the shared dimension. 8 accumulators is the sweet spot for gc on amd64:
 // wider tiles (4×4 = 16 live float32s) spill to the stack and run slower
-// than a plain axpy loop.
+// than a plain axpy loop. Products with only a few rows (or few flops) skip
+// the engine and stream B where it lies: MatMul by axpy rows (matMulSmall),
+// MatMulTransB by a 1×8 dot tile (dotRows).
 //
 // The micro-kernel skips p where a's element is exactly zero, like the
 // original axpy kernels. Post-ReLU activations and gradients are heavily
@@ -36,8 +41,23 @@ const mmNRWide = 32
 // the panel-packing pass (gradcheck drives thousands of tiny matmuls).
 const mmSmall = 4096
 
-// packBuf is a pooled panel-packing / transpose scratch buffer.
-type packBuf struct{ data []float32 }
+// Skinny products stream b in place instead of packing it. Packing costs one
+// pass over b whatever m is; streaming costs one pass per row of a, so below
+// a few rows the pack is most of the product (fc1's 200×1600 weights are
+// 1.28 MB, re-packed per call). The crossovers were measured at fc1's shape
+// (DESIGN.md §9) and differ by layout: packing bᵀ is a 32-lane strided
+// gather, packing b a row copy.
+const (
+	mmStreamTB = 6 // MatMulTransB streams b while m < mmStreamTB
+	mmStreamNN = 2 // MatMul streams b while m < mmStreamNN
+)
+
+// packBuf is a pooled panel-packing / transpose scratch buffer; idx holds
+// dotRows' nonzero positions.
+type packBuf struct {
+	data []float32
+	idx  []int32
+}
 
 var packPool = sync.Pool{New: func() any { return new(packBuf) }}
 
@@ -302,7 +322,7 @@ func MatMul(c, a, b *Tensor) {
 	if k != k2 || c.Shape[0] != m || c.Shape[1] != n {
 		panic("tensor: MatMul shape mismatch")
 	}
-	if m*n*k <= mmSmall {
+	if m < mmStreamNN || m*n*k <= mmSmall {
 		matMulSmall(c.Data, a.Data, b.Data, m, n, k, false)
 		return
 	}
@@ -330,16 +350,16 @@ func MatMulTransB(c, a, b *Tensor) {
 	if k != k2 || c.Shape[0] != m || c.Shape[1] != n {
 		panic("tensor: MatMulTransB shape mismatch")
 	}
-	if m*n*k <= mmSmall {
-		matMulSmallTB(c.Data, a.Data, b.Data, m, n, k)
+	if m < mmStreamTB || m*n*k <= mmSmall {
+		dotRows(c.Data, a.Data, b.Data, m, n, k)
 		return
 	}
 	runPacked(c.Data, a.Data, b.Data, m, n, k, mmTransB)
 }
 
-// matMulSmall is the unblocked fallback for tiny problems, in the same
-// ascending-p zero-skipping axpy order as the tiled kernel (and the original
-// kernels).
+// matMulSmall is the unblocked path for tiny problems and single-row
+// MatMul, streaming b row by row in the same ascending-p zero-skipping axpy
+// order as the tiled kernel (and the original kernels).
 func matMulSmall(c, a, b []float32, m, n, k int, transposeA bool) {
 	for i := 0; i < m; i++ {
 		crow := c[i*n : (i+1)*n]
@@ -364,21 +384,60 @@ func matMulSmall(c, a, b []float32, m, n, k int, transposeA bool) {
 	}
 }
 
-// matMulSmallTB is the unblocked c = a·bᵀ fallback: plain row-dot-row
-// products, ascending p.
-func matMulSmallTB(c, a, b []float32, m, n, k int) {
+// dotRows computes c = a·bᵀ for a (m×k), b (n×k) reading b where it lies:
+// each row of a has its nonzero positions gathered once, then a 1×8 tile
+// dots them against 8 rows of b. Every output is one accumulator fed in
+// ascending p with zero products skipped, mmRow's arithmetic.
+func dotRows(c, a, b []float32, m, n, k int) {
+	pk := getPack(k)
+	if cap(pk.idx) < k {
+		pk.idx = make([]int32, k)
+	}
+	vals, idx := pk.data[:k], pk.idx[:k]
 	for i := 0; i < m; i++ {
-		arow := a[i*k : (i+1)*k]
-		crow := c[i*n : (i+1)*n]
-		for jc := 0; jc < n; jc++ {
-			brow := b[jc*k : (jc+1)*k]
-			var s float32
-			for p, av := range arow {
-				s += av * brow[p]
+		// Gather without a data-dependent branch: every entry is written
+		// and the count advances by one exactly when |av| has a bit set.
+		nnz := 0
+		for p, av := range a[i*k:][:k] {
+			vals[nnz], idx[nnz] = av, int32(p)
+			nnz += int((math.Float32bits(av)&0x7fffffff + 0x7fffffff) >> 31)
+		}
+		vs, ix := vals[:nnz], idx[:nnz]
+		crow := c[i*n:][:n]
+		j0 := 0
+		for ; j0+mmNR <= n; j0 += mmNR {
+			b0 := b[(j0+0)*k:][:k]
+			b1 := b[(j0+1)*k:][:k]
+			b2 := b[(j0+2)*k:][:k]
+			b3 := b[(j0+3)*k:][:k]
+			b4 := b[(j0+4)*k:][:k]
+			b5 := b[(j0+5)*k:][:k]
+			b6 := b[(j0+6)*k:][:k]
+			b7 := b[(j0+7)*k:][:k]
+			var s0, s1, s2, s3, s4, s5, s6, s7 float32
+			for q, p := range ix {
+				av := vs[q]
+				s0 += av * b0[p]
+				s1 += av * b1[p]
+				s2 += av * b2[p]
+				s3 += av * b3[p]
+				s4 += av * b4[p]
+				s5 += av * b5[p]
+				s6 += av * b6[p]
+				s7 += av * b7[p]
 			}
-			crow[jc] = s
+			store8(crow[j0:], mmNR, s0, s1, s2, s3, s4, s5, s6, s7)
+		}
+		for ; j0 < n; j0++ {
+			br := b[j0*k:][:k]
+			var s float32
+			for q, p := range ix {
+				s += vs[q] * br[p]
+			}
+			crow[j0] = s
 		}
 	}
+	putPack(pk)
 }
 
 // patchWalk is the geometry of one convolution's patch unrolling, shared by
@@ -389,51 +448,74 @@ type patchWalk struct {
 	c, h, w, kh, kw, stride, pad, outH, outW, rowLen int
 }
 
+// Both walks visit output positions in order and, per position, one
+// kw-long segment of the patch row per (channel, ky). Every segment of a
+// position has the same in-image kx range [lo, hi), and the segments whose
+// ky is in-image form one ky range, so the in-image part moves as blocks:
+// unroll copies them (after zeroing a border window's whole row), scatter
+// accumulates them and skips the rest. Border positions take the same path
+// as interior ones with narrower ranges.
+
+// span returns the range [lo, hi) of offsets t in [0, k) with 0 <= x0+t < n.
+func span(x0, k, n int) (lo, hi int) {
+	lo = min(max(-x0, 0), k)
+	hi = min(max(n-x0, lo), k)
+	return lo, hi
+}
+
 // unroll copies batch image n's patches into cols, zero-filling the padding.
 func (p *patchWalk) unroll(n int) {
-	c, h, w := p.c, p.h, p.w
+	img := p.img[n*p.c*p.h*p.w:][:p.c*p.h*p.w]
 	for oy := 0; oy < p.outH; oy++ {
 		for ox := 0; ox < p.outW; ox++ {
 			row := p.cols[((n*p.outH+oy)*p.outW+ox)*p.rowLen:][:p.rowLen]
-			ri := 0
-			for ch := 0; ch < c; ch++ {
-				base := ((n * c) + ch) * h * w
-				for ky := 0; ky < p.kh; ky++ {
-					iy := oy*p.stride + ky - p.pad
-					for kx := 0; kx < p.kw; kx++ {
-						ix := ox*p.stride + kx - p.pad
-						if iy >= 0 && iy < h && ix >= 0 && ix < w {
-							row[ri] = p.img[base+iy*w+ix]
-						} else {
-							row[ri] = 0
-						}
-						ri++
-					}
-				}
+			unrollAt(row, img, p.c, p.h, p.w, p.kh, p.kw, oy*p.stride-p.pad, ox*p.stride-p.pad)
+		}
+	}
+}
+
+// unrollAt writes the patch row of the window whose top-left corner is
+// (y0, x0), for c channel planes of h×w.
+func unrollAt(row, img []float32, c, h, w, kh, kw, y0, x0 int) {
+	lo, hi := span(x0, kw, w)
+	kyLo, kyHi := span(y0, kh, h)
+	if lo > 0 || hi < kw || kyLo > 0 || kyHi < kh {
+		clear(row) // a border window: the copies below skip its padding
+	}
+	for ch := 0; ch < c; ch++ {
+		r := (ch*kh + kyLo) * kw
+		s := (ch*h+y0+kyLo)*w + x0
+		for ky := kyLo; ky < kyHi; ky, r, s = ky+1, r+kw, s+w {
+			for kx := lo; kx < hi; kx++ {
+				row[r+kx] = img[s+kx]
 			}
 		}
 	}
 }
 
-// scatter adds batch image n's patch rows of cols back into img.
+// scatter adds batch image n's patch rows of cols back into img. Each pixel
+// sums its contributions in ascending output-position order.
 func (p *patchWalk) scatter(n int) {
-	c, h, w := p.c, p.h, p.w
+	img := p.img[n*p.c*p.h*p.w:][:p.c*p.h*p.w]
 	for oy := 0; oy < p.outH; oy++ {
 		for ox := 0; ox < p.outW; ox++ {
 			row := p.cols[((n*p.outH+oy)*p.outW+ox)*p.rowLen:][:p.rowLen]
-			ri := 0
-			for ch := 0; ch < c; ch++ {
-				base := ((n * c) + ch) * h * w
-				for ky := 0; ky < p.kh; ky++ {
-					iy := oy*p.stride + ky - p.pad
-					for kx := 0; kx < p.kw; kx++ {
-						ix := ox*p.stride + kx - p.pad
-						if iy >= 0 && iy < h && ix >= 0 && ix < w {
-							p.img[base+iy*w+ix] += row[ri]
-						}
-						ri++
-					}
-				}
+			scatterAt(row, img, p.c, p.h, p.w, p.kh, p.kw, oy*p.stride-p.pad, ox*p.stride-p.pad)
+		}
+	}
+}
+
+// scatterAt adds the patch row of the window whose top-left corner is
+// (y0, x0) into its in-image pixels.
+func scatterAt(row, img []float32, c, h, w, kh, kw, y0, x0 int) {
+	lo, hi := span(x0, kw, w)
+	kyLo, kyHi := span(y0, kh, h)
+	for ch := 0; ch < c; ch++ {
+		r := (ch*kh + kyLo) * kw
+		s := (ch*h+y0+kyLo)*w + x0
+		for ky := kyLo; ky < kyHi; ky, r, s = ky+1, r+kw, s+w {
+			for kx := lo; kx < hi; kx++ {
+				img[s+kx] += row[r+kx]
 			}
 		}
 	}

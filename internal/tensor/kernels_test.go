@@ -1,6 +1,7 @@
 package tensor
 
 import (
+	"fmt"
 	"math"
 	"testing"
 )
@@ -45,16 +46,22 @@ func refMatMul(c, a, b *Tensor, transA bool) {
 }
 
 func refMatMulTransB(c, a, bT *Tensor) {
-	m, k, n := a.Shape[0], a.Shape[1], bT.Shape[0]
+	refMatMulSmallTB(c.Data, a.Data, bT.Data, a.Shape[0], bT.Shape[0], a.Shape[1])
+}
+
+// refMatMulSmallTB is the retired unblocked c = a·bᵀ fallback, verbatim:
+// plain row-dot-row products, ascending p, no zero-skip. dotRows replaced it.
+func refMatMulSmallTB(c, a, b []float32, m, n, k int) {
 	for i := 0; i < m; i++ {
-		arow := a.Data[i*k : (i+1)*k]
-		for j := 0; j < n; j++ {
-			brow := bT.Data[j*k : (j+1)*k]
+		arow := a[i*k : (i+1)*k]
+		crow := c[i*n : (i+1)*n]
+		for jc := 0; jc < n; jc++ {
+			brow := b[jc*k : (jc+1)*k]
 			var s float32
 			for p, av := range arow {
 				s += av * brow[p]
 			}
-			c.Data[i*n+j] = s
+			crow[jc] = s
 		}
 	}
 }
@@ -72,9 +79,9 @@ func sparsify(r *testRand, t *Tensor) {
 
 // TestBlockedMatMulMatchesReferenceBitExact pins the engine's bit-exactness
 // contract: the packed 8-wide and 32-wide (AVX2) kernels, the transpose-pack
-// paths, partial trailing panels, and the small-product fallback must all
-// reproduce the seed kernels' outputs bit for bit, on dense and ~50%-sparse
-// operands alike.
+// paths, partial trailing panels, the streamed skinny products on both sides
+// of their crossovers, and the small-product fallback must all reproduce the
+// seed kernels' outputs bit for bit, on dense and ~50%-sparse operands alike.
 func TestBlockedMatMulMatchesReferenceBitExact(t *testing.T) {
 	prev := SetMaxWorkers(1)
 	defer SetMaxWorkers(prev)
@@ -82,10 +89,19 @@ func TestBlockedMatMulMatchesReferenceBitExact(t *testing.T) {
 		{16, 16, 16},  // m*n*k == mmSmall: unblocked fallback
 		{7, 19, 77},   // wide path, partial 32-panel (77 = 2*32 + 13)
 		{33, 40, 64},  // wide path, exact panels
-		{1, 128, 128}, // single row, pure panel sweep
+		{1, 128, 128}, // single row, streamed
 		{64, 3, 33},   // tiny k, one trailing column past a panel
 		{12, 50, 5},   // n <= mmNR: packed 8-wide narrow path
 		{96, 31, 8},   // n == mmNR boundary
+		{2, 2100, 9},  // k past 2048: the nonzero-index scratch is pooled
+	}
+	// Every row count from streamed to packed, with n and k straddling the
+	// 8- and 32-wide panels, and fc1's forward (k 1600 → n 200) and input
+	// gradient (k 200 → n 1600) shapes.
+	for m := 1; m <= mmStreamTB+2; m++ {
+		for _, kn := range [][2]int{{7, 9}, {31, 33}, {33, 31}, {1600, 200}, {200, 1600}} {
+			shapes = append(shapes, struct{ m, k, n int }{m, kn[0], kn[1]})
+		}
 	}
 	for _, dense := range []bool{true, false} {
 		for _, s := range shapes {
@@ -114,6 +130,59 @@ func TestBlockedMatMulMatchesReferenceBitExact(t *testing.T) {
 			refMatMulTransB(want, a, bT)
 			diffIndex(t, "MatMulTransB", s.m, s.k, s.n, dense, got, want)
 		}
+	}
+}
+
+// TestStreamedRowsSkipZeros: a streamed product skips a's zeros exactly as
+// mmRow does, so a zero in a never meets b's Inf (0·Inf is NaN). For finite
+// operands skipping is unobservable (DESIGN.md §9), which is why the poison
+// is needed to see it.
+func TestStreamedRowsSkipZeros(t *testing.T) {
+	const k, n = 40, 19
+	r := newTestRand(5)
+	inf := float32(math.Inf(1))
+	for m := 1; m < mmStreamTB; m++ {
+		a := randTensor(r, m, k)
+		sparsify(r, a)
+		bT := randTensor(r, n, k)
+		poisoned := bT.Clone()
+		for p := 0; p < k; p++ {
+			zero := true
+			for i := 0; i < m; i++ {
+				zero = zero && a.Data[i*k+p] == 0
+			}
+			for j := 0; zero && j < n; j++ {
+				poisoned.Data[j*k+p] = inf
+			}
+		}
+		got, want := New(m, n), New(m, n)
+		MatMulTransB(got, a, poisoned)
+		refMatMulTransB(want, a, bT)
+		diffIndex(t, "MatMulTransB zero-skip", m, k, n, false, got, want)
+		if m >= mmStreamNN {
+			continue
+		}
+		b, pb := New(k, n), New(k, n)
+		for p := 0; p < k; p++ {
+			for j := 0; j < n; j++ {
+				b.Data[p*n+j], pb.Data[p*n+j] = bT.Data[j*k+p], poisoned.Data[j*k+p]
+			}
+		}
+		MatMul(got, a, pb)
+		refMatMul(want, a, b, false)
+		diffIndex(t, "MatMul zero-skip", m, k, n, false, got, want)
+	}
+}
+
+// TestSkinnyProductsDoNotAllocate: a streamed product takes its scratch from
+// the pack pool, whatever k is.
+func TestSkinnyProductsDoNotAllocate(t *testing.T) {
+	r := newTestRand(6)
+	a, b := randTensor(r, 1, 2100), randTensor(r, 9, 2100)
+	c := New(1, 9)
+	MatMulTransB(c, a, b) // warm the pool
+	if allocs := testing.AllocsPerRun(50, func() { MatMulTransB(c, a, b) }); allocs != 0 {
+		t.Fatalf("streamed MatMulTransB allocates %v times per call, want 0", allocs)
 	}
 }
 
@@ -187,5 +256,117 @@ func TestIm2ColWSZeroAlloc(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("Im2ColWS allocates %v times per call on a warm workspace, want 0", allocs)
+	}
+}
+
+// refPatchWalk carries the retired per-element patch walks, verbatim: every
+// kx tested against the image bounds one at a time.
+type refPatchWalk patchWalk
+
+// unroll copies batch image n's patches into cols, zero-filling the padding.
+func (p *refPatchWalk) unroll(n int) {
+	c, h, w := p.c, p.h, p.w
+	for oy := 0; oy < p.outH; oy++ {
+		for ox := 0; ox < p.outW; ox++ {
+			row := p.cols[((n*p.outH+oy)*p.outW+ox)*p.rowLen:][:p.rowLen]
+			ri := 0
+			for ch := 0; ch < c; ch++ {
+				base := ((n * c) + ch) * h * w
+				for ky := 0; ky < p.kh; ky++ {
+					iy := oy*p.stride + ky - p.pad
+					for kx := 0; kx < p.kw; kx++ {
+						ix := ox*p.stride + kx - p.pad
+						if iy >= 0 && iy < h && ix >= 0 && ix < w {
+							row[ri] = p.img[base+iy*w+ix]
+						} else {
+							row[ri] = 0
+						}
+						ri++
+					}
+				}
+			}
+		}
+	}
+}
+
+// scatter adds batch image n's patch rows of cols back into img.
+func (p *refPatchWalk) scatter(n int) {
+	c, h, w := p.c, p.h, p.w
+	for oy := 0; oy < p.outH; oy++ {
+		for ox := 0; ox < p.outW; ox++ {
+			row := p.cols[((n*p.outH+oy)*p.outW+ox)*p.rowLen:][:p.rowLen]
+			ri := 0
+			for ch := 0; ch < c; ch++ {
+				base := ((n * c) + ch) * h * w
+				for ky := 0; ky < p.kh; ky++ {
+					iy := oy*p.stride + ky - p.pad
+					for kx := 0; kx < p.kw; kx++ {
+						ix := ox*p.stride + kx - p.pad
+						if iy >= 0 && iy < h && ix >= 0 && ix < w {
+							p.img[base+iy*w+ix] += row[ri]
+						}
+						ri++
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestPatchWalkMatchesReferenceBitExact holds Im2Col and Col2Im to the
+// per-element walks bit for bit over kernel 1/3/5, stride 1/2, pad 0/1/2,
+// and images from 1×1 and 2×2 (all border) to odd sizes. Im2Col draws a
+// NaN-filled buffer, so an element it fails to write shows; Col2Im's
+// interior pixels sum up to 25 contributions, so a changed order shows.
+func TestPatchWalkMatchesReferenceBitExact(t *testing.T) {
+	const b, c = 2, 3
+	dirty := math.Float32frombits(0x7fc00001)
+	r := newTestRand(21)
+	for _, k := range []int{1, 3, 5} {
+		for _, stride := range []int{1, 2} {
+			for _, pad := range []int{0, 1, 2} {
+				for _, hw := range [][2]int{{1, 1}, {2, 2}, {5, 7}, {8, 6}} {
+					h, w := hw[0], hw[1]
+					if h+2*pad < k || w+2*pad < k {
+						continue
+					}
+					name := fmt.Sprintf("k%d s%d p%d %dx%d", k, stride, pad, h, w)
+					outH, outW := (h+2*pad-k)/stride+1, (w+2*pad-k)/stride+1
+					rows, rowLen := b*outH*outW, c*k*k
+
+					in := randTensor(r, b, c, h, w)
+					ws := NewWorkspace()
+					d := ws.Get(rows, rowLen)
+					d.Fill(dirty)
+					ws.Put(d)
+					got := Im2ColWS(ws, in, k, k, stride, pad)
+					want := New(rows, rowLen)
+					ref := refPatchWalk{want.Data, in.Data, c, h, w, k, k, stride, pad, outH, outW, rowLen}
+					for n := 0; n < b; n++ {
+						ref.unroll(n)
+					}
+					sameBits(t, "Im2Col "+name, got.Data, want.Data)
+
+					cols := randTensor(r, rows, rowLen)
+					gotImg := Col2Im(cols, b, c, h, w, k, k, stride, pad)
+					wantImg := New(b, c, h, w)
+					ref = refPatchWalk{cols.Data, wantImg.Data, c, h, w, k, k, stride, pad, outH, outW, rowLen}
+					for n := 0; n < b; n++ {
+						ref.scatter(n)
+					}
+					sameBits(t, "Col2Im "+name, gotImg.Data, wantImg.Data)
+				}
+			}
+		}
+	}
+}
+
+func sameBits(t *testing.T, name string, got, want []float32) {
+	t.Helper()
+	for i := range want {
+		if f32bits(got[i]) != f32bits(want[i]) {
+			t.Fatalf("%s: element %d is %v (bits %08x), want %v (bits %08x)",
+				name, i, got[i], f32bits(got[i]), want[i], f32bits(want[i]))
+		}
 	}
 }

@@ -70,8 +70,11 @@ TEXT ·mmPanelI8x16(SB), NOSPLIT, $0-32
 
 	// Pin the loop's start: left to fall where the function lands, this
 	// 35-byte loop moved Int8MatMul128 between 58 and 65 µs when unrelated
-	// code ahead of it in the package changed size.
-	PCALIGN $32
+	// code ahead of it in the package changed size. 32-byte alignment was
+	// not enough: starting 32 bytes into a cache line, the loop's last two
+	// instructions spill into the next one, and Int8MatMul128 read 69 µs
+	// against 58.
+	PCALIGN $64
 i8loop:
 	VPBROADCASTD (SI), Y4
 	VPMADDWD     (DI), Y4, Y5
