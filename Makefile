@@ -1,9 +1,10 @@
 # Tier-1 gate: everything a change must pass before merging.
 # The -race pass covers the concurrency-heavy packages (TCP broker,
 # reconnecting client, real-mode runtime, serving) plus tensor whole (replica
-# fan-out and the matmul scratch pool are all it shares), the nn
-# checkpoint-vs-Forward and concurrent-replica tests and the sim driver's
-# parallel evaluation beside its replicas' shared arena, and grad whole plus
+# fan-out, the step slots and the matmul scratch pool are all it shares), the
+# nn checkpoint-vs-Forward and concurrent-replica tests, the sim driver's
+# parallel evaluation and its training steps running on four slots while
+# deliveries, DKT merges, checkpoints and restores arrive, and grad whole plus
 # the ownership tests of core and cluster, so the alias between Param.G and
 # an in-flight encode is race-checked (all of core is 80 s under -race);
 # running it repo-wide would multiply simulation test time ~20x for no extra
@@ -30,7 +31,7 @@ race:
 	go test -race -run 'Borrow|Own' ./internal/core/... ./internal/cluster/...
 	go test -race -run 'Concurrent' ./internal/nn/... ./internal/obs/...
 	go test -race ./internal/simclock/...
-	go test -race -run 'ParallelEval|RunGoldens' ./internal/cluster/...
+	go test -race -run 'ParallelEval|RunGoldens|StepSlotsRace' ./internal/cluster/...
 
 # Short fuzz pass over the wire decoder, framer, lineage-manifest codecs,
 # and the scheduler-vs-reference-heap oracle: catches panics,
@@ -73,12 +74,13 @@ bench-serve:
 # DES throughput: events per wall second at 6/32/128 workers (flat mesh,
 # with and without elastic churn) and 256/512/1024 workers (4-cloud
 # hierarchical federations), emitted as BENCH_sim.json. The committed
-# report is the baseline, like BENCH_kernels.json, and -cpu 1 keeps the
-# names free of the GOMAXPROCS suffix for the same reason as in `bench`.
+# report is the baseline, like BENCH_kernels.json. -cpu 2 is the ruler's
+# GOMAXPROCS: a Run's training steps go to two step slots beside its event
+# loop (DESIGN.md §2), and the -2 name suffix is the same on any box.
 # For profiling one workload, use
 # `go run ./cmd/dlion-bench -sim -cpuprofile sim.pprof`.
 bench-sim:
-	go test -run='^$$' -bench=SimEvents -benchtime=1x -cpu 1 -timeout 60m ./internal/cluster \
+	go test -run='^$$' -bench=SimEvents -benchtime=1x -cpu 2 -timeout 60m ./internal/cluster \
 		| go run ./cmd/dlion-benchfmt -name sim -out BENCH_sim.json \
 			-baseline BENCH_sim.json -regress '$(or $(BENCH_REGRESS),0)'
 

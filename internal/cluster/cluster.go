@@ -98,9 +98,10 @@ type Result struct {
 	// drop straight into an obs.Report's workers section.
 	Obs []obs.WorkerReport
 
-	// Models exposes the final model replicas (inspection and tests). They
-	// share one activation arena (nn.Spec.Replicas), so use them from one
-	// goroutine at a time; weights may be read concurrently.
+	// Models exposes the final model replicas (inspection and tests), every
+	// step joined. They share one activation arena (nn.Spec.Replicas), so
+	// use them from one goroutine at a time; weights may be read
+	// concurrently.
 	Models []*nn.Model
 
 	// Membership is each worker's roster mutation history (always present;
@@ -119,6 +120,10 @@ type Result struct {
 	// loop ran — the run's simulation throughput. The same figure is
 	// published on the sim.events_per_sec gauge (see AttachSimMetrics).
 	EventsPerSec float64
+
+	// peakPending is the most events the engine held at once, which Run
+	// reserves the queue for.
+	peakPending int
 }
 
 // simEventsPerSec is the process-wide DES throughput gauge: the most recent
@@ -176,6 +181,7 @@ type simEnv struct {
 	ckpts     [][]byte         // latest checkpoint per worker (crash recovery)
 	obs       []*obs.WorkerObs // per-worker sinks; nil when Observe is off
 	delivFree []*delivery      // retired delivery events for reuse
+	slots     *tensor.Slots    // where the workers' training steps run
 }
 
 // delivery is a pooled message-arrival event. Send used to schedule a
@@ -222,8 +228,12 @@ func (e *simEnv) Now() float64               { return e.eng.Now() }
 func (e *simEnv) After(d float64, fn func()) { e.eng.After(d, fn) }
 func (e *simEnv) NumWorkers() int            { return len(e.computes) }
 
-// IterSeconds: TrainStep costs no virtual time, so wait = charged.
-func (e *simEnv) IterSeconds(w, b int) (charged, wait float64) {
+// Step hands the step to a slot and returns at once: what an iteration is
+// charged is the cost model's, whatever the step computes, and the step
+// costs no virtual time, so wait = charged. The worker joins the step
+// before it next reads its model.
+func (e *simEnv) Step(w, b int, run func(ws *tensor.Workspace)) (charged, wait float64) {
+	e.slots.Go(run)
 	d := e.computes[w].IterTime(b, e.eng.Now())
 	return d, d
 }
@@ -320,11 +330,19 @@ func Run(cfg Config) (*Result, error) {
 		computes: cfg.Computes,
 		inj:      fault.NewInjector(cfg.Faults),
 		egress:   make([]float64, cfg.N),
+		// Every worker has at most one step in flight.
+		slots: tensor.NewSlots(cfg.N),
 	}
+	defer env.slots.Close()
+	// The peak queue is the t = 0 burst's all-to-all exchange, n² + n + 1
+	// events on the federation workload (TestEventHeapReserve): sized once
+	// instead of doubling up to it.
+	env.eng.Reserve(cfg.N*cfg.N + 2*cfg.N + 16)
 	spec := cfg.Model
 	spec.Seed = cfg.Seed + 1000 // all replicas share this seed: identical init
-	// The event loop steps one replica at a time, so all of them draw from
-	// one arena instead of keeping n private ones idle between events.
+	// Training steps draw from the step slots' arenas (Model.TrainStepOn), so
+	// the replicas share one arena for anything else instead of keeping n
+	// private ones idle.
 	models := spec.Replicas(cfg.N)
 	env.wireScale = float64(spec.ExchangeBytes()) / float64(models[0].SizeBytes())
 	if env.wireScale < 1 {
@@ -403,7 +421,13 @@ func Run(cfg Config) (*Result, error) {
 	// first use: forward passes need an arena, and the training replicas'
 	// shared one is single-goroutine.
 	scratch := make([]*nn.Model, cfg.N)
+	joinAll := func() {
+		for _, w := range env.workers {
+			w.JoinStep()
+		}
+	}
 	evaluate := func() {
+		joinAll()
 		// Dormant (not yet admitted) joiners are excluded: their fresh
 		// replicas are not part of the federation. Crashed and departed
 		// workers keep contributing their frozen models, as before.
@@ -462,7 +486,8 @@ func Run(cfg Config) (*Result, error) {
 	env.eng.Run(cfg.Horizon)
 	wall := time.Since(wallStart).Seconds()
 
-	// Final state at the horizon.
+	// Final state at the horizon, every step started before it joined.
+	joinAll()
 	if len(res.Timeline) == 0 || res.Timeline[len(res.Timeline)-1].T < cfg.Horizon {
 		evaluate()
 		res.Timeline[len(res.Timeline)-1].T = cfg.Horizon
@@ -483,6 +508,7 @@ func Run(cfg Config) (*Result, error) {
 	res.Faults = env.inj.Stats()
 	res.Models = models
 	res.Events = env.eng.Executed()
+	res.peakPending = env.eng.Peak()
 	if wall > 0 {
 		res.EventsPerSec = float64(res.Events) / wall
 		simEventsPerSec.Set(int64(res.EventsPerSec))
@@ -527,6 +553,7 @@ func scheduleFaults(env *simEnv, models []*nn.Model, spec nn.Spec) {
 		env.eng.Every(period, func() {
 			for i, w := range env.workers {
 				if !w.Stopped() {
+					w.JoinStep()
 					ckpts[i] = models[i].Checkpoint()
 				}
 			}
@@ -582,6 +609,8 @@ func scheduleFaults(env *simEnv, models []*nn.Model, spec nn.Spec) {
 				return
 			}
 			env.eng.After(cr.RestartAfter, func() {
+				// Stop joined the worker's step, and a stopped worker
+				// starts none, so the replica is the driver's to restore.
 				if env.ckpts != nil && env.ckpts[cr.Worker] != nil {
 					// ignore restore errors: same spec produced the
 					// checkpoint, so they cannot occur

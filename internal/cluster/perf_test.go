@@ -21,10 +21,10 @@ import (
 // evaluation fanned out across goroutines and with everything forced
 // inline, and requires bit-identical timelines — the merge in worker-id
 // order makes scheduling invisible. Evaluating every 10 s puts five fan-outs
-// in the middle of training, while the replicas' shared arena is in use:
-// under -race (make race) this is the check that the evaluation goroutines
-// work on their private scratch replicas and only read the shared ones'
-// weights.
+// in the middle of training, between steps running on the step slots: under
+// -race (make race) this is the check that evaluation joins every step
+// first and that the evaluation goroutines work on their private scratch
+// replicas and only read the training ones' weights.
 func TestParallelEvalDeterministic(t *testing.T) {
 	cfg := tinyConfig(systems.DLion())
 	cfg.EvalPeriod = 10
@@ -63,13 +63,16 @@ func TestParallelEvalDeterministic(t *testing.T) {
 // trace-allocation measurement; nothing is ever scheduled on it.
 type traceEnv struct{ n int }
 
-func (e *traceEnv) Now() float64                                     { return 0 }
-func (e *traceEnv) After(d float64, fn func())                       {}
-func (e *traceEnv) NumWorkers() int                                  { return e.n }
-func (e *traceEnv) Send(from, to int, m *wire.Message)               {}
-func (e *traceEnv) Bandwidth(from, to int) float64                   { return 100 }
-func (e *traceEnv) IterSeconds(w, batch int) (charged, wait float64) { return 1, 1 }
-func (e *traceEnv) SendScale() float64                               { return 1 }
+func (e *traceEnv) Now() float64                       { return 0 }
+func (e *traceEnv) After(d float64, fn func())         {}
+func (e *traceEnv) NumWorkers() int                    { return e.n }
+func (e *traceEnv) Send(from, to int, m *wire.Message) {}
+func (e *traceEnv) Bandwidth(from, to int) float64     { return 100 }
+func (e *traceEnv) SendScale() float64                 { return 1 }
+func (e *traceEnv) Step(w, batch int, run func(ws *tensor.Workspace)) (charged, wait float64) {
+	run(nil)
+	return 1, 1
+}
 func (e *traceEnv) ProfileCompute(w int, batches []int) (x, y []float64) {
 	for _, b := range batches {
 		x = append(x, float64(b))

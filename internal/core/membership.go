@@ -210,6 +210,7 @@ func (w *Worker) degradedNow() bool {
 // (roster of one) rather than wedging. Drivers call it instead of Start for
 // workers added to a running federation.
 func (w *Worker) StartJoin(sponsor int) {
+	w.JoinStep()
 	if w.started {
 		panic("core: worker started twice")
 	}
@@ -387,6 +388,7 @@ func (w *Worker) Leave() {
 	if w.stopped || w.state == StateDraining || w.state == StateLeft {
 		return
 	}
+	w.JoinStep()
 	if w.state != StateJoining && w.state != StateSyncing {
 		w.state = StateDraining
 		for _, p := range w.peerIDs {

@@ -7,6 +7,7 @@ import (
 	"dlion/internal/grad"
 	"dlion/internal/nn"
 	"dlion/internal/obs"
+	"dlion/internal/tensor"
 	"dlion/internal/wire"
 )
 
@@ -30,11 +31,18 @@ type Env interface {
 	// Bandwidth returns the currently available bandwidth (Mbps) of the
 	// link from->to — the network resource monitor of Figure 10.
 	Bandwidth(from, to int) float64
-	// IterSeconds is asked right after worker w's TrainStep over batch
-	// samples returns: charged is what that iteration costs (PhaseCompute and
-	// the §3.3 link budget read it), wait how long from now its completion is
-	// still due (only After gets it): charged in the sim, 0 over wall time.
-	IterSeconds(w, batch int) (charged, wait float64)
+	// Step is the door every training step goes through: worker w's step
+	// over batch samples. The Env calls run exactly once with an arena only
+	// that call draws from, either before Step returns (real mode, on the
+	// event loop) or on a step slot while the event loop goes on (the
+	// simulator); the worker joins the step before anything but a peer
+	// gradient next touches it (DESIGN.md §2). charged is what the iteration
+	// costs (PhaseCompute and the §3.3 link budget read it), wait how long
+	// from now its completion is still due (only After gets it): the cost
+	// model's duration for both in the sim, which does not depend on what
+	// the step computes; the wall time the event has run for, step included,
+	// and 0 over wall time.
+	Step(w, batch int, run func(ws *tensor.Workspace)) (charged, wait float64)
 	// ProfileCompute measures iteration seconds at each batch size — the
 	// LBS controller's capacity probe.
 	ProfileCompute(w int, batches []int) (x, y []float64)
@@ -64,7 +72,8 @@ type Stats struct {
 
 // Worker is one DLion node. All methods must be invoked from the Env's
 // event-loop goroutine; the worker performs real gradient computation but
-// charges durations to the Env's clock.
+// charges durations to the Env's clock. Only its training step may run
+// elsewhere (Env.Step), and JoinStep waits for it.
 type Worker struct {
 	ID int
 
@@ -78,6 +87,20 @@ type Worker struct {
 	lbs     int
 	iterSec float64 // duration charged for the in-flight iteration
 	gbs     *gbsController
+
+	// The training step as a future (JoinStep). stepping is set from the
+	// step's hand-over to Env.Step until its join; meanwhile the step reads
+	// W and batchX/batchY and writes G, the layers' activations and
+	// stepLoss, then signals stepDone. Peer gradients arriving meanwhile
+	// wait in queued, in arrival order. runStep is the bound method value,
+	// made once so a step allocates no closure.
+	stepping bool
+	stepDone chan struct{}
+	runStep  func(ws *tensor.Workspace)
+	batchX   *tensor.Tensor
+	batchY   []int
+	stepLoss float64
+	queued   []*wire.Message
 
 	// The peer table: everything kept about worker id (self included) is
 	// peers[id]. Allocated once, in New, over the [0, NumWorkers) address
@@ -189,7 +212,9 @@ func New(id int, cfg Config, model *nn.Model, shard *data.Shard, env Env) (*Work
 		members:   make([]int, 0, env.NumWorkers()),
 		pendGrad:  map[int64][]*wire.Message{},
 		trainSize: trainSize,
+		stepDone:  make(chan struct{}, 1),
 	}
+	w.runStep = w.trainStep
 	_, w.selInvariant = w.selector.(grad.LinkInvariant)
 	totals := make([]int, 0, len(model.Params()))
 	for _, p := range model.Params() {
@@ -216,7 +241,8 @@ func (w *Worker) LBS() int { return w.lbs }
 // GBS returns the current global batch size as this worker computes it.
 func (w *Worker) GBS() int { return w.gbs.GBSAt(w.env.Now(), w.epochsDone()) }
 
-// Model returns the worker's model replica.
+// Model returns the worker's model replica. A driver reading or writing it
+// between the worker's own events calls JoinStep first.
 func (w *Worker) Model() *nn.Model { return w.model }
 
 // Stats returns a copy of the activity counters.
@@ -264,7 +290,7 @@ func (w *Worker) PeerAcceptMask(peer int) grad.PrecMask {
 
 // AvgRecentLoss returns the mean of the recent-loss window (+Inf before
 // any iteration completes, so fresh workers never win best-worker
-// elections).
+// elections). A step's loss joins the window when the step is joined.
 func (w *Worker) AvgRecentLoss() float64 {
 	if len(w.lossWin) == 0 {
 		return inf
@@ -313,8 +339,10 @@ func (w *Worker) startTraining() {
 // Stop kills the worker, as if its process died: pending timers become
 // no-ops and incoming messages are ignored until Resume. The armed-recheck
 // flag resets too — the gen bump already voided the pending timer, and a
-// stale flag would stop the resumed worker from ever re-arming it.
+// stale flag would stop the resumed worker from ever re-arming it. The
+// step in flight is joined first, so a stopped worker has none.
 func (w *Worker) Stop() {
+	w.JoinStep()
 	w.stopped = true
 	w.gen++
 	w.waitingSync = false
@@ -352,13 +380,15 @@ func (w *Worker) Resume(syncPeer int) {
 
 // after schedules fn like env.After, but arms it to the current lifecycle
 // generation: if the worker crashes before the timer fires, the callback is
-// a no-op (the process that armed it is gone).
+// a no-op (the process that armed it is gone). Every timer joins the step
+// in flight before fn runs.
 func (w *Worker) after(d float64, fn func()) {
 	gen := w.gen
 	w.env.After(d, func() {
 		if w.stopped || w.gen != gen {
 			return
 		}
+		w.JoinStep()
 		fn()
 	})
 }
@@ -454,23 +484,56 @@ func (w *Worker) currentLBS() int {
 	return lbsShares(gbs, rcp, w.cfg.Batch.MinLBS)[me]
 }
 
-// startIteration draws a batch, computes gradients against the current
-// weights, and schedules completion for when the Env says it is due — through
-// After even at wait 0, so messages that arrived during the step go first.
-// Gradients live in the model's G buffers until completeIteration; remote
-// updates arriving meanwhile modify W only, mirroring a real worker whose
-// backward pass uses the weight snapshot it started from.
+// startIteration draws a batch, hands the step that computes gradients
+// against the current weights to the Env, and schedules completion for when
+// the Env says it is due — through After even at wait 0, so messages that
+// arrived during the step go first. Gradients live in the model's G buffers
+// until completeIteration. Remote updates arriving before the step is joined
+// queue behind it and are applied, in arrival order, at the join: the step
+// reads the weight snapshot it started from, as a real worker's backward
+// pass does, and every weight sees the same float operations in the same
+// order as if the step had run inline and the updates had landed on
+// arrival.
 func (w *Worker) startIteration() {
 	if w.cfg.MaxIters > 0 && w.iter >= w.cfg.MaxIters {
 		return // iteration budget exhausted; keep servicing messages only
 	}
+	w.JoinStep()
 	w.lbs = w.currentLBS()
-	x, y := w.shard.NextBatch(w.lbs)
-	loss, _ := w.model.TrainStep(x, y)
-	w.pushLoss(loss)
+	w.batchX, w.batchY = w.shard.NextBatch(w.lbs)
+	w.stepping = true
 	var wait float64
-	w.iterSec, wait = w.env.IterSeconds(w.ID, w.lbs)
+	w.iterSec, wait = w.env.Step(w.ID, w.lbs, w.runStep)
 	w.after(wait, w.completeIteration)
+}
+
+// trainStep is the step Env.Step runs, possibly on another goroutine: it
+// touches only what the Worker comment assigns to it, then signals the join.
+func (w *Worker) trainStep(ws *tensor.Workspace) {
+	w.stepLoss, _ = w.model.TrainStepOn(ws, w.batchX, w.batchY)
+	w.stepDone <- struct{}{}
+}
+
+// JoinStep waits for the training step in flight, if any, and folds it in:
+// its loss joins the window, then the peer gradients queued behind it are
+// applied in arrival order. Timers, every message but a peer gradient's
+// unordered apply, Stop, Leave, StartJoin and the next step call it first;
+// a driver calls it before it reads or writes the model between the
+// worker's events (evaluation, checkpoints, the end of a run).
+func (w *Worker) JoinStep() {
+	if !w.stepping {
+		return
+	}
+	<-w.stepDone
+	w.stepping = false
+	w.batchX, w.batchY = nil, nil
+	w.pushLoss(w.stepLoss)
+	for i, m := range w.queued {
+		w.timedApply(func() { w.applyRemoteGradient(m) })
+		m.Release()
+		w.queued[i] = nil
+	}
+	w.queued = w.queued[:0]
 }
 
 func (w *Worker) pushLoss(l float64) {
@@ -480,9 +543,11 @@ func (w *Worker) pushLoss(l float64) {
 	}
 }
 
-// completeIteration applies the local update, exchanges partial gradients,
-// runs DKT bookkeeping, and advances (or blocks on) the sync strategy.
+// completeIteration joins the step, applies the local update on top of the
+// peer gradients that arrived during it, exchanges partial gradients, runs
+// DKT bookkeeping, and advances (or blocks on) the sync strategy.
 func (w *Worker) completeIteration() {
+	w.JoinStep()
 	w.iter++
 	w.stats.Iters++
 	w.stats.SamplesProcessed += int64(w.lbs)
@@ -627,6 +692,13 @@ func (w *Worker) HandleMessage(m *wire.Message) {
 	if w.obs != nil {
 		w.obs.AddRecv(classOf(m.Type), m.WireBytes())
 	}
+	// Writes to W queue behind the step in flight; everything else joins it.
+	// An unordered peer gradient is the one write that commutes with the
+	// step: in sequential order the step read W before it arrived. The
+	// roster and LBS its apply scales by change only on paths that join.
+	if m.Type != wire.TypeGradient || w.cfg.OrderedApply {
+		w.JoinStep()
+	}
 	switch m.Type {
 	case wire.TypeGradient:
 		if w.state == StateJoining || w.state == StateSyncing {
@@ -639,10 +711,13 @@ func (w *Worker) HandleMessage(m *wire.Message) {
 		if m.Iter > peer.iter {
 			peer.iter = m.Iter
 		}
-		if w.cfg.OrderedApply {
+		switch {
+		case w.cfg.OrderedApply:
 			w.bufferOrdered(m)
 			w.flushOrdered()
-		} else {
+		case w.stepping:
+			w.queued = append(w.queued, m)
+		default:
 			w.timedApply(func() { w.applyRemoteGradient(m) })
 			m.Release()
 		}

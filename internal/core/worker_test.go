@@ -9,6 +9,7 @@ import (
 	"dlion/internal/nn"
 	"dlion/internal/obs"
 	"dlion/internal/simclock"
+	"dlion/internal/tensor"
 	"dlion/internal/wire"
 )
 
@@ -31,6 +32,7 @@ type fakeEnv struct {
 	// onSend sees each message as the worker hands it over, before the env
 	// makes it its own.
 	onSend func(m *wire.Message)
+	ws     *tensor.Workspace
 }
 
 func newFakeEnv(n int, iterSec []float64) *fakeEnv {
@@ -45,7 +47,14 @@ func (e *fakeEnv) SendScale() float64         { return e.sendScale }
 func (e *fakeEnv) Bandwidth(from, to int) float64 {
 	return e.bw
 }
-func (e *fakeEnv) IterSeconds(w, batch int) (charged, wait float64) {
+
+// Step runs the step inline on one arena all workers share, as the
+// simulator's single-slot bound does.
+func (e *fakeEnv) Step(w, batch int, run func(ws *tensor.Workspace)) (charged, wait float64) {
+	if e.ws == nil {
+		e.ws = tensor.NewWorkspace()
+	}
+	run(e.ws)
 	if e.wallPaid {
 		return e.iterSec[w], 0
 	}

@@ -14,10 +14,14 @@ import (
 // A model draws activations and scratch from a tensor.Workspace, so the
 // steady-state training loop recycles a constant set of buffers instead of
 // allocating megabytes per step. The arena is the model's own, except that
-// the replicas Spec.Replicas builds share one. The rules (DESIGN.md §9):
+// the replicas Spec.Replicas builds share one, and that TrainStepOn draws
+// from the arena it is given. The rules (DESIGN.md §9):
 //
-//   - One goroutine at a time per arena: a model built by NewModel or
-//     Spec.Build is single-goroutine, and so is a whole Spec.Replicas set.
+//   - One goroutine per arena: a model built by NewModel or Spec.Build is
+//     single-goroutine, and so is a whole Spec.Replicas set on its shared
+//     arena. A step slot (tensor.Slots) owns one arena and lends it to each
+//     step it runs (TrainStepOn), so replicas of one set train on different
+//     slots at once.
 //   - TrainStep leaves no arena buffer held: by the time it returns, every
 //     activation, column matrix and the loss gradient is back in the arena,
 //     which is what lets replicas that take turns share one.
@@ -102,18 +106,41 @@ func (m *Model) ZeroGrads() {
 // combined with remote gradients). Everything the step drew from the arena
 // is returned before TrainStep does (see Model).
 func (m *Model) TrainStep(x *tensor.Tensor, labels []int) (loss, acc float64) {
+	return m.TrainStepOn(m.ws, x, labels)
+}
+
+// TrainStepOn is TrainStep drawing from ws instead of the model's own arena:
+// the layers are bound to ws for the step and back to the model's arena
+// after it, so the step may run on any goroutine that owns ws — a step
+// slot (tensor.Slots) or a real-mode node's event loop. The step reads only
+// the weights and the batch and writes only the gradients and the layers'
+// activations, and the result does not depend on which arena it drew from.
+func (m *Model) TrainStepOn(ws *tensor.Workspace, x *tensor.Tensor, labels []int) (loss, acc float64) {
+	if ws != m.ws {
+		m.bind(ws)
+		defer m.bind(m.ws)
+	}
 	m.ZeroGrads()
 	logits := m.Forward(x)
-	loss, acc, dlogits := softmaxCrossEntropyWS(m.ws, logits, labels)
+	loss, acc, dlogits := softmaxCrossEntropyWS(ws, logits, labels)
 	dout := dlogits
 	for i := len(m.Layers) - 1; i >= 0; i-- {
 		dout = m.Layers[i].Backward(dout)
 	}
-	m.ws.Put(dlogits)
+	ws.Put(dlogits)
 	for _, u := range m.users {
 		u.release()
 	}
 	return loss, acc
+}
+
+// bind points every layer at ws, first returning whatever a Forward left
+// held to the arena it came from.
+func (m *Model) bind(ws *tensor.Workspace) {
+	for _, u := range m.users {
+		u.release()
+		u.setWorkspace(ws)
+	}
 }
 
 // ApplySGD performs w -= lr*g for every parameter using the gradients

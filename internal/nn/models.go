@@ -58,9 +58,10 @@ func (s Spec) BuildZero() *Model {
 // Replicas constructs n replicas with the weights Build gives — the first
 // He-initialized from Seed, the rest zero-built and copied from it — all
 // drawing from ONE shared arena. That makes the whole set single-goroutine
-// (see Model): it is for a driver that steps its replicas in turn, like the
-// simulator's event loop, where n private arenas would sit idle between
-// events. Concurrent readers copy the weights into a BuildZero replica of
+// on that arena (see Model): it is for a driver that steps its replicas in
+// turn, or hands each step the arena of the slot it runs on
+// (Model.TrainStepOn) as the simulator does, where n private arenas would
+// sit idle. Concurrent readers copy the weights into a BuildZero replica of
 // their own.
 func (s Spec) Replicas(n int) []*Model {
 	ws := tensor.NewWorkspace()

@@ -1,9 +1,10 @@
 package nn_test
 
-// Bit-identity gates for the two ways cluster.Run's replicas differ from
-// independent Spec.Build calls: they are cloned from one initialization, and
-// they share one activation arena. Neither may change a single weight or
-// gradient bit. (External test package: lineage imports nn.)
+// Bit-identity gates for the ways cluster.Run's replicas differ from
+// independent Spec.Build calls: they are cloned from one initialization,
+// they share one activation arena, and their training steps run concurrently
+// on step slots' arenas. None may change a single weight or gradient bit.
+// (External test package: lineage imports nn.)
 
 import (
 	"testing"
@@ -134,6 +135,82 @@ func TestTrainStepHoldsNoArenaBuffer(t *testing.T) {
 		m.TrainStep(x, y)
 		if _, _, after := tensor.WorkspaceStats(); after != idle {
 			t.Fatalf("%s: %d arena bytes still lent out after TrainStep", spec.Kind, after-idle)
+		}
+	}
+}
+
+// TestConcurrentSlotStepsBitIdentical steps the replicas of one shared-arena
+// set concurrently, each on whichever step slot (and slot arena) is free
+// (Model.TrainStepOn), next to private-arena replicas fed the same batches:
+// loss, accuracy and every gradient must agree bit for bit through several
+// SGD rounds. Afterwards the steps hold no arena buffer and the replicas
+// are back on their shared arena. Under -race (make race) this is the check
+// that replicas of one set may train on different slots at once.
+func TestConcurrentSlotStepsBitIdentical(t *testing.T) {
+	defer tensor.SetMaxWorkers(tensor.SetMaxWorkers(3))
+	const k, rounds = 4, 3
+	for _, spec := range replicaSpecs {
+		rng := stats.NewRNG(spec.Seed + 200)
+		shared := spec.Replicas(k)
+		private := make([]*nn.Model, k)
+		for i := range private {
+			private[i] = spec.Build()
+		}
+		_, _, idle := tensor.WorkspaceStats()
+		for r := 0; r < rounds; r++ {
+			xs := make([]*tensor.Tensor, k)
+			ys := make([][]int, k)
+			for i := range xs {
+				xs[i], ys[i] = randomBatch(rng, spec, 2+3*i+r)
+			}
+			loss := make([]float64, k)
+			acc := make([]float64, k)
+			done := make(chan struct{}, k)
+			slots := tensor.NewSlots(k)
+			for i := range shared {
+				slots.Go(func(ws *tensor.Workspace) {
+					loss[i], acc[i] = shared[i].TrainStepOn(ws, xs[i], ys[i])
+					done <- struct{}{}
+				})
+			}
+			for range shared {
+				<-done
+			}
+			slots.Close()
+			for i := range shared {
+				lp, ap := private[i].TrainStep(xs[i], ys[i])
+				if loss[i] != lp || acc[i] != ap {
+					t.Fatalf("%s round %d replica %d: loss/acc %v/%v on a slot, %v/%v private",
+						spec.Kind, r, i, loss[i], acc[i], lp, ap)
+				}
+				sp, pp := shared[i].Params(), private[i].Params()
+				for v := range sp {
+					if !sameBits(sp[v].G, pp[v].G) {
+						t.Fatalf("%s round %d replica %d: gradient %s differs between slot and private arenas",
+							spec.Kind, r, i, sp[v].Name)
+					}
+				}
+				shared[i].ApplySGD(0.05)
+				private[i].ApplySGD(0.05)
+			}
+		}
+		if _, _, after := tensor.WorkspaceStats(); after != idle {
+			t.Fatalf("%s: %d arena bytes still lent out after the slot steps", spec.Kind, after-idle)
+		}
+		x, y := randomBatch(rng, spec, 5)
+		for i := range shared {
+			if a, b := lineage.ModelHash(shared[i]), lineage.ModelHash(private[i]); a != b {
+				t.Fatalf("%s replica %d: final digest %s shared, %s private", spec.Kind, i, a, b)
+			}
+			shared[i].TrainStep(x, y) // back on the shared arena
+			private[i].TrainStep(x, y)
+			sp, pp := shared[i].Params(), private[i].Params()
+			for v := range sp {
+				if !sameBits(sp[v].G, pp[v].G) {
+					t.Fatalf("%s replica %d: gradient %s differs after returning to the shared arena",
+						spec.Kind, i, sp[v].Name)
+				}
+			}
 		}
 	}
 }

@@ -20,6 +20,7 @@ import (
 	"dlion/internal/nn"
 	"dlion/internal/obs"
 	"dlion/internal/queue"
+	"dlion/internal/tensor"
 	"dlion/internal/wire"
 )
 
@@ -79,8 +80,9 @@ type Node struct {
 	loop   chan func()
 	start  time.Time
 
-	evStart time.Time // when the currently-executing event began
-	scratch *nn.Model // ProfileCompute's replica, built on first probe
+	evStart time.Time         // when the currently-executing event began
+	scratch *nn.Model         // ProfileCompute's replica, built on first probe
+	ws      *tensor.Workspace // the arena the worker's training steps draw from
 
 	// Per-peer FIFO senders: outbound messages to one peer are serialized
 	// through a single goroutine so a stale weight snapshot can never
@@ -135,10 +137,14 @@ func (e realEnv) Bandwidth(_, to int) float64 {
 	return 100
 }
 
-// IterSeconds charges the iteration what the current event has run for — by
-// the time the worker asks (right after its TrainStep), the real compute
-// duration — and leaves nothing to wait: that wall time is already spent.
-func (e realEnv) IterSeconds(_, _ int) (charged, wait float64) {
+// Step runs the step inline on the node's arena — the event loop is real
+// mode's one step slot — and charges the iteration what the current event
+// has run for, by then the real compute duration. It leaves nothing to
+// wait: that wall time is already spent. The worker still holds the step
+// until completion joins it, so gradients that arrive before then queue
+// behind it and land in the same order as they would have on arrival.
+func (e realEnv) Step(_, _ int, run func(ws *tensor.Workspace)) (charged, wait float64) {
+	run(e.n.ws)
 	return max(time.Since(e.n.evStart).Seconds(), 1e-3), 0
 }
 
@@ -298,13 +304,15 @@ func (n *Node) FlushSends(timeout time.Duration) bool {
 
 // Inspect runs fn on the node's event loop and waits for it to finish.
 // Between events the hosted worker is quiescent — never mid-TrainStep,
-// never mid-HandleMessage — so fn may read (or snapshot) any worker state
-// without racing the loop. fn must not block and must not call Inspect
-// recursively (the loop would deadlock). It is only serviced while Run is
-// executing; otherwise it fails once the node stops or ctx expires.
+// never mid-HandleMessage — and fn sees it with its last step joined, so
+// fn may read (or snapshot) any worker state without racing the loop. fn
+// must not block and must not call Inspect recursively (the loop would
+// deadlock). It is only serviced while Run is executing; otherwise it fails
+// once the node stops or ctx expires.
 func (n *Node) Inspect(ctx context.Context, fn func(w *core.Worker)) error {
 	ran := make(chan struct{})
 	job := func() {
+		n.worker.JoinStep()
 		fn(n.worker)
 		close(ran)
 	}
@@ -424,7 +432,7 @@ func NewNode(cfg Config) (*Node, error) {
 	if cfg.Transport == nil {
 		return nil, fmt.Errorf("realtime: nil transport")
 	}
-	n := &Node{cfg: cfg, loop: make(chan func(), 1024),
+	n := &Node{cfg: cfg, loop: make(chan func(), 1024), ws: tensor.NewWorkspace(),
 		senders: map[int]chan []byte{}, done: make(chan struct{}),
 		fifoDrops: cfg.Metrics.Counter("realtime.fifo_drops"),
 		sendDepth: cfg.Metrics.Gauge("realtime.send_queue_depth")}
@@ -444,10 +452,12 @@ func (n *Node) Worker() *core.Worker { return n.worker }
 
 // Run trains until ctx is done. It owns the event loop: the worker's
 // Start, every timer, and every incoming message execute on this
-// goroutine.
+// goroutine. On return the worker's last step is joined, so its model and
+// loss are as final as the loop left them.
 func (n *Node) Run(ctx context.Context) error {
 	n.start = time.Now()
 	defer close(n.done) // stop the per-peer senders; Run is one-shot
+	defer n.worker.JoinStep()
 
 	// receive pump: decode and forward into the loop
 	recvErr := make(chan error, 1)

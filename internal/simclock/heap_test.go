@@ -216,3 +216,37 @@ func TestHoldAllocatesNothing(t *testing.T) {
 		t.Fatalf("steady-state pop/push allocates %.1f times per op", allocs)
 	}
 }
+
+// TestReserveSizesTheQueueOnce: after Reserve(n), filling the queue to n
+// events keeps its backing array, events keep their order across the copy, and
+// Peak reports the most events that were pending at once.
+func TestReserveSizesTheQueueOnce(t *testing.T) {
+	e := New()
+	var got []float64
+	e.At(2, func() { got = append(got, 2) })
+	e.Reserve(1000)
+	e.Reserve(10) // never shrinks
+	backing := &e.q[:1][0]
+	for i := 0; i < 998; i++ {
+		e.AtHandler(3, noop{})
+	}
+	e.At(1, func() { got = append(got, 1) })
+	if cap(e.q) != 1000 || &e.q[0] != backing {
+		t.Fatalf("filling a queue reserved for 1000 regrew it to %d", cap(e.q))
+	}
+	if e.Pending() != 1000 || e.Peak() != 1000 {
+		t.Fatalf("pending %d, peak %d; want 1000 and 1000", e.Pending(), e.Peak())
+	}
+	e.RunAll()
+	if len(got) != 2 || got[0] != 1 || got[1] != 2 {
+		t.Fatalf("events out of order across Reserve: %v", got)
+	}
+	if e.Peak() != 1000 {
+		t.Fatalf("peak %d after draining, want 1000", e.Peak())
+	}
+	e.AtHandler(4, noop{})
+	e.AtHandler(4, noop{})
+	if e.Peak() != 1000 {
+		t.Fatalf("peak %d moved below its maximum", e.Peak())
+	}
+}

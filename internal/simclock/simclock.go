@@ -18,6 +18,7 @@ type Engine struct {
 	now      float64
 	seq      uint64
 	executed uint64
+	peak     int
 	q        eventHeap
 }
 
@@ -46,6 +47,20 @@ func (e *Engine) Pending() int { return len(e.q) }
 // numerator of a DES throughput measurement (events per wall second).
 func (e *Engine) Executed() uint64 { return e.executed }
 
+// Peak returns the most events that were ever pending at once.
+func (e *Engine) Peak() int { return e.peak }
+
+// Reserve makes room for n pending events at once, so a caller that knows
+// its schedule's peak sizes the queue once instead of letting it double up
+// to the peak. The queue still grows past n if it must.
+func (e *Engine) Reserve(n int) {
+	if n > cap(e.q) {
+		q := make(eventHeap, len(e.q), n)
+		copy(q, e.q)
+		e.q = q
+	}
+}
+
 // At schedules fn to run at absolute virtual time t. Scheduling in the past
 // (t < Now) clamps to Now: the event runs next, preserving causality.
 func (e *Engine) At(t float64, fn func()) { e.AtHandler(t, funcHandler(fn)) }
@@ -67,6 +82,7 @@ func (e *Engine) AtHandler(t float64, h Handler) {
 	}
 	e.seq++
 	e.q.push(event{at: t, seq: e.seq, h: h})
+	e.peak = max(e.peak, len(e.q))
 }
 
 // AfterHandler schedules h.Fire d seconds from now. Negative d clamps to 0.

@@ -3,6 +3,7 @@ package tensor
 import (
 	"math"
 	"runtime"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"testing/quick"
@@ -379,4 +380,55 @@ func TestParallelReplicasSlots(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestSlotsOwnTheirArenas pins what the simulator's step slots rely on:
+// every step handed over runs exactly once, by the time Close returns; at
+// most SetMaxWorkers arenas serve them; and no arena serves two steps at
+// once. A single-slot bound runs each step inline, before Go returns.
+func TestSlotsOwnTheirArenas(t *testing.T) {
+	defer SetMaxWorkers(SetMaxWorkers(3))
+	const n = 50
+	var mu sync.Mutex
+	arenas := map[*Workspace]*atomic.Bool{}
+	ran := make([]atomic.Int32, n)
+	s := NewSlots(n)
+	for i := 0; i < n; i++ {
+		s.Go(func(ws *Workspace) {
+			mu.Lock()
+			busy := arenas[ws]
+			if busy == nil {
+				busy = new(atomic.Bool)
+				arenas[ws] = busy
+			}
+			mu.Unlock()
+			if !busy.CompareAndSwap(false, true) {
+				t.Errorf("step %d: arena %p serves two steps at once", i, ws)
+			}
+			ran[i].Add(1)
+			runtime.Gosched()
+			busy.Store(false)
+		})
+	}
+	s.Close()
+	for i := range ran {
+		if c := ran[i].Load(); c != 1 {
+			t.Fatalf("step %d ran %d times", i, c)
+		}
+	}
+	if len(arenas) == 0 || len(arenas) > 3 {
+		t.Fatalf("%d arenas served the steps, want 1..3", len(arenas))
+	}
+
+	SetMaxWorkers(1)
+	inline := NewSlots(1)
+	var got *Workspace
+	for i := 0; i < 3; i++ {
+		done := false
+		inline.Go(func(ws *Workspace) { done, got = true, ws })
+		if !done || got == nil {
+			t.Fatal("a single slot did not run the step inside Go")
+		}
+	}
+	inline.Close()
 }
