@@ -3,12 +3,13 @@
 # reconnecting client, real-mode runtime, serving) plus tensor whole (replica
 # fan-out, the step slots and the matmul scratch pool are all it shares), the
 # nn checkpoint-vs-Forward and concurrent-replica tests, the sim driver's
-# parallel evaluation and its training steps running on four slots while
-# deliveries, DKT merges, checkpoints and restores arrive, and grad whole plus
-# the ownership tests of core and cluster, so the alias between Param.G and
-# an in-flight encode is race-checked (all of core is 80 s under -race);
-# running it repo-wide would multiply simulation test time ~20x for no extra
-# coverage.
+# parallel evaluation reading weights beside the steps in flight, and its
+# training steps running on four slots while deliveries, DKT merges,
+# checkpoints, restores and late joins of deferred steps arrive, and grad
+# whole plus the ownership tests of core and cluster, so the alias between
+# Param.G and an in-flight encode is race-checked (all of core is 80 s under
+# -race); running it repo-wide would multiply simulation test time ~20x for
+# no extra coverage.
 .PHONY: check build fmt vet test race fuzz-smoke conformance bench bench-serve bench-sim bench-e2e chaos e2e-jobs audit-gate
 
 check: build fmt vet test race fuzz-smoke
@@ -31,7 +32,7 @@ race:
 	go test -race -run 'Borrow|Own' ./internal/core/... ./internal/cluster/...
 	go test -race -run 'Concurrent' ./internal/nn/... ./internal/obs/...
 	go test -race ./internal/simclock/...
-	go test -race -run 'ParallelEval|RunGoldens|StepSlotsRace' ./internal/cluster/...
+	go test -race -run 'ParallelEval|RunGoldens|StepSlotsRace|LazySteps|EvalOnce' ./internal/cluster/...
 
 # Short fuzz pass over the wire decoder, framer, lineage-manifest codecs,
 # and the scheduler-vs-reference-heap oracle: catches panics,

@@ -99,9 +99,11 @@ type Result struct {
 	Obs []obs.WorkerReport
 
 	// Models exposes the final model replicas (inspection and tests), every
-	// step joined. They share one activation arena (nn.Spec.Replicas), so
-	// use them from one goroutine at a time; weights may be read
-	// concurrently.
+	// step joined: W is final. A worker whose last step was dropped (it
+	// completed past the horizon and nothing joined it) keeps the G of the
+	// last step that ran. They share one activation arena
+	// (nn.Spec.Replicas), so use them from one goroutine at a time; weights
+	// may be read concurrently.
 	Models []*nn.Model
 
 	// Membership is each worker's roster mutation history (always present;
@@ -124,6 +126,13 @@ type Result struct {
 	// peakPending is the most events the engine held at once, which Run
 	// reserves the queue for.
 	peakPending int
+	// steps counts the training steps that completed past the horizon:
+	// deferred, run late because a join reached them while the loop ran,
+	// and dropped at the end of the Run.
+	steps stepCounts
+	// evalForwards is, per Timeline point, how many replicas' forward
+	// passes ran; the others reported an identical replica's result.
+	evalForwards []int
 }
 
 // simEventsPerSec is the process-wide DES throughput gauge: the most recent
@@ -182,6 +191,19 @@ type simEnv struct {
 	obs       []*obs.WorkerObs // per-worker sinks; nil when Observe is off
 	delivFree []*delivery      // retired delivery events for reuse
 	slots     *tensor.Slots    // where the workers' training steps run
+
+	// Steps that complete past the horizon are lazy (Step, Join): held in
+	// lazy[w] until worker w joins them, run then while the loop runs, and
+	// dropped once ended is set.
+	horizon float64
+	ended   bool
+	lazy    []func(ws *tensor.Workspace)
+	steps   stepCounts
+}
+
+// stepCounts is what became of a Run's lazy steps.
+type stepCounts struct {
+	deferred, late, dropped int
 }
 
 // delivery is a pooled message-arrival event. Send used to schedule a
@@ -231,11 +253,39 @@ func (e *simEnv) NumWorkers() int            { return len(e.computes) }
 // Step hands the step to a slot and returns at once: what an iteration is
 // charged is the cost model's, whatever the step computes, and the step
 // costs no virtual time, so wait = charged. The worker joins the step
-// before it next reads its model.
+// before it next reads its model. A step whose completion falls past the
+// horizon — the comparison Engine.Run stops on, at the time After will
+// schedule it for — is held back instead: its gradient is never applied
+// or sent, and its loss is read only if a join reaches it first (Join).
 func (e *simEnv) Step(w, b int, run func(ws *tensor.Workspace)) (charged, wait float64) {
-	e.slots.Go(run)
-	d := e.computes[w].IterTime(b, e.eng.Now())
+	now := e.eng.Now()
+	d := e.computes[w].IterTime(b, now)
+	if now+d > e.horizon {
+		e.lazy[w] = run
+		e.steps.deferred++
+	} else {
+		e.slots.Go(run)
+	}
 	return d, d
+}
+
+// Join hands worker w's held-back step to a slot while the event loop runs,
+// because whatever joins it may read it (a DKT election reads its loss),
+// and the worker waits for it as for any step. Once the loop has returned
+// nothing can, and the step is dropped.
+func (e *simEnv) Join(w int) bool {
+	run := e.lazy[w]
+	if run == nil {
+		return true
+	}
+	e.lazy[w] = nil
+	if e.ended {
+		e.steps.dropped++
+		return false
+	}
+	e.slots.Go(run)
+	e.steps.late++
+	return true
 }
 
 func (e *simEnv) ProfileCompute(w int, batches []int) (x, y []float64) {
@@ -331,7 +381,9 @@ func Run(cfg Config) (*Result, error) {
 		inj:      fault.NewInjector(cfg.Faults),
 		egress:   make([]float64, cfg.N),
 		// Every worker has at most one step in flight.
-		slots: tensor.NewSlots(cfg.N),
+		slots:   tensor.NewSlots(cfg.N),
+		horizon: cfg.Horizon,
+		lazy:    make([]func(ws *tensor.Workspace), cfg.N),
 	}
 	defer env.slots.Close()
 	// The peak queue is the t = 0 burst's all-to-all exchange, n² + n + 1
@@ -410,55 +462,67 @@ func Run(cfg Config) (*Result, error) {
 	}
 
 	res := &Result{System: cfg.System.Name}
-	// evalBuf holds one slot per replica so evaluation can fan out across
-	// goroutines and still merge in worker-id order below.
-	type evalSlot struct {
-		acc, loss float64
-		ok        bool
-	}
+	// evalBuf holds one result per replica so evaluation can fan out across
+	// goroutines and still merge in worker-id order below; src[i] is the
+	// replica whose result replica i reports (-1: dormant), and forward
+	// lists the replicas whose forward passes run.
+	type evalSlot struct{ acc, loss float64 }
 	evalBuf := make([]evalSlot, cfg.N)
+	src := make([]int, cfg.N)
+	forward := make([]int, 0, cfg.N)
 	// scratch[slot] is the evaluation goroutine's private replica, built on
 	// first use: forward passes need an arena, and the training replicas'
 	// shared one is single-goroutine.
 	scratch := make([]*nn.Model, cfg.N)
-	joinAll := func() {
-		for _, w := range env.workers {
-			w.JoinStep()
-		}
-	}
 	evaluate := func() {
-		joinAll()
+		// Evaluation reads each replica's weights as a join would leave them
+		// (CopyJoinedWeights) and joins nothing, so it neither waits for nor
+		// runs a step in flight: the steps read W too, and nobody writes it
+		// while the event loop waits here.
+		//
 		// Dormant (not yet admitted) joiners are excluded: their fresh
 		// replicas are not part of the federation. Crashed and departed
-		// workers keep contributing their frozen models, as before.
-		//
-		// The forward passes run concurrently (tensor.ParallelReplicas),
-		// each goroutine copying replica i's weights into its own scratch
-		// model and evaluating that; the accs slice and loss sum are
-		// merged serially in worker-id order, so the timeline is
-		// byte-for-byte the same as a sequential loop over the replicas
-		// themselves produces.
-		for i := range evalBuf {
-			evalBuf[i] = evalSlot{}
-		}
-		tensor.ParallelReplicas(cfg.N, func(slot, i int) {
-			if st := env.workers[i].State(); st == core.StateJoining || st == core.StateSyncing {
-				return
+		// workers keep contributing their frozen models, as before. A
+		// replica whose view is bit-identical to the previous non-dormant
+		// replica's reports that one's result — at t = 0, all of them;
+		// views are compared only with no gradient queued on either side.
+		forward = forward[:0]
+		prev := -1
+		for i, w := range env.workers {
+			if st := w.State(); st == core.StateJoining || st == core.StateSyncing {
+				src[i] = -1
+				continue
 			}
+			if prev >= 0 && w.QueuedGradients() == 0 && env.workers[prev].QueuedGradients() == 0 &&
+				models[i].WeightsEqual(models[prev]) {
+				src[i] = src[prev]
+			} else {
+				src[i] = i
+				forward = append(forward, i)
+			}
+			prev = i
+		}
+		// The forward passes run concurrently (tensor.ParallelReplicas),
+		// each goroutine copying its replica's view into its own scratch
+		// model and evaluating that; the accs slice and loss sum are merged
+		// serially in worker-id order, so the timeline is byte-for-byte the
+		// same as a sequential loop over the joined replicas produces.
+		tensor.ParallelReplicas(len(forward), func(slot, k int) {
+			i := forward[k]
 			if scratch[slot] == nil {
 				scratch[slot] = spec.BuildZero()
 			}
 			// same spec, same shapes: the copy cannot fail
-			_ = scratch[slot].CopyWeightsFrom(models[i])
+			_ = env.workers[i].CopyJoinedWeights(scratch[slot])
 			a, l := scratch[slot].Evaluate(evalSet, cfg.EvalBatch)
-			evalBuf[i] = evalSlot{acc: a, loss: l, ok: true}
+			evalBuf[i] = evalSlot{acc: a, loss: l}
 		})
 		accs := make([]float64, 0, cfg.N)
 		var lossSum float64
-		for i := range evalBuf {
-			if evalBuf[i].ok {
-				accs = append(accs, evalBuf[i].acc)
-				lossSum += evalBuf[i].loss
+		for _, s := range src {
+			if s >= 0 {
+				accs = append(accs, evalBuf[s].acc)
+				lossSum += evalBuf[s].loss
 			}
 		}
 		if len(accs) == 0 {
@@ -466,6 +530,7 @@ func Run(cfg Config) (*Result, error) {
 		}
 		res.Timeline = append(res.Timeline,
 			metrics.NewPoint(env.eng.Now(), accs, lossSum/float64(len(accs))))
+		res.evalForwards = append(res.evalForwards, len(forward))
 	}
 	trace := func() {
 		res.Traces = append(res.Traces, sampleTrace(env.workers, env.eng.Now()))
@@ -486,8 +551,13 @@ func Run(cfg Config) (*Result, error) {
 	env.eng.Run(cfg.Horizon)
 	wall := time.Since(wallStart).Seconds()
 
-	// Final state at the horizon, every step started before it joined.
-	joinAll()
+	// Final state at the horizon: every worker joined, which drops the steps
+	// still held back (nothing can read them now) and applies the gradients
+	// queued behind them.
+	env.ended = true
+	for _, w := range env.workers {
+		w.JoinStep()
+	}
 	if len(res.Timeline) == 0 || res.Timeline[len(res.Timeline)-1].T < cfg.Horizon {
 		evaluate()
 		res.Timeline[len(res.Timeline)-1].T = cfg.Horizon
@@ -509,6 +579,7 @@ func Run(cfg Config) (*Result, error) {
 	res.Models = models
 	res.Events = env.eng.Executed()
 	res.peakPending = env.eng.Peak()
+	res.steps = env.steps
 	if wall > 0 {
 		res.EventsPerSec = float64(res.Events) / wall
 		simEventsPerSec.Set(int64(res.EventsPerSec))

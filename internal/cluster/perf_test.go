@@ -6,10 +6,12 @@ package cluster
 // workloads must run end to end.
 
 import (
+	"fmt"
 	"testing"
 
 	"dlion/internal/core"
 	"dlion/internal/data"
+	"dlion/internal/metrics"
 	"dlion/internal/nn"
 	"dlion/internal/obs"
 	"dlion/internal/systems"
@@ -21,10 +23,10 @@ import (
 // evaluation fanned out across goroutines and with everything forced
 // inline, and requires bit-identical timelines — the merge in worker-id
 // order makes scheduling invisible. Evaluating every 10 s puts five fan-outs
-// in the middle of training, between steps running on the step slots: under
-// -race (make race) this is the check that evaluation joins every step
-// first and that the evaluation goroutines work on their private scratch
-// replicas and only read the training ones' weights.
+// in the middle of training, beside steps running on the step slots: under
+// -race (make race) this is the check that evaluation joins nothing and
+// that the evaluation goroutines work on their private scratch replicas and
+// only read the training ones' weights, as the steps in flight do.
 func TestParallelEvalDeterministic(t *testing.T) {
 	cfg := tinyConfig(systems.DLion())
 	cfg.EvalPeriod = 10
@@ -59,6 +61,42 @@ func TestParallelEvalDeterministic(t *testing.T) {
 	}
 }
 
+// TestEvalOnceIdenticalReplicas pins the t = 0 point of a Run: every
+// replica is a clone of one init, so one forward set runs and the others
+// report its result, and the point equals a per-replica evaluation computed
+// directly over fresh builds. The dormant joiner is left out of both.
+func TestEvalOnceIdenticalReplicas(t *testing.T) {
+	cfg := SimEventsConfig(6, true).withDefaults() // worker 5 joins at t = 2.4
+	res, err := Run(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := res.evalForwards[0]; got != 1 {
+		t.Fatalf("t = 0 ran %d forward sets, want 1", got)
+	}
+	if last := res.evalForwards[len(res.evalForwards)-1]; last != cfg.N {
+		t.Fatalf("t = %v ran %d forward sets over %d diverged replicas", cfg.Horizon, last, cfg.N)
+	}
+	_, test, err := data.Generate(cfg.Data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	evalSet := test.Head(cfg.EvalSubset)
+	spec := cfg.Model
+	spec.Seed = cfg.Seed + 1000
+	var accs []float64
+	var lossSum float64
+	for i := 0; i < cfg.N-1; i++ {
+		a, l := spec.Build().Evaluate(evalSet, cfg.EvalBatch)
+		accs = append(accs, a)
+		lossSum += l
+	}
+	want := fmt.Sprintf("%v", metrics.NewPoint(0, accs, lossSum/float64(len(accs))))
+	if got := fmt.Sprintf("%v", res.Timeline[0]); got != want {
+		t.Fatalf("t = 0 point %s, want %s", got, want)
+	}
+}
+
 // traceEnv is the minimal core.Env needed to construct workers for the
 // trace-allocation measurement; nothing is ever scheduled on it.
 type traceEnv struct{ n int }
@@ -73,6 +111,7 @@ func (e *traceEnv) Step(w, batch int, run func(ws *tensor.Workspace)) (charged, 
 	run(nil)
 	return 1, 1
 }
+func (e *traceEnv) Join(int) bool { return true }
 func (e *traceEnv) ProfileCompute(w int, batches []int) (x, y []float64) {
 	for _, b := range batches {
 		x = append(x, float64(b))

@@ -2,6 +2,7 @@ package core
 
 import (
 	"dlion/internal/grad"
+	"dlion/internal/nn"
 	"dlion/internal/wire"
 )
 
@@ -142,9 +143,11 @@ func (w *Worker) linkPrecision(p, budget int) grad.Precision {
 }
 
 // applyRemoteGradient is the model update module: apply a peer's partial
-// gradients to the local model with the dynamic batching weight
+// gradients to the weights of dst — the local model, or the evaluation
+// view's copy of it (CopyJoinedWeights) — with the dynamic batching weight
 // db_j^k = LBS_j / LBS_k of Eq. 7 (clamped for stability; see DESIGN.md).
-func (w *Worker) applyRemoteGradient(m *wire.Message) {
+// It reads the worker and writes only dst.
+func (w *Worker) applyRemoteGradient(dst *nn.Model, m *wire.Message) {
 	if len(m.Selections) == 0 {
 		return
 	}
@@ -162,7 +165,7 @@ func (w *Worker) applyRemoteGradient(m *wire.Message) {
 	}
 	scale := float32(-w.cfg.LearningRate * db / float64(w.clusterSize()))
 	for _, sel := range m.Selections {
-		p := w.model.Param(sel.Var)
+		p := dst.Param(sel.Var)
 		if p == nil {
 			continue // unknown variable: ignore, consistent with a generic queue
 		}

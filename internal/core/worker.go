@@ -32,17 +32,25 @@ type Env interface {
 	// link from->to — the network resource monitor of Figure 10.
 	Bandwidth(from, to int) float64
 	// Step is the door every training step goes through: worker w's step
-	// over batch samples. The Env calls run exactly once with an arena only
-	// that call draws from, either before Step returns (real mode, on the
-	// event loop) or on a step slot while the event loop goes on (the
-	// simulator); the worker joins the step before anything but a peer
-	// gradient next touches it (DESIGN.md §2). charged is what the iteration
-	// costs (PhaseCompute and the §3.3 link budget read it), wait how long
-	// from now its completion is still due (only After gets it): the cost
-	// model's duration for both in the sim, which does not depend on what
-	// the step computes; the wall time the event has run for, step included,
-	// and 0 over wall time.
+	// over batch samples. The Env calls run at most once, with an arena only
+	// that call draws from: before Step returns (real mode, on the event
+	// loop), on a step slot while the event loop goes on, or — when the step
+	// completes past the simulator's horizon — only if something joins it
+	// while the loop still runs. An Env may leave a step unrun only when
+	// nothing can observe it any more. The worker joins the step (Join)
+	// before anything but a peer gradient next touches it (DESIGN.md §2).
+	// charged is what the iteration costs (PhaseCompute and the §3.3 link
+	// budget read it), wait how long from now its completion is still due
+	// (only After gets it): the cost model's duration for both in the sim,
+	// which does not depend on what the step computes; the wall time the
+	// event has run for, step included, and 0 over wall time.
 	Step(w, batch int, run func(ws *tensor.Workspace)) (charged, wait float64)
+	// Join is called when worker w joins the step Step last handed over,
+	// before the worker waits for it. It reports whether the step ran: an
+	// Env that held the step back runs it now, or drops it — returning
+	// false — once nothing can observe it. Real mode returns true: its step
+	// ran inline.
+	Join(w int) (ran bool)
 	// ProfileCompute measures iteration seconds at each batch size — the
 	// LBS controller's capacity probe.
 	ProfileCompute(w int, batches []int) (x, y []float64)
@@ -91,9 +99,10 @@ type Worker struct {
 	// The training step as a future (JoinStep). stepping is set from the
 	// step's hand-over to Env.Step until its join; meanwhile the step reads
 	// W and batchX/batchY and writes G, the layers' activations and
-	// stepLoss, then signals stepDone. Peer gradients arriving meanwhile
-	// wait in queued, in arrival order. runStep is the bound method value,
-	// made once so a step allocates no closure.
+	// stepLoss, then signals stepDone — unless the Env drops it (Env.Join),
+	// when it touches nothing. Peer gradients arriving meanwhile wait in
+	// queued, in arrival order. runStep is the bound method value, made once
+	// so a step allocates no closure.
 	stepping bool
 	stepDone chan struct{}
 	runStep  func(ws *tensor.Workspace)
@@ -242,8 +251,30 @@ func (w *Worker) LBS() int { return w.lbs }
 func (w *Worker) GBS() int { return w.gbs.GBSAt(w.env.Now(), w.epochsDone()) }
 
 // Model returns the worker's model replica. A driver reading or writing it
-// between the worker's own events calls JoinStep first.
+// between the worker's own events calls JoinStep first; one that only reads
+// the weights may use CopyJoinedWeights instead, which leaves the step in
+// flight alone.
 func (w *Worker) Model() *nn.Model { return w.model }
+
+// CopyJoinedWeights copies the worker's weights into dst (same spec) as
+// JoinStep would leave them: W, then the peer gradients queued behind the
+// step in flight applied to the copy in arrival order, with the apply's
+// own arithmetic. It reads the worker and writes only dst, so it may run
+// on any goroutine while the event loop waits, beside the step in flight
+// (which reads W too).
+func (w *Worker) CopyJoinedWeights(dst *nn.Model) error {
+	if err := dst.CopyWeightsFrom(w.model); err != nil {
+		return err
+	}
+	for _, m := range w.queued {
+		w.applyRemoteGradient(dst, m)
+	}
+	return nil
+}
+
+// QueuedGradients returns how many peer gradients wait behind the step in
+// flight: while it is 0, CopyJoinedWeights copies W as it is.
+func (w *Worker) QueuedGradients() int { return len(w.queued) }
 
 // Stats returns a copy of the activity counters.
 func (w *Worker) Stats() Stats { return w.stats }
@@ -516,20 +547,24 @@ func (w *Worker) trainStep(ws *tensor.Workspace) {
 
 // JoinStep waits for the training step in flight, if any, and folds it in:
 // its loss joins the window, then the peer gradients queued behind it are
-// applied in arrival order. Timers, every message but a peer gradient's
-// unordered apply, Stop, Leave, StartJoin and the next step call it first;
-// a driver calls it before it reads or writes the model between the
-// worker's events (evaluation, checkpoints, the end of a run).
+// applied in arrival order. A step the Env dropped (Env.Join) leaves no
+// loss and G as the last step that ran left it; the queued gradients land
+// all the same. Timers, every message but a peer gradient's unordered
+// apply, Stop, Leave, StartJoin and the next step call it first; a driver
+// calls it before it writes the model between the worker's events, or
+// reads anything but the weights (checkpoints, the end of a run).
 func (w *Worker) JoinStep() {
 	if !w.stepping {
 		return
 	}
-	<-w.stepDone
 	w.stepping = false
+	if w.env.Join(w.ID) {
+		<-w.stepDone
+		w.pushLoss(w.stepLoss)
+	}
 	w.batchX, w.batchY = nil, nil
-	w.pushLoss(w.stepLoss)
 	for i, m := range w.queued {
-		w.timedApply(func() { w.applyRemoteGradient(m) })
+		w.timedApply(func() { w.applyRemoteGradient(w.model, m) })
 		m.Release()
 		w.queued[i] = nil
 	}
@@ -718,7 +753,7 @@ func (w *Worker) HandleMessage(m *wire.Message) {
 		case w.stepping:
 			w.queued = append(w.queued, m)
 		default:
-			w.timedApply(func() { w.applyRemoteGradient(m) })
+			w.timedApply(func() { w.applyRemoteGradient(w.model, m) })
 			m.Release()
 		}
 		w.recheckSync()
@@ -788,7 +823,7 @@ func (w *Worker) flushOrdered() {
 		}
 		for _, p := range w.peerIDs {
 			m := byPeer[p]
-			w.timedApply(func() { w.applyRemoteGradient(m) })
+			w.timedApply(func() { w.applyRemoteGradient(w.model, m) })
 			m.Release()
 		}
 		delete(w.pendGrad, r)

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"math"
 	"testing"
 
@@ -60,6 +61,7 @@ func (e *fakeEnv) Step(w, batch int, run func(ws *tensor.Workspace)) (charged, w
 	}
 	return e.iterSec[w], e.iterSec[w]
 }
+func (e *fakeEnv) Join(int) bool { return true }
 func (e *fakeEnv) ProfileCompute(w int, batches []int) (x, y []float64) {
 	for _, b := range batches {
 		x = append(x, float64(b))
@@ -504,5 +506,36 @@ func TestChargedIsNotWait(t *testing.T) {
 	}
 	if got, want := sink.PhaseSeconds(obs.PhaseCompute), 0.5*float64(cfg.MaxIters); got != want {
 		t.Fatalf("PhaseCompute %v over %d iterations, want %v: compute is what was charged", got, cfg.MaxIters, want)
+	}
+}
+
+// TestJoinedWeightsViewMatchesJoin: while peer gradients wait behind a step
+// in flight, CopyJoinedWeights gives the weights JoinStep then leaves,
+// bit for bit, and changes nothing on the worker.
+func TestJoinedWeightsViewMatchesJoin(t *testing.T) {
+	env := newFakeEnv(2, []float64{1, 5})
+	ws := buildCluster(t, asyncConfig(), env)
+	for _, w := range ws {
+		w.Start()
+	}
+	env.eng.Run(3.5) // worker 0 completed at 1, 2 and 3; worker 1 steps until 5
+	slow := ws[1]
+	if !slow.stepping || slow.QueuedGradients() != 3 {
+		t.Fatalf("stepping %v with %d gradients queued, want a step in flight with 3", slow.stepping, slow.QueuedGradients())
+	}
+	before := slow.Model().Checkpoint()
+	view := nn.CipherSpec(1, 8, 8, 3, 77).BuildZero()
+	if err := slow.CopyJoinedWeights(view); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(slow.Model().Checkpoint(), before) || slow.QueuedGradients() != 3 {
+		t.Fatal("the view changed the worker")
+	}
+	if slow.Model().WeightsEqual(view) {
+		t.Fatal("the view is W before the join: the queued gradients did not land on it")
+	}
+	slow.JoinStep()
+	if !slow.Model().WeightsEqual(view) {
+		t.Fatal("the view differs from W after JoinStep")
 	}
 }

@@ -1,7 +1,9 @@
 package nn
 
 import (
+	"bytes"
 	"fmt"
+	"unsafe"
 
 	"dlion/internal/data"
 	"dlion/internal/tensor"
@@ -234,4 +236,24 @@ func (m *Model) CopyWeightsFrom(src *Model) error {
 		copy(p.W.Data, sp.W.Data)
 	}
 	return nil
+}
+
+// WeightsEqual reports whether m and o hold bit-identical weights: the
+// same parameter sizes in the same order, word for word (a NaN equals only
+// the same NaN, -0 differs from +0). It stops at the first differing block.
+func (m *Model) WeightsEqual(o *Model) bool {
+	if len(m.params) != len(o.params) {
+		return false
+	}
+	for i, p := range m.params {
+		if !bytes.Equal(f32Bytes(p.W.Data), f32Bytes(o.params[i].W.Data)) {
+			return false
+		}
+	}
+	return true
+}
+
+// f32Bytes views vals' memory as bytes.
+func f32Bytes(vals []float32) []byte {
+	return unsafe.Slice((*byte)(unsafe.Pointer(unsafe.SliceData(vals))), 4*len(vals))
 }

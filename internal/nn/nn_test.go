@@ -293,6 +293,25 @@ func TestCopyWeightsFrom(t *testing.T) {
 	}
 }
 
+// TestWeightsEqualIsBitwise: equal after a copy, and any one word apart is
+// unequal — -0 against +0 included, which == would call equal.
+func TestWeightsEqualIsBitwise(t *testing.T) {
+	s := CipherSpec(1, 8, 8, 4, 3)
+	a, b := s.Build(), s.BuildZero()
+	if a.WeightsEqual(b) {
+		t.Fatal("a He init equals a zero build")
+	}
+	if err := b.CopyWeightsFrom(a); err != nil || !a.WeightsEqual(b) {
+		t.Fatal("not equal after CopyWeightsFrom", err)
+	}
+	last := b.Params()[len(b.Params())-1].W.Data
+	a.Params()[len(a.Params())-1].W.Data[len(last)-1] = 0
+	last[len(last)-1] = float32(math.Copysign(0, -1))
+	if a.WeightsEqual(b) {
+		t.Fatal("-0 and +0 in the last word compare equal")
+	}
+}
+
 func TestEvaluate(t *testing.T) {
 	cfg := data.Config{Name: "t", NumClasses: 3, Train: 90, Test: 30,
 		Channels: 1, Height: 8, Width: 8, Noise: 0.1, Jitter: 0, Bumps: 3, Seed: 5}

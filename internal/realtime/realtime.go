@@ -148,6 +148,9 @@ func (e realEnv) Step(_, _ int, run func(ws *tensor.Workspace)) (charged, wait f
 	return max(time.Since(e.n.evStart).Seconds(), 1e-3), 0
 }
 
+// Join reports the step as run: Step ran it inline.
+func (e realEnv) Join(int) bool { return true }
+
 // ProfileCompute measures actual TrainStep wall time at each batch size on
 // the node's scratch replica (zero-built once, then given the live weights
 // before each probe), so profiling never perturbs the live model.
