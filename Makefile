@@ -106,9 +106,10 @@ e2e-jobs:
 audit-gate:
 	go run ./cmd/dlion-audit -self-test
 
-# Churn soak for the scheduled CI job: the sim churn scenarios and the
-# membership protocol tests, repeated under the race detector. -count=3
+# Churn soak for the scheduled CI job: the sim churn scenarios, the
+# membership protocol tests and the broker client's reconnect, vanished-
+# consumer and restart tests, repeated under the race detector. -count=3
 # re-runs catch schedule-dependent flakes a single pass would miss.
 chaos:
-	go test -race -count=3 -run 'Membership|Churn|Join|Leave|Quorum|Recheck|Elastic' \
-		./internal/core/... ./internal/cluster/... ./internal/realtime/... ./internal/testkit/...
+	go test -race -count=3 -run 'Membership|Churn|Join|Leave|Quorum|Recheck|Elastic|Reconnect|Vanish|Restart' \
+		./internal/core/... ./internal/cluster/... ./internal/queue/... ./internal/realtime/... ./internal/testkit/...

@@ -102,7 +102,10 @@ func main() {
 		go reg.WatchDir(ctx, *ckptDir, *watchInt)
 		fmt.Printf("watching %s every %v\n", *ckptDir, *watchInt)
 	case *broker != "":
-		c := queue.DialReconnecting(*broker, queue.ReconnectConfig{})
+		c, err := queue.Dial(*broker)
+		if err != nil {
+			fatal(err)
+		}
 		defer c.Close()
 		c.SetMetrics(metrics)
 		ch, err := c.Subscribe(serve.WeightsChannel, 64)

@@ -76,6 +76,12 @@ func main() {
 		sys.Membership.InitialMembers = roster
 	}
 
+	tr, err := realtime.NewClientTransportNS(*broker, *id, wf.namespace())
+	if err != nil {
+		fatal(err)
+	}
+	defer tr.Close()
+
 	dc := data.CIFAR10Config(*scale, *seed+13)
 	train, _, err := data.Generate(dc)
 	if err != nil {
@@ -86,12 +92,6 @@ func main() {
 		fatal(err)
 	}
 	spec := nn.CipherSpec(dc.Channels, dc.Height, dc.Width, dc.NumClasses, *seed+1000)
-
-	tr, err := realtime.NewClientTransportNS(*broker, *id, wf.namespace())
-	if err != nil {
-		fatal(err)
-	}
-	defer tr.Close()
 
 	// Observability: with -debug-addr set the worker traces its phase
 	// breakdown and counters and serves them on /debug/vars next to pprof.

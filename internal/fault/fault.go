@@ -122,7 +122,7 @@ type Leave struct {
 
 // BrokerOutage marks the message broker as down during the window. The
 // simulator has no broker; the realtime harness uses it to schedule broker
-// kill/restart in chaos tests, and ReconnectingClient is what survives it.
+// kill/restart in chaos tests, and queue.Client's redials are what survive it.
 type BrokerOutage struct {
 	Window
 }

@@ -158,18 +158,41 @@ func (b *Broker) LPush(key string, payload []byte) error {
 		return ErrClosed
 	}
 	b.mPushed.Inc()
+	b.putLocked(key, payload, false)
+	return nil
+}
+
+// requeue gives back a frame that a BRPop returned but its consumer never
+// received: the next consumer of key gets it, ahead of everything queued. It
+// undoes that pop's count. On a closed broker the frame is dropped.
+func (b *Broker) requeue(key string, payload []byte) {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	if b.closed {
+		return
+	}
+	b.mPopped.Add(-1)
+	b.putLocked(key, payload, true)
+}
+
+// putLocked hands payload to the longest-waiting consumer of key, or else
+// queues it at the list's head or tail. Callers hold b.mu.
+func (b *Broker) putLocked(key string, payload []byte, head bool) {
 	if ws := b.waiters[key]; len(ws) > 0 {
 		w := ws[0]
 		ws[0] = nil // do not pin the channel (and its frame) from the backing array
 		b.waiters[key] = ws[1:]
 		w <- payload // waiter channel is buffered size 1
 		b.mPopped.Inc()
-		return nil
+		return
 	}
-	b.lists[key] = append(b.lists[key], payload)
+	if head {
+		b.lists[key] = append([][]byte{payload}, b.lists[key]...)
+	} else {
+		b.lists[key] = append(b.lists[key], payload)
+	}
 	b.queued++
 	b.mDepth.Set(int64(b.queued))
-	return nil
 }
 
 // RPop removes and returns the head of the list, reporting ok=false when

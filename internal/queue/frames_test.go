@@ -2,6 +2,7 @@ package queue
 
 import (
 	"bufio"
+	"bytes"
 	"context"
 	"encoding/binary"
 	"errors"
@@ -137,30 +138,26 @@ func fakeServer(t *testing.T, reply []byte) (addr string, conns *atomic.Int64) {
 }
 
 // TestBRPopBoundsResponseLength: a response claiming a 4 GB payload must
-// fail the call instead of sizing an allocation, and the failure must look
-// like a broken connection to ReconnectingClient, which redials.
+// fail the read instead of sizing an allocation, and the client must treat
+// it as a broken connection: it redials, one connection per failure, until
+// it is closed.
 func TestBRPopBoundsResponseLength(t *testing.T) {
-	addr, conns := fakeServer(t, []byte{0, 0xff, 0xff, 0xff, 0xff})
-
-	c, err := Dial(addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	if p, err := c.BRPop("k", time.Second); err == nil || errors.Is(err, ErrTimeout) {
-		t.Fatalf("BRPop = %d bytes, err %v; want a length-limit error", len(p), err)
+	corrupt := []byte{0, 0xff, 0xff, 0xff, 0xff}
+	if p, err := readReply(bufio.NewReader(bytes.NewReader(corrupt))); err == nil || errors.Is(err, ErrTimeout) {
+		t.Fatalf("readReply = %d bytes, err %v; want a length-limit error", len(p), err)
 	}
 
-	before := conns.Load()
-	cfg := fastReconnect()
-	cfg.MaxAttempts = 3
-	rc := DialReconnecting(addr, cfg)
-	defer rc.Close()
-	if _, err := rc.BRPop("k", time.Second); err == nil {
-		t.Fatal("reconnecting BRPop succeeded against a corrupt server")
-	}
-	if n := conns.Load() - before; n != 3 {
-		t.Fatalf("reconnecting client dialed %d times, want 3 (one redial per failure)", n)
+	addr, conns := fakeServer(t, corrupt)
+	c := dialT(t, addr)
+	done := make(chan error, 1)
+	go func() {
+		_, err := c.BRPop("k", time.Second)
+		done <- err
+	}()
+	waitUntil(t, "three dials", func() bool { return conns.Load() >= 3 })
+	c.Close()
+	if err := <-done; !errors.Is(err, ErrClosed) {
+		t.Fatalf("BRPop against a corrupt server: %v, want ErrClosed once closed", err)
 	}
 }
 

@@ -2,6 +2,7 @@ package queue
 
 import (
 	"context"
+	"errors"
 	"testing"
 	"time"
 
@@ -65,30 +66,19 @@ func TestBrokerMetrics(t *testing.T) {
 // waitForWaiter blocks until a BRPop waiter is registered on key.
 func waitForWaiter(t *testing.T, b *Broker, key string) {
 	t.Helper()
-	deadline := time.Now().Add(2 * time.Second)
-	for time.Now().Before(deadline) {
-		b.mu.Lock()
-		n := len(b.waiters[key])
-		b.mu.Unlock()
-		if n > 0 {
-			return
-		}
-		time.Sleep(time.Millisecond)
-	}
-	t.Fatal("waiter never registered")
+	waitUntil(t, "a waiter registers", func() bool { return waiters(b, key) > 0 })
 }
 
 func TestReconnectAttemptsCounted(t *testing.T) {
 	reg := obs.NewRegistry()
-	// No broker behind this address: every operation fails and retries.
-	r := DialReconnecting("127.0.0.1:1", ReconnectConfig{
-		InitialBackoff: time.Millisecond, MaxBackoff: 2 * time.Millisecond, MaxAttempts: 3})
-	r.SetMetrics(reg)
-	defer r.Close()
-	if err := r.LPush("k", []byte("x")); err == nil {
-		t.Fatal("push against dead broker succeeded")
-	}
-	if got := reg.Snapshot()["queue.reconnect_attempts"]; got < 2 {
-		t.Fatalf("reconnect_attempts = %d, want >= 2", got)
+	// No broker behind this address: every dial fails and backs off.
+	c := dialT(t, deadAddr(t))
+	c.SetMetrics(reg)
+	done := make(chan error, 1)
+	go func() { done <- c.LPush("k", []byte("x")) }()
+	waitUntil(t, "two backoffs", func() bool { return reg.Snapshot()["queue.reconnect_attempts"] >= 2 })
+	c.Close()
+	if err := <-done; !errors.Is(err, ErrClosed) {
+		t.Fatalf("LPush against a dead broker: %v, want ErrClosed once closed", err)
 	}
 }

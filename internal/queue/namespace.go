@@ -32,13 +32,6 @@ func (ns Namespace) DataKey(worker int) string {
 	return fmt.Sprintf("%sdata:%d", string(ns), worker)
 }
 
-// Channel returns a namespaced PUB/SUB channel name. The empty namespace
-// returns name unchanged, so root-level channels (e.g. the serving weight
-// feed) keep their documented names.
-func (ns Namespace) Channel(name string) string {
-	return string(ns) + name
-}
-
 // ValidJobID reports whether id is usable as a job namespace component:
 // 1–64 characters of [a-zA-Z0-9._-]. The character set excludes ':' (the
 // key separator) and whitespace, which is what makes namespaces disjoint.

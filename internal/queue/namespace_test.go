@@ -13,15 +13,9 @@ func TestJobNamespaceKeys(t *testing.T) {
 	if got := root.DataKey(3); got != "dlion:data:3" {
 		t.Errorf("root data key = %q, want the historical layout", got)
 	}
-	if got := root.Channel("serve:weights"); got != "serve:weights" {
-		t.Errorf("root channel = %q, want unchanged", got)
-	}
 	ns := JobNamespace("job-12")
 	if got := ns.DataKey(3); got != "dlion:job:job-12:data:3" {
 		t.Errorf("job data key = %q", got)
-	}
-	if got := ns.Channel("ctl"); got != "dlion:job:job-12:ctl" {
-		t.Errorf("job channel = %q", got)
 	}
 }
 
@@ -54,7 +48,7 @@ func TestJobNamespaceIsolation(t *testing.T) {
 	// Subscribe each job's control channel before publishing starts.
 	subs := map[string]*Subscription{}
 	for _, j := range jobs {
-		s, err := b.Subscribe(JobNamespace(j).Channel("ctl"), msgsPerWorker*workers)
+		s, err := b.Subscribe(string(JobNamespace(j))+"ctl", msgsPerWorker*workers)
 		if err != nil {
 			t.Fatalf("subscribe %s: %v", j, err)
 		}
@@ -76,7 +70,7 @@ func TestJobNamespaceIsolation(t *testing.T) {
 						t.Errorf("LPush %s: %v", j, err)
 						return
 					}
-					if _, err := b.Publish(ns.Channel("ctl"), payload); err != nil {
+					if _, err := b.Publish(string(ns)+"ctl", payload); err != nil {
 						t.Errorf("Publish %s: %v", j, err)
 						return
 					}

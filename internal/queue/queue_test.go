@@ -2,10 +2,13 @@ package queue
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"sync"
 	"testing"
 	"time"
+
+	"dlion/internal/obs"
 )
 
 func TestPubSubFanout(t *testing.T) {
@@ -138,6 +141,39 @@ func TestBRPopContextCancel(t *testing.T) {
 	b.LPush("q", []byte("x"))
 	if b.Len("q") != 1 {
 		t.Fatalf("len %d; payload leaked to dead waiter", b.Len("q"))
+	}
+}
+
+// TestRequeueGoesToHead: a frame given back after its consumer vanished is
+// the next one popped, ahead of frames queued behind it, or goes straight
+// to a consumer already waiting; the pop it undoes is uncounted.
+func TestRequeueGoesToHead(t *testing.T) {
+	b := NewBroker()
+	defer b.Close()
+	reg := obs.NewRegistry()
+	b.SetMetrics(reg)
+	b.LPush("q", []byte("a"))
+	b.LPush("q", []byte("b"))
+	a, _ := b.RPop("q")
+	b.requeue("q", a)
+	for _, want := range []string{"a", "b"} {
+		if p, ok := b.RPop("q"); !ok || string(p) != want {
+			t.Fatalf("pop %q, %v; want %q", p, ok, want)
+		}
+	}
+	if snap := reg.Snapshot(); snap["queue.popped"] != 2 || snap["queue.list_depth"] != 0 {
+		t.Fatalf("accounting after requeue: %v", snap)
+	}
+
+	got := make(chan []byte, 1)
+	go func() {
+		p, _ := b.BRPop(context.Background(), "w")
+		got <- p
+	}()
+	waitForWaiter(t, b, "w")
+	b.requeue("w", []byte("c"))
+	if p := <-got; string(p) != "c" {
+		t.Fatalf("waiting consumer got %q, want c", p)
 	}
 }
 
@@ -369,28 +405,36 @@ func TestClientCloseUnblocksBRPop(t *testing.T) {
 	}
 }
 
+// TestServerCloseUnblocksClients: a server that closes under a parked BRPop
+// stalls it, since the client redials with backoff to resume on a restarted
+// broker, and the client's Close ends it.
 func TestServerCloseUnblocksClients(t *testing.T) {
 	b := NewBroker()
 	s, err := Serve(b, "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
-	c, _ := Dial(s.Addr())
-	defer c.Close()
+	c := dialT(t, s.Addr())
 	errc := make(chan error, 1)
 	go func() {
 		_, err := c.BRPop("q", 0)
 		errc <- err
 	}()
-	time.Sleep(20 * time.Millisecond)
+	waitForWaiter(t, b, "q")
 	s.Close()
 	b.Close()
 	select {
 	case err := <-errc:
-		if err == nil {
-			t.Fatal("expected error after server close")
+		t.Fatalf("BRPop returned %v when the server closed; want it to stall", err)
+	case <-time.After(200 * time.Millisecond):
+	}
+	c.Close()
+	select {
+	case err := <-errc:
+		if !errors.Is(err, ErrClosed) {
+			t.Fatalf("BRPop after Close: %v, want ErrClosed", err)
 		}
 	case <-time.After(2 * time.Second):
-		t.Fatal("client never unblocked")
+		t.Fatal("Close did not end the stalled BRPop")
 	}
 }

@@ -7,13 +7,6 @@ import (
 	"time"
 )
 
-func fastReconnect() ReconnectConfig {
-	return ReconnectConfig{
-		InitialBackoff: 5 * time.Millisecond,
-		MaxBackoff:     50 * time.Millisecond,
-	}
-}
-
 func serveBroker(t *testing.T, b *Broker, addr string) *Server {
 	t.Helper()
 	var srv *Server
@@ -30,13 +23,60 @@ func serveBroker(t *testing.T, b *Broker, addr string) *Server {
 	return nil
 }
 
-func TestReconnectingClientSurvivesBrokerRestart(t *testing.T) {
+// dialT returns a client for addr, which the test knows is well formed.
+func dialT(t *testing.T, addr string) *Client {
+	t.Helper()
+	c, err := Dial(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return c
+}
+
+// deadAddr returns a loopback address nothing listens on.
+func deadAddr(t *testing.T) string {
+	t.Helper()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	return ln.Addr().String()
+}
+
+// waitUntil polls cond until it holds, failing the test after 5 s.
+func waitUntil(t *testing.T, what string, cond func() bool) {
+	t.Helper()
+	for deadline := time.Now().Add(5 * time.Second); !cond(); time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("%s: never happened", what)
+		}
+	}
+}
+
+// TestDialRejectsMalformedAddress: Dial fails fast on an address that is
+// not a host:port, and accepts a well-formed one without connecting.
+func TestDialRejectsMalformedAddress(t *testing.T) {
+	for _, addr := range []string{"", "nonsense", "127.0.0.1"} {
+		if c, err := Dial(addr); err == nil {
+			c.Close()
+			t.Errorf("Dial(%q) accepted a malformed address", addr)
+		}
+	}
+	c, err := Dial("127.0.0.1:1") // nothing listens there: the dial is lazy
+	if err != nil {
+		t.Fatalf("Dial of a well-formed address: %v", err)
+	}
+	c.Close()
+}
+
+func TestClientSurvivesBrokerRestart(t *testing.T) {
 	b := NewBroker()
 	defer b.Close()
 	srv := serveBroker(t, b, "127.0.0.1:0")
 	addr := srv.Addr()
 
-	c := DialReconnecting(addr, fastReconnect())
+	c := dialT(t, addr)
 	defer c.Close()
 	if err := c.LPush("k", []byte("one")); err != nil {
 		t.Fatal(err)
@@ -65,16 +105,9 @@ func TestReconnectingClientSurvivesBrokerRestart(t *testing.T) {
 	}
 }
 
-func TestReconnectingClientLazyDial(t *testing.T) {
-	// reserve an address nothing is listening on yet
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	addr := ln.Addr().String()
-	ln.Close()
-
-	c := DialReconnecting(addr, fastReconnect())
+func TestClientLazyDial(t *testing.T) {
+	addr := deadAddr(t)
+	c := dialT(t, addr)
 	defer c.Close()
 
 	done := make(chan error, 1)
@@ -106,14 +139,14 @@ func TestReconnectingSubscribeResubscribes(t *testing.T) {
 	srv := serveBroker(t, b, "127.0.0.1:0")
 	addr := srv.Addr()
 
-	c := DialReconnecting(addr, fastReconnect())
+	c := dialT(t, addr)
 	defer c.Close()
 	sub, err := c.Subscribe("ch", 16)
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	pub := DialReconnecting(addr, fastReconnect())
+	pub := dialT(t, addr)
 	defer pub.Close()
 
 	recvOne := func(stage string) {
@@ -146,36 +179,8 @@ func TestReconnectingSubscribeResubscribes(t *testing.T) {
 	recvOne("after") // the same channel must deliver again post-restart
 }
 
-func TestReconnectingClientMaxAttempts(t *testing.T) {
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	addr := ln.Addr().String()
-	ln.Close()
-
-	cfg := fastReconnect()
-	cfg.MaxAttempts = 3
-	c := DialReconnecting(addr, cfg)
-	defer c.Close()
-	start := time.Now()
-	if err := c.LPush("k", []byte("x")); err == nil {
-		t.Fatal("LPush to a dead address with MaxAttempts must fail")
-	}
-	if time.Since(start) > 2*time.Second {
-		t.Fatal("bounded retries took too long — backoff not bounded?")
-	}
-}
-
-func TestReconnectingClientCloseUnblocks(t *testing.T) {
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	addr := ln.Addr().String()
-	ln.Close()
-
-	c := DialReconnecting(addr, fastReconnect())
+func TestClientCloseUnblocksRedial(t *testing.T) {
+	c := dialT(t, deadAddr(t))
 	done := make(chan error, 1)
 	go func() {
 		_, err := c.BRPop("k", 0) // retries forever against a dead address
@@ -185,8 +190,8 @@ func TestReconnectingClientCloseUnblocks(t *testing.T) {
 	c.Close()
 	select {
 	case err := <-done:
-		if err == nil {
-			t.Fatal("BRPop should fail after Close")
+		if !errors.Is(err, ErrClosed) {
+			t.Fatalf("BRPop after Close: %v, want ErrClosed", err)
 		}
 	case <-time.After(3 * time.Second):
 		t.Fatal("Close did not unblock the retry loop")
@@ -294,87 +299,62 @@ func TestServerSurvivesClientVanishingMidBRPop(t *testing.T) {
 	}
 }
 
-// TestReconnectConfigValidate pins the documented jitter bound: anything
-// in [0, 1] is usable, anything outside is rejected.
-func TestReconnectConfigValidate(t *testing.T) {
-	for _, j := range []float64{0, 1e-9, 0.2, 0.5, 1} {
-		if err := (ReconnectConfig{Jitter: j}).Validate(); err != nil {
-			t.Errorf("jitter %g rejected: %v", j, err)
-		}
-	}
-	for _, j := range []float64{-1, -0.01, 1.01, 2} {
-		if err := (ReconnectConfig{Jitter: j}).Validate(); err == nil {
-			t.Errorf("jitter %g accepted, want error", j)
-		}
-	}
-}
-
-// TestDialReconnectingRejectsBadJitter: an out-of-range jitter is a
-// programming error surfaced at dial time, not a silent misbehavior.
-func TestDialReconnectingRejectsBadJitter(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("DialReconnecting accepted jitter 1.5")
-		}
+// TestVanishedConsumerDoesNotTakeNextFrame: a consumer that closes while
+// its BRPop is parked must stop waiting server-side. Otherwise its waiter
+// stays first in line and swallows the next frame pushed to the list, and
+// the live consumer behind it gets nothing.
+func TestVanishedConsumerDoesNotTakeNextFrame(t *testing.T) {
+	b, srv := startServer(t)
+	gone := dialT(t, srv.Addr())
+	parked := make(chan error, 1)
+	go func() {
+		_, err := gone.BRPop("k", 0)
+		parked <- err
 	}()
-	DialReconnecting("127.0.0.1:0", ReconnectConfig{Jitter: 1.5})
+	waitForWaiter(t, b, "k")
+	gone.Close()
+	<-parked
+	waitUntil(t, "the vanished consumer's wait ends", func() bool { return waiters(b, "k") == 0 })
+
+	live := dialT(t, srv.Addr())
+	defer live.Close()
+	got := make(chan []byte, 1)
+	go func() {
+		p, _ := live.BRPop("k", 5*time.Second)
+		got <- p
+	}()
+	waitForWaiter(t, b, "k")
+	pusher := dialT(t, srv.Addr())
+	defer pusher.Close()
+	if err := pusher.LPush("k", []byte("frame-1")); err != nil {
+		t.Fatal(err)
+	}
+	if p := <-got; string(p) != "frame-1" {
+		t.Fatalf("live consumer got %q, want frame-1", p)
+	}
 }
 
-// TestBackoffGrowthCapAndJitter pins the retry ladder: delays double from
-// InitialBackoff up to MaxBackoff and stay capped there, and each sleep is
-// scaled by a uniform factor inside the ±Jitter envelope — never outside
-// it, and in particular never negative.
+// waiters returns how many BRPops are parked on key.
+func waiters(b *Broker, key string) int {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return len(b.waiters[key])
+}
+
+// TestBackoffGrowthCapAndJitter pins the redial ladder: waits double from
+// backoffInitial up to backoffMax and stay capped there, and the jitter
+// factor spans exactly [1-backoffJitter, 1+backoffJitter].
 func TestBackoffGrowthCapAndJitter(t *testing.T) {
-	r := DialReconnecting("127.0.0.1:0", ReconnectConfig{
-		InitialBackoff: time.Millisecond,
-		MaxBackoff:     8 * time.Millisecond,
-		Jitter:         0.5,
-	})
-	defer r.Close()
-
-	// growth and cap: the returned next-delay sequence is deterministic
-	d := r.cfg.InitialBackoff
-	var got []time.Duration
-	for i := 0; i < 6; i++ {
-		next, err := r.backoff(d)
-		if err != nil {
-			t.Fatalf("backoff: %v", err)
-		}
-		got = append(got, next)
-		d = next
-	}
-	want := []time.Duration{2 * time.Millisecond, 4 * time.Millisecond,
-		8 * time.Millisecond, 8 * time.Millisecond, 8 * time.Millisecond,
-		8 * time.Millisecond}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("backoff ladder %v, want %v", got, want)
+	want := []time.Duration{50, 100, 200, 400, 800, 1600, 2000, 2000, 2000}
+	for attempt, ms := range want {
+		if got := backoff(attempt, 0.5); got != ms*time.Millisecond {
+			t.Errorf("backoff(%d) = %v, want %v", attempt, got, ms*time.Millisecond)
 		}
 	}
-
-	// jitter envelope: the scale factor stays within ±Jitter of 1
-	lo, hi := 500*time.Millisecond, 1500*time.Millisecond
-	sawLow, sawHigh := false, false
-	for i := 0; i < 500; i++ {
-		j := r.jittered(time.Second)
-		if j < lo || j > hi {
-			t.Fatalf("jittered delay %v outside [%v, %v]", j, lo, hi)
-		}
-		if j < 900*time.Millisecond {
-			sawLow = true
-		}
-		if j > 1100*time.Millisecond {
-			sawHigh = true
-		}
+	if got := backoff(1000, 0.5); got != backoffMax {
+		t.Errorf("backoff(1000) = %v, want the cap %v", got, backoffMax)
 	}
-	if !sawLow || !sawHigh {
-		t.Fatal("jitter never spread beyond ±10%: not actually randomizing")
-	}
-
-	// defaulted config: zero jitter selects the documented 0.2
-	r2 := DialReconnecting("127.0.0.1:0", ReconnectConfig{})
-	defer r2.Close()
-	if r2.cfg.Jitter != 0.2 {
-		t.Fatalf("default jitter %g, want 0.2", r2.cfg.Jitter)
+	if lo, hi := backoff(0, 0), backoff(0, 1); lo != 40*time.Millisecond || hi != 60*time.Millisecond {
+		t.Errorf("jitter envelope of the first wait [%v, %v], want [40ms, 60ms]", lo, hi)
 	}
 }

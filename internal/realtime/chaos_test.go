@@ -14,7 +14,7 @@ import (
 )
 
 // TestRealModeBrokerRestart is the real-mode acceptance scenario: the TCP
-// broker is killed and restarted mid-run. ReconnectingClient must carry the
+// broker is killed and restarted mid-run. The queue.Clients must carry the
 // nodes across the outage — they resubscribe their blocking pops, training
 // resumes, and once everything shuts down no goroutines are left behind.
 func TestRealModeBrokerRestart(t *testing.T) {
@@ -164,6 +164,69 @@ func TestRealModeBrokerRestart(t *testing.T) {
 		beforeGoroutines, runtime.NumGoroutine(), buf[:runtime.Stack(buf, true)])
 }
 
+// TestRestartedWorkerReceivesEveryFrame: a worker that exits while its Recv
+// is parked and restarts under the same id receives everything sent to it
+// afterwards. The old process's pop used to stay parked on the broker, first
+// in line, and swallow the next frame: for a rejoining worker, its sponsor's
+// WELCOME.
+func TestRestartedWorkerReceivesEveryFrame(t *testing.T) {
+	b := queue.NewBroker()
+	defer b.Close()
+	srv, err := queue.Serve(b, "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	dial := func(id int) *ClientTransport {
+		tr, err := NewClientTransport(srv.Addr(), id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return tr
+	}
+	sender := dial(0)
+	defer sender.Close()
+
+	old := dial(1)
+	parked := make(chan error, 1)
+	go func() {
+		_, err := old.Recv()
+		parked <- err
+	}()
+	time.Sleep(budget(100 * time.Millisecond)) // the pop reaches the broker
+	old.Close()
+	<-parked
+	time.Sleep(budget(20 * time.Millisecond)) // the hang-up reaches the broker
+
+	restarted := dial(1)
+	got := make(chan string, 2)
+	go func() {
+		for {
+			p, err := restarted.Recv()
+			if err != nil {
+				return
+			}
+			got <- string(p)
+		}
+	}()
+	defer restarted.Close()
+	for _, f := range []string{"f1", "f2"} {
+		if err := sender.Send(1, []byte(f)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, want := range []string{"f1", "f2"} {
+		select {
+		case p := <-got:
+			if p != want {
+				t.Fatalf("restarted worker received %q, want %q", p, want)
+			}
+		case <-time.After(budget(2 * time.Second)):
+			t.Fatalf("restarted worker never received %s", want)
+		}
+	}
+}
+
 // TestSendOrderIsFIFOPerPeer pins the per-peer sender: messages enqueued to
 // one peer must arrive in order even under load (the old goroutine-per-
 // message send made ordering a scheduler lottery, letting a stale weight
@@ -187,7 +250,7 @@ func TestSendOrderIsFIFOPerPeer(t *testing.T) {
 	last := -1
 	for i := 0; i < total; i++ {
 		ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
-		p, err := b.BRPop(ctx, DataKey(1))
+		p, err := b.BRPop(ctx, queue.Namespace("").DataKey(1))
 		cancel()
 		if err != nil {
 			t.Fatalf("message %d missing: %v", i, err)

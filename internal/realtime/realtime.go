@@ -19,7 +19,6 @@ import (
 	"dlion/internal/lineage"
 	"dlion/internal/nn"
 	"dlion/internal/obs"
-	"dlion/internal/queue"
 	"dlion/internal/tensor"
 	"dlion/internal/wire"
 )
@@ -41,12 +40,6 @@ type Transport interface {
 	Recv() ([]byte, error)
 	Close() error
 }
-
-// DataKey returns the broker list key carrying worker id's inbound data in
-// the root (single-job) namespace. Control-plane jobs use per-job
-// namespaced keys instead (queue.JobNamespace + the *NS transport
-// constructors).
-func DataKey(id int) string { return queue.Namespace("").DataKey(id) }
 
 // Config assembles one real-mode node.
 type Config struct {

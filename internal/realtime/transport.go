@@ -2,20 +2,11 @@ package realtime
 
 import (
 	"context"
-	"errors"
 
 	"dlion/internal/bufpool"
 	"dlion/internal/obs"
 	"dlion/internal/queue"
 )
-
-// Publisher is the optional broadcast side of a Transport: both
-// BrokerTransport and ClientTransport implement it, and callers that want
-// to fan out frames beyond point-to-point worker traffic (the serving
-// weight feed) type-assert for it.
-type Publisher interface {
-	Publish(channel string, payload []byte) error
-}
 
 // BrokerTransport connects a node to an in-process broker: sends LPush to
 // the destination's data list; Recv blocks on this node's own list.
@@ -68,29 +59,29 @@ func (t *BrokerTransport) Close() error {
 }
 
 // ClientTransport connects a node to a TCP broker (cmd/dlion-broker), for
-// workers running as separate processes. It rides ReconnectingClients, so
-// a broker restart or transient TCP failure stalls the node's traffic and
-// then recovers instead of killing the node: Send retries with backoff and
-// Recv resumes its blocking pop on the new connection.
+// workers running as separate processes. Its queue.Clients reconnect by
+// themselves, so a broker restart or transient TCP failure stalls the
+// node's traffic and then recovers instead of killing the node: Send
+// retries with backoff and Recv resumes its blocking pop on the new
+// connection.
 //
-// Sends and receives use separate connections. A Client serializes its
+// Sends and receives use separate clients. A Client serializes its
 // requests on one conn, and the receive side parks a blocking BRPop there
 // indefinitely — sharing it would wedge every LPush behind the pop (and
 // with every node wedged the same way, no message would ever flow at all).
 // Dedicated connections for blocking pops are standard Redis practice for
 // the same reason.
 type ClientTransport struct {
-	send *queue.ReconnectingClient
-	recv *queue.ReconnectingClient
+	send *queue.Client
+	recv *queue.Client
 	id   int
 	ns   queue.Namespace
 }
 
 // NewClientTransport builds a transport for worker id against the broker
-// at addr, in the root namespace. The connections are established lazily,
-// so the broker may come up after the worker. The error return is kept for
-// call-site compatibility and future eager-dial policies; it is currently
-// always nil.
+// at addr, in the root namespace. It fails only on an address that is not
+// a host:port: the connections are established lazily, so the broker may
+// come up after the worker.
 func NewClientTransport(addr string, id int) (*ClientTransport, error) {
 	return NewClientTransportNS(addr, id, "")
 }
@@ -99,16 +90,19 @@ func NewClientTransport(addr string, id int) (*ClientTransport, error) {
 // ns — how an external dlion-worker process attaches to one control-plane
 // job's channels on a shared broker (the -job flag).
 func NewClientTransportNS(addr string, id int, ns queue.Namespace) (*ClientTransport, error) {
-	return &ClientTransport{
-		send: queue.DialReconnecting(addr, queue.ReconnectConfig{}),
-		recv: queue.DialReconnecting(addr, queue.ReconnectConfig{}),
-		id:   id,
-		ns:   ns,
-	}, nil
+	send, err := queue.Dial(addr)
+	if err != nil {
+		return nil, err
+	}
+	recv, err := queue.Dial(addr)
+	if err != nil {
+		return nil, err
+	}
+	return &ClientTransport{send: send, recv: recv, id: id, ns: ns}, nil
 }
 
-// SetMetrics wires both underlying reconnecting clients' retry counters
-// into reg (shared queue.reconnect_attempts counter).
+// SetMetrics wires both clients' retry counters into reg (shared
+// queue.reconnect_attempts counter).
 func (t *ClientTransport) SetMetrics(reg *obs.Registry) {
 	t.send.SetMetrics(reg)
 	t.recv.SetMetrics(reg)
@@ -130,16 +124,11 @@ func (t *ClientTransport) Publish(channel string, payload []byte) error {
 	return t.send.Publish(channel, payload)
 }
 
-// Recv implements Transport. It blocks across broker outages and returns
-// an error only once the transport itself is closed.
+// Recv implements Transport. Its pop has no timeout, so it blocks across
+// broker outages and returns an error only once the transport itself is
+// closed.
 func (t *ClientTransport) Recv() ([]byte, error) {
-	for {
-		p, err := t.recv.BRPop(t.ns.DataKey(t.id), 0)
-		if errors.Is(err, queue.ErrTimeout) {
-			continue
-		}
-		return p, err
-	}
+	return t.recv.BRPop(t.ns.DataKey(t.id), 0)
 }
 
 // Close implements Transport.

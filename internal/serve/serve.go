@@ -424,7 +424,9 @@ func (s *Server) collect(first *request) []*request {
 }
 
 // run executes one micro-batch as a single forward pass and fans the rows
-// back out to their requests.
+// back out to their requests. The batch is recorded before anyone is
+// answered, so a caller that reads the metrics after its answer sees its own
+// request counted.
 func (s *Server) run(model forwarder, seq int64, source string, batch []*request) {
 	spec := s.cfg.Registry.Spec()
 	x := tensor.New(len(batch), spec.Channels, spec.Height, spec.Width)
@@ -433,14 +435,16 @@ func (s *Server) run(model forwarder, seq int64, source string, batch []*request
 	}
 	logits := model.Forward(x)
 	now := time.Now()
-	for i, req := range batch {
-		probs, class := softmaxRow(logits.Data[i*s.classes : (i+1)*s.classes])
-		req.resp <- result{seq: seq, source: source, class: class, probs: probs}
+	for _, req := range batch {
 		s.hLatency.Observe(now.Sub(req.enq).Seconds())
 	}
 	s.batches.Inc()
 	s.answered.Add(int64(len(batch)))
 	s.hBatch.Observe(float64(len(batch)))
+	for i, req := range batch {
+		probs, class := softmaxRow(logits.Data[i*s.classes : (i+1)*s.classes])
+		req.resp <- result{seq: seq, source: source, class: class, probs: probs}
+	}
 }
 
 // fail answers every request in the batch with err.
