@@ -34,15 +34,16 @@ race:
 	go test -race ./internal/simclock/...
 	go test -race -run 'ParallelEval|RunGoldens|StepSlotsRace|LazySteps|EvalOnce' ./internal/cluster/...
 
-# Short fuzz pass over the wire decoder, framer, lineage-manifest codecs,
-# and the scheduler-vs-reference-heap oracle: catches panics,
-# canonicalization regressions, and event-ordering divergence without the
-# cost of a long campaign. The committed corpus under
-# internal/wire/testdata/fuzz seeds the wire targets.
+# Short fuzz pass over the wire decoder, framer, the serve-update frame
+# decoder (header + JSON manifest), and the scheduler-vs-reference-heap
+# oracle: catches panics, canonicalization regressions, and event-ordering
+# divergence without the cost of a long campaign. The committed corpora
+# under internal/wire/testdata/fuzz and internal/serve/testdata/fuzz seed
+# the decoder targets.
 fuzz-smoke:
 	go test -run='^$$' -fuzz=FuzzDecode -fuzztime=10s ./internal/wire
 	go test -run='^$$' -fuzz=FuzzReadFrame -fuzztime=10s ./internal/wire
-	go test -run='^$$' -fuzz=FuzzManifestDecode -fuzztime=10s ./internal/wire
+	go test -run='^$$' -fuzz=FuzzDecodeUpdate -fuzztime=10s ./internal/serve
 	go test -run='^$$' -fuzz=FuzzSchedulerVsHeap -fuzztime=10s ./internal/simclock
 
 # Conformance harness (see TESTING.md): gradcheck on every nn layer,

@@ -101,3 +101,69 @@ func TestDocsMetricNamesExistInSource(t *testing.T) {
 		}
 	}
 }
+
+var (
+	backticked = regexp.MustCompile("`[^`\n]+`")
+	// testRef matches a cited test function: a trailing * cites a prefix,
+	// and A_{x,y} cites A_x and A_y.
+	testRef  = regexp.MustCompile(`\b(?:Test|Fuzz|Benchmark|Example)\w*(?:\{[\w,]+\}|\*)?`)
+	testFunc = regexp.MustCompile(`(?m)^func ((?:Test|Fuzz|Benchmark|Example)\w*)\(`)
+)
+
+// TestDocsCitedTestsExist: every test, fuzz target, benchmark or example
+// DESIGN.md and TESTING.md cite in backticks is defined in some _test.go,
+// so a deleted or renamed test cannot leave its claim behind in the docs.
+func TestDocsCitedTestsExist(t *testing.T) {
+	defined := map[string]bool{}
+	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
+		if err != nil || d.IsDir() || !strings.HasSuffix(path, "_test.go") {
+			return err
+		}
+		b, err := os.ReadFile(path)
+		for _, m := range testFunc.FindAllSubmatch(b, -1) {
+			defined[string(m[1])] = true
+		}
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	exists := func(ref string) bool {
+		if prefix, ok := strings.CutSuffix(ref, "*"); ok {
+			for name := range defined {
+				if strings.HasPrefix(name, prefix) {
+					return true
+				}
+			}
+			return false
+		}
+		return defined[ref]
+	}
+	cited := 0
+	for _, doc := range []string{"DESIGN.md", "TESTING.md"} {
+		raw, err := os.ReadFile(doc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, span := range backticked.FindAllString(string(raw), -1) {
+			for _, ref := range testRef.FindAllString(span, -1) {
+				refs := []string{ref}
+				if base, alts, ok := strings.Cut(ref, "{"); ok {
+					refs = nil
+					for _, alt := range strings.Split(strings.TrimSuffix(alts, "}"), ",") {
+						refs = append(refs, base+alt)
+					}
+				}
+				for _, r := range refs {
+					cited++
+					if !exists(r) {
+						t.Errorf("%s cites `%s` but no _test.go defines it", doc, r)
+					}
+				}
+			}
+		}
+	}
+	if cited < 50 {
+		t.Fatalf("only %d test citations parsed from DESIGN.md and TESTING.md — the regexes are broken", cited)
+	}
+}

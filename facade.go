@@ -195,5 +195,6 @@ func ListenAndServeModels(cfg ServeConfig, addr string) (*ServeHTTPServer, error
 // EncodeWeightsUpdate frames a checkpoint for ServeWeightsChannel; seq is
 // the training iteration, which orders hot-swaps at the receivers.
 func EncodeWeightsUpdate(seq int64, ckpt []byte) []byte {
-	return serve.EncodeUpdate(seq, ckpt)
+	frame, _ := serve.EncodeUpdateManifest(seq, nil, ckpt) // only a manifest can fail to encode
+	return frame
 }

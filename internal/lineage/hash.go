@@ -12,8 +12,8 @@ import (
 // TensorHash returns the FNV-1a 64-bit hash of a tensor's exact float32
 // bit patterns (little-endian), preceded by its shape. Two tensors hash
 // equally iff they are bitwise identical, including NaN payloads and
-// signed zeros. This is the primitive the conformance harness's weight
-// digests (testkit.Digest) are built on.
+// signed zeros. It is the one weight digest: the conformance harness,
+// published manifests and the serving registry all compare these.
 func TensorHash(t *tensor.Tensor) Hash {
 	h := fnv.New64a()
 	var buf [4]byte

@@ -17,6 +17,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"os"
 	"strconv"
 )
@@ -109,7 +110,7 @@ type Manifest struct {
 	// (sorted by name; see WeightsHash).
 	Digest Hash `json:"digest"`
 	// Vars holds the per-variable digests, so a mismatch is attributable to
-	// a single variable (the same attribution testkit.DigestWeights gives).
+	// a single variable (the same attribution VarHashes gives).
 	Vars map[string]Hash `json:"vars,omitempty"`
 	// Parent is the digest of the previous checkpoint in this worker's
 	// chain (0 for a root checkpoint), ParentIter its iteration.
@@ -137,11 +138,33 @@ type Manifest struct {
 	Replay *Replay `json:"replay,omitempty"`
 }
 
-// Validate checks structural invariants shared by every codec.
+// Input bounds every carrier enforces through Validate: real models have a
+// handful of variables and short names, so anything larger is corruption or
+// an attempt to bloat the retained /modelz chain.
+const (
+	maxVars   = 1 << 10 // entries in Vars
+	maxString = 1 << 12 // bytes in any one string field or variable name
+)
+
+// Validate checks structural invariants shared by every carrier.
 func (m *Manifest) Validate() error {
-	switch {
-	case m == nil:
+	if m == nil {
 		return fmt.Errorf("%w: nil", ErrBadManifest)
+	}
+	if len(m.Vars) > maxVars {
+		return fmt.Errorf("%w: %d vars, max %d", ErrBadManifest, len(m.Vars), maxVars)
+	}
+	for _, s := range []string{m.Schema, m.Model, m.Job, m.Config, m.Precision} {
+		if len(s) > maxString {
+			return fmt.Errorf("%w: %d-byte string field, max %d", ErrBadManifest, len(s), maxString)
+		}
+	}
+	for name := range m.Vars {
+		if len(name) > maxString {
+			return fmt.Errorf("%w: %d-byte var name, max %d", ErrBadManifest, len(name), maxString)
+		}
+	}
+	switch {
 	case m.Schema != Schema:
 		return fmt.Errorf("%w: schema %q, want %q", ErrBadManifest, m.Schema, Schema)
 	case m.Model == "":
@@ -242,13 +265,17 @@ func EncodeJSON(m *Manifest) ([]byte, error) {
 
 // DecodeJSON parses and validates a manifest produced by EncodeJSON.
 // Unknown fields are rejected so a typo'd manifest fails loudly instead of
-// silently losing its digest.
+// silently losing its digest, and so is anything but whitespace after the
+// object.
 func DecodeJSON(data []byte) (*Manifest, error) {
 	var m Manifest
 	dec := json.NewDecoder(bytes.NewReader(data))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&m); err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrBadManifest, err)
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		return nil, fmt.Errorf("%w: trailing data after manifest", ErrBadManifest)
 	}
 	if err := m.Validate(); err != nil {
 		return nil, err

@@ -2,6 +2,7 @@ package lineage
 
 import (
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -66,6 +67,9 @@ func TestManifestJSONRoundTrip(t *testing.T) {
 	if _, err := DecodeJSON([]byte("not json")); err == nil {
 		t.Fatal("garbage accepted")
 	}
+	if _, err := DecodeJSON(append(raw, 'x')); !errors.Is(err, ErrBadManifest) {
+		t.Fatalf("trailing bytes: err %v, want ErrBadManifest", err)
+	}
 }
 
 func TestValidateRejects(t *testing.T) {
@@ -82,6 +86,12 @@ func TestValidateRejects(t *testing.T) {
 		"one-worker replay":    func(m *Manifest) { m.Replay.Workers = 1 },
 		"worker outside group": func(m *Manifest) { m.Worker = 2 },
 		"bad quant":            func(m *Manifest) { m.Replay.Quant = "i4" },
+		"too many vars": func(m *Manifest) {
+			for i := 0; i <= 1024; i++ {
+				m.Vars[fmt.Sprintf("v%d", i)] = Hash(i)
+			}
+		},
+		"oversized string": func(m *Manifest) { m.Config = strings.Repeat("x", 4097) },
 	}
 	for name, mutate := range cases {
 		m := chained()

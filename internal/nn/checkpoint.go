@@ -61,7 +61,9 @@ func (m *Model) Restore(data []byte) error {
 	if int(count) != len(m.params) {
 		return fmt.Errorf("%w: %d parameters, model has %d", ErrBadCheckpoint, count, len(m.params))
 	}
-	seen := 0
+	// count equals len(m.params), so a name given twice means another is
+	// missing and would silently keep whatever the replica held before.
+	seen := make(map[*Param]bool, count)
 	for i := uint32(0); i < count; i++ {
 		pname, next, err := readString(data, off)
 		if err != nil {
@@ -77,6 +79,10 @@ func (m *Model) Restore(data []byte) error {
 		if p == nil {
 			return fmt.Errorf("%w: unknown parameter %q", ErrBadCheckpoint, pname)
 		}
+		if seen[p] {
+			return fmt.Errorf("%w: parameter %q given twice", ErrBadCheckpoint, pname)
+		}
+		seen[p] = true
 		if p.W.Len() != n {
 			return fmt.Errorf("%w: %q has %d values, model wants %d",
 				ErrBadCheckpoint, pname, n, p.W.Len())
@@ -88,12 +94,10 @@ func (m *Model) Restore(data []byte) error {
 			p.W.Data[k] = math.Float32frombits(binary.LittleEndian.Uint32(data[off:]))
 			off += 4
 		}
-		seen++
 	}
 	if off != len(data) {
 		return fmt.Errorf("%w: %d trailing bytes", ErrBadCheckpoint, len(data)-off)
 	}
-	_ = seen
 	return nil
 }
 

@@ -83,6 +83,13 @@ func TestRestoreErrors(t *testing.T) {
 	if err := m.Restore(bad); err == nil {
 		t.Fatal("bad magic must fail")
 	}
+	// One parameter named twice and another omitted: count, names, lengths
+	// and size all check out, but the omitted weights would keep stale data.
+	twin := &Model{ModelName: m.ModelName, params: append([]*Param{}, m.params...)}
+	twin.params[1] = twin.params[0]
+	if err := m.Restore(twin.Checkpoint()); err == nil {
+		t.Fatal("duplicated parameter must fail")
+	}
 	// wrong architecture
 	other := MobileNetLiteSpec(3, 16, 16, 10, 1).Build()
 	if err := other.Restore(good); err == nil {

@@ -121,7 +121,8 @@ func TestEndToEndTrainingFeedsServing(t *testing.T) {
 					if err != nil || iter == 0 {
 						continue // node stopping, or nothing trained yet
 					}
-					if err := transports[i].Publish(serve.WeightsChannel, serve.EncodeUpdate(iter, ckpt)); err != nil {
+					frame, _ := serve.EncodeUpdateManifest(iter, nil, ckpt) // no manifest, cannot fail
+					if err := transports[i].Publish(serve.WeightsChannel, frame); err != nil {
 						t.Errorf("publish: %v", err)
 					}
 				}

@@ -87,10 +87,13 @@ func TestUpdateManifestCodecRoundTrip(t *testing.T) {
 		t.Fatal("checkpoint bytes mangled")
 	}
 
-	// Legacy DLSV frames decode with a nil manifest.
-	seq, gotMan, gotCkpt, err = DecodeUpdateAny(EncodeUpdate(9, ckpt))
-	if err != nil || seq != 9 || gotMan != nil || string(gotCkpt) != string(ckpt) {
-		t.Fatalf("legacy frame: seq %d man %v err %v", seq, gotMan, err)
+	// The manifest slot holds exactly what the sidecars and /modelz carry.
+	js, err := lineage.EncodeJSON(man)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := frame[updateHeader : updateHeader+len(js)]; string(got) != string(js) {
+		t.Fatalf("manifest slot %q, want lineage.EncodeJSON's %q", got, js)
 	}
 	for _, bad := range [][]byte{nil, {}, []byte("DLS2"), []byte("DLS2123456789012"), frame[:20]} {
 		if _, _, _, err := DecodeUpdateAny(bad); err == nil {

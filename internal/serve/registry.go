@@ -23,7 +23,6 @@ import (
 	"dlion/internal/lineage"
 	"dlion/internal/nn"
 	"dlion/internal/obs"
-	"dlion/internal/wire"
 )
 
 // ErrStaleVersion reports a Publish whose sequence number does not advance
@@ -54,8 +53,8 @@ type Version struct {
 	// every version, manifest or not.
 	Digest lineage.Hash
 
-	// Manifest is the lineage record the publisher attached (nil for legacy
-	// DLSV frames and bare directory checkpoints). When present, its digest
+	// Manifest is the lineage record the publisher attached (nil for frames
+	// and directory checkpoints that carry none). When present, its digest
 	// was verified against Digest at publish time.
 	Manifest *lineage.Manifest
 }
@@ -81,9 +80,10 @@ const chainMax = 128
 type Registry struct {
 	spec nn.Spec
 
-	mu    sync.Mutex // serializes Publish (validate + ordered swap) and guards chain
-	cur   atomic.Pointer[Version]
-	chain []ChainEntry // accepted publishes, oldest first, bounded by chainMax
+	mu      sync.Mutex // serializes Publish (validate + ordered swap) and guards chain, scratch
+	cur     atomic.Pointer[Version]
+	chain   []ChainEntry // accepted publishes, oldest first, bounded by chainMax
+	scratch *nn.Model    // validation replica, built on first publish
 
 	nswaps atomic.Int64 // accepted publishes, independent of metrics wiring
 
@@ -139,7 +139,7 @@ func (r *Registry) Publish(seq int64, source string, ckpt []byte) error {
 // and any disagreement rejects the publish (ErrManifestMismatch,
 // serve.manifest_rejects). A nil manifest degrades to plain Publish — the
 // version still records the registry-computed digest, so the /modelz chain
-// stays digest-complete even for legacy feeds.
+// stays digest-complete even for feeds that attach none.
 func (r *Registry) PublishManifest(seq int64, source string, ckpt []byte, man *lineage.Manifest) error {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -147,14 +147,18 @@ func (r *Registry) PublishManifest(seq int64, source string, ckpt []byte, man *l
 		r.stale.Inc()
 		return fmt.Errorf("%w: seq %d <= current %d", ErrStaleVersion, seq, cur.Seq)
 	}
-	// Restore into a scratch replica: proves the checkpoint matches the
-	// spec (names, shapes, length) before any runner sees it.
-	scratch := r.spec.BuildZero()
-	if err := scratch.Restore(ckpt); err != nil {
+	// Restore into the scratch replica: proves the checkpoint matches the
+	// spec (names, shapes, length) before any runner sees it. A successful
+	// Restore writes every parameter, so nothing of an earlier version
+	// reaches the digest.
+	if r.scratch == nil {
+		r.scratch = r.spec.BuildZero()
+	}
+	if err := r.scratch.Restore(ckpt); err != nil {
 		r.rejected.Inc()
 		return fmt.Errorf("serve: reject version %d from %s: %w", seq, source, err)
 	}
-	digest := lineage.ModelHash(scratch)
+	digest := lineage.ModelHash(r.scratch)
 	if man != nil {
 		if err := man.Validate(); err != nil {
 			r.manRejects.Inc()
@@ -199,69 +203,53 @@ func (r *Registry) Chain() []ChainEntry {
 // analogue of the prototype's Redis control channels, §4.2).
 const WeightsChannel = "dlion:serve:weights"
 
-// updateMagic brands a weight-update frame ("DLSV": DLion serve version).
-var updateMagic = [4]byte{'D', 'L', 'S', 'V'}
+// updateMagic brands a weight-update frame ("DLS2"): magic, u64 seq, u32
+// manifest length, the manifest as lineage.EncodeJSON writes it, then the
+// checkpoint. A manifest length of 0 means the frame carries none.
+var updateMagic = [4]byte{'D', 'L', 'S', '2'}
+
+// updateHeader is the frame's fixed prefix: magic, seq, manifest length.
+const updateHeader = 16
 
 // ErrBadUpdate reports a structurally invalid weight-update frame.
 var ErrBadUpdate = errors.New("serve: bad weight update")
 
-// EncodeUpdate frames a checkpoint with its sequence number for broadcast:
-// magic, u64 seq, checkpoint bytes.
-func EncodeUpdate(seq int64, ckpt []byte) []byte {
-	buf := make([]byte, 0, 12+len(ckpt))
-	buf = append(buf, updateMagic[:]...)
-	buf = binary.LittleEndian.AppendUint64(buf, uint64(seq))
-	return append(buf, ckpt...)
-}
-
-// DecodeUpdate parses a frame produced by EncodeUpdate. The checkpoint
-// slice aliases p.
-func DecodeUpdate(p []byte) (seq int64, ckpt []byte, err error) {
-	if len(p) < 12 || [4]byte(p[:4]) != updateMagic {
-		return 0, nil, fmt.Errorf("%w: missing magic", ErrBadUpdate)
-	}
-	return int64(binary.LittleEndian.Uint64(p[4:])), p[12:], nil
-}
-
-// updateMagic2 brands a manifest-carrying weight-update frame ("DLS2"):
-// magic, u64 seq, u32 manifest length, wire-encoded manifest, checkpoint.
-var updateMagic2 = [4]byte{'D', 'L', 'S', '2'}
-
-// EncodeUpdateManifest frames a checkpoint together with its lineage
-// manifest for broadcast. Legacy subscribers that only understand DLSV
-// frames will drop it; DecodeUpdateAny understands both.
+// EncodeUpdateManifest frames a checkpoint and its lineage manifest (nil
+// for none) for broadcast on WeightsChannel.
 func EncodeUpdateManifest(seq int64, man *lineage.Manifest, ckpt []byte) ([]byte, error) {
-	mb, err := wire.EncodeManifest(man)
-	if err != nil {
-		return nil, err
+	var mb []byte
+	if man != nil {
+		var err error
+		if mb, err = lineage.EncodeJSON(man); err != nil {
+			return nil, err
+		}
 	}
-	buf := make([]byte, 0, 16+len(mb)+len(ckpt))
-	buf = append(buf, updateMagic2[:]...)
+	buf := make([]byte, 0, updateHeader+len(mb)+len(ckpt))
+	buf = append(buf, updateMagic[:]...)
 	buf = binary.LittleEndian.AppendUint64(buf, uint64(seq))
 	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(mb)))
 	buf = append(buf, mb...)
 	return append(buf, ckpt...), nil
 }
 
-// DecodeUpdateAny parses either weight-update framing: DLSV frames yield a
-// nil manifest, DLS2 frames carry one. The checkpoint slice aliases p.
+// DecodeUpdateAny parses a frame produced by EncodeUpdateManifest. The
+// manifest is nil when the frame carries none; the checkpoint slice
+// aliases p.
 func DecodeUpdateAny(p []byte) (seq int64, man *lineage.Manifest, ckpt []byte, err error) {
-	if len(p) >= 4 && [4]byte(p[:4]) == updateMagic {
-		seq, ckpt, err = DecodeUpdate(p)
-		return seq, nil, ckpt, err
-	}
-	if len(p) < 16 || [4]byte(p[:4]) != updateMagic2 {
+	if len(p) < updateHeader || [4]byte(p[:4]) != updateMagic {
 		return 0, nil, nil, fmt.Errorf("%w: missing magic", ErrBadUpdate)
 	}
 	seq = int64(binary.LittleEndian.Uint64(p[4:]))
-	mlen := int(binary.LittleEndian.Uint32(p[12:]))
-	if mlen < 0 || 16+mlen > len(p) {
+	mlen := uint64(binary.LittleEndian.Uint32(p[12:]))
+	if mlen > uint64(len(p)-updateHeader) {
 		return 0, nil, nil, fmt.Errorf("%w: manifest length %d in %d-byte frame",
 			ErrBadUpdate, mlen, len(p))
 	}
-	man, err = wire.DecodeManifest(p[16 : 16+mlen])
-	if err != nil {
-		return 0, nil, nil, fmt.Errorf("%w: %v", ErrBadUpdate, err)
+	end := updateHeader + int(mlen)
+	if mlen > 0 {
+		if man, err = lineage.DecodeJSON(p[updateHeader:end]); err != nil {
+			return 0, nil, nil, fmt.Errorf("%w: %v", ErrBadUpdate, err)
+		}
 	}
-	return seq, man, p[16+mlen:], nil
+	return seq, man, p[end:], nil
 }

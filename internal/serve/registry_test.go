@@ -116,19 +116,27 @@ func TestRegistryConcurrentPublish(t *testing.T) {
 	}
 }
 
+// A frame without a manifest carries manifest length 0 and decodes to a nil
+// manifest.
 func TestUpdateCodecRoundTrip(t *testing.T) {
 	ckpt := testCkpt(t, 5)
-	frame := EncodeUpdate(77, ckpt)
-	seq, got, err := DecodeUpdate(frame)
-	if err != nil || seq != 77 {
-		t.Fatalf("decode: seq %d err %v", seq, err)
+	frame, err := EncodeUpdateManifest(77, nil, ckpt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(frame) != updateHeader+len(ckpt) {
+		t.Fatalf("bare frame is %d bytes, want %d", len(frame), updateHeader+len(ckpt))
+	}
+	seq, man, got, err := DecodeUpdateAny(frame)
+	if err != nil || seq != 77 || man != nil {
+		t.Fatalf("decode: seq %d man %v err %v", seq, man, err)
 	}
 	if string(got) != string(ckpt) {
 		t.Fatal("checkpoint bytes mangled")
 	}
-	for _, bad := range [][]byte{nil, {}, []byte("DLSV"), []byte("XXXX12345678")} {
-		if _, _, err := DecodeUpdate(bad); !errors.Is(err, ErrBadUpdate) {
-			t.Fatalf("DecodeUpdate(%q): err %v, want ErrBadUpdate", bad, err)
+	for _, bad := range [][]byte{nil, {}, []byte("DLS2"), []byte("XXXX123456780000")} {
+		if _, _, _, err := DecodeUpdateAny(bad); !errors.Is(err, ErrBadUpdate) {
+			t.Fatalf("DecodeUpdateAny(%q): err %v, want ErrBadUpdate", bad, err)
 		}
 	}
 }

@@ -2,10 +2,12 @@ package testkit
 
 import (
 	"context"
+	"maps"
 	"testing"
 	"time"
 
 	"dlion/internal/grad"
+	"dlion/internal/lineage"
 )
 
 // budget scales wall-clock allowances for the race detector's slowdown.
@@ -30,7 +32,7 @@ func TestSimDeterminism(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := range a.Weights {
-		if !EqualDigests(DigestWeights(a.Weights[i]), DigestWeights(b.Weights[i])) {
+		if !maps.Equal(lineage.VarHashes(a.Weights[i]), lineage.VarHashes(b.Weights[i])) {
 			t.Fatalf("worker %d: repeated sim runs diverged bitwise", i)
 		}
 	}
@@ -89,7 +91,7 @@ func TestSimRealtimeEquivalence(t *testing.T) {
 					t.Fatalf("worker %d: msgs recvd sim=%d realtime=%d, want %d",
 						i, sim.Stats[i].MsgsRecvd, rt.Stats[i].MsgsRecvd, wantMsgs)
 				}
-				if EqualDigests(DigestWeights(sim.Weights[i]), DigestWeights(rt.Weights[i])) {
+				if maps.Equal(lineage.VarHashes(sim.Weights[i]), lineage.VarHashes(rt.Weights[i])) {
 					continue // bit-identical, the strongest outcome
 				}
 				if err := CompareWeights(sim.Weights[i], rt.Weights[i], tc.absTol, tc.relTol); err != nil {
@@ -149,7 +151,7 @@ func TestSimRealtimeEquivalenceQuantized(t *testing.T) {
 					t.Fatalf("worker %d: quant bytes saved sim=%d realtime=%d, want equal and > 0",
 						i, simSaved, rtSaved)
 				}
-				if EqualDigests(DigestWeights(sim.Weights[i]), DigestWeights(rt.Weights[i])) {
+				if maps.Equal(lineage.VarHashes(sim.Weights[i]), lineage.VarHashes(rt.Weights[i])) {
 					continue
 				}
 				if err := CompareWeights(sim.Weights[i], rt.Weights[i], tc.absTol, tc.relTol); err != nil {
@@ -198,7 +200,7 @@ func TestMixedPrecisionPeers(t *testing.T) {
 		if !quantizes && simSaved != 0 {
 			t.Fatalf("worker %d sends f32 but reports %d bytes saved", i, simSaved)
 		}
-		if EqualDigests(DigestWeights(sim.Weights[i]), DigestWeights(rt.Weights[i])) {
+		if maps.Equal(lineage.VarHashes(sim.Weights[i]), lineage.VarHashes(rt.Weights[i])) {
 			continue
 		}
 		// Same code-flip amplification argument (and tolerance) as the

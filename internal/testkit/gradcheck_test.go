@@ -3,6 +3,7 @@ package testkit
 import (
 	"testing"
 
+	"dlion/internal/lineage"
 	"dlion/internal/nn"
 	"dlion/internal/stats"
 	"dlion/internal/tensor"
@@ -135,12 +136,12 @@ func TestGradCheckCatchesBrokenBackward(t *testing.T) {
 func TestGradCheckRestoresWeights(t *testing.T) {
 	rng := stats.NewRNG(5)
 	m := nn.NewModel("restore", nn.NewFlatten("f"), nn.NewDense("fc", 16, 3, rng))
-	before := DigestModel(m)
+	before := lineage.ModelHash(m)
 	x, labels := randInput(9, 4, 1, 4, 4, 3)
 	if err := GradCheck(m, x, labels, GradCheckOpts{}); err != nil {
 		t.Fatal(err)
 	}
-	if !EqualDigests(before, DigestModel(m)) {
+	if lineage.ModelHash(m) != before {
 		t.Fatal("gradcheck perturbed the weights it promised to restore")
 	}
 }

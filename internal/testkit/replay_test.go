@@ -2,6 +2,7 @@ package testkit
 
 import (
 	"context"
+	"maps"
 	"testing"
 	"time"
 
@@ -33,8 +34,8 @@ func TestOrderedBitExactAcrossSubstrates(t *testing.T) {
 				t.Fatalf("realtime: %v", err)
 			}
 			for i := range sim.Weights {
-				a, b := DigestWeights(sim.Weights[i]), DigestWeights(rt.Weights[i])
-				if !EqualDigests(a, b) {
+				a, b := lineage.VarHashes(sim.Weights[i]), lineage.VarHashes(rt.Weights[i])
+				if !maps.Equal(a, b) {
 					t.Errorf("worker %d: sim and realtime digests differ: %v vs %v", i, a, b)
 				}
 			}

@@ -14,8 +14,10 @@
 //     against committed testdata/golden/*.json snapshots, failing when a
 //     change shifts convergence beyond tolerance.
 //
-// This file holds the shared primitives: exact per-variable weight digests
-// and tolerance-bounded weight comparison.
+// This file holds the shared primitive: tolerance-bounded weight
+// comparison. Exact comparison uses the digests lineage manifests commit to
+// (lineage.VarHashes, lineage.ModelHash), so a conformance digest and a
+// published checkpoint digest are directly comparable.
 package testkit
 
 import (
@@ -23,53 +25,8 @@ import (
 	"math"
 	"sort"
 
-	"dlion/internal/lineage"
-	"dlion/internal/nn"
 	"dlion/internal/tensor"
 )
-
-// Digest returns the FNV-1a 64-bit hash of a tensor's exact float32 bit
-// patterns (little-endian), preceded by its shape. Two tensors digest
-// equally iff they are bitwise identical, including NaN payloads and
-// signed zeros. It is the same hash lineage manifests commit to
-// (lineage.TensorHash), so a conformance digest and a published checkpoint
-// digest are directly comparable.
-func Digest(t *tensor.Tensor) uint64 {
-	return uint64(lineage.TensorHash(t))
-}
-
-// DigestWeights hashes every variable of a weight map independently, so a
-// mismatch can be attributed to a single variable.
-func DigestWeights(w map[string]*tensor.Tensor) map[string]uint64 {
-	out := make(map[string]uint64, len(w))
-	for name, t := range w {
-		out[name] = Digest(t)
-	}
-	return out
-}
-
-// DigestModel hashes every parameter of a model by name.
-func DigestModel(m *nn.Model) map[string]uint64 {
-	out := make(map[string]uint64, len(m.Params()))
-	for _, p := range m.Params() {
-		out[p.Name] = Digest(p.W)
-	}
-	return out
-}
-
-// EqualDigests reports whether two per-variable digest maps are identical:
-// same variables, same hashes.
-func EqualDigests(a, b map[string]uint64) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for k, v := range a {
-		if b[k] != v {
-			return false
-		}
-	}
-	return true
-}
 
 // CompareWeights checks that two weight maps hold the same variables with
 // the same shapes and elementwise values within

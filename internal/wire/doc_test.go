@@ -57,7 +57,7 @@ func TestWireDocCoverage(t *testing.T) {
 	}
 
 	// Structural constants a reader would copy into another implementation.
-	for _, want := range []string{"dlion:serve:weights", "DLSV", "HelloNeedSync", "MaskAll"} {
+	for _, want := range []string{"dlion:serve:weights", "DLS2", "HelloNeedSync", "MaskAll"} {
 		if !strings.Contains(doc, want) {
 			t.Errorf("WIRE.md does not mention %q", want)
 		}

@@ -6,8 +6,6 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
-
-	"dlion/internal/lineage"
 )
 
 // TestGenerateSeedCorpus regenerates the committed fuzz seed corpus under
@@ -38,17 +36,4 @@ func TestGenerateSeedCorpus(t *testing.T) {
 	}
 	write("FuzzDecode", "seed-truncated", []byte{byte(TypeGradient), 0, 0, 0, 0})
 	write("FuzzReadFrame", "seed-overlong-prefix", []byte{0xff, 0xff, 0xff, 0xff})
-	for i, m := range seedManifests() {
-		raw, err := EncodeManifest(m)
-		if err != nil {
-			t.Fatal(err)
-		}
-		write("FuzzManifestDecode", fmt.Sprintf("seed-bin-%d", i), raw)
-		js, err := lineage.EncodeJSON(m)
-		if err != nil {
-			t.Fatal(err)
-		}
-		write("FuzzManifestDecode", fmt.Sprintf("seed-json-%d", i), js)
-	}
-	write("FuzzManifestDecode", "seed-truncated", []byte("DLMF\x01"))
 }
