@@ -47,11 +47,14 @@ fuzz-smoke:
 	go test -run='^$$' -fuzz=FuzzSchedulerVsHeap -fuzztime=10s ./internal/simclock
 
 # Conformance harness (see TESTING.md): gradcheck on every nn layer,
-# sim<->realtime weight equivalence, and the golden convergence gates, all
-# under the race detector. Regenerate snapshots deliberately with
-#   go test ./internal/testkit -run Golden -update-golden
+# sim<->realtime weight equivalence (bit-identical digests under ordered
+# apply, the exact churn contract with a leave) and the lineage replay
+# audit, under the race detector. Every comparison is exact, so the second
+# pass reruns the equivalence gates and the Run goldens (convergence rows
+# included) on 386, the portable kernels (-race is not supported there).
 conformance:
 	go test -race -count=1 ./internal/testkit/...
+	GOARCH=386 go test -count=1 -run 'RunGoldens|Equivalence|MixedPrecision' ./internal/cluster ./internal/testkit
 
 # Kernel and scheduler microbenchmarks (simclock's EngineBurst is the
 # 256-worker all-to-all schedule, EngineHold the constant-size hold model),

@@ -1,10 +1,10 @@
 // Command dlion-audit verifies checkpoint lineage by deterministic replay.
 // Given a manifest (a .manifest.json sidecar, or a checkpoint path whose
 // sidecar to read), it re-executes the seeded training segment the manifest
-// describes — under the ordered-apply discipline, on the sim and/or in-proc
-// broker substrate — and confirms the published weight digest bit-exactly,
-// including the parent digest via a second, truncated replay when the
-// manifest is chained. Any divergence is a verification failure and the
+// describes — under the ordered-apply discipline, on the sim and/or the
+// realtime substrate (nodes over a loopback TCP broker) — and confirms the
+// published weight digest bit-exactly, including the parent digest via a
+// second, truncated replay when the manifest is chained. Any divergence is a verification failure and the
 // process exits nonzero.
 //
 // Examples:
@@ -151,8 +151,7 @@ func selfCheck(ctx context.Context, subs []lineage.Substrate) error {
 	sort.Strings(vars)
 	weights[vars[0]].Data[0] += 1e-3
 	mutated := *child
-	mutated.Digest = lineage.WeightsHash(weights)
-	mutated.Vars = lineage.VarHashes(weights)
+	mutated.Digest, mutated.Vars = lineage.Digests(weights)
 	if err := testkit.Audit(ctx, &mutated, subs[0]); err == nil {
 		return fmt.Errorf("mutated weight in %q passed audit — detector broken", vars[0])
 	}

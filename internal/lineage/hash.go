@@ -43,20 +43,53 @@ func VarHashes(w map[string]*tensor.Tensor) map[string]Hash {
 	return out
 }
 
-// WeightsHash folds a weight map into one content digest: the per-variable
-// hashes are combined in sorted name order (name bytes, then hash), so the
-// digest is independent of map iteration order and two weight maps hash
-// equally iff every variable is bitwise identical.
-func WeightsHash(w map[string]*tensor.Tensor) Hash {
-	return combine(VarHashes(w))
+// weightSet is what the digest helpers read: a model's parameters in place,
+// or a name→tensor weight map.
+type weightSet interface {
+	*nn.Model | map[string]*tensor.Tensor
 }
+
+// Digests hashes every variable of w once and returns the combined digest
+// with the per-variable digests it folds: the Digest and Vars a manifest
+// commits to. The combined digest folds the per-variable hashes in sorted
+// name order (name bytes, then hash), so it is independent of map iteration
+// order and two weight sets digest equally iff every variable is bitwise
+// identical.
+func Digests[W weightSet](w W) (Hash, map[string]Hash) {
+	vars := make(map[string]Hash, size(w))
+	return fold(w, vars), vars
+}
+
+// WeightsHash is the combined digest of a weight map.
+func WeightsHash(w map[string]*tensor.Tensor) Hash { return fold(w, make(map[string]Hash, len(w))) }
 
 // ModelHash digests every parameter of a model — the manifest commitment a
 // checkpoint writer publishes.
-func ModelHash(m *nn.Model) Hash {
-	vars := make(map[string]Hash, len(m.Params()))
-	for _, p := range m.Params() {
-		vars[p.Name] = TensorHash(p.W)
+func ModelHash(m *nn.Model) Hash { return fold(m, make(map[string]Hash, len(m.Params()))) }
+
+// size is w's variable count, the map hint for one digest pass.
+func size[W weightSet](w W) int {
+	switch w := any(w).(type) {
+	case *nn.Model:
+		return len(w.Params())
+	case map[string]*tensor.Tensor:
+		return len(w)
+	}
+	return 0
+}
+
+// fold is the one hashing pass behind Digests, WeightsHash and ModelHash:
+// it records each variable's digest in vars and returns their combination.
+func fold[W weightSet](w W, vars map[string]Hash) Hash {
+	switch w := any(w).(type) {
+	case *nn.Model:
+		for _, p := range w.Params() {
+			vars[p.Name] = TensorHash(p.W)
+		}
+	case map[string]*tensor.Tensor:
+		for name, t := range w {
+			vars[name] = TensorHash(t)
+		}
 	}
 	return combine(vars)
 }

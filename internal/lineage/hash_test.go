@@ -1,6 +1,7 @@
 package lineage
 
 import (
+	"maps"
 	"math"
 	"runtime"
 	"testing"
@@ -51,6 +52,22 @@ func TestTensorHashProperties(t *testing.T) {
 
 	if Fingerprint("a") == Fingerprint("b") || Fingerprint("") == Fingerprint("a") {
 		t.Fatal("fingerprint collisions on trivial inputs")
+	}
+}
+
+// TestDigestsOnePass: the one-pass digest pair a manifest writer uses is the
+// pair the two separate helpers compute, for a model and for its weight map.
+func TestDigestsOnePass(t *testing.T) {
+	m := nn.CipherSpec(1, 8, 8, 3, 99).Build()
+	w := m.Weights()
+	want := VarHashes(w)
+	md, mv := Digests(m)
+	wd, wv := Digests(w)
+	if md != ModelHash(m) || !maps.Equal(mv, want) {
+		t.Fatalf("model: Digests = %s, %v; want %s, %v", md, mv, ModelHash(m), want)
+	}
+	if wd != md || !maps.Equal(wv, want) {
+		t.Fatalf("weights: Digests = %s, %v; want %s, %v", wd, wv, md, want)
 	}
 }
 

@@ -68,7 +68,7 @@ type Substrate string
 // The two deterministic substrates the conformance harness drives.
 const (
 	SubstrateSim      Substrate = "sim"      // discrete-event simulator (internal/cluster)
-	SubstrateRealtime Substrate = "realtime" // in-process broker runtime (internal/realtime)
+	SubstrateRealtime Substrate = "realtime" // realtime nodes over a loopback TCP broker (internal/realtime)
 )
 
 // Valid reports whether s names a known substrate.
@@ -80,9 +80,8 @@ func (s Substrate) Valid() bool { return s == SubstrateSim || s == SubstrateReal
 // segment's length is the manifest's Iter, its seed the manifest's Seed,
 // and the audited replica the manifest's Worker — replay carries only what
 // the manifest does not already commit to. Replayable segments run under
-// the ordered-apply discipline (core.Config.OrderedApply) with
-// deterministic kernels, which is what makes the digest bit-reproducible
-// on either substrate.
+// the ordered-apply discipline (core.Config.OrderedApply), which is what
+// makes the digest bit-reproducible on either substrate.
 type Replay struct {
 	// Substrate is where the segment originally ran ("sim" or "realtime").
 	// Under the ordered-apply discipline both substrates reproduce the same

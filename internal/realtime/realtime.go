@@ -397,12 +397,7 @@ func (n *Node) CheckpointManifest(ctx context.Context, parent *lineage.Manifest)
 		m := w.Model()
 		ckpt = m.Checkpoint()
 		man.Model = m.ModelName
-		man.Digest = lineage.ModelHash(m)
-		vars := make(map[string]lineage.Hash, len(m.Params()))
-		for _, p := range m.Params() {
-			vars[p.Name] = lineage.TensorHash(p.W)
-		}
-		man.Vars = vars
+		man.Digest, man.Vars = lineage.Digests(m)
 		man.Iter = w.Iter()
 		man.Epoch = w.Epoch()
 	})

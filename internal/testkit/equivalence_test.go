@@ -2,7 +2,9 @@ package testkit
 
 import (
 	"context"
+	"fmt"
 	"maps"
+	"runtime"
 	"testing"
 	"time"
 
@@ -16,6 +18,36 @@ func budget(d time.Duration) time.Duration {
 		return d * 6
 	}
 	return d
+}
+
+// runBoth runs cfg on the simulator and over the TCP broker and checks what
+// every cross-mode case shares: realtime shed no frame, and, under ordered
+// apply (no leave), every worker's final weights are bit-identical across
+// the substrates, variable by variable.
+func runBoth(t *testing.T, cfg EquivalenceConfig) (sim, rt *EquivalenceResult) {
+	t.Helper()
+	sim, err := RunSim(cfg)
+	if err != nil {
+		t.Fatalf("sim: %v", err)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), budget(90*time.Second))
+	defer cancel()
+	rt, err = RunRealtime(ctx, cfg)
+	if err != nil {
+		t.Fatalf("realtime: %v", err)
+	}
+	if rt.FifoDrops != 0 {
+		t.Fatalf("realtime shed %d frames; every workload must drop zero in-flight messages", rt.FifoDrops)
+	}
+	if cfg.LeaveAfter > 0 {
+		return sim, rt
+	}
+	for i := range sim.Weights {
+		if a, b := lineage.VarHashes(sim.Weights[i]), lineage.VarHashes(rt.Weights[i]); !maps.Equal(a, b) {
+			t.Fatalf("worker %d: sim and realtime digests differ: %v vs %v", i, a, b)
+		}
+	}
+	return sim, rt
 }
 
 // TestSimDeterminism: the discrete-event simulator must be bit-reproducible
@@ -39,48 +71,24 @@ func TestSimDeterminism(t *testing.T) {
 }
 
 // TestSimRealtimeEquivalence trains the same seeded Cipher workload on the
-// simulator and over the in-proc broker and requires the final weights to
-// agree per variable: bit-identical when no float32 reordering occurred,
-// tolerance-bounded otherwise. SyncFull + fixed batching pins the gradient
-// sequence, so the structural counters must match exactly on both
-// substrates — that part has zero tolerance.
+// simulator and over the TCP broker and requires bit-identical final
+// weights on every worker. SyncFull + fixed batching pins the gradient
+// sequence and ordered apply pins the float32 apply order, so the
+// structural counters must match exactly too.
 func TestSimRealtimeEquivalence(t *testing.T) {
 	const steps = 24
-	cases := []struct {
-		name           string
-		n              int
-		sparse         bool
-		absTol, relTol float64
+	for _, tc := range []struct {
+		name   string
+		n      int
+		sparse bool
 	}{
-		// Dense exchange applies identical gradient sets on both
-		// substrates; only apply order differs. At 2 workers there is one
-		// ordering per step and drift stays rounding-scale; at 4 workers
-		// the per-step reorderings compound chaotically through 24
-		// nonlinear training steps (observed max |Δ| ≈ 0.05 over repeated
-		// runs; the floor leaves ~2x headroom).
-		{"dense-2w", 2, false, 5e-3, 5e-2},
-		{"dense-4w", 4, false, 1e-1, 1e-1},
-		// Sparse Max-N selection thresholds can flip on order-induced
-		// drift, so the bound is looser (observed max |Δ| ≈ 0.027 over
-		// repeated runs; the floor leaves ~2x headroom).
-		{"sparse-2w", 2, true, 2e-2, 1e-1},
-		{"sparse-4w", 4, true, 5e-2, 1e-1},
-	}
-	for _, tc := range cases {
-		tc := tc
+		{"dense-2w", 2, false},
+		{"dense-4w", 4, false},
+		{"sparse-2w", 2, true},
+		{"sparse-4w", 4, true},
+	} {
 		t.Run(tc.name, func(t *testing.T) {
-			cfg := EquivalenceConfig{N: tc.n, Steps: steps, Seed: 7, Sparse: tc.sparse}
-			sim, err := RunSim(cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			ctx, cancel := context.WithTimeout(context.Background(), budget(60*time.Second))
-			defer cancel()
-			rt, err := RunRealtime(ctx, cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-
+			sim, rt := runBoth(t, EquivalenceConfig{N: tc.n, Steps: steps, Seed: 7, Sparse: tc.sparse})
 			wantMsgs := int64(tc.n-1) * steps
 			for i := 0; i < tc.n; i++ {
 				if sim.Iters[i] != steps || rt.Iters[i] != steps {
@@ -91,74 +99,27 @@ func TestSimRealtimeEquivalence(t *testing.T) {
 					t.Fatalf("worker %d: msgs recvd sim=%d realtime=%d, want %d",
 						i, sim.Stats[i].MsgsRecvd, rt.Stats[i].MsgsRecvd, wantMsgs)
 				}
-				if maps.Equal(lineage.VarHashes(sim.Weights[i]), lineage.VarHashes(rt.Weights[i])) {
-					continue // bit-identical, the strongest outcome
-				}
-				if err := CompareWeights(sim.Weights[i], rt.Weights[i], tc.absTol, tc.relTol); err != nil {
-					t.Fatalf("worker %d: %v", i, err)
-				}
-				t.Logf("worker %d: tolerance-bounded agreement, max |Δ| = %.3g",
-					i, MaxAbsDiff(sim.Weights[i], rt.Weights[i]))
 			}
 		})
 	}
 }
 
 // TestSimRealtimeEquivalenceQuantized reruns the equivalence gate with int8
-// wire precision on every link. Quantization is deterministic per gradient,
-// so both substrates dequantize the identical code stream wherever apply
-// order hasn't drifted the inputs; where it has, individual codes can flip by
-// one step — the same failure shape as sparse Max-N threshold flips, hence
-// the same tolerance family. The byte-savings counter is a pure function of
+// wire precision on every link. Quantization is a deterministic function of
+// the gradient, so both substrates send the identical code stream and the
+// weights stay bit-identical. The byte-savings counter is a pure function of
 // the (pinned) gradient schedule, so it must agree exactly across substrates
 // and be nonzero — proving the quantized path actually carried the traffic.
 func TestSimRealtimeEquivalenceQuantized(t *testing.T) {
-	const steps = 24
-	cases := []struct {
-		name           string
-		n              int
-		absTol, relTol float64
-	}{
-		// Quantization amplifies cross-substrate drift: rounding-scale
-		// differences in float addition order can flip an int8 code at a
-		// round-half boundary, turning an O(1e-7) divergence into an
-		// O(scale) one that then compounds over remaining steps. Observed
-		// max |Δ| ≈ 4e-6 (2w) / 8e-2 (4w) over repeated runs; floors
-		// leave ~2x headroom. The byte-savings counters above are the
-		// exact gate; weights agreement is tolerance-bounded.
-		{"i8-2w", 2, 2e-2, 1e-1},
-		{"i8-4w", 4, 1.5e-1, 1e-1},
-	}
-	for _, tc := range cases {
-		tc := tc
-		t.Run(tc.name, func(t *testing.T) {
-			cfg := EquivalenceConfig{N: tc.n, Steps: steps, Seed: 7, Quant: grad.PrecI8}
-			sim, err := RunSim(cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			ctx, cancel := context.WithTimeout(context.Background(), budget(60*time.Second))
-			defer cancel()
-			rt, err := RunRealtime(ctx, cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-
-			for i := 0; i < tc.n; i++ {
-				simSaved := sim.Stats[i].QuantBytesSaved
-				rtSaved := rt.Stats[i].QuantBytesSaved
+	for _, n := range []int{2, 4} {
+		t.Run(fmt.Sprintf("i8-%dw", n), func(t *testing.T) {
+			sim, rt := runBoth(t, EquivalenceConfig{N: n, Steps: 24, Seed: 7, Quant: grad.PrecI8})
+			for i := 0; i < n; i++ {
+				simSaved, rtSaved := sim.Stats[i].QuantBytesSaved, rt.Stats[i].QuantBytesSaved
 				if simSaved == 0 || simSaved != rtSaved {
 					t.Fatalf("worker %d: quant bytes saved sim=%d realtime=%d, want equal and > 0",
 						i, simSaved, rtSaved)
 				}
-				if maps.Equal(lineage.VarHashes(sim.Weights[i]), lineage.VarHashes(rt.Weights[i])) {
-					continue
-				}
-				if err := CompareWeights(sim.Weights[i], rt.Weights[i], tc.absTol, tc.relTol); err != nil {
-					t.Fatalf("worker %d: %v", i, err)
-				}
-				t.Logf("worker %d: tolerance-bounded agreement, max |Δ| = %.3g",
-					i, MaxAbsDiff(sim.Weights[i], rt.Weights[i]))
 			}
 		})
 	}
@@ -166,30 +127,17 @@ func TestSimRealtimeEquivalenceQuantized(t *testing.T) {
 
 // TestMixedPrecisionPeers runs three workers that each send at a different
 // wire precision (int8, f16, f32) — the interop workload for epoch-safe
-// mixed-precision clusters. Every worker must finish the full budget on both
+// mixed-precision clusters. The weights must be bit-identical across
 // substrates, the quantizing senders must report byte savings (and the f32
-// sender none), and the final weights must agree across substrates within
-// the quantized-exchange tolerance.
+// sender none), exactly equal on both.
 func TestMixedPrecisionPeers(t *testing.T) {
-	const steps = 24
 	cfg := EquivalenceConfig{
-		N: 3, Steps: steps, Seed: 11,
+		N: 3, Steps: 24, Seed: 11,
 		QuantMix: []grad.Precision{grad.PrecI8, grad.PrecF16, grad.PrecF32},
 	}
-	sim, err := RunSim(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctx, cancel := context.WithTimeout(context.Background(), budget(60*time.Second))
-	defer cancel()
-	rt, err := RunRealtime(ctx, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-
+	sim, rt := runBoth(t, cfg)
 	for i := 0; i < cfg.N; i++ {
-		simSaved := sim.Stats[i].QuantBytesSaved
-		rtSaved := rt.Stats[i].QuantBytesSaved
+		simSaved, rtSaved := sim.Stats[i].QuantBytesSaved, rt.Stats[i].QuantBytesSaved
 		if simSaved != rtSaved {
 			t.Fatalf("worker %d: quant bytes saved sim=%d realtime=%d, want equal", i, simSaved, rtSaved)
 		}
@@ -200,15 +148,25 @@ func TestMixedPrecisionPeers(t *testing.T) {
 		if !quantizes && simSaved != 0 {
 			t.Fatalf("worker %d sends f32 but reports %d bytes saved", i, simSaved)
 		}
-		if maps.Equal(lineage.VarHashes(sim.Weights[i]), lineage.VarHashes(rt.Weights[i])) {
-			continue
+	}
+}
+
+// TestRealtimeReleasesOnError: a run that fails — here on a context that
+// expired before it began — still stops its nodes and closes their TCP
+// transports, so no receive pump is left redialling a closed server.
+func TestRealtimeReleasesOnError(t *testing.T) {
+	before := runtime.NumGoroutine()
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if _, err := RunRealtime(ctx, EquivalenceConfig{N: 3, Steps: 4, Seed: 1}); err == nil {
+		t.Fatal("RunRealtime succeeded on an expired context")
+	}
+	for deadline := time.Now().Add(2 * time.Second); runtime.NumGoroutine() > before; {
+		if time.Now().After(deadline) {
+			buf := make([]byte, 1<<16)
+			t.Fatalf("%d goroutines 2 s after the failed run, %d before:\n%s",
+				runtime.NumGoroutine(), before, buf[:runtime.Stack(buf, true)])
 		}
-		// Same code-flip amplification argument (and tolerance) as the
-		// quantized equivalence cases above; observed max |Δ| ≈ 8e-2.
-		if err := CompareWeights(sim.Weights[i], rt.Weights[i], 1.5e-1, 1e-1); err != nil {
-			t.Fatalf("worker %d: %v", i, err)
-		}
-		t.Logf("worker %d: tolerance-bounded agreement, max |Δ| = %.3g",
-			i, MaxAbsDiff(sim.Weights[i], rt.Weights[i]))
+		time.Sleep(10 * time.Millisecond)
 	}
 }

@@ -31,14 +31,12 @@ type ReplayConfig struct {
 	Quant     string            // wire precision: "", "f16", or "i8"
 }
 
-// equivalence translates the replay terms into the harness workload. Every
-// replayable segment runs Ordered: that is the discipline that makes the
-// digest a pure function of (config, seed, steps) on either substrate.
+// equivalence translates the replay terms into the harness workload. A
+// replayable segment has no leave, so it runs under ordered apply: the
+// discipline that makes the digest a pure function of (config, seed, steps)
+// on either substrate.
 func (rc ReplayConfig) equivalence() (EquivalenceConfig, error) {
-	ec := EquivalenceConfig{
-		N: rc.Workers, Steps: rc.Steps, Seed: rc.Seed,
-		Sparse: rc.Sparse, Ordered: true,
-	}
+	ec := EquivalenceConfig{N: rc.Workers, Steps: rc.Steps, Seed: rc.Seed, Sparse: rc.Sparse}
 	switch rc.Quant {
 	case "":
 	case "f16":
@@ -96,11 +94,12 @@ func CheckpointSegment(ctx context.Context, rc ReplayConfig, parent *lineage.Man
 		return nil, nil, fmt.Errorf("testkit: checkpoint segment: %w", err)
 	}
 	cfg := ec.workerSystem(rc.Worker).Fingerprint()
+	digest, vars := lineage.Digests(model)
 	man := &lineage.Manifest{
 		Schema:     lineage.Schema,
 		Model:      model.ModelName,
-		Digest:     lineage.WeightsHash(weights),
-		Vars:       lineage.VarHashes(weights),
+		Digest:     digest,
+		Vars:       vars,
 		Iter:       rc.Steps,
 		Worker:     rc.Worker,
 		Config:     cfg,
