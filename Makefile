@@ -10,9 +10,35 @@
 # Param.G and an in-flight encode is race-checked (all of core is 80 s under
 # -race); running it repo-wide would multiply simulation test time ~20x for
 # no extra coverage.
-.PHONY: check build fmt vet test race fuzz-smoke conformance bench bench-serve bench-sim bench-e2e chaos e2e-jobs audit-gate
+.PHONY: verify check build fmt vet test race fuzz-smoke conformance bench bench-serve bench-sim bench-e2e chaos e2e-jobs audit-gate
 
 check: build fmt vet test race fuzz-smoke
+
+# The whole merge gate, in order; CI's check job runs exactly this. After
+# check, conformance, e2e-jobs and audit-gate come three smokes:
+# - DES throughput: a flat 8-worker mesh, then the 4-cloud 256-worker
+#   federation, whose t = 0 all-to-all burst (65 280 events inside 15 ms of
+#   virtual time) is the schedule an O(bucket) or O(n²) scheduler chokes on;
+#   a reintroduced superlinear cost shows up as a run that stops finishing
+#   (full sweep: make bench-sim).
+# - The step slots (DESIGN.md §2): the Run goldens, the churn scenarios and
+#   the lazy-step scenarios must come out bit-identical with one step at a
+#   time, two and four.
+# - The repository benchmark, 2 seconds per workload, each of which must end
+#   "correct":true: train_wire traced (its transport shim decodes the frames
+#   it kept after the run, so a recycled frame buffer that did not hold a
+#   whole frame fails it), train_compute (every worker reaches MaxIters with
+#   exactly its peers' gradients and no FIFO drop), sim_fed256 (three
+#   256-worker Runs, one round each, no idle worker) and serve_swap (every
+#   request answered, every swap landed).
+verify: check conformance e2e-jobs audit-gate
+	go run ./cmd/dlion-bench -sim -sim-n 8,256
+	go test -count=1 -cpu 1,2,4 -run 'RunGoldens|Churn|LazySteps|EvalOnce' ./internal/cluster
+	@out="$$(mktemp)"; for run in "train_wire 1" "train_compute 0" "sim_fed256 0" "serve_swap 0"; do \
+		set -- $$run; \
+		bash benchmark/run.sh --workload $$1 --seconds 2 --trace $$2 | tee "$$out"; \
+		tail -n 1 "$$out" | grep -q '"correct":true' || { echo "benchmark smoke $$1 failed"; rm -f "$$out"; exit 1; }; \
+	done; rm -f "$$out"
 
 build:
 	go build ./...
@@ -34,15 +60,15 @@ race:
 	go test -race ./internal/simclock/...
 	go test -race -run 'ParallelEval|RunGoldens|StepSlotsRace|LazySteps|EvalOnce' ./internal/cluster/...
 
-# Short fuzz pass over the wire decoder, framer, the serve-update frame
-# decoder (header + JSON manifest), and the scheduler-vs-reference-heap
-# oracle: catches panics, canonicalization regressions, and event-ordering
-# divergence without the cost of a long campaign. The committed corpora
-# under internal/wire/testdata/fuzz and internal/serve/testdata/fuzz seed
-# the decoder targets.
+# Short fuzz pass over the wire decoder, the broker's request framing, the
+# serve-update frame decoder (header + JSON manifest), and the
+# scheduler-vs-reference-heap oracle: catches panics, canonicalization and
+# length-bound regressions, and event-ordering divergence without the cost
+# of a long campaign. The committed corpora under internal/wire,
+# internal/queue and internal/serve testdata/fuzz seed the decoder targets.
 fuzz-smoke:
 	go test -run='^$$' -fuzz=FuzzDecode -fuzztime=10s ./internal/wire
-	go test -run='^$$' -fuzz=FuzzReadFrame -fuzztime=10s ./internal/wire
+	go test -run='^$$' -fuzz=FuzzReadRequest -fuzztime=10s ./internal/queue
 	go test -run='^$$' -fuzz=FuzzDecodeUpdate -fuzztime=10s ./internal/serve
 	go test -run='^$$' -fuzz=FuzzSchedulerVsHeap -fuzztime=10s ./internal/simclock
 

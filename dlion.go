@@ -31,7 +31,6 @@ import (
 	"dlion/internal/core"
 	"dlion/internal/data"
 	"dlion/internal/env"
-	"dlion/internal/metrics"
 	"dlion/internal/nn"
 	"dlion/internal/systems"
 )
@@ -47,7 +46,7 @@ type (
 	// Result is everything an experiment run produced.
 	Result = cluster.Result
 	// Timeline is the periodic accuracy evaluation series.
-	Timeline = metrics.Timeline
+	Timeline = cluster.Timeline
 	// Environment is an instantiated Table 3 micro-cloud.
 	Environment = env.Env
 	// ModelSpec describes a model to build (Cipher or MobileNetLite).

@@ -27,8 +27,8 @@ type (
 // Attach a FaultSchedule to ExperimentConfig.Faults; Result.Faults reports
 // the injector's counters after the run.
 type (
-	// FaultSchedule declares worker crashes, link partitions, loss, delay,
-	// corruption, and broker outages against virtual time.
+	// FaultSchedule declares worker crashes, joins, leaves, link
+	// partitions, loss, delay and corruption against virtual time.
 	FaultSchedule = fault.Schedule
 	// FaultWindow is a half-open [Start, End) activity window; End = 0
 	// means "until the run ends".

@@ -7,12 +7,10 @@ package cluster
 
 import (
 	"fmt"
-	"time"
 
 	"dlion/internal/core"
 	"dlion/internal/data"
 	"dlion/internal/fault"
-	"dlion/internal/metrics"
 	"dlion/internal/nn"
 	"dlion/internal/obs"
 	"dlion/internal/simclock"
@@ -78,7 +76,7 @@ type Trace struct {
 // Result aggregates everything a run produced.
 type Result struct {
 	System   string
-	Timeline metrics.Timeline
+	Timeline Timeline
 	Stats    []core.Stats
 	Iters    []int64
 	Traces   []Trace
@@ -118,11 +116,6 @@ type Result struct {
 	// numerator of the sim-throughput benchmark (events per wall second).
 	Events uint64
 
-	// EventsPerSec is Events divided by the wall-clock seconds the event
-	// loop ran — the run's simulation throughput. The same figure is
-	// published on the sim.events_per_sec gauge (see AttachSimMetrics).
-	EventsPerSec float64
-
 	// peakPending is the most events the engine held at once, which Run
 	// reserves the queue for.
 	peakPending int
@@ -133,18 +126,6 @@ type Result struct {
 	// evalForwards is, per Timeline point, how many replicas' forward
 	// passes ran; the others reported an identical replica's result.
 	evalForwards []int
-}
-
-// simEventsPerSec is the process-wide DES throughput gauge: the most recent
-// run's events per wall second (Result.EventsPerSec, truncated). Exposed as
-// sim.events_per_sec via AttachSimMetrics; see METRICS.md.
-var simEventsPerSec obs.Gauge
-
-// AttachSimMetrics registers the simulation driver's gauges on reg:
-//
-//	sim.events_per_sec  DES events executed per wall-clock second (last run)
-func AttachSimMetrics(reg *obs.Registry) {
-	reg.AttachGauge("sim.events_per_sec", &simEventsPerSec)
 }
 
 func (c *Config) validate() error {
@@ -529,7 +510,7 @@ func Run(cfg Config) (*Result, error) {
 			return
 		}
 		res.Timeline = append(res.Timeline,
-			metrics.NewPoint(env.eng.Now(), accs, lossSum/float64(len(accs))))
+			NewPoint(env.eng.Now(), accs, lossSum/float64(len(accs))))
 		res.evalForwards = append(res.evalForwards, len(forward))
 	}
 	trace := func() {
@@ -547,9 +528,7 @@ func Run(cfg Config) (*Result, error) {
 			w.Start()
 		}
 	}
-	wallStart := time.Now()
 	env.eng.Run(cfg.Horizon)
-	wall := time.Since(wallStart).Seconds()
 
 	// Final state at the horizon: every worker joined, which drops the steps
 	// still held back (nothing can read them now) and applies the gradients
@@ -580,10 +559,6 @@ func Run(cfg Config) (*Result, error) {
 	res.Events = env.eng.Executed()
 	res.peakPending = env.eng.Peak()
 	res.steps = env.steps
-	if wall > 0 {
-		res.EventsPerSec = float64(res.Events) / wall
-		simEventsPerSec.Set(int64(res.EventsPerSec))
-	}
 	return res, nil
 }
 

@@ -148,7 +148,7 @@ func TestFullPartitionDeliversNothing(t *testing.T) {
 }
 
 // TestZeroBandwidthActsAsPartition: a bw <= 0 link must drop traffic (and
-// charge nothing) instead of crawling along a phantom 0.01 Mbps link.
+// charge nothing), as a partition does.
 func TestZeroBandwidthActsAsPartition(t *testing.T) {
 	cfg := tinyConfig(systems.Ako(1))
 	cfg.Network = simnet.Uniform(4, simcompute.Constant(0), 0.001)

@@ -22,7 +22,6 @@ import (
 	"dlion/internal/data"
 	"dlion/internal/fault"
 	"dlion/internal/lineage"
-	"dlion/internal/metrics"
 	"dlion/internal/nn"
 	"dlion/internal/simcompute"
 	"dlion/internal/simnet"
@@ -32,7 +31,7 @@ import (
 type runGolden struct {
 	events     uint64
 	totalBytes int64
-	timeline   metrics.Timeline
+	timeline   Timeline
 	models     []lineage.Hash
 }
 
@@ -53,7 +52,7 @@ func captureRun(t *testing.T, cfg Config) runGolden {
 // the shortest decimal that round-trips, so the literal is bit-exact.
 func (g runGolden) literal() string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "runGolden{\n\tevents: %d, totalBytes: %d,\n\ttimeline: metrics.Timeline{\n", g.events, g.totalBytes)
+	fmt.Fprintf(&b, "runGolden{\n\tevents: %d, totalBytes: %d,\n\ttimeline: Timeline{\n", g.events, g.totalBytes)
 	for _, p := range g.timeline {
 		fmt.Fprintf(&b, "\t\t{T: %v, Mean: %v, Std: %v, Loss: %v, PerWork: []float64{", p.T, p.Mean, p.Std, p.Loss)
 		for i, a := range p.PerWork {
@@ -161,7 +160,7 @@ func TestGoldenSanity(t *testing.T) {
 
 var goldenFederation16 = runGolden{
 	events: 369, totalBytes: 226078716,
-	timeline: metrics.Timeline{
+	timeline: Timeline{
 		{T: 0, Mean: 0.4333333333333335, Std: 1.7199501139797033e-16, Loss: 1.3770815731007566, PerWork: []float64{0.43333333333333335, 0.43333333333333335, 0.43333333333333335, 0.43333333333333335, 0.43333333333333335, 0.43333333333333335, 0.43333333333333335, 0.43333333333333335, 0.43333333333333335, 0.43333333333333335, 0.43333333333333335, 0.43333333333333335, 0.43333333333333335, 0.43333333333333335, 0.43333333333333335, 0.43333333333333335}},
 		{T: 2, Mean: 0.42395833333333344, Std: 0.10987682497536354, Loss: 1.2104367093327768, PerWork: []float64{0.31666666666666665, 0.31666666666666665, 0.31666666666666665, 0.31666666666666665, 0.31666666666666665, 0.31666666666666665, 0.6166666666666667, 0.6166666666666667, 0.6166666666666667, 0.43333333333333335, 0.43333333333333335, 0.43333333333333335, 0.43333333333333335, 0.43333333333333335, 0.43333333333333335, 0.43333333333333335}},
 	},
@@ -187,7 +186,7 @@ var goldenFederation16 = runGolden{
 
 var goldenEvents6Churn = runGolden{
 	events: 191, totalBytes: 619470711,
-	timeline: metrics.Timeline{
+	timeline: Timeline{
 		{T: 0, Mean: 0.4333333333333334, Std: 6.206335383118183e-17, Loss: 1.3770815731007566, PerWork: []float64{0.43333333333333335, 0.43333333333333335, 0.43333333333333335, 0.43333333333333335, 0.43333333333333335}},
 		{T: 8, Mean: 0.8861111111111111, Std: 0.08056513353021107, Loss: 0.3613086188240142, PerWork: []float64{0.8833333333333333, 0.7333333333333333, 0.95, 0.8833333333333333, 0.9166666666666666, 0.95}},
 	},
@@ -203,7 +202,7 @@ var goldenEvents6Churn = runGolden{
 
 var goldenBaseline = runGolden{
 	events: 172, totalBytes: 587588400,
-	timeline: metrics.Timeline{
+	timeline: Timeline{
 		{T: 0, Mean: 0.05000000000000001, Std: 8.498374721940739e-18, Loss: 2.159281379877521, PerWork: []float64{0.05, 0.05, 0.05}},
 		{T: 12, Mean: 1, Std: 0, Loss: 0.009861997566912844, PerWork: []float64{1, 1, 1}},
 		{T: 24, Mean: 1, Std: 0, Loss: 0.00603613370325393, PerWork: []float64{1, 1, 1}},
@@ -218,7 +217,7 @@ var goldenBaseline = runGolden{
 
 var goldenDLion = runGolden{
 	events: 237, totalBytes: 792195225,
-	timeline: metrics.Timeline{
+	timeline: Timeline{
 		{T: 0, Mean: 0.05000000000000001, Std: 8.498374721940739e-18, Loss: 2.159281379877521, PerWork: []float64{0.05, 0.05, 0.05}},
 		{T: 12, Mean: 1, Std: 0, Loss: 0.007293413694135212, PerWork: []float64{1, 1, 1}},
 		{T: 24, Mean: 1, Std: 0, Loss: 0.0035484465100614087, PerWork: []float64{1, 1, 1}},
@@ -233,7 +232,7 @@ var goldenDLion = runGolden{
 
 var goldenQuantI8x2 = runGolden{
 	events: 95, totalBytes: 59137475,
-	timeline: metrics.Timeline{
+	timeline: Timeline{
 		{T: 0, Mean: 0.05, Std: 0, Loss: 2.159281379877521, PerWork: []float64{0.05, 0.05}},
 		{T: 12, Mean: 1, Std: 0, Loss: 0.004279276525959632, PerWork: []float64{1, 1}},
 		{T: 24, Mean: 1, Std: 0, Loss: 0.0026347384483599136, PerWork: []float64{1, 1}},
@@ -247,7 +246,7 @@ var goldenQuantI8x2 = runGolden{
 
 var goldenQuantI8x4 = runGolden{
 	events: 416, totalBytes: 394249800,
-	timeline: metrics.Timeline{
+	timeline: Timeline{
 		{T: 0, Mean: 0.05, Std: 0, Loss: 2.159281379877521, PerWork: []float64{0.05, 0.05, 0.05, 0.05}},
 		{T: 12, Mean: 1, Std: 0, Loss: 0.005497919549450986, PerWork: []float64{1, 1, 1, 1}},
 		{T: 24, Mean: 1, Std: 0, Loss: 0.003323037145119195, PerWork: []float64{1, 1, 1, 1}},
@@ -263,7 +262,7 @@ var goldenQuantI8x4 = runGolden{
 
 var goldenDLionChurn = runGolden{
 	events: 359, totalBytes: 1243782874,
-	timeline: metrics.Timeline{
+	timeline: Timeline{
 		{T: 0, Mean: 0.05000000000000001, Std: 8.498374721940739e-18, Loss: 2.159281379877521, PerWork: []float64{0.05, 0.05, 0.05}},
 		{T: 12, Mean: 1, Std: 0, Loss: 0.0058110971510261416, PerWork: []float64{1, 1, 1}},
 		{T: 24, Mean: 1, Std: 0, Loss: 0.0030530010390985613, PerWork: []float64{1, 1, 1, 1}},

@@ -4,11 +4,8 @@ import (
 	"math"
 	"testing"
 
-	"dlion/internal/core"
-	"dlion/internal/data"
-	"dlion/internal/fault"
 	"dlion/internal/grad"
-	"dlion/internal/simclock"
+	"dlion/internal/nn"
 	"dlion/internal/systems"
 	"dlion/internal/wire"
 )
@@ -20,23 +17,10 @@ import (
 // because the links of one iteration share their selections and Own is
 // idempotent, that is one copy per iteration however many links there are.
 func TestSimSendOwnsBorrowedSelections(t *testing.T) {
-	cfg := tinyConfig(systems.Baseline())
-	train, _, err := data.Generate(cfg.Data)
-	if err != nil {
-		t.Fatal(err)
-	}
-	shards, err := data.Partition(train, cfg.N, cfg.Seed)
-	if err != nil {
-		t.Fatal(err)
-	}
-	env := &simEnv{eng: simclock.New(), net: cfg.Network, computes: cfg.Computes,
-		inj: fault.NewInjector(nil), egress: make([]float64, cfg.N), wireScale: 1}
-	models := cfg.Model.Replicas(cfg.N) // identical weights
-	env.workers = make([]*core.Worker, cfg.N)
-	for i := range env.workers {
-		if env.workers[i], err = core.New(i, cfg.System, models[i], shards[i], env); err != nil {
-			t.Fatal(err)
-		}
+	env := sendEnv(t, tinyConfig(systems.Baseline()).Network)
+	models := make([]*nn.Model, len(env.workers)) // identical weights
+	for i, w := range env.workers {
+		models[i] = w.Model()
 	}
 	const sender, control = 0, 3 // 1 and 2 receive over the simulated links
 

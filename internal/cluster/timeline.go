@@ -1,9 +1,4 @@
-// Package metrics holds the evaluation-side data structures: accuracy
-// timelines sampled over virtual time, and the three performance metrics
-// of §5.1.3 (accuracy at a training-time budget, time until a target
-// accuracy, and converged accuracy), plus the per-worker accuracy
-// deviation of Figure 17.
-package metrics
+package cluster
 
 import (
 	"math"
@@ -20,7 +15,11 @@ type EvalPoint struct {
 	Loss    float64 // mean test loss across workers
 }
 
-// Timeline is an ordered series of evaluations.
+// Timeline is a Run's ordered series of evaluations, and the three
+// performance metrics of §5.1.3 read from it: accuracy at a training-time
+// budget (the FinalMean of a Run whose horizon is the budget), time until a
+// target accuracy, and converged accuracy, plus the per-worker accuracy
+// deviation of Figure 17.
 type Timeline []EvalPoint
 
 // NewPoint summarizes per-worker accuracies into an EvalPoint.
@@ -61,19 +60,6 @@ func (tl Timeline) TimeToAccuracy(target float64) (float64, bool) {
 	return 0, false
 }
 
-// MeanAt returns the mean accuracy at the last evaluation not after t
-// (0 if none).
-func (tl Timeline) MeanAt(t float64) float64 {
-	acc := 0.0
-	for _, p := range tl {
-		if p.T > t {
-			break
-		}
-		acc = p.Mean
-	}
-	return acc
-}
-
 // FinalDeviation returns the across-worker accuracy standard deviation at
 // the last evaluation.
 func (tl Timeline) FinalDeviation() float64 {
@@ -81,22 +67,6 @@ func (tl Timeline) FinalDeviation() float64 {
 		return 0
 	}
 	return tl[len(tl)-1].Std
-}
-
-// MaxDeviation returns the largest across-worker deviation observed after
-// the warm-up half of the timeline (early points are noisy for every
-// system and would swamp the comparison).
-func (tl Timeline) MaxDeviation() float64 {
-	max := 0.0
-	for i, p := range tl {
-		if i < len(tl)/2 {
-			continue
-		}
-		if p.Std > max {
-			max = p.Std
-		}
-	}
-	return max
 }
 
 // Converged reports whether the mean accuracy has plateaued: the

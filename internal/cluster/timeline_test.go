@@ -1,4 +1,4 @@
-package metrics
+package cluster
 
 import (
 	"math"
@@ -62,19 +62,6 @@ func TestTimeToAccuracy(t *testing.T) {
 	}
 }
 
-func TestMeanAt(t *testing.T) {
-	line := tl(
-		NewPoint(0, []float64{0.1}, 0),
-		NewPoint(10, []float64{0.5}, 0),
-	)
-	if got := line.MeanAt(5); got != 0.1 {
-		t.Fatalf("MeanAt(5) = %v", got)
-	}
-	if got := line.MeanAt(100); got != 0.5 {
-		t.Fatalf("MeanAt(100) = %v", got)
-	}
-}
-
 func TestDeviation(t *testing.T) {
 	line := tl(
 		NewPoint(0, []float64{0.5, 0.5}, 0),
@@ -85,23 +72,17 @@ func TestDeviation(t *testing.T) {
 	if line.FinalDeviation() != 0 {
 		t.Fatalf("final dev %v", line.FinalDeviation())
 	}
-	// MaxDeviation skips the first half (points 0,1); max of points 2,3
-	want := NewPoint(20, []float64{0.4, 0.6}, 0).Std
-	if math.Abs(line.MaxDeviation()-want) > 1e-12 {
-		t.Fatalf("max dev %v, want %v", line.MaxDeviation(), want)
+	if got, want := line[1].Std, 0.3*math.Sqrt2; math.Abs(got-want) > 1e-12 {
+		t.Fatalf("deviation at t=10 %v, want %v", got, want)
 	}
 }
 
 // TestEdgeCases pins the boundary behaviour every caller of Timeline relies
-// on: empty and single-point timelines, windows wider than the data, and
-// queries before the first evaluation.
+// on: empty and single-point timelines and windows wider than the data.
 func TestEdgeCases(t *testing.T) {
 	empty := tl()
-	if empty.FinalDeviation() != 0 || empty.MaxDeviation() != 0 {
+	if empty.FinalDeviation() != 0 {
 		t.Fatal("empty timeline must report zero deviation")
-	}
-	if empty.MeanAt(100) != 0 {
-		t.Fatal("empty timeline MeanAt must be 0")
 	}
 	if _, ok := empty.TimeToAccuracy(0); ok {
 		t.Fatal("empty timeline never reaches a target")
@@ -125,13 +106,6 @@ func TestEdgeCases(t *testing.T) {
 		NewPoint(10, []float64{0.2}, 0),
 		NewPoint(20, []float64{0.4}, 0),
 	)
-	// query before the first evaluation: nothing measured yet
-	if got := line.MeanAt(5); got != 0 {
-		t.Fatalf("MeanAt before first eval = %v, want 0", got)
-	}
-	if got := line.MeanAt(10); got != 0.2 {
-		t.Fatalf("MeanAt at first eval = %v, want 0.2", got)
-	}
 	// window larger than the whole timeline
 	if line.Converged(5, 10) {
 		t.Fatal("window wider than timeline must report not converged")

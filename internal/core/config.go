@@ -51,10 +51,9 @@ type SyncConfig struct {
 
 // DKTConfig parameterizes direct knowledge transfer (§3.4).
 type DKTConfig struct {
-	Enabled    bool
-	Period     int64   // iterations between loss sharing rounds (paper: 100)
-	Lambda     float64 // merge ratio (paper: 0.75)
-	LossWindow int     // l, the number of recent losses averaged (default 5)
+	Enabled bool
+	Period  int64   // iterations between loss sharing rounds (paper: 100)
+	Lambda  float64 // merge ratio (paper: 0.75)
 	// Best2Worst restricts transfer to the single worst worker instead of
 	// all workers (the DKT_Best2worst variant of Figure 9b).
 	Best2Worst bool
@@ -75,8 +74,6 @@ type BatchConfig struct {
 	// ProfilePeriod is how often (virtual seconds) the LBS controller
 	// re-profiles compute capacity and broadcasts RCP (default 60).
 	ProfilePeriod float64
-	// MinLBS floors each worker's share (default 1).
-	MinLBS int
 	// DBClampMax bounds the dynamic batching weight db_j^k = LBS_j/LBS_k to
 	// [1/DBClampMax, DBClampMax] for numerical stability with extreme
 	// heterogeneity (default 8; see DESIGN.md decision 4).
@@ -91,9 +88,6 @@ type GBSConfig struct {
 	Mode string
 
 	WarmupAdd      int     // C_warmup: arithmetic increment (default = initial GBS)
-	SpeedupFactor  float64 // C_speedup: geometric factor (default 2)
-	WarmupCapFrac  float64 // stop warm-up when GBS > frac·|train| (paper: 0.01)
-	SpeedupCapFrac float64 // stop speed-up when GBS > frac·|train| (paper: 0.10)
 	AdjustPeriod   float64 // virtual seconds between adjustments (default 120)
 	WarmupDuration float64 // seconds before switching from warm-up to speed-up (default 600)
 	DoubleAtEpoch  float64 // schedule mode: epoch at which GBS doubles
@@ -216,10 +210,6 @@ type Config struct {
 	DKT        DKTConfig
 	Membership MembershipConfig
 	Quant      QuantConfig
-
-	// EvalSubset caps how many test samples periodic accuracy evaluation
-	// uses (0 = all). Purely a harness knob.
-	EvalSubset int
 }
 
 // Validate checks the configuration for programming errors.
@@ -279,7 +269,7 @@ func (c *Config) Validate() error {
 // determines the training computation — the string lineage manifests hash
 // into their config commitment. Two configs with equal fingerprints run the
 // same math on the same schedule (given equal seeds and worker counts);
-// presentation-only fields (Job, EvalSubset) are deliberately excluded.
+// the presentation-only Job label is deliberately excluded.
 func (c Config) Fingerprint() string {
 	c = c.withDefaults()
 	return fmt.Sprintf(
@@ -297,15 +287,6 @@ func (c Config) withDefaults() Config {
 	if c.Batch.GBS.Mode == "" {
 		c.Batch.GBS.Mode = "fixed"
 	}
-	if c.Batch.GBS.SpeedupFactor == 0 {
-		c.Batch.GBS.SpeedupFactor = 2
-	}
-	if c.Batch.GBS.WarmupCapFrac == 0 {
-		c.Batch.GBS.WarmupCapFrac = 0.01
-	}
-	if c.Batch.GBS.SpeedupCapFrac == 0 {
-		c.Batch.GBS.SpeedupCapFrac = 0.10
-	}
 	if c.Batch.GBS.AdjustPeriod == 0 {
 		c.Batch.GBS.AdjustPeriod = 120
 	}
@@ -315,14 +296,8 @@ func (c Config) withDefaults() Config {
 	if c.Batch.ProfilePeriod == 0 {
 		c.Batch.ProfilePeriod = 60
 	}
-	if c.Batch.MinLBS == 0 {
-		c.Batch.MinLBS = 1
-	}
 	if c.Batch.DBClampMax == 0 {
 		c.Batch.DBClampMax = 8
-	}
-	if c.DKT.LossWindow == 0 {
-		c.DKT.LossWindow = 5
 	}
 	if c.Membership.JoinTimeout == 0 {
 		c.Membership.JoinTimeout = 30

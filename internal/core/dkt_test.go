@@ -10,8 +10,7 @@ import (
 func dktCluster(t *testing.T, period int64, best2worst bool) (*fakeEnv, []*Worker) {
 	t.Helper()
 	cfg := asyncConfig()
-	cfg.DKT = DKTConfig{Enabled: true, Period: period, Lambda: 0.5,
-		LossWindow: 3, Best2Worst: best2worst}
+	cfg.DKT = DKTConfig{Enabled: true, Period: period, Lambda: 0.5, Best2Worst: best2worst}
 	env := newFakeEnv(3, []float64{1, 1, 1})
 	ws := buildCluster(t, cfg, env)
 	return env, ws

@@ -2,6 +2,16 @@ package core
 
 import "math"
 
+// The auto controller's growth (§3.2): warm-up adds WarmupAdd per period
+// until GBS would pass warmupCapFrac of the training set; speed-up then
+// multiplies GBS by speedupFactor (C_speedup) per period and freezes once
+// it would pass speedupCapFrac of it.
+const (
+	speedupFactor  = 2
+	warmupCapFrac  = 0.01
+	speedupCapFrac = 0.10
+)
+
 // gbsController computes the global batch size over time. All workers run
 // the same deterministic controller over the (loosely) shared clock, so
 // they agree on GBS without extra coordination — the decentralized analog
@@ -76,7 +86,7 @@ func (g *gbsController) autoAt(t float64) int {
 				add = g.initial
 			}
 			next := g.cur + add
-			if cap := int(g.cfg.WarmupCapFrac * float64(g.cfg.TrainSetSize)); cap > 0 && next > cap {
+			if cap := int(warmupCapFrac * float64(g.cfg.TrainSetSize)); cap > 0 && next > cap {
 				// hold at the warm-up cap until speed-up begins
 				continue
 			}
@@ -84,8 +94,8 @@ func (g *gbsController) autoAt(t float64) int {
 			continue
 		}
 		// speed-up: geometric progression, capped at 10% of |train|
-		next := int(float64(g.cur) * g.cfg.SpeedupFactor)
-		if cap := int(g.cfg.SpeedupCapFrac * float64(g.cfg.TrainSetSize)); cap > 0 && next > cap {
+		next := g.cur * speedupFactor
+		if cap := int(speedupCapFrac * float64(g.cfg.TrainSetSize)); cap > 0 && next > cap {
 			g.frozen = true
 			return g.cur
 		}

@@ -29,8 +29,7 @@ func TestGBSScheduleDoublesOnce(t *testing.T) {
 
 func TestGBSAutoWarmupArithmetic(t *testing.T) {
 	cfg := GBSConfig{Mode: "auto", WarmupAdd: 50, AdjustPeriod: 100,
-		WarmupDuration: 1000, WarmupCapFrac: 0.01, SpeedupCapFrac: 0.10,
-		SpeedupFactor: 2, TrainSetSize: 100000} // warm-up cap 1000, speed-up cap 10000
+		WarmupDuration: 1000, TrainSetSize: 100000} // warm-up cap 1000, speed-up cap 10000
 	g := newGBSController(cfg, 100)
 	if got := g.GBSAt(50, 0); got != 100 {
 		t.Fatalf("t=50: %d", got)
@@ -45,8 +44,7 @@ func TestGBSAutoWarmupArithmetic(t *testing.T) {
 
 func TestGBSAutoWarmupCap(t *testing.T) {
 	cfg := GBSConfig{Mode: "auto", WarmupAdd: 500, AdjustPeriod: 100,
-		WarmupDuration: 10000, WarmupCapFrac: 0.01, SpeedupCapFrac: 0.10,
-		SpeedupFactor: 2, TrainSetSize: 100000} // cap 1000
+		WarmupDuration: 10000, TrainSetSize: 100000} // cap 1000
 	g := newGBSController(cfg, 600)
 	// 600+500=1100 > 1000 cap: hold at 600 throughout warm-up
 	if got := g.GBSAt(500, 0); got != 600 {
@@ -56,8 +54,7 @@ func TestGBSAutoWarmupCap(t *testing.T) {
 
 func TestGBSAutoSpeedupGeometricAndCap(t *testing.T) {
 	cfg := GBSConfig{Mode: "auto", WarmupAdd: 100, AdjustPeriod: 100,
-		WarmupDuration: 100, WarmupCapFrac: 0.01, SpeedupCapFrac: 0.10,
-		SpeedupFactor: 2, TrainSetSize: 10000} // warm-up cap 100, speed-up cap 1000
+		WarmupDuration: 100, TrainSetSize: 10000} // warm-up cap 100, speed-up cap 1000
 	g := newGBSController(cfg, 100)
 	// t=100: speed-up begins (warmup duration over): 100*2=200
 	if got := g.GBSAt(100, 0); got != 200 {
@@ -77,8 +74,7 @@ func TestGBSAutoSpeedupGeometricAndCap(t *testing.T) {
 
 func TestGBSAutoMonotone(t *testing.T) {
 	cfg := GBSConfig{Mode: "auto", WarmupAdd: 32, AdjustPeriod: 50,
-		WarmupDuration: 300, WarmupCapFrac: 0.01, SpeedupCapFrac: 0.10,
-		SpeedupFactor: 2, TrainSetSize: 60000}
+		WarmupDuration: 300, TrainSetSize: 60000}
 	g := newGBSController(cfg, 192)
 	prev := 0
 	for tt := 0.0; tt < 3000; tt += 25 {

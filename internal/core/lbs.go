@@ -29,11 +29,14 @@ func computeRCP(batchSizes, seconds []float64) float64 {
 	return 1
 }
 
-// lbsShares implements Eq. 5: LBS_i = GBS · RCP_i / Σ_j RCP_j, floored at
-// minLBS per worker. rcp holds each worker's latest reported RCP; workers
+// minLBS floors each worker's share of the global batch.
+const minLBS = 1
+
+// lbsShares implements Eq. 5: LBS_i = GBS · RCP_i / Σ_j RCP_j, with every
+// share at least floor. rcp holds each worker's latest reported RCP; workers
 // without a report (anything not > 0) get the mean of the known ones (cold
 // start). rcp is the function's working storage and is overwritten.
-func lbsShares(gbs int, rcp []float64, minLBS int) []int {
+func lbsShares(gbs int, rcp []float64, floor int) []int {
 	n := len(rcp)
 	shares := make([]int, n)
 	var sum, known float64
@@ -59,8 +62,8 @@ func lbsShares(gbs int, rcp []float64, minLBS int) []int {
 	assigned := 0
 	for i := 0; i < n; i++ {
 		s := int(float64(gbs) * rcp[i] / total)
-		if s < minLBS {
-			s = minLBS
+		if s < floor {
+			s = floor
 		}
 		shares[i] = s
 		assigned += s

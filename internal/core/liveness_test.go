@@ -183,7 +183,7 @@ func TestLivePeersTracksSilence(t *testing.T) {
 func TestDKTSkipsDeadBestWorker(t *testing.T) {
 	cfg := asyncConfig()
 	cfg.LivenessTimeout = 5
-	cfg.DKT = DKTConfig{Enabled: true, Period: 5, Lambda: 0.75, LossWindow: 5}
+	cfg.DKT = DKTConfig{Enabled: true, Period: 5, Lambda: 0.75}
 	env := newFakeEnv(3, []float64{1, 1, 1})
 	ws := buildCluster(t, cfg, env)
 	for _, w := range ws {

@@ -363,8 +363,7 @@ func TestOutOfRangeIDsRejected(t *testing.T) {
 		return s
 	}
 	types := []wire.MsgType{wire.TypeGradient, wire.TypeLossReport, wire.TypeDKTRequest,
-		wire.TypeWeights, wire.TypeRCPReport, wire.TypeSync, wire.TypeHello,
-		wire.TypeWelcome, wire.TypeLeave}
+		wire.TypeWeights, wire.TypeRCPReport, wire.TypeHello, wire.TypeWelcome, wire.TypeLeave}
 	froms := []int32{-1, int32(env.n), math.MaxInt32}
 	rejected := int64(len(froms) * len(types))
 	for wi, w := range []*Worker{ws[0], ws[2]} { // an active member and a joiner

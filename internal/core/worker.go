@@ -512,7 +512,7 @@ func (w *Worker) currentLBS() int {
 		}
 		rcp = append(rcp, w.peers[id].rcp)
 	}
-	return lbsShares(gbs, rcp, w.cfg.Batch.MinLBS)[me]
+	return lbsShares(gbs, rcp, minLBS)[me]
 }
 
 // startIteration draws a batch, hands the step that computes gradients
@@ -571,9 +571,13 @@ func (w *Worker) JoinStep() {
 	w.queued = w.queued[:0]
 }
 
+// lossWindow is l, the number of recent losses a DKT loss report averages
+// (§3.4).
+const lossWindow = 5
+
 func (w *Worker) pushLoss(l float64) {
 	w.lossWin = append(w.lossWin, l)
-	if len(w.lossWin) > w.cfg.DKT.LossWindow {
+	if len(w.lossWin) > lossWindow {
 		w.lossWin = w.lossWin[1:]
 	}
 }

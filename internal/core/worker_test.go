@@ -311,7 +311,7 @@ func TestRCPReportsDriveLBS(t *testing.T) {
 
 func TestDKTBestWorkerSharesWeights(t *testing.T) {
 	cfg := asyncConfig()
-	cfg.DKT = DKTConfig{Enabled: true, Period: 3, Lambda: 1, LossWindow: 3}
+	cfg.DKT = DKTConfig{Enabled: true, Period: 3, Lambda: 1}
 	env := newFakeEnv(2, []float64{1, 1})
 	ws := buildCluster(t, cfg, env)
 	// Force worker 1 to have a terrible model so worker 0 wins elections.

@@ -2,11 +2,11 @@
 // targets micro-clouds — small, geo-distributed clusters whose nodes and
 // WAN links fail far more often than a datacenter's — so the harnesses must
 // be able to rehearse those failures deterministically. A Schedule declares
-// what goes wrong and when (worker crashes with optional restart, link
-// partitions, packet loss, extra delay, message corruption, broker
-// outages); an Injector compiled from it answers per-message verdicts for
-// both the discrete-event simulator (internal/cluster) and the realtime
-// harness (internal/realtime).
+// what goes wrong and when (worker crashes with optional restart, joins and
+// leaves, link partitions, packet loss, extra delay, message corruption);
+// an Injector compiled from it answers the discrete-event simulator's
+// (internal/cluster) per-message verdicts. The simulator is its only
+// consumer: real-mode runs are not fault-injected.
 package fault
 
 import (
@@ -19,9 +19,8 @@ import (
 // set to Any matches every worker on that side.
 const Any = -1
 
-// Window is a time interval [Start, End) in seconds on whichever clock the
-// consumer runs (virtual seconds in the simulator, seconds since node start
-// in real mode). End = 0 means open-ended.
+// Window is a time interval [Start, End) in virtual seconds. End = 0 means
+// open-ended.
 type Window struct {
 	Start, End float64
 }
@@ -120,13 +119,6 @@ type Leave struct {
 	AfterIters int64
 }
 
-// BrokerOutage marks the message broker as down during the window. The
-// simulator has no broker; the realtime harness uses it to schedule broker
-// kill/restart in chaos tests, and queue.Client's redials are what survive it.
-type BrokerOutage struct {
-	Window
-}
-
 // Schedule is a declarative description of everything that goes wrong in
 // one run. The zero value (and a nil *Schedule) injects no faults.
 type Schedule struct {
@@ -137,7 +129,6 @@ type Schedule struct {
 	Loss       []Loss
 	Delays     []Delay
 	Corruption []Corrupt
-	Outages    []BrokerOutage
 
 	// CheckpointPeriod is how often (seconds) the harness snapshots each
 	// worker's weights so a crashed worker can restart from a recent state
@@ -152,7 +143,7 @@ type Schedule struct {
 }
 
 // Validate checks the schedule against a cluster of n workers. n <= 0
-// skips endpoint range checks (real mode may not know the cluster size).
+// skips endpoint range checks.
 func (s *Schedule) Validate(n int) error {
 	if s == nil {
 		return nil
@@ -260,11 +251,6 @@ func (s *Schedule) Validate(n int) error {
 			return err
 		}
 	}
-	for _, o := range s.Outages {
-		if err := o.Window.validate("outage"); err != nil {
-			return err
-		}
-	}
 	if s.CheckpointPeriod < 0 {
 		return fmt.Errorf("fault: checkpoint period %v < 0", s.CheckpointPeriod)
 	}
@@ -304,8 +290,7 @@ type Stats struct {
 }
 
 // Injector answers per-message fault verdicts for a schedule. It is not
-// safe for concurrent use; the simulator calls it from the event loop, and
-// realtime consumers must serialize access themselves.
+// safe for concurrent use; the simulator calls it from the event loop.
 type Injector struct {
 	s     *Schedule
 	rng   *stats.RNG
@@ -372,19 +357,6 @@ func (in *Injector) JoinExecuted() { in.stats.Joins++ }
 
 // LeaveExecuted records a graceful leave executed by the harness.
 func (in *Injector) LeaveExecuted() { in.stats.Leaves++ }
-
-// BrokerDown reports whether a broker outage window covers t.
-func (in *Injector) BrokerDown(t float64) bool {
-	if in.s == nil {
-		return false
-	}
-	for _, o := range in.s.Outages {
-		if o.Contains(t) {
-			return true
-		}
-	}
-	return false
-}
 
 // Crashes returns the schedule's crash list (nil for a nil schedule).
 func (in *Injector) Crashes() []Crash {

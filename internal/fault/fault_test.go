@@ -31,9 +31,6 @@ func TestNilScheduleDeliversEverything(t *testing.T) {
 			t.Fatalf("nil schedule produced %+v", v)
 		}
 	}
-	if in.BrokerDown(5) {
-		t.Fatal("nil schedule has no outages")
-	}
 	if s := in.Stats(); s != (Stats{}) {
 		t.Fatalf("counters moved: %+v", s)
 	}
@@ -121,13 +118,6 @@ func TestCorruptionAndDelay(t *testing.T) {
 	}
 }
 
-func TestBrokerOutage(t *testing.T) {
-	in := NewInjector(&Schedule{Outages: []BrokerOutage{{Window{Start: 3, End: 6}}}})
-	if in.BrokerDown(2) || !in.BrokerDown(4) || in.BrokerDown(6) {
-		t.Fatal("outage window misapplied")
-	}
-}
-
 func TestValidate(t *testing.T) {
 	good := &Schedule{
 		Crashes:          []Crash{{Worker: 1, At: 10, RestartAfter: 5}},
@@ -159,7 +149,7 @@ func TestValidate(t *testing.T) {
 			t.Errorf("bad schedule %d accepted", i)
 		}
 	}
-	// real mode: unknown cluster size skips range checks but keeps the rest
+	// an unknown cluster size skips range checks but keeps the rest
 	if err := (&Schedule{Crashes: []Crash{{Worker: 9, At: 1}}}).Validate(0); err != nil {
 		t.Fatalf("n=0 should skip range checks: %v", err)
 	}

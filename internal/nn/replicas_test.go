@@ -127,13 +127,13 @@ func TestTrainStepHoldsNoArenaBuffer(t *testing.T) {
 	for _, spec := range replicaSpecs {
 		m := spec.Build()
 		x, y := randomBatch(stats.NewRNG(3), spec, 6)
-		_, _, idle := tensor.WorkspaceStats()
+		idle := tensor.WorkspaceStats()
 		m.Forward(x)
-		if _, _, held := tensor.WorkspaceStats(); held <= idle {
+		if held := tensor.WorkspaceStats(); held <= idle {
 			t.Fatalf("%s: Forward holds no arena bytes; the check below would be vacuous", spec.Kind)
 		}
 		m.TrainStep(x, y)
-		if _, _, after := tensor.WorkspaceStats(); after != idle {
+		if after := tensor.WorkspaceStats(); after != idle {
 			t.Fatalf("%s: %d arena bytes still lent out after TrainStep", spec.Kind, after-idle)
 		}
 	}
@@ -156,7 +156,7 @@ func TestConcurrentSlotStepsBitIdentical(t *testing.T) {
 		for i := range private {
 			private[i] = spec.Build()
 		}
-		_, _, idle := tensor.WorkspaceStats()
+		idle := tensor.WorkspaceStats()
 		for r := 0; r < rounds; r++ {
 			xs := make([]*tensor.Tensor, k)
 			ys := make([][]int, k)
@@ -194,7 +194,7 @@ func TestConcurrentSlotStepsBitIdentical(t *testing.T) {
 				private[i].ApplySGD(0.05)
 			}
 		}
-		if _, _, after := tensor.WorkspaceStats(); after != idle {
+		if after := tensor.WorkspaceStats(); after != idle {
 			t.Fatalf("%s: %d arena bytes still lent out after the slot steps", spec.Kind, after-idle)
 		}
 		x, y := randomBatch(rng, spec, 5)

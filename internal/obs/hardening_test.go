@@ -26,8 +26,7 @@ func TestRegistryConcurrentAttachSnapshot(t *testing.T) {
 				r.Counter(name).Inc()
 				r.Gauge(name + ".g").Set(int64(i))
 				r.Histogram(name + ".h").Observe(float64(i) * 1e-4)
-				r.AttachCounter(fmt.Sprintf("ext%d", g), &Counter{})
-				r.AttachGauge(fmt.Sprintf("extg%d", g), &Gauge{})
+				r.AttachFunc(fmt.Sprintf("ext%d", g), (&Counter{}).Load)
 				if i%10 == 0 {
 					r.Snapshot()
 					r.HistogramSummaries()
@@ -54,17 +53,17 @@ func TestRegistryConcurrentAttachSnapshot(t *testing.T) {
 }
 
 // TestRegistryAttachReplaces checks the documented replace-on-reattach
-// behavior: the snapshot follows the newest handle.
+// behavior: the snapshot follows the newest reader.
 func TestRegistryAttachReplaces(t *testing.T) {
 	r := NewRegistry()
 	first := &Counter{}
 	first.Add(5)
-	r.AttachCounter("x", first)
+	r.AttachFunc("x", first.Load)
 	second := &Counter{}
 	second.Add(9)
-	r.AttachCounter("x", second)
+	r.AttachFunc("x", second.Load)
 	if got := r.Snapshot()["x"]; got != 9 {
-		t.Errorf("snapshot x = %d, want the re-attached counter's 9", got)
+		t.Errorf("snapshot x = %d, want the re-attached reader's 9", got)
 	}
 }
 

@@ -48,7 +48,7 @@ func (p Phase) String() string {
 
 // MsgClass buckets wire messages for byte accounting: bulk gradient
 // payloads, bulk DKT weight payloads, and small control traffic (loss/RCP
-// reports, DKT requests, sync signals).
+// reports, DKT requests, membership frames).
 type MsgClass uint8
 
 // Message classes.
@@ -135,6 +135,7 @@ type Registry struct {
 	counters   map[string]*Counter
 	gauges     map[string]*Gauge
 	histograms map[string]*Histogram
+	funcs      map[string]func() int64 // AttachFunc
 }
 
 // NewRegistry returns an empty registry.
@@ -174,39 +175,27 @@ func (r *Registry) Gauge(name string) *Gauge {
 	return g
 }
 
-// AttachCounter registers an externally owned counter under name, so
-// package-level counters (e.g. the tensor workspace telemetry) appear in
-// snapshots and expvar next to registry-born ones. Re-attaching a name
-// replaces the previous handle. No-op on a nil registry or nil counter.
-func (r *Registry) AttachCounter(name string, c *Counter) {
-	if r == nil || c == nil {
+// AttachFunc registers a value another package owns under name, read
+// through load at every snapshot, so package-level counters in packages obs
+// cannot import (the tensor kernels' int8 matmul time) appear in snapshots
+// and expvar next to registry-born ones. Re-attaching a name replaces the
+// previous reader. No-op on a nil registry or nil load.
+func (r *Registry) AttachFunc(name string, load func() int64) {
+	if r == nil || load == nil {
 		return
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if r.counters == nil {
-		r.counters = map[string]*Counter{}
+	if r.funcs == nil {
+		r.funcs = map[string]func() int64{}
 	}
-	r.counters[name] = c
-}
-
-// AttachGauge registers an externally owned gauge under name. Re-attaching
-// a name replaces the previous handle. No-op on a nil registry or nil gauge.
-func (r *Registry) AttachGauge(name string, g *Gauge) {
-	if r == nil || g == nil {
-		return
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if r.gauges == nil {
-		r.gauges = map[string]*Gauge{}
-	}
-	r.gauges[name] = g
+	r.funcs[name] = load
 }
 
 // Snapshot returns every metric as name → value. Gauges contribute their
 // current value under their name and the high-water mark under
-// name + ".max". A nil registry snapshots to an empty map.
+// name + ".max"; attached readers contribute what they read. A nil registry
+// snapshots to an empty map.
 func (r *Registry) Snapshot() map[string]int64 {
 	out := map[string]int64{}
 	if r == nil {
@@ -220,6 +209,9 @@ func (r *Registry) Snapshot() map[string]int64 {
 	for name, g := range r.gauges {
 		out[name] = g.Load()
 		out[name+".max"] = g.Max()
+	}
+	for name, load := range r.funcs {
+		out[name] = load()
 	}
 	return out
 }

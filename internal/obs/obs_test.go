@@ -72,29 +72,20 @@ func TestRegistryAttach(t *testing.T) {
 	r := NewRegistry()
 	c := &Counter{}
 	c.Add(7)
-	g := &Gauge{}
-	g.Set(9)
-	r.AttachCounter("ext.count", c)
-	r.AttachGauge("ext.depth", g)
-	snap := r.Snapshot()
-	if snap["ext.count"] != 7 || snap["ext.depth"] != 9 {
-		t.Fatalf("attached metrics missing from snapshot: %v", snap)
-	}
-	if r.Counter("ext.count") != c {
-		t.Fatal("lookup by name must return the attached handle")
+	r.AttachFunc("ext.count", c.Load)
+	if snap := r.Snapshot(); snap["ext.count"] != 7 {
+		t.Fatalf("attached metric missing from snapshot: %v", snap)
 	}
 	c.Inc()
 	if r.Snapshot()["ext.count"] != 8 {
-		t.Fatal("attached counter must stay live")
+		t.Fatal("attached reader must stay live")
 	}
 	// nil-safety: no panics, no effect
 	var nilReg *Registry
-	nilReg.AttachCounter("x", c)
-	nilReg.AttachGauge("x", g)
-	r.AttachCounter("nil", nil)
-	r.AttachGauge("nil", nil)
+	nilReg.AttachFunc("x", c.Load)
+	r.AttachFunc("nil", nil)
 	if _, ok := r.Snapshot()["nil"]; ok {
-		t.Fatal("nil handles must not be attached")
+		t.Fatal("nil readers must not be attached")
 	}
 }
 

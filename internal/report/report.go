@@ -1,6 +1,6 @@
-// Package report renders the experiment harness's tables and series as
-// fixed-width text, in the same rows/columns the paper's tables and figure
-// axes use.
+// Package report renders the experiment harness's tables as fixed-width
+// text, in the same rows/columns the paper's tables use, and accuracy curves
+// as sparklines.
 package report
 
 import (
@@ -70,55 +70,6 @@ func (t *Table) String() string {
 	writeRow(sep)
 	for _, r := range t.Rows {
 		writeRow(r)
-	}
-	return b.String()
-}
-
-// Series is a named (x, y) sequence, the text analog of one curve in a
-// figure.
-type Series struct {
-	Name string
-	X    []float64
-	Y    []float64
-}
-
-// Add appends one point.
-func (s *Series) Add(x, y float64) {
-	s.X = append(s.X, x)
-	s.Y = append(s.Y, y)
-}
-
-// Figure is a set of series sharing axes.
-type Figure struct {
-	Title  string
-	XLabel string
-	YLabel string
-	Series []*Series
-}
-
-// NewFigure creates a figure.
-func NewFigure(title, xlabel, ylabel string) *Figure {
-	return &Figure{Title: title, XLabel: xlabel, YLabel: ylabel}
-}
-
-// AddSeries registers and returns a new series.
-func (f *Figure) AddSeries(name string) *Series {
-	s := &Series{Name: name}
-	f.Series = append(f.Series, s)
-	return s
-}
-
-// String renders the figure as one table with an x column per series pair,
-// assuming aligned x values where possible.
-func (f *Figure) String() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "== %s ==\n", f.Title)
-	fmt.Fprintf(&b, "x = %s, y = %s\n", f.XLabel, f.YLabel)
-	for _, s := range f.Series {
-		fmt.Fprintf(&b, "-- %s --\n", s.Name)
-		for i := range s.X {
-			fmt.Fprintf(&b, "  %10.2f  %10.4f\n", s.X[i], s.Y[i])
-		}
 	}
 	return b.String()
 }

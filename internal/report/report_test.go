@@ -37,19 +37,6 @@ func TestTableNoTitle(t *testing.T) {
 	}
 }
 
-func TestFigureRendering(t *testing.T) {
-	f := NewFigure("curve", "t", "acc")
-	s := f.AddSeries("dlion")
-	s.Add(0, 0.1)
-	s.Add(10, 0.9)
-	out := f.String()
-	for _, want := range []string{"== curve ==", "x = t, y = acc", "-- dlion --", "0.9000"} {
-		if !strings.Contains(out, want) {
-			t.Fatalf("missing %q in:\n%s", want, out)
-		}
-	}
-}
-
 func TestSparkline(t *testing.T) {
 	if Sparkline(nil) != "" {
 		t.Fatal("empty input")

@@ -57,18 +57,6 @@ func (s Schedule) At(t float64) float64 {
 	return v
 }
 
-// NextChange returns the first step time strictly after t, or ok=false if
-// the schedule is constant afterwards. Simulations use it to re-profile
-// when capacity shifts.
-func (s Schedule) NextChange(t float64) (float64, bool) {
-	for _, st := range s.Times {
-		if st > t {
-			return st, true
-		}
-	}
-	return 0, false
-}
-
 // CostModel converts a batch into iteration seconds:
 //
 //	seconds = Overhead + PerSample·batch/capacity

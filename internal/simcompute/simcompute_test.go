@@ -46,19 +46,6 @@ func TestStepsPanics(t *testing.T) {
 	}
 }
 
-func TestNextChange(t *testing.T) {
-	s := Steps(0, 1, 50, 2, 80, 3)
-	if nt, ok := s.NextChange(0); !ok || nt != 50 {
-		t.Fatalf("NextChange(0) = %v,%v", nt, ok)
-	}
-	if nt, ok := s.NextChange(50); !ok || nt != 80 {
-		t.Fatalf("NextChange(50) = %v,%v", nt, ok)
-	}
-	if _, ok := s.NextChange(80); ok {
-		t.Fatal("no change after last step")
-	}
-}
-
 func TestIterTimeScalesWithCapacity(t *testing.T) {
 	cost := CostModel{Overhead: 0.01, PerSample: 0.002}
 	fast := New(Constant(24), cost, 1)
@@ -146,8 +133,8 @@ func TestIterTimePositiveProperty(t *testing.T) {
 }
 
 // TestScheduleBoundaries pins the exact semantics at step edges: a step
-// takes effect at its own time (closed on the left), the value before the
-// first step is the first value, and NextChange is strictly-after.
+// takes effect at its own time (closed on the left), and the value before
+// the first step is the first value.
 func TestScheduleBoundaries(t *testing.T) {
 	s := Steps(1, 10, 2, 0, 3, 20)
 	cases := []struct{ t, want float64 }{
@@ -164,16 +151,6 @@ func TestScheduleBoundaries(t *testing.T) {
 		if got := s.At(c.t); got != c.want {
 			t.Fatalf("At(%v) = %v, want %v", c.t, got, c.want)
 		}
-	}
-	// NextChange at a step time skips to the following one.
-	if nc, ok := s.NextChange(2); !ok || nc != 3 {
-		t.Fatalf("NextChange(2) = %v,%v, want 3,true", nc, ok)
-	}
-	if _, ok := s.NextChange(3); ok {
-		t.Fatal("NextChange past the last step must report no change")
-	}
-	if nc, ok := s.NextChange(-5); !ok || nc != 1 {
-		t.Fatalf("NextChange(-5) = %v,%v, want 1,true", nc, ok)
 	}
 }
 
@@ -218,25 +195,5 @@ func TestSingleTickSchedule(t *testing.T) {
 	}
 	if got := s.At(10.001); got != 5 {
 		t.Fatalf("At(10.001) = %v, want 5", got)
-	}
-	// Chained NextChange walks every tick exactly once.
-	times := []float64{}
-	t0 := -1.0
-	for {
-		nc, ok := s.NextChange(t0)
-		if !ok {
-			break
-		}
-		times = append(times, nc)
-		t0 = nc
-	}
-	want := []float64{0, 10, 10.001}
-	if len(times) != len(want) {
-		t.Fatalf("NextChange walk %v, want %v", times, want)
-	}
-	for i := range want {
-		if times[i] != want[i] {
-			t.Fatalf("NextChange walk %v, want %v", times, want)
-		}
 	}
 }

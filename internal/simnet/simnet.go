@@ -1,7 +1,8 @@
 // Package simnet models the network connecting DLion workers: per-link
 // bandwidth schedules (substituting for the paper's `tc`-based emulation
-// and its AWS WAN measurements), transfer-time accounting, and the network
-// resource monitor workers query before generating partial gradients.
+// and its AWS WAN measurements) and round-trip times, and the network
+// resource monitor workers query before generating partial gradients. What
+// a transfer costs is the simulator's to charge (cluster's simEnv.Send).
 package simnet
 
 import (
@@ -9,9 +10,6 @@ import (
 
 	"dlion/internal/simcompute"
 )
-
-// Mbps converts megabits/second to bytes/second.
-const mbps = 1e6 / 8
 
 // Link is a directed connection between two workers with a time-varying
 // bandwidth (Mbps) and a fixed propagation delay (seconds).
@@ -83,26 +81,6 @@ func (nw *Network) BandwidthAt(i, j int, t float64) (float64, error) {
 		return 0, err
 	}
 	return l.Bandwidth.At(t), nil
-}
-
-// TransferTime returns the virtual seconds needed to move bytes from i to
-// j starting at time t: serialization at the current bandwidth plus half
-// the RTT. Bandwidth changes mid-transfer are approximated by the bandwidth
-// at the start of the transfer, matching how the paper's monitor samples
-// capacity at send time.
-func (nw *Network) TransferTime(i, j int, bytes int, t float64) (float64, error) {
-	if i == j {
-		return 0, nil
-	}
-	l, err := nw.Link(i, j)
-	if err != nil {
-		return 0, err
-	}
-	bw := l.Bandwidth.At(t)
-	if bw <= 0 {
-		bw = 0.01 // a dead link crawls rather than wedging the simulation
-	}
-	return float64(bytes)/(bw*mbps) + l.RTT/2, nil
 }
 
 // Uniform builds a full mesh where every directed link has the same

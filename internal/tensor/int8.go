@@ -2,9 +2,8 @@ package tensor
 
 import (
 	"math"
+	"sync/atomic"
 	"time"
-
-	"dlion/internal/obs"
 )
 
 // Int8 inference engine: a quantized sibling of the packed f32 matmul in
@@ -248,13 +247,15 @@ func (q *QuantMat) MatMulTransB(dst []float32, qa []int16, aScales []float32, m 
 // i8MatmulNs accumulates nanoseconds spent inside QuantMat.MatMulTransB,
 // exposed as tensor.int8_matmul_ns (METRICS.md) — the serve path's direct
 // view of quantized inference cost.
-var i8MatmulNs = &obs.Counter{}
+var i8MatmulNs atomic.Int64
 
 // Int8MatmulNs reports total nanoseconds spent in quantized matmuls.
 func Int8MatmulNs() int64 { return i8MatmulNs.Load() }
 
-// AttachQuantMetrics exposes the quantized-kernel counters on reg under the
-// names documented in METRICS.md. Safe on a nil registry.
-func AttachQuantMetrics(reg *obs.Registry) {
-	reg.AttachCounter("tensor.int8_matmul_ns", i8MatmulNs)
+// AttachQuantMetrics exposes the quantized-kernel counters on reg, an
+// *obs.Registry, under the names documented in METRICS.md. reg is taken
+// through the one method used, so the kernels do not depend on obs. Safe
+// on a nil *obs.Registry.
+func AttachQuantMetrics(reg interface{ AttachFunc(string, func() int64) }) {
+	reg.AttachFunc("tensor.int8_matmul_ns", i8MatmulNs.Load)
 }

@@ -3,8 +3,6 @@ package tensor
 import (
 	"math/bits"
 	"sync/atomic"
-
-	"dlion/internal/obs"
 )
 
 // Workspace is an arena of reusable float32 buffers organized as power-of-two
@@ -80,22 +78,20 @@ func (w *Workspace) Get(shape ...int) *Tensor {
 	cls := wsClass(n)
 	list := w.free[cls]
 	if len(list) == 0 {
-		wsMisses.Inc()
 		t := &Tensor{
 			Shape:  append(make([]int, 0, 4), shape...),
 			Data:   make([]float32, n, 1<<cls),
 			wsBits: int8(cls),
 		}
-		wsAccount(4 << cls)
+		wsInUse.Add(4 << cls)
 		return t
 	}
 	t := list[len(list)-1]
 	list[len(list)-1] = nil
 	w.free[cls] = list[:len(list)-1]
-	wsHits.Inc()
 	t.Data = t.Data[:n]
 	t.Shape = append(t.Shape[:0], shape...)
-	wsAccount(4 << cls)
+	wsInUse.Add(4 << cls)
 	return t
 }
 
@@ -121,37 +117,14 @@ func (w *Workspace) Put(t *Tensor) {
 		return
 	}
 	w.free[cls] = append(w.free[cls], t)
-	wsAccount(-(4 << cls))
+	wsInUse.Add(-(4 << cls))
 }
 
-// Package-wide workspace telemetry. Workspaces are per-owner, but memory
-// pressure is a process property, so hits/misses/bytes aggregate globally;
-// AttachWorkspaceMetrics exposes them on a Registry under the names
-// documented in METRICS.md.
-var (
-	wsHits     = &obs.Counter{}
-	wsMisses   = &obs.Counter{}
-	wsInUse    = &obs.Gauge{}
-	wsInUseRaw atomic.Int64
-)
+// wsInUse is the bytes currently lent out across all workspaces, by class
+// capacity (the figure that reflects held memory).
+var wsInUse atomic.Int64
 
-// wsAccount tracks bytes currently lent out across all workspaces (by class
-// capacity, the figure that reflects held memory).
-func wsAccount(delta int64) {
-	wsInUse.Set(wsInUseRaw.Add(delta))
-}
-
-// WorkspaceStats reports the process-wide arena counters: free-list hits,
-// misses (fresh allocations), and bytes currently lent out.
-func WorkspaceStats() (hits, misses, bytesInUse int64) {
-	return wsHits.Load(), wsMisses.Load(), wsInUseRaw.Load()
-}
-
-// AttachWorkspaceMetrics exposes the arena counters on reg as
-// tensor.ws_hits, tensor.ws_misses, and tensor.ws_bytes_inuse (METRICS.md).
-// Safe on a nil registry.
-func AttachWorkspaceMetrics(reg *obs.Registry) {
-	reg.AttachCounter("tensor.ws_hits", wsHits)
-	reg.AttachCounter("tensor.ws_misses", wsMisses)
-	reg.AttachGauge("tensor.ws_bytes_inuse", wsInUse)
-}
+// WorkspaceStats reports the bytes currently lent out across all
+// workspaces: an arena that gets back everything it lent returns to where it
+// started.
+func WorkspaceStats() (bytesInUse int64) { return wsInUse.Load() }

@@ -1,7 +1,6 @@
 package wire
 
 import (
-	"bytes"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -28,12 +27,9 @@ func TestGenerateSeedCorpus(t *testing.T) {
 	}
 	for i, m := range seedMessages() {
 		write("FuzzDecode", fmt.Sprintf("seed-%s-%d", m.Type, i), Encode(m))
-		var buf bytes.Buffer
-		if err := WriteFrame(&buf, m); err != nil {
-			t.Fatal(err)
-		}
-		write("FuzzReadFrame", fmt.Sprintf("seed-%s-%d", m.Type, i), buf.Bytes())
 	}
 	write("FuzzDecode", "seed-truncated", []byte{byte(TypeGradient), 0, 0, 0, 0})
-	write("FuzzReadFrame", "seed-overlong-prefix", []byte{0xff, 0xff, 0xff, 0xff})
+	// The header of a message of type 6, which once meant "sync" and is now
+	// unassigned: it must decode as corrupt.
+	write("FuzzDecode", "seed-sync-8", []byte{6, 0, 0, 0, 0, 2, 0, 0, 0, 11, 0, 0, 0, 0, 0, 0, 0})
 }

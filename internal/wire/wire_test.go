@@ -1,7 +1,6 @@
 package wire
 
 import (
-	"bytes"
 	"math"
 	"reflect"
 	"testing"
@@ -58,7 +57,6 @@ func TestScalarRoundTrips(t *testing.T) {
 		{Type: TypeLossReport, From: 0, To: 1, Iter: 3, Loss: 0.731},
 		{Type: TypeRCPReport, From: 4, To: 2, Iter: 9, RCP: 123.456},
 		{Type: TypeDKTRequest, From: 1, To: 0, Iter: 100},
-		{Type: TypeSync, From: 5, To: 5, Iter: 42},
 	} {
 		got, err := Decode(Encode(m))
 		if err != nil {
@@ -165,32 +163,6 @@ func TestDecodeErrors(t *testing.T) {
 	}
 	if _, err := Decode(append(enc, 0)); err == nil {
 		t.Fatal("trailing bytes must error")
-	}
-}
-
-func TestFrameRoundTrip(t *testing.T) {
-	var buf bytes.Buffer
-	m1 := gradientMsg()
-	m2 := &Message{Type: TypeSync, From: 1, To: 2, Iter: 5}
-	if err := WriteFrame(&buf, m1); err != nil {
-		t.Fatal(err)
-	}
-	if err := WriteFrame(&buf, m2); err != nil {
-		t.Fatal(err)
-	}
-	g1, err := ReadFrame(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	g2, err := ReadFrame(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(m1, g1) || !reflect.DeepEqual(m2, g2) {
-		t.Fatal("frame round trip mismatch")
-	}
-	if _, err := ReadFrame(&buf); err == nil {
-		t.Fatal("empty stream must error")
 	}
 }
 
