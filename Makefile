@@ -137,9 +137,14 @@ audit-gate:
 	go run ./cmd/dlion-audit -self-test
 
 # Churn soak for the scheduled CI job: the sim churn scenarios, the
-# membership protocol tests and the broker client's reconnect, vanished-
-# consumer and restart tests, repeated under the race detector. -count=3
-# re-runs catch schedule-dependent flakes a single pass would miss.
+# membership protocol tests, the broker client's reconnect, vanished-
+# consumer and restart tests, and the worker group's crash-restart path
+# (realtime.Group and the job control plane that drives it), repeated under
+# the race detector. -count=3 re-runs catch schedule-dependent flakes a
+# single pass would miss. The pattern also takes in the simulator's crash
+# scenarios (internal/cluster faults_test.go, ≈ 76 s a pass under -race on
+# a 2-core box), which put that package's three passes past go test's
+# 10-minute default, hence the explicit -timeout.
 chaos:
-	go test -race -count=3 -run 'Membership|Churn|Join|Leave|Quorum|Recheck|Elastic|Reconnect|Vanish|Restart' \
-		./internal/core/... ./internal/cluster/... ./internal/queue/... ./internal/realtime/... ./internal/testkit/...
+	go test -race -count=3 -timeout 30m -run 'Membership|Churn|Join|Leave|Quorum|Recheck|Elastic|Reconnect|Vanish|Restart|Crash|Group' \
+		./internal/core/... ./internal/cluster/... ./internal/queue/... ./internal/realtime/... ./internal/testkit/... ./internal/jobs/...

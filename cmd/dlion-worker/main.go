@@ -19,6 +19,7 @@ import (
 	"syscall"
 	"time"
 
+	"dlion/internal/core"
 	"dlion/internal/data"
 	"dlion/internal/lineage"
 	"dlion/internal/nn"
@@ -173,9 +174,9 @@ func main() {
 		for {
 			select {
 			case <-tick.C:
-				s := node.Worker().Stats()
-				fmt.Printf("  iter=%d loss=%.3f sent=%dKB\n",
-					s.Iters, node.Worker().AvgRecentLoss(), s.BytesSent>>10)
+				node.Inspect(ctx, func(w *core.Worker) {
+					fmt.Printf("  iter=%d loss=%.3f sent=%dKB\n", w.Stats().Iters, w.AvgRecentLoss(), w.Stats().BytesSent>>10)
+				})
 			case <-ctx.Done():
 				return
 			}

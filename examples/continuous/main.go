@@ -12,7 +12,6 @@ import (
 	"context"
 	"fmt"
 	"log"
-	"sync"
 	"time"
 
 	"dlion"
@@ -44,13 +43,9 @@ func main() {
 	sys.Batch.DynamicBatching = false // wall-clock profiling is noisy in-process
 
 	fmt.Printf("session 1: training on %d samples for %v\n", train.Len(), session)
-	nodes := runSession(broker, sys, spec, shards, nil)
-	best := bestWorker(nodes)
-	acc1, _ := best.Model().Evaluate(test, 64)
+	checkpoint, acc1 := runSession(broker, sys, spec, shards, test, nil)
 	fmt.Printf("session 1 done: best worker accuracy %.3f\n", acc1)
-
 	// Persist the learned model, as a deployment would between sessions.
-	checkpoint := best.Model().Checkpoint()
 	fmt.Printf("checkpointed %d KB of weights\n", len(checkpoint)>>10)
 
 	// New data arrives at the edges while training is offline.
@@ -62,9 +57,7 @@ func main() {
 
 	// Session 2: fresh worker processes resume from the checkpoint.
 	fmt.Printf("session 2: resuming from checkpoint for %v\n", session)
-	nodes = runSession(broker, sys, spec, shards, checkpoint)
-	best = bestWorker(nodes)
-	acc2, _ := best.Model().Evaluate(test, 64)
+	_, acc2 := runSession(broker, sys, spec, shards, test, checkpoint)
 	fmt.Printf("session 2 done: best worker accuracy %.3f (was %.3f)\n", acc2, acc1)
 	if acc2 >= acc1 {
 		fmt.Println("resumed training improved the model with the new data ✓")
@@ -74,54 +67,39 @@ func main() {
 }
 
 // runSession trains `workers` nodes for one wall-clock session, optionally
-// restoring every replica from a checkpoint first.
+// restoring every replica from a checkpoint first, and returns the
+// lowest-loss worker's checkpoint and test accuracy.
 func runSession(broker *dlion.Broker, sys dlion.SystemConfig, spec dlion.ModelSpec,
-	shards []*dlion.Shard, checkpoint []byte) []*dlion.RealNode {
+	shards []*dlion.Shard, test *dlion.Dataset, checkpoint []byte) ([]byte, float64) {
 
-	nodes := make([]*dlion.RealNode, workers)
-	for i := range nodes {
-		node, err := dlion.NewRealNode(dlion.RealNodeConfig{
-			ID: i, N: workers, System: sys, Spec: spec, Shard: shards[i],
-			Transport: dlion.NewBrokerTransport(broker, i),
-		})
-		if err != nil {
-			log.Fatal(err)
-		}
-		if checkpoint != nil {
-			if err := node.Worker().Model().Restore(checkpoint); err != nil {
-				log.Fatal(err)
-			}
-		}
-		nodes[i] = node
+	group, err := dlion.NewRealGroup(workers, func(i int) (dlion.RealNodeConfig, error) {
+		return dlion.RealNodeConfig{ID: i, N: workers, System: sys, Spec: spec,
+			Shard: shards[i], Transport: dlion.NewBrokerTransport(broker, i)}, nil
+	})
+	if err != nil {
+		log.Fatal(err)
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), session)
 	defer cancel()
-	var wg sync.WaitGroup
-	for i, node := range nodes {
-		wg.Add(1)
-		go func(id int, nd *dlion.RealNode) {
-			defer wg.Done()
-			if err := nd.Run(ctx); err != nil {
-				log.Printf("worker %d: %v", id, err)
-			}
-		}(i, node)
-	}
-	wg.Wait()
-	for i, nd := range nodes {
-		fmt.Printf("  worker %d: %d iterations, loss %.3f\n",
-			i, nd.Worker().Iter(), nd.Worker().AvgRecentLoss())
-	}
-	return nodes
-}
-
-func bestWorker(nodes []*dlion.RealNode) interface {
-	Model() *dlion.Model
-} {
-	best := nodes[0].Worker()
-	for _, nd := range nodes[1:] {
-		if nd.Worker().AvgRecentLoss() < best.AvgRecentLoss() {
-			best = nd.Worker()
+	// Until Run starts, Inspect reaches the workers directly.
+	for i := 0; checkpoint != nil && i < workers; i++ {
+		group.Inspect(ctx, i, func(w *dlion.Worker) { err = w.Model().Restore(checkpoint) })
+		if err != nil {
+			log.Fatal(err)
 		}
 	}
-	return best
+	if err := group.Run(ctx); err != nil {
+		log.Fatal(err)
+	}
+	var best *dlion.Worker
+	for i := 0; i < workers; i++ {
+		group.Inspect(ctx, i, func(w *dlion.Worker) {
+			fmt.Printf("  worker %d: %d iterations, loss %.3f\n", i, w.Iter(), w.AvgRecentLoss())
+			if best == nil || w.AvgRecentLoss() < best.AvgRecentLoss() {
+				best = w
+			}
+		})
+	}
+	acc, _ := best.Model().Evaluate(test, 64)
+	return best.Model().Checkpoint(), acc
 }

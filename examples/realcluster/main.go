@@ -11,7 +11,6 @@ import (
 	"context"
 	"fmt"
 	"log"
-	"sync"
 	"time"
 
 	"dlion"
@@ -50,59 +49,48 @@ func main() {
 	sys.DKT.Period = 20
 	sys.Batch.DynamicBatching = false // wall-clock profiling noise is high in-process
 
-	nodes := make([]*dlion.RealNode, n)
-	for i := 0; i < n; i++ {
+	group, err := dlion.NewRealGroup(n, func(i int) (dlion.RealNodeConfig, error) {
 		transport, err := dlion.NewTCPTransport(srv.Addr(), i)
-		if err != nil {
-			log.Fatal(err)
-		}
-		defer transport.Close()
-		nodes[i], err = dlion.NewRealNode(dlion.RealNodeConfig{
-			ID: i, N: n, System: sys, Spec: spec,
-			Shard: shards[i], Transport: transport,
-		})
-		if err != nil {
-			log.Fatal(err)
-		}
+		return dlion.RealNodeConfig{ID: i, N: n, System: sys, Spec: spec,
+			Shard: shards[i], Transport: transport}, err
+	})
+	if err != nil {
+		log.Fatal(err)
 	}
 
 	ctx, cancel := context.WithTimeout(context.Background(), duration)
 	defer cancel()
-	var wg sync.WaitGroup
-	for i, node := range nodes {
-		wg.Add(1)
-		go func(id int, nd *dlion.RealNode) {
-			defer wg.Done()
-			if err := nd.Run(ctx); err != nil {
-				log.Printf("worker %d: %v", id, err)
-			}
-		}(i, node)
-	}
+	ran := make(chan error, 1)
+	go func() { ran <- group.Run(ctx) }()
 
-	// Progress while training runs.
+	// Progress while training runs, read on each worker's event loop.
 	ticker := time.NewTicker(2 * time.Second)
 	defer ticker.Stop()
-	done := make(chan struct{})
-	go func() { wg.Wait(); close(done) }()
 loop:
 	for {
 		select {
 		case <-ticker.C:
 			fmt.Print("progress:")
-			for i, nd := range nodes {
-				fmt.Printf("  w%d iter=%d loss=%.2f", i,
-					nd.Worker().Iter(), nd.Worker().AvgRecentLoss())
+			for i := 0; i < n; i++ {
+				group.Inspect(context.Background(), i, func(w *dlion.Worker) {
+					fmt.Printf("  w%d iter=%d loss=%.2f", i, w.Iter(), w.AvgRecentLoss())
+				})
 			}
 			fmt.Println()
-		case <-done:
+		case err := <-ran:
+			if err != nil {
+				log.Print(err)
+			}
 			break loop
 		}
 	}
 
 	fmt.Println("\nfinal state after", duration, "of wall-clock training:")
-	for i, nd := range nodes {
-		s := nd.Worker().Stats()
-		fmt.Printf("  worker %d: %d iterations, %d samples, %d KB sent, loss %.3f\n",
-			i, s.Iters, s.SamplesProcessed, s.BytesSent>>10, nd.Worker().AvgRecentLoss())
+	for i := 0; i < n; i++ {
+		group.Inspect(ctx, i, func(w *dlion.Worker) {
+			s := w.Stats()
+			fmt.Printf("  worker %d: %d iterations, %d samples, %d KB sent, loss %.3f\n",
+				i, s.Iters, s.SamplesProcessed, s.BytesSent>>10, w.AvgRecentLoss())
+		})
 	}
 }

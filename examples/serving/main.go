@@ -68,43 +68,38 @@ func main() {
 	sys := dlion.DLion()
 	sys.DKT.Period = 20
 	sys.Batch.DynamicBatching = false
+	group, err := dlion.NewRealGroup(n, func(i int) (dlion.RealNodeConfig, error) {
+		return dlion.RealNodeConfig{ID: i, N: n, System: sys, Spec: spec,
+			Shard: shards[i], Transport: dlion.NewBrokerTransport(broker, i)}, nil
+	})
+	if err != nil {
+		log.Fatal(err)
+	}
 	var wg sync.WaitGroup
-	for i := 0; i < n; i++ {
-		transport := dlion.NewBrokerTransport(broker, i)
-		defer transport.Close()
-		node, err := dlion.NewRealNode(dlion.RealNodeConfig{
-			ID: i, N: n, System: sys, Spec: spec,
-			Shard: shards[i], Transport: transport,
-		})
-		if err != nil {
-			log.Fatal(err)
+	wg.Add(2)
+	go func() {
+		defer wg.Done()
+		if err := group.Run(ctx); err != nil {
+			log.Print(err)
 		}
-		wg.Add(1)
-		go func(id int) {
-			defer wg.Done()
-			if err := node.Run(ctx); err != nil {
-				log.Printf("worker %d: %v", id, err)
+	}()
+	go func() {
+		defer wg.Done()
+		tick := time.NewTicker(time.Second)
+		defer tick.Stop()
+		for {
+			select {
+			case <-ctx.Done():
+				return
+			case <-tick.C:
 			}
-		}(i)
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			tick := time.NewTicker(time.Second)
-			defer tick.Stop()
-			for {
-				select {
-				case <-ctx.Done():
-					return
-				case <-tick.C:
-					iter, ckpt, err := node.Checkpoint(ctx)
-					if err != nil || iter == 0 {
-						continue
-					}
+			for i := 0; i < n; i++ {
+				if iter, ckpt, _, err := group.Checkpoint(ctx, i); err == nil && iter > 0 {
 					broker.Publish(dlion.ServeWeightsChannel, dlion.EncodeWeightsUpdate(iter, ckpt))
 				}
 			}
-		}()
-	}
+		}
+	}()
 
 	// Client side: one prediction per second against whatever version is
 	// freshest; the reported model_seq climbs as training progresses.

@@ -1,6 +1,7 @@
 package dlion
 
 import (
+	"dlion/internal/core"
 	"dlion/internal/data"
 	"dlion/internal/env"
 	"dlion/internal/fault"
@@ -112,10 +113,12 @@ type (
 	Broker = queue.Broker
 	// BrokerServer exposes a Broker over TCP.
 	BrokerServer = queue.Server
-	// RealNode hosts one worker over wall time.
-	RealNode = realtime.Node
-	// RealNodeConfig assembles a real-mode node.
+	// RealGroup runs real-mode workers as one unit, owning their transports.
+	RealGroup = realtime.Group
+	// RealNodeConfig assembles one worker of a RealGroup.
 	RealNodeConfig = realtime.Config
+	// Worker is the DLion worker a RealGroup's Inspect hands to its closure.
+	Worker = core.Worker
 	// Transport moves encoded messages between real-mode workers.
 	Transport = realtime.Transport
 )
@@ -130,7 +133,7 @@ func ServeBroker(b *Broker, addr string) (*BrokerServer, error) {
 
 // NewBrokerTransport connects a real-mode worker to an in-process broker.
 func NewBrokerTransport(b *Broker, workerID int) Transport {
-	return realtime.NewBrokerTransport(b, workerID)
+	return realtime.NewBrokerTransport(b, workerID, "")
 }
 
 // NewTCPTransport connects a real-mode worker to a TCP broker.
@@ -138,8 +141,10 @@ func NewTCPTransport(addr string, workerID int) (Transport, error) {
 	return realtime.NewClientTransport(addr, workerID)
 }
 
-// NewRealNode builds a real-mode node hosting one worker.
-func NewRealNode(cfg RealNodeConfig) (*RealNode, error) { return realtime.NewNode(cfg) }
+// NewRealGroup builds worker i of n from build(i); the group owns the transports.
+func NewRealGroup(n int, build func(int) (RealNodeConfig, error)) (*RealGroup, error) {
+	return realtime.NewGroup(n, build, 0)
+}
 
 // GenerateData builds the train/test datasets for a DataConfig.
 func GenerateData(cfg DataConfig) (train, test *Dataset, err error) {

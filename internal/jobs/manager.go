@@ -212,9 +212,9 @@ func (m *Manager) Halt(id string) (*Job, error) {
 }
 
 // CrashWorker kills one worker of a running job, as if its process died
-// (the chaos hook behind restart testing): the worker's incarnation context
-// is canceled, and the supervisor restarts it from its latest checkpoint —
-// or fails the job if the restart budget is spent.
+// (the chaos hook behind restart testing): the job's group restarts it from
+// its latest captured checkpoint — or fails the job if the restart budget
+// is spent.
 func (m *Manager) CrashWorker(id string, worker int) error {
 	m.mu.Lock()
 	r := m.runs[id]
@@ -222,7 +222,13 @@ func (m *Manager) CrashWorker(id string, worker int) error {
 	if r == nil {
 		return fmt.Errorf("%w: %q has no active run", ErrNotFound, id)
 	}
-	return r.crashWorker(worker)
+	r.mu.Lock()
+	g := r.group
+	r.mu.Unlock()
+	if g == nil {
+		return fmt.Errorf("jobs: job %s still deploying", id)
+	}
+	return g.Crash(worker)
 }
 
 // JobMetrics is the job monitor's answer for one job: lifecycle state,
@@ -309,33 +315,16 @@ type run struct {
 	ctx    context.Context
 	cancel context.CancelFunc
 
-	cfg    core.Config
-	mspec  nn.Spec
-	shards []*data.Shard
-	test   *data.Dataset
+	test *data.Dataset
 
-	mu      sync.Mutex // guards job fields, halt/err, slot node swaps
+	mu      sync.Mutex // guards job fields, halt/err, and the group's publication
 	halted  bool
 	failErr error
-	done    bool
 
-	slots []*slot
+	group *realtime.Group // nil until deploy has built every worker
 	sinks []*obs.WorkerObs
-	wg    sync.WaitGroup
 
 	start time.Time
-}
-
-// slot is one worker position across its incarnations.
-type slot struct {
-	mu     sync.Mutex
-	node   *realtime.Node
-	tr     *realtime.BrokerTransport
-	wctx   context.Context    // the current incarnation's Run context
-	cancel context.CancelFunc // cancels the current incarnation's Run
-	ckpt   []byte             // latest captured checkpoint
-	man    *lineage.Manifest  // latest captured lineage manifest (chains across captures)
-	iters  int64              // latest observed iteration count
 }
 
 // runJob drives one job from deploying to a terminal state.
@@ -365,21 +354,23 @@ func (m *Manager) runJob(id string) {
 
 	r.setState(StateDeploying, "")
 	if err := r.deploy(); err != nil {
-		r.mu.Lock()
-		r.failErr = err
-		r.mu.Unlock()
-		r.finish()
+		r.failWith(err)
+		r.finish(false)
 		return
 	}
 	r.setState(StateTraining, "")
-	for i := range r.slots {
-		r.wg.Add(1)
-		go r.workerLoop(i)
-	}
-	r.supervise()
+	ran := make(chan struct{})
+	go func() {
+		defer close(ran)
+		// Crashed workers restart from their last checkpoint within the budget.
+		if err := r.group.Run(r.ctx); err != nil {
+			r.failWith(fmt.Errorf("jobs: %w", err))
+		}
+	}()
+	done := r.supervise()
 	r.cancel() // stop the worker group (completion, halt, or failure)
-	r.wg.Wait()
-	r.finish()
+	<-ran
+	r.finish(done)
 }
 
 // setState transitions the job record and persists it.
@@ -409,8 +400,9 @@ func (r *run) failWith(err error) {
 	r.cancel()
 }
 
-// deploy resolves the spec into configs, data, and the initial worker
-// group. Any error here fails the job before it reaches training.
+// deploy resolves the spec into configs, data, and the job's worker group
+// on its broker namespace. Any error here fails the job before it reaches
+// training.
 func (r *run) deploy() error {
 	spec := r.job.Spec
 	cfg, err := systems.ForJob(spec.System, spec.Quant, r.job.ID, spec.MaxIters)
@@ -433,7 +425,6 @@ func (r *run) deploy() error {
 		}
 		cfg.Membership.InitialMembers = roster
 	}
-	r.cfg = cfg
 
 	dc := data.CIFAR10Config(spec.Scale, spec.Seed+13)
 	train, test, err := data.Generate(dc)
@@ -444,204 +435,71 @@ func (r *run) deploy() error {
 	if err != nil {
 		return err
 	}
-	r.shards = shards
 	r.test = test
-	r.mspec = nn.CipherSpec(dc.Channels, dc.Height, dc.Width, dc.NumClasses, spec.Seed+1000)
+	mspec := nn.CipherSpec(dc.Channels, dc.Height, dc.Width, dc.NumClasses, spec.Seed+1000)
 
 	sinks := make([]*obs.WorkerObs, spec.Workers)
 	for i := range sinks {
 		sinks[i] = obs.NewWorkerObs()
 	}
-	r.mu.Lock()
-	r.sinks = sinks
-	r.mu.Unlock()
-
-	// Build the group into a local slice: r.slots is published (under r.mu)
-	// only once every worker exists, so concurrent readers — JobMetrics,
-	// CrashWorker — never observe a half-built group, and a failed deploy
-	// closes the transports it already opened instead of leaking broker
-	// subscriptions.
-	slots := make([]*slot, spec.Workers)
-	for i := 0; i < spec.Workers; i++ {
-		node, tr, err := r.buildNode(i, nil)
-		if err != nil {
-			for _, s := range slots[:i] {
-				s.cancel()
-				s.tr.Close()
-			}
-			return err
-		}
-		s := &slot{node: node, tr: tr}
-		s.wctx, s.cancel = context.WithCancel(r.ctx)
-		slots[i] = s
-	}
-	r.mu.Lock()
-	r.slots = slots
-	r.mu.Unlock()
-	return nil
-}
-
-// buildNode constructs one worker incarnation on the job's broker
-// namespace, restoring ckpt into its model when resuming after a crash
-// (the realtime half of PR 1's checkpoint-restore path).
-func (r *run) buildNode(i int, ckpt []byte) (*realtime.Node, *realtime.BrokerTransport, error) {
-	tr := realtime.NewBrokerTransportNS(r.m.cfg.Broker, i, queue.JobNamespace(r.job.ID))
-	node, err := realtime.NewNode(realtime.Config{
-		ID: i, N: r.job.Spec.Slots, System: r.cfg, Spec: r.mspec,
-		Shard: r.shards[i], Transport: tr,
-		Obs: r.sinks[i], Metrics: r.m.cfg.Metrics,
-	})
+	g, err := realtime.NewGroup(spec.Workers, func(i int) (realtime.Config, error) {
+		tr := realtime.NewBrokerTransport(r.m.cfg.Broker, i, queue.JobNamespace(r.job.ID))
+		return realtime.Config{ID: i, N: spec.Slots, System: cfg, Spec: mspec, Shard: shards[i],
+			Transport: tr, Obs: sinks[i], Metrics: r.m.cfg.Metrics}, nil
+	}, r.m.cfg.MaxRestarts)
 	if err != nil {
-		tr.Close()
-		return nil, nil, err
+		return err
 	}
-	if len(ckpt) > 0 {
-		if err := node.Worker().Model().Restore(ckpt); err != nil {
-			tr.Close()
-			return nil, nil, fmt.Errorf("jobs: restore worker %d: %w", i, err)
-		}
-	}
-	return node, tr, nil
-}
-
-// workerLoop runs one worker slot across crash-restart incarnations. A Run
-// return while the job context is still live is a crash (transport failure
-// or CrashWorker): the slot is rebuilt from its latest checkpoint, within
-// the job's restart budget. A restarted worker re-runs its full iteration
-// budget on the restored weights — at-least-once iteration semantics — so
-// blocking peers always see it reach their iteration horizon.
-func (r *run) workerLoop(i int) {
-	defer r.wg.Done()
-	s := r.slots[i]
-	for {
-		s.mu.Lock()
-		node, tr, wctx := s.node, s.tr, s.wctx
-		s.mu.Unlock()
-
-		err := node.Run(wctx)
-		node.FlushSends(200 * time.Millisecond)
-		tr.Close()
-
-		if r.ctx.Err() != nil {
-			return // job unwinding: completion, halt, failure, or shutdown
-		}
-
-		// Crash path: account the restart against the job budget.
-		r.mu.Lock()
-		r.job.Restarts++
-		restarts := r.job.Restarts
-		r.m.store.Put(r.job)
-		r.mu.Unlock()
-		if restarts > r.m.cfg.MaxRestarts {
-			if err == nil {
-				err = fmt.Errorf("worker %d exited early", i)
-			}
-			r.failWith(fmt.Errorf("jobs: restart budget (%d) spent: %w",
-				r.m.cfg.MaxRestarts, err))
-			return
-		}
-		r.m.mRestarts.Inc()
-
-		s.mu.Lock()
-		ckpt := s.ckpt
-		s.mu.Unlock()
-		node, tr, berr := r.buildNode(i, ckpt)
-		if berr != nil {
-			r.failWith(berr)
-			return
-		}
-		s.mu.Lock()
-		s.cancel() // release the dead incarnation's context
-		s.node, s.tr = node, tr
-		s.wctx, s.cancel = context.WithCancel(r.ctx)
-		s.mu.Unlock()
-	}
-}
-
-// crashWorker cancels one slot's current incarnation (the chaos hook).
-func (r *run) crashWorker(i int) error {
+	// Published only once every worker exists, so JobMetrics and CrashWorker
+	// never see a half-built group.
 	r.mu.Lock()
-	slots := r.slots
+	r.group, r.sinks = g, sinks
+	r.job.Lineage = make([]*lineage.Manifest, spec.Workers)
 	r.mu.Unlock()
-	if slots == nil {
-		return fmt.Errorf("jobs: job %s still deploying", r.job.ID)
-	}
-	if i < 0 || i >= len(slots) {
-		return fmt.Errorf("jobs: worker %d outside [0,%d)", i, len(slots))
-	}
-	s := slots[i]
-	s.mu.Lock()
-	cancel := s.cancel
-	s.mu.Unlock()
-	if cancel == nil {
-		return fmt.Errorf("jobs: worker %d not running", i)
-	}
-	cancel()
 	return nil
 }
 
-// supervise polls every worker's progress on its event loop (race-free via
-// Inspect), captures checkpoints for crash recovery, publishes live
-// iteration counts, and returns once every worker reached the budget — or
-// the run context ended first (halt/failure/shutdown).
-func (r *run) supervise() {
+// supervise captures every worker's checkpoint — the group's restart point,
+// the job's lineage and live iteration counts — and reports whether every
+// worker reached the budget before the run ended (halt/failure/shutdown).
+func (r *run) supervise() bool {
 	tick := time.NewTicker(r.m.cfg.Poll)
 	defer tick.Stop()
-	target := r.job.Spec.MaxIters
 	for {
 		select {
 		case <-r.ctx.Done():
-			return
+			return false
 		case <-tick.C:
-			all := true
-			iters := make([]int64, len(r.slots))
-			for i, s := range r.slots {
-				s.mu.Lock()
-				node, parent := s.node, s.man
-				s.mu.Unlock()
-				ictx, cancel := context.WithTimeout(r.ctx, time.Second)
-				it, ck, man, err := node.CheckpointManifest(ictx, parent)
-				cancel()
-				if err != nil {
-					all = false // mid-restart; count as in progress
-					s.mu.Lock()
-					iters[i] = s.iters
-					s.mu.Unlock()
-					continue
-				}
-				s.mu.Lock()
-				s.iters, s.ckpt = it, ck
-				// Adopt the manifest only when training advanced: a same-iter
-				// capture cannot extend the chain (links must strictly
-				// advance), so the previous manifest stays authoritative.
-				if s.man == nil || man.Iter > s.man.Iter {
-					s.man = man
-				}
-				s.mu.Unlock()
-				iters[i] = it
-				if it < target {
-					all = false
-				}
+		}
+		all := true
+		for i := range r.sinks {
+			ictx, cancel := context.WithTimeout(r.ctx, time.Second)
+			it, _, man, err := r.group.Checkpoint(ictx, i)
+			cancel()
+			all = all && err == nil && it >= r.job.Spec.MaxIters
+			if err != nil {
+				continue // mid-restart: keep the last count
 			}
 			r.mu.Lock()
-			copy(r.job.Iters, iters)
-			if len(r.job.Lineage) != len(r.slots) {
-				r.job.Lineage = make([]*lineage.Manifest, len(r.slots))
-			}
-			for i, s := range r.slots {
-				s.mu.Lock()
-				r.job.Lineage[i] = s.man
-				s.mu.Unlock()
-			}
-			r.m.store.Put(r.job)
+			r.job.Iters[i], r.job.Lineage[i] = it, man
 			r.mu.Unlock()
-			if all {
-				r.mu.Lock()
-				r.done = true
-				r.mu.Unlock()
-				return
-			}
 		}
+		r.mu.Lock()
+		r.countRestarts()
+		r.m.store.Put(r.job)
+		r.mu.Unlock()
+		if all {
+			return true
+		}
+	}
+}
+
+// countRestarts folds the group's restarts into the job record and the
+// jobs.restarts counter. The caller holds r.mu.
+func (r *run) countRestarts() {
+	if d := r.group.Restarts() - r.job.Restarts; d > 0 {
+		r.job.Restarts += d
+		r.m.mRestarts.Add(int64(d))
 	}
 }
 
@@ -650,36 +508,30 @@ func (r *run) supervise() {
 // fall back to the store-recorded reports for a still-deploying job.
 func (r *run) snapshotReports() []obs.WorkerReport {
 	r.mu.Lock()
-	slots, sinks := r.slots, r.sinks
-	jobID := r.job.ID
-	r.mu.Unlock()
-	if slots == nil || len(sinks) != len(slots) {
+	defer r.mu.Unlock()
+	if r.group == nil {
 		return nil
 	}
-	out := make([]obs.WorkerReport, len(sinks))
-	for i, o := range sinks {
-		rep := o.Snapshot(i)
-		rep.Job = jobID
-		slots[i].mu.Lock()
-		rep.Iters = slots[i].iters
-		slots[i].mu.Unlock()
-		out[i] = rep
+	out := make([]obs.WorkerReport, len(r.sinks))
+	for i, o := range r.sinks {
+		out[i] = o.Snapshot(i)
+		out[i].Job = r.job.ID
+		out[i].Iters = r.job.Iters[i]
 	}
 	return out
 }
 
 // finish decides the terminal state, evaluates the completed model, folds
 // the final obs reports into the record, and persists it.
-func (r *run) finish() {
+func (r *run) finish(done bool) {
+	reps := r.snapshotReports()
 	r.mu.Lock()
-	halted, failErr, done := r.halted, r.failErr, r.done
-	r.mu.Unlock()
-
-	if reps := r.snapshotReports(); reps != nil {
-		r.mu.Lock()
+	if reps != nil {
 		r.job.Workers = reps
-		r.mu.Unlock()
+		r.countRestarts()
 	}
+	halted, failErr := r.halted, r.failErr
+	r.mu.Unlock()
 
 	switch {
 	case failErr != nil:
@@ -689,14 +541,8 @@ func (r *run) finish() {
 		r.setState(StateHalted, "halted by request")
 		r.m.mHalted.Inc()
 	case done:
-		acc, loss, err := r.evaluate()
-		if err != nil {
-			r.setState(StateFailed, err.Error())
-			r.m.mFailed.Inc()
-			return
-		}
 		r.mu.Lock()
-		r.job.FinalAcc, r.job.FinalLoss = acc, loss
+		r.job.FinalAcc, r.job.FinalLoss = r.evaluate()
 		r.mu.Unlock()
 		r.setState(StateCompleted, "")
 		r.m.mCompleted.Inc()
@@ -707,25 +553,17 @@ func (r *run) finish() {
 	}
 }
 
-// evaluate restores the most-trained captured checkpoint and scores it on
-// the job's held-out test set — the final accuracy the job monitor serves.
-func (r *run) evaluate() (acc, loss float64, err error) {
-	var best []byte
-	bestIters := int64(-1)
-	for _, s := range r.slots {
-		s.mu.Lock()
-		if s.ckpt != nil && s.iters > bestIters {
-			best, bestIters = s.ckpt, s.iters
-		}
-		s.mu.Unlock()
+// evaluate scores the most-trained worker's final model on the job's
+// held-out test set — the final accuracy the job monitor serves. The group
+// has stopped, so Inspect reads each worker directly.
+func (r *run) evaluate() (acc, loss float64) {
+	var best *core.Worker
+	for i := range r.sinks {
+		r.group.Inspect(r.ctx, i, func(w *core.Worker) {
+			if best == nil || w.Iter() > best.Iter() {
+				best = w
+			}
+		})
 	}
-	if best == nil {
-		return 0, 0, fmt.Errorf("jobs: no checkpoint captured")
-	}
-	model := r.mspec.BuildZero()
-	if err := model.Restore(best); err != nil {
-		return 0, 0, fmt.Errorf("jobs: final evaluation: %w", err)
-	}
-	acc, loss = model.Evaluate(r.test, 64)
-	return acc, loss, nil
+	return best.Model().Evaluate(r.test, 64)
 }

@@ -234,7 +234,7 @@ func TestRestartedWorkerReceivesEveryFrame(t *testing.T) {
 func TestSendOrderIsFIFOPerPeer(t *testing.T) {
 	b := queue.NewBroker()
 	defer b.Close()
-	tr := NewBrokerTransport(b, 0)
+	tr := NewBrokerTransport(b, 0, "")
 	defer tr.Close()
 
 	n := &Node{cfg: Config{Transport: tr}, loop: make(chan func(), 16),

@@ -33,7 +33,7 @@ func idleNode(t *testing.T) (*Node, *data.Shard) {
 		shards[i] = s[0]
 	}
 	n, err := NewNode(Config{ID: 0, N: 1, System: realSystem(),
-		Spec: nn.CipherSpec(1, 8, 8, 3, 5), Shard: shards[0], Transport: NewBrokerTransport(b, 0)})
+		Spec: nn.CipherSpec(1, 8, 8, 3, 5), Shard: shards[0], Transport: NewBrokerTransport(b, 0, "")})
 	if err != nil {
 		t.Fatal(err)
 	}

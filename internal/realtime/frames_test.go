@@ -35,7 +35,7 @@ func transportPairs(t *testing.T, n int) map[string][]Transport {
 	t.Cleanup(srv.Close)
 	out := map[string][]Transport{}
 	for i := 0; i < n; i++ {
-		bt := NewBrokerTransport(inproc, i)
+		bt := NewBrokerTransport(inproc, i, "")
 		ct, err := NewClientTransport(srv.Addr(), i)
 		if err != nil {
 			t.Fatal(err)
@@ -134,38 +134,35 @@ func trainDense(t *testing.T, trs []Transport, iters int64, observe func(*core.W
 		MaxIters:     iters,
 		OrderedApply: true,
 	}
-	nodes := make([]*Node, len(trs))
-	for i := range nodes {
-		nodes[i], err = NewNode(Config{ID: i, N: len(trs), System: sys,
-			Spec: nn.CipherSpec(1, 8, 8, 3, 5), Shard: shards[i], Transport: trs[i]})
-		if err != nil {
-			t.Fatal(err)
-		}
+	g, err := NewGroup(len(trs), func(i int) (Config, error) {
+		return Config{ID: i, N: len(trs), System: sys,
+			Spec: nn.CipherSpec(1, 8, 8, 3, 5), Shard: shards[i], Transport: trs[i]}, nil
+	}, 0)
+	if err != nil {
+		t.Fatal(err)
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), budget(20*time.Second))
-	defer cancel()
-	var wg sync.WaitGroup
-	for _, nd := range nodes {
-		wg.Add(1)
-		go func(nd *Node) { defer wg.Done(); _ = nd.Run(ctx) }(nd)
-	}
-	defer wg.Wait()
-	defer cancel()
+	ran := make(chan struct{})
+	go func() { defer close(ran); _ = g.Run(ctx) }()
+	defer func() { cancel(); <-ran }()
 
-	weights := make([]map[string]*tensor.Tensor, len(nodes))
+	weights := make([]map[string]*tensor.Tensor, len(trs))
 	var frameBytes int64
-	want := int64(len(nodes)-1) * iters
-	for i, nd := range nodes {
+	want := int64(len(trs)-1) * iters
+	for i := range trs {
 		for done := false; !done; {
-			err := nd.Inspect(ctx, func(w *core.Worker) {
-				if i == 0 && observe != nil {
-					observe(w)
-				}
-				if done = w.Iter() == iters && w.Stats().MsgsRecvd == want; done {
-					weights[i] = w.Model().Weights()
-					frameBytes = w.Stats().BytesSent / w.Stats().MsgsSent
-				}
-			})
+			err := ctx.Err() // a stopped group inspects directly: never an error
+			if err == nil {
+				err = g.Inspect(ctx, i, func(w *core.Worker) {
+					if i == 0 && observe != nil {
+						observe(w)
+					}
+					if done = w.Iter() == iters && w.Stats().MsgsRecvd == want; done {
+						weights[i] = w.Model().Weights()
+						frameBytes = w.Stats().BytesSent / w.Stats().MsgsSent
+					}
+				})
+			}
 			if err != nil {
 				t.Fatalf("node %d never settled: %v", i, err)
 			}

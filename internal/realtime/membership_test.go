@@ -17,10 +17,10 @@ import (
 // queued frame, joins must complete through a real transport, and a broker
 // restart in the middle of the admission handshake must be survivable.
 
-// elasticNodes builds an n-slot real-mode cluster where ids < founders are
-// founders and the rest are joiners sponsored by worker 0. All nodes are
-// started; joiners begin their handshake immediately on Start.
-func elasticNodes(t *testing.T, n, founders int, mkTransport func(id int) Transport, reg *obs.Registry) []*Node {
+// elasticBuild configures an n-slot real-mode cluster where ids < founders
+// are founders and the rest are joiners sponsored by worker 0; joiners
+// begin their handshake immediately on Start.
+func elasticBuild(t *testing.T, n, founders int, mkTransport func(id int) Transport, reg *obs.Registry) func(i int) (Config, error) {
 	t.Helper()
 	dc := data.Config{Name: "rt-elastic", NumClasses: 3, Train: 240, Test: 60,
 		Channels: 1, Height: 8, Width: 8, Noise: 0.4, Jitter: 0, Bumps: 3, Seed: 21}
@@ -37,8 +37,7 @@ func elasticNodes(t *testing.T, n, founders int, mkTransport func(id int) Transp
 	for i := range roster {
 		roster[i] = i
 	}
-	nodes := make([]*Node, n)
-	for i := 0; i < n; i++ {
+	return func(i int) (Config, error) {
 		sys := realSystem()
 		if i < founders {
 			sys.Membership = core.MembershipConfig{InitialMembers: roster}
@@ -47,8 +46,20 @@ func elasticNodes(t *testing.T, n, founders int, mkTransport func(id int) Transp
 				JoinTimeout: budget(60 * time.Second).Seconds(),
 				JoinRetry:   0.2}
 		}
-		node, err := NewNode(Config{ID: i, N: n, System: sys, Spec: spec,
-			Shard: shards[i], Transport: mkTransport(i), Metrics: reg})
+		return Config{ID: i, N: n, System: sys, Spec: spec,
+			Shard: shards[i], Transport: mkTransport(i), Metrics: reg}, nil
+	}
+}
+
+// elasticNodes builds elasticBuild's cluster as bare nodes, for the tests
+// that drive one node's lifecycle by hand.
+func elasticNodes(t *testing.T, n, founders int, mkTransport func(id int) Transport, reg *obs.Registry) []*Node {
+	t.Helper()
+	build := elasticBuild(t, n, founders, mkTransport, reg)
+	nodes := make([]*Node, n)
+	for i := range nodes {
+		cfg, _ := build(i)
+		node, err := NewNode(cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -64,6 +75,16 @@ func inspectWorker(t *testing.T, n *Node, fn func(w *core.Worker)) {
 	ctx, cancel := context.WithTimeout(context.Background(), budget(5*time.Second))
 	defer cancel()
 	if err := n.Inspect(ctx, fn); err != nil {
+		t.Fatalf("inspect: %v", err)
+	}
+}
+
+// inspectMember is inspectWorker for node i of a running group.
+func inspectMember(t *testing.T, g *Group, i int, fn func(w *core.Worker)) {
+	t.Helper()
+	ctx, cancel := context.WithTimeout(context.Background(), budget(5*time.Second))
+	defer cancel()
+	if err := g.Inspect(ctx, i, fn); err != nil {
 		t.Fatalf("inspect: %v", err)
 	}
 }
@@ -88,7 +109,7 @@ func TestGracefulLeaveFlushesEverything(t *testing.T) {
 	defer b.Close()
 	reg := obs.NewRegistry()
 	nodes := elasticNodes(t, 3, 3, func(id int) Transport {
-		return NewBrokerTransport(b, id)
+		return NewBrokerTransport(b, id, "")
 	}, reg)
 
 	ctx, cancel := context.WithCancel(context.Background())
@@ -152,29 +173,29 @@ func TestGracefulLeaveFlushesEverything(t *testing.T) {
 func TestJoinOverRealTransport(t *testing.T) {
 	b := queue.NewBroker()
 	defer b.Close()
-	nodes := elasticNodes(t, 3, 2, func(id int) Transport {
-		return NewBrokerTransport(b, id)
-	}, nil)
-
+	g, err := NewGroup(3, elasticBuild(t, 3, 2, func(id int) Transport {
+		return NewBrokerTransport(b, id, "")
+	}, nil), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	var wg sync.WaitGroup
-	for _, node := range nodes {
-		wg.Add(1)
-		go func(nd *Node) { defer wg.Done(); _ = nd.Run(ctx) }(node)
-	}
+	ran := make(chan struct{})
+	go func() { defer close(ran); _ = g.Run(ctx) }()
+	defer func() { cancel(); <-ran }()
 
 	waitForCond(t, "join admitted", func() bool {
 		var st core.MemberState
 		var it int64
-		inspectWorker(t, nodes[2], func(w *core.Worker) { st, it = w.State(), w.Iter() })
+		inspectMember(t, g, 2, func(w *core.Worker) { st, it = w.State(), w.Iter() })
 		return st == core.StateActive && it >= 2
 	})
 	want := []int{0, 1, 2}
 	waitForCond(t, "roster convergence", func() bool {
-		for _, nd := range nodes {
+		for i := 0; i < 3; i++ {
 			var members []int
-			inspectWorker(t, nd, func(w *core.Worker) { members = w.Members() })
+			inspectMember(t, g, i, func(w *core.Worker) { members = w.Members() })
 			if len(members) != len(want) {
 				return false
 			}
@@ -186,8 +207,6 @@ func TestJoinOverRealTransport(t *testing.T) {
 		}
 		return true
 	})
-	cancel()
-	wg.Wait()
 }
 
 // TestBrokerRestartDuringJoinHandshake is the churn acceptance test for the

@@ -2,7 +2,6 @@ package realtime
 
 import (
 	"context"
-	"sync"
 	"testing"
 	"time"
 
@@ -36,32 +35,22 @@ func TestRealModeObservability(t *testing.T) {
 	spec := nn.CipherSpec(1, 8, 8, 3, 5)
 
 	sinks := make([]*obs.WorkerObs, n)
-	nodes := make([]*Node, n)
-	for i := 0; i < n; i++ {
+	for i := range sinks {
 		sinks[i] = obs.NewWorkerObs()
-		node, err := NewNode(Config{
-			ID: i, N: n, System: realSystem(), Spec: spec, Shard: shards[i],
-			Transport: NewBrokerTransport(b, i),
-			Obs:       sinks[i], Metrics: reg,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		nodes[i] = node
+	}
+	g, err := NewGroup(n, func(i int) (Config, error) {
+		return Config{ID: i, N: n, System: realSystem(), Spec: spec, Shard: shards[i],
+			Transport: NewBrokerTransport(b, i, ""), Obs: sinks[i], Metrics: reg}, nil
+	}, 0)
+	if err != nil {
+		t.Fatal(err)
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), budget(2*time.Second))
 	defer cancel()
-	var wg sync.WaitGroup
-	for _, node := range nodes {
-		wg.Add(1)
-		go func(nd *Node) {
-			defer wg.Done()
-			if err := nd.Run(ctx); err != nil {
-				t.Errorf("node: %v", err)
-			}
-		}(node)
+	if err := g.Run(ctx); err != nil {
+		t.Errorf("group: %v", err)
 	}
-	wg.Wait()
+	workers := groupWorkers(g)
 
 	for i, o := range sinks {
 		w := o.Snapshot(i)
@@ -77,7 +66,7 @@ func TestRealModeObservability(t *testing.T) {
 		if w.SentMsgs["gradient"] <= 0 || w.RecvMsgs["gradient"] <= 0 {
 			t.Fatalf("node %d: gradient traffic missing: %+v", i, w)
 		}
-		if nodes[i].Worker().Obs() != o {
+		if workers[i].Obs() != o {
 			t.Fatalf("node %d: sink not attached to worker", i)
 		}
 	}

@@ -53,26 +53,21 @@ func TestIterationPeriodIsItsCompute(t *testing.T) {
 				MaxIters:     iters,
 				OrderedApply: true,
 			}
-			nodes := make([]*Node, n)
 			sinks := make([]*obs.WorkerObs, n)
-			for i := range nodes {
+			for i := range sinks {
 				sinks[i] = obs.NewWorkerObs()
-				nodes[i], err = NewNode(Config{ID: i, N: n, System: sys,
-					Spec: nn.CipherSpec(1, 16, 16, 10, 5), Shard: shards[i],
-					Transport: NewBrokerTransport(b, i), Obs: sinks[i]})
-				if err != nil {
-					t.Fatal(err)
-				}
+			}
+			g, err := NewGroup(n, func(i int) (Config, error) {
+				return Config{ID: i, N: n, System: sys, Spec: nn.CipherSpec(1, 16, 16, 10, 5),
+					Shard: shards[i], Transport: NewBrokerTransport(b, i, ""), Obs: sinks[i]}, nil
+			}, 0)
+			if err != nil {
+				t.Fatal(err)
 			}
 			ctx, cancel := context.WithTimeout(context.Background(), budget(30*time.Second))
-			defer cancel()
-			var wg sync.WaitGroup
-			for _, nd := range nodes {
-				wg.Add(1)
-				go func(nd *Node) { defer wg.Done(); _ = nd.Run(ctx) }(nd)
-			}
-			defer wg.Wait()
-			defer cancel()
+			ran := make(chan struct{})
+			go func() { defer close(ran); _ = g.Run(ctx) }()
+			defer func() { cancel(); <-ran }()
 
 			// One watcher per node samples (iteration, charged compute, wall
 			// clock) between events. Completion of iteration k charges its
@@ -86,15 +81,18 @@ func TestIterationPeriodIsItsCompute(t *testing.T) {
 			}
 			first, last := make([]mark, n), make([]mark, n)
 			var watch sync.WaitGroup
-			for i, nd := range nodes {
+			for i := 0; i < n; i++ {
 				watch.Add(1)
-				go func(i int, nd *Node) {
+				go func(i int) {
 					defer watch.Done()
 					for last[i].iter < iters {
 						var m mark
-						err := nd.Inspect(ctx, func(w *core.Worker) {
-							m = mark{w.Iter(), sinks[i].PhaseSeconds(obs.PhaseCompute), time.Now()}
-						})
+						err := ctx.Err() // a stopped group inspects directly: never an error
+						if err == nil {
+							err = g.Inspect(ctx, i, func(w *core.Worker) {
+								m = mark{w.Iter(), sinks[i].PhaseSeconds(obs.PhaseCompute), time.Now()}
+							})
+						}
 						if err != nil {
 							t.Errorf("node %d never finished: %v", i, err)
 							return
@@ -105,13 +103,13 @@ func TestIterationPeriodIsItsCompute(t *testing.T) {
 						last[i] = m
 						time.Sleep(time.Millisecond)
 					}
-				}(i, nd)
+				}(i)
 			}
 			watch.Wait()
 			if t.Failed() {
 				return
 			}
-			for i := range nodes {
+			for i := 0; i < n; i++ {
 				steps := float64(last[i].iter - first[i].iter)
 				charged := last[i].charged - first[i].charged
 				wall := last[i].at.Sub(first[i].at).Seconds()

@@ -353,23 +353,6 @@ func (n *Node) Leave(ctx context.Context, flushTimeout time.Duration) error {
 	return nil
 }
 
-// Checkpoint snapshots the hosted worker's model without violating the
-// event-loop contract: the snapshot closure runs on the loop between
-// events (via Inspect), so it can never observe a model mid-TrainStep. It
-// returns the worker's completed iteration count alongside the checkpoint
-// bytes — the pair a serving registry needs for ordered hot-swaps.
-func (n *Node) Checkpoint(ctx context.Context) (int64, []byte, error) {
-	var iter int64
-	var ckpt []byte
-	err := n.Inspect(ctx, func(w *core.Worker) {
-		iter, ckpt = w.Iter(), w.Model().Checkpoint()
-	})
-	if err != nil {
-		return 0, nil, err
-	}
-	return iter, ckpt, nil
-}
-
 // CheckpointManifest snapshots the worker's model together with its lineage
 // manifest: the content digest (per variable and combined), the iteration
 // and membership epoch the snapshot was taken at, and the node's config

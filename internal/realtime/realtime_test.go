@@ -23,7 +23,9 @@ func realSystem() core.Config {
 	}
 }
 
-func runRealCluster(t *testing.T, n int, mkTransport func(id int) Transport, d time.Duration) []*Node {
+// runRealCluster trains an n-node group for d and returns its workers, which
+// are quiescent once Run has returned.
+func runRealCluster(t *testing.T, n int, mkTransport func(id int) Transport, d time.Duration) []*core.Worker {
 	t.Helper()
 	dc := data.Config{Name: "rt", NumClasses: 3, Train: 240, Test: 60,
 		Channels: 1, Height: 8, Width: 8, Noise: 0.4, Jitter: 0, Bumps: 3, Seed: 21}
@@ -36,31 +38,28 @@ func runRealCluster(t *testing.T, n int, mkTransport func(id int) Transport, d t
 		t.Fatal(err)
 	}
 	spec := nn.CipherSpec(1, 8, 8, 3, 5)
-	nodes := make([]*Node, n)
-	for i := 0; i < n; i++ {
-		node, err := NewNode(Config{
-			ID: i, N: n, System: realSystem(), Spec: spec,
-			Shard: shards[i], Transport: mkTransport(i),
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		nodes[i] = node
+	g, err := NewGroup(n, func(i int) (Config, error) {
+		return Config{ID: i, N: n, System: realSystem(), Spec: spec,
+			Shard: shards[i], Transport: mkTransport(i)}, nil
+	}, 0)
+	if err != nil {
+		t.Fatal(err)
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), d)
 	defer cancel()
-	var wg sync.WaitGroup
-	for _, node := range nodes {
-		wg.Add(1)
-		go func(nd *Node) {
-			defer wg.Done()
-			if err := nd.Run(ctx); err != nil {
-				t.Errorf("node: %v", err)
-			}
-		}(node)
+	if err := g.Run(ctx); err != nil {
+		t.Errorf("group: %v", err)
 	}
-	wg.Wait()
-	return nodes
+	return groupWorkers(g)
+}
+
+// groupWorkers returns a stopped group's workers.
+func groupWorkers(g *Group) []*core.Worker {
+	ws := make([]*core.Worker, len(g.nodes))
+	for i := range ws {
+		g.Inspect(context.Background(), i, func(w *core.Worker) { ws[i] = w })
+	}
+	return ws
 }
 
 // budget scales test wall-time for the race detector's ~20x slowdown.
@@ -74,11 +73,11 @@ func budget(d time.Duration) time.Duration {
 func TestRealModeInProcBroker(t *testing.T) {
 	b := queue.NewBroker()
 	defer b.Close()
-	nodes := runRealCluster(t, 3, func(id int) Transport {
-		return NewBrokerTransport(b, id)
+	workers := runRealCluster(t, 3, func(id int) Transport {
+		return NewBrokerTransport(b, id, "")
 	}, budget(2*time.Second))
-	for i, nd := range nodes {
-		s := nd.Worker().Stats()
+	for i, w := range workers {
+		s := w.Stats()
 		if s.Iters < 2 {
 			t.Fatalf("node %d made only %d iterations", i, s.Iters)
 		}
@@ -89,8 +88,8 @@ func TestRealModeInProcBroker(t *testing.T) {
 	// cross-worker updates must have landed: peers' gradient messages are
 	// recorded via sent bytes on both sides
 	total := int64(0)
-	for _, nd := range nodes {
-		total += nd.Worker().Stats().BytesSent
+	for _, w := range workers {
+		total += w.Stats().BytesSent
 	}
 	if total == 0 {
 		t.Fatal("no traffic")
@@ -105,15 +104,15 @@ func TestRealModeTCPBroker(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer srv.Close()
-	nodes := runRealCluster(t, 2, func(id int) Transport {
+	workers := runRealCluster(t, 2, func(id int) Transport {
 		tr, err := NewClientTransport(srv.Addr(), id)
 		if err != nil {
 			t.Fatal(err)
 		}
 		return tr
 	}, budget(2*time.Second))
-	for i, nd := range nodes {
-		s := nd.Worker().Stats()
+	for i, w := range workers {
+		s := w.Stats()
 		if s.Iters < 1 {
 			t.Fatalf("node %d made no progress", i)
 		}
@@ -131,12 +130,12 @@ func TestRealModeLearns(t *testing.T) {
 	}
 	b := queue.NewBroker()
 	defer b.Close()
-	nodes := runRealCluster(t, 2, func(id int) Transport {
-		return NewBrokerTransport(b, id)
+	workers := runRealCluster(t, 2, func(id int) Transport {
+		return NewBrokerTransport(b, id, "")
 	}, 3*time.Second)
 	// training loss should have dropped below the ln(3)≈1.1 chance level
-	for i, nd := range nodes {
-		if l := nd.Worker().AvgRecentLoss(); l > 1.2 {
+	for i, w := range workers {
+		if l := w.AvgRecentLoss(); l > 1.2 {
 			t.Fatalf("node %d loss %.3f did not improve", i, l)
 		}
 	}
@@ -165,7 +164,7 @@ func TestInspectRunsOnLoopAndFailsAfterStop(t *testing.T) {
 	nodes := make([]*Node, 2)
 	for i := range nodes {
 		nodes[i], err = NewNode(Config{ID: i, N: 2, System: realSystem(),
-			Spec: spec, Shard: shards[i], Transport: NewBrokerTransport(b, i)})
+			Spec: spec, Shard: shards[i], Transport: NewBrokerTransport(b, i, "")})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -19,16 +19,10 @@ type BrokerTransport struct {
 	cancel context.CancelFunc
 }
 
-// NewBrokerTransport builds a transport for worker id over broker b in the
-// root namespace (the historical single-job key layout).
-func NewBrokerTransport(b *queue.Broker, id int) *BrokerTransport {
-	return NewBrokerTransportNS(b, id, "")
-}
-
-// NewBrokerTransportNS builds a transport whose data keys live inside ns,
-// so several worker groups — one per control-plane job — can share one
-// broker without cross-delivery.
-func NewBrokerTransportNS(b *queue.Broker, id int, ns queue.Namespace) *BrokerTransport {
+// NewBrokerTransport builds a transport for worker id over broker b with its
+// data keys inside ns ("" is the root namespace), so several worker groups —
+// one per control-plane job — share one broker without cross-delivery.
+func NewBrokerTransport(b *queue.Broker, id int, ns queue.Namespace) *BrokerTransport {
 	ctx, cancel := context.WithCancel(context.Background())
 	return &BrokerTransport{b: b, id: id, ns: ns, ctx: ctx, cancel: cancel}
 }
@@ -43,13 +37,6 @@ func (t *BrokerTransport) Send(to int, payload []byte) error {
 // Recv implements Transport.
 func (t *BrokerTransport) Recv() ([]byte, error) {
 	return t.b.BRPop(t.ctx, t.ns.DataKey(t.id))
-}
-
-// Publish broadcasts payload on one of the broker's PUB/SUB channels
-// (e.g. serve.WeightsChannel for serving weight updates).
-func (t *BrokerTransport) Publish(channel string, payload []byte) error {
-	_, err := t.b.Publish(channel, payload)
-	return err
 }
 
 // Close implements Transport.

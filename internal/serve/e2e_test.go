@@ -76,31 +76,23 @@ func TestEndToEndTrainingFeedsServing(t *testing.T) {
 	defer srv.Close()
 
 	// Training side: two workers over broker transports.
-	transports := make([]*realtime.BrokerTransport, n)
-	nodes := make([]*realtime.Node, n)
-	for i := 0; i < n; i++ {
-		transports[i] = realtime.NewBrokerTransport(broker, i)
-		node, err := realtime.NewNode(realtime.Config{
-			ID: i, N: n, System: system, Spec: spec,
-			Shard: shards[i], Transport: transports[i],
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		nodes[i] = node
+	g, err := realtime.NewGroup(n, func(i int) (realtime.Config, error) {
+		return realtime.Config{ID: i, N: n, System: system, Spec: spec,
+			Shard: shards[i], Transport: realtime.NewBrokerTransport(broker, i, "")}, nil
+	}, 0)
+	if err != nil {
+		t.Fatal(err)
 	}
 	trainCtx, stopTraining := context.WithTimeout(context.Background(), 4*time.Second)
 	defer stopTraining()
 	var trainWG sync.WaitGroup
-	for _, node := range nodes {
-		trainWG.Add(1)
-		go func(nd *realtime.Node) {
-			defer trainWG.Done()
-			if err := nd.Run(trainCtx); err != nil {
-				t.Errorf("node: %v", err)
-			}
-		}(node)
-	}
+	trainWG.Add(1)
+	go func() {
+		defer trainWG.Done()
+		if err := g.Run(trainCtx); err != nil {
+			t.Errorf("group: %v", err)
+		}
+	}()
 
 	// Each worker broadcasts its checkpoint periodically, exactly as
 	// dlion-worker's -serve-publish flag does: snapshot on the event loop,
@@ -117,12 +109,12 @@ func TestEndToEndTrainingFeedsServing(t *testing.T) {
 				case <-trainCtx.Done():
 					return
 				case <-tick.C:
-					iter, ckpt, err := nodes[i].Checkpoint(trainCtx)
+					iter, ckpt, _, err := g.Checkpoint(trainCtx, i)
 					if err != nil || iter == 0 {
 						continue // node stopping, or nothing trained yet
 					}
 					frame, _ := serve.EncodeUpdateManifest(iter, nil, ckpt) // no manifest, cannot fail
-					if err := transports[i].Publish(serve.WeightsChannel, frame); err != nil {
+					if _, err := broker.Publish(serve.WeightsChannel, frame); err != nil {
 						t.Errorf("publish: %v", err)
 					}
 				}

@@ -3,7 +3,6 @@ package testkit
 import (
 	"context"
 	"fmt"
-	"sync"
 	"time"
 
 	"dlion/internal/cluster"
@@ -203,12 +202,12 @@ func RunSim(c EquivalenceConfig) (*EquivalenceResult, error) {
 	return out, nil
 }
 
-// RunRealtime executes the same workload over wall time: one realtime.Node
-// per worker, all connected through a loopback TCP broker (queue.Serve +
+// RunRealtime executes the same workload over wall time: one realtime.Group
+// of N nodes, with no restarts, over a loopback TCP broker (queue.Serve +
 // ClientTransport), the production message path. It mirrors cluster.Run's
-// setup exactly — same data config, same Partition seed, same replica-init
-// seed — then polls each node (on its event loop, via Inspect) until the
-// workload has settled, and snapshots every worker before shutdown.
+// setup exactly — same data config, Partition seed and replica-init seed —
+// polls each node on its event loop until the workload has settled, stops
+// the group and snapshots every worker.
 func RunRealtime(ctx context.Context, c EquivalenceConfig) (*EquivalenceResult, error) {
 	if err := c.validate(); err != nil {
 		return nil, err
@@ -230,46 +229,22 @@ func RunRealtime(ctx context.Context, c EquivalenceConfig) (*EquivalenceResult, 
 	}
 	defer srv.Close()
 
-	// Every exit stops the nodes, waits for them and closes their
-	// transports: until its transport closes, a node's receive pump stays
-	// parked in Client.BRPop, redialling the server.
-	runCtx, cancel := context.WithCancel(ctx)
-	var wg sync.WaitGroup
-	var transports []*realtime.ClientTransport
-	defer func() {
-		cancel()
-		wg.Wait()
-		for _, tr := range transports {
-			tr.Close()
-		}
-	}()
-
 	reg := obs.NewRegistry()
-	nodes := make([]*realtime.Node, c.N)
-	for i := range nodes {
+	g, err := realtime.NewGroup(c.N, func(i int) (realtime.Config, error) {
 		tr, err := realtime.NewClientTransport(srv.Addr(), i)
-		if err != nil {
-			return nil, err
-		}
-		transports = append(transports, tr)
-		nodes[i], err = realtime.NewNode(realtime.Config{
-			ID: i, N: c.N, System: c.workerSystem(i), Spec: c.spec(),
-			Shard: shards[i], Transport: tr, Metrics: reg,
-		})
-		if err != nil {
-			return nil, err
-		}
+		return realtime.Config{ID: i, N: c.N, System: c.workerSystem(i), Spec: c.spec(),
+			Shard: shards[i], Transport: tr, Metrics: reg}, err
+	}, 0)
+	if err != nil {
+		return nil, err
 	}
-	runErr := make(chan error, c.N)
-	for _, nd := range nodes {
-		wg.Add(1)
-		go func(nd *realtime.Node) {
-			defer wg.Done()
-			if err := nd.Run(runCtx); err != nil {
-				runErr <- err
-			}
-		}(nd)
-	}
+	// Every exit stops the group, which closes the transports: until then each
+	// receive pump stays parked in Client.BRPop, redialling the server.
+	runCtx, stop := context.WithCancel(ctx)
+	var runErr error
+	ran := make(chan struct{})
+	go func() { runErr = g.Run(runCtx); close(ran) }()
+	defer func() { stop(); <-ran }()
 
 	// Settled: the leaver has left and every other worker spent its budget.
 	// Without a leave a worker must also have heard every peer's gradient
@@ -285,18 +260,18 @@ func RunRealtime(ctx context.Context, c EquivalenceConfig) (*EquivalenceResult, 
 		}
 		return w.Iter() == c.Steps && w.Stats().MsgsRecvd == wantMsgs
 	}
-	for i, nd := range nodes {
+	for i := 0; i < c.N; i++ {
 		for {
 			var done bool
-			if err := nd.Inspect(ctx, func(w *core.Worker) { done = settled(i, w) }); err != nil {
+			if err := g.Inspect(ctx, i, func(w *core.Worker) { done = settled(i, w) }); err != nil {
 				return nil, fmt.Errorf("testkit: realtime poll: %w", err)
 			}
 			if done {
 				break
 			}
 			select {
-			case err := <-runErr:
-				return nil, fmt.Errorf("testkit: realtime node: %w", err)
+			case <-ran:
+				return nil, fmt.Errorf("testkit: realtime group stopped: %v", runErr)
 			case <-ctx.Done():
 				return nil, fmt.Errorf("testkit: realtime run: %w", ctx.Err())
 			case <-time.After(2 * time.Millisecond):
@@ -304,7 +279,9 @@ func RunRealtime(ctx context.Context, c EquivalenceConfig) (*EquivalenceResult, 
 		}
 	}
 
-	// Everything settled: snapshot on each node's event loop, then stop.
+	// Everything settled: stop the group, then snapshot its quiescent workers.
+	stop()
+	<-ran
 	out := &EquivalenceResult{
 		Weights:    make([]map[string]*tensor.Tensor, c.N),
 		Iters:      make([]int64, c.N),
@@ -312,9 +289,10 @@ func RunRealtime(ctx context.Context, c EquivalenceConfig) (*EquivalenceResult, 
 		States:     make([]core.MemberState, c.N),
 		Membership: make([][]core.EpochChange, c.N),
 		Rosters:    make([][]int, c.N),
+		FifoDrops:  reg.Counter("realtime.fifo_drops").Load(),
 	}
-	for i, nd := range nodes {
-		err := nd.Inspect(ctx, func(w *core.Worker) {
+	for i := 0; i < c.N; i++ {
+		g.Inspect(ctx, i, func(w *core.Worker) {
 			out.Weights[i] = w.Model().Weights()
 			out.Iters[i] = w.Iter()
 			out.Stats[i] = w.Stats()
@@ -322,18 +300,7 @@ func RunRealtime(ctx context.Context, c EquivalenceConfig) (*EquivalenceResult, 
 			out.Membership[i] = w.MembershipLog()
 			out.Rosters[i] = w.Members()
 		})
-		if err != nil {
-			return nil, fmt.Errorf("testkit: realtime snapshot: %w", err)
-		}
 	}
-	cancel()
-	wg.Wait()
-	for i, nd := range nodes {
-		if !nd.FlushSends(5 * time.Second) {
-			return nil, fmt.Errorf("testkit: node %d send queues never drained", i)
-		}
-	}
-	out.FifoDrops = reg.Counter("realtime.fifo_drops").Load()
 	return out, nil
 }
 
