@@ -137,14 +137,18 @@ audit-gate:
 	go run ./cmd/dlion-audit -self-test
 
 # Churn soak for the scheduled CI job: the sim churn scenarios, the
-# membership protocol tests, the broker client's reconnect, vanished-
-# consumer and restart tests, and the worker group's crash-restart path
-# (realtime.Group and the job control plane that drives it), repeated under
-# the race detector. -count=3 re-runs catch schedule-dependent flakes a
-# single pass would miss. The pattern also takes in the simulator's crash
-# scenarios (internal/cluster faults_test.go, ≈ 76 s a pass under -race on
-# a 2-core box), which put that package's three passes past go test's
-# 10-minute default, hence the explicit -timeout.
+# membership protocol tests, the failure detector's suspicion, re-admission
+# and restart-as-rejoin tests (core, a healed partition, a slow real-mode
+# restart), the broker client's reconnect, vanished-consumer and restart
+# tests, and the worker group's crash-restart path (realtime.Group and the
+# job control plane that drives it), repeated under the race detector.
+# -count=3 re-runs catch schedule-dependent flakes a single pass would miss.
+# The pattern also takes in the simulator's crash and partition scenarios
+# (internal/cluster faults_test.go, 14–80 s each a pass under -race on a
+# 2-core box), which put that package's three passes past go test's
+# 10-minute default, hence the explicit -timeout. TestChaosRenormalization
+# reruns those schedules on the deterministic simulator (≈ 120 s a pass
+# under -race), so it runs in `make test` only.
 chaos:
-	go test -race -count=3 -timeout 30m -run 'Membership|Churn|Join|Leave|Quorum|Recheck|Elastic|Reconnect|Vanish|Restart|Crash|Group' \
+	go test -race -count=3 -timeout 30m -run 'Membership|Churn|Join|Leave|Quorum|Suspect|Rejoin|DKTSkipsDead|PeerDies|Elastic|Reconnect|Vanish|Restart|Crash|Group|Partition|SlowRestart' \
 		./internal/core/... ./internal/cluster/... ./internal/queue/... ./internal/realtime/... ./internal/testkit/... ./internal/jobs/...

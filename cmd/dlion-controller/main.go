@@ -34,7 +34,7 @@ func main() {
 		queueDepth = flag.Int("queue-depth", 8, "admitted-but-waiting jobs before submissions get 429s")
 		quota      = flag.Int("tenant-quota", 4, "non-terminal jobs allowed per tenant")
 		restarts   = flag.Int("max-restarts", 2, "per-job checkpoint-restore restarts before the job fails")
-		liveness   = flag.Float64("liveness", 2, "seconds a silent peer is routed around (crash recovery)")
+		liveness   = flag.Float64("liveness", 2, "seconds of silence before a peer leaves the roster (crash recovery)")
 		dbgAddr    = flag.String("debug-addr", "", "serve pprof + expvar on this address (see METRICS.md)")
 	)
 	flag.Parse()

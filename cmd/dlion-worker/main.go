@@ -126,7 +126,7 @@ func main() {
 	fmt.Printf("worker %d/%d (%s) training for %v via %s\n", *id, *n, sys.Name, *duration, *broker)
 	// SIGINT/SIGTERM trigger a graceful LEAVE, not just a stop: the worker
 	// drains its queued sends, broadcasts membership tombstones so peers
-	// renormalize immediately instead of waiting out the liveness lease,
+	// renormalize immediately instead of waiting to suspect a silent peer,
 	// and only then shuts its loop down (DESIGN.md §10).
 	sigCtx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()

@@ -39,7 +39,7 @@ type Config struct {
 	// Faults schedules injected failures — worker crash/restart, link
 	// partitions, packet loss, delay, corruption — over virtual time. Nil
 	// runs fault-free. Crashed workers are restored from the schedule's
-	// periodic checkpoints and re-synced from the freshest live peer.
+	// periodic checkpoints and rejoin through the freshest live peer.
 	//
 	// Faults.Joins/Leaves drive elastic membership: a worker with a Join
 	// entry stays dormant (excluded from the founding roster) until its
@@ -591,8 +591,8 @@ func sampleTrace(workers []*core.Worker, t float64) Trace {
 // checkpoint loop on the event engine. A crashed worker is Stop()ped (its
 // timers die, traffic to it is dropped); at restart its replica is restored
 // from the latest checkpoint — or rebuilt from the spec when none exists
-// yet — and Resume re-syncs it by pulling a full weight snapshot from the
-// freshest live peer (the rejoin path).
+// yet — and Resume rejoins it through the freshest live peer as a joiner
+// is admitted: HELLO, then the WELCOME's roster, iteration and weights.
 func scheduleFaults(env *simEnv, models []*nn.Model, spec nn.Spec) {
 	if period := env.inj.CheckpointPeriod(); period > 0 {
 		ckpts := make([][]byte, len(models))
@@ -674,8 +674,7 @@ func scheduleFaults(env *simEnv, models []*nn.Model, spec nn.Spec) {
 
 // freshestLivePeer returns the running active member (other than self)
 // with the most completed iterations, or -1 when none is alive. Dormant
-// joiners are not members yet and cannot serve as rejoin sources or
-// admission sponsors.
+// joiners are not members yet and cannot sponsor an admission or a rejoin.
 func freshestLivePeer(workers []*core.Worker, self int) int {
 	best, bestIter := -1, int64(-1)
 	for i, w := range workers {

@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"fmt"
 	"testing"
 
 	"dlion/internal/core"
@@ -41,6 +42,26 @@ func chaosSystem() core.Config {
 	return sys
 }
 
+// churnFaults is the acceptance chaos schedule: two of six workers crash
+// and restart from checkpoints, and one link is partitioned for 30 s.
+func churnFaults() *fault.Schedule {
+	return &fault.Schedule{
+		CheckpointPeriod: 10,
+		Crashes: []fault.Crash{
+			{Worker: 1, At: 30, RestartAfter: 15},
+			{Worker: 4, At: 45, RestartAfter: 20},
+		},
+		Partitions: partitionFaults().Partitions,
+	}
+}
+
+// partitionFaults cuts the link between workers 2 and 3 over [40, 70) s.
+func partitionFaults() *fault.Schedule {
+	return &fault.Schedule{Partitions: []fault.Partition{
+		{From: 2, To: 3, Bidirectional: true, Window: fault.Window{Start: 40, End: 70}},
+	}}
+}
+
 // TestChaosChurnConverges is the acceptance chaos scenario: two of six
 // workers crash mid-training and restart from checkpoints, and one link is
 // partitioned for 30 virtual seconds — yet the run must converge within 5%
@@ -51,16 +72,7 @@ func TestChaosChurnConverges(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfg := chaosConfig(chaosSystem())
-	cfg.Faults = &fault.Schedule{
-		CheckpointPeriod: 10,
-		Crashes: []fault.Crash{
-			{Worker: 1, At: 30, RestartAfter: 15},
-			{Worker: 4, At: 45, RestartAfter: 20},
-		},
-		Partitions: []fault.Partition{
-			{From: 2, To: 3, Bidirectional: true, Window: fault.Window{Start: 40, End: 70}},
-		},
-	}
+	cfg.Faults = churnFaults()
 	res, err := Run(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -237,8 +249,9 @@ func TestFaultScheduleValidation(t *testing.T) {
 }
 
 // TestSyncSurvivesCrashWithLiveness: a SyncFull cluster normally deadlocks
-// when a peer dies mid-run; with liveness tracking the survivors declare it
-// dead and keep the barrier among themselves.
+// when a peer dies mid-run; with the failure detector every survivor drops
+// the dead peer from its roster once, and only it, and keeps the barrier
+// and the gradient exchange among the three of them.
 func TestSyncSurvivesCrashWithLiveness(t *testing.T) {
 	sys := systems.Baseline() // SyncFull
 	sys.LivenessTimeout = 3
@@ -259,4 +272,67 @@ func TestSyncSurvivesCrashWithLiveness(t *testing.T) {
 		t.Fatalf("survivor froze after peer crash: %d vs fault-free %d",
 			res.Iters[0], clean.Iters[0])
 	}
+	for _, i := range []int{0, 1, 3} {
+		if got := fmt.Sprint(res.Rosters[i]); got != "[0 1 3]" {
+			t.Fatalf("survivor %d ends on roster %s, want [0 1 3]", i, got)
+		}
+		suspects := suspicions(res.Membership[i])
+		if len(suspects) != 1 {
+			t.Fatalf("survivor %d logged %d suspicions, want 1: %+v", i, len(suspects), res.Membership[i])
+		}
+		// From the suspicion on, every iteration sent a gradient to both
+		// other survivors.
+		e := suspects[0]
+		if sent, want := res.Stats[i].GradMsgsSent-e.GradMsgsSent, 2*(res.Iters[i]-e.Iter); sent != want || want == 0 {
+			t.Fatalf("survivor %d sent %d gradients over %d iterations after its suspicion, want %d",
+				i, sent, res.Iters[i]-e.Iter, want)
+		}
+	}
+}
+
+// TestPartitionHealReadmits: workers 2 and 3 suspect each other while the
+// link between them is cut, and find each other again once it heals. By
+// the horizon every roster is all six ids, and every round the pair starts
+// after 70 + 2T exchanges a gradient between them.
+func TestPartitionHealReadmits(t *testing.T) {
+	sys := chaosSystem()
+	cfg := chaosConfig(sys)
+	cfg.Faults = partitionFaults()
+	res, err := Run(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	healed := 70 + 2*sys.LivenessTimeout
+	for i := range res.Rosters {
+		if got := fmt.Sprint(res.Rosters[i]); got != "[0 1 2 3 4 5]" {
+			t.Fatalf("worker %d ends on roster %s", i, got)
+		}
+	}
+	for _, i := range []int{2, 3} {
+		log := res.Membership[i]
+		if len(suspicions(log)) == 0 {
+			t.Fatalf("worker %d never suspected its partitioned peer: %+v", i, log)
+		}
+		last := log[len(log)-1]
+		if last.Size != 6 || last.T > healed {
+			t.Fatalf("worker %d's roster last changed at t = %.2f to %d members, want 6 by %.0f",
+				i, last.T, last.Size, healed)
+		}
+		if sent, want := res.Stats[i].GradMsgsSent-last.GradMsgsSent, 5*(res.Iters[i]-last.Iter); sent != want || want == 0 {
+			t.Fatalf("worker %d sent %d gradients over %d rounds after the heal, want %d",
+				i, sent, res.Iters[i]-last.Iter, want)
+		}
+	}
+}
+
+// suspicions returns the entries of a membership log that removed a
+// member by suspicion.
+func suspicions(log []core.EpochChange) []core.EpochChange {
+	var out []core.EpochChange
+	for _, e := range log {
+		if e.Reason == "suspect" {
+			out = append(out, e)
+		}
+	}
+	return out
 }

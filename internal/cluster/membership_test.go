@@ -42,8 +42,7 @@ func elasticConfig(sys core.Config) Config {
 // assertRenormalization checks the exact fan-out invariant over one
 // worker's membership log: between consecutive epoch entries the worker
 // sent exactly ΔIter·(Size-1) gradient messages, Size being the roster the
-// earlier entry established. Requires LivenessTimeout == 0 so the live set
-// equals the roster.
+// earlier entry established.
 func assertRenormalization(t *testing.T, id int, log []core.EpochChange, final core.Stats, finalIters int64) {
 	t.Helper()
 	if len(log) == 0 {

@@ -175,13 +175,13 @@ type Config struct {
 	// per-link byte budget BW_net_j/Iter_com_i is passed to the selector.
 	LinkBudget bool
 
-	// LivenessTimeout is how long (seconds) a peer may stay silent before
-	// this worker treats it as dead: synchronization strategies stop
-	// waiting for it, gradient exchange and byte budgets adapt to the live
-	// set, and its DKT loss reports expire. 0 (the default) disables
-	// liveness tracking — every peer is assumed alive forever, the
-	// fault-free behavior. Set it well above the longest quiet period a
-	// healthy peer can have (a few iteration times plus network delay).
+	// LivenessTimeout is the failure detector's timeout (seconds): a member
+	// silent that long leaves the roster as its LEAVE would take it out,
+	// and its next message re-admits it. Heartbeats keep a blocked worker
+	// from being silent (Worker.watch). 0 (the default) disables the
+	// detector: only HELLO and LEAVE change the roster. Set it well above
+	// the longest quiet period a healthy link can have (a few iteration
+	// times plus network delay).
 	LivenessTimeout float64
 
 	// OrderedApply is the deterministic-replay discipline behind signed
@@ -193,7 +193,7 @@ type Config struct {
 	// batching, so pinning it makes the final weight bits a pure function
 	// of (config, seed, steps) — bit-exactly reproducible by dlion-audit on
 	// either substrate. It requires the deterministic-math subset: SyncFull,
-	// no DKT, no dynamic batching, static membership, no liveness routing.
+	// no DKT, no dynamic batching, a static roster (no failure detector).
 	OrderedApply bool
 
 	// MaxIters, when > 0, stops the worker after it completes that many
@@ -256,9 +256,7 @@ func (c *Config) Validate() error {
 			return fmt.Errorf("core: %s: OrderedApply excludes DKT (weight merges are unordered)", c.Name)
 		case c.Batch.DynamicBatching:
 			return fmt.Errorf("core: %s: OrderedApply excludes dynamic batching (RCP timing is wall-clock)", c.Name)
-		case c.LivenessTimeout > 0:
-			return fmt.Errorf("core: %s: OrderedApply excludes liveness routing (the live set is timing-dependent)", c.Name)
-		case c.Membership.Join || c.Membership.LeaveAfterIters > 0 || c.Membership.QuorumFloor > 0:
+		case c.Membership.Join || c.Membership.LeaveAfterIters > 0 || c.Membership.QuorumFloor > 0 || c.LivenessTimeout > 0:
 			return fmt.Errorf("core: %s: OrderedApply requires a static roster", c.Name)
 		}
 	}

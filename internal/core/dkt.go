@@ -21,7 +21,7 @@ func (w *Worker) maybeDKT() {
 	}
 	w.lastDKTIter = w.iter
 	avg := w.AvgRecentLoss()
-	for _, p := range w.livePeers() {
+	for _, p := range w.peerIDs {
 		w.send(&wire.Message{Type: wire.TypeLossReport, From: int32(w.ID),
 			To: int32(p), Iter: w.iter, Loss: avg})
 	}
@@ -31,17 +31,15 @@ func (w *Worker) maybeDKT() {
 // decideDKT elects the best worker from the latest loss reports and pulls
 // its weights. In the Best2all default every worker that is not the best
 // requests the transfer; in the Best2worst variant only the worst does.
-// Loss reports from peers that have since gone silent past the liveness
-// timeout are expired first — electing a dead peer as "best" would stall
-// the transfer forever. The table is walked in id order, so among equal
-// losses the lowest id wins.
+// The electorate is the roster: a departed or suspected peer's row, loss
+// report included, was reset when it left it. The roster is walked in id
+// order, so among equal losses the lowest id wins.
 func (w *Worker) decideDKT() {
 	myLoss := w.AvgRecentLoss()
 	best, bestLoss := w.ID, myLoss
 	worst, worstLoss := w.ID, myLoss
-	for p := range w.peers {
+	for _, p := range w.peerIDs {
 		ps := &w.peers[p]
-		ps.hasLoss = ps.hasLoss && w.peerLive(p)
 		if !ps.hasLoss {
 			continue
 		}

@@ -16,10 +16,9 @@ import (
 //
 // i.e. the bytes the link can absorb during one of this worker's
 // iterations, exactly the paper's formula with Iter_com_i = 1/iterSeconds.
-// Exchange targets only live peers: gradients serialized toward a dead
-// peer would waste shared egress bandwidth, and the fan-out divisor of the
-// byte budget shrinks with the live set so surviving links get the freed
-// share.
+// Exchange targets the roster: a suspected or departed peer gets nothing,
+// and the fan-out divisor of the byte budget shrinks with the roster so
+// the remaining links get the freed share.
 // selCacheEntry is one per-iteration selection-cache slot (see
 // exchangeGradients): the selection and quantization outcome for every link
 // sharing a (selector budget, precision) pair this iteration.
@@ -33,7 +32,7 @@ type selCacheEntry struct {
 
 func (w *Worker) exchangeGradients() {
 	params := w.model.Params()
-	peers := w.livePeers()
+	peers := w.peerIDs
 	quantOn := w.cfg.Quant.Auto || w.cfg.Quant.Precision != grad.PrecF32
 	// With a LinkInvariant selector (MaxN, Full), links that resolve to the
 	// same (budget, precision) receive the same Selection set, so it is

@@ -65,27 +65,46 @@ func TestResumeRestartsIteration(t *testing.T) {
 	}
 }
 
+// TestResumeRejoinPullsWeights: a resumed worker re-enters through the
+// admission handshake and adopts its sponsor's WELCOME outright — weights
+// and iteration, not only a weight transfer.
 func TestResumeRejoinPullsWeights(t *testing.T) {
 	env := newFakeEnv(2, []float64{1, 1})
 	ws := buildCluster(t, asyncConfig(), env)
+	var welcome *wire.Message
+	env.onSend = func(m *wire.Message) {
+		if m.Type == wire.TypeWelcome {
+			welcome = m
+		}
+	}
 	for _, w := range ws {
 		w.Start()
 	}
 	env.eng.Run(10)
 	ws[1].Stop()
+	crashed := ws[1].Iter()
 	env.eng.Run(12)
-	ws[1].Resume(0) // rejoin: pull a snapshot from worker 0
-	env.eng.Run(20)
-	s := ws[1].Stats()
-	if s.DKTMerges == 0 {
-		t.Fatal("rejoin should have adopted a weight snapshot")
+	ws[1].Resume(0)
+	// The handshake is instantaneous on this env; the rejoiner's first
+	// iteration and worker 0's next gradient both land at t = 13.
+	env.eng.Run(12.5)
+	if welcome == nil || welcome.From != 0 || welcome.To != 1 {
+		t.Fatalf("no WELCOME from worker 0 to the rejoiner: %+v", welcome)
 	}
-	if ws[0].Stats().DKTWeightsSent == 0 {
-		t.Fatal("sync peer never served the rejoin request")
+	if got := ws[1].Iter(); got != welcome.Iter || got <= crashed {
+		t.Fatalf("rejoiner at iteration %d, sponsor's WELCOME %d, crashed at %d", got, welcome.Iter, crashed)
 	}
-	// the snapshot is adopted outright: replicas match where the rejoiner
-	// has not yet trained past it — check a weight actually equals peer's
-	// (both trained after, so just assert the transfer happened above)
+	for _, p := range ws[1].Model().Params() {
+		want := welcome.Weights[p.Name].Data
+		for i, v := range p.W.Data {
+			if v != want[i] {
+				t.Fatalf("%s[%d] = %v, sponsor's snapshot %v", p.Name, i, v, want[i])
+			}
+		}
+	}
+	if got := ws[1].Members(); !equalInts(got, []int{0, 1}) || ws[1].State() != StateActive {
+		t.Fatalf("rejoiner %v with roster %v, want active over [0 1]", ws[1].State(), got)
+	}
 }
 
 func TestDoubleResumeIsIdempotent(t *testing.T) {
@@ -115,7 +134,7 @@ func TestStaleTimersDieAcrossRestart(t *testing.T) {
 	// crash and immediately resume: the pre-crash completeIteration timer
 	// is still queued, and must not run alongside the resumed loop
 	ws[1].Stop()
-	ws[1].Resume(-1)
+	ws[1].Resume(0)
 	env.eng.Run(30)
 	if ws[1].Iter() > ws[0].Iter()+3 {
 		t.Fatalf("stale pre-crash timer kept firing: %d vs %d",
@@ -135,10 +154,14 @@ func TestSyncFullUnblocksWhenPeerDies(t *testing.T) {
 	env.eng.Run(10)
 	ws[1].Stop()
 	env.eng.Run(60)
-	// without liveness the survivor would freeze one iteration after the
-	// crash; with it, the dead peer expires after 5s and training resumes
+	// without the detector the survivor would freeze one iteration after
+	// the crash; with it, the silent peer leaves the roster after 5 s and
+	// training resumes
 	if ws[0].Iter() < 30 {
 		t.Fatalf("survivor stuck at %d iterations after peer death", ws[0].Iter())
+	}
+	if got := ws[0].Members(); !equalInts(got, []int{0}) || !hasReason(ws[0].MembershipLog(), "suspect") {
+		t.Fatalf("survivor's roster %v, log %+v: want [0] after a suspicion", got, ws[0].MembershipLog())
 	}
 }
 
@@ -160,8 +183,13 @@ func TestSyncFullStillBlocksWithoutLiveness(t *testing.T) {
 	}
 }
 
-func TestLivePeersTracksSilence(t *testing.T) {
+// TestSuspectSilentPeerLeavesRoster: a crashed peer leaves every
+// survivor's roster after the timeout, with one "suspect" epoch each — and
+// only the crashed one does: the survivors, blocked on SyncFull and sending
+// each other no gradients, keep each other in with heartbeats.
+func TestSuspectSilentPeerLeavesRoster(t *testing.T) {
 	cfg := asyncConfig()
+	cfg.Sync.Mode = SyncFull
 	cfg.LivenessTimeout = 5
 	env := newFakeEnv(3, []float64{1, 1, 1})
 	ws := buildCluster(t, cfg, env)
@@ -169,17 +197,30 @@ func TestLivePeersTracksSilence(t *testing.T) {
 		w.Start()
 	}
 	env.eng.Run(4)
-	if got := len(ws[0].LivePeers()); got != 2 {
-		t.Fatalf("all peers chattering, live = %d", got)
-	}
 	ws[2].Stop()
-	env.eng.Run(20)
-	live := ws[0].LivePeers()
-	if len(live) != 1 || live[0] != 1 {
-		t.Fatalf("after worker 2 died, live peers = %v", live)
+	env.eng.Run(40)
+	for _, i := range []int{0, 1} {
+		if got := ws[i].Members(); !equalInts(got, []int{0, 1}) {
+			t.Fatalf("worker %d roster %v after worker 2 died, want [0 1]", i, got)
+		}
+		suspects := 0
+		for _, e := range ws[i].MembershipLog() {
+			if e.Reason == "suspect" {
+				suspects++
+			}
+		}
+		if suspects != 1 {
+			t.Fatalf("worker %d logged %d suspicions, want 1: %+v", i, suspects, ws[i].MembershipLog())
+		}
+	}
+	if ws[0].Iter() < 25 || ws[0].Iter() != ws[1].Iter() {
+		t.Fatalf("survivors at %d and %d iterations: not training in lockstep", ws[0].Iter(), ws[1].Iter())
 	}
 }
 
+// TestDKTSkipsDeadBestWorker: the DKT electorate is the roster. A crashed
+// worker's unbeatable loss report leaves with it when it is suspected, and
+// a report from an id outside the roster never counts.
 func TestDKTSkipsDeadBestWorker(t *testing.T) {
 	cfg := asyncConfig()
 	cfg.LivenessTimeout = 5
@@ -201,5 +242,22 @@ func TestDKTSkipsDeadBestWorker(t *testing.T) {
 	}
 	if ws[0].Stats().DKTMerges == 0 {
 		t.Fatal("worker 0 starved: kept electing the dead peer as best")
+	}
+
+	cfg.LivenessTimeout = 0
+	cfg.Membership.InitialMembers = []int{0, 1}
+	apart := cfg
+	apart.Membership.InitialMembers = []int{2}
+	env = newFakeEnv(3, []float64{1, 1, 1})
+	ws = buildClusterCfgs(t, []Config{cfg, cfg, apart}, env)
+	ws[0].Start()
+	ws[1].Start()
+	env.eng.Run(3)
+	ws[0].HandleMessage(&wire.Message{Type: wire.TypeLossReport, From: 2, To: 0, Loss: 1e-9})
+	env.eng.Run(20)
+	for _, m := range env.sent {
+		if m.Type == wire.TypeDKTRequest && m.To == 2 {
+			t.Fatalf("worker %d asked id 2, outside its roster, for weights", m.From)
+		}
 	}
 }

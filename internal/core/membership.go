@@ -33,6 +33,10 @@ import (
 // goes to every peer on the same FIFO links, so peers apply the leaver's
 // last gradients before removing it. Receivers renormalize in the same
 // event that removes the tombstoned member.
+//
+// Suspect (Config.LivenessTimeout > 0): a silent member is removed as its
+// LEAVE would remove it, and its next message re-admits it as a HELLO
+// admits a newcomer; a restarted worker (Resume) rejoins like a joiner.
 
 // MemberState is a worker's position in the membership lifecycle.
 type MemberState int
@@ -80,7 +84,7 @@ type EpochChange struct {
 	Size         int     // roster size after the change (including self)
 	Iter         int64   // this worker's completed iterations at the change
 	GradMsgsSent int64   // cumulative gradient messages sent at the change
-	Reason       string  // "seed", "join", "welcome", "leave", "left", "solo"
+	Reason       string  // "seed", "join", "welcome", "leave", "left", "solo", "suspect", "restart"
 }
 
 // initMembership seeds the roster from the configuration. Founders start
@@ -113,13 +117,6 @@ func (w *Worker) initMembership() error {
 	}
 	w.rebuildMembers()
 	return nil
-}
-
-// rosterOfOne shrinks the believed roster to this worker alone.
-func (w *Worker) rosterOfOne() {
-	for i := range w.peers {
-		w.peers[i].member = i == w.ID
-	}
 }
 
 // rebuildMembers refreshes the member cache, and the peer list derived
@@ -190,18 +187,11 @@ func (w *Worker) MembershipLog() []EpochChange {
 	return out
 }
 
-// Degraded reports whether the live cluster is below the quorum floor.
-func (w *Worker) Degraded() bool { return w.degradedNow() }
-
-// degradedNow implements the quorum floor: with fewer than QuorumFloor live
+// Degraded implements the quorum floor: with fewer than QuorumFloor
 // members (including self) the worker keeps training but stops blocking on
 // its sync strategy and counts results as degraded. 0 disables the floor.
-func (w *Worker) degradedNow() bool {
-	q := w.cfg.Membership.QuorumFloor
-	if q <= 0 {
-		return false
-	}
-	return 1+len(w.livePeers()) < q
+func (w *Worker) Degraded() bool {
+	return len(w.members) < w.cfg.Membership.QuorumFloor
 }
 
 // StartJoin begins the admission handshake toward sponsor: HELLO with the
@@ -218,13 +208,23 @@ func (w *Worker) StartJoin(sponsor int) {
 		panic(fmt.Sprintf("core: worker %d cannot join through sponsor %d", w.ID, sponsor))
 	}
 	w.started = true
-	w.aliveFrom = w.env.Now()
+	w.beginJoin(sponsor, "seed")
+}
+
+// beginJoin starts the admission handshake of a new process — a joiner, or
+// a restarted worker (Resume) — which knows nothing about its peers.
+func (w *Worker) beginJoin(sponsor int, reason string) {
 	w.state = StateJoining
-	w.rosterOfOne()
+	clear(w.peers)
+	w.peers[w.ID].member = true
 	w.rebuildMembers()
 	w.joinStart = w.env.Now()
 	w.joinWait = w.cfg.Membership.JoinRetry
-	w.logMembership("seed")
+	w.logMembership(reason)
+	if sponsor < 0 || sponsor == w.ID || sponsor >= len(w.peers) {
+		w.soloFallback() // nobody to ask
+		return
+	}
 	w.sendHello(sponsor, true)
 	w.armJoinRetry(sponsor)
 }
@@ -254,9 +254,9 @@ func (w *Worker) armJoinRetry(sponsor int) {
 	})
 }
 
-// soloFallback abandons the handshake at the join deadline: the worker
-// trains alone (roster of one) so a partitioned joiner still makes local
-// progress. Below any QuorumFloor > 1 every iteration counts as degraded.
+// soloFallback abandons the handshake — at the join deadline, or at once
+// with nobody to ask: the worker trains alone (roster of one) so a
+// partitioned joiner still makes local progress. Below any QuorumFloor > 1 every iteration counts as degraded.
 func (w *Worker) soloFallback() {
 	w.state = StateActive
 	w.bumpEpoch("solo")
@@ -290,16 +290,28 @@ func (w *Worker) handleHello(m *wire.Message) {
 	// the mask rides every handshake message, so the freshest wins.
 	peer.quant = grad.PrecMask(m.Quant)
 	if !peer.member {
-		peer.member = true
-		if m.Iter > peer.iter {
-			peer.iter = m.Iter
-		}
-		w.bumpEpoch("join")
+		w.admit(from, m.Iter)
+	} else if m.Iter > peer.iter {
+		// The sender ran the rounds up to m.Iter without this worker in its
+		// roster: on FIFO links their gradients would have come first.
+		peer.iter = m.Iter
 		w.recheckSync()
 	}
 	if m.Flags&wire.HelloNeedSync != 0 {
 		w.sendWelcome(from)
 	}
+}
+
+// admit adds id to the roster — a newcomer's HELLO, or any message from a
+// suspected member — and re-evaluates a blocked sync strategy. The sender's
+// iteration seeds its sync bookkeeping: SyncFull does not wait for rounds
+// it ran while outside this worker's roster.
+func (w *Worker) admit(id int, iter int64) {
+	p := &w.peers[id]
+	p.member, p.suspected = true, false
+	p.iter = max(p.iter, iter)
+	w.bumpEpoch("join")
+	w.recheckSync()
 }
 
 // sendWelcome answers an admission request with the epoch-stamped roster
@@ -336,14 +348,10 @@ func (w *Worker) handleWelcome(m *wire.Message) {
 	w.rebuildMembers()
 	now := w.env.Now()
 	for _, p := range w.peerIDs {
-		peer := &w.peers[p]
-		peer.lastHeard, peer.heard = now, true
 		// The cohort is at least at the sponsor's iteration; starting the
 		// sync bookkeeping there keeps SyncFull from waiting on history the
 		// joiner never ran.
-		if peer.iter < m.Iter {
-			peer.iter = m.Iter
-		}
+		w.peers[p].iter = max(w.peers[p].iter, m.Iter)
 	}
 	if len(m.Weights) > 0 {
 		if err := w.model.SetWeights(m.Weights); err == nil {
@@ -365,18 +373,55 @@ func (w *Worker) handleWelcome(m *wire.Message) {
 	w.startTraining()
 }
 
-// handleLeave removes a tombstoned member and renormalizes: the roster
-// shrinks, the epoch advances, and the departed worker's row of the peer
-// table goes back to zero in the same event, so the id re-joining later
-// starts clean. A blocked sync strategy re-evaluates immediately — the
-// leaver can no longer block anyone.
+// handleLeave removes a tombstoned member, and a blocked sync strategy
+// re-evaluates at once. A tombstone from a suspect forgets the suspicion.
 func (w *Worker) handleLeave(m *wire.Message) {
 	from := int(m.From)
 	if !w.peers[from].member {
-		return // duplicate tombstone
+		w.peers[from].suspected = false // or a duplicate tombstone
+		return
 	}
-	w.peers[from] = peerState{}
-	w.bumpEpoch("leave")
+	w.drop(from, "leave")
+	w.recheckSync()
+}
+
+// drop removes member id: the epoch advances and its row of the peer table
+// goes back to zero, loss report and sync marks included, so the id coming
+// back starts clean. Only a suspect's row keeps its mark.
+func (w *Worker) drop(id int, reason string) {
+	w.peers[id] = peerState{suspected: reason == "suspect"}
+	w.bumpEpoch(reason)
+}
+
+// watch is the failure detector (LivenessTimeout T > 0), one timer per
+// worker. It drops every member silent for T, as its LEAVE would, and
+// sends a plain HELLO to each member or suspect this worker has sent
+// nothing to for T/2: a worker blocked on its sync strategy is not silent,
+// and a probe finds a suspect again once its link heals. It re-arms at the
+// earliest deadline it watches, and at most T/2 out.
+func (w *Worker) watch() {
+	t, now := w.cfg.LivenessTimeout, w.env.Now()
+	for _, p := range w.peerIDs { // drop rebuilds peerIDs, not this slice
+		if w.peers[p].lastHeard+t <= now {
+			w.obs.IncLivenessExpiry()
+			w.drop(p, "suspect")
+		}
+	}
+	next := now + t/2
+	for p := range w.peers {
+		ps := &w.peers[p]
+		if p == w.ID || !ps.member && !ps.suspected {
+			continue
+		}
+		if ps.lastSent+t/2 <= now {
+			w.sendHello(p, false)
+		}
+		next = min(next, ps.lastSent+t/2)
+		if ps.member {
+			next = min(next, ps.lastHeard+t)
+		}
+	}
+	w.after(next-now, w.watch)
 	w.recheckSync()
 }
 
@@ -396,7 +441,9 @@ func (w *Worker) Leave() {
 				To: int32(p), Iter: w.iter, Epoch: w.epoch})
 		}
 	}
-	w.rosterOfOne()
+	for i := range w.peers {
+		w.peers[i].member = i == w.ID
+	}
 	w.bumpEpoch("left")
 	w.state = StateLeft
 	w.Stop()

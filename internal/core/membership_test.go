@@ -14,7 +14,7 @@ import (
 
 // Elastic membership behavior over the fake env: admission handshake,
 // solo fallback, tombstone renormalization, quorum degradation, and the
-// recheck-timer lifecycle across crash/restart (the cluster-level churn
+// suspicion timer's lifecycle across crash/restart (the cluster-level churn
 // tests cover the full simulator + realtime integration).
 
 // buildClusterCfgs is buildCluster with one config per worker, so founders
@@ -202,7 +202,7 @@ func TestLeaveRenormalizesSurvivors(t *testing.T) {
 // TestPeerCacheFollowsRoster pins the peer list rebuildMembers caches: a
 // join and a leave must both refresh it on every member that observes them,
 // a slice handed out before a mutation stays the roster it was, and the
-// exported LivePeers copy is the caller's to scribble on.
+// exported Members copy is the caller's to scribble on.
 func TestPeerCacheFollowsRoster(t *testing.T) {
 	env := newFakeEnv(3, []float64{1, 1, 1})
 	founder := asyncConfig()
@@ -236,17 +236,18 @@ func TestPeerCacheFollowsRoster(t *testing.T) {
 		}
 	}
 
-	own := ws[0].LivePeers()
+	own := ws[0].Members()
 	own[0] = 99
-	if got := ws[0].peerIDs; !equalInts(got, []int{2}) {
-		t.Fatalf("writing to LivePeers' result reached the cache: %v", got)
+	if got := ws[0].members; !equalInts(got, []int{0, 2}) {
+		t.Fatalf("writing to Members' result reached the cache: %v", got)
 	}
 }
 
 // TestPeerTableFollowsRoster covers the whole peer-table row, not only the
 // roster bit: a leave zeroes the departed id's row on every observer, the
 // same id re-joining starts from a clean row seeded by its HELLO/WELCOME,
-// and Stop+Resume clears exactly the soft fields.
+// and Stop+Resume starts from a new process's table, which the sponsor's
+// WELCOME refills.
 func TestPeerTableFollowsRoster(t *testing.T) {
 	env := newFakeEnv(3, []float64{1, 1, 1})
 	founder := asyncConfig()
@@ -264,7 +265,7 @@ func TestPeerTableFollowsRoster(t *testing.T) {
 	env.eng.Run(10)
 	for _, i := range []int{0, 2} {
 		e := ws[i].peers[1]
-		if !e.member || e.rcp <= 0 || e.iter == 0 || !e.hasLoss || !e.heard ||
+		if !e.member || e.rcp <= 0 || e.iter == 0 || !e.hasLoss || e.lastHeard == 0 ||
 			e.selCount == 0 || e.budget == 0 {
 			t.Fatalf("worker %d knows too little about peer 1 for the leave to prove anything: %+v", i, e)
 		}
@@ -297,7 +298,7 @@ func TestPeerTableFollowsRoster(t *testing.T) {
 	}
 	for _, i := range []int{0, 2} {
 		e := ws[i].peers[1]
-		if !e.member || !e.heard || e.quant != grad.MaskAll || e.hasLoss || e.deadSeen {
+		if !e.member || e.quant != grad.MaskAll || e.hasLoss || e.suspected {
 			t.Fatalf("worker %d's row for rejoined peer 1: %+v", i, e)
 		}
 		// The sponsor saw the admission HELLO (iteration 0), everyone else
@@ -305,31 +306,37 @@ func TestPeerTableFollowsRoster(t *testing.T) {
 		if want := map[int]int64{0: 0, 2: seed}[i]; e.iter != want {
 			t.Fatalf("worker %d seeded peer 1 at iteration %d, want %d", i, e.iter, want)
 		}
-		if e := again.peers[i]; !e.member || !e.heard || e.iter < seed {
+		if e := again.peers[i]; !e.member || e.lastHeard == 0 || e.iter < seed {
 			t.Fatalf("rejoiner's row for member %d: %+v (sponsor iteration %d)", i, e, seed)
 		}
 	}
 
 	env.eng.Run(25)
 	w := ws[0]
-	w.peers[2].deadSeen = true // as if an attached obs sink had counted an expiry
-	before := append([]peerState(nil), w.peers...)
+	if e := w.peers[2]; !e.hasLoss || e.iter == 0 || e.rcp <= 0 {
+		t.Fatalf("peer 2 had too little state before the restart: %+v", e)
+	}
 	w.Stop()
-	w.Resume(-1)
-	for id, was := range before {
-		if id == w.ID {
-			continue
+	w.Resume(1)
+	for id, e := range w.peers {
+		e.lastSent = 0 // the admission HELLO just went to the sponsor
+		if want := (peerState{member: id == w.ID}); e != want {
+			t.Fatalf("row %d right after Resume: %+v, want %+v", id, e, want)
 		}
-		if !was.heard || !was.hasLoss || was.iter == 0 || was.rcp <= 0 {
-			t.Fatalf("peer %d had too little state before the restart: %+v", id, was)
+	}
+	env.eng.Run(25.5)
+	var welcome EpochChange
+	for _, e := range w.MembershipLog() {
+		if e.Reason == "welcome" {
+			welcome = e
 		}
-		want := was
-		want.heard, want.hasLoss, want.deadSeen = false, false, false
-		got := w.peers[id]
-		// What the cleared flags guarded is stale, not part of the contract.
-		want.lastHeard, got.lastHeard, want.loss, got.loss = 0, 0, 0, 0
-		if got != want {
-			t.Fatalf("peer %d across Stop+Resume: %+v, want %+v", id, got, want)
+	}
+	if got := w.Members(); !equalInts(got, []int{0, 1, 2}) || welcome.T != 25 || w.Iter() != welcome.Iter {
+		t.Fatalf("restarted worker: roster %v at iteration %d, welcome %+v", got, w.Iter(), welcome)
+	}
+	for _, id := range []int{1, 2} {
+		if e := w.peers[id]; !e.member || e.iter < welcome.Iter || e.hasLoss {
+			t.Fatalf("restarted worker's row for member %d: %+v (sponsor iteration %d)", id, e, welcome.Iter)
 		}
 	}
 }
@@ -532,38 +539,42 @@ func TestMemberStateStrings(t *testing.T) {
 	}
 }
 
-// Regression (satellite): Stop used to leave recheckArmed set — the gen
-// bump voided the pending timer without clearing the flag — so a resumed
-// worker that blocked on a dead peer never re-armed the recheck and hung
-// forever on SyncFull.
-func TestRecheckRearmsAfterStopResume(t *testing.T) {
+// TestSuspectTimerRearmsAfterStopResume: a worker that crashes while its
+// suspicion timer is pending re-arms it when it rejoins. Worker 0 rejoins
+// before its sponsor has suspected the dead worker 2, so it adopts a
+// roster with 2 in it; only its own timer can take 2 out and unblock
+// SyncFull.
+func TestSuspectTimerRearmsAfterStopResume(t *testing.T) {
 	cfg := asyncConfig()
 	cfg.Sync.Mode = SyncFull
 	cfg.LivenessTimeout = 5
-	env := newFakeEnv(2, []float64{1, 1})
+	env := newFakeEnv(3, []float64{1, 1, 1})
 	ws := buildCluster(t, cfg, env)
 	for _, w := range ws {
 		w.Start()
 	}
 	env.eng.Run(10)
-	ws[1].Stop()
-	// Let worker 0 block on the silent peer and arm its recheck timer,
-	// then crash worker 0 while the timer is pending.
-	env.eng.Run(2)
+	ws[2].Stop()
+	// Let worker 0 block on the silent peer with its timer armed, then
+	// crash worker 0 while the timer is pending.
+	env.eng.Run(12)
 	ws[0].Stop()
-	ws[0].Resume(-1)
+	ws[0].Resume(1)
 	env.eng.Run(60)
-	// The resumed worker blocks on the still-dead peer 1; only a re-armed
-	// recheck can expire it and unblock training.
-	if ws[0].Iter() < 20 {
-		t.Fatalf("resumed worker hung at %d iters: recheck never re-armed", ws[0].Iter())
+	if ws[0].Iter() < 40 {
+		t.Fatalf("resumed worker hung at %d iters: suspicion timer never re-armed", ws[0].Iter())
+	}
+	for _, w := range ws[:2] {
+		if got := w.Members(); !equalInts(got, []int{0, 1}) {
+			t.Fatalf("worker %d roster %v, want [0 1]", w.ID, got)
+		}
 	}
 }
 
-// The recheck timer may fire after the blocking peer already recovered and
-// unblocked the worker through the gradient path; the firing must be a
-// harmless no-op, and the flag must clear so later blocks re-arm.
-func TestRecheckFiringAfterPeerRecovered(t *testing.T) {
+// TestSuspectFiringAfterRecoveryIsNoop: the timer armed for a silent peer
+// may fire after that peer restarted and was heard from again; the firing
+// must suspect nobody, and the pair keeps training in lockstep.
+func TestSuspectFiringAfterRecoveryIsNoop(t *testing.T) {
 	cfg := asyncConfig()
 	cfg.Sync.Mode = SyncFull
 	cfg.LivenessTimeout = 8
@@ -574,9 +585,12 @@ func TestRecheckFiringAfterPeerRecovered(t *testing.T) {
 	}
 	env.eng.Run(10)
 	ws[1].Stop()
-	env.eng.Run(3) // worker 0 blocks, recheck armed for t≈+8
-	ws[1].Resume(-1)
-	env.eng.Run(60) // peer recovers; pending recheck fires mid-run
+	env.eng.Run(13) // worker 0 blocks; its timer is due at t ≈ 18
+	ws[1].Resume(0)
+	env.eng.Run(60) // the peer is back before the timer fires
+	if hasReason(ws[0].MembershipLog(), "suspect") {
+		t.Fatalf("worker 0 suspected its recovered peer: %+v", ws[0].MembershipLog())
+	}
 	d := ws[0].Iter() - ws[1].Iter()
 	if d < -2 || d > 2 {
 		t.Fatalf("lockstep broken after recovery: %d vs %d", ws[0].Iter(), ws[1].Iter())

@@ -144,11 +144,8 @@ type Worker struct {
 	// Crash/restart lifecycle. A stopped worker ignores messages and its
 	// pending timers; gen invalidates timers armed before the last Stop so
 	// a resumed worker does not double-run its loops.
-	stopped      bool
-	gen          int
-	aliveFrom    float64 // when this worker (re)started; liveness grace origin
-	rejoining    bool    // next weights message is a rejoin snapshot: adopt fully
-	recheckArmed bool    // a sync-liveness recheck timer is pending
+	stopped bool
+	gen     int
 
 	// Elastic membership (membership.go). The believed member set is the
 	// table's member bits; members caches it in id order (self included)
@@ -173,12 +170,13 @@ type Worker struct {
 
 // peerState is one row of the peer table. The zero value is a worker this
 // one knows nothing about, which is what a departure resets the row to.
-// Fields run from widest to narrowest so a row packs into 56 bytes.
+// Fields run from widest to narrowest so a row packs into 64 bytes.
 type peerState struct {
 	rcp       float64 // latest RCP report (0 = none yet)
 	iter      int64   // highest gradient iteration received
 	loss      float64 // latest loss report, valid while hasLoss
-	lastHeard float64 // when the peer was last heard from, valid while heard
+	lastHeard float64 // when a member was last heard from (or admitted)
+	lastSent  float64 // when this worker last sent the peer anything
 
 	// What the last gradient exchange sent on the link to this peer.
 	selCount int            // gradient values
@@ -189,8 +187,10 @@ type peerState struct {
 	// static founder never handshakes) reads as accept-all.
 	quant grad.PrecMask
 
-	member, hasLoss, heard bool
-	deadSeen               bool // already counted as liveness-expired
+	member, hasLoss bool
+	// suspected: the failure detector removed the peer from the roster
+	// (watch); its next message re-admits it, a LEAVE forgets it.
+	suspected bool
 }
 
 // New builds a worker. The model must be this worker's own replica; the
@@ -352,14 +352,20 @@ func (w *Worker) Start() {
 		panic("core: worker started twice")
 	}
 	w.started = true
-	w.aliveFrom = w.env.Now()
 	w.logMembership("seed")
 	w.startTraining()
 }
 
-// startTraining arms the profiling loop and the first iteration — shared by
-// founder start, join admission, solo fallback, and Resume.
+// startTraining arms the failure detector, the profiling loop and the first
+// iteration — shared by founder start, join admission and solo fallback.
+// Every member counts as heard from at this point: the detector's grace.
 func (w *Worker) startTraining() {
+	if w.cfg.LivenessTimeout > 0 {
+		for _, p := range w.peerIDs {
+			w.peers[p].lastHeard = w.env.Now()
+		}
+		w.watch()
+	}
 	if w.cfg.Batch.DynamicBatching {
 		w.profileAndBroadcast()
 		w.after(w.cfg.Batch.ProfilePeriod, w.profileLoop)
@@ -368,45 +374,32 @@ func (w *Worker) startTraining() {
 }
 
 // Stop kills the worker, as if its process died: pending timers become
-// no-ops and incoming messages are ignored until Resume. The armed-recheck
-// flag resets too — the gen bump already voided the pending timer, and a
-// stale flag would stop the resumed worker from ever re-arming it. The
-// step in flight is joined first, so a stopped worker has none.
+// no-ops and incoming messages are ignored until Resume. The step in
+// flight is joined first, so a stopped worker has none.
 func (w *Worker) Stop() {
 	w.JoinStep()
 	w.stopped = true
 	w.gen++
 	w.waitingSync = false
-	w.recheckArmed = false
 }
 
 // Stopped reports whether the worker is currently stopped (crashed).
 func (w *Worker) Stopped() bool { return w.stopped }
 
 // Resume restarts a stopped worker after the harness restored its model
-// (e.g. from a checkpoint). syncPeer >= 0 is the rejoin path: the worker
-// requests a fresh weight snapshot from that peer and adopts it outright,
-// re-syncing state that a possibly-stale checkpoint cannot provide.
-// Cross-worker soft state (loss window, liveness clocks) restarts from
-// scratch, as it would in a new process.
-func (w *Worker) Resume(syncPeer int) {
+// (e.g. from a checkpoint), as a new process would: it knows nothing about
+// its peers and re-enters through sponsor with StartJoin's admission
+// handshake — retries, solo fallback, and on WELCOME the sponsor's roster,
+// iteration, GBS and weights. The restored model is what a solo fallback
+// trains on. A sponsor outside the other ids (nobody to ask) makes that
+// fallback immediate.
+func (w *Worker) Resume(sponsor int) {
 	if !w.stopped {
 		return
 	}
 	w.stopped = false
-	w.aliveFrom = w.env.Now()
 	w.lossWin = nil
-	for i := range w.peers {
-		p := &w.peers[i]
-		p.heard, p.hasLoss, p.deadSeen = false, false, false
-	}
-	w.waitingSync = false
-	if syncPeer >= 0 && syncPeer != w.ID {
-		w.rejoining = true
-		w.send(&wire.Message{Type: wire.TypeDKTRequest, From: int32(w.ID),
-			To: int32(syncPeer), Iter: w.iter})
-	}
-	w.startTraining()
+	w.beginJoin(sponsor, "restart")
 }
 
 // after schedules fn like env.After, but arms it to the current lifecycle
@@ -435,62 +428,25 @@ func (w *Worker) profileAndBroadcast() {
 	x, y := w.env.ProfileCompute(w.ID, profileBatches(w.cfg.Batch.InitialLBS))
 	r := computeRCP(x, y)
 	w.peers[w.ID].rcp = r
-	for _, p := range w.livePeers() {
+	for _, p := range w.peerIDs {
 		w.send(&wire.Message{Type: wire.TypeRCPReport, From: int32(w.ID), To: int32(p),
 			Iter: w.iter, RCP: r})
 	}
 }
-
-// peerLive reports whether peer p is considered alive: heard from within
-// LivenessTimeout, or within the grace period after this worker started.
-// With LivenessTimeout <= 0 every peer is always live (the fault-free
-// assumption the pre-resilience code made).
-func (w *Worker) peerLive(p int) bool {
-	if w.cfg.LivenessTimeout <= 0 {
-		return true
-	}
-	last := w.aliveFrom
-	if w.peers[p].heard {
-		last = w.peers[p].lastHeard
-	}
-	return w.env.Now()-last <= w.cfg.LivenessTimeout
-}
-
-// livePeers returns the peers currently considered alive, in id order.
-// Read-only like peerIDs, which it returns as is when liveness is off.
-func (w *Worker) livePeers() []int {
-	if w.cfg.LivenessTimeout <= 0 {
-		return w.peerIDs
-	}
-	live := make([]int, 0, len(w.peerIDs))
-	for _, p := range w.peerIDs {
-		if w.peerLive(p) {
-			live = append(live, p)
-		} else if w.obs != nil && !w.peers[p].deadSeen {
-			// first observation of this peer's liveness expiry
-			w.peers[p].deadSeen = true
-			w.obs.IncLivenessExpiry()
-		}
-	}
-	return live
-}
-
-// LivePeers exposes the live peer set (drivers and tests), as a copy the
-// caller owns.
-func (w *Worker) LivePeers() []int { return append([]int(nil), w.livePeers()...) }
 
 func (w *Worker) send(m *wire.Message) {
 	wb := m.WireBytes()
 	w.stats.MsgsSent++
 	w.stats.BytesSent += int64(wb)
 	w.obs.AddSent(classOf(m.Type), wb)
+	w.peers[m.To].lastSent = w.env.Now()
 	w.env.Send(w.ID, int(m.To), m)
 }
 
 // currentLBS applies the GBS and LBS controllers (Eq. 5) to decide this
-// worker's batch for the next iteration. Shares are computed over the live
-// worker set, so the global batch is redistributed — not silently shrunk —
-// when peers die: dead workers' RCP entries stop diluting the split.
+// worker's batch for the next iteration. Shares are computed over the
+// roster, so the global batch is redistributed — not silently shrunk —
+// when members leave or are suspected.
 func (w *Worker) currentLBS() int {
 	gbs := w.gbs.GBSAt(w.env.Now(), w.epochsDone())
 	if !w.cfg.Batch.DynamicBatching {
@@ -500,15 +456,13 @@ func (w *Worker) currentLBS() int {
 		}
 		return l
 	}
-	// Gather the live cohort's RCP reports (self + live roster peers) in id
-	// order so lbsShares splits GBS among them only.
+	// Gather the roster's RCP reports in id order so lbsShares splits GBS
+	// among them only.
 	me := 0
 	rcp := w.cohortRCP[:0]
 	for _, id := range w.members {
 		if id == w.ID {
 			me = len(rcp)
-		} else if !w.peerLive(id) {
-			continue
 		}
 		rcp = append(rcp, w.peers[id].rcp)
 	}
@@ -598,7 +552,7 @@ func (w *Worker) completeIteration() {
 	n := float64(w.clusterSize())
 	w.model.ApplySGD(w.cfg.LearningRate / n)
 
-	if w.degradedNow() {
+	if w.Degraded() {
 		w.stats.DegradedIters++
 		w.obs.IncDegradedIter()
 	}
@@ -621,9 +575,9 @@ func (w *Worker) completeIteration() {
 }
 
 // maybeStartNext starts the next iteration if the synchronization strategy
-// allows, otherwise blocks until a qualifying gradient arrives — or, with
-// liveness tracking on, until the blocking peer is declared dead (a dead
-// peer sends no unblocking gradient, so a timer must re-evaluate).
+// allows, otherwise blocks until a qualifying gradient arrives or the
+// roster changes (recheckSync) — a crashed peer sends no unblocking
+// gradient, so with the failure detector on its suspicion ends the block.
 func (w *Worker) maybeStartNext() {
 	if w.canProceed() {
 		w.waitingSync = false
@@ -633,12 +587,11 @@ func (w *Worker) maybeStartNext() {
 	w.waitingSync = true
 	w.waitStart = w.env.Now()
 	w.obs.IncSyncBlock()
-	w.armSyncRecheck()
 }
 
 // recheckSync ends a sync wait once the strategy allows — a qualifying
-// gradient arrived, or the roster or live set changed under the blocked
-// worker — charging the blocked interval to the recv-wait phase.
+// gradient arrived, or the roster changed under the blocked worker —
+// charging the blocked interval to the recv-wait phase.
 func (w *Worker) recheckSync() {
 	if w.waitingSync && w.canProceed() {
 		w.waitingSync = false
@@ -647,48 +600,32 @@ func (w *Worker) recheckSync() {
 	}
 }
 
-func (w *Worker) armSyncRecheck() {
-	if w.cfg.LivenessTimeout <= 0 || w.recheckArmed {
-		return
-	}
-	w.recheckArmed = true
-	w.after(w.cfg.LivenessTimeout, func() {
-		w.recheckArmed = false
-		w.recheckSync()
-		if w.waitingSync {
-			w.armSyncRecheck()
-		}
-	})
-}
-
-// canProceed implements the synch_training strategies (§4.2). Only live
-// roster peers participate: a sync or bounded strategy that kept waiting
-// for a crashed or departed peer would deadlock the whole cluster, so
-// their missing gradients neither block progress nor count toward
-// staleness. Below the quorum floor the strategies are bypassed entirely —
-// the worker trains on, marking iterations degraded instead of blocking.
+// canProceed implements the synch_training strategies (§4.2) over the
+// roster: a departed or suspected peer is out of it, so its missing
+// gradients neither block progress nor count toward staleness. Below the
+// quorum floor the strategies are bypassed entirely — the worker trains
+// on, marking iterations degraded instead of blocking.
 func (w *Worker) canProceed() bool {
-	if w.degradedNow() {
+	if w.Degraded() {
 		return true
 	}
 	switch w.cfg.Sync.Mode {
 	case SyncAsync:
 		return true
 	case SyncFull:
-		for _, p := range w.livePeers() {
+		for _, p := range w.peerIDs {
 			if w.peers[p].iter < w.iter {
 				return false
 			}
 		}
 		return true
 	case SyncBounded:
-		live := w.livePeers()
-		if len(live) == 0 {
+		if len(w.peerIDs) == 0 {
 			return true
 		}
 		arrived := 0
 		minIter := int64(1 << 62)
-		for _, p := range live {
+		for _, p := range w.peerIDs {
 			if w.peers[p].iter >= w.iter {
 				arrived++
 			}
@@ -696,7 +633,7 @@ func (w *Worker) canProceed() bool {
 				minIter = w.peers[p].iter
 			}
 		}
-		need := len(live) - w.cfg.Sync.BackupWorkers
+		need := len(w.peerIDs) - w.cfg.Sync.BackupWorkers
 		if arrived < need {
 			return false
 		}
@@ -726,8 +663,7 @@ func (w *Worker) HandleMessage(m *wire.Message) {
 	}
 	w.stats.MsgsRecvd++
 	peer := &w.peers[from]
-	peer.lastHeard, peer.heard = w.env.Now(), true
-	peer.deadSeen = false // demonstrably alive again
+	peer.lastHeard = w.env.Now()
 	if w.obs != nil {
 		w.obs.AddRecv(classOf(m.Type), m.WireBytes())
 	}
@@ -735,8 +671,14 @@ func (w *Worker) HandleMessage(m *wire.Message) {
 	// An unordered peer gradient is the one write that commutes with the
 	// step: in sequential order the step read W before it arrived. The
 	// roster and LBS its apply scales by change only on paths that join.
-	if m.Type != wire.TypeGradient || w.cfg.OrderedApply {
+	if m.Type != wire.TypeGradient || w.cfg.OrderedApply || peer.suspected {
 		w.JoinStep()
+	}
+	if peer.suspected && m.Type != wire.TypeLeave {
+		// It was only unreachable. A HELLO tells it how far this worker ran
+		// meanwhile: rounds it will get no gradient of.
+		w.admit(from, m.Iter)
+		w.sendHello(from, false)
 	}
 	switch m.Type {
 	case wire.TypeGradient:
@@ -774,15 +716,6 @@ func (w *Worker) HandleMessage(m *wire.Message) {
 	case wire.TypeDKTRequest:
 		w.sendWeights(from)
 	case wire.TypeWeights:
-		if w.rejoining {
-			// Rejoin snapshot: adopt the live peer's weights outright — a
-			// λ-merge with a stale checkpoint would keep half the staleness.
-			if err := w.model.SetWeights(m.Weights); err == nil {
-				w.rejoining = false
-				w.stats.DKTMerges++
-			}
-			return
-		}
 		w.timedApply(func() {
 			if err := w.model.MergeWeights(m.Weights, w.cfg.DKT.Lambda); err == nil {
 				w.stats.DKTMerges++

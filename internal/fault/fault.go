@@ -133,8 +133,8 @@ type Schedule struct {
 	// CheckpointPeriod is how often (seconds) the harness snapshots each
 	// worker's weights so a crashed worker can restart from a recent state
 	// rather than from scratch. 0 disables periodic checkpoints; crashed
-	// workers then restart from a fresh model and rely on the rejoin
-	// re-sync to catch up.
+	// workers then restart from a fresh model and rely on the rejoin's
+	// WELCOME snapshot to catch up.
 	CheckpointPeriod float64
 
 	// Seed drives the injector's RNG (loss/corruption sampling). Runs with

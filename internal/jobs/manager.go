@@ -45,8 +45,8 @@ type Config struct {
 	// checkpoint captures (default 50ms).
 	Poll time.Duration
 	// LivenessTimeout (seconds) is plumbed into every job's worker config
-	// so blocking sync strategies route around a crashed-and-restarting
-	// peer instead of wedging the whole group (default 2).
+	// so a crashed-and-restarting peer leaves the roster instead of
+	// wedging blocking sync strategies, and rejoins it (default 2).
 	LivenessTimeout float64
 }
 
@@ -412,9 +412,9 @@ func (r *run) deploy() error {
 	if spec.LBS > 0 {
 		cfg.Batch.InitialLBS = spec.LBS
 	}
-	// Blocking sync strategies must route around a crashed peer during its
-	// restart window instead of wedging the group (see PR 1's live-set-
-	// aware synchronization).
+	// Blocking sync strategies must not wedge on a crashed peer during its
+	// restart window: the failure detector drops it from the roster until
+	// it rejoins (DESIGN.md §7).
 	cfg.LivenessTimeout = r.m.cfg.LivenessTimeout
 	if spec.Slots > spec.Workers {
 		// Leave joiner slots: the group is founded by [0, Workers) and

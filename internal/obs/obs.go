@@ -299,7 +299,8 @@ func (o *WorkerObs) QuantBytesSaved() int64 {
 	return o.quantBytesSaved.Load()
 }
 
-// IncLivenessExpiry records one peer transitioning live → presumed dead.
+// IncLivenessExpiry records one member removed from the roster by
+// suspicion (silent for the liveness timeout).
 func (o *WorkerObs) IncLivenessExpiry() {
 	if o != nil {
 		o.livenessExpiries.Add(1)

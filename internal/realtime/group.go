@@ -19,7 +19,9 @@ const flushTimeout = 2 * time.Second
 // exit of Run waits for each node, flushes its send FIFOs and closes its
 // transport, so no receive pump outlives the group to take a later group's
 // frames. A node that stops while the group runs has crashed; it is rebuilt
-// and restored from its last Checkpoint while the restart budget lasts.
+// and restored from its last Checkpoint while the restart budget lasts, and
+// rejoins through another running node as a joiner is admitted (HELLO,
+// then the WELCOME's roster, iteration and weights).
 type Group struct {
 	build       func(i int) (Config, error)
 	maxRestarts int
@@ -46,7 +48,7 @@ func NewGroup(n int, build func(i int) (Config, error), maxRestarts int) (*Group
 		cancels: make([]context.CancelFunc, n), ckpts: make([][]byte, n), mans: make([]*lineage.Manifest, n)}
 	g.life, g.end = context.WithCancel(context.Background())
 	for i := range g.nodes {
-		nd, err := g.newNode(i, nil)
+		nd, err := g.newNode(i, nil, -1)
 		if err != nil {
 			for _, built := range g.nodes[:i] {
 				built.cfg.Transport.Close()
@@ -66,11 +68,16 @@ func (g *Group) install(i int, nd *Node) {
 	g.ctxs[i], g.cancels[i] = context.WithCancel(g.life)
 }
 
-// newNode builds node i's next incarnation with ckpt restored into its model.
-func (g *Group) newNode(i int, ckpt []byte) (*Node, error) {
+// newNode builds node i's next incarnation with ckpt restored into its
+// model; with a sponsor (>= 0) the incarnation joins through it.
+func (g *Group) newNode(i int, ckpt []byte, sponsor int) (*Node, error) {
 	cfg, err := g.build(i)
 	if err != nil {
 		return nil, err
+	}
+	if sponsor >= 0 {
+		m := &cfg.System.Membership
+		m.Join, m.Sponsor, m.InitialMembers = true, sponsor, nil
 	}
 	nd, err := NewNode(cfg)
 	if err == nil && ckpt != nil {
@@ -131,7 +138,13 @@ func (g *Group) runNode(i int) error {
 		if !spent {
 			g.restarts++
 		}
-		ckpt := g.ckpts[i]
+		ckpt, sponsor := g.ckpts[i], -1
+		for j, other := range g.nodes { // the lowest other running node admits it
+			if j != i && g.ctxs[j].Err() == nil {
+				sponsor = other.cfg.ID
+				break
+			}
+		}
 		g.mu.Unlock()
 		if spent {
 			if err == nil {
@@ -139,7 +152,7 @@ func (g *Group) runNode(i int) error {
 			}
 			return fmt.Errorf("realtime: node %d: restart budget (%d) spent: %w", i, g.maxRestarts, err)
 		}
-		if nd, err = g.newNode(i, ckpt); err != nil {
+		if nd, err = g.newNode(i, ckpt, sponsor); err != nil {
 			return err
 		}
 		g.install(i, nd)

@@ -3,8 +3,10 @@ package realtime
 import (
 	"context"
 	"errors"
+	"fmt"
 	"runtime"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -13,6 +15,7 @@ import (
 	"dlion/internal/lineage"
 	"dlion/internal/nn"
 	"dlion/internal/queue"
+	"dlion/internal/wire"
 )
 
 // groupShards partitions the small real-mode dataset the group tests train on.
@@ -208,6 +211,96 @@ func TestGroupRunFailsOnceBudgetSpent(t *testing.T) {
 		}
 		g.Crash(0)
 	}
+}
+
+// TestGroupSlowRestartRejoins: node 0 crashes and its restart takes 0.6 s,
+// three liveness timeouts. Meanwhile nodes 1 and 2, blocked on SyncFull,
+// suspect node 0 and only node 0: they keep exchanging gradients. The
+// restarted node rejoins through node 1 at node 1's iteration, not at 0
+// and not below its checkpoint, and every roster ends [0 1 2].
+func TestGroupSlowRestartRejoins(t *testing.T) {
+	const n = 3
+	b := queue.NewBroker()
+	defer b.Close()
+	shards := groupShards(t, n)
+	sys := realSystem()
+	sys.Sync = core.SyncConfig{Mode: core.SyncFull}
+	sys.LivenessTimeout = 0.2
+	var builds [n]atomic.Int32
+	var grads [n][n]atomic.Int64 // gradient frames received, [to][from]
+	g, err := NewGroup(n, func(i int) (Config, error) {
+		if builds[i].Add(1) > 1 {
+			time.Sleep(600 * time.Millisecond)
+		}
+		return Config{ID: i, N: n, System: sys, Spec: nn.CipherSpec(1, 8, 8, 3, 5), Shard: shards[i],
+			Transport: gradTap{NewBrokerTransport(b, i, ""), &grads[i]}}, nil
+	}, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, stop := startGroup(g)
+	defer stop()
+	iterOf := func(i int) (it int64) {
+		g.Inspect(ctx, i, func(w *core.Worker) { it = w.Iter() })
+		return it
+	}
+	waitForCond(t, "training", func() bool { return iterOf(0) >= 5 })
+	ckptIter, _, _, err := g.Checkpoint(ctx, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := g.Crash(0); err != nil {
+		t.Fatal(err)
+	}
+	time.Sleep(budget(300 * time.Millisecond)) // past the suspicion, inside the restart
+	from2, from1 := grads[1][2].Load(), grads[2][1].Load()
+	waitForCond(t, "survivors exchanging", func() bool {
+		return grads[1][2].Load() > from2 && grads[2][1].Load() > from1
+	})
+	waitForCond(t, "rejoin", func() bool {
+		settled := true
+		for i := 0; i < n; i++ {
+			err := g.Inspect(ctx, i, func(w *core.Worker) {
+				settled = settled && w.State() == core.StateActive && fmt.Sprint(w.Members()) == "[0 1 2]"
+			})
+			settled = settled && err == nil
+		}
+		return settled && g.Restarts() == 1
+	})
+	var welcome *core.EpochChange
+	g.Inspect(ctx, 0, func(w *core.Worker) {
+		for _, e := range w.MembershipLog() {
+			if e.Reason == "welcome" {
+				welcome = &e
+			}
+		}
+	})
+	if welcome == nil || welcome.Iter < ckptIter {
+		t.Fatalf("restarted node admitted at %+v, checkpoint at iteration %d", welcome, ckptIter)
+	}
+	from2, from1 = grads[1][2].Load(), grads[2][1].Load()
+	waitForCond(t, "exchanging after the rejoin", func() bool {
+		return grads[1][2].Load() > from2 && grads[2][1].Load() > from1 && iterOf(0) > welcome.Iter
+	})
+}
+
+// gradTap counts the gradient frames its node receives, by sender.
+type gradTap struct {
+	Transport
+	from *[3]atomic.Int64
+}
+
+func (t gradTap) Recv() ([]byte, error) {
+	p, err := t.Transport.Recv()
+	if err == nil {
+		if m, derr := wire.Decode(p); derr == nil {
+			if m.Type == wire.TypeGradient {
+				t.from[m.From].Add(1)
+			}
+			m.Release()
+		}
+	}
+	return p, err
 }
 
 // TestGroupInspectAfterRun: before Run and once it has returned, Inspect

@@ -308,8 +308,7 @@ func RunRealtime(ctx context.Context, c EquivalenceConfig) (*EquivalenceResult, 
 // one worker's membership log: between consecutive epoch entries — and
 // from the last entry to the end of the run — the worker sent exactly
 // ΔIter·(Size-1) gradient messages, Size being the roster the earlier
-// entry established. Holds whenever the live-peer set equals the roster
-// (no liveness expiries during the run).
+// entry established.
 func CheckRenormalization(log []core.EpochChange, finalIters, finalGradMsgs int64) error {
 	if len(log) == 0 {
 		return fmt.Errorf("testkit: empty membership log")
