@@ -10,7 +10,7 @@
 # Param.G and an in-flight encode is race-checked (all of core is 80 s under
 # -race); running it repo-wide would multiply simulation test time ~20x for
 # no extra coverage.
-.PHONY: verify check build fmt vet test race fuzz-smoke conformance bench bench-serve bench-sim bench-e2e chaos e2e-jobs audit-gate
+.PHONY: verify check build fmt vet test race fuzz-smoke conformance bench bench-serve bench-sim bench-e2e chaos e2e-jobs audit-gate fma-gate
 
 check: build fmt vet test race fuzz-smoke
 
@@ -31,7 +31,7 @@ check: build fmt vet test race fuzz-smoke
 #   exactly its peers' gradients and no FIFO drop), sim_fed256 (three
 #   256-worker Runs, one round each, no idle worker) and serve_swap (every
 #   request answered, every swap landed).
-verify: check conformance e2e-jobs audit-gate
+verify: check conformance e2e-jobs audit-gate fma-gate
 	go run ./cmd/dlion-bench -sim -sim-n 8,256
 	go test -count=1 -cpu 1,2,4 -run 'RunGoldens|Churn|LazySteps|EvalOnce' ./internal/cluster
 	@out="$$(mktemp)"; for run in "train_wire 1" "train_compute 0" "sim_fed256 0" "serve_swap 0"; do \
@@ -77,10 +77,12 @@ fuzz-smoke:
 # apply, the exact churn contract with a leave) and the lineage replay
 # audit, under the race detector. Every comparison is exact, so the second
 # pass reruns the equivalence gates and the Run goldens (convergence rows
-# included) on 386, the portable kernels (-race is not supported there).
+# included) on 386, the portable kernels (-race is not supported there),
+# and holds those kernels to the tensor package's bit-exact references.
 conformance:
 	go test -race -count=1 ./internal/testkit/...
 	GOARCH=386 go test -count=1 -run 'RunGoldens|Equivalence|MixedPrecision' ./internal/cluster ./internal/testkit
+	GOARCH=386 go test -count=1 -run BitExact ./internal/tensor
 
 # Kernel and scheduler microbenchmarks (simclock's EngineBurst is the
 # 256-worker all-to-all schedule, EngineHold the constant-size hold model),
@@ -135,6 +137,20 @@ e2e-jobs:
 # failures. Exits nonzero on any divergence.
 audit-gate:
 	go run ./cmd/dlion-audit -self-test
+
+# No fused multiply-add in the kernels (DESIGN.md §9): the arm64 compiler
+# fuses x*y + z into one rounding unless the product is converted,
+# float32(x*y) + z, which would make a digest depend on the CPU. Offline
+# and in seconds: cross-compile the tensor package's test binary for arm64
+# (it links every function of the package, called or not) and fail if the
+# disassembly fails, lists no dlion/internal/tensor symbol, or shows a fused
+# instruction in one.
+fma-gate:
+	@dir="$$(mktemp -d)"; trap 'rm -rf "$$dir"' EXIT; \
+	GOARCH=arm64 go test -c -o "$$dir/tensor.test" ./internal/tensor || exit 1; \
+	go tool objdump -s 'dlion/internal/tensor\.' "$$dir/tensor.test" > "$$dir/dump" || { echo "fma-gate: objdump failed"; exit 1; }; \
+	grep -q '^TEXT dlion/internal/tensor\.' "$$dir/dump" || { echo "fma-gate: no dlion/internal/tensor symbol in the arm64 test binary"; exit 1; }; \
+	if grep -E 'FMADD|FMSUB|FNMADD|FNMSUB' "$$dir/dump"; then echo "fused multiply-add in dlion/internal/tensor (arm64)"; exit 1; fi
 
 # Churn soak for the scheduled CI job: the sim churn scenarios, the
 # membership protocol tests, the failure detector's suspicion, re-admission

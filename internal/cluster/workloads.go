@@ -14,11 +14,13 @@ import (
 )
 
 // SimEventsConfig sizes one DES throughput workload: n DLion workers on the
-// tiny Cipher task over a short horizon on a flat 200 Mbps mesh, evaluation
-// kept out of the measured window. With churn, the last slot joins a third
-// of the way in and one founder leaves at two thirds — pricing the
-// membership machinery (handshake, tombstones, renormalization) against the
-// static baseline.
+// tiny Cipher task over a short horizon on a flat 200 Mbps mesh, evaluated
+// on a 60-sample subset at t = 0 and at the horizon. Both evaluations run
+// inside every cluster.Run and so inside the measured window (the one at
+// the horizon is about a quarter of a 256-worker federation's samples).
+// With churn, the last slot joins a third of the way in and one founder
+// leaves at two thirds — pricing the membership machinery (handshake,
+// tombstones, renormalization) against the static baseline.
 func SimEventsConfig(n int, churn bool) Config {
 	dc := data.Config{Name: "bench-events", NumClasses: 3, Train: 2048, Test: 256,
 		Channels: 1, Height: 8, Width: 8, Noise: 0.4, Jitter: 0, Bumps: 3, Seed: 11}
@@ -54,8 +56,8 @@ func SimEventsConfig(n int, churn bool) Config {
 // over four micro-clouds (simnet.HierarchicalUniform — gigabit LAN meshes
 // inside each cloud, a shared 100 Mbps WAN tier between them), a shorter
 // horizon than the flat workloads so the thousand-worker size stays
-// benchable, and evaluation kept out of the measured window. n must divide
-// into 4 clouds.
+// benchable, and SimEventsConfig's evaluations, which run inside the
+// measured window. n must divide into 4 clouds.
 func FederationConfig(n int) Config {
 	cfg := SimEventsConfig(n, false)
 	const clouds = 4

@@ -195,6 +195,29 @@ func (c *Conv2D) Forward(x *tensor.Tensor) *tensor.Tensor {
 func (c *Conv2D) Backward(dout *tensor.Tensor) *tensor.Tensor {
 	batch := c.x.Shape[0]
 	plane := c.outH * c.out
+	dyc := c.paramGrads(dout)
+	// dcols = dyc · W ; then scatter back to input shape.
+	dcols := c.ws.Get(batch*plane, c.InCh*c.K*c.K) // scratch; fully written
+	tensor.MatMul(dcols, dyc, c.w.W)
+	c.ws.Put(dyc)
+	c.ws.Put(c.prevDx)
+	dx := tensor.Col2ImWS(c.ws, dcols, batch, c.InCh, c.inH, c.inW, c.K, c.K, c.Stride, c.Pad)
+	c.prevDx = dx
+	c.ws.Put(dcols)
+	return dx
+}
+
+// backwardParams implements paramBackwarder: Backward without dcols and
+// Col2Im.
+func (c *Conv2D) backwardParams(dout *tensor.Tensor) {
+	c.ws.Put(c.paramGrads(dout))
+}
+
+// paramGrads accumulates dW and db from dout and returns dout rearranged
+// as (batch*oh*ow, filters), arena scratch the caller puts back.
+func (c *Conv2D) paramGrads(dout *tensor.Tensor) *tensor.Tensor {
+	batch := c.x.Shape[0]
+	plane := c.outH * c.out
 	// Rearrange dout (batch, filters, oh, ow) into (batch*oh*ow, filters).
 	dyc := c.ws.Get(batch*plane, c.Filters) // scratch; fully written
 	for n := 0; n < batch; n++ {
@@ -216,15 +239,7 @@ func (c *Conv2D) Backward(dout *tensor.Tensor) *tensor.Tensor {
 			c.b.G.Data[f] += v
 		}
 	}
-	// dcols = dyc · W ; then scatter back to input shape.
-	dcols := c.ws.Get(batch*plane, c.InCh*c.K*c.K) // scratch; fully written
-	tensor.MatMul(dcols, dyc, c.w.W)
-	c.ws.Put(dyc)
-	c.ws.Put(c.prevDx)
-	dx := tensor.Col2ImWS(c.ws, dcols, batch, c.InCh, c.inH, c.inW, c.K, c.K, c.Stride, c.Pad)
-	c.prevDx = dx
-	c.ws.Put(dcols)
-	return dx
+	return dyc
 }
 
 // DepthwiseConv2D convolves each input channel with its own KxK kernel

@@ -105,8 +105,10 @@ func (m *Model) ZeroGrads() {
 // gradient in each Param's G buffer (replacing previous contents), and
 // returns the batch loss and accuracy. It does NOT update weights — in
 // DLion the model-update module applies gradients separately (possibly
-// combined with remote gradients). Everything the step drew from the arena
-// is returned before TrainStep does (see Model).
+// combined with remote gradients). The first layer's backward stops at its
+// parameter gradients: its input is the data, whose gradient nothing reads.
+// Everything the step drew from the arena is returned before TrainStep does
+// (see Model).
 func (m *Model) TrainStep(x *tensor.Tensor, labels []int) (loss, acc float64) {
 	return m.TrainStepOn(m.ws, x, labels)
 }
@@ -126,8 +128,13 @@ func (m *Model) TrainStepOn(ws *tensor.Workspace, x *tensor.Tensor, labels []int
 	logits := m.Forward(x)
 	loss, acc, dlogits := softmaxCrossEntropyWS(ws, logits, labels)
 	dout := dlogits
-	for i := len(m.Layers) - 1; i >= 0; i-- {
+	for i := len(m.Layers) - 1; i > 0; i-- {
 		dout = m.Layers[i].Backward(dout)
+	}
+	if pb, ok := m.Layers[0].(paramBackwarder); ok {
+		pb.backwardParams(dout)
+	} else {
+		m.Layers[0].Backward(dout)
 	}
 	ws.Put(dlogits)
 	for _, u := range m.users {

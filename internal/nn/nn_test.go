@@ -355,3 +355,49 @@ func TestTrainStepGradIsMean(t *testing.T) {
 		}
 	}
 }
+
+// fullBackwardSpy stands in for a model's first layer and counts the calls
+// to its full Backward; the wrapped layer's other methods, backwardParams
+// among them, are promoted unchanged.
+type fullBackwardSpy struct {
+	*Conv2D
+	calls int
+}
+
+func (s *fullBackwardSpy) Backward(dout *tensor.Tensor) *tensor.Tensor {
+	s.calls++
+	return s.Conv2D.Backward(dout)
+}
+
+// TestTrainStepSkipsDataGradient: TrainStep runs its first layer's backward
+// for the parameter gradients only, so that layer's column-gradient matmul
+// and Col2Im never run, and every parameter gradient equals the full
+// Backward chain's bit for bit.
+func TestTrainStepSkipsDataGradient(t *testing.T) {
+	for _, spec := range []Spec{CipherSpec(1, 16, 16, 10, 31), MobileNetLiteSpec(3, 16, 16, 5, 32)} {
+		x, y := smallBatch(stats.NewRNG(spec.Seed), 5, spec.Channels, spec.Height, spec.Width, spec.Classes)
+
+		full := spec.Build()
+		full.ZeroGrads()
+		_, _, dout := softmaxCrossEntropyWS(full.ws, full.Forward(x), y)
+		for i := len(full.Layers) - 1; i >= 0; i-- {
+			dout = full.Layers[i].Backward(dout)
+		}
+
+		m := spec.Build()
+		spy := &fullBackwardSpy{Conv2D: m.Layers[0].(*Conv2D)}
+		m.Layers[0] = spy
+		m.TrainStep(x, y)
+		if spy.calls != 0 {
+			t.Fatalf("%s: TrainStep ran the data layer's full Backward %d times", spec.Kind, spy.calls)
+		}
+		for i, p := range m.Params() {
+			want := full.Params()[i].G
+			for j, g := range p.G.Data {
+				if math.Float32bits(g) != math.Float32bits(want.Data[j]) {
+					t.Fatalf("%s: %s[%d] = %v, full Backward chain %v", spec.Kind, p.Name, j, g, want.Data[j])
+				}
+			}
+		}
+	}
+}

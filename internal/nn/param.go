@@ -50,6 +50,13 @@ type Layer interface {
 	Params() []*Param
 }
 
+// paramBackwarder is implemented by layers whose backward pass can stop at
+// their parameter gradients. Model.TrainStepOn runs its first layer that
+// way: that layer's input is the data, and nothing reads its gradient.
+type paramBackwarder interface {
+	backwardParams(dout *tensor.Tensor)
+}
+
 // shapeErr builds a consistent panic message for layer shape violations.
 func shapeErr(layer string, want, got any) string {
 	return fmt.Sprintf("nn: %s: want %v, got %v", layer, want, got)

@@ -1,6 +1,9 @@
 package tensor
 
-import "testing"
+import (
+	"fmt"
+	"testing"
+)
 
 func benchTensors(m, k, n int) (*Tensor, *Tensor, *Tensor) {
 	r := newTestRand(1)
@@ -114,5 +117,86 @@ func BenchmarkCol2Im(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		Col2Im(cols, 32, 10, 16, 16, 3, 3, 1, 1)
+	}
+}
+
+// stepShape is one matmul of a Cipher training step (nn's buildCipher), as
+// the layers call it: name is <layer>_<fwd|dW|dX>, mode the operand layout.
+type stepShape struct {
+	name    string
+	m, n, k int
+	mode    int
+}
+
+// cipherStepShapes lists the 15 matmuls of one Cipher training step over a
+// batch of 1-channel side×side images: per convolution (3×3, pad 1, each
+// but the last followed by a 2×2 pool) the im2col forward, the weight
+// gradient and the column gradient; per dense layer the forward, the weight
+// gradient and the input gradient.
+func cipherStepShapes(batch, side, classes int) []stepShape {
+	var s []stepShape
+	in := 1
+	for i, filters := range []int{10, 20, 100} {
+		name := fmt.Sprintf("conv%d", i+1)
+		rows, cols := batch*side*side, in*9
+		s = append(s,
+			stepShape{name + "_fwd", rows, filters, cols, mmTransB},
+			stepShape{name + "_dW", filters, cols, rows, mmTransA},
+			stepShape{name + "_dX", rows, cols, filters, mmPlain})
+		in = filters
+		if i < 2 {
+			side /= 2
+		}
+	}
+	fcIn := side * side * in
+	for i, out := range []int{200, classes} {
+		name := fmt.Sprintf("fc%d", i+1)
+		s = append(s,
+			stepShape{name + "_fwd", batch, out, fcIn, mmTransB},
+			stepShape{name + "_dW", out, fcIn, batch, mmTransA},
+			stepShape{name + "_dX", batch, fcIn, out, mmPlain})
+		fcIn = out
+	}
+	return s
+}
+
+// stepOperands draws a shape's operands in their stored layouts, with a
+// post-ReLU-sparse left operand, and returns the call that multiplies them.
+func stepOperands(r *testRand, s stepShape) func() {
+	c := New(s.m, s.n)
+	var a, b *Tensor
+	switch s.mode {
+	case mmPlain:
+		a, b = randTensor(r, s.m, s.k), randTensor(r, s.k, s.n)
+	case mmTransA:
+		a, b = randTensor(r, s.k, s.m), randTensor(r, s.k, s.n)
+	default:
+		a, b = randTensor(r, s.m, s.k), randTensor(r, s.n, s.k)
+	}
+	sparsify(r, a)
+	switch s.mode {
+	case mmPlain:
+		return func() { MatMul(c, a, b) }
+	case mmTransA:
+		return func() { MatMulTransA(c, a, b) }
+	default:
+		return func() { MatMulTransB(c, a, b) }
+	}
+}
+
+// BenchmarkCipherStep32Shapes times each matmul of an LBS-32 Cipher step
+// (16×16 inputs, 10 classes, the train_compute workload) alone, so the
+// step's matmul time decomposes by layer and pass.
+func BenchmarkCipherStep32Shapes(b *testing.B) {
+	for _, s := range cipherStepShapes(32, 16, 10) {
+		b.Run(s.name, func(b *testing.B) {
+			mul := stepOperands(newTestRand(int64(s.m*7+s.n*3+s.k)), s)
+			mul()
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				mul()
+			}
+		})
 	}
 }

@@ -161,7 +161,7 @@ func QuantizeRowsI8(dst []int16, scales []float32, x []float32, m, k int) {
 					q[p] = 0
 					continue
 				}
-				r := v * inv
+				r := float32(v * inv)
 				if r >= 127 {
 					q[p] = 127
 					continue
@@ -215,7 +215,7 @@ func (q *QuantMat) mulRow(out []float32, aRow []int16, sa float32, bias []float3
 			w = qmNR
 		}
 		for l := 0; l < w; l++ {
-			y := sa * q.Scales[jBase+l] * float32(acc[l])
+			y := float32(sa * q.Scales[jBase+l] * float32(acc[l]))
 			if bias != nil {
 				y += bias[jBase+l]
 			}

@@ -18,8 +18,8 @@ func quantRef(x, w []float32, m, k, n int, bias []float32, aScales, wScales []fl
 			sa, sw := float64(aScales[i]), float64(wScales[j])
 			for p := 0; p < k; p++ {
 				xv, wv := float64(x[i*k+p]), float64(w[j*k+p])
-				acc += xv * wv
-				b += sa/2*math.Abs(wv) + sw/2*math.Abs(xv) + sa*sw/4
+				acc += float64(xv * wv)
+				b += float64(sa/2*math.Abs(wv)) + float64(sw/2*math.Abs(xv)) + float64(sa*sw/4)
 			}
 			if bias != nil {
 				acc += float64(bias[j])

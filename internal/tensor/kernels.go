@@ -5,37 +5,57 @@ import (
 	"sync"
 )
 
-// All three matmul variants funnel into one cache-blocked, register-tiled
-// engine: B is packed into 8-column panels (transposing on the fly for
-// MatMulTransB, which is cheap — 8 sequential row streams), A is transposed
-// once into pooled scratch for MatMulTransA (replacing k×m strided reads per
-// output row with one cache-blocked pass), and every output row is produced
-// by a 1×8 micro-kernel carrying 8 scalar accumulators in registers across
-// the shared dimension. 8 accumulators is the sweet spot for gc on amd64:
-// wider tiles (4×4 = 16 live float32s) spill to the stack and run slower
-// than a plain axpy loop. Products with only a few rows (or few flops) skip
-// the engine and stream B where it lies: MatMul by axpy rows (matMulSmall),
-// MatMulTransB by a 1×8 dot tile (dotRows).
+// All three matmul variants funnel into one packed engine, runPacked. It
+// packs one operand into zero-padded column panels (a row copy when that
+// operand is stored k-major, a transposing gather otherwise), brings the
+// other into row-major form (MatMulTransA transposes a once into pooled
+// scratch), and sweeps each panel over every row while the panel is still
+// in cache. Normally the packed operand is b; under AVX2, MatMulTransB packs
+// a instead when a has fewer rows, computing cᵀ = b·aᵀ and transposing it
+// back (swapOperands). Every choice reads only the shape and the CPU feature.
 //
-// The micro-kernel skips p where a's element is exactly zero, like the
-// original axpy kernels. Post-ReLU activations and gradients are heavily
-// sparse, so on the training path this skips a large fraction of the madds.
+// The panel kernels, by output width and CPU:
+//   - AVX2, more than 24 columns (or fewer than 4 rows): mmPanel32, one row
+//     against a 32-lane panel in four YMM accumulator chains;
+//   - AVX2, up to 24 columns: mmTile4x8, four rows against an 8-lane panel,
+//     one YMM chain per row, so a narrow output pads to 8 lanes, not 32;
+//   - elsewhere: mmRow, one row against an 8-lane panel in 8 scalar
+//     accumulators, the widest tile gc keeps in registers without spills.
+//
+// Products with only a few rows (or few flops) skip the engine and stream b
+// where it lies: MatMul by axpy rows (matMulSmall), MatMulTransB by a 1×8
+// dot tile (dotRows).
+//
+// mmRow and the streamed kernels skip p where their row operand's element
+// is exactly zero, like the original axpy kernels; that operand is always a.
+// Post-ReLU activations and gradients are heavily sparse, so on the training
+// path this skips a large fraction of the madds.
 //
 // Bit-exactness contract: every output element is produced by exactly one
-// accumulator whose additions run in ascending p order, one `acc += a*b` per
-// p, zero products skipped. For finite operands this is bit-identical to the
-// previous kernels — skipped terms are ±0 products, and a float32 sum chain
-// that only ever adds terms can never sit at -0, so adding a ±0 product
-// never changes the accumulator (pinned by
+// accumulator whose additions run in ascending p order, one
+// `acc += float32(a*b)` per p (the conversion forbids fusing the multiply
+// into the add, which arm64's compiler would otherwise do), zero products
+// possibly skipped. For finite operands this is bit-identical to the
+// previous kernels: a·b == b·a, skipped terms are ±0 products, and a float32
+// sum chain that only ever adds terms can never sit at -0, so adding a ±0
+// product never changes the accumulator (pinned by
 // TestBlockedMatMulMatchesReferenceBitExact and the testkit goldens).
 
-// mmNR is the portable register tile width: one A row against 8 packed B
-// columns (8 accumulators in XMM registers).
+// mmNR is the 8-lane panel width: mmRow's 8 scalar accumulators, or one
+// YMM register per row in the narrow tile.
 const mmNR = 8
 
-// mmNRWide is the AVX2 tile width: one A row against 32 packed B columns,
-// four YMM accumulator chains deep enough to hide VADDPS latency.
+// mmNRWide is the AVX2 wide panel: one row against 32 packed columns, four
+// YMM accumulator chains deep enough to hide VADDPS latency.
 const mmNRWide = 32
+
+// mmMR is the narrow tile's height: mmTile4x8 holds four rows × 8 lanes in
+// four YMM accumulator chains.
+const mmMR = 4
+
+// mmNarrow is the widest output the narrow tile takes under AVX2: up to 24
+// columns, three 8-lane panels pad less than one 32-lane panel.
+const mmNarrow = 24
 
 // mmSmall is the flop threshold below which the packed path is not worth
 // the panel-packing pass (gradcheck drives thousands of tiny matmuls).
@@ -52,23 +72,33 @@ const (
 	mmStreamNN = 2 // MatMul streams b while m < mmStreamNN
 )
 
-// packBuf is a pooled panel-packing / transpose scratch buffer; idx holds
-// dotRows' nonzero positions.
+// packBuf is a pooled scratch buffer: data holds packed panels, a
+// transposed row operand or dotRows' nonzero values, out a swapped
+// product's result, idx dotRows' nonzero positions. A swapped product keeps
+// its result in the same buffer as its panels, so a MatMulTransB takes one
+// buffer from the pool whichever operand it packs.
 type packBuf struct {
-	data []float32
-	idx  []int32
+	data, out []float32
+	idx       []int32
 }
 
 var packPool = sync.Pool{New: func() any { return new(packBuf) }}
 
-// getPack returns a pooled buffer of at least n floats (contents dirty).
+// getPack returns a pooled buffer whose data holds n floats (contents
+// dirty).
 func getPack(n int) *packBuf {
 	b := packPool.Get().(*packBuf)
-	if cap(b.data) < n {
-		b.data = make([]float32, n)
-	}
-	b.data = b.data[:n]
+	b.data = resize(b.data, n)
 	return b
+}
+
+// resize returns s with length n, reallocated only when it is too short
+// (contents dirty).
+func resize(s []float32, n int) []float32 {
+	if cap(s) < n {
+		return make([]float32, n)
+	}
+	return s[:n]
 }
 
 func putPack(b *packBuf) { packPool.Put(b) }
@@ -220,51 +250,82 @@ func store8(row []float32, w int, s0, s1, s2, s3, s4, s5, s6, s7 float32) {
 	copy(row[:w], s[:w])
 }
 
-// mmRowWide computes one output row of c = a·b with the 32-wide AVX2
-// micro-kernel: a points at the row of a (k floats), bp holds the packed
-// panels of b. Full panels accumulate straight into the output row; the
-// final partial panel lands in stack scratch first.
-func mmRowWide(crow []float32, a *float32, bp []float32, k int) {
-	n := len(crow)
-	nFull := n / mmNRWide
-	for pj := 0; pj < nFull; pj++ {
-		mmPanel32(&crow[pj*mmNRWide], a, &bp[pj*k*mmNRWide], k)
-	}
-	if rem := n - nFull*mmNRWide; rem > 0 {
-		var buf [mmNRWide]float32
-		mmPanel32(&buf[0], a, &bp[nFull*k*mmNRWide], k)
-		copy(crow[nFull*mmNRWide:], buf[:rem])
+// sweep32 computes o (rows×cols) = r·p with the 32-lane AVX2 panel,
+// panel-major: each packed panel of p is swept over every row of r while it
+// is still in cache. Full panels accumulate straight into o; the final
+// partial panel lands in stack scratch first.
+func sweep32(o, r, pk []float32, rows, cols, k int) {
+	for j0 := 0; j0 < cols; j0 += mmNRWide {
+		panel := &pk[j0*k]
+		if w := cols - j0; w < mmNRWide {
+			var buf [mmNRWide]float32
+			for i := 0; i < rows; i++ {
+				mmPanel32(&buf[0], &r[i*k], panel, k)
+				copy(o[i*cols+j0:][:w], buf[:w])
+			}
+			return
+		}
+		for i := 0; i < rows; i++ {
+			mmPanel32(&o[i*cols+j0], &r[i*k], panel, k)
+		}
 	}
 }
 
-// mmRow computes one output row of c = a·b with the 1×8 zero-skipping
-// micro-kernel: ar is the row of a, bp holds the packed panels of b.
-func mmRow(crow, ar, bp []float32) {
-	k, n := len(ar), len(crow)
-	for j0 := 0; j0 < n; j0 += mmNR {
-		pb := bp[j0*k:]
-		var s0, s1, s2, s3, s4, s5, s6, s7 float32
-		for p := 0; p < k; p++ {
-			av := ar[p]
-			if av == 0 {
+// sweepTile is sweep32 over 8-lane panels with the AVX2 narrow tile, four
+// rows at a time. A row count that is not a multiple of four ends with a
+// block overlapping the one before it, whose shared rows it rewrites with
+// the same values.
+func sweepTile(o, r, pk []float32, rows, cols, k int) {
+	for j0 := 0; j0 < cols; j0 += mmNR {
+		panel := &pk[j0*k]
+		w := min(cols-j0, mmNR)
+		for i := 0; i < rows; i += mmMR {
+			i := min(i, rows-mmMR)
+			if w == mmNR {
+				mmTile4x8(&o[i*cols+j0], cols, &r[i*k], k, panel, k)
 				continue
 			}
-			bq := pb[p*8:][:8]
-			s0 += av * bq[0]
-			s1 += av * bq[1]
-			s2 += av * bq[2]
-			s3 += av * bq[3]
-			s4 += av * bq[4]
-			s5 += av * bq[5]
-			s6 += av * bq[6]
-			s7 += av * bq[7]
+			var buf [mmMR * mmNR]float32
+			mmTile4x8(&buf[0], mmNR, &r[i*k], k, panel, k)
+			for x := 0; x < mmMR; x++ {
+				copy(o[(i+x)*cols+j0:][:w], buf[x*mmNR:][:w])
+			}
 		}
-		w := n - j0
-		if w > mmNR {
-			w = mmNR
-		}
-		store8(crow[j0:], w, s0, s1, s2, s3, s4, s5, s6, s7)
 	}
+}
+
+// sweep8 is the portable sweep: 8-lane panels, one row at a time through
+// mmRow.
+func sweep8(o, r, pk []float32, rows, cols, k int) {
+	for j0 := 0; j0 < cols; j0 += mmNR {
+		panel := pk[j0*k:][:k*mmNR]
+		w := min(cols-j0, mmNR)
+		for i := 0; i < rows; i++ {
+			mmRow(o[i*cols+j0:][:w], r[i*k:][:k], panel)
+		}
+	}
+}
+
+// mmRow computes up to 8 outputs of one row with the portable 1×8
+// zero-skipping micro-kernel: ar is the row (k floats), pb one packed
+// 8-lane panel, len(crow) the lanes to store.
+func mmRow(crow, ar, pb []float32) {
+	var s0, s1, s2, s3, s4, s5, s6, s7 float32
+	for p, av := range ar {
+		if av == 0 {
+			continue
+		}
+		bq := pb[p*8:][:8]
+		s0 += float32(av * bq[0])
+		s1 += float32(av * bq[1])
+		s2 += float32(av * bq[2])
+		s3 += float32(av * bq[3])
+		s4 += float32(av * bq[4])
+		s5 += float32(av * bq[5])
+		s6 += float32(av * bq[6])
+		s7 += float32(av * bq[7])
+	}
+	store8(crow, len(crow), s0, s1, s2, s3, s4, s5, s6, s7)
 }
 
 // Matmul operand layouts handled by runPacked.
@@ -274,44 +335,74 @@ const (
 	mmTransB        // a (m×k), b (n×k)
 )
 
-// runPacked dispatches the packed matmul: bring a into row-major form, pack
-// panels of b (transposing when b is stored n×k), compute c row by row,
-// recycle the scratch.
+// runPacked computes c = op(a)·op(b) (m×n) through the packed engine. It
+// packs b, unless swapOperands says a is the cheaper side: then it computes
+// cᵀ = op(b)ᵀ·op(a)ᵀ into scratch and transposes it back. Either way
+// every output is one ascending-p chain of the same products, since a·b ==
+// b·a in IEEE arithmetic.
 func runPacked(c, a, b []float32, m, n, k, mode int) {
+	pk := packPool.Get().(*packBuf)
+	aByK, bByK := mode == mmTransA, mode != mmTransB
+	if swapOperands(m, n, mode) {
+		pk.out = resize(pk.out, n*m)
+		product(pk, pk.out, b, a, n, m, k, bByK, aByK)
+		transposeInto(c, pk.out, n, m)
+	} else {
+		product(pk, c, a, b, m, n, k, aByK, bByK)
+	}
+	putPack(pk)
+}
+
+// product computes o (rows×cols) = r·p over the shared dimension k, packing
+// into pk. r supplies the rows, stored rows×k, or k×rows when rByK (then
+// transposed once into a second pooled buffer). p is packed into
+// zero-padded column panels, from k×cols when pByK (a row copy) or cols×k
+// (a transposing gather).
+func product(pk *packBuf, o, r, p []float32, rows, cols, k int, rByK, pByK bool) {
+	var rt *packBuf
+	if rByK {
+		rt = getPack(rows * k)
+		transposeInto(rt.data, r, k, rows)
+		r = rt.data
+	}
+	wide := useWideKernel && (cols > mmNarrow || rows < mmMR)
 	nr := mmNR
-	wide := useWideKernel && n > mmNR
 	if wide {
 		nr = mmNRWide
 	}
-	nPanels := (n + nr - 1) / nr
-	pk := getPack(nPanels * k * nr)
+	pk.data = resize(pk.data, (cols+nr-1)/nr*nr*k)
 	switch {
-	case mode == mmTransB && wide:
-		packPanelsT32(pk.data, b, k, n)
-	case mode == mmTransB:
-		packPanelsT(pk.data, b, k, n)
+	case wide && pByK:
+		packPanels32(pk.data, p, k, cols)
 	case wide:
-		packPanels32(pk.data, b, k, n)
+		packPanelsT32(pk.data, p, k, cols)
+	case pByK:
+		packPanels(pk.data, p, k, cols)
 	default:
-		packPanels(pk.data, b, k, n)
+		packPanelsT(pk.data, p, k, cols)
 	}
-	var at *packBuf
-	if mode == mmTransA {
-		at = getPack(m * k)
-		transposeInto(at.data, a, k, m)
-		a = at.data
+	switch {
+	case wide:
+		sweep32(o, r, pk.data, rows, cols, k)
+	case useWideKernel:
+		sweepTile(o, r, pk.data, rows, cols, k)
+	default:
+		sweep8(o, r, pk.data, rows, cols, k)
 	}
-	for i := 0; i < m; i++ {
-		if wide {
-			mmRowWide(c[i*n:(i+1)*n], &a[i*k], pk.data, k)
-		} else {
-			mmRow(c[i*n:(i+1)*n], a[i*k:][:k], pk.data)
-		}
+	if rt != nil {
+		putPack(rt)
 	}
-	if at != nil {
-		putPack(at)
-	}
-	putPack(pk)
+}
+
+// swapOperands reports whether runPacked packs a instead of b: under
+// MatMulTransB both operands are rows of length k, so the AVX2 kernels pack
+// the one with fewer rows (crossovers in DESIGN.md §9). MatMul and
+// MatMulTransA pack b by a row copy; swapping would trade that for a
+// transposing gather, so they never swap. The portable path never swaps
+// either: its mmRow skips the row operand's zeros, and swapping would make
+// that the dense weight instead of the sparse activation.
+func swapOperands(m, n, mode int) bool {
+	return useWideKernel && mode == mmTransB && m < n
 }
 
 // MatMul computes c = a·b for a (m×k), b (k×n), c (m×n). c must not alias
@@ -378,7 +469,7 @@ func matMulSmall(c, a, b []float32, m, n, k int, transposeA bool) {
 			}
 			brow := b[p*n : (p+1)*n]
 			for x, bv := range brow {
-				crow[x] += av * bv
+				crow[x] += float32(av * bv)
 			}
 		}
 	}
@@ -417,14 +508,14 @@ func dotRows(c, a, b []float32, m, n, k int) {
 			var s0, s1, s2, s3, s4, s5, s6, s7 float32
 			for q, p := range ix {
 				av := vs[q]
-				s0 += av * b0[p]
-				s1 += av * b1[p]
-				s2 += av * b2[p]
-				s3 += av * b3[p]
-				s4 += av * b4[p]
-				s5 += av * b5[p]
-				s6 += av * b6[p]
-				s7 += av * b7[p]
+				s0 += float32(av * b0[p])
+				s1 += float32(av * b1[p])
+				s2 += float32(av * b2[p])
+				s3 += float32(av * b3[p])
+				s4 += float32(av * b4[p])
+				s5 += float32(av * b5[p])
+				s6 += float32(av * b6[p])
+				s7 += float32(av * b7[p])
 			}
 			store8(crow[j0:], mmNR, s0, s1, s2, s3, s4, s5, s6, s7)
 		}
@@ -432,7 +523,7 @@ func dotRows(c, a, b []float32, m, n, k int) {
 			br := b[j0*k:][:k]
 			var s float32
 			for q, p := range ix {
-				s += vs[q] * br[p]
+				s += float32(vs[q] * br[p])
 			}
 			crow[j0] = s
 		}

@@ -39,7 +39,7 @@ func refMatMul(c, a, b *Tensor, transA bool) {
 			}
 			brow := b.Data[p*n : (p+1)*n]
 			for j, bv := range brow {
-				crow[j] += av * bv
+				crow[j] += float32(av * bv)
 			}
 		}
 	}
@@ -59,7 +59,7 @@ func refMatMulSmallTB(c, a, b []float32, m, n, k int) {
 			brow := b[jc*k : (jc+1)*k]
 			var s float32
 			for p, av := range arow {
-				s += av * brow[p]
+				s += float32(av * brow[p])
 			}
 			crow[jc] = s
 		}
@@ -78,10 +78,12 @@ func sparsify(r *testRand, t *Tensor) {
 }
 
 // TestBlockedMatMulMatchesReferenceBitExact pins the engine's bit-exactness
-// contract: the packed 8-wide and 32-wide (AVX2) kernels, the transpose-pack
-// paths, partial trailing panels, the streamed skinny products on both sides
-// of their crossovers, and the small-product fallback must all reproduce the
-// seed kernels' outputs bit for bit, on dense and ~50%-sparse operands alike.
+// contract: the packed 8-wide, 32-wide (AVX2) and narrow-tile kernels, the
+// transpose-pack paths, the swapped operands, partial trailing panels, the
+// streamed skinny products on both sides of their crossovers, and the
+// small-product fallback must all reproduce the seed kernels' outputs bit
+// for bit, on dense operands, post-ReLU-sparse left operands, and operands
+// that are both sparse.
 func TestBlockedMatMulMatchesReferenceBitExact(t *testing.T) {
 	prev := SetMaxWorkers(1)
 	defer SetMaxWorkers(prev)
@@ -91,7 +93,7 @@ func TestBlockedMatMulMatchesReferenceBitExact(t *testing.T) {
 		{33, 40, 64},  // wide path, exact panels
 		{1, 128, 128}, // single row, streamed
 		{64, 3, 33},   // tiny k, one trailing column past a panel
-		{12, 50, 5},   // n <= mmNR: packed 8-wide narrow path
+		{12, 50, 5},   // n <= mmNR: one partial 8-lane panel
 		{96, 31, 8},   // n == mmNR boundary
 		{2, 2100, 9},  // k past 2048: the nonzero-index scratch is pooled
 	}
@@ -103,32 +105,58 @@ func TestBlockedMatMulMatchesReferenceBitExact(t *testing.T) {
 			shapes = append(shapes, struct{ m, k, n int }{m, kn[0], kn[1]})
 		}
 	}
-	for _, dense := range []bool{true, false} {
+	// The narrow tile's width (n <= mmNarrow) and height (at least mmMR
+	// rows), with full and partial 8-lane panels and row counts that end on
+	// an overlapping block.
+	for m := mmMR - 1; m <= 2*mmMR+1; m++ {
+		for _, n := range []int{mmNR, mmNR + 1, mmNarrow - 1, mmNarrow, mmNarrow + 1, 33} {
+			shapes = append(shapes, struct{ m, k, n int }{m, 100, n})
+		}
+	}
+	// Both sides of the operand swap (under AVX2, MatMulTransB packs a while
+	// m < n), with the swapped product on the narrow tile and on the wide
+	// panel.
+	for _, n := range []int{mmNarrow + 1, 40} {
+		for _, m := range []int{mmNarrow, mmNarrow + 1, n - 1, n, n + 1} {
+			shapes = append(shapes, struct{ m, k, n int }{m, 60, n})
+		}
+	}
+	// Every matmul of a Cipher training step (cipherStepShapes) at serving's
+	// batch 1, the ruler's LBS 2 and 32, batch 25, and the simulator's
+	// batch 30 on its 8×8, 3-class task.
+	for _, g := range []struct{ batch, side, classes int }{{1, 16, 10}, {2, 16, 10}, {25, 16, 10}, {32, 16, 10}, {30, 8, 3}} {
+		for _, s := range cipherStepShapes(g.batch, g.side, g.classes) {
+			shapes = append(shapes, struct{ m, k, n int }{s.m, s.k, s.n})
+		}
+	}
+	for _, sparse := range []string{"dense", "sparse a", "sparse a and b"} {
 		for _, s := range shapes {
 			r := newTestRand(int64(s.m*1000 + s.k*10 + s.n))
 			a := randTensor(r, s.m, s.k)
 			b := randTensor(r, s.k, s.n)
 			aT := randTensor(r, s.k, s.m)
 			bT := randTensor(r, s.n, s.k)
-			if !dense {
+			if sparse != "dense" {
 				sparsify(r, a)
-				sparsify(r, b)
 				sparsify(r, aT)
+			}
+			if sparse == "sparse a and b" {
+				sparsify(r, b)
 				sparsify(r, bT)
 			}
 			got, want := New(s.m, s.n), New(s.m, s.n)
 
 			MatMul(got, a, b)
 			refMatMul(want, a, b, false)
-			diffIndex(t, "MatMul", s.m, s.k, s.n, dense, got, want)
+			diffIndex(t, "MatMul "+sparse, s.m, s.k, s.n, sparse == "dense", got, want)
 
 			MatMulTransA(got, aT, b)
 			refMatMul(want, aT, b, true)
-			diffIndex(t, "MatMulTransA", s.m, s.k, s.n, dense, got, want)
+			diffIndex(t, "MatMulTransA "+sparse, s.m, s.k, s.n, sparse == "dense", got, want)
 
 			MatMulTransB(got, a, bT)
 			refMatMulTransB(want, a, bT)
-			diffIndex(t, "MatMulTransB", s.m, s.k, s.n, dense, got, want)
+			diffIndex(t, "MatMulTransB "+sparse, s.m, s.k, s.n, sparse == "dense", got, want)
 		}
 	}
 }
@@ -174,15 +202,22 @@ func TestStreamedRowsSkipZeros(t *testing.T) {
 	}
 }
 
-// TestSkinnyProductsDoNotAllocate: a streamed product takes its scratch from
-// the pack pool, whatever k is.
+// TestSkinnyProductsDoNotAllocate: a streamed product, and a swapped one
+// (under AVX2, MatMulTransB with fewer rows in a than in b), take their
+// scratch from the pack pool, whatever k is. Under the race detector the pool drops a
+// quarter of what it is given, and each drop costs the next call three
+// allocations; AllocsPerRun's count is whole allocations per call, so the
+// run is long enough for that average (0.75) to read 0 every time.
 func TestSkinnyProductsDoNotAllocate(t *testing.T) {
 	r := newTestRand(6)
-	a, b := randTensor(r, 1, 2100), randTensor(r, 9, 2100)
-	c := New(1, 9)
-	MatMulTransB(c, a, b) // warm the pool
-	if allocs := testing.AllocsPerRun(50, func() { MatMulTransB(c, a, b) }); allocs != 0 {
-		t.Fatalf("streamed MatMulTransB allocates %v times per call, want 0", allocs)
+	for _, mn := range [][2]int{{1, 9}, {8, 40}} {
+		m, n := mn[0], mn[1]
+		a, b := randTensor(r, m, 2100), randTensor(r, n, 2100)
+		c := New(m, n)
+		MatMulTransB(c, a, b) // warm the pool
+		if allocs := testing.AllocsPerRun(1000, func() { MatMulTransB(c, a, b) }); allocs != 0 {
+			t.Fatalf("%d×%d MatMulTransB allocates %v times per call, want 0", m, n, allocs)
+		}
 	}
 }
 

@@ -47,6 +47,65 @@ store:
 	VZEROUPPER
 	RET
 
+// mmTile4x8 is the narrow tile (see kernels.go): four rows of a against one
+// packed 8-lane panel, dst[r*ldc+l] = sum over p of a[r*lda+p] * pb[p*8+l]
+// for r = 0..3, l = 0..7. Each row is its own YMM chain, one VMULPS + one
+// VADDPS per p in ascending p (never FMA), so every lane rounds exactly as
+// the scalar chain does.
+//
+// func mmTile4x8(dst *float32, ldc int, a *float32, lda int, pb *float32, k int)
+TEXT ·mmTile4x8(SB), NOSPLIT, $0-48
+	MOVQ dst+0(FP), BX
+	MOVQ ldc+8(FP), R8
+	MOVQ a+16(FP), SI
+	MOVQ lda+24(FP), R9
+	MOVQ pb+32(FP), DI
+	MOVQ k+40(FP), CX
+	SHLQ $2, R8
+	SHLQ $2, R9
+	LEAQ (SI)(R9*1), R10
+	LEAQ (R10)(R9*1), R11
+	LEAQ (R11)(R9*1), R12
+
+	VXORPS Y0, Y0, Y0
+	VXORPS Y1, Y1, Y1
+	VXORPS Y2, Y2, Y2
+	VXORPS Y3, Y3, Y3
+
+	XORQ  AX, AX
+	TESTQ CX, CX
+	JZ    t4store
+
+t4loop:
+	VMOVUPS      (DI), Y4
+	VBROADCASTSS (SI)(AX*4), Y5
+	VMULPS       Y4, Y5, Y5
+	VADDPS       Y5, Y0, Y0
+	VBROADCASTSS (R10)(AX*4), Y6
+	VMULPS       Y4, Y6, Y6
+	VADDPS       Y6, Y1, Y1
+	VBROADCASTSS (R11)(AX*4), Y7
+	VMULPS       Y4, Y7, Y7
+	VADDPS       Y7, Y2, Y2
+	VBROADCASTSS (R12)(AX*4), Y8
+	VMULPS       Y4, Y8, Y8
+	VADDPS       Y8, Y3, Y3
+	ADDQ         $32, DI
+	INCQ         AX
+	CMPQ         AX, CX
+	JNE          t4loop
+
+t4store:
+	VMOVUPS Y0, (BX)
+	ADDQ    R8, BX
+	VMOVUPS Y1, (BX)
+	ADDQ    R8, BX
+	VMOVUPS Y2, (BX)
+	ADDQ    R8, BX
+	VMOVUPS Y3, (BX)
+	VZEROUPPER
+	RET
+
 // mmPanelI8x16 is the int8 inference kernel (see int8.go): dst[0:16] =
 // Σ_pp a[2pp]·pb[pp*32+2l] + a[2pp+1]·pb[pp*32+2l+1] for l = 0..15. Each
 // step broadcasts one activation k-pair as a dword and runs VPMADDWD against

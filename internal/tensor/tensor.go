@@ -147,7 +147,7 @@ func (t *Tensor) AddScaled(alpha float32, u *Tensor) {
 		panic("tensor: AddScaled length mismatch")
 	}
 	for i, v := range u.Data {
-		t.Data[i] += alpha * v
+		t.Data[i] += float32(alpha * v)
 	}
 }
 
@@ -165,7 +165,7 @@ func (t *Tensor) Dot(u *Tensor) float64 {
 	}
 	var s float64
 	for i, v := range t.Data {
-		s += float64(v) * float64(u.Data[i])
+		s += float64(float64(v) * float64(u.Data[i]))
 	}
 	return s
 }
@@ -174,7 +174,7 @@ func (t *Tensor) Dot(u *Tensor) float64 {
 func (t *Tensor) L2() float64 {
 	var s float64
 	for _, v := range t.Data {
-		s += float64(v) * float64(v)
+		s += float64(float64(v) * float64(v))
 	}
 	return math.Sqrt(s)
 }

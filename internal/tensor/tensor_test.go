@@ -148,7 +148,7 @@ func naiveMatMul(a, b *Tensor) *Tensor {
 		for j := 0; j < n; j++ {
 			var s float32
 			for p := 0; p < k; p++ {
-				s += a.At(i, p) * b.At(p, j)
+				s += float32(a.At(i, p) * b.At(p, j))
 			}
 			c.Set(s, i, j)
 		}
