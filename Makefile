@@ -78,11 +78,15 @@ fuzz-smoke:
 # audit, under the race detector. Every comparison is exact, so the second
 # pass reruns the equivalence gates and the Run goldens (convergence rows
 # included) on 386, the portable kernels (-race is not supported there),
-# and holds those kernels to the tensor package's bit-exact references.
+# and holds those kernels to the tensor package's bit-exact references. The
+# last 386 line runs the decoders' committed seeds (wire frames, serve update
+# frames, checkpoints) whose length fields overflow a 32-bit int: each must
+# be an error, not a panic.
 conformance:
 	go test -race -count=1 ./internal/testkit/...
 	GOARCH=386 go test -count=1 -run 'RunGoldens|Equivalence|MixedPrecision' ./internal/cluster ./internal/testkit
 	GOARCH=386 go test -count=1 -run BitExact ./internal/tensor
+	GOARCH=386 go test -count=1 -run 'FuzzDecode|FuzzDecodeUpdate|Restore|Scan' ./internal/wire ./internal/serve ./internal/nn
 
 # Kernel and scheduler microbenchmarks (simclock's EngineBurst is the
 # 256-worker all-to-all schedule, EngineHold the constant-size hold model),
@@ -138,19 +142,29 @@ e2e-jobs:
 audit-gate:
 	go run ./cmd/dlion-audit -self-test
 
-# No fused multiply-add in the kernels (DESIGN.md §9): the arm64 compiler
-# fuses x*y + z into one rounding unless the product is converted,
-# float32(x*y) + z, which would make a digest depend on the CPU. Offline
-# and in seconds: cross-compile the tensor package's test binary for arm64
-# (it links every function of the package, called or not) and fail if the
-# disassembly fails, lists no dlion/internal/tensor symbol, or shows a fused
-# instruction in one.
+# No fused multiply-add outside the assembly (DESIGN.md §9): the arm64,
+# ppc64le, riscv64 and s390x compilers fuse x*y + z into one rounding unless
+# the product is converted, float32(x*y) + z, which would make a digest
+# depend on the CPU. Offline and in seconds: for each of those
+# architectures, cross-compile dlion-sim, dlion-audit and the tensor
+# package's test binary (it links every kernel, called or not) and fail if
+# a disassembly fails, lists no dlion/ symbol, or shows one of that
+# architecture's fused instructions in one.
 fma-gate:
 	@dir="$$(mktemp -d)"; trap 'rm -rf "$$dir"' EXIT; \
-	GOARCH=arm64 go test -c -o "$$dir/tensor.test" ./internal/tensor || exit 1; \
-	go tool objdump -s 'dlion/internal/tensor\.' "$$dir/tensor.test" > "$$dir/dump" || { echo "fma-gate: objdump failed"; exit 1; }; \
-	grep -q '^TEXT dlion/internal/tensor\.' "$$dir/dump" || { echo "fma-gate: no dlion/internal/tensor symbol in the arm64 test binary"; exit 1; }; \
-	if grep -E 'FMADD|FMSUB|FNMADD|FNMSUB' "$$dir/dump"; then echo "fused multiply-add in dlion/internal/tensor (arm64)"; exit 1; fi
+	for arch in 'arm64 FN?M(ADD|SUB)[SD]' 'ppc64le FN?M(ADD|SUB)S?' 'riscv64 FN?M(ADD|SUB)[SD]' 's390x M[AS][DE]BR?'; do \
+		set -- $$arch; \
+		GOARCH=$$1 go build -o "$$dir/dlion-sim" ./cmd/dlion-sim || exit 1; \
+		GOARCH=$$1 go build -o "$$dir/dlion-audit" ./cmd/dlion-audit || exit 1; \
+		GOARCH=$$1 go test -c -o "$$dir/tensor.test" ./internal/tensor || exit 1; \
+		for bin in dlion-sim dlion-audit tensor.test; do \
+			go tool objdump -s 'dlion/' "$$dir/$$bin" > "$$dir/dump" || { echo "fma-gate: objdump of $$bin ($$1) failed"; exit 1; }; \
+			grep -q '^TEXT dlion/' "$$dir/dump" || { echo "fma-gate: no dlion/ symbol in $$bin ($$1)"; exit 1; }; \
+			if awk -v re="^($$2)$$" '/^TEXT/ { sym = $$2 } $$4 ~ re { print sym, $$1, $$4; found = 1 } END { exit !found }' "$$dir/dump"; then \
+				echo "fma-gate: fused multiply-add in a dlion/ symbol of $$bin ($$1)"; exit 1; \
+			fi; \
+		done; \
+	done
 
 # Churn soak for the scheduled CI job: the sim churn scenarios, the
 # membership protocol tests, the failure detector's suspicion, re-admission

@@ -19,8 +19,10 @@ package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"os/signal"
 	"syscall"
@@ -35,52 +37,68 @@ import (
 )
 
 func main() {
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	context.AfterFunc(ctx, stop) // a second signal kills the process the default way
+	os.Exit(run(ctx, os.Args[1:], os.Stdout, os.Stderr))
+}
+
+// run is the whole command: it parses args, serves until ctx is done, then
+// drains. It returns the exit status: 0 after a drain or for -h, 2 for a
+// flag that does not parse, 1 for any other error.
+func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("dlion-serve", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
-		addr     = flag.String("addr", "127.0.0.1:8080", "HTTP listen address")
-		scale    = flag.Float64("scale", 0.02, "dataset scale (must match the workers')")
-		seed     = flag.Uint64("seed", 7, "shared cluster seed (must match the workers')")
-		ckptDir  = flag.String("ckpt-dir", "", "watch this directory for *.ckpt files")
-		watchInt = flag.Duration("watch-interval", 500*time.Millisecond, "checkpoint directory poll interval")
-		broker   = flag.String("broker", "", "subscribe to weight broadcasts from this broker")
-		initCkpt = flag.String("init-ckpt", "", "checkpoint file to serve before the first update arrives")
-		maxBatch = flag.Int("max-batch", 16, "max requests coalesced into one forward pass")
-		maxDelay = flag.Duration("max-delay", 2*time.Millisecond, "max wait to fill a batch")
-		qDepth   = flag.Int("queue", 256, "admission queue depth; beyond it requests shed with 429")
-		runners  = flag.Int("runners", 1, "concurrent batch runners (each holds a model replica)")
-		int8Mode = flag.Bool("int8", false, "serve int8-quantized replicas (repacked on every version swap)")
-		dbgAddr  = flag.String("debug-addr", "", "serve pprof + expvar on this address (see METRICS.md)")
+		addr     = fs.String("addr", "127.0.0.1:8080", "HTTP listen address")
+		scale    = fs.Float64("scale", 0.02, "dataset scale (must match the workers')")
+		seed     = fs.Uint64("seed", 7, "shared cluster seed (must match the workers')")
+		ckptDir  = fs.String("ckpt-dir", "", "watch this directory for *.ckpt files")
+		watchInt = fs.Duration("watch-interval", 500*time.Millisecond, "checkpoint directory poll interval")
+		broker   = fs.String("broker", "", "subscribe to weight broadcasts from this broker")
+		initCkpt = fs.String("init-ckpt", "", "checkpoint file to serve before the first update arrives")
+		maxBatch = fs.Int("max-batch", 16, "max requests coalesced into one forward pass")
+		maxDelay = fs.Duration("max-delay", 2*time.Millisecond, "max wait to fill a batch")
+		qDepth   = fs.Int("queue", 256, "admission queue depth; beyond it requests shed with 429")
+		runners  = fs.Int("runners", 1, "concurrent batch runners (each holds a model replica)")
+		int8Mode = fs.Bool("int8", false, "serve int8-quantized replicas (repacked on every version swap)")
+		dbgAddr  = fs.String("debug-addr", "", "serve pprof + expvar on this address (see METRICS.md)")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
+	fail := func(err error) int {
+		fmt.Fprintln(stderr, "dlion-serve:", err)
+		return 1
+	}
 
 	if (*ckptDir == "") == (*broker == "") {
-		fatal(fmt.Errorf("set exactly one of -ckpt-dir or -broker (their version clocks differ; see internal/serve)"))
+		return fail(fmt.Errorf("set exactly one of -ckpt-dir or -broker (their version clocks differ; see internal/serve)"))
 	}
 	switch {
 	case *scale < 0.001 || *scale > 1:
-		fatal(fmt.Errorf("-scale %g outside [0.001,1]", *scale))
+		return fail(fmt.Errorf("-scale %g outside [0.001,1]", *scale))
 	case *maxBatch < 1:
-		fatal(fmt.Errorf("-max-batch %d; need >= 1", *maxBatch))
+		return fail(fmt.Errorf("-max-batch %d; need >= 1", *maxBatch))
 	case *qDepth < 1:
-		fatal(fmt.Errorf("-queue %d; need >= 1", *qDepth))
+		return fail(fmt.Errorf("-queue %d; need >= 1", *qDepth))
 	case *runners < 1:
-		fatal(fmt.Errorf("-runners %d; need >= 1", *runners))
+		return fail(fmt.Errorf("-runners %d; need >= 1", *runners))
 	case *watchInt <= 0:
-		fatal(fmt.Errorf("-watch-interval %v; need > 0", *watchInt))
+		return fail(fmt.Errorf("-watch-interval %v; need > 0", *watchInt))
 	}
 
-	// Identical spec derivation to dlion-worker: same scale and seed give
-	// the same architecture, so worker checkpoints restore here.
-	dc := data.CIFAR10Config(*scale, *seed+13)
-	spec := nn.CipherSpec(dc.Channels, dc.Height, dc.Width, dc.NumClasses, *seed+1000)
-	reg := serve.NewRegistry(spec)
+	reg := serve.NewRegistry(servedSpec(*scale, *seed))
 
 	if *initCkpt != "" {
 		ckpt, err := os.ReadFile(*initCkpt)
 		if err != nil {
-			fatal(err)
+			return fail(err)
 		}
 		if err := reg.Publish(0, "init:"+*initCkpt, ckpt); err != nil {
-			fatal(fmt.Errorf("init checkpoint: %w", err))
+			return fail(fmt.Errorf("init checkpoint: %w", err))
 		}
 	}
 
@@ -88,32 +106,29 @@ func main() {
 	if *dbgAddr != "" {
 		dbg, err := obs.ServeDebug(*dbgAddr, metrics)
 		if err != nil {
-			fatal(err)
+			return fail(err)
 		}
 		defer dbg.Close()
-		fmt.Println("debug server on", dbg.Addr())
+		fmt.Fprintln(stdout, "debug server on", dbg.Addr())
 	}
-
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
 
 	switch {
 	case *ckptDir != "":
 		go reg.WatchDir(ctx, *ckptDir, *watchInt)
-		fmt.Printf("watching %s every %v\n", *ckptDir, *watchInt)
+		fmt.Fprintf(stdout, "watching %s every %v\n", *ckptDir, *watchInt)
 	case *broker != "":
 		c, err := queue.Dial(*broker)
 		if err != nil {
-			fatal(err)
+			return fail(err)
 		}
 		defer c.Close()
 		c.SetMetrics(metrics)
 		ch, err := c.Subscribe(serve.WeightsChannel, 64)
 		if err != nil {
-			fatal(err)
+			return fail(err)
 		}
 		go reg.WatchBroadcasts(ctx, ch)
-		fmt.Printf("subscribed to %s on %s\n", serve.WeightsChannel, *broker)
+		fmt.Fprintf(stdout, "subscribed to %s on %s\n", serve.WeightsChannel, *broker)
 	}
 
 	if *int8Mode {
@@ -126,34 +141,36 @@ func main() {
 		Quantized: *int8Mode,
 	}, *addr)
 	if err != nil {
-		fatal(err)
+		return fail(err)
 	}
 	mode := "f32"
 	if *int8Mode {
 		mode = "int8"
 	}
-	fmt.Printf("serving on %s (batch<=%d, delay<=%v, queue %d, %s)\n",
+	fmt.Fprintf(stdout, "serving on %s (batch<=%d, delay<=%v, queue %d, %s)\n",
 		srv.Addr(), *maxBatch, *maxDelay, *qDepth, mode)
 
 	<-ctx.Done()
-	stop() // a second signal now kills the process the default way
 
 	// Graceful shutdown: stop admitting, finish every in-flight batch, then
 	// close the listener. The deadline only bounds a stuck drain.
-	fmt.Println("shutting down: draining in-flight requests")
+	fmt.Fprintln(stdout, "shutting down: draining in-flight requests")
 	sdCtx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
 	if err := srv.Shutdown(sdCtx); err != nil {
-		fatal(err)
+		return fail(err)
 	}
 	if v := reg.Current(); v != nil {
-		fmt.Printf("done: final model seq %d from %s, %d swaps\n", v.Seq, v.Source, reg.Swaps())
+		fmt.Fprintf(stdout, "done: final model seq %d from %s, %d swaps\n", v.Seq, v.Source, reg.Swaps())
 	} else {
-		fmt.Println("done: no model version was ever published")
+		fmt.Fprintln(stdout, "done: no model version was ever published")
 	}
+	return 0
 }
 
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "dlion-serve:", err)
-	os.Exit(1)
+// servedSpec is dlion-worker's spec derivation: the same scale and seed give
+// the same architecture, so worker checkpoints restore here.
+func servedSpec(scale float64, seed uint64) nn.Spec {
+	dc := data.CIFAR10Config(scale, seed+13)
+	return nn.CipherSpec(dc.Channels, dc.Height, dc.Width, dc.NumClasses, seed+1000)
 }

@@ -327,7 +327,7 @@ func (e *simEnv) Send(from, to int, m *wire.Message) {
 	if !v.Deliver {
 		return // lost or corrupted in flight: egress was spent, nothing arrives
 	}
-	arrival := start + ser + l.RTT/2 + v.ExtraDelay
+	arrival := start + ser + float64(l.RTT/2) + v.ExtraDelay
 	if e.obs != nil {
 		e.obs[from].AddPhase(obs.PhaseSend, arrival-(start+ser))
 	}

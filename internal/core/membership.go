@@ -407,16 +407,16 @@ func (w *Worker) watch() {
 			w.drop(p, "suspect")
 		}
 	}
-	next := now + t/2
+	next := now + float64(t/2)
 	for p := range w.peers {
 		ps := &w.peers[p]
 		if p == w.ID || !ps.member && !ps.suspected {
 			continue
 		}
-		if ps.lastSent+t/2 <= now {
+		if ps.lastSent+float64(t/2) <= now {
 			w.sendHello(p, false)
 		}
-		next = min(next, ps.lastSent+t/2)
+		next = min(next, ps.lastSent+float64(t/2))
 		if ps.member {
 			next = min(next, ps.lastHeard+t)
 		}

@@ -180,13 +180,13 @@ func makeTemplates(cfg Config, rng *stats.RNG) [][]float32 {
 		for b := 0; b < cfg.Bumps; b++ {
 			cx := rng.Float64() * float64(cfg.Width)
 			cy := rng.Float64() * float64(cfg.Height)
-			sigma := 1.0 + rng.Float64()*float64(cfg.Width)/4
+			sigma := 1.0 + float64(rng.Float64()*float64(cfg.Width)/4)
 			amp := rng.NormFloat64() * 2
 			ch := rng.Intn(cfg.Channels)
 			for y := 0; y < cfg.Height; y++ {
 				for x := 0; x < cfg.Width; x++ {
-					dx, dy := float64(x)-cx, float64(y)-cy
-					v := amp * math.Exp(-(dx*dx+dy*dy)/(2*sigma*sigma))
+					dx, dy := float64(x)-float64(cx), float64(y)-float64(cy)
+					v := amp * math.Exp(-(float64(dx*dx)+float64(dy*dy))/(2*sigma*sigma))
 					t[(ch*cfg.Height+y)*cfg.Width+x] += float32(v)
 				}
 			}
@@ -206,7 +206,7 @@ func normalize(t []float32) {
 	var ss float64
 	for _, v := range t {
 		d := float64(v) - mean
-		ss += d * d
+		ss += float64(d * d)
 	}
 	std := math.Sqrt(ss/float64(len(t))) + 1e-8
 	for i := range t {

@@ -297,7 +297,7 @@ func runFig19(p Profile) (*Outcome, error) {
 	// a larger share than w4 (4 cores); take the last trace in the phase so
 	// the controller has had time to re-profile after the capacity change
 	for _, tr := range res.Traces {
-		if tr.T > 1.2*ph && tr.T < 2*ph {
+		if tr.T > 1.2*ph && tr.T < 2*float64(ph) {
 			o.addValue("phase2_w0", float64(tr.LBS[0]))
 			o.addValue("phase2_w4", float64(tr.LBS[4]))
 		}

@@ -72,7 +72,7 @@ func (s *Selection) AddTo(dst []float32, scale float32) error {
 	}
 	if s.Dense != nil {
 		for i, v := range s.Dense {
-			dst[i] += scale * v
+			dst[i] += float32(scale * v)
 		}
 		return nil
 	}
@@ -80,7 +80,7 @@ func (s *Selection) AddTo(dst []float32, scale float32) error {
 		if int(i) >= len(dst) {
 			return fmt.Errorf("grad: %s: index %d out of range %d", s.Var, i, len(dst))
 		}
-		dst[i] += scale * s.Val[k]
+		dst[i] += float32(scale * s.Val[k])
 	}
 	return nil
 }

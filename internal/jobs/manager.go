@@ -533,23 +533,25 @@ func (r *run) finish(done bool) {
 	halted, failErr := r.halted, r.failErr
 	r.mu.Unlock()
 
+	// Each counter moves before its terminal state is published, so a client
+	// that has seen the state reads a counter that includes it.
 	switch {
 	case failErr != nil:
-		r.setState(StateFailed, failErr.Error())
 		r.m.mFailed.Inc()
+		r.setState(StateFailed, failErr.Error())
 	case halted:
-		r.setState(StateHalted, "halted by request")
 		r.m.mHalted.Inc()
+		r.setState(StateHalted, "halted by request")
 	case done:
 		r.mu.Lock()
 		r.job.FinalAcc, r.job.FinalLoss = r.evaluate()
 		r.mu.Unlock()
-		r.setState(StateCompleted, "")
 		r.m.mCompleted.Inc()
+		r.setState(StateCompleted, "")
 	default:
 		// Manager shutdown canceled the run.
-		r.setState(StateHalted, "controller shutting down")
 		r.m.mHalted.Inc()
+		r.setState(StateHalted, "controller shutting down")
 	}
 }
 

@@ -1,8 +1,8 @@
 package lineage
 
 import (
+	"encoding/binary"
 	"hash/fnv"
-	"math"
 	"sort"
 
 	"dlion/internal/nn"
@@ -14,84 +14,62 @@ import (
 // equally iff they are bitwise identical, including NaN payloads and
 // signed zeros. It is the one weight digest: the conformance harness,
 // published manifests and the serving registry all compare these.
-func TensorHash(t *tensor.Tensor) Hash {
+func TensorHash(t *tensor.Tensor) Hash { return leHash(t.Shape, nn.LEBytes(t.Data)) }
+
+// leHash is TensorHash of a tensor of the given shape whose values'
+// little-endian bytes are le: the shape prefix, then the values in one
+// write.
+func leHash(shape []int, le []byte) Hash {
 	h := fnv.New64a()
-	var buf [4]byte
-	le32 := func(v uint32) {
-		buf[0] = byte(v)
-		buf[1] = byte(v >> 8)
-		buf[2] = byte(v >> 16)
-		buf[3] = byte(v >> 24)
-		h.Write(buf[:])
+	prefix := make([]byte, 0, 4*len(shape))
+	for _, d := range shape {
+		prefix = binary.LittleEndian.AppendUint32(prefix, uint32(d))
 	}
-	for _, d := range t.Shape {
-		le32(uint32(d))
-	}
-	for _, v := range t.Data {
-		le32(math.Float32bits(v))
-	}
+	h.Write(prefix)
+	h.Write(le)
 	return Hash(h.Sum64())
+}
+
+// CheckpointHash validates ckpt against l and digests it straight from its
+// bytes: ModelHash of the model it would restore into, without a model.
+func CheckpointHash(l nn.Layout, ckpt []byte) (Hash, error) {
+	vars := make(map[string]Hash, len(l.Shapes))
+	if err := l.Read(ckpt, func(name string, shape []int, le []byte) { vars[name] = leHash(shape, le) }); err != nil {
+		return 0, err
+	}
+	return combine(vars), nil
 }
 
 // VarHashes hashes every variable of a weight map independently, so a
 // digest mismatch can be attributed to a single variable.
 func VarHashes(w map[string]*tensor.Tensor) map[string]Hash {
-	out := make(map[string]Hash, len(w))
-	for name, t := range w {
-		out[name] = TensorHash(t)
-	}
-	return out
+	_, vars := Digests(w)
+	return vars
 }
 
-// weightSet is what the digest helpers read: a model's parameters in place,
-// or a name→tensor weight map.
-type weightSet interface {
-	*nn.Model | map[string]*tensor.Tensor
-}
-
-// Digests hashes every variable of w once and returns the combined digest
-// with the per-variable digests it folds: the Digest and Vars a manifest
-// commits to. The combined digest folds the per-variable hashes in sorted
-// name order (name bytes, then hash), so it is independent of map iteration
-// order and two weight sets digest equally iff every variable is bitwise
-// identical.
-func Digests[W weightSet](w W) (Hash, map[string]Hash) {
-	vars := make(map[string]Hash, size(w))
-	return fold(w, vars), vars
+// Digests is the one digest pass: it hashes every variable of w once and
+// returns the combined digest with the per-variable digests it folds, the
+// Digest and Vars a manifest commits to. The combined digest folds the
+// per-variable hashes in sorted name order (name bytes, then hash), so it is
+// independent of map iteration order and two weight sets digest equally iff
+// every variable is bitwise identical.
+func Digests[W nn.Weights](w W) (Hash, map[string]Hash) {
+	vars := map[string]Hash{}
+	nn.EachWeight(w, func(name string, t *tensor.Tensor) { vars[name] = TensorHash(t) })
+	return combine(vars), vars
 }
 
 // WeightsHash is the combined digest of a weight map.
-func WeightsHash(w map[string]*tensor.Tensor) Hash { return fold(w, make(map[string]Hash, len(w))) }
+func WeightsHash(w map[string]*tensor.Tensor) Hash {
+	h, _ := Digests(w)
+	return h
+}
 
 // ModelHash digests every parameter of a model — the manifest commitment a
 // checkpoint writer publishes.
-func ModelHash(m *nn.Model) Hash { return fold(m, make(map[string]Hash, len(m.Params()))) }
-
-// size is w's variable count, the map hint for one digest pass.
-func size[W weightSet](w W) int {
-	switch w := any(w).(type) {
-	case *nn.Model:
-		return len(w.Params())
-	case map[string]*tensor.Tensor:
-		return len(w)
-	}
-	return 0
-}
-
-// fold is the one hashing pass behind Digests, WeightsHash and ModelHash:
-// it records each variable's digest in vars and returns their combination.
-func fold[W weightSet](w W, vars map[string]Hash) Hash {
-	switch w := any(w).(type) {
-	case *nn.Model:
-		for _, p := range w.Params() {
-			vars[p.Name] = TensorHash(p.W)
-		}
-	case map[string]*tensor.Tensor:
-		for name, t := range w {
-			vars[name] = TensorHash(t)
-		}
-	}
-	return combine(vars)
+func ModelHash(m *nn.Model) Hash {
+	h, _ := Digests(m)
+	return h
 }
 
 // combine folds per-variable hashes in sorted name order.

@@ -300,7 +300,7 @@ func (d *DepthwiseConv2D) Forward(x *tensor.Tensor) *tensor.Tensor {
 							if ix < 0 || ix >= w {
 								continue
 							}
-							s += in[iy*w+ix] * ker[ky*d.K+kx]
+							s += float32(in[iy*w+ix] * ker[ky*d.K+kx])
 						}
 					}
 					out[oy*d.outW+ox] = s + bias
@@ -340,8 +340,8 @@ func (d *DepthwiseConv2D) Backward(dout *tensor.Tensor) *tensor.Tensor {
 							if ix < 0 || ix >= w {
 								continue
 							}
-							dker[ky*d.K+kx] += g * in[iy*w+ix]
-							dxp[iy*w+ix] += g * ker[ky*d.K+kx]
+							dker[ky*d.K+kx] += float32(g * in[iy*w+ix])
+							dxp[iy*w+ix] += float32(g * ker[ky*d.K+kx])
 						}
 					}
 				}

@@ -3,7 +3,6 @@ package nn
 import (
 	"bytes"
 	"fmt"
-	"unsafe"
 
 	"dlion/internal/data"
 	"dlion/internal/tensor"
@@ -169,8 +168,8 @@ func (m *Model) Evaluate(ds *data.Dataset, evalBatch int) (acc, loss float64) {
 	data.EvalBatches(ds, evalBatch, func(x *tensor.Tensor, y []int) {
 		logits := m.Forward(x)
 		l, a, _ := SoftmaxCrossEntropy(logits, y)
-		totalCorrectWeighted += a * float64(len(y))
-		totalLossWeighted += l * float64(len(y))
+		totalCorrectWeighted += float64(a * float64(len(y)))
+		totalLossWeighted += float64(l * float64(len(y)))
 		total += len(y)
 	})
 	if total == 0 {
@@ -223,7 +222,7 @@ func (m *Model) MergeWeights(remote map[string]*tensor.Tensor, lambda float64) e
 			return fmt.Errorf("nn: parameter %q size %d != %d", name, t.Len(), p.W.Len())
 		}
 		for i := range p.W.Data {
-			p.W.Data[i] -= lf * (p.W.Data[i] - t.Data[i])
+			p.W.Data[i] -= float32(lf * (p.W.Data[i] - t.Data[i]))
 		}
 	}
 	return nil
@@ -258,9 +257,4 @@ func (m *Model) WeightsEqual(o *Model) bool {
 		}
 	}
 	return true
-}
-
-// f32Bytes views vals' memory as bytes.
-func f32Bytes(vals []float32) []byte {
-	return unsafe.Slice((*byte)(unsafe.Pointer(unsafe.SliceData(vals))), 4*len(vals))
 }

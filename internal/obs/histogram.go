@@ -170,7 +170,7 @@ func (h *Histogram) Quantile(q float64) float64 {
 			return lo
 		}
 		frac := float64(rank-cum) / float64(n)
-		return lo + (hi-lo)*frac
+		return lo + float64((hi-lo)*frac)
 	}
 	return max
 }

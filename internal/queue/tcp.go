@@ -320,7 +320,7 @@ func backoff(attempt int, u float64) time.Duration {
 		d *= 2
 	}
 	d = min(d, backoffMax)
-	return time.Duration(float64(d) * (1 + backoffJitter*(2*u-1)))
+	return time.Duration(float64(d) * (1 + float64(backoffJitter*(float64(2*u)-1))))
 }
 
 // Client talks to a queue Server and reconnects by itself. Publish, LPush

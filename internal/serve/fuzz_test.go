@@ -6,13 +6,17 @@ import (
 	"testing"
 
 	"dlion/internal/lineage"
+	"dlion/internal/nn"
 )
 
 // FuzzDecodeUpdate feeds arbitrary bytes to the decoder that faces the
 // broker: the frame header, its manifest length and the JSON manifest.
 // Anything it accepts must re-frame and decode to the same seq, manifest
-// digest and checkpoint. Corpus seeds live in testdata/fuzz/FuzzDecodeUpdate:
-// a bare frame, a manifest frame and a truncated one.
+// digest and checkpoint, and the checkpoint it carries must validate and
+// digest against the registry's layout or fail as a bad checkpoint. Corpus
+// seeds live in testdata/fuzz/FuzzDecodeUpdate: a bare frame, a manifest
+// frame, a truncated one, and a checkpoint whose value counts overflow a
+// 32-bit int (`make conformance` runs them under GOARCH=386).
 func FuzzDecodeUpdate(f *testing.F) {
 	man := &lineage.Manifest{Schema: lineage.Schema, Model: "cipher", Digest: 0xfeed,
 		Parent: 0xbeef, ParentIter: 3, Iter: 9, Worker: 1,
@@ -30,6 +34,12 @@ func FuzzDecodeUpdate(f *testing.F) {
 	f.Add(bare)
 	f.Add(full)
 	f.Add(full[:updateHeader+10])
+	valid, err := EncodeUpdateManifest(2, nil, testCkpt(f, 1))
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(valid)
+	layout := testSpec().Layout()
 	f.Fuzz(func(t *testing.T, p []byte) {
 		seq, man, ckpt, err := DecodeUpdateAny(p)
 		if err != nil {
@@ -52,6 +62,9 @@ func FuzzDecodeUpdate(f *testing.F) {
 		}
 		if man != nil && man2.Digest != man.Digest {
 			t.Fatalf("manifest digest %s → %s", man.Digest, man2.Digest)
+		}
+		if _, err := lineage.CheckpointHash(layout, ckpt); err != nil && !errors.Is(err, nn.ErrBadCheckpoint) {
+			t.Fatalf("checkpoint error outside nn.ErrBadCheckpoint: %v", err)
 		}
 	})
 }

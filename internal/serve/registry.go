@@ -48,9 +48,10 @@ type Version struct {
 	At     time.Time // publish wall time
 	Ckpt   []byte
 
-	// Digest is the content digest of the checkpoint's weights, computed by
-	// the registry itself from the validated scratch replica — present on
-	// every version, manifest or not.
+	// Digest is the content digest of the checkpoint's weights
+	// (lineage.ModelHash of the model it restores into), computed by the
+	// registry itself from the checkpoint bytes — present on every version,
+	// manifest or not.
 	Digest lineage.Hash
 
 	// Manifest is the lineage record the publisher attached (nil for frames
@@ -74,16 +75,16 @@ type ChainEntry struct {
 const chainMax = 128
 
 // Registry holds the currently served model version and swaps in new ones
-// atomically. Publish validates a checkpoint against the model spec before
-// it can ever reach a runner; Current is a single atomic load, so the
-// request path never blocks on a swap.
+// atomically. Publish validates a checkpoint against the layout of the model
+// spec before it can ever reach a runner; Current is a single atomic load,
+// so the request path never blocks on a swap.
 type Registry struct {
-	spec nn.Spec
+	spec   nn.Spec
+	layout nn.Layout // the spec's model name and parameter shapes, taken once
 
-	mu      sync.Mutex // serializes Publish (validate + ordered swap) and guards chain, scratch
-	cur     atomic.Pointer[Version]
-	chain   []ChainEntry // accepted publishes, oldest first, bounded by chainMax
-	scratch *nn.Model    // validation replica, built on first publish
+	mu    sync.Mutex // serializes Publish (validate + ordered swap) and guards chain
+	cur   atomic.Pointer[Version]
+	chain []ChainEntry // accepted publishes, oldest first, bounded by chainMax
 
 	nswaps atomic.Int64 // accepted publishes, independent of metrics wiring
 
@@ -96,7 +97,7 @@ type Registry struct {
 
 // NewRegistry returns an empty registry serving models built from spec.
 func NewRegistry(spec nn.Spec) *Registry {
-	return &Registry{spec: spec}
+	return &Registry{spec: spec, layout: spec.Layout()}
 }
 
 // SetMetrics wires the registry's counters into reg (METRICS.md:
@@ -135,8 +136,8 @@ func (r *Registry) Publish(seq int64, source string, ckpt []byte) error {
 
 // PublishManifest is Publish with a lineage manifest attached. Beyond the
 // structural and ordering checks, the manifest must actually commit to the
-// checkpoint: its digest is recomputed from the validated scratch replica
-// and any disagreement rejects the publish (ErrManifestMismatch,
+// checkpoint: its digest is recomputed from the checkpoint bytes and any
+// disagreement rejects the publish (ErrManifestMismatch,
 // serve.manifest_rejects). A nil manifest degrades to plain Publish — the
 // version still records the registry-computed digest, so the /modelz chain
 // stays digest-complete even for feeds that attach none.
@@ -147,18 +148,14 @@ func (r *Registry) PublishManifest(seq int64, source string, ckpt []byte, man *l
 		r.stale.Inc()
 		return fmt.Errorf("%w: seq %d <= current %d", ErrStaleVersion, seq, cur.Seq)
 	}
-	// Restore into the scratch replica: proves the checkpoint matches the
-	// spec (names, shapes, length) before any runner sees it. A successful
-	// Restore writes every parameter, so nothing of an earlier version
-	// reaches the digest.
-	if r.scratch == nil {
-		r.scratch = r.spec.BuildZero()
-	}
-	if err := r.scratch.Restore(ckpt); err != nil {
+	// Validate against the spec's layout (model name, every parameter once
+	// at its length) and digest the weights in the same pass, before any
+	// runner sees them.
+	digest, err := lineage.CheckpointHash(r.layout, ckpt)
+	if err != nil {
 		r.rejected.Inc()
 		return fmt.Errorf("serve: reject version %d from %s: %w", seq, source, err)
 	}
-	digest := lineage.ModelHash(r.scratch)
 	if man != nil {
 		if err := man.Validate(); err != nil {
 			r.manRejects.Inc()

@@ -1,12 +1,17 @@
 package serve
 
 import (
+	"bytes"
+	"encoding/binary"
 	"errors"
+	"math"
 	"sync"
 	"testing"
 
+	"dlion/internal/lineage"
 	"dlion/internal/nn"
 	"dlion/internal/obs"
+	"dlion/internal/stats"
 )
 
 // testSpec is a tiny cipher model: 3×8×8 input, 10 classes.
@@ -138,5 +143,94 @@ func TestUpdateCodecRoundTrip(t *testing.T) {
 		if _, _, _, err := DecodeUpdateAny(bad); !errors.Is(err, ErrBadUpdate) {
 			t.Fatalf("DecodeUpdateAny(%q): err %v, want ErrBadUpdate", bad, err)
 		}
+	}
+}
+
+// TestRegistryDigestIsModelHash: the digest the registry takes straight from
+// a checkpoint's bytes is lineage.ModelHash of the model that checkpoint
+// restores into, for both model kinds, with NaN payloads and -0 planted in
+// random places — so a manifest written from a live model verifies here.
+func TestRegistryDigestIsModelHash(t *testing.T) {
+	rng := stats.NewRNG(17)
+	awkward := []uint32{0x7fc00001, 0xffc12345, 0x7f800001, 0x80000000, 0, 0x00000001}
+	for _, spec := range []nn.Spec{testSpec(), nn.MobileNetLiteSpec(3, 16, 16, 10, 5)} {
+		reg := NewRegistry(spec)
+		for trial := 1; trial <= 4; trial++ {
+			spec.Seed = uint64(trial)
+			m := spec.Build()
+			for _, p := range m.Params() {
+				for k := 0; k < 3; k++ {
+					p.W.Data[rng.Intn(p.W.Len())] = math.Float32frombits(awkward[rng.Intn(len(awkward))])
+				}
+			}
+			if err := reg.Publish(int64(trial), "t", m.Checkpoint()); err != nil {
+				t.Fatal(err)
+			}
+			restored := spec.BuildZero()
+			if err := restored.Restore(reg.Current().Ckpt); err != nil {
+				t.Fatal(err)
+			}
+			if got, want := reg.Current().Digest, lineage.ModelHash(restored); got != want || want != lineage.ModelHash(m) {
+				t.Fatalf("%s trial %d: registry digest %s, ModelHash %s", spec.Kind, trial, got, want)
+			}
+		}
+	}
+}
+
+// TestRegistryRejectionsCount: every way a checkpoint can fail the spec's
+// layout is rejected before it reaches a runner and counted in
+// serve.swap_rejected; a manifest that names other weights is counted in
+// serve.manifest_rejects.
+func TestRegistryRejectionsCount(t *testing.T) {
+	good := testCkpt(t, 1)
+	m := testSpec().Build()
+	p0, p1 := m.Params()[0], m.Params()[1]
+	le := binary.LittleEndian
+	// rewrite returns a checkpoint of m with model name model and the given
+	// entries, in the named-f32 layout.
+	rewrite := func(model string, entries ...*nn.Param) []byte {
+		b := le.AppendUint16([]byte("DLN1"), uint16(len(model)))
+		b = le.AppendUint32(append(b, model...), uint32(len(entries)))
+		for _, p := range entries {
+			b = le.AppendUint16(b, uint16(len(p.Name)))
+			b = le.AppendUint32(append(b, p.Name...), uint32(p.W.Len()))
+			b = append(b, nn.LEBytes(p.W.Data)...)
+		}
+		return b
+	}
+	rest := m.Params()[2:]
+	unknown := &nn.Param{Name: "nope", W: p0.W}
+	short := &nn.Param{Name: p1.Name, W: p0.W}
+	cases := map[string][]byte{
+		"wrong model name": rewrite("other", m.Params()...),
+		"unknown name":     rewrite(m.ModelName, append([]*nn.Param{p0, unknown}, rest...)...),
+		"duplicate name":   rewrite(m.ModelName, append([]*nn.Param{p0, p0}, rest...)...),
+		"wrong length":     rewrite(m.ModelName, append([]*nn.Param{p0, short}, rest...)...),
+		"missing name":     rewrite(m.ModelName, append([]*nn.Param{p0}, rest...)...),
+		"truncation":       good[:len(good)-1],
+		"trailing bytes":   append(append([]byte{}, good...), 0),
+	}
+	if !bytes.Equal(rewrite(m.ModelName, m.Params()...), m.Checkpoint()) {
+		t.Fatal("rewrite does not reproduce the checkpoint layout")
+	}
+	reg := NewRegistry(testSpec())
+	metrics := obs.NewRegistry()
+	reg.SetMetrics(metrics)
+	seq := int64(0)
+	for name, ckpt := range cases {
+		seq++
+		if err := reg.Publish(seq, name, ckpt); !errors.Is(err, nn.ErrBadCheckpoint) {
+			t.Errorf("%s: err %v, want nn.ErrBadCheckpoint", name, err)
+		}
+	}
+	if got := metrics.Counter("serve.swap_rejected").Load(); got != int64(len(cases)) {
+		t.Fatalf("swap_rejected %d, want %d", got, len(cases))
+	}
+	man := &lineage.Manifest{Schema: lineage.Schema, Model: m.ModelName, Digest: lineage.ModelHash(m)}
+	if err := reg.PublishManifest(seq+1, "forged", good, man); !errors.Is(err, ErrManifestMismatch) {
+		t.Fatalf("manifest of other weights: err %v, want ErrManifestMismatch", err)
+	}
+	if got := metrics.Counter("serve.manifest_rejects").Load(); got != 1 || reg.Current() != nil {
+		t.Fatalf("manifest_rejects %d, current %v; want 1, nil", got, reg.Current())
 	}
 }

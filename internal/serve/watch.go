@@ -42,7 +42,11 @@ func (r *Registry) WatchDir(ctx context.Context, dir string, interval time.Durat
 	for {
 		if name, mod, ok := newestCheckpoint(dir); ok && (name != lastName || mod.After(lastMod)) {
 			path := filepath.Join(dir, name)
-			if data, err := os.ReadFile(path); err == nil && validCheckpoint(data) {
+			data, err := os.ReadFile(path)
+			if err == nil {
+				err = nn.ScanCheckpoint(data) // the pre-swap gate: a mid-write file never reaches the registry
+			}
+			if err == nil {
 				man, err := lineage.ReadFile(path)
 				if err != nil {
 					man = nil // no sidecar (or a torn one): publish bare
@@ -58,17 +62,6 @@ func (r *Registry) WatchDir(ctx context.Context, dir string, interval time.Durat
 		case <-tick.C:
 		}
 	}
-}
-
-// validCheckpoint reports whether data is a complete, structurally sound
-// checkpoint — the pre-swap gate that keeps mid-write files out of the
-// registry entirely.
-func validCheckpoint(data []byte) bool {
-	if len(data) == 0 {
-		return false
-	}
-	_, _, err := nn.ScanCheckpoint(data)
-	return err == nil
 }
 
 // newestCheckpoint returns the most recent checkpoint file in dir.

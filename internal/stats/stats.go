@@ -38,18 +38,18 @@ func LinearRegression(x, y []float64) (LinearFit, error) {
 	var sxx, sxy, syy float64
 	for i := range x {
 		dx, dy := x[i]-mx, y[i]-my
-		sxx += dx * dx
-		sxy += dx * dy
-		syy += dy * dy
+		sxx += float64(dx * dx)
+		sxy += float64(dx * dy)
+		syy += float64(dy * dy)
 	}
 	if sxx == 0 {
 		return LinearFit{}, ErrDegenerate
 	}
 	b := sxy / sxx
-	a := my - b*mx
+	a := my - float64(b*mx)
 	r2 := 1.0
 	if syy > 0 {
-		ssRes := syy - b*sxy
+		ssRes := syy - float64(b*sxy)
 		r2 = 1 - ssRes/syy
 	}
 	return LinearFit{Intercept: a, Slope: b, R2: r2}, nil
@@ -88,7 +88,7 @@ func Summarize(xs []float64) Summary {
 		var ss float64
 		for _, v := range xs {
 			d := v - s.Mean
-			ss += d * d
+			ss += float64(d * d)
 		}
 		s.Std = math.Sqrt(ss / float64(len(xs)-1))
 		s.CI95 = tCritical95(len(xs)-1) * s.Std / math.Sqrt(float64(len(xs)))

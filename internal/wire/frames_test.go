@@ -2,6 +2,7 @@ package wire
 
 import (
 	"bytes"
+	"encoding/binary"
 	"math"
 	"os"
 	"path/filepath"
@@ -14,13 +15,14 @@ import (
 	"dlion/internal/tensor"
 )
 
-// withPerElement runs fn with the block copy switched off, the way a
-// big-endian host would run. Tests using it must not run in parallel.
-func withPerElement(fn func()) {
-	saved := hostLE
-	hostLE = false
-	defer func() { hostLE = saved }()
-	fn()
+// leWords is the per-element little-endian image of vals, the bytes a
+// frame must carry for them on any host.
+func leWords(vals []float32) []byte {
+	var out []byte
+	for _, v := range vals {
+		out = binary.LittleEndian.AppendUint32(out, math.Float32bits(v))
+	}
+	return out
 }
 
 // awkwardFloats are values whose bits a float round trip could disturb:
@@ -39,13 +41,12 @@ func awkwardFloats() []float32 {
 	return out
 }
 
-// TestBlockCopyMatchesPerElement: the block copy a little-endian host uses
-// for f32 value blocks produces and accepts exactly the bytes of the
-// per-element path, down to NaN payloads and the sign of zero.
+// TestBlockCopyMatchesPerElement: the f32 value blocks of gradient, weights
+// and welcome frames (one nn.LEBytes/nn.FromLE copy on a little-endian
+// host) carry exactly the per-element little-endian words and decode back
+// to the same bits, down to NaN payloads and the sign of zero. The
+// per-element path itself is held to the block copy in nn.
 func TestBlockCopyMatchesPerElement(t *testing.T) {
-	if !hostLE {
-		t.Skip("big-endian host: the per-element path is the only one")
-	}
 	awkward := awkwardFloats()
 	big := make([]float32, 40_000) // pooled storage on decode
 	for i := range big {
@@ -63,23 +64,27 @@ func TestBlockCopyMatchesPerElement(t *testing.T) {
 		{Type: TypeWelcome, Epoch: 2, Members: []int32{0, 1}, Weights: weights},
 	}
 	for _, m := range msgs {
-		block := Encode(m)
-		var loop []byte
-		withPerElement(func() { loop = Encode(m) })
-		if !bytes.Equal(block, loop) {
-			t.Fatalf("%v: block-copy encoding differs from per-element encoding", m.Type)
+		frame := Encode(m)
+		blocks := [][]float32{}
+		for _, s := range m.Selections {
+			blocks = append(blocks, s.Dense)
 		}
-		gotBlock, err := Decode(block)
+		for _, w := range m.Weights {
+			blocks = append(blocks, w.Data)
+		}
+		for _, vals := range blocks {
+			if !bytes.Contains(frame, leWords(vals)) {
+				t.Fatalf("%v: frame lacks the per-element words of a %d-value block", m.Type, len(vals))
+			}
+		}
+		got, err := Decode(frame)
 		if err != nil {
 			t.Fatal(err)
 		}
-		var gotLoop *Message
-		withPerElement(func() { gotLoop, err = Decode(block) })
-		if err != nil {
-			t.Fatal(err)
+		assertMessageBitsEqual(t, m, got)
+		if re := Encode(got); !bytes.Equal(re, frame) {
+			t.Fatalf("%v: decoded frame re-encodes differently", m.Type)
 		}
-		assertMessageBitsEqual(t, m, gotBlock)
-		assertMessageBitsEqual(t, gotLoop, gotBlock)
 	}
 }
 
@@ -109,28 +114,36 @@ func corpusFrames(t *testing.T) map[string][]byte {
 	return out
 }
 
-// TestCommittedFramesDecodeIdentically: both codec paths agree on every
-// committed frame — same error, or the same message re-encoding to the
-// committed bytes.
+// TestCommittedFramesDecodeIdentically: every committed frame decodes as it
+// always has — the frames that decoded still do and re-encode to exactly
+// the committed bytes (each weights frame holds one variable, so map order
+// cannot reorder it), and the rest still fail. The crafted-* frames are
+// length fields whose products overflow a 32-bit int; `make conformance`
+// runs this under GOARCH=386.
 func TestCommittedFramesDecodeIdentically(t *testing.T) {
-	for name, frame := range corpusFrames(t) {
-		block, errBlock := Decode(frame)
-		var loop *Message
-		var errLoop error
-		withPerElement(func() { loop, errLoop = Decode(frame) })
-		if (errBlock == nil) != (errLoop == nil) {
-			t.Fatalf("%s: block path err %v, per-element path err %v", name, errBlock, errLoop)
+	decodes := map[string]bool{
+		"seed-dkt-req-6": true, "seed-gradient-0": true, "seed-gradient-1": true,
+		"seed-gradient-2": true, "seed-gradient-3": true, "seed-hello-9": true,
+		"seed-leave-11": true, "seed-loss-5": true, "seed-loss-8": true,
+		"seed-rcp-7": true, "seed-sync-8": false, "seed-truncated": false,
+		"seed-weights-4": true, "seed-welcome-10": true,
+		"crafted-weights-len": false, "crafted-dense-count": false,
+		"crafted-sparse-count": false,
+	}
+	frames := corpusFrames(t)
+	if len(frames) != len(decodes) {
+		t.Fatalf("%d committed frames, %d pinned verdicts", len(frames), len(decodes))
+	}
+	for name, frame := range frames {
+		want, ok := decodes[name]
+		if !ok {
+			t.Fatalf("%s: no pinned verdict", name)
 		}
-		if errBlock != nil {
-			continue
+		m, err := Decode(frame)
+		if (err == nil) != want {
+			t.Fatalf("%s: decode err %v, want success %v", name, err, want)
 		}
-		assertMessageBitsEqual(t, loop, block)
-		if block.Type == TypeWeights || block.Type == TypeWelcome {
-			continue // map order makes multi-variable re-encodes non-canonical
-		}
-		var reLoop []byte
-		withPerElement(func() { reLoop = Encode(loop) })
-		if re := Encode(block); !bytes.Equal(re, frame) || !bytes.Equal(reLoop, frame) {
+		if err == nil && !bytes.Equal(Encode(m), frame) {
 			t.Fatalf("%s: re-encoding differs from the committed frame", name)
 		}
 	}

@@ -1,6 +1,7 @@
 package wire
 
 import (
+	"encoding/binary"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -32,4 +33,31 @@ func TestGenerateSeedCorpus(t *testing.T) {
 	// The header of a message of type 6, which once meant "sync" and is now
 	// unassigned: it must decode as corrupt.
 	write("FuzzDecode", "seed-sync-8", []byte{6, 0, 0, 0, 0, 2, 0, 0, 0, 11, 0, 0, 0, 0, 0, 0, 0})
+	for name, frame := range craftedFrames() {
+		write("FuzzDecode", name, frame)
+	}
+}
+
+// craftedFrames are length fields whose products with an element size
+// overflow a 32-bit int: on a 386 build a decoder comparing n*size against
+// the remaining bytes would size a buffer from them and panic. Each must
+// decode as an error.
+func craftedFrames() map[string][]byte {
+	le := binary.LittleEndian
+	header := func(t MsgType) []byte { return append([]byte{byte(t)}, make([]byte, 16)...) }
+	weights := le.AppendUint32(header(TypeWeights), 1) // one entry
+	weights = le.AppendUint16(weights, 0)              // empty name
+	weights = le.AppendUint32(weights, 0x40000000)     // 4 GiB of values
+	selection := func(flag byte, n uint32) []byte {
+		b := le.AppendUint32(header(TypeGradient), 0) // LBS
+		b = le.AppendUint32(b, 1)                     // one selection
+		b = le.AppendUint16(b, 0)                     // empty name
+		b = le.AppendUint32(b, 0)                     // total
+		return le.AppendUint32(append(b, flag), n)
+	}
+	return map[string][]byte{
+		"crafted-weights-len":  weights,
+		"crafted-dense-count":  selection(selDenseBit, 0x40000000),
+		"crafted-sparse-count": selection(0, 0x20000000),
+	}
 }

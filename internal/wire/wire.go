@@ -11,10 +11,10 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"unsafe"
 
 	"dlion/internal/bufpool"
 	"dlion/internal/grad"
+	"dlion/internal/nn"
 	"dlion/internal/tensor"
 )
 
@@ -157,20 +157,14 @@ func (m *Message) size(exact bool) int {
 			n += grad.TotalBytes(m.Selections)
 		}
 	case TypeWeights:
-		n += 4 // count
-		for name, t := range m.Weights {
-			n += 2 + len(name) + 4 + 4*t.Len()
-		}
+		n += nn.WeightsLen(m.Weights)
 	case TypeLossReport, TypeRCPReport:
 		n += 8
 	case TypeHello:
 		n += 1 + 8 + 1 // flags, epoch, quant mask
 	case TypeWelcome:
 		n += 8 + 4 + 1 + 4 + 4*len(m.Members) // epoch, gbs, quant, member count, ids
-		n += 4                                // weight count
-		for name, t := range m.Weights {
-			n += 2 + len(name) + 4 + 4*t.Len()
-		}
+		n += nn.WeightsLen(m.Weights)
 	case TypeLeave:
 		n += 8 // epoch
 	}
@@ -185,27 +179,6 @@ var (
 	// ErrCorrupt reports a structurally invalid message.
 	ErrCorrupt = errors.New("wire: corrupt message")
 )
-
-// hostLE reports a little-endian host, where a []float32's memory already is
-// its wire image and f32 value blocks move with one copy. The per-element
-// loops stay as the path for every other precision and for big-endian hosts.
-var hostLE = binary.NativeEndian.Uint16([]byte{1, 0}) == 1
-
-// f32Bytes views vals' memory as bytes.
-func f32Bytes(vals []float32) []byte {
-	return unsafe.Slice((*byte)(unsafe.Pointer(unsafe.SliceData(vals))), 4*len(vals))
-}
-
-// appendF32s appends vals as little-endian IEEE-754 words.
-func appendF32s(buf []byte, vals []float32) []byte {
-	if hostLE {
-		return append(buf, f32Bytes(vals)...)
-	}
-	for _, v := range vals {
-		buf = le32(buf, math.Float32bits(v))
-	}
-	return buf
-}
 
 // Encode serializes m in little-endian binary. The caller owns the returned
 // frame; handing it to a realtime.Transport passes that ownership on.
@@ -227,7 +200,7 @@ func AppendEncode(dst []byte, m *Message) []byte {
 			buf = encodeSelection(buf, s)
 		}
 	case TypeWeights:
-		buf = encodeWeights(buf, m.Weights)
+		buf = nn.AppendWeights(buf, m.Weights)
 	case TypeLossReport:
 		buf = le64(buf, math.Float64bits(m.Loss))
 	case TypeRCPReport:
@@ -244,21 +217,9 @@ func AppendEncode(dst []byte, m *Message) []byte {
 		for _, id := range m.Members {
 			buf = le32(buf, uint32(id))
 		}
-		buf = encodeWeights(buf, m.Weights)
+		buf = nn.AppendWeights(buf, m.Weights)
 	case TypeLeave:
 		buf = le64(buf, uint64(m.Epoch))
-	}
-	return buf
-}
-
-func encodeWeights(buf []byte, w map[string]*tensor.Tensor) []byte {
-	buf = le32(buf, uint32(len(w)))
-	// deterministic order is not required for correctness; iterate map
-	for name, t := range w {
-		buf = le16(buf, uint16(len(name)))
-		buf = append(buf, name...)
-		buf = le32(buf, uint32(t.Len()))
-		buf = appendF32s(buf, t.Data)
 	}
 	return buf
 }
@@ -296,7 +257,7 @@ func encodeSelection(buf []byte, s *grad.Selection) []byte {
 		buf = append(buf, byte(s.Zero))
 	}
 	if s.Dense != nil && s.Prec == grad.PrecF32 {
-		return appendF32s(buf, vals)
+		return append(buf, nn.LEBytes(vals)...)
 	}
 	for k, v := range vals {
 		if s.Dense == nil {
@@ -449,31 +410,19 @@ func Decode(data []byte) (*Message, error) {
 	return m, nil
 }
 
+// decodeWeights reads a weight map in the named-f32 layout (nn.ReadWeights).
 func decodeWeights(r *reader) (map[string]*tensor.Tensor, error) {
-	count, err := r.u32()
-	if err != nil {
-		return nil, err
-	}
-	if count > 1<<20 {
-		return nil, fmt.Errorf("%w: weight count %d", ErrCorrupt, count)
-	}
-	w := make(map[string]*tensor.Tensor, count)
-	for i := uint32(0); i < count; i++ {
-		name, err := r.str()
-		if err != nil {
-			return nil, err
-		}
-		n, err := r.u32()
-		if err != nil {
-			return nil, err
-		}
-		if int(n)*4 > r.remaining() {
-			return nil, ErrTruncated
-		}
-		t := tensor.New(int(n))
-		r.f32s(t.Data)
+	w := map[string]*tensor.Tensor{}
+	n, err := nn.ReadWeights(r.data[r.off:], func(name string, le []byte) error {
+		t := tensor.New(len(le) / 4)
+		nn.FromLE(t.Data, le)
 		w[name] = t
+		return nil
+	})
+	if err != nil {
+		return nil, fmt.Errorf("%w: %w", ErrCorrupt, err)
 	}
+	r.off += n
 	return w, nil
 }
 
@@ -511,9 +460,11 @@ func decodeSelection(r *reader) (*grad.Selection, error) {
 		}
 		s.Zero = int8(z)
 	}
+	// Compare against what the rest can hold, not n times a size: that
+	// product overflows on 32-bit hosts.
 	elem := prec.ElemBytes()
 	if flag&selDenseBit != 0 {
-		if int(n)*elem > r.remaining() {
+		if uint64(n) > uint64(r.remaining()/elem) {
 			return nil, ErrTruncated
 		}
 		s.Dense = f32Pool.Get(int(n))
@@ -521,7 +472,7 @@ func decodeSelection(r *reader) (*grad.Selection, error) {
 		fillValues(r, s, s.Dense)
 		return s, nil
 	}
-	if int(n)*(4+elem) > r.remaining() {
+	if uint64(n) > uint64(r.remaining()/(4+elem)) {
 		return nil, ErrTruncated
 	}
 	if n == 0 {
@@ -567,7 +518,8 @@ func fillValues(r *reader, s *grad.Selection, dst []float32) {
 		}
 	default:
 		if s.Idx == nil {
-			r.f32s(dst)
+			nn.FromLE(dst, r.data[r.off:])
+			r.off += 4 * len(dst)
 			return
 		}
 		for i := range dst {
@@ -636,19 +588,6 @@ func (r *reader) u64() (uint64, error) {
 	v := binary.LittleEndian.Uint64(r.data[r.off:])
 	r.off += 8
 	return v, nil
-}
-
-// f32s fills dst with the next len(dst) little-endian IEEE-754 words. The
-// caller has verified that r holds them.
-func (r *reader) f32s(dst []float32) {
-	if hostLE {
-		r.off += copy(f32Bytes(dst), r.data[r.off:r.off+4*len(dst)])
-		return
-	}
-	for i := range dst {
-		bits, _ := r.u32()
-		dst[i] = math.Float32frombits(bits)
-	}
 }
 
 func (r *reader) str() (string, error) {
