@@ -76,17 +76,25 @@ fuzz-smoke:
 # sim<->realtime weight equivalence (bit-identical digests under ordered
 # apply, the exact churn contract with a leave) and the lineage replay
 # audit, under the race detector. Every comparison is exact, so the second
-# pass reruns the equivalence gates and the Run goldens (convergence rows
-# included) on 386, the portable kernels (-race is not supported there),
-# and holds those kernels to the tensor package's bit-exact references. The
-# last 386 line runs the decoders' committed seeds (wire frames, serve update
-# frames, checkpoints) whose length fields overflow a 32-bit int: each must
-# be an error, not a panic.
+# pass reruns the equivalence gates, the Run goldens (convergence rows
+# included) and the step-slot scenarios against their all-inline digests on
+# 386, the portable kernels (-race is not supported there; the slot scenarios
+# add ≈ 50 s on a 2-core box), and holds those kernels to the tensor
+# package's bit-exact references. The next 386 line runs the decoders'
+# committed seeds (wire frames, serve update frames, checkpoints) whose length
+# fields overflow a 32-bit int: each must be an error, not a panic. The last
+# runs the audit gate's self-test on 386 (≈ 20 s with its compile): it must
+# verify the same digests on both substrates as the host build does and
+# detect both forgeries, the check that a digest is a function of (seed,
+# config) and not of the architecture (DESIGN.md §13).
 conformance:
 	go test -race -count=1 ./internal/testkit/...
-	GOARCH=386 go test -count=1 -run 'RunGoldens|Equivalence|MixedPrecision' ./internal/cluster ./internal/testkit
+	GOARCH=386 go test -count=1 -run 'RunGoldens|Equivalence|MixedPrecision|StepSlotsMatchSequential' ./internal/cluster ./internal/testkit
 	GOARCH=386 go test -count=1 -run BitExact ./internal/tensor
 	GOARCH=386 go test -count=1 -run 'FuzzDecode|FuzzDecodeUpdate|Restore|Scan' ./internal/wire ./internal/serve ./internal/nn
+	@host="$$(go run ./cmd/dlion-audit -self-test)" || exit 1; \
+	i386="$$(GOARCH=386 go run ./cmd/dlion-audit -self-test)" || exit 1; echo "$$i386"; \
+	[ "$$host" = "$$i386" ] || { echo "conformance: dlion-audit -self-test differs between $$(go env GOARCH) and 386"; exit 1; }
 
 # Kernel and scheduler microbenchmarks (simclock's EngineBurst is the
 # 256-worker all-to-all schedule, EngineHold the constant-size hold model),

@@ -57,7 +57,6 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		broker   = fs.String("broker", "", "subscribe to weight broadcasts from this broker")
 		initCkpt = fs.String("init-ckpt", "", "checkpoint file to serve before the first update arrives")
 		maxBatch = fs.Int("max-batch", 16, "max requests coalesced into one forward pass")
-		maxDelay = fs.Duration("max-delay", 2*time.Millisecond, "max wait to fill a batch")
 		qDepth   = fs.Int("queue", 256, "admission queue depth; beyond it requests shed with 429")
 		runners  = fs.Int("runners", 1, "concurrent batch runners (each holds a model replica)")
 		int8Mode = fs.Bool("int8", false, "serve int8-quantized replicas (repacked on every version swap)")
@@ -136,8 +135,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 	}
 	srv, err := serve.Listen(serve.Config{
 		Registry: reg, Metrics: metrics,
-		MaxBatch: *maxBatch, MaxDelay: *maxDelay,
-		QueueDepth: *qDepth, Runners: *runners,
+		MaxBatch: *maxBatch, QueueDepth: *qDepth, Runners: *runners,
 		Quantized: *int8Mode,
 	}, *addr)
 	if err != nil {
@@ -147,8 +145,8 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 	if *int8Mode {
 		mode = "int8"
 	}
-	fmt.Fprintf(stdout, "serving on %s (batch<=%d, delay<=%v, queue %d, %s)\n",
-		srv.Addr(), *maxBatch, *maxDelay, *qDepth, mode)
+	fmt.Fprintf(stdout, "serving on %s (batch<=%d, queue %d, %s)\n",
+		srv.Addr(), *maxBatch, *qDepth, mode)
 
 	<-ctx.Done()
 

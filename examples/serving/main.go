@@ -55,7 +55,7 @@ func main() {
 	go reg.WatchBroadcasts(ctx, sub.C)
 
 	srv, err := dlion.ListenAndServeModels(dlion.ServeConfig{
-		Registry: reg, MaxBatch: 16, MaxDelay: 2 * time.Millisecond,
+		Registry: reg, MaxBatch: 16,
 	}, "127.0.0.1:0")
 	if err != nil {
 		log.Fatal(err)

@@ -68,7 +68,7 @@ func TestEndToEndTrainingFeedsServing(t *testing.T) {
 	metrics := obs.NewRegistry()
 	srv, err := serve.Listen(serve.Config{
 		Registry: reg, Metrics: metrics,
-		MaxBatch: 8, MaxDelay: time.Millisecond, QueueDepth: 512,
+		MaxBatch: 8, QueueDepth: 512,
 	}, "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)

@@ -25,10 +25,10 @@ type Config struct {
 	// 1 disables batching: every request runs its own forward pass.
 	MaxBatch int
 
-	// MaxDelay bounds how long a runner holds an underfull batch open
-	// waiting for more requests (0 selects the 2ms default). Negative
-	// means "never wait": the runner takes whatever is already queued
-	// and runs immediately, trading batch fill for latency.
+	// Ignored: a runner never waits for a batch to fill, it takes what is
+	// already queued (see collect). The field remains only because the
+	// repository benchmark still sets it; a change to that benchmark drops
+	// the setting, and then the field.
 	MaxDelay time.Duration
 
 	// QueueDepth bounds the admission queue (default 256). When it is
@@ -57,11 +57,6 @@ type Config struct {
 func (c Config) withDefaults() Config {
 	if c.MaxBatch < 1 {
 		c.MaxBatch = 16
-	}
-	if c.MaxDelay < 0 {
-		c.MaxDelay = 0
-	} else if c.MaxDelay == 0 {
-		c.MaxDelay = 2 * time.Millisecond
 	}
 	if c.QueueDepth < 1 {
 		c.QueueDepth = 256
@@ -385,30 +380,13 @@ type forwarder interface {
 	Forward(x *tensor.Tensor) *tensor.Tensor
 }
 
-// collect assembles a micro-batch around the first request: it keeps
-// admitting queued requests until the batch is full or MaxDelay has
-// passed. With MaxDelay 0 it takes only what is immediately available.
+// collect assembles a micro-batch around the first request: it takes
+// whatever is already queued, up to MaxBatch, and never waits for more. The
+// queue sizes the batch: under light load a request runs alone at once, and
+// under heavy load every request that arrived during the last forward pass
+// rides in the next.
 func (s *Server) collect(first *request) []*request {
 	batch := append(make([]*request, 0, s.cfg.MaxBatch), first)
-	if s.cfg.MaxBatch == 1 {
-		return batch
-	}
-	if s.cfg.MaxDelay == 0 {
-		for len(batch) < s.cfg.MaxBatch {
-			select {
-			case r, ok := <-s.queue:
-				if !ok {
-					return batch
-				}
-				batch = append(batch, r)
-			default:
-				return batch
-			}
-		}
-		return batch
-	}
-	timer := time.NewTimer(s.cfg.MaxDelay)
-	defer timer.Stop()
 	for len(batch) < s.cfg.MaxBatch {
 		select {
 		case r, ok := <-s.queue:
@@ -416,7 +394,7 @@ func (s *Server) collect(first *request) []*request {
 				return batch
 			}
 			batch = append(batch, r)
-		case <-timer.C:
+		default:
 			return batch
 		}
 	}
