@@ -80,7 +80,8 @@ fuzz-smoke:
 # included) and the step-slot scenarios against their all-inline digests on
 # 386, the portable kernels (-race is not supported there; the slot scenarios
 # add ≈ 50 s on a 2-core box), and holds those kernels to the tensor
-# package's bit-exact references. The next 386 line runs the decoders'
+# package's bit-exact references and the served f32 view (nn.View, Dense
+# weights packed once) to Model.Forward. The next 386 line runs the decoders'
 # committed seeds (wire frames, serve update frames, checkpoints) whose length
 # fields overflow a 32-bit int: each must be an error, not a panic. The last
 # runs the audit gate's self-test on 386 (≈ 20 s with its compile): it must
@@ -90,7 +91,7 @@ fuzz-smoke:
 conformance:
 	go test -race -count=1 ./internal/testkit/...
 	GOARCH=386 go test -count=1 -run 'RunGoldens|Equivalence|MixedPrecision|StepSlotsMatchSequential' ./internal/cluster ./internal/testkit
-	GOARCH=386 go test -count=1 -run BitExact ./internal/tensor
+	GOARCH=386 go test -count=1 -run BitExact ./internal/tensor ./internal/nn
 	GOARCH=386 go test -count=1 -run 'FuzzDecode|FuzzDecodeUpdate|Restore|Scan' ./internal/wire ./internal/serve ./internal/nn
 	@host="$$(go run ./cmd/dlion-audit -self-test)" || exit 1; \
 	i386="$$(GOARCH=386 go run ./cmd/dlion-audit -self-test)" || exit 1; echo "$$i386"; \

@@ -24,14 +24,17 @@ var (
 // this benchmark (0.748, listed in CHANGES.md). Since a batch-1 forward
 // stopped re-packing fc1's weights, batch1, batched and int8 serve within
 // that spread of each other on the 1×16×16 Cipher, so "faster" is no longer
-// a bar this benchmark can hold.
+// a bar this benchmark can hold. With Dense weights packed once per version
+// the runner is no longer what batching amortises: in ten runs on a 2-core
+// box batched served 0.90–1.06× batch1, and int8 0.67–0.90× batched, under
+// this floor in two of the ten (as at the parent).
 const qpsFloor = 0.75
 
 // runServeBench measures the serving subsystem: batch=1 vs dynamic
 // micro-batching under the same offered load, plus an overload config at
 // ~2x the queue's capacity to exercise shedding. Results land in a
 // BENCH JSON report (kind "serve-bench"). The run fails unless the batched
-// config coalesces (mean batch fill ≥ 4: 32 clients fill 7.2–9.7 of 32 on a
+// config coalesces (mean batch fill ≥ 4: 32 clients fill 5.8–8.5 of 32 on a
 // 2-core box, batching off fills 1) and answers every request, batched and
 // int8 keep their throughput within qpsFloor of batch1 and batched, and the
 // overload config sheds — these are the acceptance bars, not just numbers.
@@ -48,20 +51,23 @@ func runServeBench(jsonPath string) error {
 	}
 
 	type benchCase struct {
-		name string
-		cfg  serve.Config
-		conc int
+		name, label string
+		cfg         serve.Config
+		conc        int
 	}
 	cases := []benchCase{
-		{"batch1", serve.Config{MaxBatch: 1, QueueDepth: 4096}, *serveConc},
-		{"batched", serve.Config{MaxBatch: *serveBatch, QueueDepth: 4096}, *serveConc},
+		// Not a one-client latency: every client queues on one runner
+		// that takes one request per forward.
+		{"batch1", fmt.Sprintf("%d clients queue on one runner", *serveConc),
+			serve.Config{MaxBatch: 1, QueueDepth: 4096}, *serveConc},
+		{"batched", "", serve.Config{MaxBatch: *serveBatch, QueueDepth: 4096}, *serveConc},
 		// Same shape as "batched" but on int8 replicas: the headline
 		// quantized-inference number (must not fall below the f32 baseline).
-		{"int8", serve.Config{MaxBatch: *serveBatch, QueueDepth: 4096, Quantized: true}, *serveConc},
+		{"int8", "", serve.Config{MaxBatch: *serveBatch, QueueDepth: 4096, Quantized: true}, *serveConc},
 		// Overload: far more clients than the queue holds, with small
 		// batches so the runner cannot drain the queue in one gulp —
 		// admission control has to shed.
-		{"overload", serve.Config{MaxBatch: 8, QueueDepth: 8}, 4 * *serveConc},
+		{"overload", "", serve.Config{MaxBatch: 8, QueueDepth: 8}, 4 * *serveConc},
 	}
 
 	jr := obs.NewReport("serve-bench", "dlion-bench/serve")
@@ -109,9 +115,13 @@ func runServeBench(jsonPath string) error {
 			bc.name, res.QPS, res.OK, res.Shed,
 			res.Latency.P50*1e3, res.Latency.P95*1e3, res.Latency.P99*1e3)
 
+		title := fmt.Sprintf("max_batch=%d queue=%d clients=%d", bc.cfg.MaxBatch, bc.cfg.QueueDepth, bc.conc)
+		if bc.label != "" {
+			title = bc.label + ": " + title
+		}
 		jr.Experiments = append(jr.Experiments, obs.ExperimentReport{
 			ID:    bc.name,
-			Title: fmt.Sprintf("max_batch=%d queue=%d clients=%d", bc.cfg.MaxBatch, bc.cfg.QueueDepth, bc.conc),
+			Title: title,
 			Values: map[string]float64{
 				"qps": res.QPS, "sent": float64(res.Sent), "ok": float64(res.OK),
 				"shed": float64(res.Shed), "failed": float64(res.Failed),

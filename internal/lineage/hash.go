@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"hash/fnv"
 	"sort"
+	"strings"
 
 	"dlion/internal/nn"
 	"dlion/internal/tensor"
@@ -34,7 +35,7 @@ func leHash(shape []int, le []byte) Hash {
 // bytes: ModelHash of the model it would restore into, without a model.
 func CheckpointHash(l nn.Layout, ckpt []byte) (Hash, error) {
 	vars := make(map[string]Hash, len(l.Shapes))
-	if err := l.Read(ckpt, func(name string, shape []int, le []byte) { vars[name] = leHash(shape, le) }); err != nil {
+	if err := l.Read(ckpt, func(name string, shape []int, le []byte) { vars[strings.Clone(name)] = leHash(shape, le) }); err != nil {
 		return 0, err
 	}
 	return combine(vars), nil

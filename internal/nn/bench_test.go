@@ -31,6 +31,18 @@ func benchForward(b *testing.B, batch int) {
 	}
 }
 
+// benchView is benchForward through an inference view of the model, the
+// forward a serve runner runs.
+func benchView(b *testing.B, view func(*Model) *View, batch int) {
+	v := view(CipherSpec(1, 16, 16, 10, 1).Build())
+	x, _ := benchBatch(b, batch)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		v.Forward(x)
+	}
+}
+
 func benchTrainStep(b *testing.B, batch int) {
 	m := CipherSpec(1, 16, 16, 10, 1).Build()
 	x, y := benchBatch(b, batch)
@@ -45,6 +57,16 @@ func benchTrainStep(b *testing.B, batch int) {
 func BenchmarkCipherForward1(b *testing.B) { benchForward(b, 1) }
 
 func BenchmarkCipherForward32(b *testing.B) { benchForward(b, 32) }
+
+// BenchmarkCipherServedForward1 is the serving shape through the f32 view a
+// serve runner uses: Dense weights packed once, not per forward.
+func BenchmarkCipherServedForward1(b *testing.B) { benchView(b, NewView, 1) }
+
+func BenchmarkCipherServedForward8(b *testing.B) { benchView(b, NewView, 8) }
+
+// BenchmarkCipherQuantForward8 is the int8 view at the fill 32 clients give
+// one batching runner.
+func BenchmarkCipherQuantForward8(b *testing.B) { benchView(b, NewQuantView, 8) }
 
 // BenchmarkCipherTrainStep2 is the dense-exchange training shape (LBS 2).
 func BenchmarkCipherTrainStep2(b *testing.B) { benchTrainStep(b, 2) }

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"sync"
 	"unsafe"
 
 	"dlion/internal/tensor"
@@ -68,11 +69,13 @@ func AppendWeights[W Weights](buf []byte, w W) []byte {
 }
 
 // ReadWeights walks the named-f32 layout at the front of data, calling fn
-// with each entry's name and its values' little-endian bytes (4 per value,
-// aliasing data), and returns the bytes it consumed. A count the remaining
-// bytes cannot hold (an entry takes at least 6), a value count past the end
-// and a name given twice are rejected before fn sees the entry, so nothing
-// is ever sized from them. Every length check holds on 32-bit hosts.
+// with each entry's name and its values' little-endian bytes (4 per value),
+// and returns the bytes it consumed. Both the name and the bytes alias data,
+// so a walk allocates nothing: fn copies what it keeps (strings.Clone for a
+// name). A count the remaining bytes cannot hold (an entry takes at least
+// 6), a value count past the end and a name given twice are rejected before
+// fn sees the entry, so nothing is ever sized from them. Every length check
+// holds on 32-bit hosts.
 func ReadWeights(data []byte, fn func(name string, le []byte) error) (int, error) {
 	if len(data) < 4 {
 		return 0, fmt.Errorf("%w: truncated", ErrBadCheckpoint)
@@ -82,9 +85,14 @@ func ReadWeights(data []byte, fn func(name string, le []byte) error) (int, error
 	if uint64(count) > uint64(len(data)-off)/6 {
 		return 0, fmt.Errorf("%w: %d entries in %d bytes", ErrBadCheckpoint, count, len(data)-off)
 	}
+	// Pooled and emptied after the walk, so its keys never outlive data.
 	// Not sized from count: a hostile count the bytes can hold would still
 	// buy a map many times the input's size.
-	seen := map[string]bool{}
+	seen := seenPool.Get().(map[string]bool)
+	defer func() {
+		clear(seen)
+		seenPool.Put(seen)
+	}()
 	for i := uint32(0); i < count; i++ {
 		name, next, err := readString(data, off)
 		if err != nil {
@@ -112,6 +120,9 @@ func ReadWeights(data []byte, fn func(name string, le []byte) error) (int, error
 	return off, nil
 }
 
+// seenPool holds ReadWeights' duplicate-name sets.
+var seenPool = sync.Pool{New: func() any { return map[string]bool{} }}
+
 // Checkpoint serializes the model's weights.
 func (m *Model) Checkpoint() []byte {
 	buf := make([]byte, 0, 4+2+len(m.ModelName)+WeightsLen(m))
@@ -124,7 +135,7 @@ func (m *Model) Checkpoint() []byte {
 // model architecture must match: every checkpointed parameter must exist
 // with the same length, and every model parameter must be present once.
 func (m *Model) Restore(data []byte) error {
-	return m.layout().Read(data, func(name string, _ []int, le []byte) { FromLE(m.byName[name].W.Data, le) })
+	return m.layout.Read(data, func(name string, _ []int, le []byte) { FromLE(m.byName[name].W.Data, le) })
 }
 
 // Layout is what a checkpoint must hold to restore into a model: the model
@@ -136,15 +147,7 @@ type Layout struct {
 }
 
 // Layout returns the checkpoint layout of the models s builds.
-func (s Spec) Layout() Layout { return s.BuildZero().layout() }
-
-func (m *Model) layout() Layout {
-	l := Layout{Model: m.ModelName, Shapes: make(map[string][]int, len(m.params))}
-	for _, p := range m.params {
-		l.Shapes[p.Name] = p.W.Shape
-	}
-	return l
-}
+func (s Spec) Layout() Layout { return s.BuildZero().layout }
 
 // Read checks that data is a checkpoint of l — its model name, each
 // parameter once at its shape's length — and calls fn with each entry's
@@ -212,6 +215,7 @@ func appendString(buf []byte, s string) []byte {
 	return append(buf, s...)
 }
 
+// readString reads a u16-length-prefixed string at off, aliasing data.
 func readString(data []byte, off int) (string, int, error) {
 	if len(data)-off < 2 {
 		return "", 0, fmt.Errorf("%w: truncated string", ErrBadCheckpoint)
@@ -221,7 +225,7 @@ func readString(data []byte, off int) (string, int, error) {
 	if n > len(data)-off {
 		return "", 0, fmt.Errorf("%w: truncated string body", ErrBadCheckpoint)
 	}
-	return string(data[off : off+n]), off + n, nil
+	return unsafe.String(unsafe.SliceData(data[off:]), n), off + n, nil
 }
 
 // hostLE reports a little-endian host, where a []float32's memory already is

@@ -88,13 +88,23 @@ func (d *Dense) Params() []*Param { return []*Param{d.w, d.b} }
 
 // Forward implements Layer.
 func (d *Dense) Forward(x *tensor.Tensor) *tensor.Tensor {
+	d.x = x
+	return d.forward(x, nil)
+}
+
+// forward is Forward without keeping x for Backward, through pw (d's weight
+// packed once, bit-identical for finite weights) when it is non-nil.
+func (d *Dense) forward(x *tensor.Tensor, pw *tensor.PackedB) *tensor.Tensor {
 	if x.Rank() != 2 || x.Shape[1] != d.In {
 		panic(shapeErr(d.name, []int{-1, d.In}, x.Shape))
 	}
-	d.x = x
 	batch := x.Shape[0]
 	y := d.nextY(batch, d.Out)
-	tensor.MatMulTransB(y, x, d.w.W)
+	if pw != nil {
+		tensor.MatMulTransBPacked(y, x, pw)
+	} else {
+		tensor.MatMulTransB(y, x, d.w.W)
+	}
 	for i := 0; i < batch; i++ {
 		row := y.Data[i*d.Out : (i+1)*d.Out]
 		for j := range row {

@@ -35,6 +35,7 @@ type Model struct {
 
 	params []*Param
 	byName map[string]*Param
+	layout Layout // what Restore reads: the name and every shape
 	ws     *tensor.Workspace
 	users  []workspaceUser // the layers holding arena buffers
 }
@@ -60,6 +61,10 @@ func newModel(ws *tensor.Workspace, name string, layers ...Layer) *Model {
 			m.byName[p.Name] = p
 			m.params = append(m.params, p)
 		}
+	}
+	m.layout = Layout{Model: name, Shapes: make(map[string][]int, len(m.params))}
+	for _, p := range m.params {
+		m.layout.Shapes[p.Name] = p.W.Shape
 	}
 	return m
 }

@@ -25,7 +25,7 @@ func TestQuantModelAgreesWithFloat(t *testing.T) {
 		MobileNetLiteSpec(3, 16, 16, 10, 11),
 	} {
 		m := spec.Build()
-		qm := NewQuantModel(m)
+		qm := NewQuantView(m)
 		rng := stats.NewRNG(99)
 		const batch = 8
 		x := randInput(rng, batch, spec.Channels, spec.Height, spec.Width)
@@ -78,7 +78,7 @@ func argmaxRow(row []float32) int {
 func TestQuantModelDeterministic(t *testing.T) {
 	spec := CipherSpec(1, 8, 8, 4, 3)
 	m := spec.Build()
-	qm := NewQuantModel(m)
+	qm := NewQuantView(m)
 	rng := stats.NewRNG(5)
 	x := randInput(rng, 4, 1, 8, 8)
 	a := qm.Forward(x).Clone()
@@ -90,28 +90,38 @@ func TestQuantModelDeterministic(t *testing.T) {
 	}
 }
 
-// TestQuantModelTracksRestore: packing captures a weight snapshot — after
-// Restore, a freshly built QuantModel follows the new weights.
+// TestQuantModelTracksRestore: the int8 view captures the weight tensors,
+// so after the model's weights change in place, Repack requantizes them:
+// the repacked view answers as a view packed afresh from the new weights
+// does, and restoring the original checkpoint reproduces the original
+// quantized logits exactly.
 func TestQuantModelTracksRestore(t *testing.T) {
 	spec := CipherSpec(1, 8, 8, 4, 3)
 	m := spec.Build()
 	ckptA := m.Checkpoint()
 	rng := stats.NewRNG(5)
 	x := randInput(rng, 2, 1, 8, 8)
-	outA := NewQuantModel(m).Forward(x).Clone()
+	qv := NewQuantView(m)
+	outA := qv.Forward(x).Clone()
 
-	// Perturb, checkpoint, restore the original: a repacked QuantModel must
-	// reproduce the original quantized logits exactly.
 	for _, p := range m.Params() {
 		for i := range p.W.Data {
 			p.W.Data[i] += 0.25
 		}
 	}
-	outB := NewQuantModel(m).Forward(x).Clone()
+	qv.Repack()
+	outB := qv.Forward(x).Clone()
+	fresh := NewQuantView(m).Forward(x)
+	for i := range outB.Data {
+		if outB.Data[i] != fresh.Data[i] {
+			t.Fatalf("logit %d: repacked view gives %v, a fresh view %v", i, outB.Data[i], fresh.Data[i])
+		}
+	}
 	if err := m.Restore(ckptA); err != nil {
 		t.Fatal(err)
 	}
-	outC := NewQuantModel(m).Forward(x).Clone()
+	qv.Repack()
+	outC := qv.Forward(x).Clone()
 	same := true
 	for i := range outA.Data {
 		if outA.Data[i] != outC.Data[i] {
@@ -119,7 +129,7 @@ func TestQuantModelTracksRestore(t *testing.T) {
 		}
 	}
 	if !same {
-		t.Fatal("repacked QuantModel does not reproduce pre-perturbation logits")
+		t.Fatal("repacked int8 view does not reproduce pre-perturbation logits")
 	}
 	diff := false
 	for i := range outA.Data {

@@ -8,6 +8,7 @@ import (
 	"math"
 	"net"
 	"net/http"
+	"runtime"
 	"sync"
 	"time"
 
@@ -38,15 +39,20 @@ type Config struct {
 
 	// Runners is the number of concurrent batch runners (default 1).
 	// Each runner owns a private model replica restored from the current
-	// version, so runners never contend on layer activation buffers.
+	// version and an inference view of it (nn.View) whose Dense weights are
+	// packed once per version, so runners never contend on layer
+	// activation buffers and a batch-1 forward reads no weight in its
+	// training layout. For finite weights its logits are bit-identical to
+	// Model.Forward's.
 	Runners int
 
-	// Quantized switches runners to int8 inference: each runner packs its
-	// restored replica into an nn.QuantModel (per-output-channel int8
-	// weights, per-row activation quantization) and repacks on every
-	// version swap. Predictions stay deterministic; logits carry int8
-	// quantization error (see WIRE.md §precision model and EXPERIMENTS.md
-	// for the accuracy/throughput trade).
+	// Quantized switches runners to int8 inference: each runner's view
+	// (nn.NewQuantView) packs per-output-channel int8 Dense and Conv2D
+	// weights, quantizes activations per row, and is repacked in place on
+	// every version swap, like the f32 view. Predictions stay
+	// deterministic; logits carry int8 quantization error (see WIRE.md
+	// §precision model and EXPERIMENTS.md for the accuracy/throughput
+	// trade).
 	Quantized bool
 
 	// Metrics, when non-nil, receives the serve.* counters, gauges, and
@@ -331,18 +337,31 @@ func (s *Server) handleStatsz(w http.ResponseWriter, _ *http.Request) {
 // --- batch runner ---
 
 // runner owns one private model replica and executes micro-batches until
-// the queue closes and drains. Version swaps happen between batches: the
-// runner compares its replica's sequence against the registry on every
-// batch and restores from the new checkpoint when it changed, so requests
-// already in a batch always finish on the version they started with.
+// the queue closes and drains. It serves through one inference view of that
+// replica (nn.View), built once: f32 with Dense weights packed once per
+// version, or int8. Version swaps happen between batches: the runner
+// compares its sequence against the registry on every batch and, when it
+// changed, restores the replica from the new checkpoint and repacks the view
+// in place, so requests already in a batch always finish on the version
+// they started with and a swap allocates nothing.
 func (s *Server) runner() {
 	defer s.runners.Done()
 	var model *nn.Model
-	var fwd forwarder
+	var view *nn.View
 	seq := int64(-1)
 	var source string
-	for first := range s.queue {
+	few := 0 // batches in a row that held fewer than yieldFew requests
+	for {
+		first, ok := s.next(few)
+		if !ok {
+			return
+		}
 		batch := s.collect(first)
+		if len(batch) >= yieldFew {
+			few = 0
+		} else {
+			few++
+		}
 		s.qDepth.Set(int64(len(s.queue)))
 
 		v := s.cfg.Registry.Current()
@@ -351,8 +370,13 @@ func (s *Server) runner() {
 			continue
 		}
 		if v.Seq != seq {
-			if model == nil {
+			if view == nil {
 				model = s.cfg.Registry.Spec().BuildZero()
+				if s.cfg.Quantized {
+					view = nn.NewQuantView(model)
+				} else {
+					view = nn.NewView(model)
+				}
 			}
 			if err := model.Restore(v.Ckpt); err != nil {
 				// Validated at publish; only memory corruption gets here.
@@ -360,25 +384,42 @@ func (s *Server) runner() {
 				seq = -1
 				continue
 			}
-			// Quantized packing captures a weight snapshot, so it must be
-			// redone after every restore.
-			if s.cfg.Quantized {
-				fwd = nn.NewQuantModel(model)
-			} else {
-				fwd = model
-			}
+			view.Repack()
 			seq, source = v.Seq, v.Source
 		}
 
-		s.run(fwd, seq, source, batch)
+		s.run(view, seq, source, batch)
 	}
 }
 
-// forwarder abstracts the runner's inference engine: the f32 replica or its
-// int8-packed view.
-type forwarder interface {
-	Forward(x *tensor.Tensor) *tensor.Tensor
+// next takes the request a batch starts from and reports false once the
+// queue is closed and drained. A runner woken by a send runs next on the
+// sender's processor, ahead of handlers whose requests have already arrived,
+// so on a box with no idle core it would run every request alone; when the
+// queue was empty, next therefore yields once before returning, to let those
+// handlers queue first. With a core to spare a yield only delays the
+// forward, so it yields while batches form (until yieldFew batches in a row
+// have held fewer than yieldFew requests) and, after that, before every
+// yieldProbe-th batch, to find out whether they would form again. A request
+// already queued is taken at once: handlers kept up during the last forward.
+func (s *Server) next(few int) (*request, bool) {
+	select {
+	case r, ok := <-s.queue:
+		return r, ok
+	default:
+	}
+	r, ok := <-s.queue
+	if ok && s.cfg.MaxBatch > 1 && (few < yieldFew || few%yieldProbe == 0) {
+		runtime.Gosched()
+	}
+	return r, ok
 }
+
+// yieldFew and yieldProbe were measured on a 2-core box (DESIGN.md §8).
+const (
+	yieldFew   = 4
+	yieldProbe = 256
+)
 
 // collect assembles a micro-batch around the first request: it takes
 // whatever is already queued, up to MaxBatch, and never waits for more. The
@@ -405,13 +446,13 @@ func (s *Server) collect(first *request) []*request {
 // back out to their requests. The batch is recorded before anyone is
 // answered, so a caller that reads the metrics after its answer sees its own
 // request counted.
-func (s *Server) run(model forwarder, seq int64, source string, batch []*request) {
+func (s *Server) run(view *nn.View, seq int64, source string, batch []*request) {
 	spec := s.cfg.Registry.Spec()
 	x := tensor.New(len(batch), spec.Channels, spec.Height, spec.Width)
 	for i, req := range batch {
 		copy(x.Data[i*s.inLen:(i+1)*s.inLen], req.x)
 	}
-	logits := model.Forward(x)
+	logits := view.Forward(x)
 	now := time.Now()
 	for _, req := range batch {
 		s.hLatency.Observe(now.Sub(req.enq).Seconds())

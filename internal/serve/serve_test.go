@@ -5,8 +5,10 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"math"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -14,6 +16,7 @@ import (
 
 	"dlion/internal/nn"
 	"dlion/internal/obs"
+	"dlion/internal/tensor"
 )
 
 // newTestServer builds a server over a registry pre-loaded with version 1.
@@ -211,24 +214,49 @@ func TestCollectTakesWhatIsQueued(t *testing.T) {
 	}
 }
 
-// Two runners under concurrent clients, with version 2 published partway
-// through: every request is answered by version 1 or 2, every request sent
-// after Publish returned is answered by version 2 (a runner reads the current
-// version after it collects its batch), and once the server drains the
-// answered counter accounts for every request.
+// TestRunnersSwapUnderLoad: under concurrent load with a hot swap, every
+// answer comes from version 1 or 2, nothing sent after Publish returns is
+// answered by version 1 (a runner reads the current version after it
+// collects its batch), every answer's probabilities are bit for bit those of
+// a direct forward of the version its model_seq names, so a runner that kept
+// serving a stale packed weight after the swap fails here, and once the
+// server drains the answered counter accounts for every request.
 func TestRunnersSwapUnderLoad(t *testing.T) {
-	s, reg, metrics := newTestServer(t, Config{MaxBatch: 4, Runners: 2})
+	for _, runners := range []int{1, 2} {
+		t.Run(fmt.Sprintf("runners=%d", runners), func(t *testing.T) { swapUnderLoad(t, runners) })
+	}
+}
+
+func swapUnderLoad(t *testing.T, runners int) {
+	s, reg, metrics := newTestServer(t, Config{MaxBatch: 4, Runners: runners})
 	ckpt2 := testCkpt(t, 2)
-	raw, err := json.Marshal(PredictRequest{Inputs: [][]float32{sampleInput()}})
+	input := sampleInput()
+	raw, err := json.Marshal(PredictRequest{Inputs: [][]float32{input}})
 	if err != nil {
 		t.Fatal(err)
+	}
+	// want[v] is what version v answers: its direct Model.Forward.
+	want := map[int64][]float32{}
+	for _, v := range []int64{1, 2} {
+		spec := testSpec()
+		spec.Seed = uint64(v)
+		x := tensor.New(1, spec.Channels, spec.Height, spec.Width)
+		copy(x.Data, input)
+		want[v], _ = softmaxRow(spec.Build().Forward(x).Data)
 	}
 	predict := func() (int, int64) {
 		rec := httptest.NewRecorder()
 		s.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/predict", bytes.NewReader(raw)))
+		if rec.Code != http.StatusOK {
+			return rec.Code, 0
+		}
 		var resp PredictResponse
-		if rec.Code == http.StatusOK {
-			json.Unmarshal(rec.Body.Bytes(), &resp)
+		if err := json.Unmarshal(rec.Body.Bytes(), &resp); err != nil {
+			t.Errorf("bad response body: %v", err)
+			return 0, 0
+		}
+		if probs, ok := want[resp.ModelSeq]; ok && !sameBits(resp.Predictions[0].Probs, probs) {
+			t.Errorf("version %d answered %v, its direct forward gives %v", resp.ModelSeq, resp.Predictions[0].Probs, probs)
 		}
 		return rec.Code, resp.ModelSeq
 	}
@@ -286,6 +314,19 @@ func TestRunnersSwapUnderLoad(t *testing.T) {
 	if got, want := metrics.Counter("serve.answered").Load(), int64(clients*perClient+1); got != want {
 		t.Fatalf("serve.answered %d, want %d", got, want)
 	}
+}
+
+// sameBits reports whether a and b hold the same float32 words.
+func sameBits(a, b []float32) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if math.Float32bits(a[i]) != math.Float32bits(b[i]) {
+			return false
+		}
+	}
+	return true
 }
 
 // A multi-sample request larger than the queue must shed with 429 and set
@@ -474,6 +515,42 @@ func TestBatchingCoalescesWithinNoise(t *testing.T) {
 	if batched.QPS < batchedQPSFloor*single.QPS {
 		t.Fatalf("batched throughput %.0f qps below %.2f × batch=1 %.0f qps",
 			batched.QPS, batchedQPSFloor, single.QPS)
+	}
+}
+
+// On one processor a runner woken by a handler's send runs before the other
+// handlers whose requests have arrived; unless it yields first, it runs
+// every request alone (a mean fill of exactly 1). The same 32 clients must
+// coalesce there too.
+func TestBatchingCoalescesOnOneCore(t *testing.T) {
+	if testing.Short() {
+		t.Skip("load run")
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	spec := nn.CipherSpec(1, 16, 16, 10, 42)
+	reg := NewRegistry(spec)
+	if err := reg.Publish(1, "init", spec.Build().Checkpoint()); err != nil {
+		t.Fatal(err)
+	}
+	metrics := obs.NewRegistry()
+	h, err := Listen(Config{Registry: reg, Metrics: metrics, MaxBatch: 32, QueueDepth: 4096}, "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer h.Close()
+	res, err := RunLoad(context.Background(), LoadConfig{
+		URL: h.URL(), Concurrency: 32, Duration: 600 * time.Millisecond, Input: make([]float32, 16*16),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.OK == 0 || res.OK != res.Sent || res.Shed != 0 || res.Failed != 0 {
+		t.Fatalf("not every request answered: %+v", res)
+	}
+	fill := metrics.Histogram("serve.batch_fill").Mean()
+	t.Logf("mean batch fill %.1f", fill)
+	if fill < 4 {
+		t.Fatalf("mean batch fill %.1f under 32 clients on one processor: requests are not coalescing", fill)
 	}
 }
 

@@ -86,25 +86,35 @@ func rowScaleI8(row []float32) float32 {
 }
 
 // PackQuantMat quantizes and packs w (N×K row-major, MatMulTransB
-// orientation) into the int8 panel layout. Pack once per weight snapshot;
-// the result is immutable and safe for concurrent MatMulTransB calls.
+// orientation) into the int8 panel layout. Pack once per weight snapshot
+// (Repack refills it for the next); the result is safe for concurrent
+// MatMulTransB calls between repacks.
 func PackQuantMat(w []float32, n, k int) *QuantMat {
-	if len(w) < n*k {
-		panic("tensor: PackQuantMat: short weight slice")
-	}
 	kp := (k + 1) / 2
-	nPanels := (n + qmNR - 1) / qmNR
 	q := &QuantMat{
 		N:      n,
 		K:      k,
 		kp:     kp,
-		panels: make([]int16, nPanels*kp*2*qmNR),
+		panels: make([]int16, (n+qmNR-1)/qmNR*kp*2*qmNR),
 		Scales: make([]float32, n),
+	}
+	q.Repack(w)
+	return q
+}
+
+// Repack quantizes w (N×K, the shape q was packed at) into q's panels and
+// scales in place, allocating nothing. Padded lanes and the odd-K pad code
+// are never written, so they keep PackQuantMat's zeros. It must not run
+// beside a MatMulTransB on q.
+func (q *QuantMat) Repack(w []float32) {
+	n, k, kp := q.N, q.K, q.kp
+	if len(w) < n*k {
+		panic("tensor: QuantMat.Repack: short weight slice")
 	}
 	for j := 0; j < n; j++ {
 		q.Scales[j] = rowScaleI8(w[j*k : j*k+k])
 	}
-	for pj := 0; pj < nPanels; pj++ {
+	for pj := 0; pj < (n+qmNR-1)/qmNR; pj++ {
 		base := pj * kp * 2 * qmNR
 		for pp := 0; pp < kp; pp++ {
 			out := q.panels[base+pp*2*qmNR:]
@@ -121,7 +131,6 @@ func PackQuantMat(w []float32, n, k int) *QuantMat {
 			}
 		}
 	}
-	return q
 }
 
 // PackedK is the activation stride MatMulTransB expects: K rounded up to an

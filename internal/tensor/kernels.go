@@ -26,6 +26,10 @@ import (
 // where it lies: MatMul by axpy rows (matMulSmall), MatMulTransB by a 1×8
 // dot tile (dotRows).
 //
+// A weight that stays frozen across many products (a served model between
+// versions) is packed once instead (PackedB): MatMulTransBPacked sweeps its
+// panels where MatMulTransB would stream or pack it.
+//
 // mmRow and the streamed kernels skip p where their row operand's element
 // is exactly zero, like the original axpy kernels; that operand is always a.
 // Post-ReLU activations and gradients are heavily sparse, so on the training
@@ -366,31 +370,46 @@ func product(pk *packBuf, o, r, p []float32, rows, cols, k int, rByK, pByK bool)
 		r = rt.data
 	}
 	wide := useWideKernel && (cols > mmNarrow || rows < mmMR)
+	pk.data = pack(pk.data, p, k, cols, pByK, wide)
+	sweep(o, r, pk.data, rows, cols, k, wide)
+	if rt != nil {
+		putPack(rt)
+	}
+}
+
+// pack packs p (k×cols when pByK, cols×k otherwise) into dst's zero-padded
+// column panels, 32 lanes wide when wide and 8 otherwise, and returns dst
+// resized to hold them (reallocated only when it is too short).
+func pack(dst, p []float32, k, cols int, pByK, wide bool) []float32 {
 	nr := mmNR
 	if wide {
 		nr = mmNRWide
 	}
-	pk.data = resize(pk.data, (cols+nr-1)/nr*nr*k)
+	dst = resize(dst, (cols+nr-1)/nr*nr*k)
 	switch {
 	case wide && pByK:
-		packPanels32(pk.data, p, k, cols)
+		packPanels32(dst, p, k, cols)
 	case wide:
-		packPanelsT32(pk.data, p, k, cols)
+		packPanelsT32(dst, p, k, cols)
 	case pByK:
-		packPanels(pk.data, p, k, cols)
+		packPanels(dst, p, k, cols)
 	default:
-		packPanelsT(pk.data, p, k, cols)
+		packPanelsT(dst, p, k, cols)
 	}
+	return dst
+}
+
+// sweep computes o (rows×cols) = r·pk with the kernel that matches pk's
+// panels: the 32-lane panel when wide, the narrow tile under AVX2, mmRow
+// elsewhere.
+func sweep(o, r, pk []float32, rows, cols, k int, wide bool) {
 	switch {
 	case wide:
-		sweep32(o, r, pk.data, rows, cols, k)
+		sweep32(o, r, pk, rows, cols, k)
 	case useWideKernel:
-		sweepTile(o, r, pk.data, rows, cols, k)
+		sweepTile(o, r, pk, rows, cols, k)
 	default:
-		sweep8(o, r, pk.data, rows, cols, k)
-	}
-	if rt != nil {
-		putPack(rt)
+		sweep8(o, r, pk, rows, cols, k)
 	}
 }
 
@@ -441,12 +460,69 @@ func MatMulTransB(c, a, b *Tensor) {
 	if k != k2 || c.Shape[0] != m || c.Shape[1] != n {
 		panic("tensor: MatMulTransB shape mismatch")
 	}
-	if m < mmStreamTB || m*n*k <= mmSmall {
+	if streamsTB(m, n, k) {
 		dotRows(c.Data, a.Data, b.Data, m, n, k)
 		return
 	}
 	runPacked(c.Data, a.Data, b.Data, m, n, k, mmTransB)
 }
+
+// PackedB is the weight operand b (n×k) of c = a·bᵀ packed once into the
+// panels the engine sweeps, for a weight that stays frozen across many
+// products (a served model between versions). It keeps b: Repack refills
+// the same panels from b's current values, and a product that packs a
+// instead (swapOperands) reads b where it lies. Under AVX2 the panels are
+// 32 lanes wide, the layout MatMulTransB packs for few rows; elsewhere 8.
+type PackedB struct {
+	b      *Tensor
+	panels []float32
+}
+
+// PackTransB packs b (n×k) for MatMulTransBPacked.
+func PackTransB(b *Tensor) *PackedB {
+	p := &PackedB{b: b}
+	p.Repack()
+	return p
+}
+
+// Repack refills the panels from b's current values, in place: a repack
+// allocates nothing. It must not run beside a product that reads p.
+func (p *PackedB) Repack() {
+	p.panels = pack(p.panels, p.b.Data, p.b.Shape[1], p.b.Shape[0], false, useWideKernel)
+}
+
+// MatMulTransBPacked computes c = a·bᵀ for a (m×k) and b packed by
+// PackTransB, bit-identical to MatMulTransB(c, a, b) for finite operands:
+// where MatMulTransB would stream b or pack it, this sweeps the panels
+// packed once; where it would pack a instead (swapOperands), this runs that
+// product; and on the portable path a streamed product stays streamed. Each
+// output is still one ascending-p chain of the same products, some ±0
+// products aside. (A streamed product skips a's zeros and a swept one
+// multiplies them, so an infinite weight can give NaN here where
+// MatMulTransB does not.)
+func MatMulTransBPacked(c, a *Tensor, b *PackedB) {
+	m, k := a.Shape[0], a.Shape[1]
+	n, k2 := b.b.Shape[0], b.b.Shape[1]
+	if k != k2 || c.Shape[0] != m || c.Shape[1] != n {
+		panic("tensor: MatMulTransBPacked shape mismatch")
+	}
+	stream := streamsTB(m, n, k)
+	switch {
+	case stream && !useWideKernel:
+		// mmRow branches on every zero of a, where dotRows gathers the
+		// nonzeros once: on the portable path a few rows stream faster than
+		// they sweep even packed panels (DESIGN.md §9).
+		dotRows(c.Data, a.Data, b.b.Data, m, n, k)
+	case !stream && swapOperands(m, n, mmTransB):
+		runPacked(c.Data, a.Data, b.b.Data, m, n, k, mmTransB)
+	default:
+		sweep(c.Data, a.Data, b.panels, m, n, k, useWideKernel)
+	}
+}
+
+// streamsTB reports whether MatMulTransB streams b rather than packing an
+// operand.
+func streamsTB(m, n, k int) bool { return m < mmStreamTB || m*n*k <= mmSmall }
 
 // matMulSmall is the unblocked path for tiny problems and single-row
 // MatMul, streaming b row by row in the same ascending-p zero-skipping axpy

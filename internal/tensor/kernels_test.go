@@ -221,6 +221,42 @@ func TestSkinnyProductsDoNotAllocate(t *testing.T) {
 	}
 }
 
+// TestPackedWeightMatchesTransBBitExact: a product over a weight packed
+// once must equal MatMulTransB bit for bit on every path the entry takes
+// (the streamed rows, the swapped product and the sweep over the held
+// panels), at widths on both sides of the narrow tile and the 32-lane panel,
+// on dense and post-ReLU activations. Each (n, k) packs once; every case
+// refills the weight with new values and repacks in place, so a repack that
+// misses must show up as stale outputs.
+func TestPackedWeightMatchesTransBBitExact(t *testing.T) {
+	ms := []int{1, 2, 3, 4, 5, 6, 7, 8, 16, 33, 201}
+	for _, n := range []int{10, 24, 25, 100, 200} {
+		for _, k := range []int{9, 180, 1600} {
+			r := newTestRand(int64(n*10000 + k))
+			w := randTensor(r, n, k)
+			pw := PackTransB(w)
+			for _, m := range ms {
+				for _, relu := range []bool{false, true} {
+					for i := range w.Data {
+						w.Data[i] = r.float32()
+					}
+					pw.Repack()
+					a := randTensor(r, m, k)
+					if relu {
+						for i, v := range a.Data {
+							a.Data[i] = max(v, 0)
+						}
+					}
+					got, want := New(m, n), New(m, n)
+					MatMulTransBPacked(got, a, pw)
+					MatMulTransB(want, a, w)
+					diffIndex(t, "MatMulTransBPacked", m, k, n, !relu, got, want)
+				}
+			}
+		}
+	}
+}
+
 func diffIndex(t *testing.T, name string, m, k, n int, dense bool, got, want *Tensor) {
 	t.Helper()
 	for i := range want.Data {

@@ -11,6 +11,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"strings"
 
 	"dlion/internal/bufpool"
 	"dlion/internal/grad"
@@ -416,7 +417,7 @@ func decodeWeights(r *reader) (map[string]*tensor.Tensor, error) {
 	n, err := nn.ReadWeights(r.data[r.off:], func(name string, le []byte) error {
 		t := tensor.New(len(le) / 4)
 		nn.FromLE(t.Data, le)
-		w[name] = t
+		w[strings.Clone(name)] = t
 		return nil
 	})
 	if err != nil {
