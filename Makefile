@@ -61,15 +61,18 @@ race:
 	go test -race -run 'ParallelEval|RunGoldens|StepSlotsRace|LazySteps|EvalOnce' ./internal/cluster/...
 
 # Short fuzz pass over the wire decoder, the broker's request framing, the
-# serve-update frame decoder (header + JSON manifest), and the
-# scheduler-vs-reference-heap oracle: catches panics, canonicalization and
-# length-bound regressions, and event-ordering divergence without the cost
-# of a long campaign. The committed corpora under internal/wire,
-# internal/queue and internal/serve testdata/fuzz seed the decoder targets.
+# serve-update frame decoder (header + JSON manifest), the /predict body
+# parser against encoding/json, and the scheduler-vs-reference-heap oracle:
+# catches panics, canonicalization and length-bound regressions, a body the
+# parser answers differently from encoding/json, and event-ordering
+# divergence without the cost of a long campaign. The committed corpora
+# under internal/wire, internal/queue and internal/serve testdata/fuzz seed
+# the decoder targets.
 fuzz-smoke:
 	go test -run='^$$' -fuzz=FuzzDecode -fuzztime=10s ./internal/wire
 	go test -run='^$$' -fuzz=FuzzReadRequest -fuzztime=10s ./internal/queue
 	go test -run='^$$' -fuzz=FuzzDecodeUpdate -fuzztime=10s ./internal/serve
+	go test -run='^$$' -fuzz=FuzzParsePredict -fuzztime=10s ./internal/serve
 	go test -run='^$$' -fuzz=FuzzSchedulerVsHeap -fuzztime=10s ./internal/simclock
 
 # Conformance harness (see TESTING.md): gradcheck on every nn layer,
@@ -83,7 +86,9 @@ fuzz-smoke:
 # package's bit-exact references and the served f32 view (nn.View, Dense
 # weights packed once) to Model.Forward. The next 386 line runs the decoders'
 # committed seeds (wire frames, serve update frames, checkpoints) whose length
-# fields overflow a 32-bit int: each must be an error, not a panic. The last
+# fields overflow a 32-bit int: each must be an error, not a panic; and the
+# /predict body seeds, each of which must parse as encoding/json decodes it
+# on 32 bits too. The last
 # runs the audit gate's self-test on 386 (≈ 20 s with its compile): it must
 # verify the same digests on both substrates as the host build does and
 # detect both forgeries, the check that a digest is a function of (seed,
@@ -92,7 +97,7 @@ conformance:
 	go test -race -count=1 ./internal/testkit/...
 	GOARCH=386 go test -count=1 -run 'RunGoldens|Equivalence|MixedPrecision|StepSlotsMatchSequential' ./internal/cluster ./internal/testkit
 	GOARCH=386 go test -count=1 -run BitExact ./internal/tensor ./internal/nn
-	GOARCH=386 go test -count=1 -run 'FuzzDecode|FuzzDecodeUpdate|Restore|Scan' ./internal/wire ./internal/serve ./internal/nn
+	GOARCH=386 go test -count=1 -run 'FuzzDecode|FuzzDecodeUpdate|FuzzParsePredict|Restore|Scan' ./internal/wire ./internal/serve ./internal/nn
 	@host="$$(go run ./cmd/dlion-audit -self-test)" || exit 1; \
 	i386="$$(GOARCH=386 go run ./cmd/dlion-audit -self-test)" || exit 1; echo "$$i386"; \
 	[ "$$host" = "$$i386" ] || { echo "conformance: dlion-audit -self-test differs between $$(go env GOARCH) and 386"; exit 1; }

@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -80,6 +81,33 @@ type request struct {
 	resp chan result // buffered size 1: runners never block on delivery
 }
 
+// call is one /predict call's state: the body it read, the samples parsed
+// from it and one request record per sample. Calls are pooled, and a call
+// goes back to its pool only once its handler has received an answer for
+// every request it admitted. On the paths that return with requests still
+// queued (shed, draining, a runner's error) it is left to the GC: those
+// requests alias its records and floats.
+type call struct {
+	body    bytes.Buffer
+	p       parser
+	samples [][]float32
+	reqs    []request // never shortened: each record keeps its channel
+	preds   []Prediction
+	out     bytes.Buffer
+}
+
+// maxPooledBody bounds the bodies whose calls are pooled, so that a burst of
+// large bodies does not keep their buffers alive.
+const maxPooledBody = 1 << 20
+
+// requests returns n request records, each with its answer channel.
+func (c *call) requests(n int) []request {
+	for len(c.reqs) < n {
+		c.reqs = append(c.reqs, request{resp: make(chan result, 1)})
+	}
+	return c.reqs[:n]
+}
+
 type result struct {
 	seq    int64
 	source string
@@ -103,6 +131,7 @@ type Server struct {
 	mux     *http.ServeMux
 
 	queue chan *request
+	calls sync.Pool // of *call
 
 	// admitMu guards the draining flag against in-flight enqueues: Shutdown
 	// takes the write lock to flip draining, which cannot succeed while any
@@ -152,6 +181,7 @@ func NewServer(cfg Config) (*Server, error) {
 	if cfg.Metrics != nil {
 		cfg.Registry.SetMetrics(cfg.Metrics)
 	}
+	s.calls.New = func() any { return new(call) }
 	s.mux = http.NewServeMux()
 	s.mux.HandleFunc("/predict", s.handlePredict)
 	s.mux.HandleFunc("/healthz", s.handleHealthz)
@@ -211,7 +241,9 @@ func (s *Server) enqueue(req *request) (shed, draining bool) {
 // --- HTTP API ---
 
 // PredictRequest is the /predict request body. Each input is one sample's
-// flattened feature vector of length channels*height*width.
+// flattened feature vector of length channels*height*width. The server parses
+// it with its own parser (decode.go), which accepts exactly what
+// encoding/json decodes into this type.
 type PredictRequest struct {
 	Inputs [][]float32 `json:"inputs"`
 }
@@ -231,7 +263,7 @@ type PredictResponse struct {
 }
 
 // maxPredictBody bounds a /predict request body (16 MB: ~2000 CIFAR-sized
-// samples, far above any sane micro-batch).
+// samples, far above any sane micro-batch). A longer body is refused whole.
 const maxPredictBody = 16 << 20
 
 func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
@@ -239,31 +271,22 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "POST required", http.StatusMethodNotAllowed)
 		return
 	}
-	var body PredictRequest
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxPredictBody))
-	if err := dec.Decode(&body); err != nil {
-		http.Error(w, "bad request body: "+err.Error(), http.StatusBadRequest)
+	c := s.calls.Get().(*call)
+	if err := c.read(w, r, s.inLen); err != nil {
+		http.Error(w, err.Error(), http.StatusBadRequest)
+		s.release(c)
 		return
-	}
-	if len(body.Inputs) == 0 {
-		http.Error(w, "no inputs", http.StatusBadRequest)
-		return
-	}
-	for i, in := range body.Inputs {
-		if len(in) != s.inLen {
-			http.Error(w, fmt.Sprintf("input %d has %d features, want %d", i, len(in), s.inLen),
-				http.StatusBadRequest)
-			return
-		}
 	}
 
 	// Admit each sample separately: they may land in different
 	// micro-batches (and even different model versions under a swap; the
-	// response reports the newest).
+	// response reports the newest). From here on the call is released only
+	// once every admitted request has been answered.
 	now := time.Now()
-	reqs := make([]*request, 0, len(body.Inputs))
-	for _, in := range body.Inputs {
-		req := &request{x: in, enq: now, resp: make(chan result, 1)}
+	reqs := c.requests(len(c.samples))
+	for i, in := range c.samples {
+		req := &reqs[i]
+		req.x, req.enq = in, now
 		s.requests.Inc()
 		if shed, draining := s.enqueue(req); draining {
 			http.Error(w, "server draining", http.StatusServiceUnavailable)
@@ -274,12 +297,11 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 			http.Error(w, "overloaded: admission queue full", http.StatusTooManyRequests)
 			return
 		}
-		reqs = append(reqs, req)
 	}
 
-	resp := PredictResponse{Predictions: make([]Prediction, 0, len(reqs))}
-	for _, req := range reqs {
-		res := <-req.resp
+	resp := PredictResponse{Predictions: c.preds[:0]}
+	for i := range reqs {
+		res := <-reqs[i].resp
 		if res.err != nil {
 			http.Error(w, res.err.Error(), http.StatusServiceUnavailable)
 			return
@@ -290,8 +312,47 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 		}
 		resp.Predictions = append(resp.Predictions, Prediction{Class: res.class, Probs: res.probs})
 	}
-	w.Header().Set("Content-Type", "application/json")
-	json.NewEncoder(w).Encode(resp)
+	c.preds = resp.Predictions
+	c.out.Reset()
+	if err := json.NewEncoder(&c.out).Encode(resp); err != nil {
+		// A NaN probability, from a version whose weights are not finite.
+		http.Error(w, "encode answer: "+err.Error(), http.StatusInternalServerError)
+	} else {
+		w.Header().Set("Content-Type", "application/json")
+		w.Write(c.out.Bytes())
+	}
+	s.release(c)
+}
+
+// read reads and parses a /predict body into c, and checks that it holds
+// samples of inLen features.
+func (c *call) read(w http.ResponseWriter, r *http.Request, inLen int) error {
+	c.body.Reset()
+	if _, err := c.body.ReadFrom(http.MaxBytesReader(w, r.Body, maxPredictBody)); err != nil {
+		return fmt.Errorf("bad request body: %v", err)
+	}
+	var err error
+	if c.samples, err = c.p.parse(c.body.Bytes(), c.samples); err != nil {
+		return fmt.Errorf("bad request body: %v", err)
+	}
+	if len(c.samples) == 0 {
+		return errors.New("no inputs")
+	}
+	for i, in := range c.samples {
+		if len(in) != inLen {
+			return fmt.Errorf("input %d has %d features, want %d", i, len(in), inLen)
+		}
+	}
+	return nil
+}
+
+// release returns a call whose requests have all been answered to the pool.
+func (s *Server) release(c *call) {
+	if c.body.Cap() > maxPooledBody {
+		return
+	}
+	clear(c.preds)
+	s.calls.Put(c)
 }
 
 func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
@@ -336,60 +397,91 @@ func (s *Server) handleStatsz(w http.ResponseWriter, _ *http.Request) {
 
 // --- batch runner ---
 
+// replica is one runner's model state: its private model, the inference view
+// it serves through, the version they hold, and one input buffer of MaxBatch
+// samples that every batch is copied into.
+type replica struct {
+	model  *nn.Model
+	view   *nn.View
+	seq    int64
+	source string
+	in     []float32
+	x      []*tensor.Tensor // x[n-1] views the first n samples of in
+}
+
+func (s *Server) newReplica() *replica {
+	return &replica{seq: -1, in: make([]float32, s.cfg.MaxBatch*s.inLen),
+		x: make([]*tensor.Tensor, s.cfg.MaxBatch)}
+}
+
+// rows returns the tensor view of the first n samples of the input buffer,
+// made once per batch size.
+func (s *Server) rows(rp *replica, n int) *tensor.Tensor {
+	if rp.x[n-1] == nil {
+		spec := s.cfg.Registry.Spec()
+		rp.x[n-1] = tensor.FromSlice(rp.in[:n*s.inLen], n, spec.Channels, spec.Height, spec.Width)
+	}
+	return rp.x[n-1]
+}
+
 // runner owns one private model replica and executes micro-batches until
-// the queue closes and drains. It serves through one inference view of that
-// replica (nn.View), built once: f32 with Dense weights packed once per
-// version, or int8. Version swaps happen between batches: the runner
-// compares its sequence against the registry on every batch and, when it
-// changed, restores the replica from the new checkpoint and repacks the view
-// in place, so requests already in a batch always finish on the version
-// they started with and a swap allocates nothing.
+// the queue closes and drains. It keeps one batch slice and one replica for
+// its lifetime, so a batch allocates only its answers.
 func (s *Server) runner() {
 	defer s.runners.Done()
-	var model *nn.Model
-	var view *nn.View
-	seq := int64(-1)
-	var source string
+	rp := s.newReplica()
+	batch := make([]*request, 0, s.cfg.MaxBatch)
 	few := 0 // batches in a row that held fewer than yieldFew requests
 	for {
 		first, ok := s.next(few)
 		if !ok {
 			return
 		}
-		batch := s.collect(first)
+		batch = s.collect(batch[:0], first)
 		if len(batch) >= yieldFew {
 			few = 0
 		} else {
 			few++
 		}
 		s.qDepth.Set(int64(len(s.queue)))
-
-		v := s.cfg.Registry.Current()
-		if v == nil {
-			s.fail(batch, errNoModel)
-			continue
-		}
-		if v.Seq != seq {
-			if view == nil {
-				model = s.cfg.Registry.Spec().BuildZero()
-				if s.cfg.Quantized {
-					view = nn.NewQuantView(model)
-				} else {
-					view = nn.NewView(model)
-				}
-			}
-			if err := model.Restore(v.Ckpt); err != nil {
-				// Validated at publish; only memory corruption gets here.
-				s.fail(batch, fmt.Errorf("serve: restore version %d: %w", v.Seq, err))
-				seq = -1
-				continue
-			}
-			view.Repack()
-			seq, source = v.Seq, v.Source
-		}
-
-		s.run(view, seq, source, batch)
+		s.serveBatch(rp, batch)
+		clear(batch) // the requests now belong to their handlers
 	}
+}
+
+// serveBatch answers one batch from the registry's current version. The
+// replica serves through one inference view (nn.View), built once: f32 with
+// Dense weights packed once per version, or int8. Version swaps happen
+// between batches: the sequence is compared against the registry on every
+// batch and, when it changed, the replica is restored from the new
+// checkpoint and its view repacked in place, so requests already in a batch
+// always finish on the version they started with and a swap allocates
+// nothing.
+func (s *Server) serveBatch(rp *replica, batch []*request) {
+	v := s.cfg.Registry.Current()
+	if v == nil {
+		s.fail(batch, errNoModel)
+		return
+	}
+	if v.Seq != rp.seq {
+		if rp.view == nil {
+			rp.model = s.cfg.Registry.Spec().BuildZero()
+			if s.cfg.Quantized {
+				rp.view = nn.NewQuantView(rp.model)
+			} else {
+				rp.view = nn.NewView(rp.model)
+			}
+		}
+		if err := rp.model.Restore(v.Ckpt); err != nil {
+			// Validated at publish; only memory corruption gets here.
+			s.fail(batch, fmt.Errorf("serve: restore version %d: %w", v.Seq, err))
+			rp.seq = -1
+			return
+		}
+		rp.view.Repack()
+		rp.seq, rp.source = v.Seq, v.Source
+	}
+	s.run(rp, batch)
 }
 
 // next takes the request a batch starts from and reports false once the
@@ -421,13 +513,13 @@ const (
 	yieldProbe = 256
 )
 
-// collect assembles a micro-batch around the first request: it takes
-// whatever is already queued, up to MaxBatch, and never waits for more. The
-// queue sizes the batch: under light load a request runs alone at once, and
-// under heavy load every request that arrived during the last forward pass
-// rides in the next.
-func (s *Server) collect(first *request) []*request {
-	batch := append(make([]*request, 0, s.cfg.MaxBatch), first)
+// collect assembles a micro-batch in batch around the first request: it
+// takes whatever is already queued, up to MaxBatch, and never waits for
+// more. The queue sizes the batch: under light load a request runs alone at
+// once, and under heavy load every request that arrived during the last
+// forward pass rides in the next.
+func (s *Server) collect(batch []*request, first *request) []*request {
+	batch = append(batch, first)
 	for len(batch) < s.cfg.MaxBatch {
 		select {
 		case r, ok := <-s.queue:
@@ -442,17 +534,17 @@ func (s *Server) collect(first *request) []*request {
 	return batch
 }
 
-// run executes one micro-batch as a single forward pass and fans the rows
-// back out to their requests. The batch is recorded before anyone is
-// answered, so a caller that reads the metrics after its answer sees its own
-// request counted.
-func (s *Server) run(view *nn.View, seq int64, source string, batch []*request) {
-	spec := s.cfg.Registry.Spec()
-	x := tensor.New(len(batch), spec.Channels, spec.Height, spec.Width)
+// run executes one micro-batch as a single forward pass over the first
+// len(batch) samples of the replica's input buffer and fans the rows back
+// out to their requests. The batch is recorded before anyone is answered, so
+// a caller that reads the metrics after its answer sees its own request
+// counted. A request is not touched after its answer is sent: its handler
+// may then hand the record, and the sample it points into, to another call.
+func (s *Server) run(rp *replica, batch []*request) {
 	for i, req := range batch {
-		copy(x.Data[i*s.inLen:(i+1)*s.inLen], req.x)
+		copy(rp.in[i*s.inLen:(i+1)*s.inLen], req.x)
 	}
-	logits := view.Forward(x)
+	logits := rp.view.Forward(s.rows(rp, len(batch)))
 	now := time.Now()
 	for _, req := range batch {
 		s.hLatency.Observe(now.Sub(req.enq).Seconds())
@@ -462,7 +554,7 @@ func (s *Server) run(view *nn.View, seq int64, source string, batch []*request) 
 	s.hBatch.Observe(float64(len(batch)))
 	for i, req := range batch {
 		probs, class := softmaxRow(logits.Data[i*s.classes : (i+1)*s.classes])
-		req.resp <- result{seq: seq, source: source, class: class, probs: probs}
+		req.resp <- result{seq: rp.seq, source: rp.source, class: class, probs: probs}
 	}
 }
 

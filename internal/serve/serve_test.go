@@ -9,6 +9,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"runtime"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -189,7 +190,7 @@ func TestCollectTakesWhatIsQueued(t *testing.T) {
 				if closed {
 					close(s.queue)
 				}
-				batch := s.collect(first)
+				batch := s.collect(make([]*request, 0, maxBatch), first)
 				want := append([]*request{first}, reqs...)[:min(queued+1, maxBatch)]
 				if len(batch) != len(want) {
 					t.Fatalf("MaxBatch %d, %d queued, closed %v: batch of %d, want %d",
@@ -327,6 +328,137 @@ func sameBits(a, b []float32) bool {
 		}
 	}
 	return true
+}
+
+// A version whose weights are all NaN passes Publish (the registry checks a
+// checkpoint's layout, not its values), and its answers hold NaN
+// probabilities, which JSON cannot carry: the client gets a 500 that says
+// so, not a 200 with an empty body.
+func TestPredictUnencodableAnswerIs500(t *testing.T) {
+	s, reg, _ := newTestServer(t, Config{})
+	m := testSpec().Build()
+	for _, p := range m.Params() {
+		for i := range p.W.Data {
+			p.W.Data[i] = float32(math.NaN())
+		}
+	}
+	if err := reg.Publish(2, "nan", m.Checkpoint()); err != nil {
+		t.Fatal(err)
+	}
+	rec, _ := postPredict(t, s, PredictRequest{Inputs: [][]float32{sampleInput()}})
+	if rec.Code != http.StatusInternalServerError || !strings.Contains(rec.Body.String(), "NaN") {
+		t.Fatalf("status %d, body %q; want 500 naming the NaN", rec.Code, rec.Body)
+	}
+}
+
+// A runner's batch allocates only its answers (one probability slice per
+// request): the input buffer, its tensor views and the batch slice are the
+// runner's own, made once.
+func TestBatchAllocatesOnlyItsAnswers(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation count")
+	}
+	s, _, _ := newTestServer(t, Config{MaxBatch: 4})
+	rp := s.newReplica()
+	for n := 1; n <= 4; n++ {
+		reqs := make([]request, n)
+		batch := make([]*request, n)
+		for i := range reqs {
+			reqs[i] = request{x: sampleInput(), resp: make(chan result, 1)}
+			batch[i] = &reqs[i]
+		}
+		allocs := testing.AllocsPerRun(20, func() {
+			s.serveBatch(rp, batch)
+			for _, r := range batch {
+				if res := <-r.resp; res.err != nil {
+					t.Fatal(res.err)
+				}
+			}
+		})
+		if allocs != float64(n) {
+			t.Fatalf("a batch of %d allocates %v times, want %d (its answers)", n, allocs, n)
+		}
+	}
+}
+
+// A call whose requests are shed returns with some of them still queued, and
+// those still read the call's request records and floats, so the call must
+// not be reused until a runner has answered them. Multi-sample requests shed
+// against a small queue, beside single-sample requests of distinct inputs
+// whose answers are checked bit for bit against a direct forward of their
+// own input: a call reused while its requests are queued sends a record
+// through the queue twice, so answers cross, and under -race its reuse
+// races with the runner's read.
+func TestShedCallsKeepTheirState(t *testing.T) {
+	s, _, metrics := newTestServer(t, Config{MaxBatch: 4, QueueDepth: 4})
+	spec := testSpec()
+	spec.Seed = 1 // the version newTestServer publishes
+	model := spec.Build()
+	const distinct = 4
+	single := make([]string, distinct)
+	want := make([][]float32, distinct)
+	for k := range single {
+		text, in := testSample(k)
+		single[k] = `{"inputs":[` + text + `]}`
+		x := tensor.New(1, spec.Channels, spec.Height, spec.Width)
+		copy(x.Data, in)
+		want[k], _ = softmaxRow(model.Forward(x).Data)
+	}
+	text, _ := testSample(distinct)
+	multi := `{"inputs":[` + strings.Repeat(text+",", 7) + text + `]}`
+	post := func(body string) *httptest.ResponseRecorder {
+		rec := httptest.NewRecorder()
+		s.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/predict", strings.NewReader(body)))
+		return rec
+	}
+
+	const clients, perClient = 3, 60
+	var checked atomic.Int64
+	var wg sync.WaitGroup
+	for c := 0; c < clients; c++ {
+		wg.Add(2)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < perClient; i++ {
+				if rec := post(multi); rec.Code != http.StatusOK && rec.Code != http.StatusTooManyRequests {
+					t.Errorf("multi-sample request: status %d", rec.Code)
+					return
+				}
+			}
+		}()
+		go func(c int) {
+			defer wg.Done()
+			for i := 0; i < perClient; i++ {
+				k := (c + i) % distinct
+				rec := post(single[k])
+				if rec.Code == http.StatusTooManyRequests {
+					continue
+				}
+				if rec.Code != http.StatusOK {
+					t.Errorf("single-sample request: status %d", rec.Code)
+					return
+				}
+				var resp PredictResponse
+				if err := json.Unmarshal(rec.Body.Bytes(), &resp); err != nil {
+					t.Errorf("bad response body: %v", err)
+					return
+				}
+				if len(resp.Predictions) != 1 || !sameBits(resp.Predictions[0].Probs, want[k]) {
+					t.Errorf("input %d answered %+v, its direct forward gives %v", k, resp.Predictions, want[k])
+					return
+				}
+				checked.Add(1)
+			}
+		}(c)
+	}
+	wg.Wait()
+	if t.Failed() {
+		t.FailNow()
+	}
+	if metrics.Counter("serve.sheds").Load() == 0 || checked.Load() == 0 {
+		t.Fatalf("%d sheds, %d answers checked: the load did not mix both",
+			metrics.Counter("serve.sheds").Load(), checked.Load())
+	}
 }
 
 // A multi-sample request larger than the queue must shed with 429 and set
