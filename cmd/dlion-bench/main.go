@@ -13,12 +13,18 @@
 //	dlion-bench -serve          # serving load benchmark -> BENCH_serve.json
 //	dlion-bench -sim -sim-n 128 -cpuprofile sim.pprof
 //	                            # DES throughput workloads, profiled
+//
+// -cpuprofile, -memprofile and -debug-addr apply to every mode: the CPU
+// profile and the debug server span the whole run, and the heap profile is
+// written after it.
 package main
 
 import (
 	"flag"
 	"fmt"
 	"os"
+	"runtime"
+	"runtime/pprof"
 	"strings"
 	"time"
 
@@ -26,49 +32,100 @@ import (
 	"dlion/internal/obs"
 )
 
+var (
+	expID   = flag.String("exp", "", "run a single experiment id (default: all)")
+	profile = flag.String("profile", "fast", "profile: fast or std")
+	list    = flag.Bool("list", false, "list experiment ids and exit")
+	out     = flag.String("out", "", "also write a markdown report to this file")
+	jsonOut = flag.String("json", "", "also write a BENCH JSON report (METRICS.md schema) to this file")
+	srvMode = flag.Bool("serve", false, "run the serving load benchmark instead of the experiments")
+	simMode = flag.Bool("sim", false, "run the DES throughput workloads instead of the experiments")
+	dbgAddr = flag.String("debug-addr", "", "serve pprof + expvar on this address while running")
+	cpuProf = flag.String("cpuprofile", "", "write a CPU profile of the run to this file")
+	memProf = flag.String("memprofile", "", "write a post-run heap profile to this file")
+)
+
 func main() {
-	var (
-		expID   = flag.String("exp", "", "run a single experiment id (default: all)")
-		profile = flag.String("profile", "fast", "profile: fast or std")
-		list    = flag.Bool("list", false, "list experiment ids and exit")
-		out     = flag.String("out", "", "also write a markdown report to this file")
-		jsonOut = flag.String("json", "", "also write a BENCH JSON report (METRICS.md schema) to this file")
-		dbgAddr = flag.String("debug-addr", "", "serve pprof + expvar on this address while running")
-		srvMode = flag.Bool("serve", false, "run the serving load benchmark instead of the experiments")
-		simMode = flag.Bool("sim", false, "run the DES throughput workloads instead of the experiments")
-	)
 	flag.Parse()
+	os.Exit(run())
+}
 
-	if *srvMode {
-		if err := runServeBench(*jsonOut); err != nil {
-			fmt.Fprintln(os.Stderr, "dlion-bench:", err)
-			os.Exit(1)
-		}
-		return
-	}
-	if *simMode {
-		if err := runSimBench(*jsonOut); err != nil {
-			fmt.Fprintln(os.Stderr, "dlion-bench:", err)
-			os.Exit(1)
-		}
-		return
-	}
-
+// run sets up the profiling flags once, runs the selected mode and returns
+// the exit status.
+func run() (code int) {
 	if *dbgAddr != "" {
 		dbg, err := obs.ServeDebug(*dbgAddr, nil)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "dlion-bench:", err)
-			os.Exit(1)
+			return fail(err)
 		}
 		defer dbg.Close()
 		fmt.Println("debug server on", dbg.Addr())
 	}
+	if *cpuProf != "" {
+		f, err := os.Create(*cpuProf)
+		if err != nil {
+			return fail(err)
+		}
+		if err := pprof.StartCPUProfile(f); err != nil {
+			f.Close()
+			return fail(err)
+		}
+		defer func() {
+			pprof.StopCPUProfile()
+			if err := f.Close(); err != nil {
+				code = fail(err)
+			}
+		}()
+	}
 
+	switch {
+	case *srvMode:
+		code = exitCode(runServeBench(*jsonOut))
+	case *simMode:
+		code = exitCode(runSimBench(*jsonOut))
+	default:
+		code = runExperiments()
+	}
+	if *memProf != "" {
+		if err := writeHeapProfile(*memProf); err != nil {
+			return fail(err)
+		}
+	}
+	return code
+}
+
+func fail(err error) int {
+	fmt.Fprintln(os.Stderr, "dlion-bench:", err)
+	return 1
+}
+
+func exitCode(err error) int {
+	if err != nil {
+		return fail(err)
+	}
+	return 0
+}
+
+func writeHeapProfile(path string) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	runtime.GC()
+	err = pprof.WriteHeapProfile(f)
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	return err
+}
+
+// runExperiments regenerates the paper's tables and figures.
+func runExperiments() int {
 	if *list {
 		for _, e := range experiments.All() {
 			fmt.Printf("%-16s %s\n", e.ID, e.Title)
 		}
-		return
+		return 0
 	}
 
 	var p experiments.Profile
@@ -79,7 +136,7 @@ func main() {
 		p = experiments.Standard()
 	default:
 		fmt.Fprintf(os.Stderr, "unknown profile %q (want fast or std)\n", *profile)
-		os.Exit(2)
+		return 2
 	}
 
 	var todo []experiments.Experiment
@@ -87,7 +144,7 @@ func main() {
 		e, err := experiments.ByID(*expID)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, err)
-			os.Exit(2)
+			return 2
 		}
 		todo = []experiments.Experiment{e}
 	} else {
@@ -135,18 +192,19 @@ func main() {
 	if *out != "" {
 		if err := os.WriteFile(*out, []byte(md.String()), 0o644); err != nil {
 			fmt.Fprintln(os.Stderr, "write report:", err)
-			os.Exit(1)
+			return 1
 		}
 		fmt.Println("report written to", *out)
 	}
 	if *jsonOut != "" {
 		if err := jr.WriteFile(*jsonOut); err != nil {
 			fmt.Fprintln(os.Stderr, "write json report:", err)
-			os.Exit(1)
+			return 1
 		}
 		fmt.Println("json report written to", *jsonOut)
 	}
 	if failed > 0 {
-		os.Exit(1)
+		return 1
 	}
+	return 0
 }

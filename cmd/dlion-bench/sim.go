@@ -3,9 +3,6 @@ package main
 import (
 	"flag"
 	"fmt"
-	"os"
-	"runtime"
-	"runtime/pprof"
 	"strconv"
 	"strings"
 	"time"
@@ -19,8 +16,6 @@ var (
 	simSizes = flag.String("sim-n", "32,128", "comma-separated worker counts; sizes >= 256 run as 4-cloud federations")
 	simChurn = flag.Bool("sim-churn", false, "add the join/leave churn schedule (flat-mesh sizes only)")
 	simRuns  = flag.Int("sim-runs", 1, "runs per size (throughput is averaged)")
-	cpuProf  = flag.String("cpuprofile", "", "write a CPU profile of the measured runs to this file")
-	memProf  = flag.String("memprofile", "", "write a post-run heap profile to this file")
 )
 
 // runSimBench drives the canonical DES throughput workloads
@@ -30,7 +25,7 @@ var (
 //
 //	dlion-bench -sim -sim-n 128 -cpuprofile sim.pprof -memprofile sim.mprof
 //
-// The profiles cover only the measured runs; go tool pprof reads them
+// The profiles, set up in main, cover the run; go tool pprof reads them
 // directly. With -json, an obs BENCH report of the events/s figures is
 // written alongside.
 func runSimBench(jsonPath string) error {
@@ -48,18 +43,6 @@ func runSimBench(jsonPath string) error {
 	}
 	if len(sizes) == 0 {
 		return fmt.Errorf("-sim-n selected no sizes")
-	}
-
-	if *cpuProf != "" {
-		f, err := os.Create(*cpuProf)
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		if err := pprof.StartCPUProfile(f); err != nil {
-			return err
-		}
-		defer pprof.StopCPUProfile()
 	}
 
 	jr := obs.NewReport("sim-bench", "dlion-bench/sim")
@@ -95,17 +78,6 @@ func runSimBench(jsonPath string) error {
 		})
 	}
 
-	if *memProf != "" {
-		f, err := os.Create(*memProf)
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		runtime.GC()
-		if err := pprof.WriteHeapProfile(f); err != nil {
-			return err
-		}
-	}
 	if jsonPath != "" {
 		if err := jr.WriteFile(jsonPath); err != nil {
 			return err

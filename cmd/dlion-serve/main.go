@@ -33,7 +33,6 @@ import (
 	"dlion/internal/obs"
 	"dlion/internal/queue"
 	"dlion/internal/serve"
-	"dlion/internal/tensor"
 )
 
 func main() {
@@ -59,7 +58,6 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		maxBatch = fs.Int("max-batch", 16, "max requests coalesced into one forward pass")
 		qDepth   = fs.Int("queue", 256, "admission queue depth; beyond it requests shed with 429")
 		runners  = fs.Int("runners", 1, "concurrent batch runners (each holds a model replica)")
-		int8Mode = fs.Bool("int8", false, "serve int8-quantized replicas (repacked on every version swap)")
 		dbgAddr  = fs.String("debug-addr", "", "serve pprof + expvar on this address (see METRICS.md)")
 	)
 	if err := fs.Parse(args); err != nil {
@@ -130,23 +128,15 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintf(stdout, "subscribed to %s on %s\n", serve.WeightsChannel, *broker)
 	}
 
-	if *int8Mode {
-		tensor.AttachQuantMetrics(metrics)
-	}
 	srv, err := serve.Listen(serve.Config{
 		Registry: reg, Metrics: metrics,
 		MaxBatch: *maxBatch, QueueDepth: *qDepth, Runners: *runners,
-		Quantized: *int8Mode,
 	}, *addr)
 	if err != nil {
 		return fail(err)
 	}
-	mode := "f32"
-	if *int8Mode {
-		mode = "int8"
-	}
-	fmt.Fprintf(stdout, "serving on %s (batch<=%d, queue %d, %s)\n",
-		srv.Addr(), *maxBatch, *qDepth, mode)
+	fmt.Fprintf(stdout, "serving on %s (batch<=%d, queue %d)\n",
+		srv.Addr(), *maxBatch, *qDepth)
 
 	<-ctx.Done()
 

@@ -31,10 +31,10 @@ func benchForward(b *testing.B, batch int) {
 	}
 }
 
-// benchView is benchForward through an inference view of the model, the
-// forward a serve runner runs.
-func benchView(b *testing.B, view func(*Model) *View, batch int) {
-	v := view(CipherSpec(1, 16, 16, 10, 1).Build())
+// benchView is benchForward through the model's inference view, the forward
+// a serve runner runs.
+func benchView(b *testing.B, batch int) {
+	v := NewView(CipherSpec(1, 16, 16, 10, 1).Build())
 	x, _ := benchBatch(b, batch)
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -60,13 +60,11 @@ func BenchmarkCipherForward32(b *testing.B) { benchForward(b, 32) }
 
 // BenchmarkCipherServedForward1 is the serving shape through the f32 view a
 // serve runner uses: Dense weights packed once, not per forward.
-func BenchmarkCipherServedForward1(b *testing.B) { benchView(b, NewView, 1) }
+func BenchmarkCipherServedForward1(b *testing.B) { benchView(b, 1) }
 
-func BenchmarkCipherServedForward8(b *testing.B) { benchView(b, NewView, 8) }
-
-// BenchmarkCipherQuantForward8 is the int8 view at the fill 32 clients give
-// one batching runner.
-func BenchmarkCipherQuantForward8(b *testing.B) { benchView(b, NewQuantView, 8) }
+// BenchmarkCipherServedForward8 is the view at the fill 32 clients give one
+// batching runner.
+func BenchmarkCipherServedForward8(b *testing.B) { benchView(b, 8) }
 
 // BenchmarkCipherTrainStep2 is the dense-exchange training shape (LBS 2).
 func BenchmarkCipherTrainStep2(b *testing.B) { benchTrainStep(b, 2) }

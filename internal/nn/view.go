@@ -2,11 +2,11 @@ package nn
 
 import "dlion/internal/tensor"
 
-// View is an inference-only view of a Model whose matmul weights are packed
-// once per weight version, for serving. NewView packs the Dense weights into
-// the f32 panels the matmul engine sweeps, and for finite weights its logits
-// are bit-identical to Model.Forward's; NewQuantView packs the Dense and Conv2D weights to
-// int8 (see quant.go). Every other layer runs its own Forward.
+// View is an inference-only view of a Model whose Dense weights are packed
+// once per weight version, for serving: NewView packs them into the f32
+// panels the matmul engine sweeps, and for finite weights the view's logits
+// are bit-identical to Model.Forward's. Every other layer runs its own
+// Forward.
 //
 // A view shares its model's layers and their arenas, so it inherits the
 // Model's single-goroutine contract, and a Forward's output stays valid only
@@ -17,10 +17,12 @@ type View struct {
 	layers []viewLayer
 }
 
-// viewLayer is one inference-only layer of a view.
-type viewLayer interface {
-	forward(x *tensor.Tensor) *tensor.Tensor
-	repack()
+// viewLayer is one layer of a view: a Dense layer with its packed weights,
+// or any other layer with d and w nil.
+type viewLayer struct {
+	l Layer
+	d *Dense
+	w *tensor.PackedB
 }
 
 // NewView packs m's Dense weights and returns the f32 inference view.
@@ -28,11 +30,11 @@ type viewLayer interface {
 func NewView(m *Model) *View {
 	v := &View{}
 	for _, l := range m.Layers {
+		vl := viewLayer{l: l}
 		if d, ok := l.(*Dense); ok {
-			v.layers = append(v.layers, pDense{d, tensor.PackTransB(d.w.W)})
-			continue
+			vl.d, vl.w = d, tensor.PackTransB(d.w.W)
 		}
-		v.layers = append(v.layers, passLayer{l})
+		v.layers = append(v.layers, vl)
 	}
 	return v
 }
@@ -40,30 +42,21 @@ func NewView(m *Model) *View {
 // Forward runs the view on x and returns logits. Like Model.Forward, the
 // result is valid only until the next Forward.
 func (v *View) Forward(x *tensor.Tensor) *tensor.Tensor {
-	for _, l := range v.layers {
-		x = l.forward(x)
+	for _, vl := range v.layers {
+		if vl.d != nil {
+			x = vl.d.forward(x, vl.w)
+		} else {
+			x = vl.l.Forward(x)
+		}
 	}
 	return x
 }
 
 // Repack refills every packed weight from the model's current values.
 func (v *View) Repack() {
-	for _, l := range v.layers {
-		l.repack()
+	for _, vl := range v.layers {
+		if vl.w != nil {
+			vl.w.Repack()
+		}
 	}
 }
-
-// passLayer runs a layer that is not packed through its own Forward.
-type passLayer struct{ l Layer }
-
-func (p passLayer) forward(x *tensor.Tensor) *tensor.Tensor { return p.l.Forward(x) }
-func (passLayer) repack()                                   {}
-
-// pDense is the f32 Dense forward over the weight packed once.
-type pDense struct {
-	d *Dense
-	w *tensor.PackedB
-}
-
-func (z pDense) forward(x *tensor.Tensor) *tensor.Tensor { return z.d.forward(x, z.w) }
-func (z pDense) repack()                                 { z.w.Repack() }

@@ -177,8 +177,7 @@ func (r *Registry) Gauge(name string) *Gauge {
 
 // AttachFunc registers a value another package owns under name, read
 // through load at every snapshot, so package-level counters in packages obs
-// cannot import (the tensor kernels' int8 matmul time) appear in snapshots
-// and expvar next to registry-born ones. Re-attaching a name replaces the
+// cannot import appear in snapshots and expvar next to registry-born ones. Re-attaching a name replaces the
 // previous reader. No-op on a nil registry or nil load.
 func (r *Registry) AttachFunc(name string, load func() int64) {
 	if r == nil || load == nil {

@@ -47,15 +47,6 @@ type Config struct {
 	// Model.Forward's.
 	Runners int
 
-	// Quantized switches runners to int8 inference: each runner's view
-	// (nn.NewQuantView) packs per-output-channel int8 Dense and Conv2D
-	// weights, quantizes activations per row, and is repacked in place on
-	// every version swap, like the f32 view. Predictions stay
-	// deterministic; logits carry int8 quantization error (see WIRE.md
-	// §precision model and EXPERIMENTS.md for the accuracy/throughput
-	// trade).
-	Quantized bool
-
 	// Metrics, when non-nil, receives the serve.* counters, gauges, and
 	// latency/batch histograms (METRICS.md). Nil runs uninstrumented.
 	Metrics *obs.Registry
@@ -379,9 +370,8 @@ func (s *Server) handleModelz(w http.ResponseWriter, _ *http.Request) {
 	resp := map[string]any{
 		"seq": v.Seq, "source": v.Source, "at": v.At,
 		"model": s.cfg.Registry.Spec().Kind, "ckpt_bytes": len(v.Ckpt),
-		"quantized": s.cfg.Quantized,
-		"digest":    v.Digest,
-		"chain":     s.cfg.Registry.Chain(),
+		"digest": v.Digest,
+		"chain":  s.cfg.Registry.Chain(),
 	}
 	if v.Manifest != nil {
 		resp["manifest"] = v.Manifest
@@ -450,8 +440,8 @@ func (s *Server) runner() {
 }
 
 // serveBatch answers one batch from the registry's current version. The
-// replica serves through one inference view (nn.View), built once: f32 with
-// Dense weights packed once per version, or int8. Version swaps happen
+// replica serves through one inference view (nn.View), built once, whose
+// Dense weights are packed once per version. Version swaps happen
 // between batches: the sequence is compared against the registry on every
 // batch and, when it changed, the replica is restored from the new
 // checkpoint and its view repacked in place, so requests already in a batch
@@ -466,11 +456,7 @@ func (s *Server) serveBatch(rp *replica, batch []*request) {
 	if v.Seq != rp.seq {
 		if rp.view == nil {
 			rp.model = s.cfg.Registry.Spec().BuildZero()
-			if s.cfg.Quantized {
-				rp.view = nn.NewQuantView(rp.model)
-			} else {
-				rp.view = nn.NewView(rp.model)
-			}
+			rp.view = nn.NewView(rp.model)
 		}
 		if err := rp.model.Restore(v.Ckpt); err != nil {
 			// Validated at publish; only memory corruption gets here.

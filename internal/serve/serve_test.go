@@ -712,55 +712,3 @@ func ExampleServer() {
 	fmt.Println(`POST /predict {"inputs": [[...]]} -> {"model_seq": 1, "predictions": [{"class": 3, "probs": [...]}]}`)
 	// Output: POST /predict {"inputs": [[...]]} -> {"model_seq": 1, "predictions": [{"class": 3, "probs": [...]}]}
 }
-
-// TestQuantizedServing: an int8 server answers correctly, repacks across a
-// version swap, and agrees with the f32 server's classes on the same
-// checkpoint for a spread of inputs.
-func TestQuantizedServing(t *testing.T) {
-	f32, _, _ := newTestServer(t, Config{MaxBatch: 4})
-	q, reg, _ := newTestServer(t, Config{MaxBatch: 4, Quantized: true})
-
-	inputs := make([][]float32, 6)
-	for j := range inputs {
-		in := make([]float32, 3*8*8)
-		for i := range in {
-			in[i] = float32((i*7+j*13)%23)/23 - 0.4
-		}
-		inputs[j] = in
-	}
-	_, refResp := postPredict(t, f32, PredictRequest{Inputs: inputs})
-	_, qResp := postPredict(t, q, PredictRequest{Inputs: inputs})
-	if refResp == nil || qResp == nil {
-		t.Fatal("predict failed")
-	}
-	agree := 0
-	for i := range inputs {
-		if refResp.Predictions[i].Class == qResp.Predictions[i].Class {
-			agree++
-		}
-	}
-	if agree < len(inputs)-1 {
-		t.Fatalf("quantized classes agree on %d/%d inputs", agree, len(inputs))
-	}
-
-	// Swap versions: the quantized runner must repack, not keep stale int8
-	// weights. Serving still answers and reports the new sequence.
-	if err := reg.Publish(2, "swap", testCkpt(t, 2)); err != nil {
-		t.Fatal(err)
-	}
-	_, resp := postPredict(t, q, PredictRequest{Inputs: inputs[:1]})
-	if resp == nil || resp.ModelSeq != 2 {
-		t.Fatalf("post-swap response %+v", resp)
-	}
-
-	// Modelz advertises the quantized mode.
-	rec := httptest.NewRecorder()
-	q.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/modelz", nil))
-	var mz map[string]any
-	if err := json.Unmarshal(rec.Body.Bytes(), &mz); err != nil {
-		t.Fatal(err)
-	}
-	if mz["quantized"] != true {
-		t.Fatalf("modelz quantized = %v", mz["quantized"])
-	}
-}

@@ -31,41 +31,6 @@ func BenchmarkMatMulTransB128(b *testing.B) {
 	}
 }
 
-// BenchmarkInt8MatMul128 is the quantized counterpart of
-// BenchmarkMatMulTransB128: packed int8 weights, on-the-fly activation
-// quantization excluded (weights pack once per Restore on the serve path).
-func BenchmarkInt8MatMul128(b *testing.B) {
-	r := newTestRand(2)
-	const m, k, n = 128, 128, 128
-	x := randTensor(r, m, k)
-	w := randTensor(r, n, k)
-	q := PackQuantMat(w.Data, n, k)
-	qa := make([]int16, m*q.PackedK())
-	aScales := make([]float32, m)
-	QuantizeRowsI8(qa, aScales, x.Data, m, k)
-	dst := make([]float32, m*n)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		q.MatMulTransB(dst, qa, aScales, m, nil)
-	}
-}
-
-// BenchmarkInt8QuantizeRows prices the per-call activation quantization that
-// the serve path pays on top of the packed matmul.
-func BenchmarkInt8QuantizeRows(b *testing.B) {
-	r := newTestRand(3)
-	const m, k = 128, 128
-	x := randTensor(r, m, k)
-	qa := make([]int16, m*k)
-	aScales := make([]float32, m)
-	b.SetBytes(4 * m * k)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		QuantizeRowsI8(qa, aScales, x.Data, m, k)
-	}
-}
-
 func BenchmarkIm2Col(b *testing.B) {
 	r := newTestRand(3)
 	in := randTensor(r, 32, 10, 16, 16)

@@ -21,14 +21,6 @@ func mmPanel32(dst *float32, a *float32, pb *float32, k int)
 //go:noescape
 func mmTile4x8(dst *float32, ldc int, a *float32, lda int, pb *float32, k int)
 
-// mmPanelI8x16 computes dst[0:16] = Σ_pp a[2pp]·pb[pp*32+2l] +
-// a[2pp+1]·pb[pp*32+2l+1] with VPMADDWD over int16-widened int8 codes —
-// exact int32 accumulation, bit-identical to mmPanelI8x16Go. dst, a, and pb
-// must point at ≥16 int32, ≥2·kp int16, and ≥32·kp int16 respectively.
-//
-//go:noescape
-func mmPanelI8x16(dst *int32, a *int16, pb *int16, kp int)
-
-// useWideKernel gates the AVX2 matmul kernels (the 32-lane panel and the
-// 4×8 narrow tile) and the int8 VPMADDWD panel kernel.
+// useWideKernel gates the AVX2 matmul kernels: the 32-lane panel and the
+// 4×8 narrow tile.
 var useWideKernel = cpuHasAVX2()

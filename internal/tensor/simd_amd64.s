@@ -106,51 +106,6 @@ t4store:
 	VZEROUPPER
 	RET
 
-// mmPanelI8x16 is the int8 inference kernel (see int8.go): dst[0:16] =
-// Σ_pp a[2pp]·pb[pp*32+2l] + a[2pp+1]·pb[pp*32+2l+1] for l = 0..15. Each
-// step broadcasts one activation k-pair as a dword and runs VPMADDWD against
-// 16 interleaved weight pairs (two YMM loads), accumulating in int32 — exact
-// integer arithmetic, bit-identical to the portable kernel. Operands are
-// int8-range codes widened to int16, so VPMADDWD's only saturation case
-// ((-32768)² in both pair lanes) is unreachable.
-//
-// func mmPanelI8x16(dst *int32, a *int16, pb *int16, kp int)
-TEXT ·mmPanelI8x16(SB), NOSPLIT, $0-32
-	MOVQ dst+0(FP), BX
-	MOVQ a+8(FP), SI
-	MOVQ pb+16(FP), DI
-	MOVQ kp+24(FP), CX
-
-	VPXOR Y0, Y0, Y0
-	VPXOR Y1, Y1, Y1
-
-	TESTQ CX, CX
-	JZ    i8store
-
-	// Pin the loop's start: left to fall where the function lands, this
-	// 35-byte loop moved Int8MatMul128 between 58 and 65 µs when unrelated
-	// code ahead of it in the package changed size. 32-byte alignment was
-	// not enough: starting 32 bytes into a cache line, the loop's last two
-	// instructions spill into the next one, and Int8MatMul128 read 69 µs
-	// against 58.
-	PCALIGN $64
-i8loop:
-	VPBROADCASTD (SI), Y4
-	VPMADDWD     (DI), Y4, Y5
-	VPADDD       Y5, Y0, Y0
-	VPMADDWD     32(DI), Y4, Y6
-	VPADDD       Y6, Y1, Y1
-	ADDQ         $4, SI
-	ADDQ         $64, DI
-	DECQ         CX
-	JNZ          i8loop
-
-i8store:
-	VMOVDQU Y0, (BX)
-	VMOVDQU Y1, 32(BX)
-	VZEROUPPER
-	RET
-
 // func cpuHasAVX2() bool
 TEXT ·cpuHasAVX2(SB), NOSPLIT, $0-1
 	// CPUID leaf 1: ECX bit 27 = OSXSAVE, bit 28 = AVX.

@@ -15,8 +15,3 @@ func mmPanel32(dst *float32, a *float32, pb *float32, k int) {
 func mmTile4x8(dst *float32, ldc int, a *float32, lda int, pb *float32, k int) {
 	panic("tensor: mmTile4x8 without SIMD support")
 }
-
-// mmPanelI8x16 is never called when useWideKernel is false.
-func mmPanelI8x16(dst *int32, a *int16, pb *int16, kp int) {
-	panic("tensor: mmPanelI8x16 without SIMD support")
-}
