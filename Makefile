@@ -1,6 +1,8 @@
 # Tier-1 gate: everything a change must pass before merging.
 # The -race pass covers the concurrency-heavy packages (TCP broker,
-# reconnecting client, real-mode runtime, serving) plus tensor whole (replica
+# reconnecting client, real-mode runtime, serving), cmd/ (the binaries' run
+# tests drive the broker, controller, serve and worker loops in process, up
+# to the context cancel a signal makes) plus tensor whole (replica
 # fan-out, the step slots and the matmul scratch pool are all it shares), the
 # nn checkpoint-vs-Forward and concurrent-replica tests, the sim driver's
 # parallel evaluation reading weights beside the steps in flight, and its
@@ -54,7 +56,7 @@ test:
 	go test ./...
 
 race:
-	go test -race ./internal/bufpool/... ./internal/wire/... ./internal/queue/... ./internal/realtime/... ./internal/serve/... ./internal/jobs/... ./internal/grad/... ./internal/tensor/...
+	go test -race ./internal/bufpool/... ./internal/wire/... ./internal/queue/... ./internal/realtime/... ./internal/serve/... ./internal/jobs/... ./internal/grad/... ./internal/tensor/... ./cmd/...
 	go test -race -run 'Borrow|Own' ./internal/core/... ./internal/cluster/...
 	go test -race -run 'Concurrent' ./internal/nn/... ./internal/obs/...
 	go test -race ./internal/simclock/...

@@ -16,57 +16,64 @@ package main
 
 import (
 	"context"
-	"flag"
 	"fmt"
+	"io"
 	"os"
 	"sort"
 	"strings"
 	"time"
 
+	"dlion/cmd/internal/cli"
 	"dlion/internal/lineage"
 	"dlion/internal/testkit"
 )
 
-func main() {
-	var (
-		manifest  = flag.String("manifest", "", "manifest to verify: a .manifest.json file, or a checkpoint path whose sidecar to read")
-		substrate = flag.String("substrate", "both", "replay substrate: sim, realtime, or both")
-		selfTest  = flag.Bool("self-test", false, "run the built-in seeded-segment + forgery-detection checks instead of auditing a file")
-		timeout   = flag.Duration("timeout", 2*time.Minute, "overall replay deadline")
-	)
-	flag.Parse()
+func main() { cli.Main("dlion-audit", run) }
 
-	ctx, cancel := context.WithTimeout(context.Background(), *timeout)
+func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
+	fs := cli.Flags("dlion-audit", stderr)
+	var (
+		manifest  = fs.String("manifest", "", "manifest to verify: a .manifest.json file, or a checkpoint path whose sidecar to read")
+		substrate = fs.String("substrate", "both", "replay substrate: sim, realtime, or both")
+		selfTest  = fs.Bool("self-test", false, "run the built-in seeded-segment + forgery-detection checks instead of auditing a file")
+		timeout   = fs.Duration("timeout", 2*time.Minute, "overall replay deadline")
+	)
+	if err := cli.Parse(fs, args); err != nil {
+		return err
+	}
+
+	ctx, cancel := context.WithTimeout(ctx, *timeout)
 	defer cancel()
 
 	subs, err := substrates(*substrate)
 	if err != nil {
-		fatal(err)
+		return err
 	}
 
 	if *selfTest {
-		if err := selfCheck(ctx, subs); err != nil {
-			fatal(fmt.Errorf("dlion-audit: self-test: %w", err))
+		if err := selfCheck(ctx, subs, stdout); err != nil {
+			return fmt.Errorf("self-test: %w", err)
 		}
-		fmt.Println("dlion-audit: self-test passed: clean chain verified on", names(subs),
+		fmt.Fprintln(stdout, "dlion-audit: self-test passed: clean chain verified on", names(subs),
 			"and both forgeries (mutated weight, forged parent digest) were detected")
-		return
+		return nil
 	}
 
 	if *manifest == "" {
-		fatal(fmt.Errorf("dlion-audit: -manifest is required (or run -self-test); see -h"))
+		return fmt.Errorf("-manifest is required (or run -self-test); see -h")
 	}
 	man, err := loadManifest(*manifest)
 	if err != nil {
-		fatal(fmt.Errorf("dlion-audit: %w", err))
+		return err
 	}
 	for _, s := range subs {
 		if err := testkit.Audit(ctx, man, s); err != nil {
-			fatal(fmt.Errorf("dlion-audit: VERIFICATION FAILED on %s: %w", s, err))
+			return fmt.Errorf("VERIFICATION FAILED on %s: %w", s, err)
 		}
-		fmt.Printf("dlion-audit: %s: digest %s verified at iter %d (worker %d of %d)\n",
+		fmt.Fprintf(stdout, "dlion-audit: %s: digest %s verified at iter %d (worker %d of %d)\n",
 			s, man.Digest, man.Iter, man.Worker, man.Replay.Workers)
 	}
+	return nil
 }
 
 // substrates parses the -substrate flag into the replay targets to run.
@@ -79,7 +86,7 @@ func substrates(flag string) ([]lineage.Substrate, error) {
 	case "both":
 		return []lineage.Substrate{lineage.SubstrateSim, lineage.SubstrateRealtime}, nil
 	}
-	return nil, fmt.Errorf("dlion-audit: -substrate %q (want sim, realtime, or both)", flag)
+	return nil, fmt.Errorf("-substrate %q (want sim, realtime, or both)", flag)
 }
 
 func names(subs []lineage.Substrate) string {
@@ -113,7 +120,7 @@ func loadManifest(path string) (*lineage.Manifest, error) {
 // seeded parent→child segment chain must verify on every requested
 // substrate, and two forgeries — a single mutated weight value with honestly
 // recomputed digests, and a single-bit parent-digest flip — must both fail.
-func selfCheck(ctx context.Context, subs []lineage.Substrate) error {
+func selfCheck(ctx context.Context, subs []lineage.Substrate, stdout io.Writer) error {
 	rc := testkit.ReplayConfig{
 		Substrate: lineage.SubstrateSim, Workers: 2, Worker: 0, Steps: 4, Seed: 11,
 	}
@@ -134,7 +141,7 @@ func selfCheck(ctx context.Context, subs []lineage.Substrate) error {
 		if err := testkit.Audit(ctx, child, s); err != nil {
 			return fmt.Errorf("clean chain failed audit on %s: %w", s, err)
 		}
-		fmt.Printf("dlion-audit: self-test: clean chain verified on %s (digest %s, parent %s@%d)\n",
+		fmt.Fprintf(stdout, "dlion-audit: self-test: clean chain verified on %s (digest %s, parent %s@%d)\n",
 			s, child.Digest, child.Parent, child.ParentIter)
 	}
 
@@ -155,7 +162,7 @@ func selfCheck(ctx context.Context, subs []lineage.Substrate) error {
 	if err := testkit.Audit(ctx, &mutated, subs[0]); err == nil {
 		return fmt.Errorf("mutated weight in %q passed audit — detector broken", vars[0])
 	}
-	fmt.Printf("dlion-audit: self-test: mutated weight in %q detected\n", vars[0])
+	fmt.Fprintf(stdout, "dlion-audit: self-test: mutated weight in %q detected\n", vars[0])
 
 	// Forgery 2: a single-bit flip in the parent digest — the truncated
 	// parent replay must disagree.
@@ -164,11 +171,6 @@ func selfCheck(ctx context.Context, subs []lineage.Substrate) error {
 	if err := testkit.Audit(ctx, &forged, subs[0]); err == nil {
 		return fmt.Errorf("forged parent digest passed audit — detector broken")
 	}
-	fmt.Println("dlion-audit: self-test: forged parent digest detected")
+	fmt.Fprintln(stdout, "dlion-audit: self-test: forged parent digest detected")
 	return nil
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, err)
-	os.Exit(1)
 }

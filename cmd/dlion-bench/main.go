@@ -20,90 +20,89 @@
 package main
 
 import (
-	"flag"
+	"context"
 	"fmt"
+	"io"
 	"os"
 	"runtime"
 	"runtime/pprof"
 	"strings"
 	"time"
 
+	"dlion/cmd/internal/cli"
 	"dlion/internal/experiments"
 	"dlion/internal/obs"
 )
 
-var (
-	expID   = flag.String("exp", "", "run a single experiment id (default: all)")
-	profile = flag.String("profile", "fast", "profile: fast or std")
-	list    = flag.Bool("list", false, "list experiment ids and exit")
-	out     = flag.String("out", "", "also write a markdown report to this file")
-	jsonOut = flag.String("json", "", "also write a BENCH JSON report (METRICS.md schema) to this file")
-	srvMode = flag.Bool("serve", false, "run the serving load benchmark instead of the experiments")
-	simMode = flag.Bool("sim", false, "run the DES throughput workloads instead of the experiments")
-	dbgAddr = flag.String("debug-addr", "", "serve pprof + expvar on this address while running")
-	cpuProf = flag.String("cpuprofile", "", "write a CPU profile of the run to this file")
-	memProf = flag.String("memprofile", "", "write a post-run heap profile to this file")
-)
+func main() { cli.Main("dlion-bench", run) }
 
-func main() {
-	flag.Parse()
-	os.Exit(run())
-}
+// run sets up the profiling flags once and runs the selected mode.
+func run(_ context.Context, args []string, stdout, stderr io.Writer) (err error) {
+	fs := cli.Flags("dlion-bench", stderr)
+	var (
+		expID   = fs.String("exp", "", "run a single experiment id (default: all)")
+		profile = fs.String("profile", "fast", "profile: fast or std")
+		list    = fs.Bool("list", false, "list experiment ids and exit")
+		out     = fs.String("out", "", "also write a markdown report to this file")
+		jsonOut = fs.String("json", "", "also write a BENCH JSON report (METRICS.md schema) to this file")
+		srvMode = fs.Bool("serve", false, "run the serving load benchmark instead of the experiments")
+		simMode = fs.Bool("sim", false, "run the DES throughput workloads instead of the experiments")
+		dbgAddr = fs.String("debug-addr", "", "serve pprof + expvar on this address while running")
+		cpuProf = fs.String("cpuprofile", "", "write a CPU profile of the run to this file")
+		memProf = fs.String("memprofile", "", "write a post-run heap profile to this file")
 
-// run sets up the profiling flags once, runs the selected mode and returns
-// the exit status.
-func run() (code int) {
-	if *dbgAddr != "" {
-		dbg, err := obs.ServeDebug(*dbgAddr, nil)
-		if err != nil {
-			return fail(err)
-		}
-		defer dbg.Close()
-		fmt.Println("debug server on", dbg.Addr())
+		serveDur   = fs.Duration("serve-duration", 2*time.Second, "load duration per serving config")
+		serveConc  = fs.Int("serve-concurrency", 32, "closed-loop clients per serving config")
+		serveBatch = fs.Int("serve-max-batch", 32, "max batch for the batched config")
+
+		simSizes = fs.String("sim-n", "32,128", "comma-separated worker counts; sizes >= 256 run as 4-cloud federations")
+		simChurn = fs.Bool("sim-churn", false, "add the join/leave churn schedule (flat-mesh sizes only)")
+		simRuns  = fs.Int("sim-runs", 1, "runs per size (throughput is averaged)")
+	)
+	if err := cli.Parse(fs, args); err != nil {
+		return err
 	}
+
+	stopDebug, err := cli.Debug(*dbgAddr, nil, stdout)
+	if err != nil {
+		return err
+	}
+	defer stopDebug()
 	if *cpuProf != "" {
 		f, err := os.Create(*cpuProf)
 		if err != nil {
-			return fail(err)
+			return err
 		}
 		if err := pprof.StartCPUProfile(f); err != nil {
 			f.Close()
-			return fail(err)
+			return err
 		}
 		defer func() {
 			pprof.StopCPUProfile()
-			if err := f.Close(); err != nil {
-				code = fail(err)
+			if cerr := f.Close(); cerr != nil {
+				err = cerr
 			}
 		}()
 	}
 
 	switch {
 	case *srvMode:
-		code = exitCode(runServeBench(*jsonOut))
+		err = runServeBench(stdout, *jsonOut, *serveDur, *serveConc, *serveBatch)
 	case *simMode:
-		code = exitCode(runSimBench(*jsonOut))
+		err = runSimBench(stdout, *jsonOut, *simSizes, *simChurn, *simRuns)
+	case *list:
+		for _, e := range experiments.All() {
+			fmt.Fprintf(stdout, "%-16s %s\n", e.ID, e.Title)
+		}
 	default:
-		code = runExperiments()
+		err = runExperiments(stdout, stderr, *expID, *profile, *out, *jsonOut)
 	}
 	if *memProf != "" {
 		if err := writeHeapProfile(*memProf); err != nil {
-			return fail(err)
+			return err
 		}
 	}
-	return code
-}
-
-func fail(err error) int {
-	fmt.Fprintln(os.Stderr, "dlion-bench:", err)
-	return 1
-}
-
-func exitCode(err error) int {
-	if err != nil {
-		return fail(err)
-	}
-	return 0
+	return err
 }
 
 func writeHeapProfile(path string) error {
@@ -120,56 +119,47 @@ func writeHeapProfile(path string) error {
 }
 
 // runExperiments regenerates the paper's tables and figures.
-func runExperiments() int {
-	if *list {
-		for _, e := range experiments.All() {
-			fmt.Printf("%-16s %s\n", e.ID, e.Title)
-		}
-		return 0
-	}
-
+func runExperiments(stdout, stderr io.Writer, expID, profile, out, jsonOut string) error {
 	var p experiments.Profile
-	switch *profile {
+	switch profile {
 	case "fast":
 		p = experiments.Fast()
 	case "std", "standard":
 		p = experiments.Standard()
 	default:
-		fmt.Fprintf(os.Stderr, "unknown profile %q (want fast or std)\n", *profile)
-		return 2
+		fmt.Fprintf(stderr, "unknown profile %q (want fast or std)\n", profile)
+		return cli.ErrUsage
 	}
 
-	var todo []experiments.Experiment
-	if *expID != "" {
-		e, err := experiments.ByID(*expID)
+	todo := experiments.All()
+	if expID != "" {
+		e, err := experiments.ByID(expID)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			return 2
+			fmt.Fprintln(stderr, err)
+			return cli.ErrUsage
 		}
 		todo = []experiments.Experiment{e}
-	} else {
-		todo = experiments.All()
 	}
 
 	var md strings.Builder
 	md.WriteString("# DLion reproduction report\n\n")
 	fmt.Fprintf(&md, "Profile: %s, data scale %.3g, horizon %.0f virtual s, %d run(s) per point.\n\n",
-		*profile, p.DataScale, p.Horizon, p.Runs)
+		profile, p.DataScale, p.Horizon, p.Runs)
 
-	jr := obs.NewReport("experiments", "dlion-bench/"+*profile)
+	jr := obs.NewReport("experiments", "dlion-bench/"+profile)
 	jr.Config = map[string]any{
-		"profile": *profile, "data_scale": p.DataScale,
+		"profile": profile, "data_scale": p.DataScale,
 		"horizon": p.Horizon, "runs": p.Runs,
 	}
 
 	failed := 0
 	for _, e := range todo {
 		start := time.Now()
-		fmt.Printf("### %s — %s\n", e.ID, e.Title)
+		fmt.Fprintf(stdout, "### %s — %s\n", e.ID, e.Title)
 		o, err := e.Run(p)
 		if err != nil {
 			failed++
-			fmt.Printf("ERROR: %v\n\n", err)
+			fmt.Fprintf(stdout, "ERROR: %v\n\n", err)
 			fmt.Fprintf(&md, "## %s — %s\n\nERROR: %v\n\n", e.ID, e.Title, err)
 			jr.Experiments = append(jr.Experiments, obs.ExperimentReport{
 				ID: e.ID, Title: e.Title, Notes: []string{"ERROR: " + err.Error()}})
@@ -177,11 +167,11 @@ func runExperiments() int {
 		}
 		jr.Experiments = append(jr.Experiments, obs.ExperimentReport{
 			ID: e.ID, Title: e.Title, Values: o.Values, Notes: o.Notes})
-		fmt.Println(o.Text)
+		fmt.Fprintln(stdout, o.Text)
 		for _, note := range o.Notes {
-			fmt.Println("note:", note)
+			fmt.Fprintln(stdout, "note:", note)
 		}
-		fmt.Printf("(%.1fs)\n\n", time.Since(start).Seconds())
+		fmt.Fprintf(stdout, "(%.1fs)\n\n", time.Since(start).Seconds())
 		fmt.Fprintf(&md, "## %s — %s\n\n```\n%s```\n", e.ID, e.Title, o.Text)
 		for _, note := range o.Notes {
 			fmt.Fprintf(&md, "- %s\n", note)
@@ -189,22 +179,20 @@ func runExperiments() int {
 		md.WriteString("\n")
 	}
 
-	if *out != "" {
-		if err := os.WriteFile(*out, []byte(md.String()), 0o644); err != nil {
-			fmt.Fprintln(os.Stderr, "write report:", err)
-			return 1
+	if out != "" {
+		if err := os.WriteFile(out, []byte(md.String()), 0o644); err != nil {
+			return fmt.Errorf("write report: %w", err)
 		}
-		fmt.Println("report written to", *out)
+		fmt.Fprintln(stdout, "report written to", out)
 	}
-	if *jsonOut != "" {
-		if err := jr.WriteFile(*jsonOut); err != nil {
-			fmt.Fprintln(os.Stderr, "write json report:", err)
-			return 1
+	if jsonOut != "" {
+		if err := jr.WriteFile(jsonOut); err != nil {
+			return fmt.Errorf("write json report: %w", err)
 		}
-		fmt.Println("json report written to", *jsonOut)
+		fmt.Fprintln(stdout, "json report written to", jsonOut)
 	}
 	if failed > 0 {
-		return 1
+		return fmt.Errorf("%d of %d experiments failed", failed, len(todo))
 	}
-	return 0
+	return nil
 }

@@ -2,21 +2,14 @@ package main
 
 import (
 	"context"
-	"flag"
 	"fmt"
+	"io"
 	"time"
 
 	"dlion/internal/data"
 	"dlion/internal/nn"
 	"dlion/internal/obs"
 	"dlion/internal/serve"
-)
-
-// Serving benchmark flags (active with -serve).
-var (
-	serveDur   = flag.Duration("serve-duration", 2*time.Second, "load duration per serving config")
-	serveConc  = flag.Int("serve-concurrency", 32, "closed-loop clients per serving config")
-	serveBatch = flag.Int("serve-max-batch", 32, "max batch for the batched config")
 )
 
 // qpsFloor bounds how far batched may trail batch1: the ratio of the
@@ -37,7 +30,7 @@ const qpsFloor = 0.75
 // 2-core box, batching off fills 1), answers every request and keeps its
 // throughput within qpsFloor of batch1, and the overload config sheds —
 // these are the acceptance bars, not just numbers.
-func runServeBench(jsonPath string) error {
+func runServeBench(stdout io.Writer, jsonPath string, dur time.Duration, conc, maxBatch int) error {
 	if jsonPath == "" {
 		jsonPath = "BENCH_serve.json"
 	}
@@ -57,19 +50,19 @@ func runServeBench(jsonPath string) error {
 	cases := []benchCase{
 		// Not a one-client latency: every client queues on one runner
 		// that takes one request per forward.
-		{"batch1", fmt.Sprintf("%d clients queue on one runner", *serveConc),
-			serve.Config{MaxBatch: 1, QueueDepth: 4096}, *serveConc},
-		{"batched", "", serve.Config{MaxBatch: *serveBatch, QueueDepth: 4096}, *serveConc},
+		{"batch1", fmt.Sprintf("%d clients queue on one runner", conc),
+			serve.Config{MaxBatch: 1, QueueDepth: 4096}, conc},
+		{"batched", "", serve.Config{MaxBatch: maxBatch, QueueDepth: 4096}, conc},
 		// Overload: far more clients than the queue holds, with small
 		// batches so the runner cannot drain the queue in one gulp —
 		// admission control has to shed.
-		{"overload", "", serve.Config{MaxBatch: 8, QueueDepth: 8}, 4 * *serveConc},
+		{"overload", "", serve.Config{MaxBatch: 8, QueueDepth: 8}, 4 * conc},
 	}
 
 	jr := obs.NewReport("serve-bench", "dlion-bench/serve")
 	jr.Config = map[string]any{
-		"duration": serveDur.String(), "concurrency": *serveConc,
-		"max_batch": *serveBatch, "model": spec.Kind,
+		"duration": dur.String(), "concurrency": conc,
+		"max_batch": maxBatch, "model": spec.Kind,
 		"input_dims": fmt.Sprintf("%dx%dx%d", dc.Channels, dc.Height, dc.Width),
 	}
 	jr.Histograms = map[string]obs.HistogramSummary{}
@@ -93,7 +86,7 @@ func runServeBench(jsonPath string) error {
 				return err
 			}
 			res, err := serve.RunLoad(context.Background(), serve.LoadConfig{
-				URL: srv.URL(), Concurrency: bc.conc, Duration: *serveDur, Input: input,
+				URL: srv.URL(), Concurrency: bc.conc, Duration: dur, Input: input,
 			})
 			srv.Close()
 			if err != nil {
@@ -107,7 +100,7 @@ func runServeBench(jsonPath string) error {
 	}
 	for _, bc := range cases {
 		res, metrics := results[bc.name], histories[bc.name]
-		fmt.Printf("%-9s qps=%8.0f  ok=%-6d shed=%-6d p50=%6.2fms p95=%6.2fms p99=%6.2fms\n",
+		fmt.Fprintf(stdout, "%-9s qps=%8.0f  ok=%-6d shed=%-6d p50=%6.2fms p95=%6.2fms p99=%6.2fms\n",
 			bc.name, res.QPS, res.OK, res.Shed,
 			res.Latency.P50*1e3, res.Latency.P95*1e3, res.Latency.P99*1e3)
 
@@ -145,7 +138,7 @@ func runServeBench(jsonPath string) error {
 	if err := jr.WriteFile(jsonPath); err != nil {
 		return err
 	}
-	fmt.Println("json report written to", jsonPath)
+	fmt.Fprintln(stdout, "json report written to", jsonPath)
 
 	if fill < 4 {
 		return fmt.Errorf("batched mean batch fill %.1f: requests are not coalescing", fill)
@@ -162,7 +155,7 @@ func runServeBench(jsonPath string) error {
 	if over.Failed > 0 {
 		return fmt.Errorf("%d hard failures under overload", over.Failed)
 	}
-	fmt.Printf("micro-batching: %.2fx batch1 qps at mean fill %.1f; overload shed %d of %d\n",
+	fmt.Fprintf(stdout, "micro-batching: %.2fx batch1 qps at mean fill %.1f; overload shed %d of %d\n",
 		batched.QPS/single.QPS, fill, over.Shed, over.Sent)
 	return nil
 }

@@ -1,21 +1,14 @@
 package main
 
 import (
-	"flag"
 	"fmt"
+	"io"
 	"strconv"
 	"strings"
 	"time"
 
 	"dlion/internal/cluster"
 	"dlion/internal/obs"
-)
-
-// DES throughput flags (active with -sim).
-var (
-	simSizes = flag.String("sim-n", "32,128", "comma-separated worker counts; sizes >= 256 run as 4-cloud federations")
-	simChurn = flag.Bool("sim-churn", false, "add the join/leave churn schedule (flat-mesh sizes only)")
-	simRuns  = flag.Int("sim-runs", 1, "runs per size (throughput is averaged)")
 )
 
 // runSimBench drives the canonical DES throughput workloads
@@ -25,12 +18,12 @@ var (
 //
 //	dlion-bench -sim -sim-n 128 -cpuprofile sim.pprof -memprofile sim.mprof
 //
-// The profiles, set up in main, cover the run; go tool pprof reads them
+// The profiles, set up in run, cover the run; go tool pprof reads them
 // directly. With -json, an obs BENCH report of the events/s figures is
 // written alongside.
-func runSimBench(jsonPath string) error {
+func runSimBench(stdout io.Writer, jsonPath, sizeList string, churn bool, runs int) error {
 	var sizes []int
-	for _, f := range strings.Split(*simSizes, ",") {
+	for _, f := range strings.Split(sizeList, ",") {
 		f = strings.TrimSpace(f)
 		if f == "" {
 			continue
@@ -46,7 +39,7 @@ func runSimBench(jsonPath string) error {
 	}
 
 	jr := obs.NewReport("sim-bench", "dlion-bench/sim")
-	jr.Config = map[string]any{"sizes": *simSizes, "churn": *simChurn, "runs": *simRuns}
+	jr.Config = map[string]any{"sizes": sizeList, "churn": churn, "runs": runs}
 
 	for _, n := range sizes {
 		var cfg cluster.Config
@@ -55,11 +48,11 @@ func runSimBench(jsonPath string) error {
 			cfg = cluster.FederationConfig(n)
 			kind = "4-cloud"
 		} else {
-			cfg = cluster.SimEventsConfig(n, *simChurn)
+			cfg = cluster.SimEventsConfig(n, churn)
 		}
 		var events uint64
 		var elapsed float64
-		for r := 0; r < *simRuns; r++ {
+		for r := 0; r < runs; r++ {
 			start := time.Now()
 			res, err := cluster.Run(cfg)
 			if err != nil {
@@ -69,7 +62,7 @@ func runSimBench(jsonPath string) error {
 			events += res.Events
 		}
 		eps := float64(events) / elapsed
-		fmt.Printf("sim n=%-5d %-8s %12d events  %10.1f events/s\n", n, kind, events, eps)
+		fmt.Fprintf(stdout, "sim n=%-5d %-8s %12d events  %10.1f events/s\n", n, kind, events, eps)
 		jr.Experiments = append(jr.Experiments, obs.ExperimentReport{
 			ID:    fmt.Sprintf("sim-n%d", n),
 			Title: fmt.Sprintf("DES throughput, n=%d (%s)", n, kind),
@@ -82,7 +75,7 @@ func runSimBench(jsonPath string) error {
 		if err := jr.WriteFile(jsonPath); err != nil {
 			return err
 		}
-		fmt.Println("json report written to", jsonPath)
+		fmt.Fprintln(stdout, "json report written to", jsonPath)
 	}
 	return nil
 }

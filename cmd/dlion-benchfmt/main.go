@@ -16,24 +16,32 @@
 package main
 
 import (
-	"bufio"
-	"flag"
+	"context"
 	"fmt"
 	"io"
 	"math"
 	"os"
 
+	"dlion/cmd/internal/cli"
 	"dlion/internal/obs"
 )
 
-func main() {
+func main() { cli.Main("dlion-benchfmt", run) }
+
+// stdin is the benchmark run read; a test sets its own.
+var stdin io.Reader = os.Stdin
+
+func run(_ context.Context, args []string, stdout, stderr io.Writer) error {
+	fs := cli.Flags("dlion-benchfmt", stderr)
 	var (
-		out      = flag.String("out", "BENCH_kernels.json", "output file for the kernel-bench JSON report")
-		name     = flag.String("name", "kernels", "report name")
-		baseline = flag.String("baseline", "", "prior kernel-bench JSON report to diff against (read before -out is overwritten)")
-		regress  = flag.Float64("regress", 0, "fail (exit 1) when any benchmark's ns/op worsens by more than this percentage vs -baseline; 0 disables the gate")
+		out      = fs.String("out", "BENCH_kernels.json", "output file for the kernel-bench JSON report")
+		name     = fs.String("name", "kernels", "report name")
+		baseline = fs.String("baseline", "", "prior kernel-bench JSON report to diff against (read before -out is overwritten)")
+		regress  = fs.Float64("regress", 0, "fail (exit 1) when any benchmark's ns/op worsens by more than this percentage vs -baseline; 0 disables the gate")
 	)
-	flag.Parse()
+	if err := cli.Parse(fs, args); err != nil {
+		return err
+	}
 
 	// Load the baseline FIRST: -baseline and -out usually name the same file,
 	// and the old numbers must survive being overwritten below.
@@ -44,75 +52,54 @@ func main() {
 		if err != nil {
 			// A missing or unreadable baseline is not an error: first runs and
 			// fresh clones have nothing to compare against yet.
-			fmt.Fprintf(os.Stderr, "dlion-benchfmt: no usable baseline (%v); skipping comparison\n", err)
+			fmt.Fprintf(stderr, "dlion-benchfmt: no usable baseline (%v); skipping comparison\n", err)
 			base = nil
 		}
 	}
 
-	// Tee stdin: echo to stdout while ParseGoBench scans for benchmark lines.
-	pr, pw := io.Pipe()
-	done := make(chan struct{})
-	var results []obs.BenchResult
-	var parseErr error
-	go func() {
-		defer close(done)
-		results, parseErr = obs.ParseGoBench(pr)
-	}()
-	sc := bufio.NewScanner(os.Stdin)
-	sc.Buffer(make([]byte, 0, 1<<16), 1<<20)
-	for sc.Scan() {
-		line := sc.Text()
-		fmt.Println(line)
-		fmt.Fprintln(pw, line)
-	}
-	pw.Close()
-	<-done
-	if err := sc.Err(); err != nil {
-		fatal(err)
-	}
-	if parseErr != nil {
-		fatal(parseErr)
+	// Echo the run to stdout while scanning it for benchmark lines.
+	results, err := obs.ParseGoBench(io.TeeReader(stdin, stdout))
+	if err != nil {
+		return err
 	}
 	if len(results) == 0 {
-		fatal(fmt.Errorf("no benchmark lines found on stdin"))
+		return fmt.Errorf("no benchmark lines found on stdin")
 	}
 
 	r := obs.NewReport("kernel-bench", *name)
 	r.Benchmarks = results
 	if err := r.WriteFile(*out); err != nil {
-		fatal(err)
+		return err
 	}
-	fmt.Printf("wrote %d benchmark results to %s\n", len(results), *out)
+	fmt.Fprintf(stdout, "wrote %d benchmark results to %s\n", len(results), *out)
 
-	if base != nil {
-		if !compare(base, results, *regress) {
-			fmt.Fprintf(os.Stderr, "dlion-benchfmt: ns/op regression beyond %.1f%% vs %s\n", *regress, *baseline)
-			os.Exit(1)
-		}
+	if base != nil && !compare(stdout, base, results, *regress) {
+		return fmt.Errorf("ns/op regression beyond %.1f%% vs %s", *regress, *baseline)
 	}
+	return nil
 }
 
 // compare prints a per-benchmark delta table against the baseline report and
 // reports whether the run stays within the regression threshold (regressPct
 // <= 0 disables the gate). Positive deltas mean slower / more allocations.
-func compare(base *obs.Report, results []obs.BenchResult, regressPct float64) bool {
+func compare(stdout io.Writer, base *obs.Report, results []obs.BenchResult, regressPct float64) bool {
 	old := make(map[string]obs.BenchResult, len(base.Benchmarks))
 	for _, b := range base.Benchmarks {
 		old[b.Name] = b
 	}
-	fmt.Printf("\ndelta vs baseline %q:\n", base.Name)
-	fmt.Printf("  %-34s %14s %14s %9s %12s %10s\n",
+	fmt.Fprintf(stdout, "\ndelta vs baseline %q:\n", base.Name)
+	fmt.Fprintf(stdout, "  %-34s %14s %14s %9s %12s %10s\n",
 		"benchmark", "old ns/op", "new ns/op", "Δns", "Δallocs/op", "ΔMB/s")
 	ok := true
 	for _, b := range results {
 		o, found := old[b.Name]
 		if !found {
-			fmt.Printf("  %-34s %14s %14.0f %9s (new benchmark)\n", b.Name, "-", b.NsPerOp, "-")
+			fmt.Fprintf(stdout, "  %-34s %14s %14.0f %9s (new benchmark)\n", b.Name, "-", b.NsPerOp, "-")
 			continue
 		}
 		delete(old, b.Name)
 		dns := pctDelta(o.NsPerOp, b.NsPerOp)
-		fmt.Printf("  %-34s %14.0f %14.0f %8.1f%% %11s %9s\n",
+		fmt.Fprintf(stdout, "  %-34s %14.0f %14.0f %8.1f%% %11s %9s\n",
 			b.Name, o.NsPerOp, b.NsPerOp, dns,
 			fmtDelta(o.AllocsPerOp, b.AllocsPerOp), fmtDelta(o.MBPerSec, b.MBPerSec))
 		if regressPct > 0 && dns > regressPct {
@@ -120,7 +107,7 @@ func compare(base *obs.Report, results []obs.BenchResult, regressPct float64) bo
 		}
 	}
 	for n := range old {
-		fmt.Printf("  %-34s missing from this run (present in baseline)\n", n)
+		fmt.Fprintf(stdout, "  %-34s missing from this run (present in baseline)\n", n)
 	}
 	return ok
 }
@@ -142,9 +129,4 @@ func fmtDelta(old, cur float64) string {
 		return "-"
 	}
 	return fmt.Sprintf("%+.1f%%", pctDelta(old, cur))
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "dlion-benchfmt:", err)
-	os.Exit(1)
 }

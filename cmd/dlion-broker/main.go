@@ -7,44 +7,46 @@
 package main
 
 import (
-	"flag"
+	"context"
 	"fmt"
-	"os"
-	"os/signal"
-	"syscall"
+	"io"
 
+	"dlion/cmd/internal/cli"
 	"dlion/internal/obs"
 	"dlion/internal/queue"
 )
 
-func main() {
-	addr := flag.String("addr", "127.0.0.1:6399", "listen address")
-	dbgAddr := flag.String("debug-addr", "", "serve pprof + expvar on this address (see METRICS.md)")
-	flag.Parse()
+func main() { cli.Drain("dlion-broker", run) }
+
+// run serves the broker until ctx is done, then closes it.
+func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
+	fs := cli.Flags("dlion-broker", stderr)
+	addr := fs.String("addr", "127.0.0.1:6399", "listen address")
+	dbgAddr := fs.String("debug-addr", "", "serve pprof + expvar on this address (see METRICS.md)")
+	if err := cli.Parse(fs, args); err != nil {
+		return err
+	}
 
 	b := queue.NewBroker()
+	defer b.Close()
+	var reg *obs.Registry
 	if *dbgAddr != "" {
-		reg := obs.NewRegistry()
+		reg = obs.NewRegistry()
 		b.SetMetrics(reg)
-		dbg, err := obs.ServeDebug(*dbgAddr, reg)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "dlion-broker:", err)
-			os.Exit(1)
-		}
-		defer dbg.Close()
-		fmt.Println("debug server on", dbg.Addr())
 	}
+	stopDebug, err := cli.Debug(*dbgAddr, reg, stdout)
+	if err != nil {
+		return err
+	}
+	defer stopDebug()
 	srv, err := queue.Serve(b, *addr)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "dlion-broker:", err)
-		os.Exit(1)
+		return err
 	}
-	fmt.Println("dlion-broker listening on", srv.Addr())
+	defer srv.Close()
+	fmt.Fprintln(stdout, "dlion-broker listening on", srv.Addr())
 
-	sig := make(chan os.Signal, 1)
-	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
-	<-sig
-	fmt.Println("shutting down")
-	srv.Close()
-	b.Close()
+	<-ctx.Done()
+	fmt.Fprintln(stdout, "shutting down")
+	return nil
 }

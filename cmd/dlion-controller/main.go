@@ -12,58 +12,60 @@
 package main
 
 import (
-	"flag"
+	"context"
 	"fmt"
+	"io"
 	"net"
-	"os"
-	"os/signal"
-	"syscall"
 	"time"
 
+	"dlion/cmd/internal/cli"
 	"dlion/internal/jobs"
 	"dlion/internal/obs"
 	"dlion/internal/queue"
 )
 
-func main() {
+func main() { cli.Drain("dlion-controller", run) }
+
+// run serves the job API until ctx is done, then halts the active jobs.
+func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
+	fs := cli.Flags("dlion-controller", stderr)
 	var (
-		api        = flag.String("api", "127.0.0.1:8081", "REST job API listen address")
-		brokerAddr = flag.String("broker-addr", "", "also expose the broker over TCP on this address (for external -job workers)")
-		store      = flag.String("store", "", "persist job records to this JSON file (empty = memory only)")
-		maxConc    = flag.Int("max-concurrent", 2, "jobs training at once; the rest queue")
-		queueDepth = flag.Int("queue-depth", 8, "admitted-but-waiting jobs before submissions get 429s")
-		quota      = flag.Int("tenant-quota", 4, "non-terminal jobs allowed per tenant")
-		restarts   = flag.Int("max-restarts", 2, "per-job checkpoint-restore restarts before the job fails")
-		liveness   = flag.Float64("liveness", 2, "seconds of silence before a peer leaves the roster (crash recovery)")
-		dbgAddr    = flag.String("debug-addr", "", "serve pprof + expvar on this address (see METRICS.md)")
+		api        = fs.String("api", "127.0.0.1:8081", "REST job API listen address")
+		brokerAddr = fs.String("broker-addr", "", "also expose the broker over TCP on this address (for external -job workers)")
+		store      = fs.String("store", "", "persist job records to this JSON file (empty = memory only)")
+		maxConc    = fs.Int("max-concurrent", 2, "jobs training at once; the rest queue")
+		queueDepth = fs.Int("queue-depth", 8, "admitted-but-waiting jobs before submissions get 429s")
+		quota      = fs.Int("tenant-quota", 4, "non-terminal jobs allowed per tenant")
+		restarts   = fs.Int("max-restarts", 2, "per-job checkpoint-restore restarts before the job fails")
+		liveness   = fs.Float64("liveness", 2, "seconds of silence before a peer leaves the roster (crash recovery)")
+		dbgAddr    = fs.String("debug-addr", "", "serve pprof + expvar on this address (see METRICS.md)")
 	)
-	flag.Parse()
+	if err := cli.Parse(fs, args); err != nil {
+		return err
+	}
 
 	b := queue.NewBroker()
 	defer b.Close()
 	reg := obs.NewRegistry()
 	b.SetMetrics(reg)
 
-	if *dbgAddr != "" {
-		dbg, err := obs.ServeDebug(*dbgAddr, reg)
-		if err != nil {
-			fatal(err)
-		}
-		defer dbg.Close()
-		fmt.Println("debug server on", dbg.Addr())
+	stopDebug, err := cli.Debug(*dbgAddr, reg, stdout)
+	if err != nil {
+		return err
 	}
+	defer stopDebug()
 	if *brokerAddr != "" {
 		srv, err := queue.Serve(b, *brokerAddr)
 		if err != nil {
-			fatal(err)
+			return err
 		}
 		defer srv.Close()
-		fmt.Println("broker listening on", srv.Addr())
+		fmt.Fprintln(stdout, "broker listening on", srv.Addr())
 	}
 
 	st, err := jobs.NewStore(*store)
 	if err != nil {
-		fatal(err)
+		return err
 	}
 	m, err := jobs.NewManager(jobs.Config{
 		Broker:          b,
@@ -76,36 +78,27 @@ func main() {
 		LivenessTimeout: *liveness,
 	})
 	if err != nil {
-		fatal(err)
+		return err
 	}
 
 	ln, err := net.Listen("tcp", *api)
 	if err != nil {
-		fatal(err)
+		m.Close()
+		return err
 	}
-	fmt.Println("job API listening on", ln.Addr())
-	go func() {
-		if err := jobs.NewAPI(m).Serve(ln); err != nil {
-			// Closing the listener on shutdown surfaces here; nothing to do.
-			_ = err
-		}
-	}()
+	fmt.Fprintln(stdout, "job API listening on", ln.Addr())
+	// Serve returns once ln closes below; that error is the shutdown itself.
+	go jobs.NewAPI(m).Serve(ln)
 
-	sig := make(chan os.Signal, 1)
-	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
-	<-sig
-	fmt.Println("shutting down: halting active jobs")
+	<-ctx.Done()
+	fmt.Fprintln(stdout, "shutting down: halting active jobs")
 	ln.Close()
 	done := make(chan struct{})
 	go func() { m.Close(); close(done) }()
 	select {
 	case <-done:
 	case <-time.After(30 * time.Second):
-		fmt.Fprintln(os.Stderr, "dlion-controller: shutdown timed out")
+		fmt.Fprintln(stderr, "dlion-controller: shutdown timed out")
 	}
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "dlion-controller:", err)
-	os.Exit(1)
+	return nil
 }

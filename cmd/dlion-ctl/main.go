@@ -14,58 +14,63 @@ package main
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
-	"flag"
 	"fmt"
 	"io"
 	"net/http"
-	"os"
 	"strings"
 
+	"dlion/cmd/internal/cli"
 	"dlion/internal/jobs"
 )
 
-func main() {
-	api := flag.String("api", "http://127.0.0.1:8081", "controller API base URL")
-	flag.Usage = usage
-	flag.Parse()
-	if flag.NArg() < 1 {
-		usage()
-		os.Exit(2)
+func main() { cli.Main("dlion-ctl", run) }
+
+func run(_ context.Context, args []string, stdout, stderr io.Writer) error {
+	fs := cli.Flags("dlion-ctl", stderr)
+	api := fs.String("api", "http://127.0.0.1:8081", "controller API base URL")
+	fs.Usage = func() { usage(stderr) }
+	if err := cli.Parse(fs, args); err != nil {
+		return err
 	}
-	base := strings.TrimRight(*api, "/")
-	cmd, args := flag.Arg(0), flag.Args()[1:]
-	var err error
+	if fs.NArg() < 1 {
+		usage(stderr)
+		return cli.ErrUsage
+	}
+	jobsURL := strings.TrimRight(*api, "/") + "/v1/jobs"
+	cmd, args := fs.Arg(0), fs.Args()[1:]
 	switch cmd {
 	case "submit":
-		err = cmdSubmit(base, args)
+		return cmdSubmit(stdout, stderr, jobsURL, args)
 	case "list":
-		err = cmdList(base)
-	case "get":
-		err = cmdOne(base, args, "")
-	case "metrics":
-		err = cmdOne(base, args, "/metrics")
-	case "halt":
-		err = cmdHalt(base, args)
-	default:
-		fmt.Fprintf(os.Stderr, "dlion-ctl: unknown command %q\n", cmd)
-		usage()
-		os.Exit(2)
+		return call(stdout, http.MethodGet, jobsURL, nil)
+	case "get", "metrics", "halt":
+		if len(args) != 1 {
+			return fmt.Errorf("need exactly one job id")
+		}
+		method, url := http.MethodGet, jobsURL+"/"+args[0]
+		switch cmd {
+		case "metrics":
+			url += "/metrics"
+		case "halt":
+			method = http.MethodDelete
+		}
+		return call(stdout, method, url, nil)
 	}
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "dlion-ctl:", err)
-		os.Exit(1)
-	}
+	fmt.Fprintf(stderr, "dlion-ctl: unknown command %q\n", cmd)
+	usage(stderr)
+	return cli.ErrUsage
 }
 
-func usage() {
-	fmt.Fprintln(os.Stderr, "usage: dlion-ctl [-api URL] {submit|list|get|metrics|halt} [args]")
-	fmt.Fprintln(os.Stderr, "  submit -system <preset> -workers N -max-iters N [-quant M] [-tenant T] [-slots N] [-scale F] [-seed N] [-lbs N] [-name S]")
-	fmt.Fprintln(os.Stderr, "  get|metrics|halt <job-id>")
+func usage(stderr io.Writer) {
+	fmt.Fprintln(stderr, "usage: dlion-ctl [-api URL] {submit|list|get|metrics|halt} [args]")
+	fmt.Fprintln(stderr, "  submit -system <preset> -workers N -max-iters N [-quant M] [-tenant T] [-slots N] [-scale F] [-seed N] [-lbs N] [-name S]")
+	fmt.Fprintln(stderr, "  get|metrics|halt <job-id>")
 }
 
-func cmdSubmit(base string, args []string) error {
-	fs := flag.NewFlagSet("submit", flag.ExitOnError)
+func cmdSubmit(stdout, stderr io.Writer, jobsURL string, args []string) error {
+	fs := cli.Flags("submit", stderr)
 	var spec jobs.Spec
 	fs.StringVar(&spec.Name, "name", "", "human label")
 	fs.StringVar(&spec.Tenant, "tenant", "", "quota bucket (default: default)")
@@ -77,63 +82,38 @@ func cmdSubmit(base string, args []string) error {
 	fs.Float64Var(&spec.Scale, "scale", 0, "dataset scale (0 = default)")
 	fs.Uint64Var(&spec.Seed, "seed", 0, "cluster seed (0 = default)")
 	fs.IntVar(&spec.LBS, "lbs", 0, "initial local batch size (0 = preset's)")
-	fs.Parse(args)
+	if err := cli.Parse(fs, args); err != nil {
+		return err
+	}
 	raw, err := json.Marshal(spec)
 	if err != nil {
 		return err
 	}
-	resp, err := http.Post(base+"/v1/jobs", "application/json", bytes.NewReader(raw))
-	if err != nil {
-		return err
-	}
-	return printResponse(resp)
+	return call(stdout, http.MethodPost, jobsURL, bytes.NewReader(raw))
 }
 
-func cmdList(base string) error {
-	resp, err := http.Get(base + "/v1/jobs")
+// call sends one request to the API and relays its JSON to stdout; a
+// non-2xx response (the structured error envelope) is returned as an error.
+func call(stdout io.Writer, method, url string, body io.Reader) error {
+	req, err := http.NewRequest(method, url, body)
 	if err != nil {
 		return err
 	}
-	return printResponse(resp)
-}
-
-func cmdOne(base string, args []string, suffix string) error {
-	if len(args) != 1 {
-		return fmt.Errorf("need exactly one job id")
-	}
-	resp, err := http.Get(base + "/v1/jobs/" + args[0] + suffix)
-	if err != nil {
-		return err
-	}
-	return printResponse(resp)
-}
-
-func cmdHalt(base string, args []string) error {
-	if len(args) != 1 {
-		return fmt.Errorf("need exactly one job id")
-	}
-	req, err := http.NewRequest(http.MethodDelete, base+"/v1/jobs/"+args[0], nil)
-	if err != nil {
-		return err
+	if body != nil {
+		req.Header.Set("Content-Type", "application/json")
 	}
 	resp, err := http.DefaultClient.Do(req)
 	if err != nil {
 		return err
 	}
-	return printResponse(resp)
-}
-
-// printResponse relays the API's JSON to stdout; non-2xx responses (the
-// structured error envelope) become a non-zero exit via the returned error.
-func printResponse(resp *http.Response) error {
 	defer resp.Body.Close()
-	body, err := io.ReadAll(resp.Body)
+	raw, err := io.ReadAll(resp.Body)
 	if err != nil {
 		return err
 	}
-	os.Stdout.Write(body)
-	if len(body) > 0 && body[len(body)-1] != '\n' {
-		fmt.Println()
+	stdout.Write(raw)
+	if len(raw) > 0 && raw[len(raw)-1] != '\n' {
+		fmt.Fprintln(stdout)
 	}
 	if resp.StatusCode >= 300 {
 		return fmt.Errorf("HTTP %s", resp.Status)

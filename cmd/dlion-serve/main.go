@@ -19,38 +19,28 @@ package main
 
 import (
 	"context"
-	"errors"
-	"flag"
 	"fmt"
 	"io"
 	"os"
-	"os/signal"
-	"syscall"
 	"time"
 
-	"dlion/internal/data"
-	"dlion/internal/nn"
+	"dlion/cmd/internal/cli"
 	"dlion/internal/obs"
 	"dlion/internal/queue"
 	"dlion/internal/serve"
+	"dlion/internal/systems"
 )
 
-func main() {
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	context.AfterFunc(ctx, stop) // a second signal kills the process the default way
-	os.Exit(run(ctx, os.Args[1:], os.Stdout, os.Stderr))
-}
+func main() { cli.Drain("dlion-serve", run) }
 
 // run is the whole command: it parses args, serves until ctx is done, then
-// drains. It returns the exit status: 0 after a drain or for -h, 2 for a
-// flag that does not parse, 1 for any other error.
-func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
-	fs := flag.NewFlagSet("dlion-serve", flag.ContinueOnError)
-	fs.SetOutput(stderr)
+// drains.
+func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
+	fs := cli.Flags("dlion-serve", stderr)
 	var (
 		addr     = fs.String("addr", "127.0.0.1:8080", "HTTP listen address")
-		scale    = fs.Float64("scale", 0.02, "dataset scale (must match the workers')")
-		seed     = fs.Uint64("seed", 7, "shared cluster seed (must match the workers')")
+		scale    = fs.Float64("scale", systems.DefaultScale, "dataset scale (must match the workers')")
+		seed     = fs.Uint64("seed", systems.DefaultSeed, "shared cluster seed (must match the workers')")
 		ckptDir  = fs.String("ckpt-dir", "", "watch this directory for *.ckpt files")
 		watchInt = fs.Duration("watch-interval", 500*time.Millisecond, "checkpoint directory poll interval")
 		broker   = fs.String("broker", "", "subscribe to weight broadcasts from this broker")
@@ -60,54 +50,44 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		runners  = fs.Int("runners", 1, "concurrent batch runners (each holds a model replica)")
 		dbgAddr  = fs.String("debug-addr", "", "serve pprof + expvar on this address (see METRICS.md)")
 	)
-	if err := fs.Parse(args); err != nil {
-		if errors.Is(err, flag.ErrHelp) {
-			return 0
-		}
-		return 2
-	}
-	fail := func(err error) int {
-		fmt.Fprintln(stderr, "dlion-serve:", err)
-		return 1
+	if err := cli.Parse(fs, args); err != nil {
+		return err
 	}
 
 	if (*ckptDir == "") == (*broker == "") {
-		return fail(fmt.Errorf("set exactly one of -ckpt-dir or -broker (their version clocks differ; see internal/serve)"))
+		return fmt.Errorf("set exactly one of -ckpt-dir or -broker (their version clocks differ; see internal/serve)")
 	}
 	switch {
 	case *scale < 0.001 || *scale > 1:
-		return fail(fmt.Errorf("-scale %g outside [0.001,1]", *scale))
+		return fmt.Errorf("-scale %g outside [0.001,1]", *scale)
 	case *maxBatch < 1:
-		return fail(fmt.Errorf("-max-batch %d; need >= 1", *maxBatch))
+		return fmt.Errorf("-max-batch %d; need >= 1", *maxBatch)
 	case *qDepth < 1:
-		return fail(fmt.Errorf("-queue %d; need >= 1", *qDepth))
+		return fmt.Errorf("-queue %d; need >= 1", *qDepth)
 	case *runners < 1:
-		return fail(fmt.Errorf("-runners %d; need >= 1", *runners))
+		return fmt.Errorf("-runners %d; need >= 1", *runners)
 	case *watchInt <= 0:
-		return fail(fmt.Errorf("-watch-interval %v; need > 0", *watchInt))
+		return fmt.Errorf("-watch-interval %v; need > 0", *watchInt)
 	}
 
-	reg := serve.NewRegistry(servedSpec(*scale, *seed))
+	reg := serve.NewRegistry(systems.NewWorkload(*scale, *seed).Spec)
 
 	if *initCkpt != "" {
 		ckpt, err := os.ReadFile(*initCkpt)
 		if err != nil {
-			return fail(err)
+			return err
 		}
 		if err := reg.Publish(0, "init:"+*initCkpt, ckpt); err != nil {
-			return fail(fmt.Errorf("init checkpoint: %w", err))
+			return fmt.Errorf("init checkpoint: %w", err)
 		}
 	}
 
 	metrics := obs.NewRegistry()
-	if *dbgAddr != "" {
-		dbg, err := obs.ServeDebug(*dbgAddr, metrics)
-		if err != nil {
-			return fail(err)
-		}
-		defer dbg.Close()
-		fmt.Fprintln(stdout, "debug server on", dbg.Addr())
+	stopDebug, err := cli.Debug(*dbgAddr, metrics, stdout)
+	if err != nil {
+		return err
 	}
+	defer stopDebug()
 
 	switch {
 	case *ckptDir != "":
@@ -116,13 +96,13 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 	case *broker != "":
 		c, err := queue.Dial(*broker)
 		if err != nil {
-			return fail(err)
+			return err
 		}
 		defer c.Close()
 		c.SetMetrics(metrics)
 		ch, err := c.Subscribe(serve.WeightsChannel, 64)
 		if err != nil {
-			return fail(err)
+			return err
 		}
 		go reg.WatchBroadcasts(ctx, ch)
 		fmt.Fprintf(stdout, "subscribed to %s on %s\n", serve.WeightsChannel, *broker)
@@ -133,7 +113,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		MaxBatch: *maxBatch, QueueDepth: *qDepth, Runners: *runners,
 	}, *addr)
 	if err != nil {
-		return fail(err)
+		return err
 	}
 	fmt.Fprintf(stdout, "serving on %s (batch<=%d, queue %d)\n",
 		srv.Addr(), *maxBatch, *qDepth)
@@ -146,19 +126,12 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 	sdCtx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
 	if err := srv.Shutdown(sdCtx); err != nil {
-		return fail(err)
+		return err
 	}
 	if v := reg.Current(); v != nil {
 		fmt.Fprintf(stdout, "done: final model seq %d from %s, %d swaps\n", v.Seq, v.Source, reg.Swaps())
 	} else {
 		fmt.Fprintln(stdout, "done: no model version was ever published")
 	}
-	return 0
-}
-
-// servedSpec is dlion-worker's spec derivation: the same scale and seed give
-// the same architecture, so worker checkpoints restore here.
-func servedSpec(scale float64, seed uint64) nn.Spec {
-	dc := data.CIFAR10Config(scale, seed+13)
-	return nn.CipherSpec(dc.Channels, dc.Height, dc.Width, dc.NumClasses, seed+1000)
+	return nil
 }

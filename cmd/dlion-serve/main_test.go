@@ -14,7 +14,9 @@ import (
 	"testing"
 	"time"
 
+	"dlion/cmd/internal/cli"
 	"dlion/internal/lineage"
+	"dlion/internal/systems"
 )
 
 // syncBuffer is an io.Writer run's output can be read from while it runs.
@@ -41,7 +43,7 @@ func (b *syncBuffer) String() string {
 // that checkpoint's model, and cancelling the context drains and exits 0.
 func TestRun(t *testing.T) {
 	const scale, seed = 0.001, 5
-	model := servedSpec(scale, seed).Build()
+	model := systems.NewWorkload(scale, seed).Spec.Build()
 	dir := t.TempDir()
 	if err := os.WriteFile(filepath.Join(dir, "a.ckpt"), model.Checkpoint(), 0o644); err != nil {
 		t.Fatal(err)
@@ -68,7 +70,7 @@ func TestRun(t *testing.T) {
 			defer cancel()
 			var stdout, stderr syncBuffer
 			exit := make(chan int, 1)
-			go func() { exit <- run(ctx, tc.args, &stdout, &stderr) }()
+			go func() { exit <- cli.Run(ctx, "dlion-serve", run, tc.args, &stdout, &stderr) }()
 			if tc.serve != nil {
 				tc.serve(t, waitHealthy(t, &stdout, &stderr))
 				cancel()

@@ -10,10 +10,11 @@
 package main
 
 import (
-	"flag"
+	"context"
 	"fmt"
-	"os"
+	"io"
 
+	"dlion/cmd/internal/cli"
 	"dlion/internal/cluster"
 	"dlion/internal/data"
 	"dlion/internal/env"
@@ -23,56 +24,58 @@ import (
 	"dlion/internal/systems"
 )
 
-func main() {
-	var (
-		sysName = flag.String("system", "dlion", "system: baseline, ako, gaia, hop, dlion, dlion-quant, max10, dlion-no-wu, dlion-no-dbwu")
-		envName = flag.String("env", "Homo A", "Table 3 environment name (see -envs)")
-		horizon = flag.Float64("horizon", 300, "virtual seconds to simulate")
-		scale   = flag.Float64("scale", 0.05, "dataset scale (1.0 = the paper's full size)")
-		seed    = flag.Uint64("seed", 7, "experiment seed")
-		trace   = flag.Bool("trace", false, "print LBS/gradient-size traces")
-		amplify = flag.Float64("amplify", 5, "wire-size amplification (see DESIGN.md)")
-		dktp    = flag.Int64("dkt-period", 10, "DLion DKT period in iterations (scaled)")
-		quant   = flag.String("quant", "", "wire precision: i8, f16, or auto (empty keeps f32; see WIRE.md)")
-		envs    = flag.Bool("envs", false, "list environments and exit")
-		repOut  = flag.String("report", "", "write a BENCH JSON run report (METRICS.md schema) to this file")
-		dbgAddr = flag.String("debug-addr", "", "serve pprof + expvar on this address while running")
-	)
-	flag.Parse()
+func main() { cli.Main("dlion-sim", run) }
 
-	if *dbgAddr != "" {
-		dbg, err := obs.ServeDebug(*dbgAddr, nil)
-		if err != nil {
-			fatal(err)
-		}
-		defer dbg.Close()
-		fmt.Println("debug server on", dbg.Addr())
+func run(_ context.Context, args []string, stdout, stderr io.Writer) error {
+	fs := cli.Flags("dlion-sim", stderr)
+	var (
+		sysName = fs.String("system", "dlion", "system: baseline, ako, gaia, hop, dlion, dlion-quant, max10, dlion-no-wu, dlion-no-dbwu")
+		envName = fs.String("env", "Homo A", "Table 3 environment name (see -envs)")
+		horizon = fs.Float64("horizon", 300, "virtual seconds to simulate")
+		scale   = fs.Float64("scale", 0.05, "dataset scale (1.0 = the paper's full size)")
+		seed    = fs.Uint64("seed", 7, "experiment seed")
+		trace   = fs.Bool("trace", false, "print LBS/gradient-size traces")
+		amplify = fs.Float64("amplify", 5, "wire-size amplification (see DESIGN.md)")
+		dktp    = fs.Int64("dkt-period", 10, "DLion DKT period in iterations (scaled)")
+		quant   = fs.String("quant", "", "wire precision: i8, f16, or auto (empty keeps f32; see WIRE.md)")
+		envs    = fs.Bool("envs", false, "list environments and exit")
+		repOut  = fs.String("report", "", "write a BENCH JSON run report (METRICS.md schema) to this file")
+		dbgAddr = fs.String("debug-addr", "", "serve pprof + expvar on this address while running")
+	)
+	if err := cli.Parse(fs, args); err != nil {
+		return err
 	}
+
+	stopDebug, err := cli.Debug(*dbgAddr, nil, stdout)
+	if err != nil {
+		return err
+	}
+	defer stopDebug()
 
 	if *envs {
 		for _, n := range env.Names() {
-			fmt.Println(n)
+			fmt.Fprintln(stdout, n)
 		}
-		return
+		return nil
 	}
 
 	switch {
 	case *horizon <= 0:
-		fatal(fmt.Errorf("-horizon %g; need > 0 virtual seconds", *horizon))
+		return fmt.Errorf("-horizon %g; need > 0 virtual seconds", *horizon)
 	case *scale < 0.001 || *scale > 1:
-		fatal(fmt.Errorf("-scale %g outside [0.001,1]", *scale))
+		return fmt.Errorf("-scale %g outside [0.001,1]", *scale)
 	case *amplify <= 0:
-		fatal(fmt.Errorf("-amplify %g; need > 0", *amplify))
+		return fmt.Errorf("-amplify %g; need > 0", *amplify)
 	case *dktp < 1:
-		fatal(fmt.Errorf("-dkt-period %d; need >= 1 iteration", *dktp))
+		return fmt.Errorf("-dkt-period %d; need >= 1 iteration", *dktp)
 	}
 
 	sys, err := systems.ByName(*sysName)
 	if err != nil {
-		fatal(err)
+		return err
 	}
 	if sys, err = systems.WithQuant(sys, *quant); err != nil {
-		fatal(err)
+		return err
 	}
 	if sys.DKT.Enabled {
 		sys.DKT.Period = *dktp
@@ -80,12 +83,14 @@ func main() {
 	}
 	e, err := env.Get(*envName, *seed)
 	if err != nil {
-		fatal(err)
+		return err
 	}
-	dc := data.CIFAR10Config(*scale, *seed+13)
-	model := nn.CipherSpec(dc.Channels, dc.Height, dc.Width, dc.NumClasses, 0)
+	// The CPU environments train the real-mode workload; cluster.Run seeds
+	// the replicas itself.
+	w := systems.NewWorkload(*scale, *seed)
+	dc, model := w.Data, w.Spec
 	if e.GPU {
-		dc = data.ImageNet100Config(*scale/25, *seed+13)
+		dc = data.ImageNet100Config(*scale/25, w.Data.Seed)
 		model = nn.MobileNetLiteSpec(dc.Channels, dc.Height, dc.Width, dc.NumClasses, 0)
 	}
 	model.WireBytes = int(float64(model.WireBytes) * *amplify)
@@ -99,11 +104,11 @@ func main() {
 		cfg.TracePeriod = *horizon / 30
 	}
 	cfg.Observe = *repOut != ""
-	fmt.Printf("running %s in %s for %.0f virtual seconds (%s, %d train samples)\n",
+	fmt.Fprintf(stdout, "running %s in %s for %.0f virtual seconds (%s, %d train samples)\n",
 		sys.Name, e.Name, *horizon, dc.Name, dc.Train)
 	res, err := cluster.Run(cfg)
 	if err != nil {
-		fatal(err)
+		return err
 	}
 
 	t := report.NewTable("accuracy timeline", "t(s)", "mean acc", "stddev", "loss")
@@ -113,9 +118,9 @@ func main() {
 			fmt.Sprintf("%.3f", pt.Loss))
 		ys = append(ys, pt.Mean)
 	}
-	fmt.Println(t)
-	fmt.Println("trend:", report.Sparkline(ys))
-	fmt.Printf("final accuracy %.3f | iterations per worker %v | %d MB sent\n",
+	fmt.Fprintln(stdout, t)
+	fmt.Fprintln(stdout, "trend:", report.Sparkline(ys))
+	fmt.Fprintf(stdout, "final accuracy %.3f | iterations per worker %v | %d MB sent\n",
 		res.Timeline.FinalMean(), res.Iters, res.TotalBytes>>20)
 	if *trace {
 		tt := report.NewTable("traces", "t(s)", "GBS", "LBS", "values w0->w1")
@@ -123,15 +128,16 @@ func main() {
 			tt.AddRow(fmt.Sprintf("%.0f", tr.T), tr.GBS,
 				fmt.Sprint(tr.LBS), tr.SelCount[[2]int{0, 1}])
 		}
-		fmt.Println(tt)
+		fmt.Fprintln(stdout, tt)
 	}
 	if *repOut != "" {
 		r := buildReport(res, *sysName, *envName, *horizon, *scale, *amplify, *seed)
 		if err := r.WriteFile(*repOut); err != nil {
-			fatal(err)
+			return err
 		}
-		fmt.Println("run report written to", *repOut)
+		fmt.Fprintln(stdout, "run report written to", *repOut)
 	}
+	return nil
 }
 
 // buildReport assembles the BENCH JSON run report (METRICS.md "sim-run"
@@ -175,9 +181,4 @@ func buildReport(res *cluster.Result, sysName, envName string,
 		"delivered_mb":    float64(res.TotalBytes) / (1 << 20),
 	}
 	return r
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "dlion-sim:", err)
-	os.Exit(1)
 }

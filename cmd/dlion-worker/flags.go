@@ -8,8 +8,8 @@ import (
 	"dlion/internal/systems"
 )
 
-// workerFlags collects every dlion-worker flag that needs validation, so
-// the checks are one testable unit instead of scattered in main.
+// workerFlags holds every dlion-worker flag that needs validation; run
+// parses them straight into it, so the checks are one testable unit.
 type workerFlags struct {
 	ID       int
 	Workers  int

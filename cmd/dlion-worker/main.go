@@ -12,87 +12,78 @@ package main
 
 import (
 	"context"
-	"flag"
 	"fmt"
-	"os"
-	"os/signal"
-	"syscall"
+	"io"
 	"time"
 
+	"dlion/cmd/internal/cli"
 	"dlion/internal/core"
-	"dlion/internal/data"
 	"dlion/internal/lineage"
-	"dlion/internal/nn"
 	"dlion/internal/obs"
 	"dlion/internal/realtime"
 	"dlion/internal/serve"
+	"dlion/internal/systems"
 )
 
-func main() {
-	var (
-		id       = flag.Int("id", 0, "worker id in [0, workers)")
-		n        = flag.Int("workers", 2, "cluster size")
-		broker   = flag.String("broker", "127.0.0.1:6399", "broker address")
-		sysName  = flag.String("system", "dlion", "system preset")
-		quant    = flag.String("quant", "", "wire precision: i8, f16, or auto (empty keeps f32; see WIRE.md)")
-		seed     = flag.Uint64("seed", 7, "shared cluster seed")
-		scale    = flag.Float64("scale", 0.02, "dataset scale")
-		duration = flag.Duration("duration", 30*time.Second, "training duration")
-		dbgAddr  = flag.String("debug-addr", "", "serve pprof + expvar on this address (see METRICS.md)")
-		servePub = flag.Duration("serve-publish", 0, "broadcast model checkpoints for dlion-serve at this interval (0 disables)")
-		join     = flag.Bool("join", false, "join a running federation instead of founding it (see DESIGN.md §10)")
-		sponsor  = flag.Int("sponsor", 0, "member to request admission from when -join is set")
-		founders = flag.Int("founders", 0, "founding roster is ids [0,founders); 0 means all -workers slots found the cluster")
-		quorum   = flag.Int("quorum", 0, "mark iterations degraded when the live cluster shrinks below this size (0 disables)")
-		job      = flag.String("job", "", "attach to this control-plane job's channel namespace (usually with -join; see DESIGN.md §12)")
-	)
-	flag.Parse()
+func main() { cli.Drain("dlion-worker", run) }
 
-	wf := workerFlags{ID: *id, Workers: *n, Broker: *broker, System: *sysName,
-		Quant: *quant, Job: *job, Scale: *scale, Join: *join, Sponsor: *sponsor,
-		Founders: *founders, Quorum: *quorum}
+// run trains until -duration passes, or leaves the federation once sigCtx
+// is done.
+func run(sigCtx context.Context, args []string, stdout, stderr io.Writer) error {
+	fs := cli.Flags("dlion-worker", stderr)
+	var wf workerFlags
+	fs.IntVar(&wf.ID, "id", 0, "worker id in [0, workers)")
+	fs.IntVar(&wf.Workers, "workers", 2, "cluster size")
+	fs.StringVar(&wf.Broker, "broker", "127.0.0.1:6399", "broker address")
+	fs.StringVar(&wf.System, "system", "dlion", "system preset")
+	fs.StringVar(&wf.Quant, "quant", "", "wire precision: i8, f16, or auto (empty keeps f32; see WIRE.md)")
+	seed := fs.Uint64("seed", systems.DefaultSeed, "shared cluster seed")
+	fs.Float64Var(&wf.Scale, "scale", systems.DefaultScale, "dataset scale")
+	duration := fs.Duration("duration", 30*time.Second, "training duration")
+	dbgAddr := fs.String("debug-addr", "", "serve pprof + expvar on this address (see METRICS.md)")
+	servePub := fs.Duration("serve-publish", 0, "broadcast model checkpoints for dlion-serve at this interval (0 disables)")
+	fs.BoolVar(&wf.Join, "join", false, "join a running federation instead of founding it (see DESIGN.md §10)")
+	fs.IntVar(&wf.Sponsor, "sponsor", 0, "member to request admission from when -join is set")
+	fs.IntVar(&wf.Founders, "founders", 0, "founding roster is ids [0,founders); 0 means all -workers slots found the cluster")
+	fs.IntVar(&wf.Quorum, "quorum", 0, "mark iterations degraded when the live cluster shrinks below this size (0 disables)")
+	fs.StringVar(&wf.Job, "job", "", "attach to this control-plane job's channel namespace (usually with -join; see DESIGN.md §12)")
+	if err := cli.Parse(fs, args); err != nil {
+		return err
+	}
+
 	sys, err := wf.validate()
 	if err != nil {
-		fatal(err)
+		return err
 	}
 	if sys.DKT.Enabled {
 		sys.DKT.Period = 20
 	}
-	sys.Membership.QuorumFloor = *quorum
+	sys.Membership.QuorumFloor = wf.Quorum
 	switch {
-	case *join:
+	case wf.Join:
 		// this process starts outside the federation and asks -sponsor in
 		sys.Membership.Join = true
-		sys.Membership.Sponsor = *sponsor
-	case *founders > 0:
+		sys.Membership.Sponsor = wf.Sponsor
+	case wf.Founders > 0:
 		// a founder of an elastic cluster: the initial roster is smaller
 		// than the -workers address space, leaving slots for joiners
-		if *id >= *founders {
-			fatal(fmt.Errorf("id %d is not a founder (founders are [0,%d)); pass -join", *id, *founders))
+		if wf.ID >= wf.Founders {
+			return fmt.Errorf("id %d is not a founder (founders are [0,%d)); pass -join", wf.ID, wf.Founders)
 		}
-		roster := make([]int, *founders)
-		for i := range roster {
-			roster[i] = i
-		}
-		sys.Membership.InitialMembers = roster
+		sys.Membership.InitialMembers = systems.Founders(wf.Founders)
 	}
 
-	tr, err := realtime.NewClientTransportNS(*broker, *id, wf.namespace())
+	tr, err := realtime.NewClientTransportNS(wf.Broker, wf.ID, wf.namespace())
 	if err != nil {
-		fatal(err)
+		return err
 	}
 	defer tr.Close()
 
-	dc := data.CIFAR10Config(*scale, *seed+13)
-	train, _, err := data.Generate(dc)
+	wl := systems.NewWorkload(wf.Scale, *seed)
+	shards, _, err := wl.Shards(wf.Workers)
 	if err != nil {
-		fatal(err)
+		return err
 	}
-	shards, err := data.Partition(train, *n, *seed)
-	if err != nil {
-		fatal(err)
-	}
-	spec := nn.CipherSpec(dc.Channels, dc.Height, dc.Width, dc.NumClasses, *seed+1000)
 
 	// Observability: with -debug-addr set the worker traces its phase
 	// breakdown and counters and serves them on /debug/vars next to pprof.
@@ -104,32 +95,28 @@ func main() {
 		sink = obs.NewWorkerObs()
 		reg = obs.NewRegistry()
 		tr.SetMetrics(reg)
-		dbg, err := obs.ServeDebug(*dbgAddr, reg)
-		if err != nil {
-			fatal(err)
-		}
-		defer dbg.Close()
-		workerID := *id
-		obs.Publish("dlion.worker", func() any { return sink.Snapshot(workerID) })
+		obs.Publish("dlion.worker", func() any { return sink.Snapshot(wf.ID) })
 		sink.SetJoinHistogram(reg.Histogram("membership.join_latency"))
-		fmt.Println("debug server on", dbg.Addr())
 	}
+	stopDebug, err := cli.Debug(*dbgAddr, reg, stdout)
+	if err != nil {
+		return err
+	}
+	defer stopDebug()
 
 	node, err := realtime.NewNode(realtime.Config{
-		ID: *id, N: *n, System: sys, Spec: spec, Shard: shards[*id], Transport: tr,
+		ID: wf.ID, N: wf.Workers, System: sys, Spec: wl.Spec, Shard: shards[wf.ID], Transport: tr,
 		Obs: sink, Metrics: reg,
 	})
 	if err != nil {
-		fatal(err)
+		return err
 	}
 
-	fmt.Printf("worker %d/%d (%s) training for %v via %s\n", *id, *n, sys.Name, *duration, *broker)
+	fmt.Fprintf(stdout, "worker %d/%d (%s) training for %v via %s\n", wf.ID, wf.Workers, sys.Name, *duration, wf.Broker)
 	// SIGINT/SIGTERM trigger a graceful LEAVE, not just a stop: the worker
 	// drains its queued sends, broadcasts membership tombstones so peers
 	// renormalize immediately instead of waiting to suspect a silent peer,
 	// and only then shuts its loop down (DESIGN.md §10).
-	sigCtx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
 	ctx, cancel := context.WithTimeout(context.Background(), *duration)
 	defer cancel()
 
@@ -154,11 +141,11 @@ func main() {
 					}
 					frame, err := serve.EncodeUpdateManifest(iter, man, ckpt)
 					if err != nil {
-						fmt.Fprintln(os.Stderr, "dlion-worker: serve publish:", err)
+						fmt.Fprintln(stderr, "dlion-worker: serve publish:", err)
 						continue
 					}
 					if err := tr.Publish(serve.WeightsChannel, frame); err != nil {
-						fmt.Fprintln(os.Stderr, "dlion-worker: serve publish:", err)
+						fmt.Fprintln(stderr, "dlion-worker: serve publish:", err)
 						continue
 					}
 					if parent == nil || man.Iter > parent.Iter {
@@ -175,20 +162,22 @@ func main() {
 			select {
 			case <-tick.C:
 				node.Inspect(ctx, func(w *core.Worker) {
-					fmt.Printf("  iter=%d loss=%.3f sent=%dKB\n", w.Stats().Iters, w.AvgRecentLoss(), w.Stats().BytesSent>>10)
+					fmt.Fprintf(stdout, "  iter=%d loss=%.3f sent=%dKB\n", w.Stats().Iters, w.AvgRecentLoss(), w.Stats().BytesSent>>10)
 				})
 			case <-ctx.Done():
 				return
 			}
 		}
 	}()
+	left := make(chan struct{})
 	go func() {
+		defer close(left)
 		select {
 		case <-sigCtx.Done():
-			fmt.Println("signal: leaving the federation")
+			fmt.Fprintln(stdout, "signal: leaving the federation")
 			lctx, lcancel := context.WithTimeout(context.Background(), 5*time.Second)
 			if err := node.Leave(lctx, 5*time.Second); err != nil {
-				fmt.Fprintln(os.Stderr, "dlion-worker: leave:", err)
+				fmt.Fprintln(stderr, "dlion-worker: leave:", err)
 			}
 			lcancel()
 			cancel() // tombstones are out (or timed out): stop the loop
@@ -196,33 +185,32 @@ func main() {
 			// normal duration expiry: Run returns and FlushSends below drains
 		}
 	}()
-	if err := node.Run(ctx); err != nil {
-		fatal(err)
+	err = node.Run(ctx)
+	cancel() // release the goroutine above if Run failed
+	<-left   // a leave in flight ends before the transport closes
+	if err != nil {
+		return err
 	}
 	// Graceful drain: give the per-peer FIFOs a moment to hand their last
 	// frames to the broker before the deferred transport close cuts them off.
 	if !node.FlushSends(2 * time.Second) {
-		fmt.Fprintln(os.Stderr, "dlion-worker: send queues did not fully drain")
+		fmt.Fprintln(stderr, "dlion-worker: send queues did not fully drain")
 	}
 	s := node.Worker().Stats()
-	fmt.Printf("done: %d iterations, %d samples, final loss %.3f\n",
+	fmt.Fprintf(stdout, "done: %d iterations, %d samples, final loss %.3f\n",
 		s.Iters, s.SamplesProcessed, node.Worker().AvgRecentLoss())
 	w := node.Worker()
-	fmt.Printf("membership: state=%s epoch=%d roster=%d degraded_iters=%d\n",
+	fmt.Fprintf(stdout, "membership: state=%s epoch=%d roster=%d degraded_iters=%d\n",
 		w.State(), w.Epoch(), len(w.Members()), s.DegradedIters)
 	if sink != nil {
-		w := sink.Snapshot(*id)
-		fmt.Printf("phases: compute %.2fs serialize %.2fs send %.2fs recv-wait %.2fs apply %.2fs\n",
+		w := sink.Snapshot(wf.ID)
+		fmt.Fprintf(stdout, "phases: compute %.2fs serialize %.2fs send %.2fs recv-wait %.2fs apply %.2fs\n",
 			w.Phases["compute"], w.Phases["serialize"], w.Phases["send"],
 			w.Phases["recv_wait"], w.Phases["apply"])
-		fmt.Printf("bytes: gradient %d/%d weights %d/%d control %d/%d (sent/recvd)\n",
+		fmt.Fprintf(stdout, "bytes: gradient %d/%d weights %d/%d control %d/%d (sent/recvd)\n",
 			w.SentBytes["gradient"], w.RecvBytes["gradient"],
 			w.SentBytes["weights"], w.RecvBytes["weights"],
 			w.SentBytes["control"], w.RecvBytes["control"])
 	}
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "dlion-worker:", err)
-	os.Exit(1)
+	return nil
 }

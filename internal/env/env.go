@@ -203,10 +203,6 @@ func Custom(name string, capacities []simcompute.Schedule, network *simnet.Netwo
 		Network:  network}
 }
 
-// CPUCost exposes the CPU-cluster iteration cost model for custom
-// environments built outside this package.
-func CPUCost() simcompute.CostModel { return cpuCost() }
-
 // MustGet is Get for known-good names authored in code.
 func MustGet(name string, seed uint64) *Env {
 	e, err := Get(name, seed)

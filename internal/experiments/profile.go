@@ -11,6 +11,7 @@ import (
 	"dlion/internal/data"
 	"dlion/internal/env"
 	"dlion/internal/nn"
+	"dlion/internal/systems"
 )
 
 // Profile scales every experiment. The paper trained real CIFAR10 for 1500
@@ -99,11 +100,11 @@ func (p Profile) system(cfg core.Config) core.Config {
 // run indexes the averaging seed.
 func (p Profile) clusterConfig(sys core.Config, e *env.Env, run int) cluster.Config {
 	seed := p.Seed + uint64(run)*101
-	dc := data.CIFAR10Config(p.DataScale, seed+13)
-	model := nn.CipherSpec(dc.Channels, dc.Height, dc.Width, dc.NumClasses, 0)
+	w := systems.NewWorkload(p.DataScale, seed)
+	dc, model := w.Data, w.Spec
 	horizon := p.Horizon
 	if e.GPU {
-		dc = data.ImageNet100Config(p.GPUDataScale, seed+13)
+		dc = data.ImageNet100Config(p.GPUDataScale, w.Data.Seed)
 		model = nn.MobileNetLiteSpec(dc.Channels, dc.Height, dc.Width, dc.NumClasses, 0)
 		horizon = p.GPUHorizon
 	}

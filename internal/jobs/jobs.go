@@ -98,10 +98,10 @@ func (s Spec) withDefaults() Spec {
 		s.Slots = s.Workers
 	}
 	if s.Scale == 0 {
-		s.Scale = 0.02
+		s.Scale = systems.DefaultScale
 	}
 	if s.Seed == 0 {
-		s.Seed = 7
+		s.Seed = systems.DefaultSeed
 	}
 	return s
 }

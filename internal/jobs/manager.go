@@ -9,7 +9,6 @@ import (
 	"dlion/internal/core"
 	"dlion/internal/data"
 	"dlion/internal/lineage"
-	"dlion/internal/nn"
 	"dlion/internal/obs"
 	"dlion/internal/queue"
 	"dlion/internal/realtime"
@@ -419,24 +418,15 @@ func (r *run) deploy() error {
 	if spec.Slots > spec.Workers {
 		// Leave joiner slots: the group is founded by [0, Workers) and
 		// external -job -join workers may take the remaining address space.
-		roster := make([]int, spec.Workers)
-		for i := range roster {
-			roster[i] = i
-		}
-		cfg.Membership.InitialMembers = roster
+		cfg.Membership.InitialMembers = systems.Founders(spec.Workers)
 	}
 
-	dc := data.CIFAR10Config(spec.Scale, spec.Seed+13)
-	train, test, err := data.Generate(dc)
-	if err != nil {
-		return err
-	}
-	shards, err := data.Partition(train, spec.Slots, spec.Seed)
+	w := systems.NewWorkload(spec.Scale, spec.Seed)
+	shards, test, err := w.Shards(spec.Slots)
 	if err != nil {
 		return err
 	}
 	r.test = test
-	mspec := nn.CipherSpec(dc.Channels, dc.Height, dc.Width, dc.NumClasses, spec.Seed+1000)
 
 	sinks := make([]*obs.WorkerObs, spec.Workers)
 	for i := range sinks {
@@ -444,7 +434,7 @@ func (r *run) deploy() error {
 	}
 	g, err := realtime.NewGroup(spec.Workers, func(i int) (realtime.Config, error) {
 		tr := realtime.NewBrokerTransport(r.m.cfg.Broker, i, queue.JobNamespace(r.job.ID))
-		return realtime.Config{ID: i, N: spec.Slots, System: cfg, Spec: mspec, Shard: shards[i],
+		return realtime.Config{ID: i, N: spec.Slots, System: cfg, Spec: w.Spec, Shard: shards[i],
 			Transport: tr, Obs: sinks[i], Metrics: r.m.cfg.Metrics}, nil
 	}, r.m.cfg.MaxRestarts)
 	if err != nil {

@@ -9,7 +9,7 @@ import (
 )
 
 // TestRegistryConcurrentAttachSnapshot hammers one registry from many
-// goroutines doing lookups, attaches, recording, and snapshots at once —
+// goroutines doing lookups, recording, and snapshots at once —
 // the access pattern of a controller process where jobs come and go while
 // the debug endpoint renders /debug/vars. Run under -race.
 func TestRegistryConcurrentAttachSnapshot(t *testing.T) {
@@ -17,22 +17,21 @@ func TestRegistryConcurrentAttachSnapshot(t *testing.T) {
 	const goroutines = 8
 	const rounds = 200
 	var wg sync.WaitGroup
-	for g := 0; g < goroutines; g++ {
+	for range goroutines {
 		wg.Add(1)
-		go func(g int) {
+		go func() {
 			defer wg.Done()
 			for i := 0; i < rounds; i++ {
 				name := fmt.Sprintf("m%d", i%7)
 				r.Counter(name).Inc()
 				r.Gauge(name + ".g").Set(int64(i))
 				r.Histogram(name + ".h").Observe(float64(i) * 1e-4)
-				r.AttachFunc(fmt.Sprintf("ext%d", g), (&Counter{}).Load)
 				if i%10 == 0 {
 					r.Snapshot()
 					r.HistogramSummaries()
 				}
 			}
-		}(g)
+		}()
 	}
 	wg.Wait()
 
@@ -49,21 +48,6 @@ func TestRegistryConcurrentAttachSnapshot(t *testing.T) {
 		if s := r.HistogramSummaries()[name]; s.Count == 0 {
 			t.Errorf("histogram %s empty after concurrent observes", name)
 		}
-	}
-}
-
-// TestRegistryAttachReplaces checks the documented replace-on-reattach
-// behavior: the snapshot follows the newest reader.
-func TestRegistryAttachReplaces(t *testing.T) {
-	r := NewRegistry()
-	first := &Counter{}
-	first.Add(5)
-	r.AttachFunc("x", first.Load)
-	second := &Counter{}
-	second.Add(9)
-	r.AttachFunc("x", second.Load)
-	if got := r.Snapshot()["x"]; got != 9 {
-		t.Errorf("snapshot x = %d, want the re-attached reader's 9", got)
 	}
 }
 

@@ -211,9 +211,6 @@ func (r *Registry) Histogram(name string) *Histogram {
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if r.histograms == nil {
-		r.histograms = map[string]*Histogram{}
-	}
 	h := r.histograms[name]
 	if h == nil {
 		h = NewHistogram()

@@ -135,12 +135,12 @@ type Registry struct {
 	counters   map[string]*Counter
 	gauges     map[string]*Gauge
 	histograms map[string]*Histogram
-	funcs      map[string]func() int64 // AttachFunc
 }
 
 // NewRegistry returns an empty registry.
 func NewRegistry() *Registry {
-	return &Registry{counters: map[string]*Counter{}, gauges: map[string]*Gauge{}}
+	return &Registry{counters: map[string]*Counter{}, gauges: map[string]*Gauge{},
+		histograms: map[string]*Histogram{}}
 }
 
 // Counter returns the named counter, creating it if needed (nil on a nil
@@ -175,26 +175,9 @@ func (r *Registry) Gauge(name string) *Gauge {
 	return g
 }
 
-// AttachFunc registers a value another package owns under name, read
-// through load at every snapshot, so package-level counters in packages obs
-// cannot import appear in snapshots and expvar next to registry-born ones. Re-attaching a name replaces the
-// previous reader. No-op on a nil registry or nil load.
-func (r *Registry) AttachFunc(name string, load func() int64) {
-	if r == nil || load == nil {
-		return
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if r.funcs == nil {
-		r.funcs = map[string]func() int64{}
-	}
-	r.funcs[name] = load
-}
-
 // Snapshot returns every metric as name → value. Gauges contribute their
 // current value under their name and the high-water mark under
-// name + ".max"; attached readers contribute what they read. A nil registry
-// snapshots to an empty map.
+// name + ".max". A nil registry snapshots to an empty map.
 func (r *Registry) Snapshot() map[string]int64 {
 	out := map[string]int64{}
 	if r == nil {
@@ -208,9 +191,6 @@ func (r *Registry) Snapshot() map[string]int64 {
 	for name, g := range r.gauges {
 		out[name] = g.Load()
 		out[name+".max"] = g.Max()
-	}
-	for name, load := range r.funcs {
-		out[name] = load()
 	}
 	return out
 }

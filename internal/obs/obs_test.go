@@ -68,27 +68,6 @@ func TestRegistrySnapshot(t *testing.T) {
 	}
 }
 
-func TestRegistryAttach(t *testing.T) {
-	r := NewRegistry()
-	c := &Counter{}
-	c.Add(7)
-	r.AttachFunc("ext.count", c.Load)
-	if snap := r.Snapshot(); snap["ext.count"] != 7 {
-		t.Fatalf("attached metric missing from snapshot: %v", snap)
-	}
-	c.Inc()
-	if r.Snapshot()["ext.count"] != 8 {
-		t.Fatal("attached reader must stay live")
-	}
-	// nil-safety: no panics, no effect
-	var nilReg *Registry
-	nilReg.AttachFunc("x", c.Load)
-	r.AttachFunc("nil", nil)
-	if _, ok := r.Snapshot()["nil"]; ok {
-		t.Fatal("nil readers must not be attached")
-	}
-}
-
 func TestWorkerObsAccumulates(t *testing.T) {
 	o := NewWorkerObs()
 	o.AddPhase(PhaseCompute, 1.5)

@@ -67,11 +67,6 @@ func (r *RNG) Float64() float64 {
 	return float64(r.Uint64()>>11) / (1 << 53)
 }
 
-// Float32 returns a uniform float32 in [0, 1).
-func (r *RNG) Float32() float32 {
-	return float32(r.Float64())
-}
-
 // NormFloat64 returns a standard normal variate (Box–Muller).
 func (r *RNG) NormFloat64() float64 {
 	for {

@@ -12,7 +12,9 @@ import (
 	"strings"
 
 	"dlion/internal/core"
+	"dlion/internal/data"
 	"dlion/internal/grad"
+	"dlion/internal/nn"
 )
 
 // Defaults shared by every preset (overridable on the returned Config).
@@ -186,6 +188,43 @@ func ForJob(system, quant, job string, maxIters int64) (core.Config, error) {
 		c.Name += "@" + job
 	}
 	return c, nil
+}
+
+// DefaultScale and DefaultSeed name the workload a worker, a dlion-serve
+// and a control-plane job use when given no scale or seed.
+const DefaultScale, DefaultSeed = 0.02, 7
+
+// Workload is the training workload a cluster's (scale, seed) names. Its
+// workers, a -job worker and the dlion-serve restoring their checkpoints
+// must agree on it, so all of them derive it here.
+type Workload struct {
+	Data data.Config // the synthetic CIFAR-10 stand-in, generated from seed+13
+	Spec nn.Spec     // the Cipher model; every replica initialises from seed+1000
+	Seed uint64      // shuffles the training set into the workers' shards
+}
+
+// NewWorkload returns the workload (scale, seed) names.
+func NewWorkload(scale float64, seed uint64) Workload {
+	dc := data.CIFAR10Config(scale, seed+13)
+	return Workload{dc, nn.CipherSpec(dc.Channels, dc.Height, dc.Width, dc.NumClasses, seed+1000), seed}
+}
+
+// Shards generates the dataset and shards its training set across slots.
+func (w Workload) Shards(slots int) (shards []*data.Shard, test *data.Dataset, err error) {
+	train, test, err := data.Generate(w.Data)
+	if err == nil {
+		shards, err = data.Partition(train, slots, w.Seed)
+	}
+	return shards, test, err
+}
+
+// Founders returns the founding roster [0, n), leaving ids from n on to joiners.
+func Founders(n int) []int {
+	roster := make([]int, n)
+	for i := range roster {
+		roster[i] = i
+	}
+	return roster
 }
 
 // MaxNOnly runs the Max N selector with a fixed N and nothing else from
