@@ -52,6 +52,10 @@ fmt:
 vet:
 	go vet ./...
 
+# Includes the root package's TestRules (rules_test.go): reachability of
+# every package-level object, no time or math/rand in the training core,
+# the process shell as the only exit and signal trap under cmd/, and
+# goroutines only in tensor/pool.go among the core packages.
 test:
 	go test ./...
 

@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"context"
+	"os"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -26,7 +27,11 @@ func TestRun(t *testing.T) {
 	bad := *man
 	bad.Digest ^= 1
 	for path, m := range map[string]*lineage.Manifest{clean: man, forged: &bad} {
-		if err := lineage.WriteFile(path, m); err != nil {
+		raw, err := lineage.EncodeJSON(m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(lineage.SidecarPath(path), raw, 0o644); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -16,6 +16,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"flag"
 	"fmt"
 	"io"
 	"net/http"
@@ -30,12 +31,12 @@ func main() { cli.Main("dlion-ctl", run) }
 func run(_ context.Context, args []string, stdout, stderr io.Writer) error {
 	fs := cli.Flags("dlion-ctl", stderr)
 	api := fs.String("api", "http://127.0.0.1:8081", "controller API base URL")
-	fs.Usage = func() { usage(stderr) }
+	fs.Usage = func() { usage(fs) }
 	if err := cli.Parse(fs, args); err != nil {
 		return err
 	}
 	if fs.NArg() < 1 {
-		usage(stderr)
+		usage(fs)
 		return cli.ErrUsage
 	}
 	jobsURL := strings.TrimRight(*api, "/") + "/v1/jobs"
@@ -59,14 +60,17 @@ func run(_ context.Context, args []string, stdout, stderr io.Writer) error {
 		return call(stdout, method, url, nil)
 	}
 	fmt.Fprintf(stderr, "dlion-ctl: unknown command %q\n", cmd)
-	usage(stderr)
+	usage(fs)
 	return cli.ErrUsage
 }
 
-func usage(stderr io.Writer) {
-	fmt.Fprintln(stderr, "usage: dlion-ctl [-api URL] {submit|list|get|metrics|halt} [args]")
-	fmt.Fprintln(stderr, "  submit -system <preset> -workers N -max-iters N [-quant M] [-tenant T] [-slots N] [-scale F] [-seed N] [-lbs N] [-name S]")
-	fmt.Fprintln(stderr, "  get|metrics|halt <job-id>")
+// usage prints the command lines, then fs's flags with their defaults.
+func usage(fs *flag.FlagSet) {
+	out := fs.Output()
+	fmt.Fprintln(out, "usage: dlion-ctl [-api URL] {submit|list|get|metrics|halt} [args]")
+	fmt.Fprintln(out, "  submit -system <preset> -workers N -max-iters N [-quant M] [-tenant T] [-slots N] [-scale F] [-seed N] [-lbs N] [-name S]")
+	fmt.Fprintln(out, "  get|metrics|halt <job-id>")
+	fs.PrintDefaults()
 }
 
 func cmdSubmit(stdout, stderr io.Writer, jobsURL string, args []string) error {

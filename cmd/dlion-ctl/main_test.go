@@ -36,6 +36,17 @@ func TestRun(t *testing.T) {
 		return stdout.String()
 	}
 	api := []string{"-api", srv.URL + "/"}
+	t.Run("help lists flags", func(t *testing.T) {
+		var stdout, stderr bytes.Buffer
+		if got := cli.Run(context.Background(), "dlion-ctl", run, []string{"-h"}, &stdout, &stderr); got != 0 {
+			t.Fatalf("-h exited %d", got)
+		}
+		for _, want := range []string{"-api string", `(default "http://127.0.0.1:8081")`} {
+			if !strings.Contains(stderr.String(), want) {
+				t.Errorf("-h printed\n%s\nwant %q in it", stderr.String(), want)
+			}
+		}
+	})
 	for _, tc := range []struct {
 		name string
 		args []string

@@ -369,7 +369,10 @@ func (silentSelector) Select(int, []*nn.Param, int) []*grad.Selection {
 
 func TestEnvIntegration(t *testing.T) {
 	// One end-to-end pass over a real Table 3 environment.
-	e := env.MustGet("Hetero CPU A", 3)
+	e, err := env.Get("Hetero CPU A", 3)
+	if err != nil {
+		t.Fatal(err)
+	}
 	dc := data.CIFAR10Config(0.02, 11)
 	res, err := Run(Config{
 		System:   systems.DLion(),

@@ -97,8 +97,8 @@ func TestSendKeepsStartBandwidthOnSingleTickLink(t *testing.T) {
 
 	advance(4)
 	env.Send(0, 1, sendMsg(0, 1))
-	if env.eng.Pending() != 0 || env.egress[0] != 0 {
-		t.Fatalf("send on a dead link: %d events pending, egress busy until %v", env.eng.Pending(), env.egress[0])
+	if env.eng.Step() || env.egress[0] != 0 {
+		t.Fatalf("send on a dead link scheduled an event or took egress (busy until %v)", env.egress[0])
 	}
 
 	advance(5.0005)

@@ -119,7 +119,9 @@ func TestDKTMergeMovesTowardBest(t *testing.T) {
 	env, ws := dktCluster(t, 2, false)
 	// make worker 1 terrible and record its distance to worker 0 weights
 	for _, p := range ws[1].Model().Params() {
-		p.W.Fill(0.9)
+		for i := range p.W.Data {
+			p.W.Data[i] = 0.9
+		}
 	}
 	dist := func() float64 {
 		var d float64

@@ -71,7 +71,6 @@ func (w *Worker) exchangeGradients() {
 			}
 		}
 		link := &w.peers[p]
-		link.prec = prec
 
 		var entry *selCacheEntry
 		if w.selInvariant {

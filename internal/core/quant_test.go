@@ -17,6 +17,17 @@ func modelDenseBytes(w *Worker) int {
 	return grad.DenseBytes(totals)
 }
 
+// lastPrecision is the wire precision of the last gradient from sent to to
+// that env saw (PrecF32 before any).
+func lastPrecision(env *fakeEnv, from, to int) grad.Precision {
+	for i := len(env.sent) - 1; i >= 0; i-- {
+		if m := env.sent[i]; m.Type == wire.TypeGradient && int(m.From) == from && int(m.To) == to && len(m.Selections) > 0 {
+			return m.Selections[0].Prec
+		}
+	}
+	return grad.PrecF32
+}
+
 // TestQuantFixedPrecision: with a fixed int8 configuration every gradient
 // selection leaves quantized, the savings counter advances, and training
 // still progresses.
@@ -33,8 +44,8 @@ func TestQuantFixedPrecision(t *testing.T) {
 	if ws[0].Iter() < 5 {
 		t.Fatalf("worker 0 made only %d iterations", ws[0].Iter())
 	}
-	if ws[0].LastPrecision(1) != grad.PrecI8 {
-		t.Fatalf("link precision %v, want int8", ws[0].LastPrecision(1))
+	if lastPrecision(env, 0, 1) != grad.PrecI8 {
+		t.Fatalf("link precision %v, want int8", lastPrecision(env, 0, 1))
 	}
 	saved := ws[0].Stats().QuantBytesSaved
 	if saved <= 0 {
@@ -86,7 +97,7 @@ func testQuantAutoPrecision(t *testing.T, wallPaid bool) {
 			w.Start()
 		}
 		env.eng.Run(4)
-		return ws[0].LastPrecision(1)
+		return lastPrecision(env, 0, 1)
 	}
 
 	// The test model's full dense exchange is ~400 KB; per-link budget is
@@ -123,10 +134,10 @@ func TestQuantPeerMaskClamp(t *testing.T) {
 	}
 	env.eng.Run(5)
 
-	if got := ws[0].LastPrecision(1); got != grad.PrecF16 {
+	if got := lastPrecision(env, 0, 1); got != grad.PrecF16 {
 		t.Fatalf("f16-only peer got %v", got)
 	}
-	if got := ws[0].LastPrecision(2); got != grad.PrecI8 {
+	if got := lastPrecision(env, 0, 2); got != grad.PrecI8 {
 		t.Fatalf("unconstrained peer got %v, want int8", got)
 	}
 	if got := ws[0].PeerAcceptMask(2); got != grad.MaskAll {
@@ -158,12 +169,12 @@ func TestQuantMaskPropagatesThroughJoin(t *testing.T) {
 	if got := ws[0].PeerAcceptMask(2); got != grad.MaskF16 {
 		t.Fatalf("sponsor learned mask %v, want f16-only", got)
 	}
-	if got := ws[0].LastPrecision(2); got != grad.PrecF16 {
+	if got := lastPrecision(env, 0, 2); got != grad.PrecF16 {
 		t.Fatalf("sponsor sent joiner %v, want f16", got)
 	}
 	// The joiner learned the sponsor's (default accept-all) mask and may
 	// keep sending int8.
-	if got := ws[2].LastPrecision(0); got != grad.PrecI8 {
+	if got := lastPrecision(env, 2, 0); got != grad.PrecI8 {
 		t.Fatalf("joiner sent sponsor %v, want int8", got)
 	}
 }

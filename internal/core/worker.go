@@ -179,9 +179,8 @@ type peerState struct {
 	lastSent  float64 // when this worker last sent the peer anything
 
 	// What the last gradient exchange sent on the link to this peer.
-	selCount int            // gradient values
-	budget   int            // byte budget
-	prec     grad.Precision // wire precision (§3.3's precision half)
+	selCount int // gradient values
+	budget   int // byte budget
 
 	// quant is the accept mask the peer advertised in HELLO/WELCOME; 0 (a
 	// static founder never handshakes) reads as accept-all.
@@ -283,9 +282,6 @@ func (w *Worker) Stats() Stats { return w.stats }
 // (the default) keeps every instrumentation point a no-op.
 func (w *Worker) SetObs(o *obs.WorkerObs) { w.obs = o }
 
-// Obs returns the attached observability sink (nil when disabled).
-func (w *Worker) Obs() *obs.WorkerObs { return w.obs }
-
 // classOf buckets a message type for per-class byte accounting.
 func classOf(t wire.MsgType) obs.MsgClass {
 	switch t {
@@ -304,10 +300,6 @@ func (w *Worker) LastSelectedCount(peer int) int { return w.peers[peer].selCount
 
 // LastBudget returns the most recent per-link byte budget for peer.
 func (w *Worker) LastBudget(peer int) int { return w.peers[peer].budget }
-
-// LastPrecision returns the wire precision chosen for the link to peer on
-// the most recent gradient exchange (PrecF32 before any exchange).
-func (w *Worker) LastPrecision(peer int) grad.Precision { return w.peers[peer].prec }
 
 // PeerAcceptMask returns the reduced-precision accept mask peer advertised
 // during membership negotiation; peers that never handshook (static

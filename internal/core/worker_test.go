@@ -316,7 +316,9 @@ func TestDKTBestWorkerSharesWeights(t *testing.T) {
 	ws := buildCluster(t, cfg, env)
 	// Force worker 1 to have a terrible model so worker 0 wins elections.
 	for _, p := range ws[1].Model().Params() {
-		p.W.Fill(0.5)
+		for i := range p.W.Data {
+			p.W.Data[i] = 0.5
+		}
 	}
 	for _, w := range ws {
 		w.Start()

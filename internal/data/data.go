@@ -160,16 +160,6 @@ func Generate(cfg Config) (train, test *Dataset, err error) {
 	return train, test, nil
 }
 
-// MustGenerate is Generate, panicking on config errors. For examples and
-// benches with known-good configs.
-func MustGenerate(cfg Config) (train, test *Dataset) {
-	train, test, err := Generate(cfg)
-	if err != nil {
-		panic(err)
-	}
-	return train, test
-}
-
 // makeTemplates builds one smooth template per class: a sum of random 2-D
 // Gaussian bumps, per channel, normalized to zero mean / unit-ish range.
 func makeTemplates(cfg Config, rng *stats.RNG) [][]float32 {

@@ -202,12 +202,3 @@ func Custom(name string, capacities []simcompute.Schedule, network *simnet.Netwo
 		Computes: schedEnv(cpuCost(), seed, capacities),
 		Network:  network}
 }
-
-// MustGet is Get for known-good names authored in code.
-func MustGet(name string, seed uint64) *Env {
-	e, err := Get(name, seed)
-	if err != nil {
-		panic(err)
-	}
-	return e
-}

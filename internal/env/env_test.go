@@ -51,7 +51,10 @@ func TestGetNameNormalization(t *testing.T) {
 }
 
 func TestHeteroSysAShape(t *testing.T) {
-	e := MustGet("Hetero SYS A", 1)
+	e, err := Get("Hetero SYS A", 1)
+	if err != nil {
+		t.Fatal(err)
+	}
 	wantCores := []float64{24, 24, 12, 12, 6, 6}
 	wantBW := []float64{50, 50, 35, 35, 20, 20}
 	for i := 0; i < 6; i++ {
@@ -66,14 +69,20 @@ func TestHeteroSysAShape(t *testing.T) {
 }
 
 func TestGPUEnvironments(t *testing.T) {
-	c := MustGet("Homo C", 1)
+	c, err := Get("Homo C", 1)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if !c.GPU {
 		t.Fatal("Homo C must be GPU")
 	}
 	if got := c.Computes[0].Capacity.At(0); got != 30 {
 		t.Fatalf("p2.xlarge capacity %v, want 30", got)
 	}
-	sc := MustGet("Hetero SYS C", 1)
+	sc, err := Get("Hetero SYS C", 1)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if got := sc.Computes[0].Capacity.At(0); got != 240 {
 		t.Fatalf("p2.8xlarge capacity %v, want 240", got)
 	}
@@ -116,7 +125,10 @@ func TestTable2Consistency(t *testing.T) {
 	if len(Table2) != 6 || len(Table2Regions) != 6 {
 		t.Fatal("Table 2 must be 6x6")
 	}
-	e := MustGet("Table2 WAN", 1)
+	e, err := Get("Table2 WAN", 1)
+	if err != nil {
+		t.Fatal(err)
+	}
 	bw, _ := e.Network.BandwidthAt(0, 3, 0) // Virginia -> Mumbai
 	if bw != 53 {
 		t.Fatalf("V->M = %v, want 53", bw)

@@ -15,7 +15,9 @@ func benchParams(n int) []*nn.Param {
 		g[i] = float32(rng.NormFloat64())
 	}
 	p := &nn.Param{Name: "w", W: tensor.New(n), G: tensor.FromSlice(g, n)}
-	p.W.Fill(1)
+	for i := range p.W.Data {
+		p.W.Data[i] = 1
+	}
 	return []*nn.Param{p}
 }
 

@@ -64,18 +64,3 @@ func (g *Gaia) Select(to int, params []*nn.Param, _ int) []*Selection {
 	}
 	return out
 }
-
-// PendingBytes reports the wire size of what would be flushed if every
-// accumulated value became significant — useful for tests and metrics.
-func (g *Gaia) PendingBytes(to int) int {
-	peer := g.acc[to]
-	n := 0
-	for _, a := range peer {
-		for _, v := range a {
-			if v != 0 {
-				n += sparseEntryBytes
-			}
-		}
-	}
-	return n
-}

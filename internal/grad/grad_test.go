@@ -22,7 +22,9 @@ func makeParams(grads map[string][]float32) []*nn.Param {
 		p := &nn.Param{Name: name,
 			W: tensor.New(len(g)),
 			G: tensor.FromSlice(append([]float32(nil), g...), len(g))}
-		p.W.Fill(1)
+		for i := range p.W.Data {
+			p.W.Data[i] = 1
+		}
 		out = append(out, p)
 	}
 	return out
@@ -233,9 +235,22 @@ func TestGaiaSignificanceAndResidual(t *testing.T) {
 		t.Fatalf("accumulated value %v", sels2[0].Val[0])
 	}
 	// after flush, accumulator should be empty
-	if g.PendingBytes(0) != 0 {
-		t.Fatalf("pending %d", g.PendingBytes(0))
+	if pendingValues(g, 0) != 0 {
+		t.Fatalf("pending %d", pendingValues(g, 0))
 	}
+}
+
+// pendingValues counts the residuals Gaia still holds for peer to.
+func pendingValues(g *Gaia, to int) int {
+	n := 0
+	for _, a := range g.acc[to] {
+		for _, v := range a {
+			if v != 0 {
+				n++
+			}
+		}
+	}
+	return n
 }
 
 func TestGaiaPerPeerState(t *testing.T) {
@@ -245,7 +260,7 @@ func TestGaiaPerPeerState(t *testing.T) {
 	// peer 1 has its own accumulator; after one sub-threshold step both
 	// peers hold pending residual independently
 	g.Select(1, ps, 0)
-	if g.PendingBytes(0) == 0 || g.PendingBytes(1) == 0 {
+	if pendingValues(g, 0) == 0 || pendingValues(g, 1) == 0 {
 		t.Fatal("per-peer accumulators missing")
 	}
 }

@@ -75,10 +75,13 @@ func TestDigestsOnePass(t *testing.T) {
 // returns the resulting weight digest plus the weights themselves.
 func trainDigest(t *testing.T) (Hash, map[string]*tensor.Tensor) {
 	t.Helper()
-	train, _ := data.MustGenerate(data.Config{
+	train, _, err := data.Generate(data.Config{
 		Name: "lineage", NumClasses: 3, Train: 96, Test: 24,
 		Channels: 1, Height: 8, Width: 8, Noise: 0.35, Bumps: 3, Seed: 5,
 	})
+	if err != nil {
+		t.Fatal(err)
+	}
 	m := nn.CipherSpec(1, 8, 8, 3, 99).Build()
 	idx := make([]int, 8)
 	for step := 0; step < 4; step++ {
@@ -97,10 +100,13 @@ func trainDigest(t *testing.T) (Hash, map[string]*tensor.Tensor) {
 // runners, jobs' final evaluation): Restore covers all the state inference
 // reads, so a BuildZero shell and a Build one hold the same model afterwards.
 func TestZeroBuiltShellRestoresLikeBuilt(t *testing.T) {
-	train, test := data.MustGenerate(data.Config{
+	train, test, err := data.Generate(data.Config{
 		Name: "lineage", NumClasses: 3, Train: 96, Test: 24,
 		Channels: 1, Height: 8, Width: 8, Noise: 0.35, Bumps: 3, Seed: 5,
 	})
+	if err != nil {
+		t.Fatal(err)
+	}
 	x, y := train.Batch([]int{0, 1, 2, 3, 4, 5, 6, 7})
 	for _, spec := range []nn.Spec{
 		nn.CipherSpec(1, 8, 8, 3, 99),

@@ -231,24 +231,6 @@ func VerifyLink(parent, child *Manifest) error {
 	return nil
 }
 
-// VerifyChain checks a worker's manifest chain oldest-first: every adjacent
-// pair must satisfy VerifyLink and the head must be a root (or its parent
-// simply precedes the retained window, which headIsRoot=false allows).
-func VerifyChain(chain []*Manifest, headIsRoot bool) error {
-	if len(chain) == 0 {
-		return nil
-	}
-	if headIsRoot && chain[0].Parent != 0 {
-		return fmt.Errorf("lineage: chain head has parent %s, want root", chain[0].Parent)
-	}
-	for i := 1; i < len(chain); i++ {
-		if err := VerifyLink(chain[i-1], chain[i]); err != nil {
-			return fmt.Errorf("lineage: link %d: %w", i, err)
-		}
-	}
-	return nil
-}
-
 // EncodeJSON serializes the manifest (indented — manifests are small and
 // read by humans in incident reviews).
 func EncodeJSON(m *Manifest) ([]byte, error) {
@@ -284,21 +266,6 @@ func DecodeJSON(data []byte) (*Manifest, error) {
 
 // SidecarPath returns the manifest path for a checkpoint path.
 func SidecarPath(ckptPath string) string { return ckptPath + FileSuffix }
-
-// WriteFile writes the manifest as the checkpoint's sidecar (atomic
-// tmp+rename, so a watcher never reads a torn manifest).
-func WriteFile(ckptPath string, m *Manifest) error {
-	raw, err := EncodeJSON(m)
-	if err != nil {
-		return err
-	}
-	path := SidecarPath(ckptPath)
-	tmp := path + ".tmp"
-	if err := os.WriteFile(tmp, raw, 0o644); err != nil {
-		return err
-	}
-	return os.Rename(tmp, path)
-}
 
 // ReadFile loads a checkpoint's sidecar manifest.
 func ReadFile(ckptPath string) (*Manifest, error) {

@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"dlion/internal/stats"
+	"dlion/internal/tensor"
 )
 
 func TestCheckpointRoundTrip(t *testing.T) {
@@ -139,6 +140,41 @@ func TestCheckpointBytesPinned(t *testing.T) {
 		ck := m.Checkpoint()
 		if sum := fmt.Sprintf("%x", sha256.Sum256(ck)); len(ck) != c.size || sum != c.sum {
 			t.Errorf("%s: checkpoint is %d bytes, sha256 %s; want %d, %s", c.spec.Kind, len(ck), sum, c.size, c.sum)
+		}
+	}
+}
+
+// TestMobileNetLiteTrainBitExact pins a trained MobileNet-lite: a few
+// seeded TrainStep+ApplySGD rounds at LBS 16 and at LBS 1 (the shapes the
+// depthwise, pointwise and pooling kernels see differ) must end in the same
+// checkpoint bytes on every host. `make conformance` runs it under
+// GOARCH=386 on the portable kernels too. The digests were taken before any
+// kernel change they now guard.
+func TestMobileNetLiteTrainBitExact(t *testing.T) {
+	spec := MobileNetLiteSpec(3, 16, 16, 10, 11)
+	for _, c := range []struct {
+		lbs int
+		sum string
+	}{
+		{16, "da21d40849674aae2fb71fdc42ea605b1b29588541a09a93ec9a83c68674b953"},
+		{1, "2ec571b6b15760920d23f1d51bb8ca31a790bb5530e9e03a2b5ebe4ae0a10832"},
+	} {
+		m := spec.Build()
+		rng := stats.NewRNG(uint64(40 + c.lbs))
+		x := tensor.New(c.lbs, spec.Channels, spec.Height, spec.Width)
+		y := make([]int, c.lbs)
+		for step := 0; step < 3; step++ {
+			for i := range x.Data {
+				x.Data[i] = float32(rng.NormFloat64())
+			}
+			for i := range y {
+				y[i] = rng.Intn(spec.Classes)
+			}
+			m.TrainStep(x, y)
+			m.ApplySGD(0.05)
+		}
+		if sum := fmt.Sprintf("%x", sha256.Sum256(m.Checkpoint())); sum != c.sum {
+			t.Errorf("LBS %d: trained checkpoint sha256 %s, want %s", c.lbs, sum, c.sum)
 		}
 	}
 }

@@ -218,7 +218,7 @@ func (c *Conv2D) Backward(dout *tensor.Tensor) *tensor.Tensor {
 }
 
 // backwardParams implements paramBackwarder: Backward without dcols and
-// Col2Im.
+// Col2ImWS.
 func (c *Conv2D) backwardParams(dout *tensor.Tensor) {
 	c.ws.Put(c.paramGrads(dout))
 }
@@ -571,7 +571,7 @@ type Flatten struct {
 	insh []int
 	// out and dx are reused view headers over the caller's data (the arena
 	// aliasing contract already bounds their lifetime to the next pass).
-	// wsBits stays zero, so Put ignores them like any Reshape view.
+	// wsBits stays zero, so Put ignores them like any view.
 	out, dx tensor.Tensor
 }
 

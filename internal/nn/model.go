@@ -18,7 +18,7 @@ import (
 // the replicas Spec.Replicas builds share one, and that TrainStepOn draws
 // from the arena it is given. The rules (DESIGN.md §9):
 //
-//   - One goroutine per arena: a model built by NewModel or Spec.Build is
+//   - One goroutine per arena: a model on its own arena (Spec.Build) is
 //     single-goroutine, and so is a whole Spec.Replicas set on its shared
 //     arena. A step slot (tensor.Slots) owns one arena and lends it to each
 //     step it runs (TrainStepOn), so replicas of one set train on different
@@ -40,14 +40,9 @@ type Model struct {
 	users  []workspaceUser // the layers holding arena buffers
 }
 
-// NewModel assembles a model from layers and indexes its parameters.
-// Duplicate parameter names are a programming error and panic.
-func NewModel(name string, layers ...Layer) *Model {
-	return newModel(tensor.NewWorkspace(), name, layers...)
-}
-
-// newModel is NewModel on a given arena.
-func newModel(ws *tensor.Workspace, name string, layers ...Layer) *Model {
+// NewModel assembles a model from layers on the arena ws and indexes its
+// parameters. Duplicate parameter names are a programming error and panic.
+func NewModel(ws *tensor.Workspace, name string, layers ...Layer) *Model {
 	m := &Model{ModelName: name, Layers: layers, byName: map[string]*Param{}, ws: ws}
 	for _, l := range layers {
 		if wu, ok := l.(workspaceUser); ok {

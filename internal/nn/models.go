@@ -112,7 +112,7 @@ func buildCipher(s Spec, rng *stats.RNG, ws *tensor.Workspace) *Model {
 	h, w = h/2, w/2
 	conv3 := NewConv2D("conv3", 20, 100, 3, 1, 1, rng)
 	flat := h * w * 100
-	return newModel(ws, "cipher",
+	return NewModel(ws, "cipher",
 		conv1, NewReLU("relu1"), pool1,
 		conv2, NewReLU("relu2"), pool2,
 		conv3, NewReLU("relu3"),
@@ -151,5 +151,5 @@ func buildMobileNetLite(s Spec, rng *stats.RNG, ws *tensor.Workspace) *Model {
 		NewGlobalAvgPool("gap"),
 		NewDense("fc", 256, s.Classes, rng),
 	)
-	return newModel(ws, "mobilenet-lite", layers...)
+	return NewModel(ws, "mobilenet-lite", layers...)
 }

@@ -55,7 +55,7 @@ func smallBatch(rng *stats.RNG, b, c, h, w, classes int) (*tensor.Tensor, []int)
 
 func TestGradCheckDense(t *testing.T) {
 	rng := stats.NewRNG(1)
-	m := NewModel("d",
+	m := NewModel(tensor.NewWorkspace(), "d",
 		NewFlatten("f"),
 		NewDense("fc1", 12, 7, rng), NewReLU("r"),
 		NewDense("fc2", 7, 3, rng))
@@ -65,7 +65,7 @@ func TestGradCheckDense(t *testing.T) {
 
 func TestGradCheckConv(t *testing.T) {
 	rng := stats.NewRNG(2)
-	m := NewModel("c",
+	m := NewModel(tensor.NewWorkspace(), "c",
 		NewConv2D("conv", 2, 3, 3, 1, 1, rng), NewReLU("r"),
 		NewFlatten("f"),
 		NewDense("fc", 3*6*6, 4, rng))
@@ -75,7 +75,7 @@ func TestGradCheckConv(t *testing.T) {
 
 func TestGradCheckConvStride2(t *testing.T) {
 	rng := stats.NewRNG(8)
-	m := NewModel("c2",
+	m := NewModel(tensor.NewWorkspace(), "c2",
 		NewConv2D("conv", 1, 2, 3, 2, 1, rng),
 		NewFlatten("f"),
 		NewDense("fc", 2*3*3, 3, rng))
@@ -85,7 +85,7 @@ func TestGradCheckConvStride2(t *testing.T) {
 
 func TestGradCheckMaxPool(t *testing.T) {
 	rng := stats.NewRNG(3)
-	m := NewModel("p",
+	m := NewModel(tensor.NewWorkspace(), "p",
 		NewConv2D("conv", 1, 2, 3, 1, 1, rng),
 		NewMaxPool2("pool"),
 		NewFlatten("f"),
@@ -96,7 +96,7 @@ func TestGradCheckMaxPool(t *testing.T) {
 
 func TestGradCheckDepthwise(t *testing.T) {
 	rng := stats.NewRNG(4)
-	m := NewModel("dw",
+	m := NewModel(tensor.NewWorkspace(), "dw",
 		NewDepthwiseConv2D("dw", 3, 3, 1, 1, rng), NewReLU("r"),
 		NewGlobalAvgPool("gap"),
 		NewDense("fc", 3, 2, rng))
@@ -106,7 +106,7 @@ func TestGradCheckDepthwise(t *testing.T) {
 
 func TestGradCheckDepthwiseStride2(t *testing.T) {
 	rng := stats.NewRNG(5)
-	m := NewModel("dw2",
+	m := NewModel(tensor.NewWorkspace(), "dw2",
 		NewDepthwiseConv2D("dw", 2, 3, 2, 1, rng),
 		NewFlatten("f"),
 		NewDense("fc", 2*3*3, 2, rng))
@@ -201,12 +201,12 @@ func TestDuplicateParamPanics(t *testing.T) {
 			t.Fatal("want panic")
 		}
 	}()
-	NewModel("dup", NewDense("fc", 2, 2, rng), NewDense("fc", 2, 2, rng))
+	NewModel(tensor.NewWorkspace(), "dup", NewDense("fc", 2, 2, rng), NewDense("fc", 2, 2, rng))
 }
 
 func TestSGDReducesLoss(t *testing.T) {
 	rng := stats.NewRNG(6)
-	m := NewModel("t",
+	m := NewModel(tensor.NewWorkspace(), "t",
 		NewFlatten("f"),
 		NewDense("fc1", 16, 16, rng), NewReLU("r"),
 		NewDense("fc2", 16, 4, rng))
@@ -248,9 +248,10 @@ func TestMergeWeightsLambda(t *testing.T) {
 	s := CipherSpec(1, 8, 8, 4, 3)
 	m := s.Build()
 	p := m.Param("fc2/b")
-	p.W.Fill(1)
 	remote := map[string]*tensor.Tensor{"fc2/b": tensor.New(p.W.Shape...)}
-	remote["fc2/b"].Fill(3)
+	for i := range p.W.Data {
+		p.W.Data[i], remote["fc2/b"].Data[i] = 1, 3
+	}
 
 	if err := m.MergeWeights(remote, 0.5); err != nil {
 		t.Fatal(err)
@@ -315,7 +316,10 @@ func TestWeightsEqualIsBitwise(t *testing.T) {
 func TestEvaluate(t *testing.T) {
 	cfg := data.Config{Name: "t", NumClasses: 3, Train: 90, Test: 30,
 		Channels: 1, Height: 8, Width: 8, Noise: 0.1, Jitter: 0, Bumps: 3, Seed: 5}
-	train, test := data.MustGenerate(cfg)
+	train, test, err := data.Generate(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
 	m := CipherSpec(1, 8, 8, 3, 7).Build()
 	acc0, _ := m.Evaluate(test, 16)
 	shards, _ := data.Partition(train, 1, 1)
@@ -337,7 +341,7 @@ func TestTrainStepGradIsMean(t *testing.T) {
 	// Doubling the batch by duplicating samples must leave the mean
 	// gradient unchanged (Eq. 6 semantics).
 	rng := stats.NewRNG(12)
-	m := NewModel("g", NewFlatten("f"), NewDense("fc", 8, 3, rng))
+	m := NewModel(tensor.NewWorkspace(), "g", NewFlatten("f"), NewDense("fc", 8, 3, rng))
 	x1, y1 := smallBatch(rng, 4, 1, 2, 4, 3)
 	m.TrainStep(x1, y1)
 	g1 := m.Param("fc/W").G.Clone()

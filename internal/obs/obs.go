@@ -270,14 +270,6 @@ func (o *WorkerObs) AddQuantSaved(bytes int) {
 	}
 }
 
-// QuantBytesSaved returns the accumulated reduced-precision byte savings.
-func (o *WorkerObs) QuantBytesSaved() int64 {
-	if o == nil {
-		return 0
-	}
-	return o.quantBytesSaved.Load()
-}
-
 // IncLivenessExpiry records one member removed from the roster by
 // suspicion (silent for the liveness timeout).
 func (o *WorkerObs) IncLivenessExpiry() {

@@ -16,7 +16,7 @@ func BenchmarkLPushRPop(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		br.LPush("q", payload)
-		payload, _ = br.RPop("q") // ownership comes back with the pop
+		payload, _ = br.BRPop(context.Background(), "q") // ownership comes back with the pop
 	}
 }
 

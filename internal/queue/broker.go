@@ -195,19 +195,6 @@ func (b *Broker) putLocked(key string, payload []byte, head bool) {
 	b.mDepth.Set(int64(b.queued))
 }
 
-// RPop removes and returns the head of the list, reporting ok=false when
-// the list is empty. Ownership passes to the caller as with BRPop.
-func (b *Broker) RPop(key string) ([]byte, bool) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	l := b.lists[key]
-	if len(l) == 0 {
-		return nil, false
-	}
-	head := b.popLocked(key, l)
-	return head, true
-}
-
 // popLocked removes the head of list l (known non-empty) under b.mu,
 // maintaining the depth accounting.
 func (b *Broker) popLocked(key string, l [][]byte) []byte {

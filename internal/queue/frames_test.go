@@ -175,7 +175,7 @@ func TestPopsDoNotPinFrames(t *testing.T) {
 	b.mu.Lock()
 	backing := b.lists["q"]
 	b.mu.Unlock()
-	b.RPop("q")
+	pop(b, "q")
 	if _, err := b.BRPop(context.Background(), "q"); err != nil {
 		t.Fatal(err)
 	}

@@ -19,8 +19,8 @@ func TestBrokerMetrics(t *testing.T) {
 	if snap := reg.Snapshot(); snap["queue.pushed"] != 2 || snap["queue.list_depth"] != 2 {
 		t.Fatalf("after pushes: %v", snap)
 	}
-	if _, ok := b.RPop("k"); !ok {
-		t.Fatal("RPop failed")
+	if _, ok := pop(b, "k"); !ok {
+		t.Fatal("pop failed")
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), time.Second)
 	defer cancel()

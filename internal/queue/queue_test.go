@@ -11,6 +11,15 @@ import (
 	"dlion/internal/obs"
 )
 
+// pop takes the head of key without waiting, through BRPop with a context
+// that is already done: ok is false when the list is empty.
+func pop(b *Broker, key string) ([]byte, bool) {
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	p, err := b.BRPop(ctx, key)
+	return p, err == nil
+}
+
 func TestPubSubFanout(t *testing.T) {
 	b := NewBroker()
 	defer b.Close()
@@ -85,12 +94,12 @@ func TestListFIFO(t *testing.T) {
 		t.Fatalf("len %d", b.Len("q"))
 	}
 	for i := 0; i < 3; i++ {
-		p, ok := b.RPop("q")
+		p, ok := pop(b, "q")
 		if !ok || p[0] != byte(i) {
 			t.Fatalf("pop %d: %v %v", i, p, ok)
 		}
 	}
-	if _, ok := b.RPop("q"); ok {
+	if _, ok := pop(b, "q"); ok {
 		t.Fatal("empty list must report !ok")
 	}
 }
@@ -154,10 +163,10 @@ func TestRequeueGoesToHead(t *testing.T) {
 	b.SetMetrics(reg)
 	b.LPush("q", []byte("a"))
 	b.LPush("q", []byte("b"))
-	a, _ := b.RPop("q")
+	a, _ := pop(b, "q")
 	b.requeue("q", a)
 	for _, want := range []string{"a", "b"} {
-		if p, ok := b.RPop("q"); !ok || string(p) != want {
+		if p, ok := pop(b, "q"); !ok || string(p) != want {
 			t.Fatalf("pop %q, %v; want %q", p, ok, want)
 		}
 	}

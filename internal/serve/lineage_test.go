@@ -149,7 +149,11 @@ func TestWatchDirRejectsTornCheckpoint(t *testing.T) {
 	// The sidecar lands first: the watcher polls, and a checkpoint it sees
 	// complete before its sidecar exists is published without a manifest.
 	man := manifestFor(t, full, 3)
-	if err := lineage.WriteFile(path, man); err != nil {
+	raw, err := lineage.EncodeJSON(man)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(lineage.SidecarPath(path), raw, 0o644); err != nil {
 		t.Fatal(err)
 	}
 	if err := os.WriteFile(path, full, 0o644); err != nil {

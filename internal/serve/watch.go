@@ -24,7 +24,7 @@ const CheckpointSuffix = ".ckpt"
 // truncated tail, a mid-write snapshot) is skipped without attempting a
 // swap, and because the skip does not mark the file as seen, the completed
 // file is retried on the next poll. A sidecar manifest
-// (<file>.ckpt.manifest.json, see lineage.WriteFile) is attached when
+// (<file>.ckpt.manifest.json, see lineage.SidecarPath) is attached when
 // present and readable; the registry then verifies its digest against the
 // decoded weights.
 //

@@ -40,7 +40,7 @@ type holdEvent struct {
 
 func (h *holdEvent) Fire() {
 	h.i++
-	h.eng.AfterHandler(h.gaps[h.i%len(h.gaps)], h)
+	h.eng.AtHandler(h.eng.Now()+h.gaps[h.i%len(h.gaps)], h)
 }
 
 // BenchmarkEngineHold is the classic hold model: a queue held at 4096
@@ -57,7 +57,7 @@ func BenchmarkEngineHold(b *testing.B) {
 		for j := range gaps {
 			gaps[j] = rng.ExpFloat64()
 		}
-		eng.AfterHandler(gaps[0], &holdEvent{eng: eng, gaps: gaps})
+		eng.AtHandler(gaps[0], &holdEvent{eng: eng, gaps: gaps})
 	}
 	b.ReportAllocs()
 	b.ResetTimer()

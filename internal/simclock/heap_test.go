@@ -234,8 +234,8 @@ func TestReserveSizesTheQueueOnce(t *testing.T) {
 	if cap(e.q) != 1000 || &e.q[0] != backing {
 		t.Fatalf("filling a queue reserved for 1000 regrew it to %d", cap(e.q))
 	}
-	if e.Pending() != 1000 || e.Peak() != 1000 {
-		t.Fatalf("pending %d, peak %d; want 1000 and 1000", e.Pending(), e.Peak())
+	if len(e.q) != 1000 || e.Peak() != 1000 {
+		t.Fatalf("pending %d, peak %d; want 1000 and 1000", len(e.q), e.Peak())
 	}
 	e.RunAll()
 	if len(got) != 2 || got[0] != 1 || got[1] != 2 {

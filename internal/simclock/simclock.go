@@ -40,9 +40,6 @@ func New() *Engine { return &Engine{} }
 // Now returns the current virtual time in seconds.
 func (e *Engine) Now() float64 { return e.now }
 
-// Pending returns the number of scheduled events.
-func (e *Engine) Pending() int { return len(e.q) }
-
 // Executed returns how many events have fired since construction — the
 // numerator of a DES throughput measurement (events per wall second).
 func (e *Engine) Executed() uint64 { return e.executed }
@@ -83,14 +80,6 @@ func (e *Engine) AtHandler(t float64, h Handler) {
 	e.seq++
 	e.q.push(event{at: t, seq: e.seq, h: h})
 	e.peak = max(e.peak, len(e.q))
-}
-
-// AfterHandler schedules h.Fire d seconds from now. Negative d clamps to 0.
-func (e *Engine) AfterHandler(d float64, h Handler) {
-	if d < 0 {
-		d = 0
-	}
-	e.AtHandler(e.now+d, h)
 }
 
 // Every schedules fn at now+period, now+2·period, … until either stop

@@ -89,8 +89,8 @@ func TestRunHorizon(t *testing.T) {
 	if e.Now() != 5 {
 		t.Fatalf("clock should park at horizon, got %v", e.Now())
 	}
-	if e.Pending() != 1 {
-		t.Fatalf("pending %d", e.Pending())
+	if len(e.q) != 1 {
+		t.Fatalf("pending %d", len(e.q))
 	}
 	e.Run(20)
 	if len(fired) != 4 {
@@ -121,8 +121,8 @@ func TestRunParksAtHorizonUniformly(t *testing.T) {
 	e2.At(3, func() {})
 	e2.At(50, func() {})
 	e2.Run(10)
-	if e2.Now() != 10 || e2.Pending() != 1 {
-		t.Fatalf("mid-queue stop: now=%v pending=%d", e2.Now(), e2.Pending())
+	if e2.Now() != 10 || len(e2.q) != 1 {
+		t.Fatalf("mid-queue stop: now=%v pending=%d", e2.Now(), len(e2.q))
 	}
 	// Empty queue from the start.
 	e3 := New()
@@ -162,8 +162,8 @@ func TestEveryStopsOnFirstTick(t *testing.T) {
 	if fired != 0 {
 		t.Fatalf("fn fired %d times despite stop-on-first-tick", fired)
 	}
-	if e.Pending() != 0 {
-		t.Fatalf("stopped ticker left %d events queued", e.Pending())
+	if len(e.q) != 0 {
+		t.Fatalf("stopped ticker left %d events queued", len(e.q))
 	}
 }
 
@@ -178,8 +178,8 @@ func TestEveryTickExactlyAtHorizon(t *testing.T) {
 	if len(at) != 2 || at[0] != 5 || at[1] != 10 {
 		t.Fatalf("ticks %v, want [5 10]", at)
 	}
-	if e.Pending() != 1 {
-		t.Fatalf("pending %d, want the t=15 tick", e.Pending())
+	if len(e.q) != 1 {
+		t.Fatalf("pending %d, want the t=15 tick", len(e.q))
 	}
 	if e.Now() != 10 {
 		t.Fatalf("clock at %v, want 10", e.Now())

@@ -134,9 +134,3 @@ func Mean(xs []float64) float64 {
 	}
 	return s / float64(len(xs))
 }
-
-// StdDev returns the sample standard deviation of xs (0 for fewer than two
-// values).
-func StdDev(xs []float64) float64 {
-	return Summarize(xs).Std
-}

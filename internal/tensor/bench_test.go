@@ -37,7 +37,7 @@ func BenchmarkIm2Col(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		Im2Col(in, 3, 3, 1, 1)
+		Im2ColWS(nil, in, 3, 3, 1, 1)
 	}
 }
 
@@ -77,11 +77,11 @@ func BenchmarkMatMulTransA128(b *testing.B) {
 func BenchmarkCol2Im(b *testing.B) {
 	r := newTestRand(7)
 	in := randTensor(r, 32, 10, 16, 16)
-	cols := Im2Col(in, 3, 3, 1, 1)
+	cols := Im2ColWS(nil, in, 3, 3, 1, 1)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		Col2Im(cols, 32, 10, 16, 16, 3, 3, 1, 1)
+		Col2ImWS(nil, cols, 32, 10, 16, 16, 3, 3, 1, 1)
 	}
 }
 

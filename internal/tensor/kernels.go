@@ -608,7 +608,7 @@ func dotRows(c, a, b []float32, m, n, k int) {
 }
 
 // patchWalk is the geometry of one convolution's patch unrolling, shared by
-// Im2Col and its adjoint: cols holds one rowLen-long patch row per output
+// Im2ColWS and its adjoint: cols holds one rowLen-long patch row per output
 // position, img the (batch, c, h, w) image tensor.
 type patchWalk struct {
 	cols, img                                        []float32
@@ -688,17 +688,12 @@ func scatterAt(row, img []float32, c, h, w, kh, kw, y0, x0 int) {
 	}
 }
 
-// Im2Col unrolls input (batch, ch, h, w) into columns of kh×kw patches with
-// the given stride and zero padding, producing a
+// Im2ColWS unrolls input (batch, ch, h, w) into columns of kh×kw patches
+// with the given stride and zero padding, producing a
 // (batch*outH*outW, ch*kh*kw) matrix suitable for convolution-as-matmul.
-// The result is freshly allocated; hot paths use Im2ColWS.
-func Im2Col(in *Tensor, kh, kw, stride, pad int) *Tensor {
-	return Im2ColWS(nil, in, kh, kw, stride, pad)
-}
-
-// Im2ColWS is Im2Col with the column matrix drawn from ws (allocation-free
-// at steady state). Every element is written, so a dirty arena buffer is
-// fine. A nil ws falls back to a fresh allocation.
+// The matrix is drawn from ws (allocation-free at steady state). Every
+// element is written, so a dirty arena buffer is fine. A nil ws falls back
+// to a fresh allocation.
 func Im2ColWS(ws *Workspace, in *Tensor, kh, kw, stride, pad int) *Tensor {
 	b, c, h, w := in.Shape[0], in.Shape[1], in.Shape[2], in.Shape[3]
 	outH := (h+2*pad-kh)/stride + 1
@@ -711,15 +706,10 @@ func Im2ColWS(ws *Workspace, in *Tensor, kh, kw, stride, pad int) *Tensor {
 	return cols
 }
 
-// Col2Im is the adjoint of Im2Col: it scatters column gradients back into an
-// input-shaped tensor (batch, ch, h, w), accumulating overlaps. The result
-// is freshly allocated; hot paths use Col2ImWS.
-func Col2Im(cols *Tensor, b, c, h, w, kh, kw, stride, pad int) *Tensor {
-	return Col2ImWS(nil, cols, b, c, h, w, kh, kw, stride, pad)
-}
-
-// Col2ImWS is Col2Im with the output drawn from ws (zeroed before the
-// scatter, which accumulates). A nil ws falls back to a fresh allocation.
+// Col2ImWS is the adjoint of Im2ColWS: it scatters column gradients back
+// into an input-shaped tensor (batch, ch, h, w), accumulating overlaps. The
+// output is drawn from ws (zeroed before the scatter, which accumulates). A
+// nil ws falls back to a fresh allocation.
 func Col2ImWS(ws *Workspace, cols *Tensor, b, c, h, w, kh, kw, stride, pad int) *Tensor {
 	outH := (h+2*pad-kh)/stride + 1
 	outW := (w+2*pad-kw)/stride + 1

@@ -287,16 +287,19 @@ func TestWorkspaceReuseSameBacking(t *testing.T) {
 	if b.Shape[0] != 16 || b.Shape[1] != 32 {
 		t.Fatalf("recycled shape %v", b.Shape)
 	}
-	// Foreign tensors (New) and views (Reshape) are silently ignored by Put.
+	// Foreign tensors (New) and views of a buffer's data are silently
+	// ignored by Put.
 	ws.Put(New(64, 8))
-	ws.Put(b.Reshape(512))
+	ws.Put(FromSlice(b.Data, 512))
 	ws.Put(b)
 	c := ws.Get(512)
 	if &c.Data[0] != p {
 		t.Fatal("foreign tensor or view entered the free list ahead of the arena buffer")
 	}
 	// GetZeroed clears a dirty recycled buffer.
-	c.Fill(3)
+	for i := range c.Data {
+		c.Data[i] = 3
+	}
 	ws.Put(c)
 	z := ws.GetZeroed(512)
 	for i, v := range z.Data {
@@ -408,7 +411,9 @@ func TestPatchWalkMatchesReferenceBitExact(t *testing.T) {
 					in := randTensor(r, b, c, h, w)
 					ws := NewWorkspace()
 					d := ws.Get(rows, rowLen)
-					d.Fill(dirty)
+					for i := range d.Data {
+						d.Data[i] = dirty
+					}
 					ws.Put(d)
 					got := Im2ColWS(ws, in, k, k, stride, pad)
 					want := New(rows, rowLen)
@@ -419,7 +424,7 @@ func TestPatchWalkMatchesReferenceBitExact(t *testing.T) {
 					sameBits(t, "Im2Col "+name, got.Data, want.Data)
 
 					cols := randTensor(r, rows, rowLen)
-					gotImg := Col2Im(cols, b, c, h, w, k, k, stride, pad)
+					gotImg := Col2ImWS(nil, cols, b, c, h, w, k, k, stride, pad)
 					wantImg := New(b, c, h, w)
 					ref = refPatchWalk{cols.Data, wantImg.Data, c, h, w, k, k, stride, pad, outH, outW, rowLen}
 					for n := 0; n < b; n++ {

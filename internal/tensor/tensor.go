@@ -20,8 +20,9 @@ type Tensor struct {
 	Data  []float32
 
 	// wsBits records the Workspace size class when the tensor was born from
-	// an arena Get; zero for ordinary tensors. Views (Reshape) and copies
-	// deliberately drop it so only the original owner can recycle a buffer.
+	// an arena Get; zero for ordinary tensors. Copies and tensors wrapped
+	// around an arena buffer's data drop it, so only the original owner can
+	// recycle a buffer.
 	wsBits int8
 }
 
@@ -53,9 +54,6 @@ func FromSlice(data []float32, shape ...int) *Tensor {
 // Len returns the number of elements.
 func (t *Tensor) Len() int { return len(t.Data) }
 
-// Dim returns the size of dimension i.
-func (t *Tensor) Dim(i int) int { return t.Shape[i] }
-
 // Rank returns the number of dimensions.
 func (t *Tensor) Rank() int { return len(t.Shape) }
 
@@ -71,32 +69,6 @@ func (t *Tensor) Zero() {
 	for i := range t.Data {
 		t.Data[i] = 0
 	}
-}
-
-// Fill sets every element to v.
-func (t *Tensor) Fill(v float32) {
-	for i := range t.Data {
-		t.Data[i] = v
-	}
-}
-
-// Reshape returns a tensor sharing t's data with a new shape. The element
-// count must match.
-func (t *Tensor) Reshape(shape ...int) *Tensor {
-	n := 1
-	for _, d := range shape {
-		n *= d
-	}
-	if n != len(t.Data) {
-		panic(fmt.Sprintf("tensor: cannot reshape %v (%d elems) to %v (%d elems)",
-			t.Shape, len(t.Data), shape, n))
-	}
-	return &Tensor{Shape: append([]int(nil), shape...), Data: t.Data}
-}
-
-// At returns the element at the given indices (rank must match).
-func (t *Tensor) At(idx ...int) float32 {
-	return t.Data[t.offset(idx)]
 }
 
 // Set stores v at the given indices.
@@ -118,19 +90,6 @@ func (t *Tensor) offset(idx []int) int {
 	return off
 }
 
-// SameShape reports whether t and u have identical shapes.
-func (t *Tensor) SameShape(u *Tensor) bool {
-	if len(t.Shape) != len(u.Shape) {
-		return false
-	}
-	for i := range t.Shape {
-		if t.Shape[i] != u.Shape[i] {
-			return false
-		}
-	}
-	return true
-}
-
 // Add accumulates u into t element-wise. Shapes must have equal length.
 func (t *Tensor) Add(u *Tensor) {
 	if len(t.Data) != len(u.Data) {
@@ -149,34 +108,6 @@ func (t *Tensor) AddScaled(alpha float32, u *Tensor) {
 	for i, v := range u.Data {
 		t.Data[i] += float32(alpha * v)
 	}
-}
-
-// Scale multiplies every element by alpha.
-func (t *Tensor) Scale(alpha float32) {
-	for i := range t.Data {
-		t.Data[i] *= alpha
-	}
-}
-
-// Dot returns the inner product of t and u viewed as flat vectors.
-func (t *Tensor) Dot(u *Tensor) float64 {
-	if len(t.Data) != len(u.Data) {
-		panic("tensor: Dot length mismatch")
-	}
-	var s float64
-	for i, v := range t.Data {
-		s += float64(float64(v) * float64(u.Data[i]))
-	}
-	return s
-}
-
-// L2 returns the Euclidean norm of the flattened tensor.
-func (t *Tensor) L2() float64 {
-	var s float64
-	for _, v := range t.Data {
-		s += float64(float64(v) * float64(v))
-	}
-	return math.Sqrt(s)
 }
 
 // MaxAbs returns the maximum absolute element value (0 for empty tensors).

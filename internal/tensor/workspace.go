@@ -1,9 +1,6 @@
 package tensor
 
-import (
-	"math/bits"
-	"sync/atomic"
-)
+import "math/bits"
 
 // Workspace is an arena of reusable float32 buffers organized as power-of-two
 // size-class free lists. It exists to take layer activations, im2col columns,
@@ -23,7 +20,7 @@ import (
 //     how the simulator's replicas train on several goroutines at once.
 //     Sharing one across goroutines is a race.
 //   - Only tensors born from Get/GetZeroed are recyclable; Put silently
-//     ignores foreign tensors (from New, FromSlice, Reshape views), so a
+//     ignores foreign tensors (from New, FromSlice, views over a buffer's data), so a
 //     view of an arena buffer can never re-enter the free lists as a second
 //     owner.
 //   - Put declares the buffer dead. The caller must guarantee no live
@@ -83,7 +80,6 @@ func (w *Workspace) Get(shape ...int) *Tensor {
 			Data:   make([]float32, n, 1<<cls),
 			wsBits: int8(cls),
 		}
-		wsInUse.Add(4 << cls)
 		return t
 	}
 	t := list[len(list)-1]
@@ -91,7 +87,6 @@ func (w *Workspace) Get(shape ...int) *Tensor {
 	w.free[cls] = list[:len(list)-1]
 	t.Data = t.Data[:n]
 	t.Shape = append(t.Shape[:0], shape...)
-	wsInUse.Add(4 << cls)
 	return t
 }
 
@@ -117,14 +112,4 @@ func (w *Workspace) Put(t *Tensor) {
 		return
 	}
 	w.free[cls] = append(w.free[cls], t)
-	wsInUse.Add(-(4 << cls))
 }
-
-// wsInUse is the bytes currently lent out across all workspaces, by class
-// capacity (the figure that reflects held memory).
-var wsInUse atomic.Int64
-
-// WorkspaceStats reports the bytes currently lent out across all
-// workspaces: an arena that gets back everything it lent returns to where it
-// started.
-func WorkspaceStats() (bytesInUse int64) { return wsInUse.Load() }

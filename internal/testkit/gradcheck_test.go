@@ -69,7 +69,7 @@ func TestGradCheckLayers(t *testing.T) {
 		tc := tc
 		t.Run(tc.name, func(t *testing.T) {
 			rng := stats.NewRNG(11)
-			m := nn.NewModel(tc.name, tc.build(rng)...)
+			m := nn.NewModel(tensor.NewWorkspace(), tc.name, tc.build(rng)...)
 			x, labels := randInput(23, 4, tc.ch, tc.h, tc.w, classes)
 			if err := GradCheck(m, x, labels, GradCheckOpts{}); err != nil {
 				t.Fatal(err)
@@ -125,7 +125,7 @@ func (b brokenDense) Backward(dout *tensor.Tensor) *tensor.Tensor {
 
 func TestGradCheckCatchesBrokenBackward(t *testing.T) {
 	rng := stats.NewRNG(3)
-	m := nn.NewModel("broken", nn.NewFlatten("f"),
+	m := nn.NewModel(tensor.NewWorkspace(), "broken", nn.NewFlatten("f"),
 		brokenDense{nn.NewDense("fc", 16, 3, rng)})
 	x, labels := randInput(5, 4, 1, 4, 4, 3)
 	if err := GradCheck(m, x, labels, GradCheckOpts{}); err == nil {
@@ -135,7 +135,7 @@ func TestGradCheckCatchesBrokenBackward(t *testing.T) {
 
 func TestGradCheckRestoresWeights(t *testing.T) {
 	rng := stats.NewRNG(5)
-	m := nn.NewModel("restore", nn.NewFlatten("f"), nn.NewDense("fc", 16, 3, rng))
+	m := nn.NewModel(tensor.NewWorkspace(), "restore", nn.NewFlatten("f"), nn.NewDense("fc", 16, 3, rng))
 	before := lineage.ModelHash(m)
 	x, labels := randInput(9, 4, 1, 4, 4, 3)
 	if err := GradCheck(m, x, labels, GradCheckOpts{}); err != nil {
