@@ -12,7 +12,7 @@
 # Param.G and an in-flight encode is race-checked (all of core is 80 s under
 # -race); running it repo-wide would multiply simulation test time ~20x for
 # no extra coverage.
-.PHONY: verify check build fmt vet test race fuzz-smoke conformance bench bench-serve bench-sim bench-e2e chaos e2e-jobs audit-gate fma-gate
+.PHONY: verify check build fmt vet test race fuzz-smoke conformance bench bench-serve bench-sim bench-e2e chaos e2e-jobs audit-gate fma-gate paper
 
 check: build fmt vet test race fuzz-smoke
 
@@ -185,6 +185,18 @@ fma-gate:
 			fi; \
 		done; \
 	done
+
+# The paper pin (TESTING.md): rerun all 25 experiments on the fast profile
+# and compare their values and notes byte for byte with the committed
+# RESULTS.json (≈ 7 min on a 2-core box; the nightly CI job runs it). A
+# change that moves a paper number on purpose regenerates the file with
+# `go run ./cmd/dlion-bench -json RESULTS.json` and says so in CHANGES.md;
+# a difference on another box is a determinism bug, not a reason to
+# regenerate.
+paper:
+	@out="$$(mktemp)"; trap 'rm -f "$$out"' EXIT; \
+	go run ./cmd/dlion-bench -json "$$out" || exit 1; \
+	cmp "$$out" RESULTS.json || { echo "paper: the experiments no longer reproduce RESULTS.json"; exit 1; }
 
 # Churn soak for the scheduled CI job: the sim churn scenarios, the
 # membership protocol tests, the failure detector's suspicion, re-admission
