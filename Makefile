@@ -188,7 +188,7 @@ fma-gate:
 
 # The paper pin (TESTING.md): rerun all 25 experiments on the fast profile
 # and compare their values and notes byte for byte with the committed
-# RESULTS.json (≈ 7 min on a 2-core box; the nightly CI job runs it). A
+# RESULTS.json (≈ 10 min on a 2-core box; the nightly CI job runs it). A
 # change that moves a paper number on purpose regenerates the file with
 # `go run ./cmd/dlion-bench -json RESULTS.json` and says so in CHANGES.md;
 # a difference on another box is a determinism bug, not a reason to

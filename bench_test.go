@@ -1,16 +1,17 @@
 package dlion_test
 
-// The benchmark harness: one benchmark per table and figure of the paper's
-// evaluation. Each benchmark runs the corresponding experiment from
+// The benchmark harness: one sub-benchmark per table and figure of the
+// paper's evaluation, in paper order. Each runs the experiment from
 // internal/experiments on the fast profile and reports its headline values
 // as benchmark metrics; run with -v to see the full rendered table.
 //
-//	go test -bench=Fig11 -benchtime=1x .
-//	go test -bench=. -benchmem .        # the whole evaluation (slow)
+//	go test -bench=Paper/fig11 -benchtime=1x .
+//	go test -bench=Paper -benchmem .        # the whole evaluation (slow)
 //
 // Absolute numbers differ from the paper (synthetic data, scaled models,
 // simulated time); the shapes and orderings are the reproduction target —
-// see EXPERIMENTS.md for the recorded comparison.
+// see EXPERIMENTS.md for the recorded comparison, and RESULTS.json (make
+// paper) for the pinned values.
 
 import (
 	"strings"
@@ -19,29 +20,28 @@ import (
 	"dlion/internal/experiments"
 )
 
-// runExperiment executes one experiment per benchmark iteration (the
+// BenchmarkPaper executes each experiment once per iteration (the
 // multi-second runtime keeps b.N at 1 under the default -benchtime).
-func runExperiment(b *testing.B, id string) {
-	b.Helper()
-	exp, err := experiments.ByID(id)
-	if err != nil {
-		b.Fatal(err)
-	}
+func BenchmarkPaper(b *testing.B) {
 	p := experiments.Fast()
-	for i := 0; i < b.N; i++ {
-		o, err := exp.Run(p)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == 0 {
-			b.Logf("\n%s", o.Text)
-			for _, n := range o.Notes {
-				b.Logf("note: %s", n)
+	for _, exp := range experiments.All() {
+		b.Run(exp.ID, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				o, err := exp.Run(p)
+				if err != nil {
+					b.Fatal(err)
+				}
+				if i == 0 {
+					b.Logf("\n%s", o.Text)
+					for _, n := range o.Notes {
+						b.Logf("note: %s", n)
+					}
+					for k, v := range o.Values {
+						b.ReportMetric(v, sanitizeMetric(k))
+					}
+				}
 			}
-			for k, v := range o.Values {
-				b.ReportMetric(v, sanitizeMetric(k))
-			}
-		}
+		})
 	}
 }
 
@@ -50,29 +50,3 @@ func sanitizeMetric(k string) string {
 	k = strings.ReplaceAll(k, " ", "_")
 	return strings.ReplaceAll(k, "/", ":")
 }
-
-func BenchmarkTable1_PluginLoC(b *testing.B)          { runExperiment(b, "table1") }
-func BenchmarkTable2_AWSBandwidthMatrix(b *testing.B) { runExperiment(b, "table2") }
-func BenchmarkTable3_Environments(b *testing.B)       { runExperiment(b, "table3") }
-func BenchmarkFig05_GBSStartEpoch(b *testing.B)       { runExperiment(b, "fig5") }
-func BenchmarkFig06_LBSTrace(b *testing.B)            { runExperiment(b, "fig6") }
-func BenchmarkFig07_MaxNAccuracy(b *testing.B)        { runExperiment(b, "fig7") }
-func BenchmarkFig08_PerLinkSize(b *testing.B)         { runExperiment(b, "fig8") }
-func BenchmarkFig09a_DKTPeriod(b *testing.B)          { runExperiment(b, "fig9a") }
-func BenchmarkFig09b_DKTTargets(b *testing.B)         { runExperiment(b, "fig9b") }
-func BenchmarkFig09c_DKTLambda(b *testing.B)          { runExperiment(b, "fig9c") }
-func BenchmarkFig11_SystemHeterogeneity(b *testing.B) { runExperiment(b, "fig11") }
-func BenchmarkFig12_GPUCluster(b *testing.B)          { runExperiment(b, "fig12") }
-func BenchmarkFig13_HeteroCompute(b *testing.B)       { runExperiment(b, "fig13") }
-func BenchmarkFig14_DBWUAblation(b *testing.B)        { runExperiment(b, "fig14") }
-func BenchmarkFig15_HeteroNetwork(b *testing.B)       { runExperiment(b, "fig15") }
-func BenchmarkFig16_Max10Alone(b *testing.B)          { runExperiment(b, "fig16") }
-func BenchmarkFig17_AccuracyDeviation(b *testing.B)   { runExperiment(b, "fig17") }
-func BenchmarkFig18_DynamicResources(b *testing.B)    { runExperiment(b, "fig18") }
-func BenchmarkFig19_DynamicLBSTrace(b *testing.B)     { runExperiment(b, "fig19") }
-func BenchmarkFig20_DynamicGradSize(b *testing.B)     { runExperiment(b, "fig20") }
-func BenchmarkFig21_Convergence(b *testing.B)         { runExperiment(b, "fig21") }
-func BenchmarkAblation_LinkBudget(b *testing.B)       { runExperiment(b, "ablation-budget") }
-func BenchmarkAblation_DBClamp(b *testing.B)          { runExperiment(b, "ablation-dbclamp") }
-func BenchmarkAblation_SyncStrategy(b *testing.B)     { runExperiment(b, "ablation-sync") }
-func BenchmarkAblation_Selector(b *testing.B)         { runExperiment(b, "ablation-selector") }

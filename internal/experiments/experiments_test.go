@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"os"
 	"strings"
 	"testing"
 
@@ -94,6 +95,23 @@ func TestTable1CountsArePlausible(t *testing.T) {
 		if got := o.Values["preset/"+sys]; got <= 0 || got > want {
 			t.Fatalf("preset LoC for %s = %v (want 0 < n <= %v)", sys, got, want)
 		}
+	}
+}
+
+// table1 finds the source tree from its own source path, not from the
+// working directory.
+func TestTable1RunsOutsideTheModule(t *testing.T) {
+	wd, err := os.Getwd()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Chdir(t.TempDir()); err != nil {
+		t.Fatal(err)
+	}
+	defer os.Chdir(wd)
+	e, _ := ByID("table1")
+	if _, err := e.Run(tinyProfile()); err != nil {
+		t.Fatal(err)
 	}
 }
 

@@ -1,8 +1,10 @@
 // Package experiments defines one runnable reproduction per table and
-// figure of the paper's evaluation (§5), shared by the benchmark suite
-// (bench_test.go) and the CLI harness (cmd/dlion-bench). Each experiment
-// builds on the Table 3 environments, runs the relevant systems on the
-// simulator, and renders the same rows/series the paper reports.
+// figure of the paper's evaluation (§5), as one table in paper order shared
+// by the benchmark suite (bench_test.go's BenchmarkPaper) and the CLI
+// harness (cmd/dlion-bench), whose fast-profile output RESULTS.json pins.
+// Each experiment builds on the Table 3 environments, runs the relevant
+// systems on the simulator, and renders the same rows/series the paper
+// reports.
 package experiments
 
 import (
@@ -123,26 +125,4 @@ func (p Profile) clusterConfig(sys core.Config, e *env.Env, run int) cluster.Con
 		EvalSubset: p.EvalSubset,
 		Seed:       seed,
 	}
-}
-
-// runAveraged runs a (system, environment) pair p.Runs times and returns
-// the final mean accuracies, one per run. Fresh environments are built per
-// run because compute schedules carry RNG state.
-func (p Profile) runAveraged(sysName string, sys core.Config, envName string) ([]float64, []*cluster.Result, error) {
-	accs := make([]float64, 0, p.Runs)
-	results := make([]*cluster.Result, 0, p.Runs)
-	for r := 0; r < p.Runs; r++ {
-		e, err := env.Get(envName, p.Seed+uint64(r)*31)
-		if err != nil {
-			return nil, nil, err
-		}
-		res, err := cluster.Run(p.clusterConfig(sys, e, r))
-		if err != nil {
-			return nil, nil, err
-		}
-		accs = append(accs, res.Timeline.FinalMean())
-		results = append(results, res)
-	}
-	_ = sysName
-	return accs, results, nil
 }

@@ -7,16 +7,11 @@ import (
 	"go/token"
 	"os"
 	"path/filepath"
+	"runtime"
 
 	"dlion/internal/env"
 	"dlion/internal/report"
 )
-
-func init() {
-	register("table1", "Lines of code to emulate systems in DLion", runTable1)
-	register("table2", "Measured network bandwidth between AWS regions", runTable2)
-	register("table3", "Emulation details for micro-cloud environments", runTable3)
-}
 
 // runTable1 reproduces Table 1's point — each comparison system is a small
 // plugin over the shared framework — by counting the actual lines of this
@@ -24,69 +19,46 @@ func init() {
 // (the generate_partial_gradients analog in internal/grad) and the preset
 // wiring (internal/systems). Counting is done from source when the repo is
 // available, mirroring how the paper counted changed lines.
-func runTable1(p Profile) (*Outcome, error) {
-	t := report.NewTable("Table 1: plugin size per system (lines of Go)",
-		"API", "Baseline", "Hop", "Gaia", "Ako", "DLion(MaxN)")
-	selector := map[string]string{
-		"Baseline":    "Full",
-		"Hop":         "Full", // Hop exchanges whole gradients; its plugin is the sync strategy
-		"Gaia":        "Gaia",
-		"Ako":         "Ako",
-		"DLion(MaxN)": "MaxN",
+func runTable1(Profile) (*Outcome, error) {
+	plugins := []struct{ name, selector, preset string }{
+		{"Baseline", "Full", "Baseline"},
+		{"Hop", "Full", "Hop"}, // Hop exchanges whole gradients; its plugin is the sync strategy
+		{"Gaia", "Gaia", "Gaia"},
+		{"Ako", "Ako", "Ako"},
+		{"DLion(MaxN)", "MaxN", "DLion"},
 	}
-	selLines := map[string]int{}
-	for sys, typ := range selector {
-		n, err := countTypeLines("internal/grad", typ)
-		if err != nil {
-			return nil, err
-		}
-		selLines[sys] = n
-	}
-	presetLines := map[string]int{}
-	for sys, fn := range map[string]string{
-		"Baseline": "Baseline", "Hop": "Hop", "Gaia": "Gaia",
-		"Ako": "Ako", "DLion(MaxN)": "DLion",
-	} {
-		n, err := countFuncLines("internal/systems", fn)
-		if err != nil {
-			return nil, err
-		}
-		presetLines[sys] = n
-	}
-	order := []string{"Baseline", "Hop", "Gaia", "Ako", "DLion(MaxN)"}
+	cols := []string{"API"}
 	selRow := []any{"generate_partial_gradients (selector impl)"}
 	cfgRow := []any{"system preset (selector + synch_training wiring)"}
-	for _, s := range order {
-		selRow = append(selRow, selLines[s])
-		cfgRow = append(cfgRow, presetLines[s])
+	o := &Outcome{Notes: []string{
+		"The paper reports <=23 changed lines per emulated system; here the entire",
+		"per-system surface is the selector implementation plus a ~10-line preset,",
+		"confirming the framework's generality claim.",
+	}}
+	for _, s := range plugins {
+		sel, err := countDeclLines("internal/grad", s.selector, true)
+		if err != nil {
+			return nil, err
+		}
+		preset, err := countDeclLines("internal/systems", s.preset, false)
+		if err != nil {
+			return nil, err
+		}
+		cols = append(cols, s.name)
+		selRow = append(selRow, sel)
+		cfgRow = append(cfgRow, preset)
+		o.addValue("preset/"+s.name, float64(preset))
 	}
+	t := report.NewTable("Table 1: plugin size per system (lines of Go)", cols...)
 	t.AddRow(selRow...)
 	t.AddRow(cfgRow...)
-	o := &Outcome{ID: "table1", Title: "Plugin lines of code",
-		Text: t.String(),
-		Notes: []string{
-			"The paper reports <=23 changed lines per emulated system; here the entire",
-			"per-system surface is the selector implementation plus a ~10-line preset,",
-			"confirming the framework's generality claim.",
-		}}
-	for _, s := range order {
-		o.addValue("preset/"+s, float64(presetLines[s]))
-	}
+	o.Text = t.String()
 	return o, nil
 }
 
-// countFuncLines counts the source lines of a named top-level function in
-// a package directory (relative to the repo root).
-func countFuncLines(dir, name string) (int, error) {
-	return countDeclLines(dir, name, false)
-}
-
-// countTypeLines counts the lines of a named type declaration plus all of
-// its methods and same-named constructor (NewX).
-func countTypeLines(dir, name string) (int, error) {
-	return countDeclLines(dir, name, true)
-}
-
+// countDeclLines counts the source lines of the top-level function name in
+// a package directory (relative to the repo root) or, with includeMethods,
+// of the type name with all of its methods and its NewX constructor.
 func countDeclLines(dir, name string, includeMethods bool) (int, error) {
 	root, err := repoRoot()
 	if err != nil {
@@ -150,22 +122,19 @@ func declLinesIfNamed(fset *token.FileSet, decl ast.Decl, name string, includeMe
 	return 0
 }
 
-// repoRoot walks up from the working directory to the go.mod.
+// repoRoot is the module root, found from this source file's path as the
+// compiler recorded it, so table1 runs from any working directory as long
+// as the source tree is where the binary was built from.
 func repoRoot() (string, error) {
-	dir, err := os.Getwd()
-	if err != nil {
-		return "", err
+	_, file, _, _ := runtime.Caller(0)
+	if !filepath.IsAbs(file) {
+		return "", fmt.Errorf("experiments: table1 counts lines of the source tree, and this binary, built with -trimpath, does not know where it is")
 	}
-	for {
-		if _, err := os.Stat(filepath.Join(dir, "go.mod")); err == nil {
-			return dir, nil
-		}
-		parent := filepath.Dir(dir)
-		if parent == dir {
-			return "", fmt.Errorf("experiments: go.mod not found above working directory")
-		}
-		dir = parent
+	root := filepath.Join(filepath.Dir(file), "..", "..")
+	if _, err := os.Stat(filepath.Join(root, "go.mod")); err != nil {
+		return "", fmt.Errorf("experiments: table1 counts lines of the source tree, which is not where this binary was built: %w", err)
 	}
+	return root, nil
 }
 
 // runTable2 prints the AWS inter-region bandwidth matrix used to emulate
@@ -184,7 +153,7 @@ func runTable2(Profile) (*Outcome, error) {
 		}
 		t.AddRow(cells...)
 	}
-	return &Outcome{ID: "table2", Title: "AWS bandwidth matrix", Text: t.String(),
+	return &Outcome{Text: t.String(),
 		Notes: []string{"Instantiated as the 'Table2 WAN' environment (simnet.FromMatrix)."}}, nil
 }
 
@@ -224,7 +193,7 @@ func runTable3(Profile) (*Outcome, error) {
 		}
 		t.AddRow(label, comp, net)
 	}
-	return &Outcome{ID: "table3", Title: "Environments", Text: t.String(),
+	return &Outcome{Text: t.String(),
 		Notes: []string{
 			"Capacity units are CPU cores; one GPU = 30 units (p2.8xlarge = 240).",
 			"Dynamic SYS A/B change compute and network at t=500s and t=1000s.",

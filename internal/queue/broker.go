@@ -259,13 +259,6 @@ func (b *Broker) BRPop(ctx context.Context, key string) ([]byte, error) {
 	}
 }
 
-// Len returns the current length of a list.
-func (b *Broker) Len(key string) int {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return len(b.lists[key])
-}
-
 // Close shuts the broker down: all subscriptions are closed and blocked
 // BRPops return ErrClosed.
 func (b *Broker) Close() {

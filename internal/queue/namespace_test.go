@@ -138,7 +138,7 @@ func TestJobNamespaceIsolation(t *testing.T) {
 	for _, j := range jobs {
 		ns := JobNamespace(j)
 		for w := 0; w < workers; w++ {
-			if n := b.Len(ns.DataKey(w)); n != 0 {
+			if n := listLen(b, ns.DataKey(w)); n != 0 {
 				t.Errorf("job %s worker %d has %d undelivered frames", j, w, n)
 			}
 		}

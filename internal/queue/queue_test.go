@@ -90,8 +90,8 @@ func TestListFIFO(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if b.Len("q") != 3 {
-		t.Fatalf("len %d", b.Len("q"))
+	if listLen(b, "q") != 3 {
+		t.Fatalf("len %d", listLen(b, "q"))
 	}
 	for i := 0; i < 3; i++ {
 		p, ok := pop(b, "q")
@@ -148,8 +148,8 @@ func TestBRPopContextCancel(t *testing.T) {
 	// The canceled waiter must be deregistered: a subsequent push should
 	// stay on the list, not vanish into the dead waiter.
 	b.LPush("q", []byte("x"))
-	if b.Len("q") != 1 {
-		t.Fatalf("len %d; payload leaked to dead waiter", b.Len("q"))
+	if listLen(b, "q") != 1 {
+		t.Fatalf("len %d; payload leaked to dead waiter", listLen(b, "q"))
 	}
 }
 
@@ -446,4 +446,11 @@ func TestServerCloseUnblocksClients(t *testing.T) {
 	case <-time.After(2 * time.Second):
 		t.Fatal("Close did not end the stalled BRPop")
 	}
+}
+
+// listLen is the current length of b's list key.
+func listLen(b *Broker, key string) int {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return len(b.lists[key])
 }

@@ -71,25 +71,6 @@ func (t *Tensor) Zero() {
 	}
 }
 
-// Set stores v at the given indices.
-func (t *Tensor) Set(v float32, idx ...int) {
-	t.Data[t.offset(idx)] = v
-}
-
-func (t *Tensor) offset(idx []int) int {
-	if len(idx) != len(t.Shape) {
-		panic(fmt.Sprintf("tensor: %d indices for rank-%d tensor", len(idx), len(t.Shape)))
-	}
-	off := 0
-	for i, x := range idx {
-		if x < 0 || x >= t.Shape[i] {
-			panic(fmt.Sprintf("tensor: index %d out of range for dim %d (size %d)", x, i, t.Shape[i]))
-		}
-		off = off*t.Shape[i] + x
-	}
-	return off
-}
-
 // Add accumulates u into t element-wise. Shapes must have equal length.
 func (t *Tensor) Add(u *Tensor) {
 	if len(t.Data) != len(u.Data) {

@@ -27,14 +27,10 @@ func TestNewZeroFilled(t *testing.T) {
 	}
 }
 
-func TestFromSliceAndAtSet(t *testing.T) {
+func TestFromSliceIsRowMajor(t *testing.T) {
 	x := FromSlice([]float32{1, 2, 3, 4, 5, 6}, 2, 3)
 	if x.Data[1*3+2] != 6 {
 		t.Fatalf("element (1,2) = %v, want 6", x.Data[1*3+2])
-	}
-	x.Set(42, 0, 1)
-	if x.Data[0*3+1] != 42 {
-		t.Fatalf("Set did not stick")
 	}
 }
 
@@ -45,16 +41,6 @@ func TestFromSliceBadShapePanics(t *testing.T) {
 		}
 	}()
 	FromSlice([]float32{1, 2, 3}, 2, 2)
-}
-
-func TestSetOutOfRangePanics(t *testing.T) {
-	x := New(2, 2)
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic on out-of-range index")
-		}
-	}()
-	x.Set(1, 2, 0)
 }
 
 func TestCloneIndependence(t *testing.T) {
@@ -112,7 +98,7 @@ func naiveMatMul(a, b *Tensor) *Tensor {
 			for p := 0; p < k; p++ {
 				s += float32(a.Data[i*k+p] * b.Data[p*n+j])
 			}
-			c.Set(s, i, j)
+			c.Data[i*n+j] = s
 		}
 	}
 	return c
@@ -163,7 +149,7 @@ func TestMatMulTransAMatchesNaive(t *testing.T) {
 		a := New(m, k)
 		for i := 0; i < k; i++ {
 			for j := 0; j < m; j++ {
-				a.Set(aT.Data[i*m+j], j, i)
+				a.Data[j*k+i] = aT.Data[i*m+j]
 			}
 		}
 		ref := naiveMatMul(a, b)
@@ -190,7 +176,7 @@ func TestMatMulTransBMatchesNaive(t *testing.T) {
 		b := New(k, n)
 		for i := 0; i < n; i++ {
 			for j := 0; j < k; j++ {
-				b.Set(bT.Data[i*k+j], j, i)
+				b.Data[j*n+i] = bT.Data[i*k+j]
 			}
 		}
 		ref := naiveMatMul(a, b)

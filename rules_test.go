@@ -83,6 +83,13 @@ func TestRulesCatchPlantedViolations(t *testing.T) {
 		},
 		want: []string{"internal/lib/lib.go:5:6: fx/internal/lib.Unused is reached by no root"},
 	}, {
+		name: "method matching an interface by name only",
+		files: map[string]string{
+			"internal/lib/lib.go": "package lib\n\ntype Setter interface{ Set(s string) error }\n\ntype T struct{ v float32 }\n\nfunc (t *T) Set(v float32) { t.v = v }\n\ntype U struct{}\n\nfunc (U) Set(s string) error { return nil }\n\nfunc Use(Setter, *T, U) {}\n",
+			"cmd/x/main.go":       fmt.Sprintf(main, "fx/internal/lib", "lib.Use(nil, nil, lib.U{})"),
+		},
+		want: []string{"internal/lib/lib.go:7:13: fx/internal/lib.(*T).Set is reached by no root"},
+	}, {
 		name: "time.Now in core",
 		files: map[string]string{
 			"internal/core/core.go": "package core\n\nimport \"time\"\n\nfunc Stamp() int64 { return time.Now().UnixNano() }\n",
@@ -349,7 +356,7 @@ func (m *module) check(allow map[string]string) []string {
 // checkReach reports every package-level object and method of a non-test
 // file that no root reaches. The roots are every main and init, the root
 // package's exports, all of benchmark/ and examples/, every method whose
-// name some interface declares, and the allowlist.
+// name and signature some interface declares, and the allowlist.
 func (m *module) checkReach(allow map[string]string, report func(token.Pos, string, ...any)) {
 	type decl struct {
 		pkg  *pkg
@@ -366,10 +373,13 @@ func (m *module) checkReach(allow map[string]string, report func(token.Pos, stri
 		keys[obj] = objKey(obj)
 		order = append(order, obj)
 	}
-	ifaceNames := map[string]bool{}
+	ifaceMethods := map[string][]types.Type{} // name -> signatures
+	addMethod := func(fn *types.Func) {
+		ifaceMethods[fn.Name()] = append(ifaceMethods[fn.Name()], fn.Type())
+	}
 	addIface := func(it *types.Interface) {
 		for i := 0; i < it.NumMethods(); i++ {
-			ifaceNames[it.Method(i).Name()] = true
+			addMethod(it.Method(i))
 		}
 	}
 	for _, p := range m.sorted() {
@@ -395,7 +405,9 @@ func (m *module) checkReach(allow map[string]string, report func(token.Pos, stri
 				if it, ok := n.(*ast.InterfaceType); ok {
 					for _, fld := range it.Methods.List {
 						for _, n := range fld.Names {
-							ifaceNames[n.Name] = true
+							if fn, ok := p.info.Defs[n].(*types.Func); ok {
+								addMethod(fn)
+							}
 						}
 					}
 				}
@@ -404,7 +416,8 @@ func (m *module) checkReach(allow map[string]string, report func(token.Pos, stri
 		}
 	}
 	// Interfaces of every package the module sees, the standard library's
-	// included: a method with one of their names may be called through it.
+	// included: a method with the name and signature of one of theirs may
+	// be called through it.
 	seen := map[*types.Package]bool{}
 	var scan func(tp *types.Package)
 	scan = func(tp *types.Package) {
@@ -459,7 +472,9 @@ func (m *module) checkReach(allow map[string]string, report func(token.Pos, stri
 		case isFunc && !method && (obj.Name() == "main" || obj.Name() == "init"),
 			p.path == m.path && obj.Exported(),
 			strings.HasPrefix(p.path, m.path+"/benchmark"), strings.HasPrefix(p.path, m.path+"/examples"),
-			method && ifaceNames[obj.Name()]:
+			method && slices.ContainsFunc(ifaceMethods[obj.Name()], func(sig types.Type) bool {
+				return types.Identical(sig, fn.Type()) // receivers are not compared
+			}):
 			mark(obj)
 		}
 	}
