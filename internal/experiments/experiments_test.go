@@ -180,6 +180,10 @@ func TestComparisonOutcomeShape(t *testing.T) {
 	if !strings.Contains(o.Text, "Max10") {
 		t.Fatalf("missing system in output:\n%s", o.Text)
 	}
+	// The comparison is the last row's (Max10's) ratio over every other row.
+	if !strings.Contains(o.Text, "Max10 improvement") || strings.Contains(o.Text, "0.00x") {
+		t.Fatalf("comparison table does not compare Max10 with each row:\n%s", o.Text)
+	}
 	if len(o.Values) < 10 {
 		t.Fatalf("values missing: %v", o.Values)
 	}

@@ -29,8 +29,8 @@ type grid struct {
 	metric func(tl cluster.Timeline, horizon float64) float64
 	format string // cell format ("": %.3f)
 
-	// compare adds ±CI95 to each cell when Runs > 1, and a table of
-	// DLion's improvement over every other row.
+	// compare adds ±CI95 to each cell when Runs > 1, and a table of the
+	// last row's improvement over every other row.
 	compare bool
 	// dynamic builds each column as env.Dynamic with phases of horizon/3,
 	// the paper's three 500-second phases scaled.
@@ -76,15 +76,13 @@ func (g grid) run(p Profile) (*Outcome, error) {
 	o.Text = t.String()
 	if g.compare {
 		// the headline the paper reports per figure
-		imp := report.NewTable("DLion improvement over each system (accuracy ratio)",
+		last := g.rows[len(g.rows)-1]
+		imp := report.NewTable(last.label+" improvement over each system (accuracy ratio)",
 			append([]string{"vs"}, g.envs...)...)
-		for _, r := range g.rows {
-			if r.sys.Name == "DLion" {
-				continue
-			}
+		for _, r := range g.rows[:len(g.rows)-1] {
 			cells := []any{r.label}
 			for _, envName := range g.envs {
-				d, b := o.Values[envName+"/DLion"], o.Values[g.key(r, envName)]
+				d, b := o.Values[g.key(last, envName)], o.Values[g.key(r, envName)]
 				if b > 0 {
 					cells = append(cells, fmt.Sprintf("%.2fx", d/b))
 				} else {

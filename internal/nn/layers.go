@@ -182,18 +182,19 @@ func (c *Conv2D) Forward(x *tensor.Tensor) *tensor.Tensor {
 	c.out = (w+2*c.Pad-c.K)/c.Stride + 1
 	// Columns live until this iteration's Backward; recycle last iteration's.
 	c.ws.Put(c.cols)
-	c.cols = tensor.Im2ColWS(c.ws, x, c.K, c.K, c.Stride, c.Pad) // (batch*oh*ow, inCh*K*K)
-	// y_cols (batch*oh*ow, filters) = cols · Wᵀ
-	yc := c.ws.Get(batch*c.outH*c.out, c.Filters) // scratch; fully written
-	tensor.MatMulTransB(yc, c.cols, c.w.W)
-	// rearrange to (batch, filters, oh, ow) and add bias
-	y := c.nextY(batch, c.Filters, c.outH, c.out)
+	c.cols = tensor.Im2ColWS(c.ws, x, c.K, c.K, c.Stride, c.Pad) // (inCh*K*K, batch*oh*ow)
+	// y_cols (filters, batch*oh*ow) = W · cols
 	plane := c.outH * c.out
-	for n := 0; n < batch; n++ {
-		for p := 0; p < plane; p++ {
-			src := yc.Data[(n*plane+p)*c.Filters:][:c.Filters]
-			for f, v := range src {
-				y.Data[(n*c.Filters+f)*plane+p] = v + c.b.W.Data[f]
+	yc := c.ws.Get(c.Filters, batch*plane) // scratch; fully written
+	tensor.MatMul(yc, c.w.W, c.cols)
+	// copy each (n, f) plane to (batch, filters, oh, ow), adding the bias
+	y := c.nextY(batch, c.Filters, c.outH, c.out)
+	for f, bf := range c.b.W.Data {
+		for n := 0; n < batch; n++ {
+			src := yc.Data[(f*batch+n)*plane:][:plane]
+			dst := y.Data[(n*c.Filters+f)*plane:][:len(src)]
+			for p, v := range src {
+				dst[p] = v + bf
 			}
 		}
 	}
@@ -203,15 +204,13 @@ func (c *Conv2D) Forward(x *tensor.Tensor) *tensor.Tensor {
 
 // Backward implements Layer.
 func (c *Conv2D) Backward(dout *tensor.Tensor) *tensor.Tensor {
-	batch := c.x.Shape[0]
-	plane := c.outH * c.out
 	dyc := c.paramGrads(dout)
-	// dcols = dyc · W ; then scatter back to input shape.
-	dcols := c.ws.Get(batch*plane, c.InCh*c.K*c.K) // scratch; fully written
-	tensor.MatMul(dcols, dyc, c.w.W)
+	// dcols = Wᵀ · dyc ; then scatter back to input shape.
+	dcols := c.ws.Get(c.InCh*c.K*c.K, dyc.Shape[1]) // scratch; fully written
+	tensor.MatMulTransA(dcols, c.w.W, dyc)
 	c.ws.Put(dyc)
 	c.ws.Put(c.prevDx)
-	dx := tensor.Col2ImWS(c.ws, dcols, batch, c.InCh, c.inH, c.inW, c.K, c.K, c.Stride, c.Pad)
+	dx := tensor.Col2ImWS(c.ws, dcols, c.x.Shape[0], c.InCh, c.inH, c.inW, c.K, c.K, c.Stride, c.Pad)
 	c.prevDx = dx
 	c.ws.Put(dcols)
 	return dx
@@ -223,32 +222,31 @@ func (c *Conv2D) backwardParams(dout *tensor.Tensor) {
 	c.ws.Put(c.paramGrads(dout))
 }
 
-// paramGrads accumulates dW and db from dout and returns dout rearranged
-// as (batch*oh*ow, filters), arena scratch the caller puts back.
+// paramGrads accumulates dW and db from dout and returns dout laid out as
+// (filters, batch*oh*ow), arena scratch the caller puts back.
 func (c *Conv2D) paramGrads(dout *tensor.Tensor) *tensor.Tensor {
 	batch := c.x.Shape[0]
 	plane := c.outH * c.out
-	// Rearrange dout (batch, filters, oh, ow) into (batch*oh*ow, filters).
-	dyc := c.ws.Get(batch*plane, c.Filters) // scratch; fully written
+	// Copy each (n, f) plane of dout (batch, filters, oh, ow) into row f,
+	// summing it into db on the way.
+	dyc := c.ws.Get(c.Filters, batch*plane) // scratch; fully written
+	db := c.b.G.Data
 	for n := 0; n < batch; n++ {
-		for f := 0; f < c.Filters; f++ {
+		for f := range db {
 			src := dout.Data[(n*c.Filters+f)*plane:][:plane]
-			for p, v := range src {
-				dyc.Data[(n*plane+p)*c.Filters+f] = v
+			copy(dyc.Data[(f*batch+n)*plane:], src)
+			s := db[f]
+			for _, v := range src {
+				s += v
 			}
+			db[f] = s
 		}
 	}
-	// dW (filters, inCh*K*K) += dycᵀ·cols ; db += column sums of dyc
+	// dW (filters, inCh*K*K) += dyc·colsᵀ
 	dw := c.ws.Get(c.Filters, c.InCh*c.K*c.K) // scratch; fully written
-	tensor.MatMulTransA(dw, dyc, c.cols)
+	tensor.MatMulTransB(dw, dyc, c.cols)
 	c.w.G.Add(dw)
 	c.ws.Put(dw)
-	for r := 0; r < batch*plane; r++ {
-		row := dyc.Data[r*c.Filters:][:c.Filters]
-		for f, v := range row {
-			c.b.G.Data[f] += v
-		}
-	}
 	return dyc
 }
 

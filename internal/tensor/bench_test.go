@@ -86,28 +86,31 @@ func BenchmarkCol2Im(b *testing.B) {
 }
 
 // stepShape is one matmul of a Cipher training step (nn's buildCipher), as
-// the layers call it: name is <layer>_<fwd|dW|dX>, mode the operand layout.
+// the layers call it: name is <layer>_<fwd|dW|dX>, mode the operand layout,
+// and weightA says a is the layer's weight, so b is the activation side.
 type stepShape struct {
 	name    string
 	m, n, k int
 	mode    int
+	weightA bool
 }
 
 // cipherStepShapes lists the 15 matmuls of one Cipher training step over a
 // batch of 1-channel side×side images: per convolution (3×3, pad 1, each
-// but the last followed by a 2×2 pool) the im2col forward, the weight
-// gradient and the column gradient; per dense layer the forward, the weight
-// gradient and the input gradient.
+// but the last followed by a 2×2 pool) the forward W·cols, the weight
+// gradient dout·colsᵀ and the column gradient Wᵀ·dout over the tap-major
+// columns; per dense layer the forward, the weight gradient and the input
+// gradient.
 func cipherStepShapes(batch, side, classes int) []stepShape {
 	var s []stepShape
 	in := 1
 	for i, filters := range []int{10, 20, 100} {
 		name := fmt.Sprintf("conv%d", i+1)
-		rows, cols := batch*side*side, in*9
+		np, ckk := batch*side*side, in*9
 		s = append(s,
-			stepShape{name + "_fwd", rows, filters, cols, mmTransB},
-			stepShape{name + "_dW", filters, cols, rows, mmTransA},
-			stepShape{name + "_dX", rows, cols, filters, mmPlain})
+			stepShape{name + "_fwd", filters, np, ckk, mmPlain, true},
+			stepShape{name + "_dW", filters, ckk, np, mmTransB, false},
+			stepShape{name + "_dX", ckk, np, filters, mmTransA, true})
 		in = filters
 		if i < 2 {
 			side /= 2
@@ -117,16 +120,17 @@ func cipherStepShapes(batch, side, classes int) []stepShape {
 	for i, out := range []int{200, classes} {
 		name := fmt.Sprintf("fc%d", i+1)
 		s = append(s,
-			stepShape{name + "_fwd", batch, out, fcIn, mmTransB},
-			stepShape{name + "_dW", out, fcIn, batch, mmTransA},
-			stepShape{name + "_dX", batch, fcIn, out, mmPlain})
+			stepShape{name + "_fwd", batch, out, fcIn, mmTransB, false},
+			stepShape{name + "_dW", out, fcIn, batch, mmTransA, false},
+			stepShape{name + "_dX", batch, fcIn, out, mmPlain, false})
 		fcIn = out
 	}
 	return s
 }
 
 // stepOperands draws a shape's operands in their stored layouts, with a
-// post-ReLU-sparse left operand, and returns the call that multiplies them.
+// post-ReLU-sparse activation side, and returns the call that multiplies
+// them.
 func stepOperands(r *testRand, s stepShape) func() {
 	c := New(s.m, s.n)
 	var a, b *Tensor
@@ -138,7 +142,11 @@ func stepOperands(r *testRand, s stepShape) func() {
 	default:
 		a, b = randTensor(r, s.m, s.k), randTensor(r, s.n, s.k)
 	}
-	sparsify(r, a)
+	if s.weightA {
+		sparsify(r, b)
+	} else {
+		sparsify(r, a)
+	}
 	switch s.mode {
 	case mmPlain:
 		return func() { MatMul(c, a, b) }

@@ -607,116 +607,116 @@ func dotRows(c, a, b []float32, m, n, k int) {
 	putPack(pk)
 }
 
-// patchWalk is the geometry of one convolution's patch unrolling, shared by
-// Im2ColWS and its adjoint: cols holds one rowLen-long patch row per output
-// position, img the (batch, c, h, w) image tensor.
-type patchWalk struct {
-	cols, img                                        []float32
-	c, h, w, kh, kw, stride, pad, outH, outW, rowLen int
+// inRange returns the range [lo, hi) of output positions o in [0, out)
+// whose input coordinate o*stride+off lies in [0, n).
+func inRange(off, n, stride, out int) (lo, hi int) {
+	hi = min(out, max(n-1-off+stride, 0)/stride)
+	return min(max(stride-1-off, 0)/stride, hi), hi
 }
 
-// Both walks visit output positions in order and, per position, one
-// kw-long segment of the patch row per (channel, ky). Every segment of a
-// position has the same in-image kx range [lo, hi), and the segments whose
-// ky is in-image form one ky range, so the in-image part moves as blocks:
-// unroll copies them (after zeroing a border window's whole row), scatter
-// accumulates them and skips the rest. Border positions take the same path
-// as interior ones with narrower ranges.
+// tap is kernel tap (ky, kx)'s walk over an image plane, which it samples
+// shifted by (ky, kx) at the stride: output rows [yLo, yHi) and columns
+// [xLo, xHi) read the image, the rest the padding. off is the plane index
+// of output (yLo, xLo)'s input pixel.
+type tap struct{ yLo, yHi, xLo, xHi, off, w, stride, outW int }
 
-// span returns the range [lo, hi) of offsets t in [0, k) with 0 <= x0+t < n.
-func span(x0, k, n int) (lo, hi int) {
-	lo = min(max(-x0, 0), k)
-	hi = min(max(n-x0, lo), k)
-	return lo, hi
-}
-
-// unroll copies batch image n's patches into cols, zero-filling the padding.
-func (p *patchWalk) unroll(n int) {
-	img := p.img[n*p.c*p.h*p.w:][:p.c*p.h*p.w]
-	for oy := 0; oy < p.outH; oy++ {
-		for ox := 0; ox < p.outW; ox++ {
-			row := p.cols[((n*p.outH+oy)*p.outW+ox)*p.rowLen:][:p.rowLen]
-			unrollAt(row, img, p.c, p.h, p.w, p.kh, p.kw, oy*p.stride-p.pad, ox*p.stride-p.pad)
-		}
+func newTap(ky, kx, h, w, stride, pad, outH, outW int) tap {
+	t := tap{w: w, stride: stride, outW: outW}
+	t.yLo, t.yHi = inRange(ky-pad, h, stride, outH)
+	t.xLo, t.xHi = inRange(kx-pad, w, stride, outW)
+	if t.xLo == t.xHi {
+		t.yHi = t.yLo // no column in the image: no row is either
 	}
+	t.off = (t.yLo*stride+ky-pad)*w + t.xLo*stride + kx - pad
+	return t
 }
 
-// unrollAt writes the patch row of the window whose top-left corner is
-// (y0, x0), for c channel planes of h×w.
-func unrollAt(row, img []float32, c, h, w, kh, kw, y0, x0 int) {
-	lo, hi := span(x0, kw, w)
-	kyLo, kyHi := span(y0, kh, h)
-	if lo > 0 || hi < kw || kyLo > 0 || kyHi < kh {
-		clear(row) // a border window: the copies below skip its padding
+// unroll writes the tap's samples of img into dst, one outH×outW plane of
+// its column row, and zeroes the padding.
+func (t *tap) unroll(dst, img []float32) {
+	if t.yLo == t.yHi {
+		clear(dst)
+		return
 	}
-	for ch := 0; ch < c; ch++ {
-		r := (ch*kh + kyLo) * kw
-		s := (ch*h+y0+kyLo)*w + x0
-		for ky := kyLo; ky < kyHi; ky, r, s = ky+1, r+kw, s+w {
-			for kx := lo; kx < hi; kx++ {
-				row[r+kx] = img[s+kx]
+	seg := t.xHi - t.xLo
+	lo, hi := t.yLo*t.outW+t.xLo, (t.yHi-1)*t.outW+t.xHi
+	if t.stride == 1 && t.outW == t.w {
+		// The row segments are one run of the plane; its gaps take wrapped
+		// pixels, cleared below.
+		copy(dst[lo:hi], img[t.off:])
+	} else {
+		for oy, s := t.yLo, t.off; oy < t.yHi; oy, s = oy+1, s+t.stride*t.w {
+			d, src := dst[oy*t.outW+t.xLo:][:seg], img[s:]
+			for x := range d {
+				d[x] = src[x*t.stride]
 			}
 		}
 	}
-}
-
-// scatter adds batch image n's patch rows of cols back into img. Each pixel
-// sums its contributions in ascending output-position order.
-func (p *patchWalk) scatter(n int) {
-	img := p.img[n*p.c*p.h*p.w:][:p.c*p.h*p.w]
-	for oy := 0; oy < p.outH; oy++ {
-		for ox := 0; ox < p.outW; ox++ {
-			row := p.cols[((n*p.outH+oy)*p.outW+ox)*p.rowLen:][:p.rowLen]
-			scatterAt(row, img, p.c, p.h, p.w, p.kh, p.kw, oy*p.stride-p.pad, ox*p.stride-p.pad)
+	clear(dst[:lo])
+	clear(dst[hi:])
+	for e := lo + seg; e < hi; e += t.outW {
+		for i := e; i < e+t.outW-seg; i++ { // too short for a clear call
+			dst[i] = 0
 		}
 	}
 }
 
-// scatterAt adds the patch row of the window whose top-left corner is
-// (y0, x0) into its in-image pixels.
-func scatterAt(row, img []float32, c, h, w, kh, kw, y0, x0 int) {
-	lo, hi := span(x0, kw, w)
-	kyLo, kyHi := span(y0, kh, h)
-	for ch := 0; ch < c; ch++ {
-		r := (ch*kh + kyLo) * kw
-		s := (ch*h+y0+kyLo)*w + x0
-		for ky := kyLo; ky < kyHi; ky, r, s = ky+1, r+kw, s+w {
-			for kx := lo; kx < hi; kx++ {
-				img[s+kx] += row[r+kx]
+// scatter adds the tap's gradients src (one outH×outW plane of its column
+// row) into the in-image pixels of img.
+func (t *tap) scatter(img, src []float32) {
+	seg := t.xHi - t.xLo
+	for oy, s := t.yLo, t.off; oy < t.yHi; oy, s = oy+1, s+t.stride*t.w {
+		r, d := src[oy*t.outW+t.xLo:][:seg], img[s:]
+		if t.stride == 1 {
+			d = d[:len(r)]
+			for x, v := range r {
+				d[x] += v
 			}
+			continue
+		}
+		for x, v := range r {
+			d[x*t.stride] += v
 		}
 	}
 }
 
-// Im2ColWS unrolls input (batch, ch, h, w) into columns of kh×kw patches
-// with the given stride and zero padding, producing a
-// (batch*outH*outW, ch*kh*kw) matrix suitable for convolution-as-matmul.
-// The matrix is drawn from ws (allocation-free at steady state). Every
-// element is written, so a dirty arena buffer is fine. A nil ws falls back
-// to a fresh allocation.
+// Im2ColWS unrolls input (batch, ch, h, w) into the tap-major columns of
+// its kh×kw patches (stride, zero padding): a (ch*kh*kw, batch*outH*outW)
+// matrix, row (ch, ky, kx) that tap's input at every output position. It is
+// drawn from ws (nil allocates) and fully written, so it may come dirty.
 func Im2ColWS(ws *Workspace, in *Tensor, kh, kw, stride, pad int) *Tensor {
 	b, c, h, w := in.Shape[0], in.Shape[1], in.Shape[2], in.Shape[3]
-	outH := (h+2*pad-kh)/stride + 1
-	outW := (w+2*pad-kw)/stride + 1
-	cols := ws.Get(b*outH*outW, c*kh*kw)
-	p := patchWalk{cols.Data, in.Data, c, h, w, kh, kw, stride, pad, outH, outW, c * kh * kw}
-	for n := 0; n < b; n++ {
-		p.unroll(n)
+	outH, outW := (h+2*pad-kh)/stride+1, (w+2*pad-kw)/stride+1
+	plane := outH * outW
+	cols := ws.Get(c*kh*kw, b*plane)
+	for q := 0; q < kh*kw; q++ {
+		t := newTap(q/kw, q%kw, h, w, stride, pad, outH, outW)
+		for ch := 0; ch < c; ch++ {
+			row := cols.Data[(ch*kh*kw+q)*b*plane:]
+			for n := 0; n < b; n++ {
+				t.unroll(row[n*plane:][:plane], in.Data[(n*c+ch)*h*w:][:h*w])
+			}
+		}
 	}
 	return cols
 }
 
-// Col2ImWS is the adjoint of Im2ColWS: it scatters column gradients back
-// into an input-shaped tensor (batch, ch, h, w), accumulating overlaps. The
-// output is drawn from ws (zeroed before the scatter, which accumulates). A
-// nil ws falls back to a fresh allocation.
+// Col2ImWS, the adjoint of Im2ColWS, adds columns into a zeroed (batch, ch,
+// h, w) tensor from ws, so every pixel's sum starts at +0. Its taps run in
+// descending (ky, kx) order: a larger tap reaches a pixel from a smaller
+// output position, so every pixel sums in ascending output-position order.
 func Col2ImWS(ws *Workspace, cols *Tensor, b, c, h, w, kh, kw, stride, pad int) *Tensor {
-	outH := (h+2*pad-kh)/stride + 1
-	outW := (w+2*pad-kw)/stride + 1
+	outH, outW := (h+2*pad-kh)/stride+1, (w+2*pad-kw)/stride+1
+	plane := outH * outW
 	out := ws.GetZeroed(b, c, h, w)
-	p := patchWalk{cols.Data, out.Data, c, h, w, kh, kw, stride, pad, outH, outW, c * kh * kw}
-	for n := 0; n < b; n++ {
-		p.scatter(n)
+	for q := kh*kw - 1; q >= 0; q-- {
+		t := newTap(q/kw, q%kw, h, w, stride, pad, outH, outW)
+		for ch := 0; ch < c; ch++ {
+			row := cols.Data[(ch*kh*kw+q)*b*plane:]
+			for n := 0; n < b; n++ {
+				t.scatter(out.Data[(n*c+ch)*h*w:][:h*w], row[n*plane:][:plane])
+			}
+		}
 	}
 	return out
 }

@@ -333,9 +333,13 @@ func TestIm2ColWSZeroAlloc(t *testing.T) {
 	}
 }
 
-// refPatchWalk carries the retired per-element patch walks, verbatim: every
-// kx tested against the image bounds one at a time.
-type refPatchWalk patchWalk
+// refPatchWalk carries the retired position-major, per-element patch walks,
+// verbatim: cols holds one rowLen-long patch row per output position, and
+// every kx is tested against the image bounds one at a time.
+type refPatchWalk struct {
+	cols, img                                        []float32
+	c, h, w, kh, kw, stride, pad, outH, outW, rowLen int
+}
 
 // unroll copies batch image n's patches into cols, zero-filling the padding.
 func (p *refPatchWalk) unroll(n int) {
@@ -387,9 +391,12 @@ func (p *refPatchWalk) scatter(n int) {
 	}
 }
 
-// TestPatchWalkMatchesReferenceBitExact holds Im2Col and Col2Im to the
-// per-element walks bit for bit over kernel 1/3/5, stride 1/2, pad 0/1/2,
-// and images from 1×1 and 2×2 (all border) to odd sizes. Im2Col draws a
+// TestPatchWalkMatchesReferenceBitExact holds the tap-major Im2Col and
+// Col2Im to the position-major per-element walks bit for bit over kernel
+// 1/3/5, stride 1/2, pad 0/1/2, and images from 1×1 and 2×2 (all border) to
+// odd sizes: Im2Col must be the transpose of the walk's columns, and Col2Im
+// of tap-major columns must be the walk's scatter of their transpose, which
+// sums each pixel in ascending output-position order. Im2Col draws a
 // NaN-filled buffer, so an element it fails to write shows; Col2Im's
 // interior pixels sum up to 25 contributions, so a changed order shows.
 func TestPatchWalkMatchesReferenceBitExact(t *testing.T) {
@@ -410,23 +417,23 @@ func TestPatchWalkMatchesReferenceBitExact(t *testing.T) {
 
 					in := randTensor(r, b, c, h, w)
 					ws := NewWorkspace()
-					d := ws.Get(rows, rowLen)
+					d := ws.Get(rowLen, rows)
 					for i := range d.Data {
 						d.Data[i] = dirty
 					}
 					ws.Put(d)
 					got := Im2ColWS(ws, in, k, k, stride, pad)
-					want := New(rows, rowLen)
-					ref := refPatchWalk{want.Data, in.Data, c, h, w, k, k, stride, pad, outH, outW, rowLen}
+					byPos := New(rows, rowLen)
+					ref := refPatchWalk{byPos.Data, in.Data, c, h, w, k, k, stride, pad, outH, outW, rowLen}
 					for n := 0; n < b; n++ {
 						ref.unroll(n)
 					}
-					sameBits(t, "Im2Col "+name, got.Data, want.Data)
+					sameBits(t, "Im2Col "+name, got.Data, transposed(byPos).Data)
 
-					cols := randTensor(r, rows, rowLen)
+					cols := randTensor(r, rowLen, rows)
 					gotImg := Col2ImWS(nil, cols, b, c, h, w, k, k, stride, pad)
 					wantImg := New(b, c, h, w)
-					ref = refPatchWalk{cols.Data, wantImg.Data, c, h, w, k, k, stride, pad, outH, outW, rowLen}
+					ref = refPatchWalk{transposed(cols).Data, wantImg.Data, c, h, w, k, k, stride, pad, outH, outW, rowLen}
 					for n := 0; n < b; n++ {
 						ref.scatter(n)
 					}
@@ -435,6 +442,13 @@ func TestPatchWalkMatchesReferenceBitExact(t *testing.T) {
 			}
 		}
 	}
+}
+
+// transposed returns a new (n×m) copy of the (m×n) matrix a.
+func transposed(a *Tensor) *Tensor {
+	t := New(a.Shape[1], a.Shape[0])
+	transposeInto(t.Data, a.Data, a.Shape[0], a.Shape[1])
+	return t
 }
 
 func sameBits(t *testing.T, name string, got, want []float32) {

@@ -202,10 +202,10 @@ func TestMatMulShapeMismatchPanics(t *testing.T) {
 }
 
 func TestIm2ColIdentityKernel(t *testing.T) {
-	// 1x1 kernel, stride 1, no pad: columns are just the flattened input.
+	// 1x1 kernel, stride 1, no pad: the one tap row is the flattened input.
 	in := FromSlice([]float32{1, 2, 3, 4}, 1, 1, 2, 2)
 	cols := Im2ColWS(nil, in, 1, 1, 1, 0)
-	if cols.Shape[0] != 4 || cols.Shape[1] != 1 {
+	if cols.Shape[0] != 1 || cols.Shape[1] != 4 {
 		t.Fatalf("cols shape %v", cols.Shape)
 	}
 	for i, want := range []float32{1, 2, 3, 4} {
