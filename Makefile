@@ -163,25 +163,33 @@ e2e-jobs:
 audit-gate:
 	go run ./cmd/dlion-audit -self-test
 
-# No fused multiply-add outside the assembly (DESIGN.md §9): the arm64,
-# ppc64le, riscv64 and s390x compilers fuse x*y + z into one rounding unless
-# the product is converted, float32(x*y) + z, which would make a digest
-# depend on the CPU. Offline and in seconds: for each of those
-# architectures, cross-compile dlion-sim, dlion-audit and the tensor
-# package's test binary (it links every kernel, called or not) and fail if
-# a disassembly fails, lists no dlion/ symbol, or shows one of that
-# architecture's fused instructions in one.
+# No fused multiply-add anywhere (DESIGN.md §9): the arm64, ppc64le,
+# riscv64 and s390x compilers fuse x*y + z into one rounding unless the
+# product is converted, float32(x*y) + z, which would make a digest depend
+# on the CPU, and the AVX2 kernels of simd_amd64.s must multiply and add in
+# two instructions as the scalar loops do. Offline and in seconds: for amd64
+# and each of those architectures, build dlion-sim, dlion-audit and the
+# tensor package's test binary (it links every kernel, called or not) and
+# fail if a listing fails, shows no dlion/ symbol, or shows one of that
+# architecture's fused instructions in one (on amd64 the VFMADD/VFMSUB/
+# VFNMADD/VFNMSUB family, 132/213/231, packed or scalar). The listing is
+# go tool objdump's, except on amd64: its disassembler decodes no VEX
+# instruction, so there the compiler and the assembler list what they
+# emit (-S), in the same columns (field 4 the mnemonic).
 fma-gate:
 	@dir="$$(mktemp -d)"; trap 'rm -rf "$$dir"' EXIT; \
-	for arch in 'arm64 FN?M(ADD|SUB)[SD]' 'ppc64le FN?M(ADD|SUB)S?' 'riscv64 FN?M(ADD|SUB)[SD]' 's390x M[AS][DE]BR?'; do \
+	for arch in 'amd64 VFN?M(ADD|SUB)[0-9]+[PS][SD]' 'arm64 FN?M(ADD|SUB)[SD]' 'ppc64le FN?M(ADD|SUB)S?' 'riscv64 FN?M(ADD|SUB)[SD]' 's390x M[AS][DE]BR?'; do \
 		set -- $$arch; \
-		GOARCH=$$1 go build -o "$$dir/dlion-sim" ./cmd/dlion-sim || exit 1; \
-		GOARCH=$$1 go build -o "$$dir/dlion-audit" ./cmd/dlion-audit || exit 1; \
-		GOARCH=$$1 go test -c -o "$$dir/tensor.test" ./internal/tensor || exit 1; \
 		for bin in dlion-sim dlion-audit tensor.test; do \
-			go tool objdump -s 'dlion/' "$$dir/$$bin" > "$$dir/dump" || { echo "fma-gate: objdump of $$bin ($$1) failed"; exit 1; }; \
-			grep -q '^TEXT dlion/' "$$dir/dump" || { echo "fma-gate: no dlion/ symbol in $$bin ($$1)"; exit 1; }; \
-			if awk -v re="^($$2)$$" '/^TEXT/ { sym = $$2 } $$4 ~ re { print sym, $$1, $$4; found = 1 } END { exit !found }' "$$dir/dump"; then \
+			case $$bin in tensor.test) build="go test -c" src=./internal/tensor;; *) build="go build" src=./cmd/$$bin;; esac; \
+			if [ $$1 = amd64 ]; then \
+				GOARCH=amd64 $$build -gcflags='dlion/...=-S' -asmflags='dlion/...=-S' -o "$$dir/$$bin" $$src > "$$dir/dump" 2>&1 || { cat "$$dir/dump"; exit 1; }; \
+			else \
+				GOARCH=$$1 $$build -o "$$dir/$$bin" $$src || exit 1; \
+				go tool objdump -s 'dlion/' "$$dir/$$bin" > "$$dir/dump" || { echo "fma-gate: objdump of $$bin ($$1) failed"; exit 1; }; \
+			fi; \
+			grep -qE '^(TEXT dlion/|dlion/[^ ]* STEXT)' "$$dir/dump" || { echo "fma-gate: no dlion/ symbol in $$bin ($$1)"; exit 1; }; \
+			if awk -v re="^($$2)$$" '/^TEXT/ { sym = $$2 } $$2 == "STEXT" { sym = $$1 } $$4 ~ re { print sym, $$1, $$3, $$4; found = 1 } END { exit !found }' "$$dir/dump"; then \
 				echo "fma-gate: fused multiply-add in a dlion/ symbol of $$bin ($$1)"; exit 1; \
 			fi; \
 		done; \

@@ -82,6 +82,20 @@ func BenchmarkSelectionAddTo(b *testing.B) {
 	}
 }
 
+// BenchmarkSelectionAddToDense is a peer's dense update (Full, or Max-N's
+// dense fallback), the branch core.applyRemoteGradient runs on train_wire.
+func BenchmarkSelectionAddToDense(b *testing.B) {
+	ps := benchParams(100_000)
+	sels := Full{}.Select(0, ps, 0)
+	dst := make([]float32, 100_000)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, s := range sels {
+			s.AddTo(dst, 0.01)
+		}
+	}
+}
+
 // BenchmarkMaxNQuickselect measures the quickselect top-k index selection
 // that TopK.Select runs per variable; BenchmarkMaxNSortBaseline is the
 // previous full-sort implementation on the same input, kept as the

@@ -4,6 +4,7 @@ import (
 	"math"
 
 	"dlion/internal/nn"
+	"dlion/internal/tensor"
 )
 
 // MaxN implements DLion's data quality assurance algorithm (§3.3): for
@@ -92,23 +93,13 @@ func (m *MaxN) selectN(params []*nn.Param, n float64) []*Selection {
 func selectVariable(p *nn.Param, frac float64, maxAbs float32) *Selection {
 	g := p.G.Data
 	thresh := float32(frac) * maxAbs
-	count := 0
-	for _, v := range g {
-		if abs32(v) >= thresh {
-			count++
-		}
-	}
+	count := tensor.CountAbsAtLeast(g, thresh)
 	if count == len(g) {
 		return denseSelection(p)
 	}
 	sel := &Selection{Var: p.Name, Total: len(g),
-		Idx: make([]int32, 0, count), Val: make([]float32, 0, count)}
-	for i, v := range g {
-		if abs32(v) >= thresh {
-			sel.Idx = append(sel.Idx, int32(i))
-			sel.Val = append(sel.Val, v)
-		}
-	}
+		Idx: make([]int32, count), Val: make([]float32, count)}
+	tensor.GatherAbsAtLeast(sel.Idx, sel.Val, g, thresh)
 	return sel
 }
 

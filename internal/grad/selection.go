@@ -12,6 +12,7 @@ import (
 	"fmt"
 
 	"dlion/internal/nn"
+	"dlion/internal/tensor"
 )
 
 // Selection is the subset of one weight variable's gradient chosen for
@@ -71,9 +72,7 @@ func (s *Selection) AddTo(dst []float32, scale float32) error {
 		return fmt.Errorf("grad: %s: dst len %d != total %d", s.Var, len(dst), s.Total)
 	}
 	if s.Dense != nil {
-		for i, v := range s.Dense {
-			dst[i] += float32(scale * v)
-		}
+		tensor.Axpy(dst[:len(s.Dense)], scale, s.Dense)
 		return nil
 	}
 	for k, i := range s.Idx {

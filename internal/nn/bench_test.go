@@ -107,3 +107,25 @@ func BenchmarkMergeWeights(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkReLU runs one forward and one backward of a ReLU over conv1's
+// output at LBS 32 (32×10×16×16), about half of it negative.
+func BenchmarkReLU(b *testing.B) {
+	rng := stats.NewRNG(3)
+	x := tensor.New(32, 10, 16, 16)
+	dout := tensor.New(32, 10, 16, 16)
+	for i := range x.Data {
+		x.Data[i] = float32(rng.NormFloat64())
+		dout.Data[i] = float32(rng.NormFloat64())
+	}
+	r := NewReLU("relu")
+	r.setWorkspace(tensor.NewWorkspace())
+	r.Forward(x)
+	r.Backward(dout)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		r.Forward(x)
+		r.Backward(dout)
+	}
+}

@@ -365,14 +365,8 @@ func (d *DepthwiseConv2D) Backward(dout *tensor.Tensor) *tensor.Tensor {
 // Selects are computed, not branched (DESIGN.md §9): about half of all
 // activations are negative, so a compare-and-branch per element mispredicts
 // on every other one, and Go emits no conditional move for a float compare.
-// ReLU and MaxPool2 therefore work on the float's bits.
-
-// keepPositive is all ones when the float with bits b is > 0 (positive
-// finite or +Inf) and zero for ±0, negatives and NaN: b-1 (mod 2³²) lies
-// below +Inf's bits exactly then.
-func keepPositive(b uint32) uint32 {
-	return uint32((int64(b-1) - 0x7f800000) >> 63)
-}
+// ReLU (tensor.KeepPositive) and MaxPool2 therefore work on the float's
+// bits.
 
 // ReLU applies max(0, x) element-wise. It keeps no mask: its output is
 // positive exactly where its input was, so Backward reads the kept output.
@@ -393,11 +387,7 @@ func (r *ReLU) Params() []*Param { return nil }
 // Forward implements Layer.
 func (r *ReLU) Forward(x *tensor.Tensor) *tensor.Tensor {
 	y := r.nextY(x.Shape...)
-	yd := y.Data[:len(x.Data)]
-	for i, v := range x.Data {
-		b := math.Float32bits(v)
-		yd[i] = math.Float32frombits(b & keepPositive(b))
-	}
+	tensor.KeepPositive(y.Data[:len(x.Data)], x.Data, x.Data)
 	return y
 }
 
@@ -405,11 +395,7 @@ func (r *ReLU) Forward(x *tensor.Tensor) *tensor.Tensor {
 // the arena keeps until the next one.
 func (r *ReLU) Backward(dout *tensor.Tensor) *tensor.Tensor {
 	dx := r.nextDx(false, dout.Shape...)
-	y := r.prevY.Data[:len(dout.Data)]
-	dd := dx.Data[:len(dout.Data)]
-	for i, v := range dout.Data {
-		dd[i] = math.Float32frombits(math.Float32bits(v) & keepPositive(math.Float32bits(y[i])))
-	}
+	tensor.KeepPositive(dx.Data[:len(dout.Data)], dout.Data, r.prevY.Data[:len(dout.Data)])
 	return dx
 }
 

@@ -8,10 +8,7 @@
 // element-wise ops). Heavy kernels shard their outer loop across goroutines.
 package tensor
 
-import (
-	"fmt"
-	"math"
-)
+import "fmt"
 
 // Tensor is a dense row-major float32 tensor. The zero value is an empty
 // tensor; use New or one of the shaped constructors for anything useful.
@@ -76,33 +73,15 @@ func (t *Tensor) Add(u *Tensor) {
 	if len(t.Data) != len(u.Data) {
 		panic("tensor: Add length mismatch")
 	}
-	for i, v := range u.Data {
-		t.Data[i] += v
-	}
+	acc(t.Data, u.Data)
 }
 
-// AddScaled accumulates alpha*u into t.
-func (t *Tensor) AddScaled(alpha float32, u *Tensor) {
-	if len(t.Data) != len(u.Data) {
-		panic("tensor: AddScaled length mismatch")
-	}
-	for i, v := range u.Data {
-		t.Data[i] += float32(alpha * v)
-	}
-}
+// AddScaled accumulates alpha*u into t. Shapes must have equal length.
+func (t *Tensor) AddScaled(alpha float32, u *Tensor) { Axpy(t.Data, alpha, u.Data) }
 
 // MaxAbs returns the maximum absolute element value (0 for empty tensors).
-// The magnitude is taken by clearing the sign bit: a sign test mispredicts
-// on every other element of a zero-centred gradient.
-func (t *Tensor) MaxAbs() float32 {
-	var m float32
-	for _, v := range t.Data {
-		if a := math.Float32frombits(math.Float32bits(v) &^ (1 << 31)); a > m {
-			m = a
-		}
-	}
-	return m
-}
+// A NaN element is never the maximum.
+func (t *Tensor) MaxAbs() float32 { return maxAbs(t.Data) }
 
 // String renders a short description, not the full contents.
 func (t *Tensor) String() string {
