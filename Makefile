@@ -23,9 +23,10 @@ check: build fmt vet test race fuzz-smoke
 #   virtual time) is the schedule an O(bucket) or O(n²) scheduler chokes on;
 #   a reintroduced superlinear cost shows up as a run that stops finishing
 #   (full sweep: make bench-sim).
-# - The step slots (DESIGN.md §2): the Run goldens, the churn scenarios and
-#   the lazy-step scenarios must come out bit-identical with one step at a
-#   time, two and four.
+# - The step slots (DESIGN.md §2): the Run goldens, the churn scenarios,
+#   the lazy-step scenarios and the slot scenarios against their all-inline
+#   digests must come out bit-identical with one step at a time, two and
+#   four.
 # - The repository benchmark, 2 seconds per workload, each of which must end
 #   "correct":true: train_wire traced (its transport shim decodes the frames
 #   it kept after the run, so a recycled frame buffer that did not hold a
@@ -35,7 +36,7 @@ check: build fmt vet test race fuzz-smoke
 #   request answered, every swap landed).
 verify: check conformance e2e-jobs audit-gate fma-gate
 	go run ./cmd/dlion-bench -sim -sim-n 8,256
-	go test -count=1 -cpu 1,2,4 -run 'RunGoldens|Churn|LazySteps|EvalOnce' ./internal/cluster
+	go test -count=1 -cpu 1,2,4 -run 'RunGoldens|Churn|LazySteps|EvalOnce|StepSlotsMatchSequential' ./internal/cluster
 	@out="$$(mktemp)"; for run in "train_wire 1" "train_compute 0" "sim_fed256 0" "serve_swap 0"; do \
 		set -- $$run; \
 		bash benchmark/run.sh --workload $$1 --seconds 2 --trace $$2 | tee "$$out"; \

@@ -253,7 +253,8 @@ func (e *simEnv) Step(w, b int, run func(ws *tensor.Workspace)) (charged, wait f
 // Join hands worker w's held-back step to a slot while the event loop runs,
 // because whatever joins it may read it (a DKT election reads its loss),
 // and the worker waits for it as for any step. Once the loop has returned
-// nothing can, and the step is dropped.
+// nothing can, and the step is dropped. Run's final joins call it from
+// several goroutines, each for its own w.
 func (e *simEnv) Join(w int) bool {
 	run := e.lazy[w]
 	if run == nil {
@@ -261,8 +262,7 @@ func (e *simEnv) Join(w int) bool {
 	}
 	e.lazy[w] = nil
 	if e.ended {
-		e.steps.dropped++
-		return false
+		return false // Run counted it in steps.dropped
 	}
 	e.slots.Go(run)
 	e.steps.late++
@@ -532,11 +532,19 @@ func Run(cfg Config) (*Result, error) {
 
 	// Final state at the horizon: every worker joined, which drops the steps
 	// still held back (nothing can read them now) and applies the gradients
-	// queued behind them.
+	// queued behind them. A join touches only its own worker's weights,
+	// queue and obs, so the joins fan out one worker per replica slot. A
+	// held-back step belongs to a worker still stepping, whose join drops
+	// it: they are counted here, before the fan-out, and Join counts none.
 	env.ended = true
-	for _, w := range env.workers {
-		w.JoinStep()
+	for _, run := range env.lazy {
+		if run != nil {
+			env.steps.dropped++
+		}
 	}
+	tensor.ParallelReplicas(len(env.workers), func(_, i int) {
+		env.workers[i].JoinStep()
+	})
 	if len(res.Timeline) == 0 || res.Timeline[len(res.Timeline)-1].T < cfg.Horizon {
 		evaluate()
 		res.Timeline[len(res.Timeline)-1].T = cfg.Horizon

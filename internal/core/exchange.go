@@ -6,6 +6,25 @@ import (
 	"dlion/internal/wire"
 )
 
+// selCacheEntry is one per-iteration selection-cache slot (see
+// exchangeGradients): the selection and quantization outcome for every link
+// sharing a (selector budget, precision) pair this iteration.
+type selCacheEntry struct {
+	selBudget int
+	prec      grad.Precision
+	to        int // the first link's peer: the one Select is asked for
+	sels      []*grad.Selection
+	saved     int // quantization bytes saved, re-counted per link
+	count     int // grad.TotalCount(sels), cached alongside
+}
+
+// multiBudget is a LinkInvariant selector that serves several byte budgets
+// over one gradient in one call: out[i] is what Select returns under
+// budgets[i]. grad.MaxN builds its |g| histogram once for all of them.
+type multiBudget interface {
+	SelectBudgets(params []*nn.Param, budgets []int, out [][]*grad.Selection)
+}
+
 // exchangeGradients runs the partial gradients generation module of Figure
 // 10: for each peer it asks the network resource monitor for the link's
 // available bandwidth, derives the per-link byte budget of the transmission
@@ -19,17 +38,6 @@ import (
 // Exchange targets the roster: a suspected or departed peer gets nothing,
 // and the fan-out divisor of the byte budget shrinks with the roster so
 // the remaining links get the freed share.
-// selCacheEntry is one per-iteration selection-cache slot (see
-// exchangeGradients): the selection and quantization outcome for every link
-// sharing a (selector budget, precision) pair this iteration.
-type selCacheEntry struct {
-	selBudget int
-	prec      grad.Precision
-	sels      []*grad.Selection
-	saved     int // quantization bytes saved, re-counted per link
-	count     int // grad.TotalCount(sels), cached alongside
-}
-
 func (w *Worker) exchangeGradients() {
 	params := w.model.Params()
 	peers := w.peerIDs
@@ -44,7 +52,9 @@ func (w *Worker) exchangeGradients() {
 	// simulable (DESIGN.md §14). Receivers and encoders treat Selections
 	// as read-only, so sharing is safe on both substrates, and a cached
 	// result is bit-identical to a recomputation by definition of
-	// LinkInvariant — seeded runs are unchanged by the cache.
+	// LinkInvariant — seeded runs are unchanged by the cache. Every link is
+	// resolved to its slot first, so a multiBudget selector is asked once
+	// for all the slots' budgets.
 	w.selCache = w.selCache[:0]
 	for _, p := range peers {
 		budget := 0
@@ -70,36 +80,32 @@ func (w *Worker) exchangeGradients() {
 				selBudget = int(float64(budget) * grad.BudgetInflation(prec))
 			}
 		}
-		link := &w.peers[p]
-
-		var entry *selCacheEntry
+		slot := -1
 		if w.selInvariant {
 			for i := range w.selCache {
 				if w.selCache[i].selBudget == selBudget && w.selCache[i].prec == prec {
-					entry = &w.selCache[i]
+					slot = i
 					break
 				}
 			}
 		}
-		if entry == nil {
-			sels := w.selector.Select(p, params, selBudget)
-			saved := 0
-			if prec != grad.PrecF32 {
-				saved = grad.QuantizeAll(sels, prec)
-			}
-			w.selCache = append(w.selCache, selCacheEntry{
-				selBudget: selBudget, prec: prec, sels: sels,
-				saved: saved, count: grad.TotalCount(sels)})
-			entry = &w.selCache[len(w.selCache)-1]
+		if slot < 0 {
+			slot = len(w.selCache)
+			w.selCache = append(w.selCache, selCacheEntry{selBudget: selBudget, prec: prec, to: p})
 		}
+		w.peers[p].budget = budget
+		w.peers[p].slot = int32(slot)
+	}
+	w.selectSlots(params)
+	for _, p := range peers {
+		entry := &w.selCache[w.peers[p].slot]
 		if entry.saved > 0 {
 			// Byte savings are per transmission: every link sending this
 			// payload avoids the same dense-f32 overshoot.
 			w.stats.QuantBytesSaved += int64(entry.saved)
 			w.obs.AddQuantSaved(entry.saved)
 		}
-		link.budget = budget
-		link.selCount = entry.count
+		w.peers[p].selCount = entry.count
 		w.stats.GradValuesSent += int64(entry.count)
 		w.stats.GradMsgsSent++
 		if len(entry.sels) == 0 {
@@ -116,6 +122,39 @@ func (w *Worker) exchangeGradients() {
 	// retained cache would keep the previous iteration's gradients alive.
 	for i := range w.selCache {
 		w.selCache[i] = selCacheEntry{}
+	}
+}
+
+// selectSlots runs the selector for every cache slot, in slot order (the
+// order of the slots' first links), and quantizes each slot's selections to
+// its precision. A multiBudget selector is asked once for every slot.
+func (w *Worker) selectSlots(params []*nn.Param) {
+	if w.selBatch != nil {
+		n := len(w.selCache)
+		if cap(w.selOut) < n {
+			w.selBudgets, w.selOut = make([]int, n), make([][]*grad.Selection, n)
+		}
+		budgets, out := w.selBudgets[:n], w.selOut[:n]
+		for i := range budgets {
+			budgets[i] = w.selCache[i].selBudget
+		}
+		w.selBatch.SelectBudgets(params, budgets, out)
+		for i := range out {
+			w.selCache[i].sels = out[i]
+			out[i] = nil
+		}
+	} else {
+		for i := range w.selCache {
+			e := &w.selCache[i]
+			e.sels = w.selector.Select(e.to, params, e.selBudget)
+		}
+	}
+	for i := range w.selCache {
+		e := &w.selCache[i]
+		if e.prec != grad.PrecF32 {
+			e.saved = grad.QuantizeAll(e.sels, e.prec)
+		}
+		e.count = grad.TotalCount(e.sels)
 	}
 }
 

@@ -121,10 +121,15 @@ type Worker struct {
 	lastDKTIter int64
 
 	// Per-iteration selection cache (exchange.go). selInvariant is set when
-	// the selector implements grad.LinkInvariant; selCache is the reused
-	// slot array, cleared at the end of every exchange.
+	// the selector implements grad.LinkInvariant, selBatch when it is also a
+	// multiBudget; selCache is the reused slot array, cleared at the end of
+	// every exchange, and selBudgets and selOut are selBatch's reused
+	// arguments.
 	selInvariant bool
+	selBatch     multiBudget
 	selCache     []selCacheEntry
+	selBudgets   []int
+	selOut       [][]*grad.Selection
 	fullDense    int // grad.DenseBytes of the model: Quant.Auto's reference
 
 	epochSamples float64 // cumulative global samples (GBS summed per iter)
@@ -179,8 +184,9 @@ type peerState struct {
 	lastSent  float64 // when this worker last sent the peer anything
 
 	// What the last gradient exchange sent on the link to this peer.
-	selCount int // gradient values
-	budget   int // byte budget
+	selCount int   // gradient values
+	budget   int   // byte budget
+	slot     int32 // its selection-cache slot (exchange.go)
 
 	// quant is the accept mask the peer advertised in HELLO/WELCOME; 0 (a
 	// static founder never handshakes) reads as accept-all.
@@ -224,6 +230,9 @@ func New(id int, cfg Config, model *nn.Model, shard *data.Shard, env Env) (*Work
 	}
 	w.runStep = w.trainStep
 	_, w.selInvariant = w.selector.(grad.LinkInvariant)
+	if w.selInvariant {
+		w.selBatch, _ = w.selector.(multiBudget)
+	}
 	totals := make([]int, 0, len(model.Params()))
 	for _, p := range model.Params() {
 		totals = append(totals, p.G.Len())

@@ -23,6 +23,7 @@ type fakeEnv struct {
 	workers   []*Worker
 	iterSec   []float64
 	bw        float64
+	bwOf      func(from, to int) float64 // per-link bandwidth, overriding bw
 	delay     float64
 	sent      []*wire.Message
 	dropTo    map[int]bool // blackholed receivers
@@ -46,6 +47,9 @@ func (e *fakeEnv) After(d float64, fn func()) { e.eng.After(d, fn) }
 func (e *fakeEnv) NumWorkers() int            { return e.n }
 func (e *fakeEnv) SendScale() float64         { return e.sendScale }
 func (e *fakeEnv) Bandwidth(from, to int) float64 {
+	if e.bwOf != nil {
+		return e.bwOf(from, to)
+	}
 	return e.bw
 }
 

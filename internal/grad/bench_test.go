@@ -50,6 +50,21 @@ func BenchmarkMaxNSelectBudgeted(b *testing.B) {
 	}
 }
 
+// BenchmarkMaxNSelectTwoTiers is a federation worker's selection for one
+// iteration: one gradient under a LAN and a WAN link budget, asked for in
+// one call, so the histogram is built once for both.
+func BenchmarkMaxNSelectTwoTiers(b *testing.B) {
+	ps := benchParams(100_000)
+	m := NewMaxN(100)
+	budgets := []int{50_000, 5_000}
+	out := make([][]*Selection, len(budgets))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		m.SelectBudgets(ps, budgets, out)
+	}
+}
+
 func BenchmarkGaiaSelect(b *testing.B) {
 	ps := benchParams(100_000)
 	g := NewGaia(1)

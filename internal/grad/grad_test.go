@@ -189,7 +189,7 @@ func TestAutoNRespectsMinN(t *testing.T) {
 	}
 	ps := makeParams(map[string][]float32{"a": g})
 	m := NewMaxN(100)
-	n := m.AutoN(ps, 1) // absurdly small budget
+	n := autoN(m, ps, 1) // absurdly small budget
 	if n != m.MinN {
 		t.Fatalf("AutoN below MinN: %v", n)
 	}

@@ -30,7 +30,8 @@ type MaxN struct {
 	N    float64 // fixed N when no budget applies; (0, 100]
 	MinN float64 // lower bound for auto-tuned N; default 0.85
 
-	// scratch histogram reused across calls
+	// scratch: each variable's max |g| and the |g|/max histogram, both
+	// rewritten by every SelectBudgets call before it reads them
 	hist histogram
 }
 
@@ -50,27 +51,40 @@ func (m *MaxN) Name() string { return "maxN" }
 // state, so equal budgets always produce equal selections.
 func (m *MaxN) LinkInvariantSelection() {}
 
-// Select implements Selector. The same fresh mean gradient must be passed
-// for every peer of the current iteration; MaxN keeps no cross-iteration
-// state, so per-link differences come only from the per-link budget.
+// Select implements Selector: the one-budget case of SelectBudgets. The
+// same fresh mean gradient must be passed for every peer of the current
+// iteration; MaxN keeps no cross-iteration state, so per-link differences
+// come only from the per-link budget.
 func (m *MaxN) Select(_ int, params []*nn.Param, budgetBytes int) []*Selection {
-	if budgetBytes > 0 {
-		// AutoN's histogram pass left every variable's max behind.
-		return m.selectN(params, m.AutoN(params, budgetBytes))
-	}
-	return m.SelectN(params, m.N)
+	var out [1][]*Selection
+	m.SelectBudgets(params, []int{budgetBytes}, out[:])
+	return out[0]
 }
 
-// SelectN runs the Max N rule with an explicit N over all variables.
-func (m *MaxN) SelectN(params []*nn.Param, n float64) []*Selection {
-	m.hist.maxAbs = m.hist.maxAbs[:0]
-	for _, p := range params {
-		m.hist.maxAbs = append(m.hist.maxAbs, p.G.MaxAbs())
+// SelectBudgets sets out[i] to what Select(·, params, budgets[i]) returns,
+// for every budget, in one pass over the gradient: each variable's max |g|
+// is taken once, the |g|/max histogram is built at most once (the first
+// positive budget builds it, in this call), and only AutoN's search and the
+// selection run per budget. A federation worker's LAN and WAN tiers are two
+// budgets over one gradient. out must be at least as long as budgets.
+func (m *MaxN) SelectBudgets(params []*nn.Param, budgets []int, out [][]*Selection) {
+	m.hist.maxes(params)
+	built := false
+	for i, b := range budgets {
+		n := m.N
+		if b > 0 {
+			if !built {
+				m.hist.build(params)
+				built = true
+			}
+			n = m.hist.autoN(m.MinN, b)
+		}
+		out[i] = m.selectN(params, n)
 	}
-	return m.selectN(params, n)
 }
 
-// selectN is SelectN once m.hist.maxAbs holds each variable's max |g|.
+// selectN runs the Max N rule with N over all variables, once m.hist.maxAbs
+// holds each variable's max |g|.
 func (m *MaxN) selectN(params []*nn.Param, n float64) []*Selection {
 	if n <= 0 {
 		n = m.MinN
@@ -103,21 +117,20 @@ func selectVariable(p *nn.Param, frac float64, maxAbs float32) *Selection {
 	return sel
 }
 
-// AutoN returns the largest N in [MinN, 100] whose selection fits within
-// budgetBytes, using a shared histogram of |g|/maxAbs per variable so the
-// search is O(params + buckets) instead of O(params·log) per link.
-func (m *MaxN) AutoN(params []*nn.Param, budgetBytes int) float64 {
-	m.hist.build(params)
-	lo, hi := m.MinN, 100.0
-	if m.hist.bytesAtN(hi) <= budgetBytes {
+// autoN returns the largest N in [minN, 100] whose selection fits within
+// budgetBytes, searching the built histogram, so the search is
+// O(variables·buckets) instead of a pass over the gradient per link.
+func (h *histogram) autoN(minN float64, budgetBytes int) float64 {
+	lo, hi := minN, 100.0
+	if h.bytesAtN(hi) <= budgetBytes {
 		return hi
 	}
-	if m.hist.bytesAtN(lo) > budgetBytes {
+	if h.bytesAtN(lo) > budgetBytes {
 		return lo // even the minimum overshoots; MinN is a floor by design
 	}
 	for i := 0; i < 40; i++ {
 		mid := (lo + hi) / 2
-		if m.hist.bytesAtN(mid) <= budgetBytes {
+		if h.bytesAtN(mid) <= budgetBytes {
 			lo = mid
 		} else {
 			hi = mid
@@ -133,14 +146,26 @@ type histogram struct {
 	buckets  int
 	perVar   [][]int // counts per variable
 	varLens  []int
-	maxAbs   []float32 // per variable, kept for the SelectN that follows
+	maxAbs   []float32 // per variable (maxes), read by build and selectN
 	varCumul [][]int   // suffix sums: cumul[v][k] = #values with ratio >= k/B
 	numVars  int
+	builds   int // build calls so far: a test pins one per SelectBudgets
 }
 
 const histBuckets = 512
 
+// maxes takes each variable's max |g| into h.maxAbs.
+func (h *histogram) maxes(params []*nn.Param) {
+	h.maxAbs = h.maxAbs[:0]
+	for _, p := range params {
+		h.maxAbs = append(h.maxAbs, p.G.MaxAbs())
+	}
+}
+
+// build buckets every variable under the maxes h.maxes took of the same
+// params.
 func (h *histogram) build(params []*nn.Param) {
+	h.builds++
 	h.buckets = histBuckets
 	h.numVars = len(params)
 	if cap(h.perVar) < len(params) {
@@ -151,7 +176,6 @@ func (h *histogram) build(params []*nn.Param) {
 	h.perVar = h.perVar[:len(params)]
 	h.varCumul = h.varCumul[:len(params)]
 	h.varLens = h.varLens[:len(params)]
-	h.maxAbs = h.maxAbs[:0]
 	for vi, p := range params {
 		if h.perVar[vi] == nil {
 			h.perVar[vi] = make([]int, h.buckets)
@@ -163,9 +187,7 @@ func (h *histogram) build(params []*nn.Param) {
 		}
 		g := p.G.Data
 		h.varLens[vi] = len(g)
-		maxAbs := p.G.MaxAbs()
-		h.maxAbs = append(h.maxAbs, maxAbs)
-		if maxAbs == 0 {
+		if maxAbs := h.maxAbs[vi]; maxAbs == 0 {
 			// all-zero gradient: everything is "at the max"; bucket B-1
 			counts[h.buckets-1] = len(g)
 		} else {

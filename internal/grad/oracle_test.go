@@ -118,6 +118,13 @@ func refAutoN(minN float64, params []*nn.Param, budgetBytes int) float64 {
 	return lo
 }
 
+// autoN is the N that Select picks under a positive budget.
+func autoN(m *MaxN, params []*nn.Param, budgetBytes int) float64 {
+	m.hist.maxes(params)
+	m.hist.build(params)
+	return m.hist.autoN(m.MinN, budgetBytes)
+}
+
 // refSelectN is SelectN as it stood.
 func refSelectN(m *MaxN, params []*nn.Param, n float64) []*Selection {
 	if n <= 0 {
@@ -285,7 +292,7 @@ func TestMaxNMatchesOracle(t *testing.T) {
 					m, ref := NewMaxN(n), NewMaxN(n)
 					gotN := m.N
 					if budget > 0 {
-						gotN = m.AutoN(params, budget)
+						gotN = autoN(m, params, budget)
 					}
 					got := m.Select(0, params, budget)
 					want, ok := refSelect(ref, params, budget, gotN)
@@ -312,9 +319,10 @@ func TestMaxNMatchesOracle(t *testing.T) {
 	}
 }
 
-// TestSelectNAfterStaleHistogram: the maxes AutoN keeps are read only by the
-// Select call that built them. A later fixed-N selection on a different
-// gradient, or a budgeted one after the gradient changed, walks again.
+// TestSelectNAfterStaleHistogram: the maxes and the histogram a call leaves
+// behind are read only by that call. A later fixed-N selection on a
+// different gradient, or a budgeted one after the gradient changed, walks
+// again.
 func TestSelectNAfterStaleHistogram(t *testing.T) {
 	m := NewMaxN(10)
 	a := oracleParams(oracleGradients()["normal 512"])
@@ -329,8 +337,10 @@ func TestSelectNAfterStaleHistogram(t *testing.T) {
 			t.Fatalf("budget %d after the gradient changed: %s", budget, d)
 		}
 	}
-	if d := diffSelections(m.SelectN(a, 25), refSelectN(m, a, 25)); d != "" {
-		t.Fatalf("SelectN after AutoN: %s", d)
+	b := oracleParams(oracleGradients()["normal 17 with zeros"])
+	m.N = 25
+	if d := diffSelections(m.Select(0, b, 0), refSelectN(m, b, 25)); d != "" {
+		t.Fatalf("fixed N on another gradient after a budgeted call: %s", d)
 	}
 }
 
@@ -353,6 +363,50 @@ func TestAbs32MatchesSignTest(t *testing.T) {
 					t.Fatalf("MaxAbs([%#08x]) = %v, want %v", sign|exp<<23|mant, tm, refMaxAbs([]float32{v}))
 				}
 			}
+		}
+	}
+}
+
+// TestSelectBudgetsMatchesSelect: for one gradient, SelectBudgets over a
+// list of budgets returns what a fresh Select returns for each, payload for
+// payload, and builds the histogram once per call however many budgets are
+// positive (none when none is).
+func TestSelectBudgetsMatchesSelect(t *testing.T) {
+	grads := oracleGradients()
+	params := oracleParams(grads["normal 4099"], grads["all zero"], grads["nan"],
+		grads["normal 17 with zeros"], grads["length 1"], grads["single spike"])
+	full := 0
+	for _, p := range params {
+		full += headerBytes + 4*p.G.Len()
+	}
+	m := NewMaxN(50)
+	for _, budgets := range [][]int{
+		{full / 10, full / 3},        // a WAN and a LAN tier
+		{full / 3, full / 10, 0, 64}, // unordered, an unlimited link among them
+		{full / 5, full / 5},         // one budget at two precisions
+		{2 * full},
+		{0},
+		{0, -1},
+	} {
+		positive := 0
+		for _, b := range budgets {
+			if b > 0 {
+				positive = 1
+			}
+		}
+		out := make([][]*Selection, len(budgets))
+		before := m.hist.builds
+		m.SelectBudgets(params, budgets, out)
+		if got := m.hist.builds - before; got != positive {
+			t.Fatalf("budgets %v: %d histogram builds, want %d", budgets, got, positive)
+		}
+		for i, b := range budgets {
+			if d := diffSelections(out[i], NewMaxN(50).Select(0, params, b)); d != "" {
+				t.Fatalf("budgets %v, budget %d: %s", budgets, b, d)
+			}
+		}
+		if len(budgets) > 1 && out[0][0] == out[1][0] {
+			t.Fatalf("budgets %v: two budgets share one Selection", budgets)
 		}
 	}
 }

@@ -66,17 +66,22 @@ func (s *Selection) Bytes() int {
 }
 
 // AddTo accumulates scale·selection into dst, which must be the variable's
-// full backing slice.
+// full backing slice. A selection that does not fit dst (a dense vector of
+// another length, an index outside it) is an error; a sparse one stops at
+// its first bad index.
 func (s *Selection) AddTo(dst []float32, scale float32) error {
 	if len(dst) != s.Total {
 		return fmt.Errorf("grad: %s: dst len %d != total %d", s.Var, len(dst), s.Total)
 	}
 	if s.Dense != nil {
-		tensor.Axpy(dst[:len(s.Dense)], scale, s.Dense)
+		if len(s.Dense) != s.Total {
+			return fmt.Errorf("grad: %s: %d dense values != total %d", s.Var, len(s.Dense), s.Total)
+		}
+		tensor.Axpy(dst, scale, s.Dense)
 		return nil
 	}
 	for k, i := range s.Idx {
-		if int(i) >= len(dst) {
+		if uint32(i) >= uint32(len(dst)) {
 			return fmt.Errorf("grad: %s: index %d out of range %d", s.Var, i, len(dst))
 		}
 		dst[i] += float32(scale * s.Val[k])

@@ -2,6 +2,7 @@ package wire
 
 import (
 	"bytes"
+	"errors"
 	"math"
 	"testing"
 
@@ -67,5 +68,37 @@ func FuzzDecode(f *testing.F) {
 		if m.Type != TypeWeights && m.Type != TypeWelcome && !bytes.Equal(Encode(m), data) {
 			t.Fatalf("re-encode mismatch for type %v", m.Type)
 		}
+		// A receiver applies what it decoded to the variable's weights: no
+		// frame may make that panic. No input bytes back a sparse
+		// selection's Total, so one past 2²⁰ gets no dst.
+		for _, s := range m.Selections {
+			if s.Total > 1<<20 {
+				continue
+			}
+			if err := s.AddTo(make([]float32, s.Total), 0.5); err != nil {
+				t.Fatalf("decoded selection %q does not apply: %v", s.Var, err)
+			}
+		}
 	})
+}
+
+// TestDecodeRejectsSelectionsThatDoNotFit: the two frames that once decoded
+// and then crashed the receiver's apply — a sparse index outside the
+// variable, a dense vector longer than it — are corrupt, and applying such
+// selections built by hand is an error, not a panic.
+func TestDecodeRejectsSelectionsThatDoNotFit(t *testing.T) {
+	for name, s := range map[string]*grad.Selection{
+		"index -1":       {Var: "w", Total: 4, Idx: []int32{-1}, Val: []float32{1}},
+		"index at total": {Var: "w", Total: 4, Idx: []int32{0, 4}, Val: []float32{1, 2}},
+		"dense too long": {Var: "w", Total: 4, Dense: []float32{1, 2, 3, 4, 5}},
+		"dense short":    {Var: "w", Total: 4, Dense: []float32{1, 2, 3}},
+	} {
+		m := &Message{Type: TypeGradient, From: 1, To: 0, Iter: 3, LBS: 8, Selections: []*grad.Selection{s}}
+		if _, err := Decode(Encode(m)); !errors.Is(err, ErrCorrupt) {
+			t.Errorf("%s: decode err %v, want ErrCorrupt", name, err)
+		}
+		if err := s.AddTo(make([]float32, s.Total), 1); err == nil {
+			t.Errorf("%s: AddTo applied a selection that does not fit", name)
+		}
+	}
 }

@@ -80,7 +80,8 @@ func TestQuantizedEdgeSelections(t *testing.T) {
 	cases := []*grad.Selection{
 		{Var: "e1", Total: 0, Dense: []float32{}, Prec: grad.PrecI8, Scale: 0.5},
 		{Var: "e2", Total: 9, Prec: grad.PrecI8, Scale: 2}, // empty sparse
-		{Var: "e3", Total: 4, Dense: []float32{}, Prec: grad.PrecF16},
+		// A dense vector holds Total values: an empty one, a zero Total.
+		{Var: "e3", Total: 0, Dense: []float32{}, Prec: grad.PrecF16},
 		{Var: "e4", Total: 4, Prec: grad.PrecF16}, // empty sparse
 		{Var: "s1", Total: 5000, Idx: []int32{4999}, Val: []float32{-3}},
 		{Var: "s2", Total: 1, Dense: []float32{0.25}},

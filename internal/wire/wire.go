@@ -468,6 +468,9 @@ func decodeSelection(r *reader) (*grad.Selection, error) {
 		if uint64(n) > uint64(r.remaining()/elem) {
 			return nil, ErrTruncated
 		}
+		if n != total {
+			return nil, fmt.Errorf("%w: %q: %d dense values of %d", ErrCorrupt, name, n, total)
+		}
 		s.Dense = f32Pool.Get(int(n))
 		r.pooled = r.pooled || f32Pool.Recyclable(s.Dense)
 		fillValues(r, s, s.Dense)
@@ -483,6 +486,11 @@ func decodeSelection(r *reader) (*grad.Selection, error) {
 	s.Val = f32Pool.Get(int(n))
 	r.pooled = r.pooled || f32Pool.Recyclable(s.Val)
 	fillValues(r, s, s.Val)
+	for _, i := range s.Idx {
+		if uint32(i) >= total {
+			return nil, fmt.Errorf("%w: %q: index %d of %d", ErrCorrupt, name, uint32(i), total)
+		}
+	}
 	return s, nil
 }
 
