@@ -93,8 +93,9 @@ fuzz-smoke:
 # package's bit-exact references and the served f32 view (nn.View, Dense
 # weights packed once) to Model.Forward, and runs the convolution's
 # gradchecks and the first layer's parameter-only backward there. The next 386 line runs the decoders'
-# committed seeds (wire frames, serve update frames, checkpoints) whose length
-# fields overflow a 32-bit int: each must be an error, not a panic; and the
+# committed seeds (wire frames, serve update frames, checkpoints, broker
+# requests, a SET value among them) whose length fields overflow a 32-bit
+# int: each must be an error, not a panic, refused before it allocates; and the
 # /predict body seeds, each of which must parse as encoding/json decodes it
 # on 32 bits too. The last
 # runs the audit gate's self-test on 386 (≈ 20 s with its compile): it must
@@ -105,13 +106,14 @@ conformance:
 	go test -race -count=1 ./internal/testkit/...
 	GOARCH=386 go test -count=1 -run 'RunGoldens|Equivalence|MixedPrecision|StepSlotsMatchSequential' ./internal/cluster ./internal/testkit
 	GOARCH=386 go test -count=1 -run 'BitExact|SkipsDataGradient|GradCheckConv' ./internal/tensor ./internal/nn
-	GOARCH=386 go test -count=1 -run 'FuzzDecode|FuzzDecodeUpdate|FuzzParsePredict|Restore|Scan' ./internal/wire ./internal/serve ./internal/nn
+	GOARCH=386 go test -count=1 -run 'FuzzDecode|FuzzDecodeUpdate|FuzzParsePredict|FuzzReadRequest|Restore|Scan' ./internal/wire ./internal/serve ./internal/nn ./internal/queue
 	@host="$$(go run ./cmd/dlion-audit -self-test)" || exit 1; \
 	i386="$$(GOARCH=386 go run ./cmd/dlion-audit -self-test)" || exit 1; echo "$$i386"; \
 	[ "$$host" = "$$i386" ] || { echo "conformance: dlion-audit -self-test differs between $$(go env GOARCH) and 386"; exit 1; }
 
 # Kernel and scheduler microbenchmarks (simclock's EngineBurst is the
-# 256-worker all-to-all schedule, EngineHold the constant-size hold model),
+# 256-worker all-to-all schedule, EngineHold the constant-size hold model,
+# realtime's ClientTransport1MB a gradient frame's one hop between workers),
 # emitted as a BENCH JSON report (see METRICS.md).
 # The committed BENCH_kernels.json doubles as the baseline: benchfmt reads it
 # before overwriting, prints per-benchmark deltas, and BENCH_REGRESS (a
@@ -121,7 +123,7 @@ conformance:
 bench:
 	go test -run='^$$' -bench=. -benchmem -cpu 1 \
 		./internal/tensor/... ./internal/nn/... ./internal/grad/... ./internal/wire/... \
-		./internal/queue/... ./internal/simclock/... ./internal/core/... \
+		./internal/queue/... ./internal/realtime/... ./internal/simclock/... ./internal/core/... \
 		| go run ./cmd/dlion-benchfmt -out BENCH_kernels.json \
 			-baseline BENCH_kernels.json -regress '$(or $(BENCH_REGRESS),0)'
 

@@ -2,6 +2,7 @@ package grad
 
 import (
 	"math"
+	"sync"
 
 	"dlion/internal/nn"
 	"dlion/internal/tensor"
@@ -31,7 +32,8 @@ type MaxN struct {
 	MinN float64 // lower bound for auto-tuned N; default 0.85
 
 	// scratch: each variable's max |g| and the |g|/max histogram, both
-	// rewritten by every SelectBudgets call before it reads them
+	// rewritten by every SelectBudgets call before it reads them; the
+	// histogram's buckets are borrowed from histPool for that call only
 	hist histogram
 }
 
@@ -75,6 +77,7 @@ func (m *MaxN) SelectBudgets(params []*nn.Param, budgets []int, out [][]*Selecti
 		if b > 0 {
 			if !built {
 				m.hist.build(params)
+				defer m.hist.release()
 				built = true
 			}
 			n = m.hist.autoN(m.MinN, b)
@@ -143,16 +146,23 @@ func (h *histogram) autoN(minN float64, budgetBytes int) float64 {
 // with ratio in [k/B, (k+1)/B); selection at threshold frac counts buckets
 // >= frac·B. Dense fallback is accounted per variable.
 type histogram struct {
-	buckets  int
-	perVar   [][]int // counts per variable
-	varLens  []int
-	maxAbs   []float32 // per variable (maxes), read by build and selectN
-	varCumul [][]int   // suffix sums: cumul[v][k] = #values with ratio >= k/B
-	numVars  int
-	builds   int // build calls so far: a test pins one per SelectBudgets
+	varLens []int
+	maxAbs  []float32 // per variable (maxes), read by build and selectN
+	// cumul holds each variable's suffix sums, B+1 per variable:
+	// cumul[v·(B+1)+k] = #values of variable v with ratio >= k/B. It and
+	// counts, one variable's buckets, live in scratch from build to release.
+	cumul   []int
+	counts  []int
+	scratch *[]int
+	builds  int // build calls so far: a test pins one per SelectBudgets
 }
 
 const histBuckets = 512
+
+// histPool shares histogram storage among every MaxN: a selector holds it
+// only inside one SelectBudgets call, so a federation of selectors needs as
+// many buffers as calls run at once, not one per selector.
+var histPool = sync.Pool{New: func() any { return new([]int) }}
 
 // maxes takes each variable's max |g| into h.maxAbs.
 func (h *histogram) maxes(params []*nn.Param) {
@@ -163,67 +173,67 @@ func (h *histogram) maxes(params []*nn.Param) {
 }
 
 // build buckets every variable under the maxes h.maxes took of the same
-// params.
+// params, into storage taken from histPool; release gives it back.
 func (h *histogram) build(params []*nn.Param) {
 	h.builds++
-	h.buckets = histBuckets
-	h.numVars = len(params)
-	if cap(h.perVar) < len(params) {
-		h.perVar = make([][]int, len(params))
-		h.varCumul = make([][]int, len(params))
-		h.varLens = make([]int, len(params))
+	h.scratch = histPool.Get().(*[]int)
+	need := histBuckets + len(params)*(histBuckets+1)
+	if cap(*h.scratch) < need {
+		*h.scratch = make([]int, need)
 	}
-	h.perVar = h.perVar[:len(params)]
-	h.varCumul = h.varCumul[:len(params)]
-	h.varLens = h.varLens[:len(params)]
+	buf := (*h.scratch)[:need]
+	h.counts, h.cumul = buf[:histBuckets], buf[histBuckets:]
+	h.varLens = h.varLens[:0]
+	counts := h.counts
 	for vi, p := range params {
-		if h.perVar[vi] == nil {
-			h.perVar[vi] = make([]int, h.buckets)
-			h.varCumul[vi] = make([]int, h.buckets+1)
-		}
-		counts := h.perVar[vi]
 		for i := range counts {
 			counts[i] = 0
 		}
 		g := p.G.Data
-		h.varLens[vi] = len(g)
+		h.varLens = append(h.varLens, len(g))
 		if maxAbs := h.maxAbs[vi]; maxAbs == 0 {
 			// all-zero gradient: everything is "at the max"; bucket B-1
-			counts[h.buckets-1] = len(g)
+			counts[histBuckets-1] = len(g)
 		} else {
-			inv := float64(h.buckets) / float64(maxAbs)
+			inv := float64(histBuckets) / float64(maxAbs)
 			for _, v := range g {
 				// Compared before converting: a NaN ratio (a NaN value, or
 				// Inf under an Inf max) has no int and lands at the max.
-				k := h.buckets - 1
+				k := histBuckets - 1
 				if r := float64(abs32(v)) * inv; r < float64(k) {
 					k = int(r)
 				}
 				counts[k]++
 			}
 		}
-		cum := h.varCumul[vi]
-		cum[h.buckets] = 0
-		for k := h.buckets - 1; k >= 0; k-- {
+		cum := h.cumul[vi*(histBuckets+1) : (vi+1)*(histBuckets+1)]
+		cum[histBuckets] = 0
+		for k := histBuckets - 1; k >= 0; k-- {
 			cum[k] = cum[k+1] + counts[k]
 		}
 	}
+}
+
+// release returns the storage build took to histPool.
+func (h *histogram) release() {
+	histPool.Put(h.scratch)
+	h.scratch, h.counts, h.cumul = nil, nil, nil
 }
 
 // bytesAtN estimates wire bytes if selection ran at the given N, matching
 // selectVariable's dense-fallback rule.
 func (h *histogram) bytesAtN(n float64) int {
 	frac := 1 - n/100
-	k := int(frac * float64(h.buckets))
+	k := int(frac * float64(histBuckets))
 	if k < 0 {
 		k = 0
 	}
-	if k > h.buckets {
-		k = h.buckets
+	if k > histBuckets {
+		k = histBuckets
 	}
 	total := 0
-	for vi := 0; vi < h.numVars; vi++ {
-		count := h.varCumul[vi][k]
+	for vi := range h.varLens {
+		count := h.cumul[vi*(histBuckets+1)+k]
 		if count == h.varLens[vi] {
 			total += headerBytes + 4*h.varLens[vi]
 		} else {

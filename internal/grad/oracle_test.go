@@ -65,35 +65,31 @@ func refSelectVariable(p *nn.Param, frac float64) *Selection {
 // refHistBuild fills h the way histogram.build did (bytesAtN, which reads
 // only the suffix sums and lengths, is unchanged and shared).
 func refHistBuild(h *histogram, params []*nn.Param) {
-	h.buckets = histBuckets
-	h.numVars = len(params)
-	h.perVar = make([][]int, len(params))
-	h.varCumul = make([][]int, len(params))
+	const buckets = histBuckets
 	h.varLens = make([]int, len(params))
+	h.cumul = nil
 	for vi, p := range params {
-		h.perVar[vi] = make([]int, h.buckets)
-		h.varCumul[vi] = make([]int, h.buckets+1)
-		counts := h.perVar[vi]
+		counts := make([]int, buckets)
 		g := p.G.Data
 		h.varLens[vi] = len(g)
 		maxAbs := refMaxAbs(g)
 		if maxAbs == 0 {
-			counts[h.buckets-1] = len(g)
+			counts[buckets-1] = len(g)
 		} else {
-			inv := float64(h.buckets) / float64(maxAbs)
+			inv := float64(buckets) / float64(maxAbs)
 			for _, v := range g {
 				k := int(float64(refAbs32(v)) * inv)
-				if k >= h.buckets {
-					k = h.buckets - 1
+				if k >= buckets {
+					k = buckets - 1
 				}
 				counts[k]++
 			}
 		}
-		cum := h.varCumul[vi]
-		cum[h.buckets] = 0
-		for k := h.buckets - 1; k >= 0; k-- {
+		cum := make([]int, buckets+1)
+		for k := buckets - 1; k >= 0; k-- {
 			cum[k] = cum[k+1] + counts[k]
 		}
+		h.cumul = append(h.cumul, cum...)
 	}
 }
 
@@ -122,6 +118,7 @@ func refAutoN(minN float64, params []*nn.Param, budgetBytes int) float64 {
 func autoN(m *MaxN, params []*nn.Param, budgetBytes int) float64 {
 	m.hist.maxes(params)
 	m.hist.build(params)
+	defer m.hist.release()
 	return m.hist.autoN(m.MinN, budgetBytes)
 }
 

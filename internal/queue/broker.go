@@ -2,9 +2,11 @@
 // original prototype used Redis PUB/SUB for control signaling and Redis
 // lists for gradient/weight data queues (§4.2); this package provides the
 // same two primitives — fan-out publish/subscribe channels and blocking
-// FIFO lists — as an in-memory broker, plus a TCP server/client pair so
-// real-mode workers in separate processes can share one broker just as the
-// prototype's workers shared one Redis.
+// FIFO lists — as an in-memory broker, plus a register of keys that live as
+// long as the connection that set them, and a TCP server/client pair. Real-
+// mode workers in separate processes share one broker for control and the
+// register, as the prototype's workers shared one Redis; each worker serves
+// its own data list, so a frame crosses one socket, sender to receiver.
 package queue
 
 import (
@@ -28,6 +30,13 @@ type Broker struct {
 	lists   map[string][][]byte
 	waiters map[string][]chan []byte
 	queued  int // total items across all lists (drives the depth gauge)
+
+	// The register: Set's values, the Get waiters' wake-up channels (one
+	// per key, closed by the next Set) and the last Set's number, which
+	// tells a stale release from the current holder's.
+	reg     map[string]entry
+	regWake map[string]chan struct{}
+	regSeq  uint64
 
 	// Metric handles (nil-safe no-ops until SetMetrics is called).
 	mPublished  *obs.Counter
@@ -57,6 +66,70 @@ func NewBroker() *Broker {
 		subs:    map[string]map[int]*Subscription{},
 		lists:   map[string][][]byte{},
 		waiters: map[string][]chan []byte{},
+		reg:     map[string]entry{},
+		regWake: map[string]chan struct{}{},
+	}
+}
+
+// entry is one register value and the number of the Set that stored it.
+type entry struct {
+	value []byte
+	seq   uint64
+}
+
+// Set stores value under key in the register, replacing any earlier value,
+// and wakes every Get waiting for key. The broker keeps the slice: the
+// caller must not modify it afterwards. The returned release removes the
+// key if this Set is still the one holding it, so the release of a holder
+// that was replaced (a restarted worker's old connection closing late) is a
+// no-op. The TCP server releases a key when the connection that set it
+// closes.
+func (b *Broker) Set(key string, value []byte) (release func()) {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	if b.closed {
+		return func() {}
+	}
+	b.regSeq++
+	seq := b.regSeq
+	b.reg[key] = entry{value, seq}
+	if w := b.regWake[key]; w != nil {
+		close(w)
+		delete(b.regWake, key)
+	}
+	return func() {
+		b.mu.Lock()
+		defer b.mu.Unlock()
+		if e, ok := b.reg[key]; ok && e.seq == seq {
+			delete(b.reg, key)
+		}
+	}
+}
+
+// Get blocks until key holds a value or ctx is done, and returns the value.
+// The slice is shared with every other Get of the same value: read only.
+func (b *Broker) Get(ctx context.Context, key string) ([]byte, error) {
+	for {
+		b.mu.Lock()
+		if b.closed {
+			b.mu.Unlock()
+			return nil, ErrClosed
+		}
+		if e, ok := b.reg[key]; ok {
+			b.mu.Unlock()
+			return e.value, nil
+		}
+		w := b.regWake[key]
+		if w == nil {
+			w = make(chan struct{})
+			b.regWake[key] = w
+		}
+		b.mu.Unlock()
+		select {
+		case <-w:
+		case <-ctx.Done():
+			return nil, ctx.Err()
+		}
 	}
 }
 
@@ -260,7 +333,7 @@ func (b *Broker) BRPop(ctx context.Context, key string) ([]byte, error) {
 }
 
 // Close shuts the broker down: all subscriptions are closed and blocked
-// BRPops return ErrClosed.
+// BRPops and Gets return ErrClosed.
 func (b *Broker) Close() {
 	b.mu.Lock()
 	if b.closed {
@@ -272,6 +345,10 @@ func (b *Broker) Close() {
 	waiters := b.waiters
 	b.subs = map[string]map[int]*Subscription{}
 	b.waiters = map[string][]chan []byte{}
+	for _, w := range b.regWake {
+		close(w)
+	}
+	b.regWake = map[string]chan struct{}{}
 	b.mu.Unlock()
 	for _, m := range subs {
 		for _, s := range m {

@@ -13,9 +13,10 @@ import (
 // than maxKey and a payload longer than maxFrame before it allocates for
 // them; and whatever it accepts, framed again by requestHeader, is exactly
 // the bytes it consumed and reads back as the same cmd, key and payload.
-// The committed corpus under testdata/fuzz/FuzzReadRequest holds one frame
-// of each command as the transports send them, a pipelined pair and the
-// hostile headers.
+// The seeds below and the committed corpus under
+// testdata/fuzz/FuzzReadRequest hold one frame of each command as the
+// transports send them, a pipelined pair and the hostile headers, among
+// them a SET whose value length overflows a 32-bit int.
 func FuzzReadRequest(f *testing.F) {
 	var timeout [8]byte
 	binary.LittleEndian.PutUint64(timeout[:], 250)
@@ -23,9 +24,14 @@ func FuzzReadRequest(f *testing.F) {
 	f.Add(frameRequest(cmdBRPop, "dlion:data:1", timeout[:]))
 	f.Add(frameRequest(cmdPublish, "dlion:serve:weights", []byte("DLS2")))
 	f.Add(frameRequest(cmdSub, "dlion:serve:weights", nil))
+	f.Add(frameRequest(cmdSet, "dlion:addr:1", []byte("127.0.0.1:40123")))
+	f.Add(frameRequest(cmdGet, "dlion:job:j-1:addr:1", timeout[:]))
 	f.Add([]byte{cmdLPush, 0x01, 0x10})                   // key length maxKey+1
 	f.Add([]byte{cmdLPush, 1, 0, 'k', 1, 0, 0, 4})        // payload length maxFrame+1
 	f.Add([]byte{cmdLPush, 1, 0, 'k', 16, 0, 0, 0, 0xaa}) // declared 16, delivered 1
+
+	// A SET value whose length overflows a 32-bit int.
+	f.Add([]byte{cmdSet, 1, 0, 'k', 0xff, 0xff, 0xff, 0xff})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		r := bufio.NewReader(bytes.NewReader(data))
 		var cmd byte

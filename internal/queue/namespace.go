@@ -22,14 +22,20 @@ func JobNamespace(jobID string) Namespace {
 	return Namespace("dlion:job:" + jobID + ":")
 }
 
-// DataKey returns the broker list key carrying a worker's inbound data
-// within this namespace. The empty namespace yields the historical
+// DataKey returns the list key carrying a worker's inbound data within
+// this namespace. The empty namespace yields the historical
 // "dlion:data:<id>" keys.
-func (ns Namespace) DataKey(worker int) string {
+func (ns Namespace) DataKey(worker int) string { return ns.key("data", worker) }
+
+// AddrKey returns the broker register key under which a worker advertises
+// the host:port that serves its data list: "dlion:addr:<id>" at the root.
+func (ns Namespace) AddrKey(worker int) string { return ns.key("addr", worker) }
+
+func (ns Namespace) key(kind string, worker int) string {
 	if ns == "" {
-		return fmt.Sprintf("dlion:data:%d", worker)
+		return fmt.Sprintf("dlion:%s:%d", kind, worker)
 	}
-	return fmt.Sprintf("%sdata:%d", string(ns), worker)
+	return fmt.Sprintf("%s%s:%d", string(ns), kind, worker)
 }
 
 // ValidJobID reports whether id is usable as a job namespace component:

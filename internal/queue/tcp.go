@@ -20,18 +20,22 @@ import (
 //
 //	[1B cmd][2B keyLen][key][4B payloadLen][payload]
 //
-// cmdPublish and cmdLPush have no response. cmdBRPop carries an 8-byte
-// little-endian timeout in milliseconds as payload and receives a response
-// frame [1B status][4B len][payload] (status 0 = ok, 1 = timeout); a wait
-// that the server or broker closing ends gets no response, only a dropped
-// connection. After cmdSubscribe the connection becomes push-only: the
-// server streams [4B len][payload] frames until either side closes,
-// mirroring Redis's dedicated-subscriber-connection model.
+// cmdPublish, cmdLPush and cmdSet have no response. cmdBRPop and cmdGet
+// carry an 8-byte little-endian timeout in milliseconds as payload and
+// receive a response frame [1B status][4B len][payload] (status 0 = ok,
+// 1 = timeout); a wait that the server or broker closing ends gets no
+// response, only a dropped connection. cmdSet stores its payload in the
+// broker's register for as long as the connection that sent it stays open.
+// After cmdSubscribe the connection becomes push-only: the server streams
+// [4B len][payload] frames until either side closes, mirroring Redis's
+// dedicated-subscriber-connection model.
 const (
 	cmdPublish = 1
 	cmdLPush   = 2
 	cmdBRPop   = 3
 	cmdSub     = 4
+	cmdSet     = 5
+	cmdGet     = 6
 )
 
 const (
@@ -124,7 +128,8 @@ type request struct {
 // handle executes one connection's requests. They are parsed by a separate
 // reader, which ends the connection's context when the peer hangs up: a
 // BRPOP parked for a consumer that has gone stops waiting, instead of
-// taking the next frame pushed to its list.
+// taking the next frame pushed to its list, and the register keys the
+// connection set are released.
 func (s *Server) handle(conn net.Conn) {
 	defer s.wg.Done()
 	defer s.dropConn(conn)
@@ -133,6 +138,12 @@ func (s *Server) handle(conn net.Conn) {
 	reqs := make(chan request)
 	s.wg.Add(1)
 	go s.read(ctx, cancel, conn, reqs)
+	held := map[string]func(){} // this connection's register keys
+	defer func() {
+		for _, release := range held {
+			release()
+		}
+	}()
 	var hdr []byte // response/push header scratch, reused across frames
 	for req := range reqs {
 		switch req.cmd {
@@ -140,13 +151,22 @@ func (s *Server) handle(conn net.Conn) {
 			s.broker.Publish(req.key, req.payload)
 		case cmdLPush:
 			s.broker.LPush(req.key, req.payload)
-		case cmdBRPop:
+		case cmdSet:
+			held[req.key] = s.broker.Set(req.key, req.payload)
+		case cmdBRPop, cmdGet:
 			if len(req.payload) != 8 {
 				return
 			}
 			timeout := time.Duration(binary.LittleEndian.Uint64(req.payload)) * time.Millisecond
 			wait, stop := contextWithOptionalTimeout(ctx, timeout)
-			data, err := s.broker.BRPop(wait, req.key)
+			pop := req.cmd == cmdBRPop
+			var data []byte
+			var err error
+			if pop {
+				data, err = s.broker.BRPop(wait, req.key)
+			} else {
+				data, err = s.broker.Get(wait, req.key)
+			}
 			stop()
 			status := byte(0)
 			switch {
@@ -159,20 +179,25 @@ func (s *Server) handle(conn net.Conn) {
 			case ctx.Err() != nil:
 				// Popped at the instant the consumer left or the server
 				// began closing: the next consumer gets the frame.
-				s.broker.requeue(req.key, data)
+				if pop {
+					s.broker.requeue(req.key, data)
+				}
 				return
 			}
 			hdr = lenHeader(append(hdr[:0], status), data)
 			if err := writeFrame(conn, hdr, data); err != nil {
 				// An incomplete write delivered no frame.
-				if data != nil {
+				if pop && data != nil {
 					s.broker.requeue(req.key, data)
 				}
 				return
 			}
-			// The pop made this handler the frame's owner and the response
-			// was its last use.
-			bufpool.Bytes.Put(data)
+			if pop {
+				// The pop made this handler the frame's owner and the
+				// response was its last use. A register value stays the
+				// broker's.
+				bufpool.Bytes.Put(data)
+			}
 		case cmdSub:
 			s.servePush(ctx, conn, req.key)
 			return
@@ -242,8 +267,10 @@ func contextWithOptionalTimeout(parent context.Context, d time.Duration) (contex
 // the bufio buffer (Peek, then a Discard of the same length, which cannot
 // fail), so the only allocations are the key string and the payload. An LPUSH payload comes from the frame free list:
 // it is about to be owned by the broker and recycled by whoever pops it
-// last. PUBLISH payloads are shared by subscribers and BRPOP/SUBSCRIBE
-// payloads are tiny, so those are plain allocations.
+// last. PUBLISH payloads are shared by subscribers, a SET value is kept by
+// the register, and BRPOP/GET/SUBSCRIBE payloads are tiny, so those are
+// plain allocations. Every length is checked against its bound before it
+// sizes anything.
 func readRequest(r *bufio.Reader) (cmd byte, key string, payload []byte, err error) {
 	b, err := r.Peek(3)
 	if err != nil {
@@ -325,41 +352,99 @@ func backoff(attempt int, u float64) time.Duration {
 
 // Client talks to a queue Server and reconnects by itself. Publish, LPush
 // and BRPop share one request connection (calls are serialized); each
-// Subscribe holds a dedicated connection, as the protocol requires.
-// Connections are dialled lazily, so the broker may come up after the
-// client. An operation that finds its connection broken redials with
+// Subscribe and Hold holds a dedicated connection, as the protocol
+// requires. Connections are dialled lazily, so the server may come up after
+// the client. An operation that finds its connection broken redials with
 // backoff and retries until it succeeds or the client is closed, and a
 // subscription re-subscribes the same way and keeps its receive channel: a
-// broker restart or transient TCP failure stalls callers instead of failing
-// them. Delivery stays at-most-once: a frame in flight when its connection
-// died is gone, and so is whatever was published while a subscription was
-// down.
+// server restart or transient TCP failure stalls callers instead of failing
+// them. A goroutine reads each request connection's replies, so a
+// connection the server closed is dropped when its FIN arrives rather than
+// by losing the next request to it. Delivery stays at-most-once: a frame in
+// flight when its connection died is gone, and so is whatever was published
+// while a subscription was down.
 type Client struct {
-	addr   string
-	ctx    context.Context // ends on Close: aborts dials and backoffs, unblocks slow consumers
-	cancel context.CancelFunc
+	addr    string
+	resolve func(context.Context) (string, error) // DialFunc: the server's address, asked before each dial
+	ctx     context.Context                       // ends on Close: aborts dials and backoffs, unblocks slow consumers
+	cancel  context.CancelFunc
 
-	mu  sync.Mutex    // serializes requests; a parked BRPop holds it
-	r   *bufio.Reader // reads the request connection, guarded by mu
-	hdr []byte        // request header scratch, guarded by mu
+	mu  sync.Mutex // serializes requests; a parked BRPop holds it
+	hdr []byte     // request header scratch, guarded by mu
 
 	state       sync.Mutex // guards the fields below; never held across I/O
-	conn        net.Conn   // the request connection: nil until dialled and after it broke
-	subs        map[net.Conn]struct{}
+	link        *link      // the request connection: nil until dialled and after it broke
+	conns       map[net.Conn]struct{}
 	closed      bool
 	mReconnects *obs.Counter
-	subWait     sync.WaitGroup
+	wg          sync.WaitGroup // reply readers, subscriptions and holds
 }
 
-// Dial returns a client for the broker at addr. It fails only when addr is
+// link is a request connection and the replies its reader goroutine hands
+// over; dead closes when that reader stops, because the connection broke.
+type link struct {
+	conn    net.Conn
+	replies chan reply
+	dead    chan struct{}
+}
+
+type reply struct {
+	payload []byte
+	err     error // nil or ErrTimeout
+}
+
+// errBroken reports a request connection whose reader stopped.
+var errBroken = errors.New("queue: connection closed")
+
+// Dial returns a client for the server at addr. It fails only when addr is
 // not a host:port; the connections are dialled on first use.
 func Dial(addr string) (*Client, error) {
 	if _, _, err := net.SplitHostPort(addr); err != nil {
 		return nil, fmt.Errorf("queue: broker address: %w", err)
 	}
-	c := &Client{addr: addr, subs: map[net.Conn]struct{}{}}
+	return newClient(addr, nil), nil
+}
+
+// DialFunc returns a client whose server address resolve gives before every
+// dial: the first, and each redial after a broken connection, so a server
+// that restarted on another port is found again. resolve may wait (Lookup
+// waits until the address is registered); its context ends on Close, and
+// an error from it counts as a failed dial, retried with backoff.
+func DialFunc(resolve func(ctx context.Context) (string, error)) *Client {
+	return newClient("", resolve)
+}
+
+func newClient(addr string, resolve func(context.Context) (string, error)) *Client {
+	c := &Client{addr: addr, resolve: resolve, conns: map[net.Conn]struct{}{}}
 	c.ctx, c.cancel = context.WithCancel(context.Background())
-	return c, nil
+	return c
+}
+
+// Lookup returns the value the broker at broker holds under key (see Hold),
+// asking on a connection of its own and waiting, without polling, until the
+// key is set or ctx ends. An empty value names the broker itself — a list
+// the broker serves, such as a controller's in-process worker's — so Lookup
+// returns broker for it.
+func Lookup(ctx context.Context, broker, key string) (string, error) {
+	var d net.Dialer
+	conn, err := d.DialContext(ctx, "tcp", broker)
+	if err != nil {
+		return "", err
+	}
+	defer conn.Close()
+	defer context.AfterFunc(ctx, func() { conn.Close() })()
+	var forever [8]byte
+	if err := writeFrame(conn, requestHeader(nil, cmdGet, key, forever[:]), forever[:]); err != nil {
+		return "", err
+	}
+	v, err := readReply(bufio.NewReader(conn))
+	if err != nil {
+		return "", err
+	}
+	if len(v) == 0 {
+		return broker, nil
+	}
+	return string(v), nil
 }
 
 // SetMetrics wires the client's retry accounting into a registry
@@ -371,10 +456,19 @@ func (c *Client) SetMetrics(reg *obs.Registry) {
 	c.mReconnects = reg.Counter("queue.reconnect_attempts")
 }
 
-// dial opens a connection to the broker; Close aborts a dial in progress.
+// dial opens a connection to the server, resolving its address first for a
+// DialFunc client; Close aborts a dial in progress.
 func (c *Client) dial() (net.Conn, error) {
+	addr := c.addr
+	if c.resolve != nil {
+		a, err := c.resolve(c.ctx)
+		if err != nil {
+			return nil, err
+		}
+		addr = a
+	}
 	var d net.Dialer
-	return d.DialContext(c.ctx, "tcp", c.addr)
+	return d.DialContext(c.ctx, "tcp", addr)
 }
 
 // wait sleeps before redial number attempt and counts it. It returns
@@ -394,30 +488,85 @@ func (c *Client) wait(attempt int) error {
 	}
 }
 
-// connect returns the request connection, dialling it if needed. Callers
-// hold c.mu.
-func (c *Client) connect() (net.Conn, error) {
+// track records a dedicated or request connection so Close can end it; it
+// reports false, and the caller closes conn, once the client is closed.
+func (c *Client) track(conn net.Conn) bool {
 	c.state.Lock()
-	conn, closed := c.conn, c.closed
+	defer c.state.Unlock()
+	if c.closed {
+		return false
+	}
+	c.conns[conn] = struct{}{}
+	return true
+}
+
+// untrack forgets conn and closes it.
+func (c *Client) untrack(conn net.Conn) {
+	c.state.Lock()
+	delete(c.conns, conn)
+	c.state.Unlock()
+	conn.Close()
+}
+
+// connect returns the request connection, dialling it and starting its
+// reply reader if needed. Callers hold c.mu.
+func (c *Client) connect() (*link, error) {
+	c.state.Lock()
+	l, closed := c.link, c.closed
 	c.state.Unlock()
 	if closed {
 		return nil, ErrClosed
 	}
-	if conn != nil {
-		return conn, nil
+	if l != nil {
+		return l, nil
 	}
 	conn, err := c.dial()
 	if err != nil {
 		return nil, err
 	}
+	l = &link{conn: conn, replies: make(chan reply), dead: make(chan struct{})}
 	c.state.Lock()
 	defer c.state.Unlock()
 	if c.closed {
 		conn.Close()
 		return nil, ErrClosed
 	}
-	c.conn, c.r = conn, bufio.NewReader(conn)
-	return conn, nil
+	c.conns[conn] = struct{}{}
+	c.link = l
+	c.wg.Add(1)
+	go c.readReplies(l)
+	return l, nil
+}
+
+// readReplies hands l's replies to the request waiting for them until the
+// connection breaks, the server closes it or breaks the protocol, or the
+// client is closed; then it retires l, so the next request redials.
+func (c *Client) readReplies(l *link) {
+	defer c.wg.Done()
+	defer close(l.dead)
+	defer c.drop(l)
+	r := bufio.NewReader(l.conn)
+	for {
+		p, err := readReply(r)
+		if err != nil && !errors.Is(err, ErrTimeout) {
+			return
+		}
+		select {
+		case l.replies <- reply{p, err}:
+		case <-c.ctx.Done():
+			return
+		}
+	}
+}
+
+// drop retires l as the request connection and closes it.
+func (c *Client) drop(l *link) {
+	c.state.Lock()
+	if c.link == l {
+		c.link = nil
+	}
+	c.state.Unlock()
+	c.untrack(l.conn)
 }
 
 // call sends one request and, for BRPOP, reads its answer. On a broken
@@ -428,19 +577,16 @@ func (c *Client) call(cmd byte, key string, payload []byte) ([]byte, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	for attempt := 0; ; attempt++ {
-		conn, err := c.connect()
+		l, err := c.connect()
 		if errors.Is(err, ErrClosed) {
 			return nil, err
 		}
 		if err == nil {
-			p, err := c.roundTrip(conn, cmd, key, payload)
+			p, err := c.roundTrip(l, cmd, key, payload)
 			if err == nil || errors.Is(err, ErrTimeout) {
 				return p, err
 			}
-			c.state.Lock()
-			c.conn = nil
-			c.state.Unlock()
-			conn.Close()
+			c.drop(l)
 		}
 		if err := c.wait(attempt); err != nil {
 			return nil, err
@@ -448,17 +594,22 @@ func (c *Client) call(cmd byte, key string, payload []byte) ([]byte, error) {
 	}
 }
 
-// roundTrip writes one request frame on conn and, for BRPOP, reads the
+// roundTrip writes one request frame on l and, for BRPOP, waits for the
 // answer. Callers hold c.mu.
-func (c *Client) roundTrip(conn net.Conn, cmd byte, key string, payload []byte) ([]byte, error) {
+func (c *Client) roundTrip(l *link, cmd byte, key string, payload []byte) ([]byte, error) {
 	c.hdr = requestHeader(c.hdr[:0], cmd, key, payload)
-	if err := writeFrame(conn, c.hdr, payload); err != nil || cmd != cmdBRPop {
+	if err := writeFrame(l.conn, c.hdr, payload); err != nil || cmd != cmdBRPop {
 		return nil, err
 	}
-	return readReply(c.r)
+	select {
+	case r := <-l.replies:
+		return r.payload, r.err
+	case <-l.dead:
+		return nil, errBroken
+	}
 }
 
-// readReply reads a BRPOP answer into a frame from the free list.
+// readReply reads a BRPOP or GET answer into a frame from the free list.
 func readReply(r *bufio.Reader) ([]byte, error) {
 	b, err := r.Peek(5)
 	if err != nil {
@@ -517,53 +668,69 @@ func (c *Client) BRPop(key string, timeout time.Duration) ([]byte, error) {
 // Subscribe returns a channel of the payloads published to channel. The
 // channel closes only when the client is closed.
 func (c *Client) Subscribe(channel string, buf int) (<-chan []byte, error) {
-	c.state.Lock()
-	defer c.state.Unlock()
-	if c.closed {
-		return nil, ErrClosed
-	}
 	if buf < 1 {
 		buf = 64
 	}
 	out := make(chan []byte, buf)
-	c.subWait.Add(1)
-	go c.subscribe(channel, out)
+	if err := c.keep(func(conn net.Conn) { c.forward(conn, channel, out) }, func() { close(out) }); err != nil {
+		return nil, err
+	}
 	return out, nil
 }
 
-// subscribe feeds out from a subscription connection, redialling with
-// backoff whenever it drops, until the client is closed. A dial that
-// succeeds starts the backoff ladder over.
-func (c *Client) subscribe(channel string, out chan<- []byte) {
-	defer c.subWait.Done()
-	defer close(out)
-	for attempt := 0; ; attempt++ {
-		if conn, err := c.dial(); err == nil {
-			attempt = 0
-			c.forward(conn, channel, out)
-		}
-		if c.wait(attempt) != nil {
+// Hold keeps key set in the broker's register for as long as the client
+// lives, on a dedicated connection: it sends SET and keeps the connection
+// open, and the broker releases the key when that connection closes, so a
+// holder that closes or dies takes its key with it. A dropped connection is
+// redialled with backoff and the key set again, which is how the key
+// outlives a broker restart. value gives the key's value for each new
+// connection from that connection's local address; an error from it
+// closes the connection and retries with backoff.
+func (c *Client) Hold(key string, value func(local net.Addr) ([]byte, error)) error {
+	return c.keep(func(conn net.Conn) {
+		v, err := value(conn.LocalAddr())
+		if err != nil || writeFrame(conn, requestHeader(nil, cmdSet, key, v), v) != nil {
 			return
 		}
+		// The broker never writes here: this returns when the connection ends.
+		io.Copy(io.Discard, conn)
+	}, func() {})
+}
+
+// keep runs serve on a dedicated connection, redialling with backoff
+// whenever it drops, until the client is closed; then it runs done. A dial
+// that succeeds starts the backoff ladder over.
+func (c *Client) keep(serve func(conn net.Conn), done func()) error {
+	c.state.Lock()
+	defer c.state.Unlock()
+	if c.closed {
+		return ErrClosed
 	}
+	c.wg.Add(1)
+	go func() {
+		defer c.wg.Done()
+		defer done()
+		for attempt := 0; ; attempt++ {
+			if conn, err := c.dial(); err == nil {
+				attempt = 0
+				if c.track(conn) {
+					serve(conn)
+					c.untrack(conn)
+				} else {
+					conn.Close()
+				}
+			}
+			if c.wait(attempt) != nil {
+				return
+			}
+		}
+	}()
+	return nil
 }
 
 // forward subscribes conn to channel and hands its frames to out until the
 // connection drops or the client is closed.
 func (c *Client) forward(conn net.Conn, channel string, out chan<- []byte) {
-	defer conn.Close()
-	c.state.Lock()
-	if c.closed {
-		c.state.Unlock()
-		return
-	}
-	c.subs[conn] = struct{}{}
-	c.state.Unlock()
-	defer func() {
-		c.state.Lock()
-		delete(c.subs, conn)
-		c.state.Unlock()
-	}()
 	if err := writeFrame(conn, requestHeader(nil, cmdSub, channel, nil), nil); err != nil {
 		return
 	}
@@ -585,7 +752,7 @@ func (c *Client) forward(conn net.Conn, channel string, out chan<- []byte) {
 		// A slow (or absent) consumer must not wedge this goroutine on the
 		// channel send: it would never return to the read loop, so it would
 		// never observe the closed connection and Close would hang forever
-		// on subWait.Wait. The client's context breaks the tie.
+		// on wg.Wait. The client's context breaks the tie.
 		select {
 		case out <- payload:
 		case <-c.ctx.Done():
@@ -594,27 +761,27 @@ func (c *Client) forward(conn net.Conn, channel string, out chan<- []byte) {
 	}
 }
 
-// Close tears down the client: pending operations return ErrClosed and
-// every subscription channel closes. It deliberately does NOT take the
-// request mutex: a BRPop parked waiting for its answer holds that mutex,
-// and closing the connection is what unblocks it.
+// Close tears down the client: pending operations return ErrClosed, every
+// subscription channel closes and every held key is released. It
+// deliberately does NOT take the request mutex: a BRPop parked waiting for
+// its answer holds that mutex, and closing the connection is what unblocks
+// it. When Close returns, no goroutine of the client is left.
 func (c *Client) Close() error {
 	c.state.Lock()
 	if c.closed {
 		c.state.Unlock()
-		c.subWait.Wait()
+		c.wg.Wait()
 		return nil
 	}
 	c.closed = true
 	c.cancel()
 	var err error
-	if c.conn != nil {
-		err = c.conn.Close()
-	}
-	for s := range c.subs {
-		s.Close()
+	for conn := range c.conns {
+		if e := conn.Close(); err == nil && c.link != nil && conn == c.link.conn {
+			err = e
+		}
 	}
 	c.state.Unlock()
-	c.subWait.Wait()
+	c.wg.Wait()
 	return err
 }

@@ -14,9 +14,11 @@ import (
 )
 
 // TestRealModeBrokerRestart is the real-mode acceptance scenario: the TCP
-// broker is killed and restarted mid-run. The queue.Clients must carry the
-// nodes across the outage — they resubscribe their blocking pops, training
-// resumes, and once everything shuts down no goroutines are left behind.
+// broker is killed and restarted mid-run. Resolved peers keep exchanging
+// frames through the outage, since data does not pass through the broker;
+// the queue.Clients reconnect and hold their addresses again on the
+// restarted broker, and once everything shuts down no goroutines are left
+// behind.
 func TestRealModeBrokerRestart(t *testing.T) {
 	beforeGoroutines := runtime.NumGoroutine()
 
@@ -99,9 +101,19 @@ func TestRealModeBrokerRestart(t *testing.T) {
 		recvdAtKill[i] = tr.recvd.Load()
 	}
 
-	// phase 2: dwell in the outage so the clients actually hit broken
-	// connections, then restart the broker on the same address (state
-	// survives, as a restarted Redis with persistence would)
+	// phase 2: the peers are resolved, so their frames do not touch the
+	// broker: they keep arriving while it is down. Dwell in the outage so
+	// the broker clients actually hit broken connections, then restart the
+	// broker on the same address (state survives, as a restarted Redis
+	// with persistence would)
+	waitFor("traffic during the outage", func() bool {
+		for i, tr := range transports {
+			if tr.recvd.Load() <= recvdAtKill[i] {
+				return false
+			}
+		}
+		return true
+	})
 	time.Sleep(budget(300 * time.Millisecond))
 	var srv2 *queue.Server
 	for i := 0; i < 50; i++ {
@@ -115,13 +127,19 @@ func TestRealModeBrokerRestart(t *testing.T) {
 		t.Fatalf("broker restart: %v", err)
 	}
 
-	// phase 3: nodes must resume exchanging. Iterations alone would not
-	// prove recovery (async workers keep training against a dead broker),
-	// so require received messages past the kill snapshot: those can only
-	// arrive through the restarted broker via a reconnected client.
+	// phase 3: the outage's hang-ups released both addresses; each
+	// transport's reconnected hold must set its own again, and training
+	// must keep exchanging
+	for i := 0; i < n; i++ {
+		addrOf(t, b, i)
+	}
+	recvdAtRestart := make([]int64, n)
+	for i, tr := range transports {
+		recvdAtRestart[i] = tr.recvd.Load()
+	}
 	waitFor("post-restart traffic", func() bool {
 		for i, tr := range transports {
-			if tr.recvd.Load() <= recvdAtKill[i] {
+			if tr.recvd.Load() <= recvdAtRestart[i] {
 				return false
 			}
 		}
@@ -164,11 +182,12 @@ func TestRealModeBrokerRestart(t *testing.T) {
 		beforeGoroutines, runtime.NumGoroutine(), buf[:runtime.Stack(buf, true)])
 }
 
-// TestRestartedWorkerReceivesEveryFrame: a worker that exits while its Recv
-// is parked and restarts under the same id receives everything sent to it
-// afterwards. The old process's pop used to stay parked on the broker, first
-// in line, and swallow the next frame: for a rejoining worker, its sponsor's
-// WELCOME.
+// TestRestartedWorkerReceivesEveryFrame: a worker that exits and restarts
+// under the same id serves its list on a new port, and a sender that was
+// already connected to the old one looks it up again and delivers every
+// frame sent after the restart. (Through the broker's own lists, the old
+// process's parked pop used to stay first in line and swallow the next
+// frame: for a rejoining worker, its sponsor's WELCOME.)
 func TestRestartedWorkerReceivesEveryFrame(t *testing.T) {
 	b := queue.NewBroker()
 	defer b.Close()
@@ -188,15 +207,21 @@ func TestRestartedWorkerReceivesEveryFrame(t *testing.T) {
 	defer sender.Close()
 
 	old := dial(1)
+	if err := sender.Send(1, []byte("f0")); err != nil {
+		t.Fatal(err)
+	}
+	if p, err := old.Recv(); err != nil || string(p) != "f0" {
+		t.Fatalf("first incarnation received %q, %v", p, err)
+	}
+	oldAddr := addrOf(t, b, 1)
 	parked := make(chan error, 1)
 	go func() {
 		_, err := old.Recv()
 		parked <- err
 	}()
-	time.Sleep(budget(100 * time.Millisecond)) // the pop reaches the broker
 	old.Close()
 	<-parked
-	time.Sleep(budget(20 * time.Millisecond)) // the hang-up reaches the broker
+	time.Sleep(budget(20 * time.Millisecond)) // the hang-ups reach the sender and the broker
 
 	restarted := dial(1)
 	got := make(chan string, 2)
@@ -224,6 +249,91 @@ func TestRestartedWorkerReceivesEveryFrame(t *testing.T) {
 		case <-time.After(budget(2 * time.Second)):
 			t.Fatalf("restarted worker never received %s", want)
 		}
+	}
+	if newAddr := addrOf(t, b, 1); newAddr == oldAddr {
+		t.Fatalf("the restarted worker serves on %s, the old one's address", newAddr)
+	}
+}
+
+// addrOf is the address worker id holds in b's register, once it is set.
+func addrOf(t *testing.T, b *queue.Broker, id int) string {
+	t.Helper()
+	ctx, cancel := context.WithTimeout(context.Background(), budget(5*time.Second))
+	defer cancel()
+	v, err := b.Get(ctx, queue.Namespace("").AddrKey(id))
+	if err != nil {
+		t.Fatalf("worker %d's address: %v", id, err)
+	}
+	return string(v)
+}
+
+// TestPeerOrderHoldsAcrossReResolve: frames one sender pushes to one peer
+// arrive in the order they were sent, at either incarnation of the peer,
+// while the peer restarts under the sender's stream and the sender looks it
+// up again. Frames in flight at the restart may be lost (delivery is
+// at-most-once), but none overtakes another, and the stream's last frame,
+// sent after the restart, arrives.
+func TestPeerOrderHoldsAcrossReResolve(t *testing.T) {
+	b := queue.NewBroker()
+	defer b.Close()
+	srv, err := queue.Serve(b, "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	sender, err := NewClientTransport(srv.Addr(), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sender.Close()
+
+	const total = 400
+	sent := make(chan int, total) // sequence numbers handed to Send so far
+	restartAt := make(chan struct{})
+	go func() {
+		for seq := 0; seq < total; seq++ {
+			if seq == total/2 {
+				<-restartAt
+			}
+			if err := sender.Send(1, []byte{byte(seq >> 8), byte(seq)}); err != nil {
+				return
+			}
+			sent <- seq
+		}
+	}()
+	// drain reads one incarnation's frames, in order, until stop says so.
+	drain := func(tr *ClientTransport, stop func(seq int) bool) (last int) {
+		last = -1
+		for {
+			p, err := tr.Recv()
+			if err != nil {
+				t.Errorf("recv after frame %d: %v", last, err)
+				return last
+			}
+			seq := int(p[0])<<8 | int(p[1])
+			if seq <= last {
+				t.Fatalf("frame %d arrived after frame %d", seq, last)
+			}
+			last = seq
+			if stop(seq) {
+				return last
+			}
+		}
+	}
+	first, err := NewClientTransport(srv.Addr(), 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lastOld := drain(first, func(seq int) bool { return seq >= total/4 })
+	first.Close()
+	second, err := NewClientTransport(srv.Addr(), 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer second.Close()
+	close(restartAt)
+	if lastNew := drain(second, func(seq int) bool { return seq == total-1 }); lastNew <= lastOld {
+		t.Fatalf("the restarted peer's last frame %d is not past the old one's %d", lastNew, lastOld)
 	}
 }
 

@@ -24,7 +24,9 @@ import (
 )
 
 // Transport moves encoded messages between workers. Implementations:
-// BrokerTransport (in-process broker) and ClientTransport (TCP broker).
+// BrokerTransport (in-process broker), ClientTransport (a worker that
+// serves its own list, found through a TCP broker) and HostedTransport (a
+// worker whose list a TCP-served broker holds).
 //
 // A frame has exactly one owner (DESIGN.md §9). Send takes ownership of
 // payload, whether or not it succeeds: the caller must not read, reuse or
