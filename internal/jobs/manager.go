@@ -435,7 +435,7 @@ func (r *run) deploy() error {
 	g, err := realtime.NewGroup(spec.Workers, func(i int) (realtime.Config, error) {
 		// The group's lists live in the manager's broker; an external
 		// joiner (a ClientTransport) serves its own, one hop from here.
-		tr := realtime.NewHostedTransport(r.m.cfg.Broker, i, queue.JobNamespace(r.job.ID), spec.Workers)
+		tr := realtime.NewBrokerTransport(r.m.cfg.Broker, i, queue.JobNamespace(r.job.ID))
 		return realtime.Config{ID: i, N: spec.Slots, System: cfg, Spec: w.Spec, Shard: shards[i],
 			Transport: tr, Obs: sinks[i], Metrics: r.m.cfg.Metrics}, nil
 	}, r.m.cfg.MaxRestarts)

@@ -334,6 +334,33 @@ func TestVanishedConsumerDoesNotTakeNextFrame(t *testing.T) {
 	}
 }
 
+// TestRequestsReadBehindAParkedBRPopRun: a request the server has read off
+// the socket runs even when the connection's wait ends without an answer.
+// An LPUSH written behind a parked BRPOP, in the same write, must reach the
+// broker when the server closes under the parked wait.
+func TestRequestsReadBehindAParkedBRPopRun(t *testing.T) {
+	b := NewBroker()
+	defer b.Close()
+	srv := serveBroker(t, b, "127.0.0.1:0")
+	conn, err := net.Dial("tcp", srv.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	var forever [8]byte
+	frames := append(frameRequest(cmdBRPop, "parked", forever[:]), frameRequest(cmdLPush, "k", []byte("behind"))...)
+	if _, err := conn.Write(frames); err != nil {
+		t.Fatal(err)
+	}
+	// The server's reader took both frames off the socket in one read: the
+	// BRPOP's wait proves that read happened.
+	waitForWaiter(t, b, "parked")
+	srv.Close()
+	if p, ok := pop(b, "k"); !ok || string(p) != "behind" {
+		t.Fatalf("the LPUSH read behind the parked BRPOP left %q, %v in the broker", p, ok)
+	}
+}
+
 // waiters returns how many BRPops are parked on key.
 func waiters(b *Broker, key string) int {
 	b.mu.Lock()

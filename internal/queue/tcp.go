@@ -125,11 +125,14 @@ type request struct {
 	payload []byte
 }
 
-// handle executes one connection's requests. They are parsed by a separate
-// reader, which ends the connection's context when the peer hangs up: a
-// BRPOP parked for a consumer that has gone stops waiting, instead of
-// taking the next frame pushed to its list, and the register keys the
-// connection set are released.
+// handle executes one connection's requests, every one its reader parsed.
+// The reader ends the connection's context when the peer hangs up: a BRPOP
+// parked for a consumer that has gone stops waiting, instead of taking the
+// next frame pushed to its list, and the register keys the connection set
+// are released. Once nobody is left to answer — a wait ended without an
+// answer, a write failed, the protocol broke or the connection subscribed —
+// handle closes the connection, which stops the reader, and runs only the
+// requests already read that need no answer.
 func (s *Server) handle(conn net.Conn) {
 	defer s.wg.Done()
 	defer s.dropConn(conn)
@@ -137,7 +140,7 @@ func (s *Server) handle(conn net.Conn) {
 	defer cancel()
 	reqs := make(chan request)
 	s.wg.Add(1)
-	go s.read(ctx, cancel, conn, reqs)
+	go s.read(cancel, conn, reqs)
 	held := map[string]func(){} // this connection's register keys
 	defer func() {
 		for _, release := range held {
@@ -145,6 +148,7 @@ func (s *Server) handle(conn net.Conn) {
 		}
 	}()
 	var hdr []byte // response/push header scratch, reused across frames
+	answering := true
 	for req := range reqs {
 		switch req.cmd {
 		case cmdPublish:
@@ -154,62 +158,71 @@ func (s *Server) handle(conn net.Conn) {
 		case cmdSet:
 			held[req.key] = s.broker.Set(req.key, req.payload)
 		case cmdBRPop, cmdGet:
-			if len(req.payload) != 8 {
-				return
-			}
-			timeout := time.Duration(binary.LittleEndian.Uint64(req.payload)) * time.Millisecond
-			wait, stop := contextWithOptionalTimeout(ctx, timeout)
-			pop := req.cmd == cmdBRPop
-			var data []byte
-			var err error
-			if pop {
-				data, err = s.broker.BRPop(wait, req.key)
-			} else {
-				data, err = s.broker.Get(wait, req.key)
-			}
-			stop()
-			status := byte(0)
-			switch {
-			case errors.Is(err, context.DeadlineExceeded):
-				status = 1
-			case err != nil:
-				// The consumer left, or the server or broker is closing:
-				// there is nobody to answer, and no timeout to report.
-				return
-			case ctx.Err() != nil:
-				// Popped at the instant the consumer left or the server
-				// began closing: the next consumer gets the frame.
-				if pop {
-					s.broker.requeue(req.key, data)
-				}
-				return
-			}
-			hdr = lenHeader(append(hdr[:0], status), data)
-			if err := writeFrame(conn, hdr, data); err != nil {
-				// An incomplete write delivered no frame.
-				if pop && data != nil {
-					s.broker.requeue(req.key, data)
-				}
-				return
-			}
-			if pop {
-				// The pop made this handler the frame's owner and the
-				// response was its last use. A register value stays the
-				// broker's.
-				bufpool.Bytes.Put(data)
-			}
+			answering = answering && s.answer(ctx, conn, req, &hdr)
 		case cmdSub:
-			s.servePush(ctx, conn, req.key)
-			return
+			if answering {
+				s.servePush(ctx, conn, req.key)
+			}
+			answering = false
 		default:
-			return
+			answering = false
+		}
+		if !answering {
+			conn.Close()
 		}
 	}
 }
 
-// read parses conn's requests for handle until the peer hangs up, breaks
-// the protocol or handle gives up, and then ends the connection's context.
-func (s *Server) read(ctx context.Context, cancel context.CancelFunc, conn net.Conn, reqs chan<- request) {
+// answer executes a BRPOP or GET and writes its response. It reports false
+// when there is nobody to answer any more.
+func (s *Server) answer(ctx context.Context, conn net.Conn, req request, hdr *[]byte) bool {
+	if len(req.payload) != 8 {
+		return false
+	}
+	timeout := time.Duration(binary.LittleEndian.Uint64(req.payload)) * time.Millisecond
+	wait, stop := contextWithOptionalTimeout(ctx, timeout)
+	pop, get := req.cmd == cmdBRPop, s.broker.Get
+	if pop {
+		get = s.broker.BRPop
+	}
+	data, err := get(wait, req.key)
+	stop()
+	status := byte(0)
+	switch {
+	case errors.Is(err, context.DeadlineExceeded):
+		status = 1
+	case err != nil:
+		// The consumer left, or the server or broker is closing: there is
+		// nobody to answer, and no timeout to report.
+		return false
+	case ctx.Err() != nil:
+		// Popped at the instant the consumer left or the server began
+		// closing: the next consumer gets the frame.
+		if pop {
+			s.broker.requeue(req.key, data)
+		}
+		return false
+	}
+	*hdr = lenHeader(append((*hdr)[:0], status), data)
+	if err := writeFrame(conn, *hdr, data); err != nil {
+		// An incomplete write delivered no frame.
+		if pop && data != nil {
+			s.broker.requeue(req.key, data)
+		}
+		return false
+	}
+	if pop {
+		// The pop made this handler the frame's owner and the response was
+		// its last use. A register value stays the broker's.
+		bufpool.Bytes.Put(data)
+	}
+	return true
+}
+
+// read parses conn's requests until the peer hangs up or breaks the
+// protocol, or the connection closes, and then ends the connection's
+// context. handle takes every request it parsed.
+func (s *Server) read(cancel context.CancelFunc, conn net.Conn, reqs chan<- request) {
 	defer s.wg.Done()
 	defer cancel()
 	defer close(reqs)
@@ -219,11 +232,7 @@ func (s *Server) read(ctx context.Context, cancel context.CancelFunc, conn net.C
 		if err != nil {
 			return
 		}
-		select {
-		case reqs <- request{cmd, key, payload}:
-		case <-ctx.Done():
-			return
-		}
+		reqs <- request{cmd, key, payload}
 	}
 }
 
@@ -364,8 +373,7 @@ func backoff(attempt int, u float64) time.Duration {
 // flight when its connection died is gone, and so is whatever was published
 // while a subscription was down.
 type Client struct {
-	addr    string
-	resolve func(context.Context) (string, error) // DialFunc: the server's address, asked before each dial
+	resolve func(context.Context) (string, error) // the server's address, asked before each dial
 	ctx     context.Context                       // ends on Close: aborts dials and backoffs, unblocks slow consumers
 	cancel  context.CancelFunc
 
@@ -402,7 +410,7 @@ func Dial(addr string) (*Client, error) {
 	if _, _, err := net.SplitHostPort(addr); err != nil {
 		return nil, fmt.Errorf("queue: broker address: %w", err)
 	}
-	return newClient(addr, nil), nil
+	return DialFunc(func(context.Context) (string, error) { return addr, nil }), nil
 }
 
 // DialFunc returns a client whose server address resolve gives before every
@@ -411,37 +419,27 @@ func Dial(addr string) (*Client, error) {
 // waits until the address is registered); its context ends on Close, and
 // an error from it counts as a failed dial, retried with backoff.
 func DialFunc(resolve func(ctx context.Context) (string, error)) *Client {
-	return newClient("", resolve)
-}
-
-func newClient(addr string, resolve func(context.Context) (string, error)) *Client {
-	c := &Client{addr: addr, resolve: resolve, conns: map[net.Conn]struct{}{}}
+	c := &Client{resolve: resolve, conns: map[net.Conn]struct{}{}}
 	c.ctx, c.cancel = context.WithCancel(context.Background())
 	return c
 }
 
 // Lookup returns the value the broker at broker holds under key (see Hold),
 // asking on a connection of its own and waiting, without polling, until the
-// key is set or ctx ends. An empty value names the broker itself — a list
-// the broker serves, such as a controller's in-process worker's — so Lookup
-// returns broker for it.
+// key is set or ctx ends; while the broker is down, it redials with
+// backoff, as a Client does. An empty value names the broker itself — a
+// list the broker serves, such as a controller's in-process worker's — so
+// Lookup returns broker for it.
 func Lookup(ctx context.Context, broker, key string) (string, error) {
-	var d net.Dialer
-	conn, err := d.DialContext(ctx, "tcp", broker)
-	if err != nil {
-		return "", err
-	}
-	defer conn.Close()
-	defer context.AfterFunc(ctx, func() { conn.Close() })()
+	c := DialFunc(func(context.Context) (string, error) { return broker, nil })
+	defer c.Close()
+	defer context.AfterFunc(ctx, func() { c.Close() })()
 	var forever [8]byte
-	if err := writeFrame(conn, requestHeader(nil, cmdGet, key, forever[:]), forever[:]); err != nil {
-		return "", err
-	}
-	v, err := readReply(bufio.NewReader(conn))
-	if err != nil {
-		return "", err
-	}
-	if len(v) == 0 {
+	v, err := c.call(cmdGet, key, forever[:])
+	switch {
+	case err != nil:
+		return "", ctx.Err() // only ctx's end closes c
+	case len(v) == 0:
 		return broker, nil
 	}
 	return string(v), nil
@@ -456,16 +454,12 @@ func (c *Client) SetMetrics(reg *obs.Registry) {
 	c.mReconnects = reg.Counter("queue.reconnect_attempts")
 }
 
-// dial opens a connection to the server, resolving its address first for a
-// DialFunc client; Close aborts a dial in progress.
+// dial opens a connection to the server, resolving its address first;
+// Close aborts a dial in progress.
 func (c *Client) dial() (net.Conn, error) {
-	addr := c.addr
-	if c.resolve != nil {
-		a, err := c.resolve(c.ctx)
-		if err != nil {
-			return nil, err
-		}
-		addr = a
+	addr, err := c.resolve(c.ctx)
+	if err != nil {
+		return nil, err
 	}
 	var d net.Dialer
 	return d.DialContext(c.ctx, "tcp", addr)
@@ -569,7 +563,7 @@ func (c *Client) drop(l *link) {
 	c.untrack(l.conn)
 }
 
-// call sends one request and, for BRPOP, reads its answer. On a broken
+// call sends one request and, for BRPOP and GET, reads its answer. On a broken
 // connection it redials with backoff and sends the request again, until it
 // succeeds or the client is closed. ErrTimeout is an answer, not a broken
 // connection, so it passes straight through.
@@ -594,11 +588,11 @@ func (c *Client) call(cmd byte, key string, payload []byte) ([]byte, error) {
 	}
 }
 
-// roundTrip writes one request frame on l and, for BRPOP, waits for the
-// answer. Callers hold c.mu.
+// roundTrip writes one request frame on l and, for BRPOP and GET, waits for
+// the answer. Callers hold c.mu.
 func (c *Client) roundTrip(l *link, cmd byte, key string, payload []byte) ([]byte, error) {
 	c.hdr = requestHeader(c.hdr[:0], cmd, key, payload)
-	if err := writeFrame(l.conn, c.hdr, payload); err != nil || cmd != cmdBRPop {
+	if err := writeFrame(l.conn, c.hdr, payload); err != nil || cmd != cmdBRPop && cmd != cmdGet {
 		return nil, err
 	}
 	select {

@@ -346,6 +346,8 @@ func TestSendOrderIsFIFOPerPeer(t *testing.T) {
 	defer b.Close()
 	tr := NewBrokerTransport(b, 0, "")
 	defer tr.Close()
+	rx := NewBrokerTransport(b, 1, "") // registers the list the frames go to
+	defer rx.Close()
 
 	n := &Node{cfg: Config{Transport: tr}, loop: make(chan func(), 16),
 		senders: map[int]chan []byte{}, done: make(chan struct{})}
@@ -355,8 +357,8 @@ func TestSendOrderIsFIFOPerPeer(t *testing.T) {
 	for i := 0; i < total; i++ {
 		n.enqueue(1, []byte{byte(i)})
 	}
-	// drain from the destination list; order must be exactly FIFO (the
-	// bounded queue is 256 deep, so nothing was shed here)
+	// drain rx's list; order must be exactly FIFO (the bounded queue is 256
+	// deep, so nothing was shed here)
 	last := -1
 	for i := 0; i < total; i++ {
 		ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)

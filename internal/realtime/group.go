@@ -115,6 +115,11 @@ func (g *Group) Run(ctx context.Context) error {
 		}()
 	}
 	wg.Wait()
+	for i, nd := range g.nodes {
+		if errs[i] == nil { // a node the group's end stopped: runNode left it open
+			nd.cfg.Transport.Close()
+		}
+	}
 	g.mu.Lock()
 	g.running = false
 	g.mu.Unlock()
@@ -129,10 +134,13 @@ func (g *Group) runNode(i int) error {
 		g.mu.Unlock()
 		err := nd.Run(ctx)
 		nd.FlushSends(flushTimeout)
-		nd.cfg.Transport.Close()
 		if g.life.Err() != nil {
+			// Run closes the transport once every node has flushed: a
+			// frame's first send to a peer waits for the peer's register
+			// key, which closing releases.
 			return nil
 		}
+		nd.cfg.Transport.Close()
 		g.mu.Lock()
 		spent := g.restarts >= g.maxRestarts
 		if !spent {

@@ -24,9 +24,10 @@ import (
 )
 
 // Transport moves encoded messages between workers. Implementations:
-// BrokerTransport (in-process broker), ClientTransport (a worker that
-// serves its own list, found through a TCP broker) and HostedTransport (a
-// worker whose list a TCP-served broker holds).
+// BrokerTransport (a worker's list in a queue.Broker; Send pushes to each
+// peer's list in process or one hop away, as a register says) and
+// ClientTransport (the same transport over a broker of its own, served
+// over TCP and registered with a TCP broker).
 //
 // A frame has exactly one owner (DESIGN.md §9). Send takes ownership of
 // payload, whether or not it succeeds: the caller must not read, reuse or
@@ -288,7 +289,8 @@ func (n *Node) retireSender(to int) {
 // FlushSends blocks until every outbound FIFO has handed its frames to the
 // transport (or shed them), or the timeout elapses; it reports whether the
 // queues drained. Call it after Run returns and before Transport.Close so
-// a worker's final messages reach the broker instead of dying queued.
+// a worker's final messages reach their peers' lists instead of dying
+// queued.
 func (n *Node) FlushSends(timeout time.Duration) bool {
 	deadline := time.Now().Add(timeout)
 	for n.sendPending.Load() > 0 {

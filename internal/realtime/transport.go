@@ -10,30 +10,110 @@ import (
 	"dlion/internal/queue"
 )
 
-// BrokerTransport connects a node to an in-process broker: sends LPush to
-// the destination's data list; Recv blocks on this node's own list.
-// It mirrors the prototype's Redis data-queue usage (§4.2).
+// BrokerTransport connects a node to the data lists of the prototype's
+// Redis (§4.2): this worker's list lives in a queue.Broker, where Recv pops
+// it, and Send pushes to each peer's list wherever a register says it is.
+// The first frame to a peer looks the peer up and waits until it is
+// registered: an empty value is a list in this transport's own broker,
+// which Send pushes in process; an address is a server, reached one hop
+// away through a queue.Client kept for that peer, which looks the peer up
+// again whenever its connection breaks (a restarted peer serves on a new
+// port). Delivery over a hop stays at-most-once, as queue.Client documents.
 type BrokerTransport struct {
-	b      *queue.Broker
-	id     int
-	ns     queue.Namespace
-	ctx    context.Context
-	cancel context.CancelFunc
+	b       *queue.Broker
+	id      int
+	ns      queue.Namespace
+	lookup  func(ctx context.Context, key string) (string, error)
+	release func() // this worker's register key
+	ctx     context.Context
+	cancel  context.CancelFunc
+
+	mu     sync.Mutex
+	routes map[int]*queue.Client // per resolved peer; nil for a list in b. nil once closed
+	reg    *obs.Registry
 }
 
 // NewBrokerTransport builds a transport for worker id over broker b with its
 // data keys inside ns ("" is the root namespace), so several worker groups —
-// one per control-plane job — share one broker without cross-delivery.
+// one per control-plane job — share one broker without cross-delivery. It
+// holds the worker's key in b's register empty, so its peers in b push to
+// its list in process and a ClientTransport peer's lookup names b's server;
+// Close releases the key.
 func NewBrokerTransport(b *queue.Broker, id int, ns queue.Namespace) *BrokerTransport {
-	ctx, cancel := context.WithCancel(context.Background())
-	return &BrokerTransport{b: b, id: id, ns: ns, ctx: ctx, cancel: cancel}
+	return newBrokerTransport(b, id, ns, func(ctx context.Context, key string) (string, error) {
+		v, err := b.Get(ctx, key)
+		return string(v), err
+	})
 }
 
-// Send implements Transport. The slice itself travels through the broker to
-// the receiving node, so ownership only passes through here: the receiver's
-// pump recycles the frame.
+// newBrokerTransport is NewBrokerTransport with the peers looked up through
+// lookup.
+func newBrokerTransport(b *queue.Broker, id int, ns queue.Namespace, lookup func(context.Context, string) (string, error)) *BrokerTransport {
+	t := &BrokerTransport{b: b, id: id, ns: ns, lookup: lookup,
+		release: b.Set(ns.AddrKey(id), nil), routes: map[int]*queue.Client{}}
+	t.ctx, t.cancel = context.WithCancel(context.Background())
+	return t
+}
+
+// Send implements Transport. In process, the slice itself goes into the
+// peer's list and its pump recycles it. Over a hop, the peer's server reads
+// its own copy off the socket, so once the write (with its re-resolve and
+// reconnect retries) has returned, Send was the frame's last reader and
+// recycles it.
 func (t *BrokerTransport) Send(to int, payload []byte) error {
-	return t.b.LPush(t.ns.DataKey(to), payload)
+	c, err := t.route(to)
+	if err == nil {
+		if c == nil {
+			return t.b.LPush(t.ns.DataKey(to), payload)
+		}
+		err = c.LPush(t.ns.DataKey(to), payload)
+	}
+	bufpool.Bytes.Put(payload)
+	return err
+}
+
+// route returns the client that reaches worker to's list, or nil for a list
+// in t's broker, looking the worker up on first use. The lookup waits until
+// the worker is registered or t closes.
+func (t *BrokerTransport) route(to int) (*queue.Client, error) {
+	t.mu.Lock()
+	c, ok := t.routes[to]
+	t.mu.Unlock()
+	if ok {
+		return c, nil
+	}
+	key := t.ns.AddrKey(to)
+	addr, err := t.lookup(t.ctx, key)
+	if err != nil {
+		return nil, err
+	}
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	if t.routes == nil {
+		return nil, queue.ErrClosed
+	}
+	if c, ok := t.routes[to]; ok { // another Send resolved it meanwhile
+		return c, nil
+	}
+	if addr != "" {
+		c = queue.DialFunc(func(ctx context.Context) (string, error) { return t.lookup(ctx, key) })
+		c.SetMetrics(t.reg)
+	}
+	t.routes[to] = c
+	return c, nil
+}
+
+// setMetrics wires the peers' clients' retry counters into reg (the shared
+// queue.reconnect_attempts counter).
+func (t *BrokerTransport) setMetrics(reg *obs.Registry) {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	t.reg = reg
+	for _, c := range t.routes {
+		if c != nil {
+			c.SetMetrics(reg)
+		}
+	}
 }
 
 // Recv implements Transport.
@@ -41,77 +121,41 @@ func (t *BrokerTransport) Recv() ([]byte, error) {
 	return t.b.BRPop(t.ctx, t.ns.DataKey(t.id))
 }
 
-// Close implements Transport.
+// Close implements Transport. It ends a Recv or a lookup still waiting,
+// closes the peers' clients and releases this worker's register key; a
+// later Send fails with queue.ErrClosed.
 func (t *BrokerTransport) Close() error {
 	t.cancel()
+	t.mu.Lock()
+	routes := t.routes
+	t.routes = nil
+	t.mu.Unlock()
+	for _, c := range routes {
+		if c != nil {
+			c.Close()
+		}
+	}
+	t.release()
 	return nil
 }
 
-// HostedTransport is BrokerTransport for a worker whose data list lives in
-// the broker of a process that also serves that broker over TCP: the
-// control plane's in-process workers, in a job with slots for external
-// joiners. Frames to the workers the broker hosts, ids [0, hosted), stay in
-// the broker. Its register holds each hosted worker's key empty, which
-// tells an external ClientTransport's lookup to push to the broker itself;
-// frames to any other id go one hop to the server that worker holds in the
-// register, found there again whenever the connection breaks.
-type HostedTransport struct {
-	*BrokerTransport
-	hosted  int
-	release func()
-	peers   peers
-}
-
-// NewHostedTransport builds the transport of hosted worker id over broker b
-// with its keys inside ns. Close releases the worker's register key.
-func NewHostedTransport(b *queue.Broker, id int, ns queue.Namespace, hosted int) *HostedTransport {
-	return &HostedTransport{BrokerTransport: NewBrokerTransport(b, id, ns), hosted: hosted,
-		release: b.Set(ns.AddrKey(id), nil),
-		peers: peers{ns: ns, lookup: func(ctx context.Context, key string) (string, error) {
-			v, err := b.Get(ctx, key)
-			return string(v), err
-		}}}
-}
-
-// Send implements Transport.
-func (t *HostedTransport) Send(to int, payload []byte) error {
-	if to < t.hosted {
-		return t.BrokerTransport.Send(to, payload)
-	}
-	return t.peers.push(to, payload)
-}
-
-// Close implements Transport.
-func (t *HostedTransport) Close() error {
-	t.peers.close()
-	t.release()
-	return t.BrokerTransport.Close()
-}
-
-// ClientTransport connects a node to a TCP broker (cmd/dlion-broker), for
-// workers running as separate processes. Data takes one hop: each
-// transport serves its own data list (a BrokerTransport over an embedded
-// queue.Broker, behind a queue.Server on the local IP of its broker
-// connection and an ephemeral port) and holds that host:port in the
-// broker's register under its namespace's AddrKey. Send resolves each peer
-// there once and keeps one queue.Client per peer, which pushes straight
-// into the peer's list; Recv pops this worker's own list in process. The
-// broker keeps PUB/SUB and the register, so once peers are resolved their
-// frames keep flowing while it is down.
+// ClientTransport is a BrokerTransport over a broker of its own, for
+// workers running as separate processes: it serves its list behind a
+// queue.Server on the local IP of its connection to a TCP broker
+// (cmd/dlion-broker) and an ephemeral port, holds that host:port in the
+// broker's register under its namespace's AddrKey, and looks its peers up
+// there (queue.Lookup). The broker keeps PUB/SUB and the register, so once
+// peers are resolved their frames keep flowing while it is down.
 //
-// Every client reconnects by itself, so a restart stalls traffic and then
-// recovers instead of killing the node: the hold sets the address again on
-// a restarted broker, and a peer connection that broke looks the peer up
-// again, since a restarted peer serves on a new port. Delivery stays
-// at-most-once, as queue.Client documents.
+// Every client reconnects by itself, so a broker restart stalls traffic and
+// then recovers instead of killing the node: the hold sets the address
+// again on a restarted broker.
 type ClientTransport struct {
-	*BrokerTransport               // over inbox: Recv
-	inbox            *queue.Broker // this worker's data list
-	ctl              *queue.Client // the broker: publishes and this worker's address
-	peers            peers
+	*BrokerTransport
+	ctl *queue.Client // the broker: publishes and this worker's address
 
 	mu  sync.Mutex
-	srv *queue.Server // serves inbox; nil until the first broker connection names the local IP
+	srv *queue.Server // serves the list; nil until the first broker connection names the local IP
 }
 
 // NewClientTransport builds a transport for worker id against the broker
@@ -130,11 +174,8 @@ func NewClientTransportNS(addr string, id int, ns queue.Namespace) (*ClientTrans
 	if err != nil {
 		return nil, err
 	}
-	inbox := queue.NewBroker()
-	t := &ClientTransport{BrokerTransport: NewBrokerTransport(inbox, id, ns), inbox: inbox, ctl: ctl,
-		peers: peers{ns: ns, lookup: func(ctx context.Context, key string) (string, error) {
-			return queue.Lookup(ctx, addr, key)
-		}}}
+	t := &ClientTransport{ctl: ctl, BrokerTransport: newBrokerTransport(queue.NewBroker(), id, ns,
+		func(ctx context.Context, key string) (string, error) { return queue.Lookup(ctx, addr, key) })}
 	ctl.Hold(ns.AddrKey(id), t.serve)
 	return t, nil
 }
@@ -149,7 +190,7 @@ func (t *ClientTransport) serve(local net.Addr) ([]byte, error) {
 		if err != nil {
 			return nil, err
 		}
-		if t.srv, err = queue.Serve(t.inbox, net.JoinHostPort(host, "0")); err != nil {
+		if t.srv, err = queue.Serve(t.b, net.JoinHostPort(host, "0")); err != nil {
 			return nil, err
 		}
 	}
@@ -161,13 +202,8 @@ func (t *ClientTransport) serve(local net.Addr) ([]byte, error) {
 // queue.list_depth gauge.
 func (t *ClientTransport) SetMetrics(reg *obs.Registry) {
 	t.ctl.SetMetrics(reg)
-	t.inbox.SetMetrics(reg)
-	t.peers.setMetrics(reg)
-}
-
-// Send implements Transport.
-func (t *ClientTransport) Send(to int, payload []byte) error {
-	return t.peers.push(to, payload)
+	t.b.SetMetrics(reg)
+	t.setMetrics(reg)
 }
 
 // Publish broadcasts payload on one of the broker's PUB/SUB channels.
@@ -179,78 +215,10 @@ func (t *ClientTransport) Publish(channel string, payload []byte) error {
 // goroutines, and releases this worker's address at the broker.
 func (t *ClientTransport) Close() error {
 	t.BrokerTransport.Close()
-	t.peers.close()
 	err := t.ctl.Close() // the hold has stopped: srv is settled
 	if t.srv != nil {
 		t.srv.Close()
 	}
-	t.inbox.Close()
+	t.b.Close()
 	return err
-}
-
-// peers keeps one queue.Client per destination worker, made on first use,
-// which looks the worker's address up under its AddrKey before each dial
-// and pushes into its served data list.
-type peers struct {
-	ns     queue.Namespace
-	lookup func(ctx context.Context, key string) (string, error)
-
-	mu     sync.Mutex
-	m      map[int]*queue.Client
-	reg    *obs.Registry
-	closed bool
-}
-
-// push sends payload to worker to's list. The worker's server reads its own
-// copy off the socket, so once the write (with its re-resolve and reconnect
-// retries) has returned, this was the frame's last reader and recycles it.
-func (p *peers) push(to int, payload []byte) error {
-	c, err := p.client(to)
-	if err == nil {
-		err = c.LPush(p.ns.DataKey(to), payload)
-	}
-	bufpool.Bytes.Put(payload)
-	return err
-}
-
-func (p *peers) client(to int) (*queue.Client, error) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if p.closed {
-		return nil, queue.ErrClosed
-	}
-	c := p.m[to]
-	if c == nil {
-		key := p.ns.AddrKey(to)
-		c = queue.DialFunc(func(ctx context.Context) (string, error) { return p.lookup(ctx, key) })
-		if p.reg != nil {
-			c.SetMetrics(p.reg)
-		}
-		if p.m == nil {
-			p.m = map[int]*queue.Client{}
-		}
-		p.m[to] = c
-	}
-	return c, nil
-}
-
-func (p *peers) setMetrics(reg *obs.Registry) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	p.reg = reg
-	for _, c := range p.m {
-		c.SetMetrics(reg)
-	}
-}
-
-// close closes every client; a later push fails with queue.ErrClosed.
-func (p *peers) close() {
-	p.mu.Lock()
-	p.closed = true
-	m := p.m
-	p.m = nil
-	p.mu.Unlock()
-	for _, c := range m {
-		c.Close()
-	}
 }

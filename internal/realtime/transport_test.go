@@ -69,12 +69,13 @@ func TestClientTransportCloseReleasesEverything(t *testing.T) {
 	}
 }
 
-// TestHostedAndClientTransportsExchange: in one namespace, two workers
-// hosted in a served broker and one external ClientTransport all reach each
-// other: the external worker's lookup of a hosted worker names the broker,
-// and a hosted worker's frame to the external one goes to its own server.
-// Closing a hosted transport releases its register key.
-func TestHostedAndClientTransportsExchange(t *testing.T) {
+// TestBrokerAndClientTransportsExchange: in one namespace, two workers
+// whose lists live in a served broker and one external ClientTransport all
+// reach each other: the external worker's lookup of a broker-held worker
+// names the broker, a broker-held worker's frame to the other goes into the
+// broker's list in process, and one to the external worker goes to its own
+// server. Closing a BrokerTransport releases its register key.
+func TestBrokerAndClientTransportsExchange(t *testing.T) {
 	b := queue.NewBroker()
 	defer b.Close()
 	srv, err := queue.Serve(b, "127.0.0.1:0")
@@ -88,7 +89,7 @@ func TestHostedAndClientTransportsExchange(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer ext.Close()
-	trs := []Transport{NewHostedTransport(b, 0, ns, 2), NewHostedTransport(b, 1, ns, 2), ext}
+	trs := []Transport{NewBrokerTransport(b, 0, ns), NewBrokerTransport(b, 1, ns), ext}
 	for from, tr := range trs {
 		for to := range trs {
 			if to != from {
@@ -117,7 +118,59 @@ func TestHostedAndClientTransportsExchange(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel() // look, do not wait
 	if _, err := b.Get(ctx, ns.AddrKey(0)); err == nil {
-		t.Error("a closed hosted transport left its register key")
+		t.Error("a closed BrokerTransport left its register key")
 	}
 	trs[1].Close()
+}
+
+// TestSendWaitsForTheReceiverToRegister: an in-process send to a worker
+// whose transport does not exist yet waits for it, and is delivered to its
+// list once it is built.
+func TestSendWaitsForTheReceiverToRegister(t *testing.T) {
+	b := queue.NewBroker()
+	defer b.Close()
+	tx := NewBrokerTransport(b, 0, "")
+	defer tx.Close()
+	sent := make(chan error, 1)
+	go func() { sent <- tx.Send(1, []byte("hello")) }()
+	select {
+	case err := <-sent:
+		t.Fatalf("Send returned %v before worker 1 registered", err)
+	case <-time.After(20 * time.Millisecond):
+	}
+	rx := NewBrokerTransport(b, 1, "")
+	defer rx.Close()
+	if err := <-sent; err != nil {
+		t.Fatal(err)
+	}
+	if p, err := rx.Recv(); err != nil || string(p) != "hello" {
+		t.Fatalf("worker 1 received %q, %v", p, err)
+	}
+}
+
+// TestCloseEndsAWaitingSend: closing a transport ends its send to a worker
+// that never registers, with an error, and leaves no goroutine behind.
+func TestCloseEndsAWaitingSend(t *testing.T) {
+	b := queue.NewBroker()
+	defer b.Close()
+	before := runtime.NumGoroutine()
+	tx := NewBrokerTransport(b, 0, "")
+	sent := make(chan error, 1)
+	go func() { sent <- tx.Send(1, []byte("hello")) }()
+	time.Sleep(budget(20 * time.Millisecond)) // the send waits in its lookup
+	tx.Close()
+	select {
+	case err := <-sent:
+		if err == nil {
+			t.Fatal("a send to an unregistered worker succeeded after Close")
+		}
+	case <-time.After(budget(5 * time.Second)):
+		t.Fatal("Close left the send waiting")
+	}
+	for deadline := time.Now().Add(budget(5 * time.Second)); runtime.NumGoroutine() > before; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			buf := make([]byte, 1<<16)
+			t.Fatalf("%d goroutines after Close, %d before:\n%s", runtime.NumGoroutine(), before, buf[:runtime.Stack(buf, true)])
+		}
+	}
 }

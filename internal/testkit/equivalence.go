@@ -239,7 +239,7 @@ func RunRealtime(ctx context.Context, c EquivalenceConfig) (*EquivalenceResult, 
 		return nil, err
 	}
 	// Every exit stops the group, which closes the transports: until then each
-	// receive pump stays parked in Client.BRPop, redialling the server.
+	// receive pump stays parked on its worker's own in-process list.
 	runCtx, stop := context.WithCancel(ctx)
 	var runErr error
 	ran := make(chan struct{})
