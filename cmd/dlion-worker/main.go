@@ -182,7 +182,7 @@ func run(sigCtx context.Context, args []string, stdout, stderr io.Writer) error 
 			lcancel()
 			cancel() // tombstones are out (or timed out): stop the loop
 		case <-ctx.Done():
-			// normal duration expiry: Run returns and FlushSends below drains
+			// normal duration expiry: Run drains its send queues and returns
 		}
 	}()
 	err = node.Run(ctx)
@@ -190,11 +190,6 @@ func run(sigCtx context.Context, args []string, stdout, stderr io.Writer) error 
 	<-left   // a leave in flight ends before the transport closes
 	if err != nil {
 		return err
-	}
-	// Graceful drain: give the per-peer FIFOs a moment to hand their last
-	// frames to the broker before the deferred transport close cuts them off.
-	if !node.FlushSends(2 * time.Second) {
-		fmt.Fprintln(stderr, "dlion-worker: send queues did not fully drain")
 	}
 	s := node.Worker().Stats()
 	fmt.Fprintf(stdout, "done: %d iterations, %d samples, final loss %.3f\n",

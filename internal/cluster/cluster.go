@@ -55,8 +55,8 @@ type Config struct {
 	Observe bool
 
 	// PerWorker, when non-nil, rewrites worker id's core config before
-	// construction — heterogeneous experiments (mixed quantization accept
-	// masks, per-worker batch policy) without one Config per worker. It runs
+	// construction — heterogeneous experiments (a different wire precision
+	// per sender, per-worker batch policy) without one Config per worker. It runs
 	// after the driver's own membership rewrites, so it sees (and may
 	// override) the final config.
 	PerWorker func(id int, c core.Config) core.Config
@@ -518,9 +518,9 @@ func Run(cfg Config) (*Result, error) {
 	}
 
 	evaluate() // t = 0 baseline point
-	env.eng.Every(cfg.EvalPeriod, evaluate, nil)
+	env.eng.Every(cfg.EvalPeriod, evaluate)
 	if cfg.TracePeriod > 0 {
-		env.eng.Every(cfg.TracePeriod, trace, nil)
+		env.eng.Every(cfg.TracePeriod, trace)
 	}
 	scheduleFaults(env, models, spec)
 	for i, w := range env.workers {
@@ -611,7 +611,7 @@ func scheduleFaults(env *simEnv, models []*nn.Model, spec nn.Spec) {
 					ckpts[i] = models[i].Checkpoint()
 				}
 			}
-		}, nil)
+		})
 		env.ckpts = ckpts
 	}
 	for _, j := range env.inj.Joins() {

@@ -148,12 +148,6 @@ type QuantConfig struct {
 	// exchange, f16 when it covers half, int8 below that. Requires
 	// LinkBudget (there is no per-link budget to inspect without it).
 	Auto bool
-
-	// Accept is the mask of reduced precisions this worker accepts on
-	// inbound links, advertised to peers in HELLO/WELCOME. Zero defaults to
-	// accept-all; peers that never handshake (static founders) are assumed
-	// accept-all too, since founders share one binary by construction.
-	Accept grad.PrecMask
 }
 
 // Config assembles a complete system variant.
@@ -245,8 +239,6 @@ func (c *Config) Validate() error {
 		return fmt.Errorf("core: %s: quant precision %d", c.Name, c.Quant.Precision)
 	case c.Quant.Auto && !c.LinkBudget:
 		return fmt.Errorf("core: %s: Quant.Auto requires LinkBudget", c.Name)
-	case c.Quant.Accept > grad.MaskAll:
-		return fmt.Errorf("core: %s: quant accept mask %#x", c.Name, uint8(c.Quant.Accept))
 	}
 	if c.OrderedApply {
 		switch {
@@ -302,9 +294,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.Membership.JoinRetry == 0 {
 		c.Membership.JoinRetry = 2
-	}
-	if c.Quant.Accept == 0 {
-		c.Quant.Accept = grad.MaskAll
 	}
 	return c
 }

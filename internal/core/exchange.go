@@ -72,7 +72,7 @@ func (w *Worker) exchangeGradients() {
 		prec := grad.PrecF32
 		selBudget := budget
 		if quantOn {
-			prec = w.linkPrecision(p, budget)
+			prec = w.linkPrecision(budget)
 			if prec != grad.PrecF32 {
 				// The selector thinks in f32 byte costs; a reduced-precision
 				// payload fits more values per budget byte, so the budget it
@@ -158,25 +158,21 @@ func (w *Worker) selectSlots(params []*nn.Param) {
 	}
 }
 
-// linkPrecision picks the wire precision for the link to peer p: the fixed
+// linkPrecision picks the wire precision for a link: the fixed
 // configured precision, or — in auto mode — the cheapest precision whose
 // loss is justified by the link's byte budget relative to a full dense f32
 // exchange (f32 when the budget covers it, f16 at half, int8 below). The
-// result is clamped by the peer's advertised accept mask, so a sender never
-// emits a precision its receiver did not negotiate for.
-func (w *Worker) linkPrecision(p, budget int) grad.Precision {
-	prec := w.cfg.Quant.Precision
-	if w.cfg.Quant.Auto {
-		switch {
-		case budget <= 0 || budget >= w.fullDense:
-			prec = grad.PrecF32
-		case 2*budget >= w.fullDense:
-			prec = grad.PrecF16
-		default:
-			prec = grad.PrecI8
-		}
+// sender alone decides: every receiver decodes every precision.
+func (w *Worker) linkPrecision(budget int) grad.Precision {
+	switch {
+	case !w.cfg.Quant.Auto:
+		return w.cfg.Quant.Precision
+	case budget <= 0 || budget >= w.fullDense:
+		return grad.PrecF32
+	case 2*budget >= w.fullDense:
+		return grad.PrecF16
 	}
-	return w.PeerAcceptMask(p).Clamp(prec)
+	return grad.PrecI8
 }
 
 // applyRemoteGradient is the model update module: apply a peer's partial

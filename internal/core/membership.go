@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 
-	"dlion/internal/grad"
 	"dlion/internal/wire"
 )
 
@@ -269,7 +268,7 @@ func (w *Worker) soloFallback() {
 // it is a join announcement from an already-admitted worker.
 func (w *Worker) sendHello(to int, needSync bool) {
 	m := &wire.Message{Type: wire.TypeHello, From: int32(w.ID), To: int32(to),
-		Iter: w.iter, Epoch: w.epoch, Quant: uint8(w.cfg.Quant.Accept)}
+		Iter: w.iter, Epoch: w.epoch}
 	if needSync {
 		m.Flags = wire.HelloNeedSync
 	}
@@ -286,9 +285,6 @@ func (w *Worker) handleHello(m *wire.Message) {
 	}
 	from := int(m.From)
 	peer := &w.peers[from]
-	// Record the sender's precision capabilities even on duplicate HELLOs:
-	// the mask rides every handshake message, so the freshest wins.
-	peer.quant = grad.PrecMask(m.Quant)
 	if !peer.member {
 		w.admit(from, m.Iter)
 	} else if m.Iter > peer.iter {
@@ -325,7 +321,6 @@ func (w *Worker) sendWelcome(to int) {
 	w.send(&wire.Message{Type: wire.TypeWelcome, From: int32(w.ID), To: int32(to),
 		Iter: w.iter, Epoch: w.epoch,
 		GBS:     int32(w.gbs.GBSAt(w.env.Now(), w.epochsDone())),
-		Quant:   uint8(w.cfg.Quant.Accept),
 		Members: members, Weights: w.cloneWeights()})
 }
 
@@ -339,7 +334,6 @@ func (w *Worker) handleWelcome(m *wire.Message) {
 	}
 	w.state = StateSyncing
 	sponsor := int(m.From)
-	w.peers[sponsor].quant = grad.PrecMask(m.Quant)
 	for _, id := range m.Members {
 		w.peers[id].member = true
 	}

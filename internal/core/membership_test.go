@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"dlion/internal/data"
-	"dlion/internal/grad"
 	"dlion/internal/nn"
 	"dlion/internal/tensor"
 	"dlion/internal/wire"
@@ -298,7 +297,7 @@ func TestPeerTableFollowsRoster(t *testing.T) {
 	}
 	for _, i := range []int{0, 2} {
 		e := ws[i].peers[1]
-		if !e.member || e.quant != grad.MaskAll || e.hasLoss || e.suspected {
+		if !e.member || e.hasLoss || e.suspected {
 			t.Fatalf("worker %d's row for rejoined peer 1: %+v", i, e)
 		}
 		// The sponsor saw the admission HELLO (iteration 0), everyone else

@@ -119,72 +119,11 @@ func testQuantAutoPrecision(t *testing.T, wallPaid bool) {
 	}
 }
 
-// TestQuantPeerMaskClamp: the sender clamps its chosen precision by the
-// accept mask the peer advertised — int8 falls back to f16 for a peer that
-// only negotiated f16, and to f32 for a peer accepting nothing reduced.
-func TestQuantPeerMaskClamp(t *testing.T) {
-	env := newFakeEnv(3, []float64{1, 1, 1})
-	cfg := asyncConfig()
-	cfg.Quant = QuantConfig{Precision: grad.PrecI8}
-	ws := buildCluster(t, cfg, env)
-	// As if peers had advertised these masks during a handshake.
-	ws[0].peers[1].quant = grad.MaskF16
-	for _, w := range ws {
-		w.Start()
-	}
-	env.eng.Run(5)
-
-	if got := lastPrecision(env, 0, 1); got != grad.PrecF16 {
-		t.Fatalf("f16-only peer got %v", got)
-	}
-	if got := lastPrecision(env, 0, 2); got != grad.PrecI8 {
-		t.Fatalf("unconstrained peer got %v, want int8", got)
-	}
-	if got := ws[0].PeerAcceptMask(2); got != grad.MaskAll {
-		t.Fatalf("never-handshaken peer mask %v, want accept-all", got)
-	}
-}
-
-// TestQuantMaskPropagatesThroughJoin: a joiner advertising a restricted
-// accept mask in its HELLO is never sent int8 by the sponsor, and the
-// joiner learns the sponsor's mask from the WELCOME.
-func TestQuantMaskPropagatesThroughJoin(t *testing.T) {
-	env := newFakeEnv(3, []float64{1, 1, 1})
-	founder := asyncConfig()
-	founder.Quant = QuantConfig{Precision: grad.PrecI8}
-	founder.Membership.InitialMembers = []int{0, 1}
-	joiner := asyncConfig()
-	joiner.Quant = QuantConfig{Precision: grad.PrecI8, Accept: grad.MaskF16}
-	joiner.Membership = MembershipConfig{Join: true, Sponsor: 0}
-	ws := buildClusterCfgs(t, []Config{founder, founder, joiner}, env)
-	ws[0].Start()
-	ws[1].Start()
-	env.eng.Run(3)
-	ws[2].Start()
-	env.eng.Run(10)
-
-	if ws[2].State() != StateActive {
-		t.Fatalf("joiner state %v", ws[2].State())
-	}
-	if got := ws[0].PeerAcceptMask(2); got != grad.MaskF16 {
-		t.Fatalf("sponsor learned mask %v, want f16-only", got)
-	}
-	if got := lastPrecision(env, 0, 2); got != grad.PrecF16 {
-		t.Fatalf("sponsor sent joiner %v, want f16", got)
-	}
-	// The joiner learned the sponsor's (default accept-all) mask and may
-	// keep sending int8.
-	if got := lastPrecision(env, 2, 0); got != grad.PrecI8 {
-		t.Fatalf("joiner sent sponsor %v, want int8", got)
-	}
-}
-
 // TestQuantConfigValidation covers the new rejection cases.
 func TestQuantConfigValidation(t *testing.T) {
 	cases := map[string]func(*Config){
 		"bad precision":   func(c *Config) { c.Quant.Precision = 9 },
 		"auto w/o budget": func(c *Config) { c.Quant.Auto = true },
-		"bad mask":        func(c *Config) { c.Quant.Accept = 0x7f },
 	}
 	for name, mutate := range cases {
 		c := asyncConfig()
@@ -195,7 +134,7 @@ func TestQuantConfigValidation(t *testing.T) {
 	}
 	ok := asyncConfig()
 	ok.LinkBudget = true
-	ok.Quant = QuantConfig{Auto: true, Accept: grad.MaskAll}
+	ok.Quant = QuantConfig{Auto: true}
 	if err := ok.Validate(); err != nil {
 		t.Fatalf("valid quant config rejected: %v", err)
 	}

@@ -188,10 +188,6 @@ type peerState struct {
 	budget   int   // byte budget
 	slot     int32 // its selection-cache slot (exchange.go)
 
-	// quant is the accept mask the peer advertised in HELLO/WELCOME; 0 (a
-	// static founder never handshakes) reads as accept-all.
-	quant grad.PrecMask
-
 	member, hasLoss bool
 	// suspected: the failure detector removed the peer from the roster
 	// (watch); its next message re-admits it, a LEAVE forgets it.
@@ -309,16 +305,6 @@ func (w *Worker) LastSelectedCount(peer int) int { return w.peers[peer].selCount
 
 // LastBudget returns the most recent per-link byte budget for peer.
 func (w *Worker) LastBudget(peer int) int { return w.peers[peer].budget }
-
-// PeerAcceptMask returns the reduced-precision accept mask peer advertised
-// during membership negotiation; peers that never handshook (static
-// founders) default to accept-all.
-func (w *Worker) PeerAcceptMask(peer int) grad.PrecMask {
-	if m := w.peers[peer].quant; m != 0 {
-		return m
-	}
-	return grad.MaskAll
-}
 
 // AvgRecentLoss returns the mean of the recent-loss window (+Inf before
 // any iteration completes, so fresh workers never win best-worker

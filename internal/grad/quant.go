@@ -61,45 +61,6 @@ func (p Precision) ElemBytes() int {
 	return 4
 }
 
-// PrecMask is a bitmask of the precisions a worker accepts on its inbound
-// links, advertised in HELLO/WELCOME during membership negotiation. f32 is
-// always accepted (every decoder handles it); the mask gates only the
-// reduced precisions. The zero value means "reduced precisions unknown" and
-// is treated as MaskAll for members that never ran the handshake (static
-// founders share one binary and one wire version by construction).
-type PrecMask uint8
-
-// Capability bits.
-const (
-	MaskF16 PrecMask = 1 << 0
-	MaskI8  PrecMask = 1 << 1
-	// MaskAll accepts every reduced precision (the default policy).
-	MaskAll = MaskF16 | MaskI8
-)
-
-// Allows reports whether the mask admits sending at precision p.
-func (m PrecMask) Allows(p Precision) bool {
-	switch p {
-	case PrecF16:
-		return m&MaskF16 != 0
-	case PrecI8:
-		return m&MaskI8 != 0
-	}
-	return true // f32 is always legal
-}
-
-// Clamp returns p if the mask allows it, stepping up toward f32 otherwise
-// (int8 falls back to f16 when only f16 is accepted).
-func (m PrecMask) Clamp(p Precision) Precision {
-	if m.Allows(p) {
-		return p
-	}
-	if p == PrecI8 && m.Allows(PrecF16) {
-		return PrecF16
-	}
-	return PrecF32
-}
-
 // BudgetInflation returns the factor by which a byte budget stretches when
 // the selection is quantized to p before transmission: the sparse-entry
 // cost ratio (4+4)/(4+elem). It is conservative for selections that take

@@ -185,21 +185,3 @@ func TestQuantizeAllSavings(t *testing.T) {
 		t.Fatalf("saved %d, want %d", saved, want)
 	}
 }
-
-// TestPrecMask pins the negotiation clamp: a peer that accepts only f16
-// downgrades an int8 sender to f16, and an empty (unknown) mask behaves as
-// accept-all.
-func TestPrecMask(t *testing.T) {
-	if got := MaskF16.Clamp(PrecI8); got != PrecF16 {
-		t.Fatalf("f16-only peer: int8 clamped to %v, want f16", got)
-	}
-	if got := PrecMask(0).Clamp(PrecI8); got != PrecF32 {
-		t.Fatalf("empty mask allows nothing reduced: got %v, want f32", got)
-	}
-	if !MaskAll.Allows(PrecI8) || !MaskAll.Allows(PrecF16) || !MaskAll.Allows(PrecF32) {
-		t.Fatal("MaskAll must allow every precision")
-	}
-	if MaskI8.Clamp(PrecF16) != PrecF32 {
-		t.Fatal("int8-only peer must clamp f16 to f32")
-	}
-}

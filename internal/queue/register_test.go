@@ -104,7 +104,7 @@ func TestDialFuncFollowsTheRegister(t *testing.T) {
 		holder.Hold("addr", func(net.Addr) ([]byte, error) { return []byte(s.Addr()), nil })
 		return inbox, s, holder
 	}
-	c := DialFunc(func(ctx context.Context) (string, error) { return Lookup(ctx, broker.Addr(), "addr") })
+	c := DialFunc(func(ctx context.Context) (string, error) { return Lookup(ctx, broker.Addr(), "addr", true) })
 	defer c.Close()
 	c.SetMetrics(reg)
 	pushed := make(chan error, 1)
@@ -143,13 +143,43 @@ func TestLookupEmptyValueNamesTheBroker(t *testing.T) {
 	b, srv := startServer(t)
 	release := b.Set("addr", nil)
 	defer release()
-	if a, err := Lookup(context.Background(), srv.Addr(), "addr"); err != nil || a != srv.Addr() {
+	if a, err := Lookup(context.Background(), srv.Addr(), "addr", false); err != nil || a != srv.Addr() {
 		t.Fatalf("Lookup = %q, %v; want the broker's own %s", a, err, srv.Addr())
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
 	defer cancel()
-	if _, err := Lookup(ctx, srv.Addr(), "unset"); err == nil || ctx.Err() == nil {
+	if _, err := Lookup(ctx, srv.Addr(), "unset", true); err == nil || ctx.Err() == nil {
 		t.Fatalf("Lookup of an unset key returned %v before its context ended", err)
+	}
+	if _, err := Lookup(context.Background(), srv.Addr(), "unset", false); err == nil {
+		t.Fatal("Lookup without waiting found an unset key")
+	}
+}
+
+// TestUnresolvedServerFailsTheRequest: a DialFunc client whose resolver
+// finds no server fails the push at once, without a backoff, and the next
+// push resolves again.
+func TestUnresolvedServerFailsTheRequest(t *testing.T) {
+	reg := obs.NewRegistry()
+	b, srv := startServer(t)
+	c := DialFunc(func(ctx context.Context) (string, error) { return Lookup(ctx, srv.Addr(), "addr", false) })
+	defer c.Close()
+	c.SetMetrics(reg)
+	if err := c.LPush("q", []byte("0")); err == nil {
+		t.Fatal("a push to an unregistered server succeeded")
+	}
+	if n := reg.Snapshot()["queue.reconnect_attempts"]; n != 0 {
+		t.Fatalf("%d backoffs before failing, want 0", n)
+	}
+	release := b.Set("addr", nil)
+	defer release()
+	if err := c.LPush("q", []byte("1")); err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	if p, err := b.BRPop(ctx, "q"); err != nil || string(p) != "1" {
+		t.Fatalf("the broker's list got %q, %v", p, err)
 	}
 }
 

@@ -367,7 +367,8 @@ func backoff(attempt int, u float64) time.Duration {
 // backoff and retries until it succeeds or the client is closed, and a
 // subscription re-subscribes the same way and keeps its receive channel: a
 // server restart or transient TCP failure stalls callers instead of failing
-// them. A goroutine reads each request connection's replies, so a
+// them. Only a DialFunc resolver that finds no server fails an operation
+// (see DialFunc). A goroutine reads each request connection's replies, so a
 // connection the server closed is dropped when its FIN arrives rather than
 // by losing the next request to it. Delivery stays at-most-once: a frame in
 // flight when its connection died is gone, and so is whatever was published
@@ -416,8 +417,9 @@ func Dial(addr string) (*Client, error) {
 // DialFunc returns a client whose server address resolve gives before every
 // dial: the first, and each redial after a broken connection, so a server
 // that restarted on another port is found again. resolve may wait (Lookup
-// waits until the address is registered); its context ends on Close, and
-// an error from it counts as a failed dial, retried with backoff.
+// can wait until the address is registered); its context ends on Close. An
+// error from it fails the request that needed the dial — the server is
+// gone, not slow — while Subscribe and Hold retry it with backoff.
 func DialFunc(resolve func(ctx context.Context) (string, error)) *Client {
 	c := &Client{resolve: resolve, conns: map[net.Conn]struct{}{}}
 	c.ctx, c.cancel = context.WithCancel(context.Background())
@@ -425,18 +427,24 @@ func DialFunc(resolve func(ctx context.Context) (string, error)) *Client {
 }
 
 // Lookup returns the value the broker at broker holds under key (see Hold),
-// asking on a connection of its own and waiting, without polling, until the
-// key is set or ctx ends; while the broker is down, it redials with
-// backoff, as a Client does. An empty value names the broker itself — a
-// list the broker serves, such as a controller's in-process worker's — so
-// Lookup returns broker for it.
-func Lookup(ctx context.Context, broker, key string) (string, error) {
+// asking on a connection of its own. With wait it waits, without polling,
+// until the key is set or ctx ends; without, an unset key is an error at
+// once. While the broker is down, it redials with backoff, as a Client
+// does. An empty value names the broker itself — a list the broker serves,
+// such as a controller's in-process worker's — so Lookup returns broker
+// for it.
+func Lookup(ctx context.Context, broker, key string, wait bool) (string, error) {
 	c := DialFunc(func(context.Context) (string, error) { return broker, nil })
 	defer c.Close()
 	defer context.AfterFunc(ctx, func() { c.Close() })()
-	var forever [8]byte
-	v, err := c.call(cmdGet, key, forever[:])
+	var timeout [8]byte // in ms; 0 waits forever
+	if !wait {
+		binary.LittleEndian.PutUint64(timeout[:], 1)
+	}
+	v, err := c.call(cmdGet, key, timeout[:])
 	switch {
+	case errors.Is(err, ErrTimeout):
+		return "", fmt.Errorf("queue: %s is not registered", key)
 	case err != nil:
 		return "", ctx.Err() // only ctx's end closes c
 	case len(v) == 0:
@@ -454,12 +462,15 @@ func (c *Client) SetMetrics(reg *obs.Registry) {
 	c.mReconnects = reg.Counter("queue.reconnect_attempts")
 }
 
+// errUnresolved marks a dial whose resolver failed.
+var errUnresolved = errors.New("queue: no server address")
+
 // dial opens a connection to the server, resolving its address first;
 // Close aborts a dial in progress.
 func (c *Client) dial() (net.Conn, error) {
 	addr, err := c.resolve(c.ctx)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("%w: %w", errUnresolved, err)
 	}
 	var d net.Dialer
 	return d.DialContext(c.ctx, "tcp", addr)
@@ -565,14 +576,15 @@ func (c *Client) drop(l *link) {
 
 // call sends one request and, for BRPOP and GET, reads its answer. On a broken
 // connection it redials with backoff and sends the request again, until it
-// succeeds or the client is closed. ErrTimeout is an answer, not a broken
-// connection, so it passes straight through.
+// succeeds, the resolver finds no server or the client is closed.
+// ErrTimeout is an answer, not a broken connection, so it passes straight
+// through.
 func (c *Client) call(cmd byte, key string, payload []byte) ([]byte, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	for attempt := 0; ; attempt++ {
 		l, err := c.connect()
-		if errors.Is(err, ErrClosed) {
+		if errors.Is(err, ErrClosed) || errors.Is(err, errUnresolved) {
 			return nil, err
 		}
 		if err == nil {

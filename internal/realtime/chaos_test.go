@@ -10,6 +10,7 @@ import (
 
 	"dlion/internal/data"
 	"dlion/internal/nn"
+	"dlion/internal/obs"
 	"dlion/internal/queue"
 )
 
@@ -325,12 +326,18 @@ func TestPeerOrderHoldsAcrossReResolve(t *testing.T) {
 		t.Fatal(err)
 	}
 	lastOld := drain(first, func(seq int) bool { return seq >= total/4 })
+	old := addrOf(t, b, 1)
 	first.Close()
 	second, err := NewClientTransport(srv.Addr(), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer second.Close()
+	// A re-resolve does not wait for the peer to register: resume the stream
+	// once the restarted peer's address is in the register.
+	for addrOf(t, b, 1) == old {
+		time.Sleep(time.Millisecond)
+	}
 	close(restartAt)
 	if lastNew := drain(second, func(seq int) bool { return seq == total-1 }); lastNew <= lastOld {
 		t.Fatalf("the restarted peer's last frame %d is not past the old one's %d", lastNew, lastOld)
@@ -349,9 +356,8 @@ func TestSendOrderIsFIFOPerPeer(t *testing.T) {
 	rx := NewBrokerTransport(b, 1, "") // registers the list the frames go to
 	defer rx.Close()
 
-	n := &Node{cfg: Config{Transport: tr}, loop: make(chan func(), 16),
-		senders: map[int]chan []byte{}, done: make(chan struct{})}
-	defer close(n.done)
+	n := &Node{cfg: Config{Transport: tr}, senders: map[int]chan []byte{}}
+	defer n.stopSends()
 
 	const total = 100
 	for i := 0; i < total; i++ {
@@ -379,28 +385,26 @@ func TestSendOrderIsFIFOPerPeer(t *testing.T) {
 // message is shed, never the newest — fresh state beats stale state.
 func TestSendQueueShedsOldest(t *testing.T) {
 	blocked := &blockingTransport{release: make(chan struct{})}
-	n := &Node{cfg: Config{Transport: blocked}, loop: make(chan func(), 16),
-		senders: map[int]chan []byte{}, done: make(chan struct{})}
-	defer close(n.done)
+	n := &Node{cfg: Config{Transport: blocked}, senders: map[int]chan []byte{},
+		fifoDrops: obs.NewRegistry().Counter("realtime.fifo_drops")}
+	defer n.stopSends()
 
-	// the sender goroutine wedges on the first message; everything else
-	// queues. Overflow by 10 past the queue depth.
-	for i := 0; i < sendQueueDepth+11; i++ {
+	// The sender goroutine wedges on the first message it takes, or has not
+	// taken one yet; everything else queues. Overflow by 10 past the queue
+	// depth.
+	const enqueued = sendQueueDepth + 11
+	for i := 0; i < enqueued; i++ {
 		n.enqueue(1, []byte{byte(i % 251)})
 	}
 	close(blocked.release)
-
-	deadline := time.Now().Add(budget(5 * time.Second))
-	for blocked.count() < sendQueueDepth+1 && time.Now().Before(deadline) {
-		time.Sleep(time.Millisecond)
+	if !n.FlushSends(budget(5 * time.Second)) {
+		t.Fatalf("%d frames still queued", n.sendPending.Load())
 	}
 	got := blocked.payloads()
-	// message 0 went straight to the (blocked) transport; of the rest, the
-	// oldest 10 queued messages were shed, and the newest must be last
-	if len(got) < 2 {
-		t.Fatalf("only %d messages reached the transport", len(got))
+	if drops := n.fifoDrops.Load(); int64(len(got))+drops != enqueued {
+		t.Fatalf("%d delivered + %d shed, want %d enqueued", len(got), drops, enqueued)
 	}
-	lastWant := byte((sendQueueDepth + 10) % 251)
+	lastWant := byte((enqueued - 1) % 251)
 	if got[len(got)-1][0] != lastWant {
 		t.Fatalf("newest message shed: last delivered %d, want %d",
 			got[len(got)-1][0], lastWant)
@@ -437,11 +441,6 @@ func (b *blockingTransport) Send(_ int, p []byte) error {
 }
 func (b *blockingTransport) Recv() ([]byte, error) { select {} }
 func (b *blockingTransport) Close() error          { return nil }
-func (b *blockingTransport) count() int {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return len(b.sent)
-}
 func (b *blockingTransport) payloads() [][]byte {
 	b.mu.Lock()
 	defer b.mu.Unlock()

@@ -5,23 +5,19 @@ import (
 	"errors"
 	"fmt"
 	"sync"
-	"time"
 
 	"dlion/internal/core"
 	"dlion/internal/lineage"
 )
 
-// flushTimeout bounds a stopped node's send-FIFO drain before its transport closes.
-const flushTimeout = 2 * time.Second
-
 // Group runs n nodes as one unit, as the prototype runs a micro-cloud's
-// workers over shared broker queues (§4.2), and owns their transports: every
-// exit of Run waits for each node, flushes its send FIFOs and closes its
-// transport, so no receive pump outlives the group to take a later group's
-// frames. A node that stops while the group runs has crashed; it is rebuilt
-// and restored from its last Checkpoint while the restart budget lasts, and
-// rejoins through another running node as a joiner is admitted (HELLO,
-// then the WELCOME's roster, iteration and weights).
+// workers over shared broker queues (§4.2), and owns their transports: each
+// node's transport closes as soon as its Run, which drains the node's send
+// FIFOs, returns, so no receive pump outlives the group to take a later
+// group's frames. A node that stops while the group runs has crashed; it is
+// rebuilt and restored from its last Checkpoint while the restart budget
+// lasts, and rejoins through another running node as a joiner is admitted
+// (HELLO, then the WELCOME's roster, iteration and weights).
 type Group struct {
 	build       func(i int) (Config, error)
 	maxRestarts int
@@ -115,11 +111,6 @@ func (g *Group) Run(ctx context.Context) error {
 		}()
 	}
 	wg.Wait()
-	for i, nd := range g.nodes {
-		if errs[i] == nil { // a node the group's end stopped: runNode left it open
-			nd.cfg.Transport.Close()
-		}
-	}
 	g.mu.Lock()
 	g.running = false
 	g.mu.Unlock()
@@ -133,14 +124,10 @@ func (g *Group) runNode(i int) error {
 		nd, ctx := g.nodes[i], g.ctxs[i]
 		g.mu.Unlock()
 		err := nd.Run(ctx)
-		nd.FlushSends(flushTimeout)
+		nd.cfg.Transport.Close()
 		if g.life.Err() != nil {
-			// Run closes the transport once every node has flushed: a
-			// frame's first send to a peer waits for the peer's register
-			// key, which closing releases.
 			return nil
 		}
-		nd.cfg.Transport.Close()
 		g.mu.Lock()
 		spent := g.restarts >= g.maxRestarts
 		if !spent {

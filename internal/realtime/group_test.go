@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"runtime"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -342,5 +343,71 @@ func TestGroupInspectAfterRun(t *testing.T) {
 	}
 	if err := g.Crash(0); err == nil {
 		t.Fatal("Crash after Run succeeded")
+	}
+}
+
+// TestGroupStopsPromptlyAfterAPeerVanishes: a node that kept sending to a
+// peer process after the peer stopped and released its address drops those
+// frames, instead of waiting for the peer to register again, so its group
+// stops well within the flush timeout. The peer is a separate process's
+// ClientTransport, reached one hop away.
+func TestGroupStopsPromptlyAfterAPeerVanishes(t *testing.T) {
+	b := queue.NewBroker()
+	defer b.Close()
+	srv, err := queue.Serve(b, "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	shards := groupShards(t, 2)
+	g, err := NewGroup(1, func(i int) (Config, error) {
+		return Config{ID: 0, N: 2, System: realSystem(), Spec: nn.CipherSpec(1, 8, 8, 3, 5),
+			Shard: shards[0], Transport: NewBrokerTransport(b, 0, "")}, nil
+	}, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, stopGroup := startGroup(g)
+	stop := sync.OnceValue(stopGroup)
+	defer stop()
+	tr, err := NewClientTransport(srv.Addr(), 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	peer, err := NewNode(Config{ID: 1, N: 2, System: realSystem(), Spec: nn.CipherSpec(1, 8, 8, 3, 5),
+		Shard: shards[1], Transport: tr})
+	if err != nil {
+		t.Fatal(err)
+	}
+	pctx, pcancel := context.WithCancel(context.Background())
+	ran := make(chan error, 1)
+	go func() { ran <- peer.Run(pctx) }()
+	recvd := func(inspect func(context.Context, func(*core.Worker)) error) (n int64) {
+		inspect(ctx, func(w *core.Worker) { n = w.Stats().MsgsRecvd })
+		return n
+	}
+	waitForCond(t, "an exchange both ways", func() bool {
+		return recvd(peer.Inspect) >= 2 && recvd(func(c context.Context, fn func(*core.Worker)) error {
+			return g.Inspect(c, 0, fn)
+		}) >= 2
+	})
+	pcancel()
+	if err := <-ran; err != nil {
+		t.Fatal(err)
+	}
+	tr.Close()
+	var from int64
+	g.Inspect(ctx, 0, func(w *core.Worker) { from = w.Iter() })
+	waitForCond(t, "training past the peer's exit", func() bool {
+		var it int64
+		g.Inspect(ctx, 0, func(w *core.Worker) { it = w.Iter() })
+		return it >= from+5
+	})
+	t0 := time.Now()
+	if err := stop(); err != nil {
+		t.Fatal(err)
+	}
+	if d := time.Since(t0); d >= flushTimeout/2 {
+		t.Fatalf("the group took %v to stop", d)
 	}
 }

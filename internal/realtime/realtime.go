@@ -87,8 +87,8 @@ type Node struct {
 	// oldest message is dropped, like a congested link's tail-drop — fresh
 	// state is worth more than stale state.
 	sendMu  sync.Mutex
-	senders map[int]chan []byte
-	done    chan struct{} // closed when Run exits; stops the senders
+	senders map[int]chan []byte // nil once Run has ended the sends
+	done    chan struct{}       // closed when Run exits
 
 	// sendPending counts messages enqueued but not yet handed to the
 	// transport (or shed), so FlushSends can tell when the FIFOs are dry.
@@ -102,6 +102,9 @@ type Node struct {
 
 // sendQueueDepth bounds each per-peer outbound queue.
 const sendQueueDepth = 256
+
+// flushTimeout bounds how long Run's exit waits for the send queues to drain.
+const flushTimeout = 2 * time.Second
 
 // realEnv adapts the Node to core.Env.
 type realEnv struct{ n *Node }
@@ -180,9 +183,15 @@ func (e realEnv) Send(_, to int, m *wire.Message) {
 }
 
 // enqueue hands payload to the destination's FIFO sender, spawning it on
-// first use. Called only from the event-loop goroutine.
+// first use; once Run has ended the sends, the payload is dropped. Called
+// only from the event-loop goroutine, or after Run.
 func (n *Node) enqueue(to int, payload []byte) {
 	n.sendMu.Lock()
+	if n.senders == nil {
+		n.sendMu.Unlock()
+		bufpool.Bytes.Put(payload)
+		return
+	}
 	ch := n.senders[to]
 	if ch == nil {
 		ch = make(chan []byte, sendQueueDepth)
@@ -222,60 +231,21 @@ func (n *Node) trySend(to int, p []byte) error {
 	return n.cfg.Transport.Send(to, p)
 }
 
-// sendLoop drains one peer's queue. Like the receive pump, it can outlive
-// Run while blocked inside Transport.Send (e.g. a reconnecting transport
-// retrying against a dead broker); the owner's Transport.Close unblocks
-// that send, after which the closed done channel retires the loop. Run
-// must NOT wait on sendLoops — the caller only closes the transport after
-// Run returns, so waiting here would deadlock the shutdown.
-//
-// When done closes, the loop flushes whatever is already queued — a
-// stopping worker's final broadcasts live here — stopping at the first
-// transport error. Callers that need the flush to have happened before
-// closing the transport should gate on FlushSends.
-// A retired peer's channel is closed (see retireSender): the loop flushes
-// what is already queued, then exits on the closed-channel read.
+// sendLoop hands one peer's frames to the transport until the queue is
+// closed and empty. Like the receive pump, it can outlive Run while blocked
+// inside Transport.Send (e.g. a reconnecting transport retrying against a
+// dead broker); the owner's Transport.Close unblocks that send.
 func (n *Node) sendLoop(to int, ch chan []byte) {
-	for {
-		select {
-		case <-n.done:
-			for {
-				select {
-				case p, ok := <-ch:
-					if !ok {
-						return
-					}
-					if err := n.trySend(to, p); err != nil {
-						for { // transport gone: discard the remainder
-							select {
-							case _, ok := <-ch:
-								if !ok {
-									return
-								}
-								n.sendPending.Add(-1)
-							default:
-								return
-							}
-						}
-					}
-				default:
-					return
-				}
-			}
-		case p, ok := <-ch:
-			if !ok {
-				return
-			}
-			_ = n.trySend(to, p)
-		}
+	for p := range ch {
+		_ = n.trySend(to, p)
 	}
 }
 
-// retireSender closes the outbound FIFO towards a departed peer so its
-// goroutine exits once the queue drains, and removes it from the map so a
-// later message to the same id (a rejoin under a recycled slot) gets a
-// fresh sender. Runs on the event loop, like enqueue — the loop serializes
-// the two, so close can never race a channel send.
+// retireSender closes the outbound FIFO towards a departed peer and
+// discards what is queued there, and removes it from the map so a later
+// message to the same id (a rejoin under a recycled slot) gets a fresh
+// sender. Runs on the event loop, like enqueue — the loop serializes the
+// two, so close can never race a channel send.
 func (n *Node) retireSender(to int) {
 	n.sendMu.Lock()
 	ch := n.senders[to]
@@ -283,14 +253,34 @@ func (n *Node) retireSender(to int) {
 	n.sendMu.Unlock()
 	if ch != nil {
 		close(ch)
+		for p := range ch {
+			bufpool.Bytes.Put(p)
+			n.sendPending.Add(-1)
+		}
 	}
+}
+
+// stopSends ends the node's sends on Run's exit: it ends the transport's
+// waits for unregistered peers, closes every per-peer queue, and waits up
+// to flushTimeout for the senders to hand what is queued — a stopping
+// worker's final broadcasts — to the transport.
+func (n *Node) stopSends() {
+	if t, ok := n.cfg.Transport.(interface{ stopWaiting() }); ok {
+		t.stopWaiting()
+	}
+	n.sendMu.Lock()
+	for _, ch := range n.senders {
+		close(ch)
+	}
+	n.senders = nil
+	n.sendMu.Unlock()
+	n.FlushSends(flushTimeout)
 }
 
 // FlushSends blocks until every outbound FIFO has handed its frames to the
 // transport (or shed them), or the timeout elapses; it reports whether the
-// queues drained. Call it after Run returns and before Transport.Close so
-// a worker's final messages reach their peers' lists instead of dying
-// queued.
+// queues drained. Run's exit already waits for the drain, up to
+// flushTimeout; Leave waits with FlushSends for its tombstones.
 func (n *Node) FlushSends(timeout time.Duration) bool {
 	deadline := time.Now().Add(timeout)
 	for n.sendPending.Load() > 0 {
@@ -431,10 +421,13 @@ func (n *Node) Worker() *core.Worker { return n.worker }
 // Run trains until ctx is done. It owns the event loop: the worker's
 // Start, every timer, and every incoming message execute on this
 // goroutine. On return the worker's last step is joined, so its model and
-// loss are as final as the loop left them.
+// loss are as final as the loop left them, and its queued frames have been
+// handed to the transport (see stopSends), which the caller may then close.
+// Run is one-shot.
 func (n *Node) Run(ctx context.Context) error {
 	n.start = time.Now()
-	defer close(n.done) // stop the per-peer senders; Run is one-shot
+	defer close(n.done)
+	defer n.stopSends()
 	defer n.worker.JoinStep()
 
 	// receive pump: decode and forward into the loop

@@ -17,16 +17,20 @@ import (
 // registered: an empty value is a list in this transport's own broker,
 // which Send pushes in process; an address is a server, reached one hop
 // away through a queue.Client kept for that peer, which looks the peer up
-// again whenever its connection breaks (a restarted peer serves on a new
-// port). Delivery over a hop stays at-most-once, as queue.Client documents.
+// again, without waiting, whenever its connection breaks (a restarted peer
+// serves on a new port). A peer that is not registered then fails the
+// send, so the frame is dropped, like the one its broken connection lost:
+// delivery over a hop stays at-most-once, as queue.Client documents.
 type BrokerTransport struct {
-	b       *queue.Broker
-	id      int
-	ns      queue.Namespace
-	lookup  func(ctx context.Context, key string) (string, error)
-	release func() // this worker's register key
-	ctx     context.Context
-	cancel  context.CancelFunc
+	b        *queue.Broker
+	id       int
+	ns       queue.Namespace
+	lookup   func(ctx context.Context, key string, wait bool) (string, error)
+	release  func() // this worker's register key
+	ctx      context.Context
+	cancel   context.CancelFunc
+	waits    context.Context // first lookups' waits; ends with ctx or stopWaiting
+	endWaits context.CancelFunc
 
 	mu     sync.Mutex
 	routes map[int]*queue.Client // per resolved peer; nil for a list in b. nil once closed
@@ -40,7 +44,12 @@ type BrokerTransport struct {
 // its list in process and a ClientTransport peer's lookup names b's server;
 // Close releases the key.
 func NewBrokerTransport(b *queue.Broker, id int, ns queue.Namespace) *BrokerTransport {
-	return newBrokerTransport(b, id, ns, func(ctx context.Context, key string) (string, error) {
+	return newBrokerTransport(b, id, ns, func(ctx context.Context, key string, wait bool) (string, error) {
+		if !wait { // Get with an ended ctx still returns a value already set
+			var now context.CancelFunc
+			ctx, now = context.WithCancel(ctx)
+			now()
+		}
 		v, err := b.Get(ctx, key)
 		return string(v), err
 	})
@@ -48,10 +57,11 @@ func NewBrokerTransport(b *queue.Broker, id int, ns queue.Namespace) *BrokerTran
 
 // newBrokerTransport is NewBrokerTransport with the peers looked up through
 // lookup.
-func newBrokerTransport(b *queue.Broker, id int, ns queue.Namespace, lookup func(context.Context, string) (string, error)) *BrokerTransport {
+func newBrokerTransport(b *queue.Broker, id int, ns queue.Namespace, lookup func(context.Context, string, bool) (string, error)) *BrokerTransport {
 	t := &BrokerTransport{b: b, id: id, ns: ns, lookup: lookup,
 		release: b.Set(ns.AddrKey(id), nil), routes: map[int]*queue.Client{}}
 	t.ctx, t.cancel = context.WithCancel(context.Background())
+	t.waits, t.endWaits = context.WithCancel(t.ctx)
 	return t
 }
 
@@ -74,7 +84,8 @@ func (t *BrokerTransport) Send(to int, payload []byte) error {
 
 // route returns the client that reaches worker to's list, or nil for a list
 // in t's broker, looking the worker up on first use. The lookup waits until
-// the worker is registered or t closes.
+// the worker is registered, t closes or stopWaiting is called; after
+// stopWaiting it does not wait.
 func (t *BrokerTransport) route(to int) (*queue.Client, error) {
 	t.mu.Lock()
 	c, ok := t.routes[to]
@@ -83,7 +94,11 @@ func (t *BrokerTransport) route(to int) (*queue.Client, error) {
 		return c, nil
 	}
 	key := t.ns.AddrKey(to)
-	addr, err := t.lookup(t.ctx, key)
+	ctx, wait := t.waits, t.waits.Err() == nil
+	if !wait {
+		ctx = t.ctx
+	}
+	addr, err := t.lookup(ctx, key, wait)
 	if err != nil {
 		return nil, err
 	}
@@ -96,12 +111,18 @@ func (t *BrokerTransport) route(to int) (*queue.Client, error) {
 		return c, nil
 	}
 	if addr != "" {
-		c = queue.DialFunc(func(ctx context.Context) (string, error) { return t.lookup(ctx, key) })
+		c = queue.DialFunc(func(ctx context.Context) (string, error) { return t.lookup(ctx, key, false) })
 		c.SetMetrics(t.reg)
 	}
 	t.routes[to] = c
 	return c, nil
 }
+
+// stopWaiting ends the lookups waiting for a peer to register, and later
+// lookups answer at once. Node.Run calls it on exit, so its last frames to a
+// peer that never registered, or has left, are dropped instead of holding
+// up the drain.
+func (t *BrokerTransport) stopWaiting() { t.endWaits() }
 
 // setMetrics wires the peers' clients' retry counters into reg (the shared
 // queue.reconnect_attempts counter).
@@ -175,7 +196,9 @@ func NewClientTransportNS(addr string, id int, ns queue.Namespace) (*ClientTrans
 		return nil, err
 	}
 	t := &ClientTransport{ctl: ctl, BrokerTransport: newBrokerTransport(queue.NewBroker(), id, ns,
-		func(ctx context.Context, key string) (string, error) { return queue.Lookup(ctx, addr, key) })}
+		func(ctx context.Context, key string, wait bool) (string, error) {
+			return queue.Lookup(ctx, addr, key, wait)
+		})}
 	ctl.Hold(ns.AddrKey(id), t.serve)
 	return t, nil
 }

@@ -82,18 +82,14 @@ func (e *Engine) AtHandler(t float64, h Handler) {
 	e.peak = max(e.peak, len(e.q))
 }
 
-// Every schedules fn at now+period, now+2·period, … until either stop
-// returns true (checked before each firing) or the engine runs past its
-// horizon. period must be > 0.
-func (e *Engine) Every(period float64, fn func(), stop func() bool) {
+// Every schedules fn at now+period, now+2·period, … for as long as the
+// engine runs: the tick past the horizon stays queued. period must be > 0.
+func (e *Engine) Every(period float64, fn func()) {
 	if period <= 0 {
 		panic("simclock: Every with period <= 0")
 	}
 	var tick func()
 	tick = func() {
-		if stop != nil && stop() {
-			return
-		}
 		fn()
 		e.After(period, tick)
 	}

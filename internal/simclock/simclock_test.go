@@ -140,30 +140,15 @@ func TestRunParksAtHorizonUniformly(t *testing.T) {
 func TestEvery(t *testing.T) {
 	e := New()
 	count := 0
-	e.Every(2, func() { count++ }, func() bool { return count >= 4 })
-	e.Run(100)
+	e.Every(2, func() { count++ })
+	e.Run(9)
 	if count != 4 {
 		t.Fatalf("count %d", count)
 	}
-	// the stop-check event at t=10 drains the queue; the clock then parks
-	// at the horizon, uniformly with the mid-queue stop path
-	if e.Now() != 100 {
+	// the t=10 tick stays queued past the horizon; the clock parks at the
+	// horizon, not at the last tick
+	if e.Now() != 9 {
 		t.Fatalf("now %v", e.Now())
-	}
-}
-
-// TestEveryStopsOnFirstTick: a stop predicate that is already true when the
-// first tick fires must suppress fn entirely.
-func TestEveryStopsOnFirstTick(t *testing.T) {
-	e := New()
-	fired := 0
-	e.Every(2, func() { fired++ }, func() bool { return true })
-	e.Run(20)
-	if fired != 0 {
-		t.Fatalf("fn fired %d times despite stop-on-first-tick", fired)
-	}
-	if len(e.q) != 0 {
-		t.Fatalf("stopped ticker left %d events queued", len(e.q))
 	}
 }
 
@@ -173,7 +158,7 @@ func TestEveryStopsOnFirstTick(t *testing.T) {
 func TestEveryTickExactlyAtHorizon(t *testing.T) {
 	e := New()
 	var at []float64
-	e.Every(5, func() { at = append(at, e.Now()) }, nil)
+	e.Every(5, func() { at = append(at, e.Now()) })
 	e.Run(10)
 	if len(at) != 2 || at[0] != 5 || at[1] != 10 {
 		t.Fatalf("ticks %v, want [5 10]", at)
@@ -201,7 +186,7 @@ func TestAtExactHorizonBoundary(t *testing.T) {
 func TestEveryHorizonBounded(t *testing.T) {
 	e := New()
 	count := 0
-	e.Every(1, func() { count++ }, nil)
+	e.Every(1, func() { count++ })
 	e.Run(10.5)
 	if count != 10 {
 		t.Fatalf("count %d, want 10", count)
@@ -214,7 +199,7 @@ func TestEveryBadPeriodPanics(t *testing.T) {
 			t.Fatal("want panic")
 		}
 	}()
-	New().Every(0, func() {}, nil)
+	New().Every(0, func() {})
 }
 
 func TestStepReturnsFalseWhenEmpty(t *testing.T) {

@@ -51,7 +51,7 @@ func TestWireDocCoverage(t *testing.T) {
 	}
 
 	// Structural constants a reader would copy into another implementation.
-	for _, want := range []string{"dlion:serve:weights", "DLS2", "HelloNeedSync", "MaskAll"} {
+	for _, want := range []string{"dlion:serve:weights", "DLS2", "HelloNeedSync", "`0x03`"} {
 		if !strings.Contains(doc, want) {
 			t.Errorf("WIRE.md does not mention %q", want)
 		}

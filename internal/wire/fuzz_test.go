@@ -34,9 +34,9 @@ func seedMessages() []*Message {
 		{Type: TypeRCPReport, From: 2, To: 1, Iter: 5, RCP: 0.4},
 		{Type: TypeLossReport, From: 2, To: 0, Iter: 11, Loss: math.Inf(1)},
 		{Type: TypeHello, From: 6, To: 0, Iter: 0, Flags: HelloNeedSync, Epoch: 3,
-			Quant: uint8(grad.MaskAll)},
+			Quant: 0x03},
 		{Type: TypeWelcome, From: 0, To: 6, Iter: 120, Epoch: 4, GBS: 192,
-			Quant: uint8(grad.MaskF16), Members: []int32{0, 1, 2, 6}, Weights: weights},
+			Quant: 0x01, Members: []int32{0, 1, 2, 6}, Weights: weights},
 		{Type: TypeLeave, From: 3, To: 1, Iter: 88, Epoch: 5},
 	}
 }

@@ -172,15 +172,15 @@ func TestSelectionFlagValidation(t *testing.T) {
 	}
 }
 
-// TestMembershipQuantMask: the PrecMask advertised in Hello/Welcome
-// round-trips, and undefined mask bits are rejected.
+// TestMembershipQuantMask: the reserved capability byte of Hello/Welcome
+// round-trips, and bits above 0x03 are rejected.
 func TestMembershipQuantMask(t *testing.T) {
 	for _, m := range []*Message{
 		{Type: TypeHello, From: 6, To: 0, Flags: HelloNeedSync, Epoch: 2,
-			Quant: uint8(grad.MaskAll)},
-		{Type: TypeHello, From: 6, To: 0, Epoch: 3, Quant: uint8(grad.MaskF16)},
+			Quant: 0x03},
+		{Type: TypeHello, From: 6, To: 0, Epoch: 3, Quant: 0x01},
 		{Type: TypeWelcome, From: 0, To: 6, Epoch: 4, GBS: 64,
-			Quant: uint8(grad.MaskI8)},
+			Quant: 0x02},
 	} {
 		got, err := Decode(Encode(m))
 		if err != nil {
@@ -195,14 +195,14 @@ func TestMembershipQuantMask(t *testing.T) {
 	}
 
 	hello := Encode(&Message{Type: TypeHello, Epoch: 1})
-	hello[len(hello)-1] = 0x80 // undefined mask bit
+	hello[len(hello)-1] = 0x80 // a bit above 0x03
 	if _, err := Decode(hello); err == nil {
-		t.Fatal("undefined hello quant mask must be rejected")
+		t.Fatal("hello quant byte 0x80 must be rejected")
 	}
 	welcome := Encode(&Message{Type: TypeWelcome, Epoch: 1})
 	welcome[1+4+4+8+8+4] = 0xf0
 	if _, err := Decode(welcome); err == nil {
-		t.Fatal("undefined welcome quant mask must be rejected")
+		t.Fatal("welcome quant byte 0xf0 must be rejected")
 	}
 }
 

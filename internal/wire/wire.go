@@ -49,6 +49,10 @@ var typeNames = map[MsgType]string{
 // admission.
 const HelloNeedSync uint8 = 1 << 0
 
+// quantReserved holds the bits a Hello/Welcome capability byte (Message.Quant)
+// may carry; a decoder rejects any other bit as corruption.
+const quantReserved uint8 = 0x03
+
 // Selection flag-byte layout (see WIRE.md §4). Bit 0 is the dense/sparse
 // discriminator the original format defined; bits 1-2 carry the payload
 // precision (grad.PrecF32/PrecF16/PrecI8), so the legacy flag values 0
@@ -96,11 +100,9 @@ type Message struct {
 	GBS     int32
 	Flags   uint8
 
-	// Quant advertises the sender's accepted reduced wire precisions (a
-	// grad.PrecMask) in Hello and Welcome, making precision negotiation
-	// epoch-safe: a joiner learns the sponsor's capabilities with the same
-	// message that carries the roster, and members learn the joiner's from
-	// its Hello before any gradient frame is sent.
+	// Quant is the reserved capability byte of Hello and Welcome (WIRE.md
+	// §6). Senders leave it 0; decoders keep it and reject bits above
+	// quantReserved. A link's precision is the sender's choice alone.
 	Quant uint8
 
 	// pooled marks a message whose Selection storage Decode drew from the
@@ -162,7 +164,7 @@ func (m *Message) size(exact bool) int {
 	case TypeLossReport, TypeRCPReport:
 		n += 8
 	case TypeHello:
-		n += 1 + 8 + 1 // flags, epoch, quant mask
+		n += 1 + 8 + 1 // flags, epoch, quant byte
 	case TypeWelcome:
 		n += 8 + 4 + 1 + 4 + 4*len(m.Members) // epoch, gbs, quant, member count, ids
 		n += nn.WeightsLen(m.Weights)
@@ -361,8 +363,8 @@ func Decode(data []byte) (*Message, error) {
 		if m.Quant, err = r.u8(); err != nil {
 			return nil, err
 		}
-		if grad.PrecMask(m.Quant) > grad.MaskAll {
-			return nil, fmt.Errorf("%w: quant mask %#x", ErrCorrupt, m.Quant)
+		if m.Quant&^quantReserved != 0 {
+			return nil, fmt.Errorf("%w: quant byte %#x", ErrCorrupt, m.Quant)
 		}
 	case TypeWelcome:
 		epoch, err := r.u64()
@@ -378,8 +380,8 @@ func Decode(data []byte) (*Message, error) {
 		if m.Quant, err = r.u8(); err != nil {
 			return nil, err
 		}
-		if grad.PrecMask(m.Quant) > grad.MaskAll {
-			return nil, fmt.Errorf("%w: quant mask %#x", ErrCorrupt, m.Quant)
+		if m.Quant&^quantReserved != 0 {
+			return nil, fmt.Errorf("%w: quant byte %#x", ErrCorrupt, m.Quant)
 		}
 		count, err := r.u32()
 		if err != nil {
