@@ -1,17 +1,16 @@
 // Command dlion-audit verifies checkpoint lineage by deterministic replay.
-// Given a manifest (a .manifest.json sidecar, or a checkpoint path whose
-// sidecar to read), it re-executes the seeded training segment the manifest
-// describes — under the ordered-apply discipline, on the sim and/or the
-// realtime substrate (nodes over a loopback TCP broker) — and confirms the
-// published weight digest bit-exactly, including the parent digest via a
-// second, truncated replay when the manifest is chained. Any divergence is a verification failure and the
-// process exits nonzero.
+// Given a manifest file (the lineage JSON that /modelz and GET
+// /v1/jobs/{id} show), it re-executes the seeded training segment the
+// manifest describes — under the ordered-apply discipline, on the sim
+// and/or the realtime substrate (nodes over a loopback TCP broker) — and
+// confirms the published weight digest bit-exactly, including the parent
+// digest via a second, truncated replay when the manifest is chained. Any
+// divergence is a verification failure and the process exits nonzero.
 //
 // Examples:
 //
 //	dlion-audit -self-test                      # built-in forgery-detection check
-//	dlion-audit -manifest model.ckpt            # reads model.ckpt.manifest.json
-//	dlion-audit -manifest m.manifest.json -substrate sim
+//	dlion-audit -manifest manifest.json -substrate sim
 package main
 
 import (
@@ -33,7 +32,7 @@ func main() { cli.Main("dlion-audit", run) }
 func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 	fs := cli.Flags("dlion-audit", stderr)
 	var (
-		manifest  = fs.String("manifest", "", "manifest to verify: a .manifest.json file, or a checkpoint path whose sidecar to read")
+		manifest  = fs.String("manifest", "", "JSON manifest file to verify")
 		substrate = fs.String("substrate", "both", "replay substrate: sim, realtime, or both")
 		selfTest  = fs.Bool("self-test", false, "run the built-in seeded-segment + forgery-detection checks instead of auditing a file")
 		timeout   = fs.Duration("timeout", 2*time.Minute, "overall replay deadline")
@@ -62,7 +61,11 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 	if *manifest == "" {
 		return fmt.Errorf("-manifest is required (or run -self-test); see -h")
 	}
-	man, err := loadManifest(*manifest)
+	raw, err := os.ReadFile(*manifest)
+	if err != nil {
+		return err
+	}
+	man, err := lineage.DecodeJSON(raw)
 	if err != nil {
 		return err
 	}
@@ -95,25 +98,6 @@ func names(subs []lineage.Substrate) string {
 		parts[i] = string(s)
 	}
 	return strings.Join(parts, "+")
-}
-
-// loadManifest reads a manifest from path: the JSON sidecar itself when path
-// names one (or any file that parses as a manifest), otherwise the sidecar
-// next to the checkpoint at path.
-func loadManifest(path string) (*lineage.Manifest, error) {
-	if !strings.HasSuffix(path, lineage.FileSuffix) {
-		if raw, err := os.ReadFile(path); err == nil {
-			if man, err := lineage.DecodeJSON(raw); err == nil {
-				return man, nil
-			}
-		}
-		return lineage.ReadFile(path) // checkpoint path → its sidecar
-	}
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	return lineage.DecodeJSON(raw)
 }
 
 // selfCheck is the end-to-end detector check the CI audit gate runs: a

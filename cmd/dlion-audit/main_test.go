@@ -23,7 +23,7 @@ func TestRun(t *testing.T) {
 		t.Fatal(err)
 	}
 	dir := t.TempDir()
-	clean, forged := filepath.Join(dir, "clean.ckpt"), filepath.Join(dir, "forged.ckpt")
+	clean, forged := filepath.Join(dir, "clean.json"), filepath.Join(dir, "forged.json")
 	bad := *man
 	bad.Digest ^= 1
 	for path, m := range map[string]*lineage.Manifest{clean: man, forged: &bad} {
@@ -31,7 +31,7 @@ func TestRun(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := os.WriteFile(lineage.SidecarPath(path), raw, 0o644); err != nil {
+		if err := os.WriteFile(path, raw, 0o644); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -47,7 +47,6 @@ func TestRun(t *testing.T) {
 		{"no manifest", nil, 1, "", "dlion-audit: -manifest is required"},
 		{"bad substrate", []string{"-substrate", "nope", "-manifest", clean}, 1, "", "-substrate"},
 		{"clean", []string{"-manifest", clean, "-substrate", "sim"}, 0, "digest " + man.Digest.String() + " verified", ""},
-		{"sidecar", []string{"-manifest", lineage.SidecarPath(clean), "-substrate", "sim"}, 0, "verified", ""},
 		{"forged", []string{"-manifest", forged, "-substrate", "sim"}, 1, "", "dlion-audit: VERIFICATION FAILED on sim"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {

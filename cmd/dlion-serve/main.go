@@ -1,18 +1,17 @@
 // Command dlion-serve answers inference requests from the cluster's
 // freshest model. It builds the same model architecture the workers train
-// (same -scale and -seed), loads versions from either a checkpoint
-// directory or a broker's weight broadcasts, and serves HTTP /predict with
-// dynamic micro-batching: concurrent requests coalesce into one forward
-// pass, overload sheds with 429 instead of queueing unboundedly.
+// (same -scale and -seed), loads versions from a broker's weight broadcasts,
+// and serves HTTP /predict with dynamic micro-batching: concurrent requests
+// coalesce into one forward pass, overload sheds with 429 instead of
+// queueing unboundedly. A version's sequence is the training iteration that
+// produced it; -init-ckpt serves a checkpoint file as version 0, alone (a
+// static model) or until the first broadcast lands.
 //
 // Feeding it:
 //
-//	dlion-serve -addr :8080 -broker 127.0.0.1:6399     # live hot-swaps from workers
-//	dlion-worker -id 0 ... -serve-publish 5s           # workers broadcast checkpoints
-//
-// or, file-based:
-//
-//	dlion-serve -addr :8080 -ckpt-dir /var/dlion/ckpt  # newest *.ckpt wins
+//	dlion-serve -addr :8080 -broker 127.0.0.1:6399      # live hot-swaps from workers
+//	dlion-worker -id 0 ... -serve-publish 5s            # workers broadcast checkpoints
+//	dlion-serve -addr :8080 -init-ckpt model.ckpt       # one checkpoint, no broker
 //
 // Endpoints: POST /predict, GET /healthz /modelz /statsz.
 package main
@@ -41,10 +40,8 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 		addr     = fs.String("addr", "127.0.0.1:8080", "HTTP listen address")
 		scale    = fs.Float64("scale", systems.DefaultScale, "dataset scale (must match the workers')")
 		seed     = fs.Uint64("seed", systems.DefaultSeed, "shared cluster seed (must match the workers')")
-		ckptDir  = fs.String("ckpt-dir", "", "watch this directory for *.ckpt files")
-		watchInt = fs.Duration("watch-interval", 500*time.Millisecond, "checkpoint directory poll interval")
 		broker   = fs.String("broker", "", "subscribe to weight broadcasts from this broker")
-		initCkpt = fs.String("init-ckpt", "", "checkpoint file to serve before the first update arrives")
+		initCkpt = fs.String("init-ckpt", "", "checkpoint file to serve as version 0: alone, or until the first broadcast lands")
 		maxBatch = fs.Int("max-batch", 16, "max requests coalesced into one forward pass")
 		qDepth   = fs.Int("queue", 256, "admission queue depth; beyond it requests shed with 429")
 		runners  = fs.Int("runners", 1, "concurrent batch runners (each holds a model replica)")
@@ -54,10 +51,9 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 		return err
 	}
 
-	if (*ckptDir == "") == (*broker == "") {
-		return fmt.Errorf("set exactly one of -ckpt-dir or -broker (their version clocks differ; see internal/serve)")
-	}
 	switch {
+	case *broker == "" && *initCkpt == "":
+		return fmt.Errorf("set -broker, -init-ckpt or both")
 	case *scale < 0.001 || *scale > 1:
 		return fmt.Errorf("-scale %g outside [0.001,1]", *scale)
 	case *maxBatch < 1:
@@ -66,11 +62,11 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 		return fmt.Errorf("-queue %d; need >= 1", *qDepth)
 	case *runners < 1:
 		return fmt.Errorf("-runners %d; need >= 1", *runners)
-	case *watchInt <= 0:
-		return fmt.Errorf("-watch-interval %v; need > 0", *watchInt)
 	}
 
 	reg := serve.NewRegistry(systems.NewWorkload(*scale, *seed).Spec)
+	metrics := obs.NewRegistry()
+	reg.SetMetrics(metrics) // before the first publish, so every version counts
 
 	if *initCkpt != "" {
 		ckpt, err := os.ReadFile(*initCkpt)
@@ -82,18 +78,13 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 		}
 	}
 
-	metrics := obs.NewRegistry()
 	stopDebug, err := cli.Debug(*dbgAddr, metrics, stdout)
 	if err != nil {
 		return err
 	}
 	defer stopDebug()
 
-	switch {
-	case *ckptDir != "":
-		go reg.WatchDir(ctx, *ckptDir, *watchInt)
-		fmt.Fprintf(stdout, "watching %s every %v\n", *ckptDir, *watchInt)
-	case *broker != "":
+	if *broker != "" {
 		c, err := queue.Dial(*broker)
 		if err != nil {
 			return err

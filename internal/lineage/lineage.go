@@ -18,16 +18,11 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"os"
 	"strconv"
 )
 
 // Schema tags a v1 manifest (the JSON "schema" field).
 const Schema = "dlion.lineage.v1"
-
-// FileSuffix is the sidecar manifest extension: a checkpoint written to
-// "model.ckpt" carries its manifest in "model.ckpt.manifest.json".
-const FileSuffix = ".manifest.json"
 
 // ErrBadManifest reports a structurally invalid manifest.
 var ErrBadManifest = errors.New("lineage: bad manifest")
@@ -262,16 +257,4 @@ func DecodeJSON(data []byte) (*Manifest, error) {
 		return nil, err
 	}
 	return &m, nil
-}
-
-// SidecarPath returns the manifest path for a checkpoint path.
-func SidecarPath(ckptPath string) string { return ckptPath + FileSuffix }
-
-// ReadFile loads a checkpoint's sidecar manifest.
-func ReadFile(ckptPath string) (*Manifest, error) {
-	raw, err := os.ReadFile(SidecarPath(ckptPath))
-	if err != nil {
-		return nil, err
-	}
-	return DecodeJSON(raw)
 }

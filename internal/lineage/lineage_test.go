@@ -3,8 +3,6 @@ package lineage
 import (
 	"errors"
 	"fmt"
-	"os"
-	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -151,37 +149,9 @@ func TestLinkAndVerify(t *testing.T) {
 	}
 }
 
-func TestSidecarFile(t *testing.T) {
-	dir := t.TempDir()
-	ckpt := filepath.Join(dir, "model.ckpt")
-	if got, want := SidecarPath(ckpt), ckpt+FileSuffix; got != want {
-		t.Fatalf("sidecar path %q, want %q", got, want)
-	}
-	m := chained()
-	raw, err := EncodeJSON(m)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(SidecarPath(ckpt), raw, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	got, err := ReadFile(ckpt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Digest != m.Digest || got.Parent != m.Parent || got.Config != m.Config {
-		t.Fatalf("sidecar drifted: %+v", got)
-	}
-	if _, err := ReadFile(filepath.Join(dir, "missing.ckpt")); err == nil {
-		t.Fatal("missing sidecar read")
-	}
-	if err := os.WriteFile(SidecarPath(ckpt), []byte("torn"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := ReadFile(ckpt); err == nil {
-		t.Fatal("corrupt sidecar read")
-	}
-	// An invalid manifest must not be encodable in the first place.
+// TestEncodeJSONRefusesInvalid: an invalid manifest is not encodable in the
+// first place.
+func TestEncodeJSONRefusesInvalid(t *testing.T) {
 	bad := chained()
 	bad.Digest = 0
 	if _, err := EncodeJSON(bad); err == nil {

@@ -172,18 +172,8 @@ func (l Layout) Read(data []byte, fn func(name string, shape []int, le []byte)) 
 	return err
 }
 
-// ScanCheckpoint structurally validates a checkpoint without a model: the
-// magic, model name, parameter count, and every (name, length, values)
-// record must parse and consume the buffer exactly. Serving watchers use it
-// to reject torn or truncated files — a partial write fails here, before
-// any swap is attempted against a live registry.
-func ScanCheckpoint(data []byte) error {
-	return scanCheckpoint(data, "", func(string, []byte) error { return nil })
-}
-
-// scanCheckpoint checks the magic and the model name (any name when model
-// is empty), walks the weights with ReadWeights and requires them to end
-// the buffer.
+// scanCheckpoint checks the magic and the model name, walks the weights
+// with ReadWeights and requires them to end the buffer.
 func scanCheckpoint(data []byte, model string, fn func(name string, le []byte) error) error {
 	if len(data) < 4 || [4]byte(data[:4]) != checkpointMagic {
 		return fmt.Errorf("%w: missing magic", ErrBadCheckpoint)
@@ -192,7 +182,7 @@ func scanCheckpoint(data []byte, model string, fn func(name string, le []byte) e
 	if err != nil {
 		return err
 	}
-	if model != "" && name != model {
+	if name != model {
 		return fmt.Errorf("%w: checkpoint of %q, model is %q", ErrBadCheckpoint, name, model)
 	}
 	n, err := ReadWeights(data[off:], fn)

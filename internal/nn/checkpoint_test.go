@@ -179,11 +179,11 @@ func TestMobileNetLiteTrainBitExact(t *testing.T) {
 	}
 }
 
-// craftedCheckpoint is a checkpoint of unnamed model "" whose entries
-// declare lens values each.
-func craftedCheckpoint(lens ...uint32) []byte {
+// craftedCheckpoint is a checkpoint of model whose unnamed entries declare
+// lens values each.
+func craftedCheckpoint(model string, lens ...uint32) []byte {
 	le := binary.LittleEndian
-	b := le.AppendUint16(append([]byte{}, checkpointMagic[:]...), 0)
+	b := appendString(append([]byte{}, checkpointMagic[:]...), model)
 	b = le.AppendUint32(b, uint32(len(lens)))
 	for _, n := range lens {
 		b = le.AppendUint32(le.AppendUint16(b, 0), n)
@@ -196,15 +196,17 @@ func craftedCheckpoint(lens ...uint32) []byte {
 // every host. `make conformance` runs this under GOARCH=386, where a reader
 // that multiplied before comparing sliced out of range.
 func TestScanRestoreRejectCraftedLengths(t *testing.T) {
-	m := CipherSpec(1, 8, 8, 4, 3).Build()
+	spec := CipherSpec(1, 8, 8, 4, 3)
+	m := spec.Build()
+	empty := craftedCheckpoint(m.ModelName)
 	for name, data := range map[string][]byte{
-		"two 2 GiB entries": craftedCheckpoint(0x20000000, 0x20000000),
-		"one 4 GiB entry":   craftedCheckpoint(0x40000000),
-		"max length":        craftedCheckpoint(0xffffffff),
-		"count past bytes":  binary.LittleEndian.AppendUint32(craftedCheckpoint()[:6], 0xffffffff),
+		"two 2 GiB entries": craftedCheckpoint(m.ModelName, 0x20000000, 0x20000000),
+		"one 4 GiB entry":   craftedCheckpoint(m.ModelName, 0x40000000),
+		"max length":        craftedCheckpoint(m.ModelName, 0xffffffff),
+		"count past bytes":  binary.LittleEndian.AppendUint32(empty[:len(empty)-4], 0xffffffff),
 	} {
-		if err := ScanCheckpoint(data); !errors.Is(err, ErrBadCheckpoint) {
-			t.Errorf("%s: ScanCheckpoint err %v", name, err)
+		if err := spec.Layout().Read(data, func(string, []int, []byte) {}); !errors.Is(err, ErrBadCheckpoint) {
+			t.Errorf("%s: Layout.Read err %v", name, err)
 		}
 		if err := m.Restore(data); !errors.Is(err, ErrBadCheckpoint) {
 			t.Errorf("%s: Restore err %v", name, err)

@@ -6,11 +6,8 @@ import (
 	"errors"
 	"fmt"
 	"net/http/httptest"
-	"os"
-	"path/filepath"
 	"sync"
 	"testing"
-	"time"
 
 	"dlion/internal/lineage"
 	"dlion/internal/obs"
@@ -87,7 +84,7 @@ func TestUpdateManifestCodecRoundTrip(t *testing.T) {
 		t.Fatal("checkpoint bytes mangled")
 	}
 
-	// The manifest slot holds exactly what the sidecars and /modelz carry.
+	// The manifest slot holds exactly what the job store and /modelz carry.
 	js, err := lineage.EncodeJSON(man)
 	if err != nil {
 		t.Fatal(err)
@@ -100,81 +97,6 @@ func TestUpdateManifestCodecRoundTrip(t *testing.T) {
 			t.Fatalf("DecodeUpdateAny(%q) accepted", bad)
 		}
 	}
-}
-
-// TestWatchDirRejectsTornCheckpoint is the mid-write regression test: a
-// zero-length file and a truncated (partially-written) checkpoint must
-// never produce a swap attempt, and the completed file must still be picked
-// up afterward even though its earlier torn form was seen and skipped.
-func TestWatchDirRejectsTornCheckpoint(t *testing.T) {
-	dir := t.TempDir()
-	reg := NewRegistry(testSpec())
-	metrics := obs.NewRegistry()
-	reg.SetMetrics(metrics)
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		reg.WatchDir(ctx, dir, 5*time.Millisecond)
-	}()
-
-	path := filepath.Join(dir, "model.ckpt")
-	full := testCkpt(t, 11)
-
-	// Phase 1: zero-length file (a writer just created it).
-	if err := os.WriteFile(path, nil, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	time.Sleep(50 * time.Millisecond)
-	if reg.Current() != nil {
-		t.Fatal("zero-length checkpoint was published")
-	}
-
-	// Phase 2: mid-write — a valid prefix with the tail missing.
-	if err := os.WriteFile(path, full[:len(full)/2], 0o644); err != nil {
-		t.Fatal(err)
-	}
-	time.Sleep(50 * time.Millisecond)
-	if reg.Current() != nil {
-		t.Fatal("torn checkpoint was published")
-	}
-	// Structural rejection happens before Publish, so no swap was attempted.
-	if got := metrics.Counter("serve.swap_rejected").Load(); got != 0 {
-		t.Fatalf("swap_rejected %d: torn file reached the registry", got)
-	}
-
-	// Phase 3: the write completes (with a sidecar manifest) — the same
-	// file name must now be picked up.
-	// The sidecar lands first: the watcher polls, and a checkpoint it sees
-	// complete before its sidecar exists is published without a manifest.
-	man := manifestFor(t, full, 3)
-	raw, err := lineage.EncodeJSON(man)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(lineage.SidecarPath(path), raw, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(path, full, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	deadline := time.Now().Add(2 * time.Second)
-	for reg.Current() == nil && time.Now().Before(deadline) {
-		time.Sleep(5 * time.Millisecond)
-	}
-	v := reg.Current()
-	if v == nil {
-		t.Fatal("completed checkpoint never published")
-	}
-	if v.Digest != man.Digest {
-		t.Fatalf("published digest %s, want %s", v.Digest, man.Digest)
-	}
-	if v.Manifest == nil || v.Manifest.Iter != 3 {
-		t.Fatalf("sidecar manifest not attached: %+v", v.Manifest)
-	}
-	cancel()
-	<-done
 }
 
 // TestModelzConcurrentSwaps hot-swaps manifest-carrying versions while

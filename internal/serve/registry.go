@@ -7,9 +7,9 @@
 // DLion trains models in place in micro-clouds precisely so they can be
 // used near the data (PAPER.md §1); this package is the consumption end of
 // that loop. A training cluster started with dlion-worker periodically
-// publishes checkpoints — to a directory or to a queue-broker channel —
-// and a dlion-serve process continuously picks them up, so the cluster
-// feeds the server it trains for.
+// publishes checkpoints on a queue-broker channel (WeightsChannel), and a
+// dlion-serve process continuously picks them up, so the cluster feeds the
+// server it trains for.
 package serve
 
 import (
@@ -43,8 +43,8 @@ var ErrManifestMismatch = errors.New("serve: manifest does not match checkpoint"
 // checkpoint; readers must treat it as read-only (runners restore private
 // replicas from it, so one buffer feeds any number of concurrent runners).
 type Version struct {
-	Seq    int64     // strictly increasing across accepted publishes
-	Source string    // provenance: "init", "dir:<file>", "broadcast"
+	Seq    int64     // training iteration (0 for an initial checkpoint); strictly increasing
+	Source string    // provenance, e.g. "init:<file>" or "broadcast"
 	At     time.Time // publish wall time
 	Ckpt   []byte
 
@@ -54,9 +54,9 @@ type Version struct {
 	// manifest or not.
 	Digest lineage.Hash
 
-	// Manifest is the lineage record the publisher attached (nil for frames
-	// and directory checkpoints that carry none). When present, its digest
-	// was verified against Digest at publish time.
+	// Manifest is the lineage record the publisher attached (nil for an
+	// initial checkpoint and for frames that carry none). When present, its
+	// digest was verified against Digest at publish time.
 	Manifest *lineage.Manifest
 }
 

@@ -2,6 +2,7 @@ package serve
 
 import (
 	"bytes"
+	"context"
 	"encoding/binary"
 	"errors"
 	"math"
@@ -232,5 +233,29 @@ func TestRegistryRejectionsCount(t *testing.T) {
 	}
 	if got := metrics.Counter("serve.manifest_rejects").Load(); got != 1 || reg.Current() != nil {
 		t.Fatalf("manifest_rejects %d, current %v; want 1, nil", got, reg.Current())
+	}
+}
+
+// TestWatchBroadcastsCountsUndecodableFrames: a frame DecodeUpdateAny
+// refuses is dropped and counted in serve.swap_rejected, and the feed goes
+// on to publish the next good frame.
+func TestWatchBroadcastsCountsUndecodableFrames(t *testing.T) {
+	frame, err := EncodeUpdateManifest(4, nil, testCkpt(t, 4))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ch := make(chan []byte, 2)
+	ch <- []byte("not a frame")
+	ch <- frame
+	close(ch)
+	reg := NewRegistry(testSpec())
+	metrics := obs.NewRegistry()
+	reg.SetMetrics(metrics)
+	reg.WatchBroadcasts(context.Background(), ch)
+	if got := metrics.Counter("serve.swap_rejected").Load(); got != 1 {
+		t.Fatalf("swap_rejected %d, want 1", got)
+	}
+	if v := reg.Current(); v == nil || v.Seq != 4 {
+		t.Fatalf("current %+v, want seq 4", v)
 	}
 }
