@@ -85,32 +85,40 @@ func run(sigCtx context.Context, args []string, stdout, stderr io.Writer) error 
 		return err
 	}
 
-	// Observability: with -debug-addr set the worker traces its phase
-	// breakdown and counters and serves them on /debug/vars next to pprof.
+	// Observability: with -debug-addr set the worker keeps its phase clock
+	// and serves its report on /debug/vars next to pprof.
 	var (
-		sink *obs.WorkerObs
-		reg  *obs.Registry
+		clock *obs.WorkerObs
+		reg   *obs.Registry
 	)
 	if *dbgAddr != "" {
-		sink = obs.NewWorkerObs()
+		clock = obs.NewWorkerObs()
 		reg = obs.NewRegistry()
 		tr.SetMetrics(reg)
-		obs.Publish("dlion.worker", func() any { return sink.Snapshot(wf.ID) })
-		sink.SetJoinHistogram(reg.Histogram("membership.join_latency"))
+	}
+	node, err := realtime.NewNode(realtime.Config{
+		ID: wf.ID, N: wf.Workers, System: sys, Spec: wl.Spec, Shard: shards[wf.ID], Transport: tr,
+		Obs: clock, Metrics: reg,
+	})
+	if err != nil {
+		return err
+	}
+	if clock != nil {
+		obs.Publish("dlion.worker", func() any {
+			ctx, cancel := context.WithTimeout(context.Background(), time.Second)
+			defer cancel()
+			var rep obs.WorkerReport
+			if err := node.Inspect(ctx, func(w *core.Worker) { rep = w.Report() }); err != nil {
+				return err.Error()
+			}
+			return rep
+		})
 	}
 	stopDebug, err := cli.Debug(*dbgAddr, reg, stdout)
 	if err != nil {
 		return err
 	}
 	defer stopDebug()
-
-	node, err := realtime.NewNode(realtime.Config{
-		ID: wf.ID, N: wf.Workers, System: sys, Spec: wl.Spec, Shard: shards[wf.ID], Transport: tr,
-		Obs: sink, Metrics: reg,
-	})
-	if err != nil {
-		return err
-	}
 
 	fmt.Fprintf(stdout, "worker %d/%d (%s) training for %v via %s\n", wf.ID, wf.Workers, sys.Name, *duration, wf.Broker)
 	// SIGINT/SIGTERM trigger a graceful LEAVE, not just a stop: the worker
@@ -197,15 +205,15 @@ func run(sigCtx context.Context, args []string, stdout, stderr io.Writer) error 
 	w := node.Worker()
 	fmt.Fprintf(stdout, "membership: state=%s epoch=%d roster=%d degraded_iters=%d\n",
 		w.State(), w.Epoch(), len(w.Members()), s.DegradedIters)
-	if sink != nil {
-		w := sink.Snapshot(wf.ID)
+	if clock != nil {
+		rep := w.Report()
 		fmt.Fprintf(stdout, "phases: compute %.2fs serialize %.2fs send %.2fs recv-wait %.2fs apply %.2fs\n",
-			w.Phases["compute"], w.Phases["serialize"], w.Phases["send"],
-			w.Phases["recv_wait"], w.Phases["apply"])
+			rep.Phases["compute"], rep.Phases["serialize"], rep.Phases["send"],
+			rep.Phases["recv_wait"], rep.Phases["apply"])
 		fmt.Fprintf(stdout, "bytes: gradient %d/%d weights %d/%d control %d/%d (sent/recvd)\n",
-			w.SentBytes["gradient"], w.RecvBytes["gradient"],
-			w.SentBytes["weights"], w.RecvBytes["weights"],
-			w.SentBytes["control"], w.RecvBytes["control"])
+			rep.SentBytes["gradient"], rep.RecvBytes["gradient"],
+			rep.SentBytes["weights"], rep.RecvBytes["weights"],
+			rep.SentBytes["control"], rep.RecvBytes["control"])
 	}
 	return nil
 }

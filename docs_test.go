@@ -4,9 +4,12 @@ import (
 	"io/fs"
 	"os"
 	"path/filepath"
+	"reflect"
 	"regexp"
 	"strings"
 	"testing"
+
+	"dlion/internal/obs"
 )
 
 // Docs-consistency gate (runs under `make test`, hence `make check` and CI):
@@ -98,6 +101,24 @@ func TestDocsMetricNamesExistInSource(t *testing.T) {
 	for _, name := range names {
 		if !strings.Contains(code, `"`+name+`"`) {
 			t.Errorf("METRICS.md documents %q but no non-test source emits it", name)
+		}
+	}
+}
+
+// TestDocsWorkerReportFields: every JSON field of obs.WorkerReport — the
+// per-worker record of sim-run reports, JobMetrics and the dlion.worker
+// expvar — is named in METRICS.md, backticked or quoted.
+func TestDocsWorkerReportFields(t *testing.T) {
+	raw, err := os.ReadFile("METRICS.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	doc := string(raw)
+	typ := reflect.TypeOf(obs.WorkerReport{})
+	for i := 0; i < typ.NumField(); i++ {
+		name, _, _ := strings.Cut(typ.Field(i).Tag.Get("json"), ",")
+		if !strings.Contains(doc, "`"+name+"`") && !strings.Contains(doc, `"`+name+`"`) {
+			t.Errorf("METRICS.md does not name WorkerReport's JSON field %q", name)
 		}
 	}
 }

@@ -48,10 +48,11 @@ type Config struct {
 	// entry makes the worker depart gracefully at its time.
 	Faults *fault.Schedule
 
-	// Observe attaches a per-worker observability sink (internal/obs) and
-	// charges the virtual-time phase breakdown — compute, serialize, send,
-	// recv-wait — as the run executes. Off by default: the instrumentation
-	// points then see nil sinks and cost one branch each (see METRICS.md).
+	// Observe attaches a per-worker phase clock (obs.WorkerObs), charges
+	// the virtual-time breakdown — compute, serialize, send, recv-wait — to
+	// it as the run executes, and fills Result.Obs. Off by default: the
+	// phase charges then see nil clocks and cost one branch each (see
+	// METRICS.md).
 	Observe bool
 
 	// PerWorker, when non-nil, rewrites worker id's core config before
@@ -91,9 +92,10 @@ type Result struct {
 	// was configured).
 	Faults fault.Stats
 
-	// Obs holds one phase/transfer breakdown per worker when Config.Observe
-	// was set (nil otherwise). The records follow the METRICS.md schema and
-	// drop straight into an obs.Report's workers section.
+	// Obs holds each worker's Report when Config.Observe was set (nil
+	// otherwise): its phases, and its Stats by message class. The records
+	// follow the METRICS.md schema and drop straight into an obs.Report's
+	// workers section.
 	Obs []obs.WorkerReport
 
 	// Models exposes the final model replicas (inspection and tests), every
@@ -169,7 +171,7 @@ type simEnv struct {
 	egress    []float64 // per worker: time its NIC is busy until
 	sentBytes int64
 	ckpts     [][]byte         // latest checkpoint per worker (crash recovery)
-	obs       []*obs.WorkerObs // per-worker sinks; nil when Observe is off
+	obs       []*obs.WorkerObs // per-worker phase clocks; nil when Observe is off
 	delivFree []*delivery      // retired delivery events for reuse
 	slots     *tensor.Slots    // where the workers' training steps run
 
@@ -549,16 +551,14 @@ func Run(cfg Config) (*Result, error) {
 		evaluate()
 		res.Timeline[len(res.Timeline)-1].T = cfg.Horizon
 	}
-	for i, w := range env.workers {
+	for _, w := range env.workers {
 		res.Stats = append(res.Stats, w.Stats())
 		res.Iters = append(res.Iters, w.Iter())
 		res.Membership = append(res.Membership, w.MembershipLog())
 		res.States = append(res.States, w.State())
 		res.Rosters = append(res.Rosters, w.Members())
 		if env.obs != nil {
-			wr := env.obs[i].Snapshot(i)
-			wr.Iters = w.Iter()
-			res.Obs = append(res.Obs, wr)
+			res.Obs = append(res.Obs, w.Report())
 		}
 	}
 	res.TotalBytes = env.sentBytes

@@ -103,7 +103,6 @@ func (w *Worker) exchangeGradients() {
 			// Byte savings are per transmission: every link sending this
 			// payload avoids the same dense-f32 overshoot.
 			w.stats.QuantBytesSaved += int64(entry.saved)
-			w.obs.AddQuantSaved(entry.saved)
 		}
 		w.peers[p].selCount = entry.count
 		w.stats.GradValuesSent += int64(entry.count)

@@ -143,8 +143,8 @@ func (w *Worker) rebuildMembers() {
 // clusterSize is the roster size including self — the n of Eq. 5 and Eq. 7.
 func (w *Worker) clusterSize() int { return len(w.members) }
 
-// logMembership appends an EpochChange at the current epoch and refreshes
-// the observability gauges. Call after every roster or epoch mutation.
+// logMembership appends an EpochChange at the current epoch. Call after
+// every roster or epoch mutation.
 func (w *Worker) logMembership(reason string) {
 	w.memLog = append(w.memLog, EpochChange{
 		Epoch:        w.epoch,
@@ -154,7 +154,6 @@ func (w *Worker) logMembership(reason string) {
 		GradMsgsSent: w.stats.GradMsgsSent,
 		Reason:       reason,
 	})
-	w.obs.SetMembership(int64(len(w.members)), w.epoch)
 }
 
 // bumpEpoch advances the roster version after a mutation and logs it.
@@ -259,7 +258,7 @@ func (w *Worker) armJoinRetry(sponsor int) {
 func (w *Worker) soloFallback() {
 	w.state = StateActive
 	w.bumpEpoch("solo")
-	w.obs.ObserveJoin(w.env.Now() - w.joinStart)
+	w.stats.JoinLatency = w.env.Now() - w.joinStart
 	w.startTraining()
 }
 
@@ -355,7 +354,7 @@ func (w *Worker) handleWelcome(m *wire.Message) {
 	w.iter = m.Iter
 	w.gbs.adopt(int(m.GBS), now)
 	w.logMembership("welcome")
-	w.obs.ObserveJoin(now - w.joinStart)
+	w.stats.JoinLatency = now - w.joinStart
 	// Announce the join to every member the sponsor did not admit us
 	// through. FIFO links deliver these before our first gradients.
 	for _, p := range w.peerIDs {
@@ -397,7 +396,7 @@ func (w *Worker) watch() {
 	t, now := w.cfg.LivenessTimeout, w.env.Now()
 	for _, p := range w.peerIDs { // drop rebuilds peerIDs, not this slice
 		if w.peers[p].lastHeard+t <= now {
-			w.obs.IncLivenessExpiry()
+			w.stats.LivenessExpiries++
 			w.drop(p, "suspect")
 		}
 	}

@@ -61,7 +61,8 @@ type Env interface {
 	SendScale() float64
 }
 
-// Stats counts a worker's activity.
+// Stats counts a worker's activity: the one record of its counts, which
+// Report renders as the report schema's (METRICS.md).
 type Stats struct {
 	Iters            int64
 	SamplesProcessed int64
@@ -72,10 +73,17 @@ type Stats struct {
 	GradMsgsSent     int64 // gradient messages (the renormalization gate's unit)
 	DKTWeightsSent   int64
 	DKTMerges        int64
-	WelcomesSent     int64 // admission snapshots served as a sponsor
-	DegradedIters    int64 // iterations completed below the quorum floor
-	MsgsRejected     int64 // messages dropped for naming an id outside [0, NumWorkers)
-	QuantBytesSaved  int64 // wire bytes avoided by reduced-precision gradients
+	WelcomesSent     int64   // admission snapshots served as a sponsor
+	DegradedIters    int64   // iterations completed below the quorum floor
+	MsgsRejected     int64   // messages dropped for naming an id outside [0, NumWorkers)
+	QuantBytesSaved  int64   // wire bytes avoided by reduced-precision gradients
+	LivenessExpiries int64   // members the failure detector suspected
+	SyncBlocks       int64   // times the sync strategy blocked the next iteration
+	JoinLatency      float64 // seconds of the last admission handshake (0 for a founder)
+
+	// MsgsSent, BytesSent and MsgsRecvd by message class (obs.MsgClass),
+	// and the wire bytes of the messages received.
+	SentMsgs, SentBytes, RecvMsgs, RecvBytes [obs.NumClasses]int64
 }
 
 // Worker is one DLion node. All methods must be invoked from the Env's
@@ -166,7 +174,7 @@ type Worker struct {
 
 	stats Stats
 
-	// Observability (nil = disabled, the zero-overhead fast path). The
+	// The phase clock (nil = disabled, the zero-overhead fast path). The
 	// worker charges compute, apply, and recv-wait; the Env charges
 	// serialize and send, where those durations are known.
 	obs       *obs.WorkerObs
@@ -283,9 +291,42 @@ func (w *Worker) QueuedGradients() int { return len(w.queued) }
 // Stats returns a copy of the activity counters.
 func (w *Worker) Stats() Stats { return w.stats }
 
-// SetObs attaches an observability sink. Call before Start; a nil sink
-// (the default) keeps every instrumentation point a no-op.
+// SetObs attaches a phase clock. Call before Start; a nil clock (the
+// default) keeps every phase charge a no-op.
 func (w *Worker) SetObs(o *obs.WorkerObs) { w.obs = o }
+
+// Report renders the worker as the report schema's per-worker record
+// (METRICS.md): its counts from Stats, its roster, job label and iteration,
+// and the attached clock's phases (0 without one).
+func (w *Worker) Report() obs.WorkerReport {
+	s := &w.stats
+	r := obs.WorkerReport{ID: w.ID, Iters: w.iter, Job: w.cfg.Job,
+		Phases:    make(map[string]float64, obs.NumPhases),
+		SentBytes: make(map[string]int64, obs.NumClasses),
+		SentMsgs:  make(map[string]int64, obs.NumClasses),
+		RecvBytes: make(map[string]int64, obs.NumClasses),
+		RecvMsgs:  make(map[string]int64, obs.NumClasses),
+
+		LivenessExpiries: s.LivenessExpiries,
+		SyncBlocks:       s.SyncBlocks,
+		MsgsRejected:     s.MsgsRejected,
+		QuantBytesSaved:  s.QuantBytesSaved,
+		RosterSize:       int64(len(w.members)),
+		Epoch:            w.epoch,
+		DegradedIters:    s.DegradedIters,
+		JoinLatencyS:     s.JoinLatency,
+	}
+	for p := obs.Phase(0); p < obs.NumPhases; p++ {
+		r.Phases[p.String()] = w.obs.PhaseSeconds(p)
+	}
+	for c := obs.MsgClass(0); c < obs.NumClasses; c++ {
+		r.SentBytes[c.String()] = s.SentBytes[c]
+		r.SentMsgs[c.String()] = s.SentMsgs[c]
+		r.RecvBytes[c.String()] = s.RecvBytes[c]
+		r.RecvMsgs[c.String()] = s.RecvMsgs[c]
+	}
+	return r
+}
 
 // classOf buckets a message type for per-class byte accounting.
 func classOf(t wire.MsgType) obs.MsgClass {
@@ -422,10 +463,11 @@ func (w *Worker) profileAndBroadcast() {
 }
 
 func (w *Worker) send(m *wire.Message) {
-	wb := m.WireBytes()
+	wb, c := int64(m.WireBytes()), classOf(m.Type)
 	w.stats.MsgsSent++
-	w.stats.BytesSent += int64(wb)
-	w.obs.AddSent(classOf(m.Type), wb)
+	w.stats.BytesSent += wb
+	w.stats.SentMsgs[c]++
+	w.stats.SentBytes[c] += wb
 	w.peers[m.To].lastSent = w.env.Now()
 	w.env.Send(w.ID, int(m.To), m)
 }
@@ -541,7 +583,6 @@ func (w *Worker) completeIteration() {
 
 	if w.Degraded() {
 		w.stats.DegradedIters++
-		w.obs.IncDegradedIter()
 	}
 
 	w.exchangeGradients()
@@ -573,7 +614,7 @@ func (w *Worker) maybeStartNext() {
 	}
 	w.waitingSync = true
 	w.waitStart = w.env.Now()
-	w.obs.IncSyncBlock()
+	w.stats.SyncBlocks++
 }
 
 // recheckSync ends a sync wait once the strategy allows — a qualifying
@@ -644,16 +685,15 @@ func (w *Worker) HandleMessage(m *wire.Message) {
 	}
 	if !valid {
 		w.stats.MsgsRejected++
-		w.obs.IncMsgRejected()
 		m.Release()
 		return
 	}
+	c := classOf(m.Type)
 	w.stats.MsgsRecvd++
+	w.stats.RecvMsgs[c]++
+	w.stats.RecvBytes[c] += int64(m.WireBytes())
 	peer := &w.peers[from]
 	peer.lastHeard = w.env.Now()
-	if w.obs != nil {
-		w.obs.AddRecv(classOf(m.Type), m.WireBytes())
-	}
 	// Writes to W queue behind the step in flight; everything else joins it.
 	// An unordered peer gradient is the one write that commutes with the
 	// step: in sequential order the step read W before it arrived. The

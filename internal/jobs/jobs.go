@@ -144,7 +144,7 @@ type Job struct {
 	Error string `json:"error,omitempty"`
 
 	// Iters is the per-worker completed iteration count, updated live by
-	// the supervisor while the job trains.
+	// the supervisor while the job trains (each entry is its report's).
 	Iters []int64 `json:"iters,omitempty"`
 	// Restarts counts checkpoint-restore worker restarts across the group.
 	Restarts int `json:"restarts,omitempty"`
@@ -159,8 +159,9 @@ type Job struct {
 	FinalAcc  float64 `json:"final_acc,omitempty"`
 	FinalLoss float64 `json:"final_loss,omitempty"`
 
-	// Workers holds each worker's folded obs report (job-labelled), filled
-	// when the job reaches a terminal state.
+	// Workers holds each worker's report (job-labelled, core.Worker.Report),
+	// taken by the supervisor on every poll and once more when the job
+	// reaches a terminal state.
 	Workers []obs.WorkerReport `json:"workers,omitempty"`
 }
 

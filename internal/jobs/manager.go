@@ -231,8 +231,9 @@ func (m *Manager) CrashWorker(id string, worker int) error {
 }
 
 // JobMetrics is the job monitor's answer for one job: lifecycle state,
-// final accuracy, and the folded per-worker obs reports. For a job still
-// training, the reports are live snapshots.
+// final accuracy, and the per-worker reports. For a job still training,
+// each report is the supervisor's last poll of that worker, at most
+// Config.Poll old while the worker answers.
 type JobMetrics struct {
 	ID        string             `json:"id"`
 	State     State              `json:"state"`
@@ -249,20 +250,9 @@ func (m *Manager) JobMetrics(id string) (*JobMetrics, error) {
 	if err != nil {
 		return nil, err
 	}
-	jm := &JobMetrics{ID: j.ID, State: j.State, Restarts: j.Restarts,
+	return &JobMetrics{ID: j.ID, State: j.State, Restarts: j.Restarts,
 		Iters: j.Iters, FinalAcc: j.FinalAcc, FinalLoss: j.FinalLoss,
-		Workers: j.Workers}
-	m.mu.Lock()
-	r := m.runs[id]
-	m.mu.Unlock()
-	if r != nil {
-		// Live: snapshot the (atomic, concurrency-safe) per-worker sinks.
-		// A still-deploying run snapshots as nil — keep the store's reports.
-		if reps := r.snapshotReports(); reps != nil {
-			jm.Workers = reps
-		}
-	}
-	return jm, nil
+		Workers: j.Workers}, nil
 }
 
 // Close stops the scheduler, cancels every active run (their jobs end
@@ -321,7 +311,6 @@ type run struct {
 	failErr error
 
 	group *realtime.Group // nil until deploy has built every worker
-	sinks []*obs.WorkerObs
 
 	start time.Time
 }
@@ -428,32 +417,33 @@ func (r *run) deploy() error {
 	}
 	r.test = test
 
-	sinks := make([]*obs.WorkerObs, spec.Workers)
-	for i := range sinks {
-		sinks[i] = obs.NewWorkerObs()
-	}
 	g, err := realtime.NewGroup(spec.Workers, func(i int) (realtime.Config, error) {
 		// The group's lists live in the manager's broker; an external
 		// joiner (a ClientTransport) serves its own, one hop from here.
+		// Each incarnation keeps its own phase clock, as it keeps its own
+		// Stats: a restarted worker reports from its restart on.
 		tr := realtime.NewBrokerTransport(r.m.cfg.Broker, i, queue.JobNamespace(r.job.ID))
 		return realtime.Config{ID: i, N: spec.Slots, System: cfg, Spec: w.Spec, Shard: shards[i],
-			Transport: tr, Obs: sinks[i], Metrics: r.m.cfg.Metrics}, nil
+			Transport: tr, Obs: obs.NewWorkerObs(), Metrics: r.m.cfg.Metrics}, nil
 	}, r.m.cfg.MaxRestarts)
 	if err != nil {
 		return err
 	}
-	// Published only once every worker exists, so JobMetrics and CrashWorker
-	// never see a half-built group.
+	// Published only once every worker exists, so CrashWorker never sees a
+	// half-built group.
 	r.mu.Lock()
-	r.group, r.sinks = g, sinks
+	defer r.mu.Unlock()
+	r.group = g
 	r.job.Lineage = make([]*lineage.Manifest, spec.Workers)
-	r.mu.Unlock()
+	r.job.Workers = make([]obs.WorkerReport, spec.Workers)
+	r.takeReports() // the group is not running yet: each read is direct
 	return nil
 }
 
-// supervise captures every worker's checkpoint — the group's restart point,
-// the job's lineage and live iteration counts — and reports whether every
-// worker reached the budget before the run ended (halt/failure/shutdown).
+// supervise captures every worker's checkpoint — the group's restart point
+// and the job's lineage — and its report, which carries the live iteration
+// count, and reports whether every worker reached the budget before the run
+// ended (halt/failure/shutdown).
 func (r *run) supervise() bool {
 	tick := time.NewTicker(r.m.cfg.Poll)
 	defer tick.Stop()
@@ -464,16 +454,20 @@ func (r *run) supervise() bool {
 		case <-tick.C:
 		}
 		all := true
-		for i := range r.sinks {
+		for i := range r.job.Spec.Workers {
 			ictx, cancel := context.WithTimeout(r.ctx, time.Second)
 			it, _, man, err := r.group.Checkpoint(ictx, i)
-			cancel()
 			all = all && err == nil && it >= r.job.Spec.MaxIters
+			var rep obs.WorkerReport
+			if err == nil {
+				err = r.group.Inspect(ictx, i, func(w *core.Worker) { rep = w.Report() })
+			}
+			cancel()
 			if err != nil {
-				continue // mid-restart: keep the last count
+				continue // mid-restart: keep the last capture
 			}
 			r.mu.Lock()
-			r.job.Iters[i], r.job.Lineage[i] = it, man
+			r.job.Iters[i], r.job.Lineage[i], r.job.Workers[i] = rep.Iters, man, rep
 			r.mu.Unlock()
 		}
 		r.mu.Lock()
@@ -495,31 +489,21 @@ func (r *run) countRestarts() {
 	}
 }
 
-// snapshotReports folds the per-worker sinks into job-labelled reports. It
-// returns nil until deploy has published the full worker group — callers
-// fall back to the store-recorded reports for a still-deploying job.
-func (r *run) snapshotReports() []obs.WorkerReport {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if r.group == nil {
-		return nil
+// takeReports records every worker's report from the group while it is
+// not running, when Inspect reads each worker directly. The caller holds
+// r.mu.
+func (r *run) takeReports() {
+	for i := range r.job.Workers {
+		r.group.Inspect(r.ctx, i, func(w *core.Worker) { r.job.Workers[i] = w.Report() })
 	}
-	out := make([]obs.WorkerReport, len(r.sinks))
-	for i, o := range r.sinks {
-		out[i] = o.Snapshot(i)
-		out[i].Job = r.job.ID
-		out[i].Iters = r.job.Iters[i]
-	}
-	return out
 }
 
-// finish decides the terminal state, evaluates the completed model, folds
-// the final obs reports into the record, and persists it.
+// finish decides the terminal state, evaluates the completed model, records
+// the final reports, and persists the record.
 func (r *run) finish(done bool) {
-	reps := r.snapshotReports()
 	r.mu.Lock()
-	if reps != nil {
-		r.job.Workers = reps
+	if r.group != nil {
+		r.takeReports()
 		r.countRestarts()
 	}
 	halted, failErr := r.halted, r.failErr
@@ -552,7 +536,7 @@ func (r *run) finish(done bool) {
 // has stopped, so Inspect reads each worker directly.
 func (r *run) evaluate() (acc, loss float64) {
 	var best *core.Worker
-	for i := range r.sinks {
+	for i := range r.job.Spec.Workers {
 		r.group.Inspect(r.ctx, i, func(w *core.Worker) {
 			if best == nil || w.Iter() > best.Iter() {
 				best = w

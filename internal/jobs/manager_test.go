@@ -85,6 +85,50 @@ func TestJobRunsToCompletion(t *testing.T) {
 	}
 }
 
+// TestJobMetricsWhileTraining reads the monitor while the job still
+// trains: every worker's report is the supervisor's last poll of it — job
+// labelled, carrying the gradients it sent, at the record's iteration.
+func TestJobMetricsWhileTraining(t *testing.T) {
+	m := testManager(t, Config{})
+	spec := tinySpec("baseline")
+	spec.MaxIters = 50_000 // far beyond what the test window allows
+	j, err := m.Submit(spec)
+	if err != nil {
+		t.Fatalf("Submit: %v", err)
+	}
+	waitState(t, m, j.ID, StateTraining, 30*time.Second)
+	for deadline := time.Now().Add(30 * time.Second); ; time.Sleep(5 * time.Millisecond) {
+		jm, err := m.JobMetrics(j.ID)
+		if err != nil {
+			t.Fatalf("JobMetrics: %v", err)
+		}
+		if jm.State != StateTraining {
+			t.Fatalf("job %s while reading its metrics, want training", jm.State)
+		}
+		if len(jm.Workers) != spec.Workers || len(jm.Iters) != spec.Workers {
+			t.Fatalf("%d reports and %d iteration counts, want %d", len(jm.Workers), len(jm.Iters), spec.Workers)
+		}
+		sending := true
+		for i, rep := range jm.Workers {
+			if rep.ID != i || rep.Job != j.ID || rep.Iters != jm.Iters[i] {
+				t.Fatalf("worker %d report id %d job %q iters %d, want %d %q %d",
+					i, rep.ID, rep.Job, rep.Iters, i, j.ID, jm.Iters[i])
+			}
+			sending = sending && rep.SentMsgs["gradient"] > 0
+		}
+		if sending {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("no live report shows gradients sent: %+v", jm.Workers)
+		}
+	}
+	if _, err := m.Halt(j.ID); err != nil {
+		t.Fatalf("Halt: %v", err)
+	}
+	waitState(t, m, j.ID, StateHalted, 10*time.Second)
+}
+
 func TestSubmitValidation(t *testing.T) {
 	m := testManager(t, Config{})
 	bad := []Spec{

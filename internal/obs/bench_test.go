@@ -26,22 +26,6 @@ func BenchmarkWorkerObsAddPhase(b *testing.B) {
 	}
 }
 
-func BenchmarkWorkerObsAddSentNil(b *testing.B) {
-	var o *WorkerObs
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		o.AddSent(ClassGradient, 512)
-	}
-}
-
-func BenchmarkWorkerObsAddSent(b *testing.B) {
-	o := NewWorkerObs()
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		o.AddSent(ClassGradient, 512)
-	}
-}
-
 func BenchmarkCounterIncNil(b *testing.B) {
 	var c *Counter
 	b.ReportAllocs()

@@ -7,23 +7,37 @@ import (
 	"net/http"
 	"net/http/pprof"
 	"sync"
+	"sync/atomic"
 )
 
-// publishMu serializes Publish's check-then-publish against the global
-// expvar namespace (expvar.Publish panics on duplicates).
-var publishMu sync.Mutex
+// published holds the current binding of every name Publish has
+// registered; publishMu serializes Publish against the global expvar
+// namespace (expvar.Publish panics on duplicates).
+var (
+	publishMu sync.Mutex
+	published = map[string]*atomic.Pointer[func() any]{}
+)
 
 // Publish registers fn's result as the expvar variable name, making it
-// visible on /debug/vars. Unlike expvar.Publish it is idempotent: if the
-// name is already taken (e.g. a test wiring two nodes in one process) the
-// existing variable is kept and Publish is a no-op.
+// visible on /debug/vars. Unlike expvar.Publish it may be called again for
+// the same name: the latest fn wins and the earlier one is dropped, so a
+// second in-process run of a binary serves its own values, not the first
+// run's. A name taken by an expvar.Publish outside this package is left
+// as it is.
 func Publish(name string, fn func() any) {
 	publishMu.Lock()
 	defer publishMu.Unlock()
+	if cur := published[name]; cur != nil {
+		cur.Store(&fn)
+		return
+	}
 	if expvar.Get(name) != nil {
 		return
 	}
-	expvar.Publish(name, expvar.Func(fn))
+	cur := new(atomic.Pointer[func() any])
+	cur.Store(&fn)
+	published[name] = cur
+	expvar.Publish(name, expvar.Func(func() any { return (*cur.Load())() }))
 }
 
 // PublishRegistry exposes reg's snapshot — counters, gauges, and histogram

@@ -2,6 +2,7 @@ package obs
 
 import (
 	"encoding/json"
+	"expvar"
 	"io"
 	"net/http"
 	"testing"
@@ -56,9 +57,13 @@ func TestServeDebugEndpoints(t *testing.T) {
 	get("/debug/pprof/")
 }
 
-func TestPublishIsIdempotent(t *testing.T) {
+// TestPublishRebinds: a second Publish of a name must not panic (as
+// expvar.Publish would) and must replace the first binding, so a second
+// in-process run serves its own values rather than the first run's.
+func TestPublishRebinds(t *testing.T) {
 	Publish("obs_test_var", func() any { return 1 })
-	// A second publish under the same name must not panic (expvar.Publish
-	// would) and must keep the first variable.
 	Publish("obs_test_var", func() any { return 2 })
+	if got := expvar.Get("obs_test_var").String(); got != "2" {
+		t.Fatalf("obs_test_var = %s, want the latest binding's 2", got)
+	}
 }

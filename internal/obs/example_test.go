@@ -7,25 +7,20 @@ import (
 	"dlion/internal/obs"
 )
 
-// ExampleWorkerObs shows the per-worker sink: phases accumulate seconds,
-// transfers accumulate per message class, and Snapshot renders the record
-// that lands in a BENCH report's workers section.
+// ExampleWorkerObs shows the per-worker phase clock: each phase
+// accumulates the seconds charged to it, and a charge that is not positive
+// is dropped.
 func ExampleWorkerObs() {
 	o := obs.NewWorkerObs()
 	o.AddPhase(obs.PhaseCompute, 1.5)
 	o.AddPhase(obs.PhaseCompute, 0.5)
 	o.AddPhase(obs.PhaseRecvWait, 0.25)
-	o.AddSent(obs.ClassGradient, 4096)
-	o.AddSent(obs.ClassGradient, 4096)
+	o.AddPhase(obs.PhaseRecvWait, -1)
 
-	w := o.Snapshot(0)
 	fmt.Printf("compute %.2fs, recv-wait %.2fs\n",
-		w.Phases["compute"], w.Phases["recv_wait"])
-	fmt.Printf("gradient: %d msgs, %d bytes\n",
-		w.SentMsgs["gradient"], w.SentBytes["gradient"])
+		o.PhaseSeconds(obs.PhaseCompute), o.PhaseSeconds(obs.PhaseRecvWait))
 	// Output:
 	// compute 2.00s, recv-wait 0.25s
-	// gradient: 2 msgs, 8192 bytes
 }
 
 // ExampleRegistry shows named process-wide counters and gauges. A nil
@@ -50,9 +45,15 @@ func ExampleRegistry() {
 // BENCH_*.json schema documented in METRICS.md.
 func ExampleReport() {
 	r := obs.NewReport("sim-run", "demo")
-	o := obs.NewWorkerObs()
-	o.AddPhase(obs.PhaseCompute, 2)
-	r.Workers = []obs.WorkerReport{o.Snapshot(0)}
+	// One worker's record, as core.Worker.Report renders it.
+	r.Workers = []obs.WorkerReport{{
+		ID: 0, Iters: 2,
+		Phases:    map[string]float64{"compute": 2, "send": 0.5},
+		SentBytes: map[string]int64{"gradient": 8192},
+		SentMsgs:  map[string]int64{"gradient": 2},
+		RecvBytes: map[string]int64{"gradient": 8192},
+		RecvMsgs:  map[string]int64{"gradient": 2},
+	}}
 	r.Summary = map[string]float64{"final_acc": 0.9}
 	r.WriteJSON(os.Stdout)
 	// Output:
@@ -63,32 +64,22 @@ func ExampleReport() {
 	//   "workers": [
 	//     {
 	//       "id": 0,
+	//       "iters": 2,
 	//       "phases": {
-	//         "apply": 0,
 	//         "compute": 2,
-	//         "recv_wait": 0,
-	//         "send": 0,
-	//         "serialize": 0
+	//         "send": 0.5
 	//       },
 	//       "sent_bytes": {
-	//         "control": 0,
-	//         "gradient": 0,
-	//         "weights": 0
+	//         "gradient": 8192
 	//       },
 	//       "sent_msgs": {
-	//         "control": 0,
-	//         "gradient": 0,
-	//         "weights": 0
+	//         "gradient": 2
 	//       },
 	//       "recv_bytes": {
-	//         "control": 0,
-	//         "gradient": 0,
-	//         "weights": 0
+	//         "gradient": 8192
 	//       },
 	//       "recv_msgs": {
-	//         "control": 0,
-	//         "gradient": 0,
-	//         "weights": 0
+	//         "gradient": 2
 	//       }
 	//     }
 	//   ],

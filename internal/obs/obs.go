@@ -1,11 +1,12 @@
-// Package obs is the runtime observability layer: per-worker phase tracing,
-// atomic runtime counters, machine-readable run reports, and the debug HTTP
-// endpoints (pprof + expvar) the binaries expose behind -debug-addr.
+// Package obs is the runtime observability layer: per-worker phase clocks,
+// atomic process-wide counters, machine-readable run reports, and the debug
+// HTTP endpoints (pprof + expvar) the binaries expose behind -debug-addr.
 //
 // The paper's evaluation (§5) rests on breakdowns — computation vs.
 // communication time per worker, bytes moved per message class, quality vs.
-// cost — that must be measured at runtime, not inferred. This package is
-// the single place those measurements accumulate. Every name it exports is
+// cost — that must be measured at runtime, not inferred. A worker's counts
+// live in its core.Stats and its time in a WorkerObs; core.Worker.Report
+// renders both as one WorkerReport. Every name this package exports is
 // documented in METRICS.md, which is the schema contract for the
 // BENCH_*.json files tracking the repo's performance trajectory.
 //
@@ -195,37 +196,16 @@ func (r *Registry) Snapshot() map[string]int64 {
 	return out
 }
 
-// WorkerObs accumulates one worker's phase times and per-class transfer
-// counters. All recording methods are atomic (real mode calls them from
-// the event loop and sender goroutines concurrently) and no-ops on a nil
-// receiver — the disabled fast path.
+// WorkerObs is one worker's phase clock: seconds charged to each Phase.
+// The counts a worker reports live in its core.Stats; the clock is kept
+// apart because real mode charges PhaseSend from its sender goroutines, so
+// every method is atomic, and a no-op on a nil receiver — the disabled fast
+// path.
 type WorkerObs struct {
-	phaseNS   [NumPhases]atomic.Int64 // nanoseconds (virtual or wall)
-	sentBytes [NumClasses]atomic.Int64
-	sentMsgs  [NumClasses]atomic.Int64
-	recvBytes [NumClasses]atomic.Int64
-	recvMsgs  [NumClasses]atomic.Int64
-
-	livenessExpiries atomic.Int64
-	syncBlocks       atomic.Int64
-	msgsRejected     atomic.Int64
-
-	// wire.quant_bytes_saved (METRICS.md): wire bytes avoided by encoding
-	// gradient selections at reduced precision instead of f32.
-	quantBytesSaved atomic.Int64
-
-	// Elastic membership (METRICS.md §membership): current roster size,
-	// roster epoch, iterations completed below the quorum floor, and the
-	// admission handshake latency (0 for founders). joinHist, when attached,
-	// additionally feeds a cluster-level join latency histogram.
-	rosterSize    atomic.Int64
-	epoch         atomic.Int64
-	degradedIters atomic.Int64
-	joinLatencyNS atomic.Int64
-	joinHist      *Histogram
+	phaseNS [NumPhases]atomic.Int64 // nanoseconds (virtual or wall)
 }
 
-// NewWorkerObs returns a zeroed per-worker sink.
+// NewWorkerObs returns a zeroed per-worker phase clock.
 func NewWorkerObs() *WorkerObs { return &WorkerObs{} }
 
 // AddPhase charges seconds (virtual or wall) to phase p. Negative or NaN
@@ -243,123 +223,4 @@ func (o *WorkerObs) PhaseSeconds(p Phase) float64 {
 		return 0
 	}
 	return float64(o.phaseNS[p].Load()) / 1e9
-}
-
-// AddSent records an outbound message of class c with the given wire size.
-func (o *WorkerObs) AddSent(c MsgClass, bytes int) {
-	if o == nil || c >= NumClasses {
-		return
-	}
-	o.sentMsgs[c].Add(1)
-	o.sentBytes[c].Add(int64(bytes))
-}
-
-// AddRecv records a delivered inbound message of class c.
-func (o *WorkerObs) AddRecv(c MsgClass, bytes int) {
-	if o == nil || c >= NumClasses {
-		return
-	}
-	o.recvMsgs[c].Add(1)
-	o.recvBytes[c].Add(int64(bytes))
-}
-
-// AddQuantSaved records wire bytes avoided by reduced-precision encoding.
-func (o *WorkerObs) AddQuantSaved(bytes int) {
-	if o != nil && bytes > 0 {
-		o.quantBytesSaved.Add(int64(bytes))
-	}
-}
-
-// IncLivenessExpiry records one member removed from the roster by
-// suspicion (silent for the liveness timeout).
-func (o *WorkerObs) IncLivenessExpiry() {
-	if o != nil {
-		o.livenessExpiries.Add(1)
-	}
-}
-
-// IncSyncBlock records the worker blocking on its synchronization strategy.
-func (o *WorkerObs) IncSyncBlock() {
-	if o != nil {
-		o.syncBlocks.Add(1)
-	}
-}
-
-// IncMsgRejected records one message dropped for naming a worker id outside
-// the cluster's address space.
-func (o *WorkerObs) IncMsgRejected() {
-	if o != nil {
-		o.msgsRejected.Add(1)
-	}
-}
-
-// SetMembership records the worker's current roster size and roster epoch.
-// The roster size gauge keeps its high-water mark via Snapshot consumers;
-// here it is a plain last-value pair updated on every epoch change.
-func (o *WorkerObs) SetMembership(size, epoch int64) {
-	if o == nil {
-		return
-	}
-	o.rosterSize.Store(size)
-	o.epoch.Store(epoch)
-}
-
-// IncDegradedIter records one iteration completed below the quorum floor.
-func (o *WorkerObs) IncDegradedIter() {
-	if o != nil {
-		o.degradedIters.Add(1)
-	}
-}
-
-// SetJoinHistogram attaches a (usually registry-owned) histogram that
-// ObserveJoin also feeds, aggregating join latency across workers. Call
-// before Start; no-op on a nil sink.
-func (o *WorkerObs) SetJoinHistogram(h *Histogram) {
-	if o != nil {
-		o.joinHist = h
-	}
-}
-
-// ObserveJoin records the admission handshake latency in seconds (HELLO
-// sent → WELCOME adopted, or → solo fallback).
-func (o *WorkerObs) ObserveJoin(seconds float64) {
-	if o == nil || !(seconds >= 0) {
-		return
-	}
-	o.joinLatencyNS.Store(int64(seconds * 1e9))
-	o.joinHist.Observe(seconds)
-}
-
-// Snapshot renders the sink as the report schema's per-worker record. A
-// nil sink snapshots to a zeroed record with the given id.
-func (o *WorkerObs) Snapshot(id int) WorkerReport {
-	w := WorkerReport{
-		ID:        id,
-		Phases:    map[string]float64{},
-		SentBytes: map[string]int64{},
-		SentMsgs:  map[string]int64{},
-		RecvBytes: map[string]int64{},
-		RecvMsgs:  map[string]int64{},
-	}
-	if o == nil {
-		return w
-	}
-	for p := Phase(0); p < NumPhases; p++ {
-		w.Phases[p.String()] = o.PhaseSeconds(p)
-	}
-	for c := MsgClass(0); c < NumClasses; c++ {
-		w.SentBytes[c.String()] = o.sentBytes[c].Load()
-		w.SentMsgs[c.String()] = o.sentMsgs[c].Load()
-		w.RecvBytes[c.String()] = o.recvBytes[c].Load()
-		w.RecvMsgs[c.String()] = o.recvMsgs[c].Load()
-	}
-	w.LivenessExpiries = o.livenessExpiries.Load()
-	w.SyncBlocks = o.syncBlocks.Load()
-	w.MsgsRejected = o.msgsRejected.Load()
-	w.QuantBytesSaved = o.quantBytesSaved.Load()
-	w.RosterSize = o.rosterSize.Load()
-	w.Epoch = o.epoch.Load()
-	w.DegradedIters = o.degradedIters.Load()
-	w.JoinLatencyS = float64(o.joinLatencyNS.Load()) / 1e9
-	return w
 }

@@ -9,12 +9,8 @@ import (
 func TestReportRoundTrip(t *testing.T) {
 	r := NewReport("sim-run", "dlion/Homo A")
 	r.Config = map[string]any{"horizon": 300.0, "seed": 7.0}
-	o := NewWorkerObs()
-	o.AddPhase(PhaseCompute, 2)
-	o.AddSent(ClassGradient, 512)
-	w := o.Snapshot(0)
-	w.Iters = 42
-	r.Workers = []WorkerReport{w}
+	r.Workers = []WorkerReport{{ID: 0, Iters: 42,
+		Phases: map[string]float64{"compute": 2}, SentBytes: map[string]int64{"gradient": 512}}}
 	r.Counters = map[string]int64{"queue.pushed": 9}
 	r.Timeline = []TimelinePoint{{T: 0, MeanAcc: 0.1}, {T: 50, MeanAcc: 0.8, StdAcc: 0.02, Loss: 0.5}}
 	r.Summary = map[string]float64{"final_acc": 0.8}

@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"dlion/internal/core"
 	"dlion/internal/data"
 	"dlion/internal/nn"
 	"dlion/internal/obs"
@@ -12,9 +13,10 @@ import (
 )
 
 // TestRealModeObservability runs an instrumented two-node cluster over the
-// in-process broker and checks the wall-clock phase breakdown and transfer
-// counters accumulate. Runs under -race: the sinks are written from the
-// event loop and the sender goroutines concurrently.
+// in-process broker and checks each worker's Report carries the wall-clock
+// phase breakdown and its transfer counts. Runs under -race: the phase
+// clocks are written from the event loop and the sender goroutines
+// concurrently.
 func TestRealModeObservability(t *testing.T) {
 	b := queue.NewBroker()
 	defer b.Close()
@@ -50,8 +52,9 @@ func TestRealModeObservability(t *testing.T) {
 	if err := g.Run(ctx); err != nil {
 		t.Errorf("group: %v", err)
 	}
-	for i, o := range sinks {
-		w := o.Snapshot(i)
+	for i := range sinks {
+		var w obs.WorkerReport
+		g.Inspect(ctx, i, func(wk *core.Worker) { w = wk.Report() })
 		if w.Phases["compute"] <= 0 {
 			t.Fatalf("node %d: no compute time", i)
 		}

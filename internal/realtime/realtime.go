@@ -59,9 +59,9 @@ type Config struct {
 	// kernel). Nil defaults to 100 Mbps everywhere.
 	Bandwidth func(to int) float64
 
-	// Obs, when non-nil, records this node's wall-clock phase breakdown
-	// (compute/serialize/send/recv-wait/apply) and per-class transfer
-	// counters. Nil disables tracing at zero cost (see METRICS.md).
+	// Obs, when non-nil, is this node's phase clock: the wall-clock
+	// breakdown the worker's Report carries beside its counts. Nil
+	// disables it at zero cost (see METRICS.md).
 	Obs *obs.WorkerObs
 
 	// Metrics, when non-nil, receives the node's named counters:

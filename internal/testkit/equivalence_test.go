@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"dlion/internal/core"
 	"dlion/internal/grad"
 	"dlion/internal/lineage"
 )
@@ -20,10 +21,24 @@ func budget(d time.Duration) time.Duration {
 	return d
 }
 
+// ledger is the part of a worker's counts that the workload fixes, whatever
+// the substrate: every core.Stats field but SyncBlocks, which counts how
+// often a worker found a peer's gradient not there yet — when the round's
+// gradients land against the local step; TestChurnEquivalence's leaver
+// blocks 7 times on the simulator and 5 over the broker in one run — and
+// JoinLatency, which is virtual seconds on one substrate and wall seconds
+// on the other.
+func ledger(s core.Stats) core.Stats {
+	s.SyncBlocks, s.JoinLatency = 0, 0
+	return s
+}
+
 // runBoth runs cfg on the simulator and over the TCP broker and checks what
 // every cross-mode case shares: realtime shed no frame, and, under ordered
-// apply (no leave), every worker's final weights are bit-identical across
-// the substrates, variable by variable.
+// apply (no leave), every worker's ledger is the same on both and its final
+// weights are bit-identical across the substrates, variable by variable.
+// (A leave makes the survivors' counts depend on when its tombstone lands;
+// TestChurnEquivalence compares the leaver's send side.)
 func runBoth(t *testing.T, cfg EquivalenceConfig) (sim, rt *EquivalenceResult) {
 	t.Helper()
 	sim, err := RunSim(cfg)
@@ -41,6 +56,11 @@ func runBoth(t *testing.T, cfg EquivalenceConfig) (sim, rt *EquivalenceResult) {
 	}
 	if cfg.LeaveAfter > 0 {
 		return sim, rt
+	}
+	for i := range sim.Stats {
+		if a, b := ledger(sim.Stats[i]), ledger(rt.Stats[i]); a != b {
+			t.Fatalf("worker %d: sim and realtime counts differ:\nsim      %+v\nrealtime %+v", i, a, b)
+		}
 	}
 	for i := range sim.Weights {
 		if a, b := lineage.VarHashes(sim.Weights[i]), lineage.VarHashes(rt.Weights[i]); !maps.Equal(a, b) {
