@@ -1,14 +1,16 @@
 // Package bufpool is the free list behind the gradient-frame path: encoded
-// frames ([]byte) in wire, queue and realtime, and the float32/int32 storage
-// wire.Decode fills. A dense gradient frame is megabytes and one crosses
-// every layer each iteration, so allocating (and zeroing, and collecting) a
-// fresh buffer per hop was the dominant cost of real-mode training; recycled
-// buffers make the steady state garbage-free.
+// frames ([]byte) in wire, queue and realtime — a received one until the
+// gradient applied from it is released — and the sparse float32/int32
+// storage wire.Decode fills. A dense gradient frame is megabytes and one
+// crosses every layer each iteration, so a fresh buffer per hop was the
+// dominant cost of real-mode training; recycled buffers make the steady
+// state garbage-free.
 //
-// Ownership is by convention, not enforced: a buffer has exactly one owner,
-// and only the owner may Put it, once, after its last read. Forgetting a Put
-// is harmless (the GC collects the buffer); a Put while the buffer is still
-// referenced is a data race. DESIGN.md §9 lists who owns a frame where.
+// Ownership is by convention: a buffer has exactly one owner, and only the
+// owner may Put it, once, after its last read. Forgetting a Put is harmless
+// (the GC collects the buffer); a Put while the buffer is still referenced
+// is a data race, and under -race Put fills the buffer with 0xFF bytes (NaN
+// floats) so such a read shows. DESIGN.md §9 lists who owns a frame where.
 package bufpool
 
 import (
@@ -77,5 +79,6 @@ func (p *Pool[T]) Put(s []T) {
 	if !p.Recyclable(s) {
 		return
 	}
+	poison(s)
 	p.classes[class(byteSize[T](cap(s)))].Put(&s)
 }

@@ -9,8 +9,10 @@ package cluster
 import (
 	"fmt"
 	"hash/fnv"
+	"strings"
 	"testing"
 
+	"dlion/internal/core"
 	"dlion/internal/fault"
 	"dlion/internal/lineage"
 	"dlion/internal/simcompute"
@@ -26,12 +28,32 @@ import (
 // equal digests mean bit-identical results.
 func resultDigest(res *Result) string {
 	h := fnv.New64a()
-	fmt.Fprintf(h, "%v|%v|%v|%v|%v|%v|%v|%d|%d", res.Timeline, res.Stats, res.Iters,
+	fmt.Fprintf(h, "%v|%s|%v|%v|%v|%v|%v|%d|%d", res.Timeline, statsText(res.Stats), res.Iters,
 		res.Membership, res.States, res.Rosters, res.Faults, res.TotalBytes, res.Events)
 	for _, m := range res.Models {
 		fmt.Fprintf(h, "|%s", lineage.ModelHash(m))
 	}
 	return fmt.Sprintf("%016x", h.Sum64())
+}
+
+// statsText lays out the stats fields the digests were captured over
+// exactly as %v laid out core.Stats then, so a field added to Stats later
+// leaves every digest where it is.
+func statsText(stats []core.Stats) string {
+	var b strings.Builder
+	b.WriteByte('[')
+	for i, s := range stats {
+		if i > 0 {
+			b.WriteByte(' ')
+		}
+		fmt.Fprintf(&b, "{%v %v %v %v %v %v %v %v %v %v %v %v %v %v %v %v %v %v %v %v}",
+			s.Iters, s.SamplesProcessed, s.MsgsSent, s.MsgsRecvd, s.BytesSent,
+			s.GradValuesSent, s.GradMsgsSent, s.DKTWeightsSent, s.DKTMerges, s.WelcomesSent,
+			s.DegradedIters, s.MsgsRejected, s.QuantBytesSaved, s.LivenessExpiries,
+			s.SyncBlocks, s.JoinLatency, s.SentMsgs, s.SentBytes, s.RecvMsgs, s.RecvBytes)
+	}
+	b.WriteByte(']')
+	return b.String()
 }
 
 type slotsScenario struct {

@@ -61,7 +61,7 @@ func TestQuantFixedPrecision(t *testing.T) {
 			continue
 		}
 		for _, s := range m.Selections {
-			if s.Prec != grad.PrecI8 || s.Q8 == nil {
+			if s.Prec != grad.PrecI8 || s.Raw == nil {
 				t.Fatalf("unquantized selection %q left worker %d", s.Var, m.From)
 			}
 			quantFrames++

@@ -1,6 +1,7 @@
 package grad
 
 import (
+	"bytes"
 	"fmt"
 	"math"
 	"testing"
@@ -250,10 +251,8 @@ func diffSelections(got, want []*Selection) string {
 		case g.Prec != w.Prec || g.Zero != w.Zero || math.Float32bits(g.Scale) != math.Float32bits(w.Scale):
 			return fmt.Sprintf("%s: prec/scale/zero %v/%v/%d, want %v/%v/%d", w.Var,
 				g.Prec, g.Scale, g.Zero, w.Prec, w.Scale, w.Zero)
-		case fmt.Sprint(g.Q8) != fmt.Sprint(w.Q8):
-			return fmt.Sprintf("%s: Q8 differs", w.Var)
-		case fmt.Sprint(g.F16) != fmt.Sprint(w.F16):
-			return fmt.Sprintf("%s: F16 differs", w.Var)
+		case !bytes.Equal(g.Raw, w.Raw) || (g.Raw == nil) != (w.Raw == nil):
+			return fmt.Sprintf("%s: Raw differs", w.Var)
 		case g.Bytes() != w.Bytes():
 			return fmt.Sprintf("%s: %d bytes, want %d", w.Var, g.Bytes(), w.Bytes())
 		}

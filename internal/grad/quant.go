@@ -1,6 +1,9 @@
 package grad
 
-import "math"
+import (
+	"encoding/binary"
+	"math"
+)
 
 // This file is the precision half of the paper's data quality adjustment
 // (§3.3): where Max-N decides *which* gradient values cross a constrained
@@ -12,7 +15,7 @@ import "math"
 //	PrecI8  — 1 byte/value + a per-variable (scale, zero-point) pair
 //
 // Quantization is applied at selection time, not encode time: the
-// quantized payload (Q8/F16) and its dequantized float32 image are stored
+// quantized payload (Raw) and its dequantized float32 image are stored
 // side by side on the Selection, so the simulator's math sees exactly the
 // values a real receiver would reconstruct, byte accounting sees the
 // reduced wire size, and the encoder emits the payload verbatim (keeping
@@ -190,16 +193,16 @@ func i8Scale(g []float32) float32 {
 }
 
 // Quantize re-encodes the selection's values at precision p, storing the
-// quantized payload (Q8 or F16) and overwriting the float32 values with
-// their dequantized image — the exact values a receiver reconstructs, so
-// sender-side math, the simulator, and the wire all agree. Because it
-// writes the values in place, it owns a borrowed Dense first: the sender's
-// Param.G is never touched. Gradients are zero-centered, so the int8
-// zero-point is 0 (the wire format carries an explicit zero-point for
-// asymmetric payloads). Quantizing to PrecF32, or re-quantizing an
-// already-quantized selection, is a no-op.
+// codes in Raw and overwriting the float32 values with their dequantized
+// image — the exact values a receiver reconstructs, so sender-side math,
+// the simulator, and the wire all agree. Because it writes the values in
+// place, it owns a borrowed Dense first: the sender's Param.G is never
+// touched. Gradients are zero-centered, so the int8 zero-point is 0 (the
+// wire format carries an explicit zero-point for asymmetric payloads).
+// Quantizing to PrecF32, or re-quantizing an already-quantized or decoded
+// selection, is a no-op.
 func (s *Selection) Quantize(p Precision) {
-	if p == PrecF32 || s.Prec != PrecF32 {
+	if p == PrecF32 || s.Prec != PrecF32 || s.Raw != nil {
 		return
 	}
 	s.Own()
@@ -207,19 +210,22 @@ func (s *Selection) Quantize(p Precision) {
 	if vals == nil {
 		vals = s.Val
 	}
+	if len(vals) > 0 {
+		s.Raw = make([]byte, p.ElemBytes()*len(vals))
+	}
 	switch p {
 	case PrecF16:
-		s.F16 = make([]uint16, len(vals))
 		for i, v := range vals {
-			s.F16[i] = F16Bits(v)
-			vals[i] = F16FromBits(s.F16[i])
+			h := F16Bits(v)
+			binary.LittleEndian.PutUint16(s.Raw[2*i:], h)
+			vals[i] = F16FromBits(h)
 		}
 	case PrecI8:
 		s.Scale, s.Zero = i8Scale(vals), 0
-		s.Q8 = make([]int8, len(vals))
 		for i, v := range vals {
-			s.Q8[i] = QuantizeI8(v, s.Scale, s.Zero)
-			vals[i] = DequantizeI8(s.Q8[i], s.Scale, s.Zero)
+			q := QuantizeI8(v, s.Scale, s.Zero)
+			s.Raw[i] = byte(q)
+			vals[i] = DequantizeI8(q, s.Scale, s.Zero)
 		}
 	}
 	s.Prec = p

@@ -1,6 +1,8 @@
 package grad
 
 import (
+	"bytes"
+	"encoding/binary"
 	"math"
 	"math/rand"
 	"testing"
@@ -117,8 +119,8 @@ func TestSelectionQuantize(t *testing.T) {
 		Dense: []float32{0.5, -0.25, nan, float32(math.Inf(1)), 0, -1}}
 	f32Bytes := dense.Bytes()
 	dense.Quantize(PrecI8)
-	if dense.Prec != PrecI8 || len(dense.Q8) != 6 {
-		t.Fatalf("dense quantize: prec=%v q8=%d", dense.Prec, len(dense.Q8))
+	if dense.Prec != PrecI8 || len(dense.Raw) != 6 {
+		t.Fatalf("dense quantize: prec=%v codes=%d", dense.Prec, len(dense.Raw))
 	}
 	// maxAbs over finite values is 1 (NaN/Inf excluded), so scale = 1/127.
 	if want := float32(1) / 127; dense.Scale != want {
@@ -134,26 +136,24 @@ func TestSelectionQuantize(t *testing.T) {
 		t.Fatalf("f32 dense bytes %d, want %d", f32Bytes, headerBytes+24)
 	}
 	// Idempotent: a second Quantize (any precision) is a no-op.
-	before := append([]int8(nil), dense.Q8...)
+	before := append([]byte(nil), dense.Raw...)
 	dense.Quantize(PrecF16)
-	if dense.Prec != PrecI8 || len(dense.F16) != 0 {
+	if dense.Prec != PrecI8 {
 		t.Fatal("re-quantizing an already-quantized selection must be a no-op")
 	}
-	for i := range before {
-		if dense.Q8[i] != before[i] {
-			t.Fatal("re-quantize mutated the payload")
-		}
+	if !bytes.Equal(dense.Raw, before) {
+		t.Fatal("re-quantize mutated the payload")
 	}
 
 	sparse := &Selection{Var: "w", Total: 100,
 		Idx: []int32{3, 50, 99}, Val: []float32{2, -0.5, 0.125}}
 	sparse.Quantize(PrecF16)
-	if sparse.Prec != PrecF16 || len(sparse.F16) != 3 {
-		t.Fatalf("sparse quantize: prec=%v f16=%d", sparse.Prec, len(sparse.F16))
+	if sparse.Prec != PrecF16 || len(sparse.Raw) != 3*2 {
+		t.Fatalf("sparse quantize: prec=%v f16 bytes=%d", sparse.Prec, len(sparse.Raw))
 	}
 	for k, v := range sparse.Val {
-		if F16FromBits(sparse.F16[k]) != v {
-			t.Fatalf("Val[%d]=%v is not the dequantized image of %#x", k, v, sparse.F16[k])
+		if h := binary.LittleEndian.Uint16(sparse.Raw[2*k:]); F16FromBits(h) != v {
+			t.Fatalf("Val[%d]=%v is not the dequantized image of %#x", k, v, h)
 		}
 	}
 	if got, want := sparse.Bytes(), headerBytes+3*6; got != want {

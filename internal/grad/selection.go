@@ -9,6 +9,7 @@
 package grad
 
 import (
+	"encoding/binary"
 	"fmt"
 
 	"dlion/internal/nn"
@@ -25,19 +26,22 @@ type Selection struct {
 	Idx   []int32   // sparse indices, ascending, or nil
 	Val   []float32 // sparse values parallel to Idx
 
-	// Quantized wire payload (see quant.go). When Prec != PrecF32 the
-	// values that cross the wire are Q8 or F16 (parallel to Dense or Val),
-	// and Dense/Val hold their dequantized float32 image — what a receiver
-	// reconstructs, and what AddTo applies. Scale/Zero are the int8
-	// per-variable dequantization parameters.
+	// Wire precision (see quant.go). When Prec != PrecF32 the values that
+	// cross the wire are codes, and Dense/Val hold their dequantized float32
+	// image — what a receiver reconstructs, and what AddTo applies.
+	// Scale/Zero are the int8 per-variable dequantization parameters.
 	Prec  Precision
 	Scale float32
 	Zero  int8
 	// borrowed: Dense aliases the sender's live Param.G (see Own). The flag
-	// sits in the padding after Zero, so Selection stays 160 bytes.
+	// sits in the padding after Zero.
 	borrowed bool
-	Q8       []int8
-	F16      []uint16
+	// Raw is the values' wire image at Prec, in value order: little-endian
+	// f32 words, f16 bits or int8 codes (Quantize writes it; nil for a
+	// built f32 selection or no values). A selection decoded from a dense
+	// frame holds only Raw, borrowed from the frame, and AddTo applies it
+	// from there.
+	Raw []byte
 }
 
 // sparseEntryBytes is the wire cost of one sparse (index, value) pair.
@@ -46,10 +50,17 @@ const sparseEntryBytes = 8
 // headerBytes approximates per-variable framing overhead (name, counts).
 const headerBytes = 24
 
+// IsDense reports whether the selection carries its variable's values in
+// index order: in Dense, or, decoded from a dense frame, only in Raw.
+func (s *Selection) IsDense() bool { return s.Dense != nil || (s.Idx == nil && s.Raw != nil) }
+
 // Count returns the number of gradient values carried.
 func (s *Selection) Count() int {
-	if s.Dense != nil {
+	switch {
+	case s.Dense != nil:
 		return len(s.Dense)
+	case s.IsDense():
+		return len(s.Raw) / s.Prec.ElemBytes()
 	}
 	return len(s.Val)
 }
@@ -59,8 +70,8 @@ func (s *Selection) Count() int {
 // approximation.
 func (s *Selection) Bytes() int {
 	elem := s.Prec.ElemBytes()
-	if s.Dense != nil {
-		return headerBytes + elem*len(s.Dense)
+	if s.IsDense() {
+		return headerBytes + elem*s.Count()
 	}
 	return headerBytes + (4+elem)*len(s.Val)
 }
@@ -68,16 +79,30 @@ func (s *Selection) Bytes() int {
 // AddTo accumulates scale·selection into dst, which must be the variable's
 // full backing slice. A selection that does not fit dst (a dense vector of
 // another length, an index outside it) is an error; a sparse one stops at
-// its first bad index.
+// its first bad index. A decoded dense selection is applied from its wire
+// image, value for value what Axpy does over the dequantized floats.
 func (s *Selection) AddTo(dst []float32, scale float32) error {
 	if len(dst) != s.Total {
 		return fmt.Errorf("grad: %s: dst len %d != total %d", s.Var, len(dst), s.Total)
 	}
-	if s.Dense != nil {
-		if len(s.Dense) != s.Total {
-			return fmt.Errorf("grad: %s: %d dense values != total %d", s.Var, len(s.Dense), s.Total)
+	if s.IsDense() {
+		if n := s.Count(); n != s.Total {
+			return fmt.Errorf("grad: %s: %d dense values != total %d", s.Var, n, s.Total)
 		}
-		tensor.Axpy(dst, scale, s.Dense)
+		switch {
+		case s.Dense != nil:
+			tensor.Axpy(dst, scale, s.Dense)
+		case s.Prec == PrecF16:
+			for i := range dst {
+				dst[i] += float32(scale * F16FromBits(binary.LittleEndian.Uint16(s.Raw[2*i:])))
+			}
+		case s.Prec == PrecI8:
+			for i, q := range s.Raw {
+				dst[i] += float32(scale * DequantizeI8(int8(q), s.Scale, s.Zero))
+			}
+		default:
+			tensor.AxpyLE(dst, scale, s.Raw)
+		}
 		return nil
 	}
 	for k, i := range s.Idx {
@@ -90,10 +115,11 @@ func (s *Selection) AddTo(dst []float32, scale float32) error {
 }
 
 // Own makes a borrowed Dense the selection's own, by one copy; on an owned,
-// sparse or decoded selection it does nothing. A selector may hand out a
-// Dense that aliases the sender's live gradient (Full, and the dense
-// fallbacks of Max-N and Random-K): it is good until Env.Send returns, so an
-// Env that keeps the message past the call owns its selections first.
+// sparse or decoded selection it does nothing (a decoded one's Raw is good
+// until its message's Release). A selector may hand out a Dense that
+// aliases the sender's live gradient (Full, and the dense fallbacks of
+// Max-N and Random-K): it is good until Env.Send returns, so an Env that
+// keeps the message past the call owns its selections first.
 func (s *Selection) Own() {
 	if s.borrowed {
 		s.Dense = append([]float32(nil), s.Dense...)

@@ -10,7 +10,6 @@ import (
 	"testing"
 	"time"
 
-	"dlion/internal/bufpool"
 	"dlion/internal/core"
 	"dlion/internal/data"
 	"dlion/internal/grad"
@@ -53,8 +52,8 @@ func soakValue(from, seq, i int) float32 { return float32(from*1000003 + seq*791
 // TestFrameIntegrityBothTransports pushes gradient frames whose sizes
 // straddle the free list's threshold through both transports, playing the
 // node's part at each end: the sender encodes into a recycled buffer and
-// gives it to Send; the receiver decodes, recycles the frame, verifies every
-// value and releases the message. A transport that recycled a frame it had
+// gives it to Send; the receiver decodes, hands the frame to the message,
+// applies and verifies every value and releases the message (and frame). A transport that recycled a frame it had
 // only passed on (the in-process broker carries the sender's very slice to
 // the receiver) would let the next Encode scribble over a frame in flight:
 // wrong values here, a report under -race.
@@ -91,16 +90,20 @@ func TestFrameIntegrityBothTransports(t *testing.T) {
 					t.Fatal(err)
 				}
 				m, err := wire.Decode(frame)
-				bufpool.Bytes.Put(frame)
 				if err != nil {
 					t.Fatalf("frame %d: %v", k, err)
 				}
+				m.Adopt(frame)
 				from, seq := int(m.From), int(m.Iter)
 				if seq != next[from] {
 					t.Fatalf("sender %d: frame %d arrived, want %d", from, seq, next[from])
 				}
 				next[from]++
-				for i, v := range m.Selections[0].Dense {
+				got := make([]float32, m.Selections[0].Total)
+				if err := m.Selections[0].AddTo(got, 1); err != nil {
+					t.Fatalf("sender %d frame %d: %v", from, seq, err)
+				}
+				for i, v := range got {
 					if v != soakValue(from, seq, i) {
 						t.Fatalf("sender %d frame %d: value %d corrupted", from, seq, i)
 					}
@@ -204,11 +207,12 @@ func TestPooledFramesTrainIdentically(t *testing.T) {
 }
 
 // TestSteadyStateFrameAllocation: once the free list is warm, a frame's trip
-// Select → Encode → Send → broker → Recv → Decode → Release allocates a small
-// fraction of its size — headers and bookkeeping, never a frame-sized buffer.
-// The sender's half is in the loop: Full's selections borrow the gradient
-// tensor and the encoder copies it straight into a recycled frame, so a
-// selector that copied first would show as one frame per trip.
+// Select → Encode → Send → broker → Recv → Decode → apply → Release
+// allocates a small fraction of its size — headers and bookkeeping, never a
+// frame-sized buffer. The sender's half is in the loop: Full's selections
+// borrow the gradient tensor and the encoder copies it straight into a
+// recycled frame, so a selector that copied first would show as one frame
+// per trip; the receiver applies from the frame it decoded.
 func TestSteadyStateFrameAllocation(t *testing.T) {
 	if raceEnabled {
 		t.Skip("under -race sync.Pool drops items at random")
@@ -224,6 +228,7 @@ func TestSteadyStateFrameAllocation(t *testing.T) {
 			Selections: grad.Full{}.Select(1, params, 0)}
 	}
 	frameLen := len(wire.Encode(message()))
+	dst := make([]float32, len(vals))
 	for name, trs := range transportPairs(t, 2) {
 		trip := func() error {
 			if err := trs[0].Send(1, wire.Encode(message())); err != nil {
@@ -234,11 +239,15 @@ func TestSteadyStateFrameAllocation(t *testing.T) {
 				return err
 			}
 			got, err := wire.Decode(frame)
-			bufpool.Bytes.Put(frame)
 			if err != nil {
 				return err
 			}
-			if last := got.Selections[0].Dense[len(vals)-1]; last != vals[len(vals)-1] {
+			got.Adopt(frame)
+			clear(dst)
+			if err := got.Selections[0].AddTo(dst, 1); err != nil {
+				return err
+			}
+			if last := dst[len(vals)-1]; last != vals[len(vals)-1] {
 				return fmt.Errorf("last value %v", last)
 			}
 			got.Release()

@@ -440,12 +440,13 @@ func (n *Node) Run(ctx context.Context) error {
 				return
 			}
 			m, err := wire.Decode(payload)
-			// Decode copies everything it keeps, so the pump — the frame's
-			// owner since Recv — was its last reader.
-			bufpool.Bytes.Put(payload)
 			if err != nil {
+				bufpool.Bytes.Put(payload)
 				continue // corrupt frame: drop
 			}
+			// The pump has owned the frame since Recv; a dense gradient is
+			// applied from it, so the message keeps it until Release.
+			m.Adopt(payload)
 			fn := func() { n.worker.HandleMessage(m) }
 			if m.Type == wire.TypeLeave {
 				// The peer is gone: after the worker processes the

@@ -1,10 +1,14 @@
 package tensor
 
-import "math"
+import (
+	"encoding/binary"
+	"math"
+	"unsafe"
+)
 
-// Element-wise passes: the SGD step and a peer's dense update (Axpy), the
-// dW accumulation (Tensor.Add), Max-N's max-|g| and threshold scans, and
-// ReLU's mask. Under AVX2 each runs its whole 32-float blocks in
+// Element-wise passes: the SGD step and a peer's dense update (Axpy,
+// AxpyLE), the dW accumulation (Tensor.Add), Max-N's max-|g| and threshold
+// scans, and ReLU's mask. Under AVX2 each runs its whole 32-float blocks in
 // simd_amd64.s and its tail in the loop here; on other architectures the
 // loop is the whole pass. A kernel does per element what its loop does, in
 // the operand order gc emits for it, so the two agree bit for bit
@@ -22,6 +26,24 @@ func Axpy(dst []float32, alpha float32, x []float32) {
 	}
 	for i, v := range x {
 		dst[i] += float32(alpha * v)
+	}
+}
+
+// AxpyLE is Axpy over len(dst) little-endian IEEE-754 words at any byte
+// offset: a received frame's dense value block, applied where it lies. The
+// AVX2 kernel loads the words in place (unaligned loads, on a little-endian
+// host); the portable loop and the tail assemble each word from its bytes.
+func AxpyLE(dst []float32, alpha float32, le []byte) {
+	if len(le) != 4*len(dst) {
+		panic("tensor: AxpyLE length mismatch")
+	}
+	if useWideKernel && len(dst) >= 32 {
+		n := len(dst) &^ 31
+		axpy32(&dst[0], alpha, (*float32)(unsafe.Pointer(&le[0])), n)
+		dst, le = dst[n:], le[4*n:]
+	}
+	for i := range dst {
+		dst[i] += float32(alpha * math.Float32frombits(binary.LittleEndian.Uint32(le[4*i:])))
 	}
 }
 

@@ -1,6 +1,7 @@
 package tensor
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math"
 	"slices"
@@ -103,12 +104,23 @@ func edgeSlice(r *testRand, n, off int) []float32 {
 	return s
 }
 
+// leBlock returns the little-endian words of x at byte offset off of a
+// fresh backing array, as a value block lies in a received frame.
+func leBlock(x []float32, off int) []byte {
+	b := make([]byte, off, off+4*len(x))
+	for _, v := range x {
+		b = binary.LittleEndian.AppendUint32(b, math.Float32bits(v))
+	}
+	return b[off:]
+}
+
 // TestElementwiseKernelsBitExact holds Axpy, Tensor.Add's acc, maxAbs,
 // CountAbsAtLeast, GatherAbsAtLeast and KeepPositive to the scalar loops
 // above bit for bit, NaN payloads included, over lengths 0–300 (every tail
 // of every block count up to nine) at start offsets 0–7, with thresholds
-// that tie elements exactly. Under GOARCH=386 (make conformance) it checks
-// the portable loops.
+// that tie elements exactly, and AxpyLE to Axpy over the same values at
+// byte offsets 0–3, a frame-sized block among them. Under GOARCH=386 (make
+// conformance) it checks the portable loops.
 func TestElementwiseKernelsBitExact(t *testing.T) {
 	r := newTestRand(49)
 	alphas := []float32{-0.001, 0.75, 0, float32(math.Copysign(0, -1)), float32(math.Inf(1)),
@@ -123,6 +135,7 @@ func TestElementwiseKernelsBitExact(t *testing.T) {
 			Axpy(got, alpha, x)
 			refAddScaled(want, alpha, x)
 			sameArith(t, fmt.Sprintf("Axpy(%v) %s", alpha, name), got, want, []float32{alpha}, x, d)
+			checkAxpyLE(t, name, d, alpha, x, off%4)
 
 			copy(got, d)
 			copy(want, d)
@@ -150,6 +163,21 @@ func TestElementwiseKernelsBitExact(t *testing.T) {
 			sameBits(t, "KeepPositive backward "+name, got, want)
 		}
 	}
+	const frameValues = 342_279 // train_wire's dense frame
+	x, d := edgeSlice(r, frameValues, 0), edgeSlice(r, frameValues, 0)
+	for off := 0; off < 4; off++ {
+		checkAxpyLE(t, "frame", d, alphas[off], x, off)
+	}
+}
+
+// checkAxpyLE holds AxpyLE over x's words at byte offset off to Axpy over
+// x, bit for bit, from the same dst d.
+func checkAxpyLE(t *testing.T, name string, d []float32, alpha float32, x []float32, off int) {
+	t.Helper()
+	got, want := append([]float32(nil), d...), append([]float32(nil), d...)
+	AxpyLE(got, alpha, leBlock(x, off))
+	Axpy(want, alpha, x)
+	sameBits(t, fmt.Sprintf("AxpyLE(%v) %s byte offset %d", alpha, name, off), got, want)
 }
 
 // sameArith is sameBits for an arithmetic pass whose element i reads

@@ -42,9 +42,10 @@ func awkwardFloats() []float32 {
 }
 
 // TestBlockCopyMatchesPerElement: the f32 value blocks of gradient, weights
-// and welcome frames (one nn.LEBytes/nn.FromLE copy on a little-endian
-// host) carry exactly the per-element little-endian words and decode back
-// to the same bits, down to NaN payloads and the sign of zero. The
+// and welcome frames (one nn.LEBytes copy on a little-endian host; a
+// weights block decodes through one nn.FromLE copy, a gradient's stays in
+// the frame) carry exactly the per-element little-endian words and decode
+// back to the same bits, down to NaN payloads and the sign of zero. The
 // per-element path itself is held to the block copy in nn.
 func TestBlockCopyMatchesPerElement(t *testing.T) {
 	awkward := awkwardFloats()
@@ -181,8 +182,9 @@ func TestEncodedLenIsExact(t *testing.T) {
 	}
 }
 
-// TestReleaseRecyclesWithoutAliasing: storage handed back by Release may
-// back the next decoded message, but never two live ones.
+// TestReleaseRecyclesWithoutAliasing: storage handed back by Release — an
+// adopted frame and sparse storage — may back the next decoded message, but
+// never two live ones.
 func TestReleaseRecyclesWithoutAliasing(t *testing.T) {
 	const n = 50_000 // 200 KB of values: above the free-list threshold
 	frame := func(seed float32) []byte {
@@ -202,37 +204,47 @@ func TestReleaseRecyclesWithoutAliasing(t *testing.T) {
 		if len(m.Selections) != 3 {
 			t.Fatalf("message has %d selections", len(m.Selections))
 		}
-		d, s := m.Selections[0], m.Selections[1]
+		d, s := values(m.Selections[0]), m.Selections[1]
 		for i := 0; i < n; i++ {
-			if d.Dense[i] != seed+float32(i) || s.Idx[i] != int32(i) || s.Val[i] != seed-float32(i) {
+			if d[i] != seed+float32(i) || s.Idx[i] != int32(i) || s.Val[i] != seed-float32(i) {
 				t.Fatalf("seed %v: value %d corrupted", seed, i)
 			}
 		}
 	}
+	// decode plays the receive pump: the message gets the frame it was
+	// decoded from.
 	decode := func(f []byte) *Message {
 		t.Helper()
 		m, err := Decode(f)
 		if err != nil {
 			t.Fatal(err)
 		}
+		m.Adopt(f)
 		return m
 	}
-	fa, fb := frame(1), frame(-7)
 
-	a := decode(fa)
+	a := decode(frame(1))
 	check(a, 1)
+	d := a.Selections[0]
 	a.Release()
-	if a.Selections != nil {
-		t.Fatal("Release left the selections reachable")
+	if a.Selections != nil || d.Raw != nil {
+		t.Fatal("Release left the selections or the frame reachable")
 	}
 	a.Release() // second call: no-op
 
-	b := decode(fb) // likely reuses a's storage
-	a2 := decode(fa)
+	b := decode(frame(-7)) // likely reuses a's frame and storage
+	a2 := decode(frame(1))
 	check(b, -7)
 	check(a2, 1)
 	b.Release()
 	check(a2, 1) // releasing b must not disturb a live message
+
+	// A frame no selection borrows is not kept.
+	sparse := decode(Encode(&Message{Type: TypeGradient, Selections: []*grad.Selection{
+		{Var: "s", Total: n, Idx: []int32{0}, Val: []float32{1}}}}))
+	if sparse.frame != nil {
+		t.Fatal("a sparse message kept its frame")
+	}
 
 	// A message that was built, not decoded, keeps its (shared) selections.
 	shared := []float32{1, 2, 3}
@@ -253,10 +265,7 @@ func TestReleaseRecyclesWithoutAliasing(t *testing.T) {
 	if len(borrowed.Selections) != 1 || &borrowed.Selections[0].Dense[0] != &g.Data[0] {
 		t.Fatal("Release took a selection that borrows the sender's gradient")
 	}
-	c := decode(fa) // would draw the gradient's storage from the pool
-	if &c.Selections[0].Dense[0] == &g.Data[0] {
-		t.Fatal("Decode filled the sender's gradient tensor")
-	}
+	c := decode(frame(1)) // would draw the gradient's storage from the pool
 	check(c, 1)
 	if g.Data[n-1] != float32(n) {
 		t.Fatal("the gradient was overwritten")

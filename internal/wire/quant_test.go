@@ -3,7 +3,6 @@ package wire
 import (
 	"bytes"
 	"math"
-	"reflect"
 	"testing"
 
 	"dlion/internal/grad"
@@ -23,8 +22,8 @@ func quantMsg(p grad.Precision) *Message {
 }
 
 // TestQuantizedRoundTrip: a quantized gradient message decodes to exactly
-// the sender's struct — same precision, same raw codes, same dequantized
-// image — for both reduced precisions.
+// the sender's selections — same precision, same raw codes, same
+// dequantized image — for both reduced precisions.
 func TestQuantizedRoundTrip(t *testing.T) {
 	for _, p := range []grad.Precision{grad.PrecF16, grad.PrecI8} {
 		m := quantMsg(p)
@@ -32,9 +31,7 @@ func TestQuantizedRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%v: %v", p, err)
 		}
-		if !reflect.DeepEqual(m, got) {
-			t.Fatalf("%v round trip mismatch:\n%+v\n%+v", p, m.Selections[0], got.Selections[0])
-		}
+		assertMessageBitsEqual(t, m, got)
 	}
 }
 
@@ -94,9 +91,7 @@ func TestQuantizedEdgeSelections(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(m, got) {
-		t.Fatalf("edge round trip mismatch:\n%+v\n%+v", m, got)
-	}
+	assertMessageBitsEqual(t, m, got)
 	// The empty int8 selections still carried their scale through the wire.
 	if got.Selections[0].Scale != 0.5 || got.Selections[1].Scale != 2 {
 		t.Fatalf("empty-selection scales lost: %v %v",
@@ -108,8 +103,8 @@ func TestQuantizedEdgeSelections(t *testing.T) {
 }
 
 // TestQuantizedOnTheFlyEncoding: a selection with Prec set but no stored
-// payload (Q8/F16 nil) is quantized by the encoder itself, and a decode
-// yields the dequantized image plus the codes.
+// payload (Raw nil) is quantized by the encoder itself, and a decode
+// yields the codes, which apply as the dequantized image.
 func TestQuantizedOnTheFlyEncoding(t *testing.T) {
 	s := &grad.Selection{Var: "W", Total: 3, Dense: []float32{1, -0.5, 0.25},
 		Prec: grad.PrecI8, Scale: float32(1) / 127}
@@ -119,13 +114,13 @@ func TestQuantizedOnTheFlyEncoding(t *testing.T) {
 		t.Fatal(err)
 	}
 	gs := got.Selections[0]
-	if len(gs.Q8) != 3 || gs.Q8[0] != 127 {
-		t.Fatalf("on-the-fly codes %v", gs.Q8)
+	if len(gs.Raw) != 3 || gs.Raw[0] != 127 {
+		t.Fatalf("on-the-fly codes %v", gs.Raw)
 	}
 	for i, v := range s.Dense {
 		want := grad.DequantizeI8(grad.QuantizeI8(v, s.Scale, 0), s.Scale, 0)
-		if gs.Dense[i] != want {
-			t.Fatalf("value %d: %v, want %v", i, gs.Dense[i], want)
+		if got := values(gs)[i]; got != want {
+			t.Fatalf("value %d: %v, want %v", i, got, want)
 		}
 	}
 }

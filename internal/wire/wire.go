@@ -105,36 +105,54 @@ type Message struct {
 	// quantReserved. A link's precision is the sender's choice alone.
 	Quant uint8
 
-	// pooled marks a message whose Selection storage Decode drew from the
-	// free lists; only then does Release have anything to hand back.
-	pooled bool
+	// pooled marks sparse Selection storage Decode drew from the free
+	// lists; borrows, a dense selection that borrows the frame Decode read;
+	// frame is that frame once Adopt handed it over.
+	pooled  bool
+	borrows bool
+	frame   []byte
 }
 
-// Free lists for the storage Decode fills (see Release). Encoded frames use
-// bufpool.Bytes, which the transport layers share.
+// Free lists for the sparse storage Decode fills (see Release). Encoded
+// frames use bufpool.Bytes, which the transport layers share.
 var (
 	f32Pool bufpool.Pool[float32]
 	i32Pool bufpool.Pool[int32]
 )
 
-// Release hands the Selection storage of a decoded message back for reuse
-// and empties the message's Selections. The caller must be the message's
-// only user and done with it: core calls Release once a peer gradient has
-// been applied or dropped. It is a no-op on a nil message, on one that was
-// built rather than decoded (the simulator delivers the sender's Message,
-// whose Selections other links share), and on a second call; a message that
-// is never released is simply garbage-collected.
-func (m *Message) Release() {
-	if m == nil || !m.pooled {
+// Adopt hands m the frame it was decoded from, which the caller owns and
+// must not touch again: a frame a dense selection borrows stays with m
+// until Release, any other goes back to bufpool.Bytes at once.
+func (m *Message) Adopt(frame []byte) {
+	if m.borrows {
+		m.frame = frame
 		return
 	}
-	m.pooled = false
-	for _, s := range m.Selections {
-		f32Pool.Put(s.Dense)
-		f32Pool.Put(s.Val)
-		i32Pool.Put(s.Idx)
-		s.Dense, s.Val, s.Idx = nil, nil, nil
+	bufpool.Bytes.Put(frame)
+}
+
+// Release hands the storage of a decoded message back for reuse — its
+// sparse values and indices, and the frame it was adopted with — and
+// empties the message's Selections. The caller must be the message's only
+// user and done with it: core calls Release once a peer gradient has been
+// applied or dropped. It is a no-op on a nil message, on one that was
+// built rather than decoded (the simulator delivers the sender's Message,
+// whose Selections other links share), on one that holds no such storage,
+// and on a second call; a message that is never released is simply
+// garbage-collected.
+func (m *Message) Release() {
+	if m == nil || !m.pooled && m.frame == nil {
+		return
 	}
+	for _, s := range m.Selections {
+		if m.pooled {
+			f32Pool.Put(s.Val)
+			i32Pool.Put(s.Idx)
+		}
+		s.Val, s.Idx, s.Raw = nil, nil, nil
+	}
+	bufpool.Bytes.Put(m.frame)
+	m.pooled, m.frame = false, nil
 	m.Selections = nil
 }
 
@@ -233,8 +251,8 @@ func selectionLen(s *grad.Selection) int {
 	if s.Prec == grad.PrecI8 {
 		n += 4 + 1 // scale, zero point
 	}
-	if s.Dense != nil {
-		return n + s.Prec.ElemBytes()*len(s.Dense)
+	if s.IsDense() {
+		return n + s.Prec.ElemBytes()*s.Count()
 	}
 	return n + (4+s.Prec.ElemBytes())*len(s.Val)
 }
@@ -243,45 +261,43 @@ func encodeSelection(buf []byte, s *grad.Selection) []byte {
 	buf = le16(buf, uint16(len(s.Var)))
 	buf = append(buf, s.Var...)
 	buf = le32(buf, uint32(s.Total))
+	dense := s.IsDense()
 	flag := uint8(s.Prec) << selPrecShift
-	if s.Dense != nil {
+	if dense {
 		flag |= selDenseBit
 	}
 	buf = append(buf, flag)
-	vals := s.Dense
-	if s.Dense == nil {
-		vals = s.Val
-	}
-	buf = le32(buf, uint32(len(vals)))
+	buf = le32(buf, uint32(s.Count()))
 	if s.Prec == grad.PrecI8 {
 		// Per-variable dequantization parameters, present even for an
 		// empty selection so the layout is position-independent of count.
 		buf = le32(buf, math.Float32bits(s.Scale))
 		buf = append(buf, byte(s.Zero))
 	}
-	if s.Dense != nil && s.Prec == grad.PrecF32 {
-		return append(buf, nn.LEBytes(vals)...)
+	// A stored wire image is emitted verbatim (the canonical re-encode of a
+	// decoded frame); a selection built without one is encoded on the fly.
+	switch {
+	case dense && s.Raw != nil:
+		return append(buf, s.Raw...)
+	case dense && s.Prec == grad.PrecF32:
+		return append(buf, nn.LEBytes(s.Dense)...)
 	}
+	vals := s.Dense
+	if !dense {
+		vals = s.Val
+	}
+	elem := s.Prec.ElemBytes()
 	for k, v := range vals {
-		if s.Dense == nil {
+		if !dense {
 			buf = le32(buf, uint32(s.Idx[k]))
 		}
-		switch s.Prec {
-		case grad.PrecF16:
-			// Prefer the stored payload (canonical re-encode of a decoded
-			// frame); fall back to quantizing on the fly for selections
-			// built without Quantize.
-			if s.F16 != nil {
-				buf = le16(buf, s.F16[k])
-			} else {
-				buf = le16(buf, grad.F16Bits(v))
-			}
-		case grad.PrecI8:
-			if s.Q8 != nil {
-				buf = append(buf, byte(s.Q8[k]))
-			} else {
-				buf = append(buf, byte(grad.QuantizeI8(v, s.Scale, s.Zero)))
-			}
+		switch {
+		case s.Raw != nil:
+			buf = append(buf, s.Raw[elem*k:elem*(k+1)]...)
+		case s.Prec == grad.PrecF16:
+			buf = le16(buf, grad.F16Bits(v))
+		case s.Prec == grad.PrecI8:
+			buf = append(buf, byte(grad.QuantizeI8(v, s.Scale, s.Zero)))
 		default:
 			buf = le32(buf, math.Float32bits(v))
 		}
@@ -289,7 +305,9 @@ func encodeSelection(buf []byte, s *grad.Selection) []byte {
 	return buf
 }
 
-// Decode parses a message produced by Encode.
+// Decode parses a message produced by Encode. Its dense selections borrow
+// their values from data (grad.Selection.Raw), so data must stay unchanged
+// while the message is in use; Adopt hands it over for Release to recycle.
 func Decode(data []byte) (*Message, error) {
 	r := &reader{data: data}
 	m := &Message{}
@@ -331,7 +349,7 @@ func Decode(data []byte) (*Message, error) {
 			}
 			m.Selections = append(m.Selections, s)
 		}
-		m.pooled = r.pooled
+		m.pooled, m.borrows = r.pooled, r.borrows
 	case TypeWeights:
 		if m.Weights, err = decodeWeights(r); err != nil {
 			return nil, err
@@ -473,9 +491,14 @@ func decodeSelection(r *reader) (*grad.Selection, error) {
 		if n != total {
 			return nil, fmt.Errorf("%w: %q: %d dense values of %d", ErrCorrupt, name, n, total)
 		}
-		s.Dense = f32Pool.Get(int(n))
-		r.pooled = r.pooled || f32Pool.Recyclable(s.Dense)
-		fillValues(r, s, s.Dense)
+		if n == 0 {
+			s.Dense = []float32{}
+			return s, nil
+		}
+		// The values stay in the frame, borrowed until Release.
+		end := r.off + int(n)*elem
+		s.Raw = r.data[r.off:end:end]
+		r.off, r.borrows = end, true
 		return s, nil
 	}
 	if uint64(n) > uint64(r.remaining()/(4+elem)) {
@@ -484,62 +507,35 @@ func decodeSelection(r *reader) (*grad.Selection, error) {
 	if n == 0 {
 		return s, nil
 	}
+	// A sparse frame interleaves indices and values: both are copied out,
+	// and a quantized selection keeps its codes for the re-encode.
 	s.Idx = i32Pool.Get(int(n))
 	s.Val = f32Pool.Get(int(n))
 	r.pooled = r.pooled || f32Pool.Recyclable(s.Val)
-	fillValues(r, s, s.Val)
-	for _, i := range s.Idx {
-		if uint32(i) >= total {
-			return nil, fmt.Errorf("%w: %q: index %d of %d", ErrCorrupt, name, uint32(i), total)
+	if prec != grad.PrecF32 {
+		s.Raw = make([]byte, elem*int(n))
+	}
+	for k := range s.Val {
+		idx, _ := r.u32()
+		if idx >= total {
+			return nil, fmt.Errorf("%w: %q: index %d of %d", ErrCorrupt, name, idx, total)
+		}
+		s.Idx[k] = int32(idx)
+		switch prec {
+		case grad.PrecF16:
+			h, _ := r.u16()
+			binary.LittleEndian.PutUint16(s.Raw[2*k:], h)
+			s.Val[k] = grad.F16FromBits(h)
+		case grad.PrecI8:
+			q, _ := r.u8()
+			s.Raw[k] = q
+			s.Val[k] = grad.DequantizeI8(int8(q), s.Scale, s.Zero)
+		default:
+			bits, _ := r.u32()
+			s.Val[k] = math.Float32frombits(bits)
 		}
 	}
 	return s, nil
-}
-
-// fillValues reads n payload values at the selection's precision into dst
-// (the float32 image a receiver works with), storing raw quantized codes on
-// s so a re-encode is byte-identical even for hostile scale values. For a
-// sparse selection (s.Idx non-nil) each value is preceded by its index. The
-// caller has verified that r holds enough bytes; reads cannot fail.
-func fillValues(r *reader, s *grad.Selection, dst []float32) {
-	if len(dst) == 0 {
-		return // keep Q8/F16 nil, matching an empty sender selection
-	}
-	switch s.Prec {
-	case grad.PrecF16:
-		s.F16 = make([]uint16, len(dst))
-		for i := range dst {
-			if s.Idx != nil {
-				idx, _ := r.u32()
-				s.Idx[i] = int32(idx)
-			}
-			s.F16[i], _ = r.u16()
-			dst[i] = grad.F16FromBits(s.F16[i])
-		}
-	case grad.PrecI8:
-		s.Q8 = make([]int8, len(dst))
-		for i := range dst {
-			if s.Idx != nil {
-				idx, _ := r.u32()
-				s.Idx[i] = int32(idx)
-			}
-			q, _ := r.u8()
-			s.Q8[i] = int8(q)
-			dst[i] = grad.DequantizeI8(s.Q8[i], s.Scale, s.Zero)
-		}
-	default:
-		if s.Idx == nil {
-			nn.FromLE(dst, r.data[r.off:])
-			r.off += 4 * len(dst)
-			return
-		}
-		for i := range dst {
-			idx, _ := r.u32()
-			s.Idx[i] = int32(idx)
-			bits, _ := r.u32()
-			dst[i] = math.Float32frombits(bits)
-		}
-	}
 }
 
 // --- low-level helpers ---
@@ -553,9 +549,10 @@ func le64(b []byte, v uint64) []byte {
 }
 
 type reader struct {
-	data   []byte
-	off    int
-	pooled bool // some Selection storage came from a free list
+	data    []byte
+	off     int
+	pooled  bool // some Selection storage came from a free list
+	borrows bool // some Selection borrows data
 }
 
 func (r *reader) remaining() int { return len(r.data) - r.off }

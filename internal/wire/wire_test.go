@@ -1,8 +1,11 @@
 package wire
 
 import (
+	"bytes"
+	"encoding/binary"
 	"math"
 	"reflect"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -27,9 +30,7 @@ func TestGradientRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(m, got) {
-		t.Fatalf("round trip mismatch:\n%+v\n%+v", m, got)
-	}
+	assertMessageBitsEqual(t, m, got)
 }
 
 func TestWeightsRoundTrip(t *testing.T) {
@@ -191,7 +192,11 @@ func TestRoundTripProperty(t *testing.T) {
 			m.Selections = append(m.Selections, sel)
 		}
 		got, err := Decode(Encode(m))
-		return err == nil && reflect.DeepEqual(m, got)
+		if err != nil {
+			return false
+		}
+		assertMessageBitsEqual(t, m, got)
+		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Fatal(err)
@@ -286,6 +291,9 @@ func TestRoundTripEdgeCases(t *testing.T) {
 
 // assertMessageBitsEqual compares two messages with float32 fields reduced
 // to their bit patterns, so NaN != NaN semantics cannot hide a corruption.
+// A selection compares by what it carries, not how: a decoded dense one
+// holds its values only as the wire image (grad.Selection.Raw), so its
+// floats are read back from there; stored codes must match byte for byte.
 func assertMessageBitsEqual(t *testing.T, want, got *Message) {
 	t.Helper()
 	if want.Type != got.Type || want.From != got.From || want.To != got.To ||
@@ -297,22 +305,19 @@ func assertMessageBitsEqual(t *testing.T, want, got *Message) {
 	}
 	for i, ws := range want.Selections {
 		gs := got.Selections[i]
-		if ws.Var != gs.Var || ws.Total != gs.Total {
+		switch {
+		case ws.Var != gs.Var || ws.Total != gs.Total:
 			t.Fatalf("selection %d header: %+v vs %+v", i, ws, gs)
-		}
-		if (ws.Dense != nil) != (gs.Dense != nil) {
+		case ws.IsDense() != gs.IsDense():
 			t.Fatalf("selection %d: dense flag flipped in transit", i)
-		}
-		if !bitsEqual(ws.Dense, gs.Dense) || !bitsEqual(ws.Val, gs.Val) {
-			t.Fatalf("selection %d values: %+v vs %+v", i, ws, gs)
-		}
-		if len(ws.Idx) != len(gs.Idx) {
-			t.Fatalf("selection %d idx len", i)
-		}
-		for k := range ws.Idx {
-			if ws.Idx[k] != gs.Idx[k] {
-				t.Fatalf("selection %d idx[%d]", i, k)
-			}
+		case ws.Prec != gs.Prec || ws.Zero != gs.Zero || math.Float32bits(ws.Scale) != math.Float32bits(gs.Scale):
+			t.Fatalf("selection %d precision: %v/%v/%d vs %v/%v/%d", i, ws.Prec, ws.Scale, ws.Zero, gs.Prec, gs.Scale, gs.Zero)
+		case !bitsEqual(values(ws), values(gs)):
+			t.Fatalf("selection %d values: %v vs %v", i, values(ws), values(gs))
+		case !slices.Equal(ws.Idx, gs.Idx):
+			t.Fatalf("selection %d indices: %v vs %v", i, ws.Idx, gs.Idx)
+		case ws.Raw != nil && !bytes.Equal(ws.Raw, gs.Raw):
+			t.Fatalf("selection %d codes: %v vs %v", i, ws.Raw, gs.Raw)
 		}
 	}
 	if len(want.Weights) != len(got.Weights) {
@@ -324,6 +329,29 @@ func assertMessageBitsEqual(t *testing.T, want, got *Message) {
 			t.Fatalf("weights %q: %+v vs %+v", name, wt, gt)
 		}
 	}
+}
+
+// values is the float32 image a selection applies: its Dense or Val, or
+// for one decoded from a dense frame its wire image read back.
+func values(s *grad.Selection) []float32 {
+	if !s.IsDense() {
+		return s.Val
+	}
+	if s.Dense != nil {
+		return s.Dense
+	}
+	out := make([]float32, s.Count())
+	for i := range out {
+		switch s.Prec {
+		case grad.PrecF16:
+			out[i] = grad.F16FromBits(binary.LittleEndian.Uint16(s.Raw[2*i:]))
+		case grad.PrecI8:
+			out[i] = grad.DequantizeI8(int8(s.Raw[i]), s.Scale, s.Zero)
+		default:
+			out[i] = math.Float32frombits(binary.LittleEndian.Uint32(s.Raw[4*i:]))
+		}
+	}
+	return out
 }
 
 func bitsEqual(a, b []float32) bool {
@@ -374,7 +402,7 @@ func TestDenseSparseEquivalentApplication(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rt.Selections[0].Dense == nil || rt.Selections[1].Dense != nil {
+	if !rt.Selections[0].IsDense() || rt.Selections[1].IsDense() {
 		t.Fatal("selection representation flipped through the wire")
 	}
 	// The sparse encoding of a full variable costs twice the dense bytes —
