@@ -16,6 +16,7 @@ import (
 	"dlion/internal/simclock"
 	"dlion/internal/simcompute"
 	"dlion/internal/simnet"
+	"dlion/internal/stats"
 	"dlion/internal/tensor"
 	"dlion/internal/wire"
 )
@@ -27,8 +28,8 @@ type Config struct {
 	Data   data.Config
 
 	N        int
-	Computes []*simcompute.Compute // per-worker compute, len N
-	Network  *simnet.Network       // n-worker mesh
+	Computes []simcompute.Compute // per-worker compute, len N
+	Network  *simnet.Network      // n-worker mesh
 
 	Horizon     float64 // virtual seconds to simulate
 	EvalPeriod  float64 // seconds between accuracy evaluations (default 50)
@@ -164,7 +165,8 @@ func (c Config) withDefaults() Config {
 type simEnv struct {
 	eng       *simclock.Engine
 	net       *simnet.Network
-	computes  []*simcompute.Compute
+	computes  []simcompute.Compute
+	jitter    []*stats.RNG // per worker: its Compute's stream, built by Run
 	workers   []*core.Worker
 	inj       *fault.Injector
 	wireScale float64
@@ -242,7 +244,7 @@ func (e *simEnv) NumWorkers() int            { return len(e.computes) }
 // or sent, and its loss is read only if a join reaches it first (Join).
 func (e *simEnv) Step(w, b int, run func(ws *tensor.Workspace)) (charged, wait float64) {
 	now := e.eng.Now()
-	d := e.computes[w].IterTime(b, now)
+	d := e.computes[w].IterTime(e.jitter[w], b, now)
 	if now+d > e.horizon {
 		e.lazy[w] = run
 		e.steps.deferred++
@@ -272,7 +274,7 @@ func (e *simEnv) Join(w int) bool {
 }
 
 func (e *simEnv) ProfileCompute(w int, batches []int) (x, y []float64) {
-	return e.computes[w].Profile(batches, e.eng.Now())
+	return e.computes[w].Profile(e.jitter[w], batches, e.eng.Now())
 }
 
 func (e *simEnv) Bandwidth(from, to int) float64 {
@@ -369,6 +371,9 @@ func Run(cfg Config) (*Result, error) {
 		lazy:    make([]func(ws *tensor.Workspace), cfg.N),
 	}
 	defer env.slots.Close()
+	for _, c := range cfg.Computes {
+		env.jitter = append(env.jitter, stats.NewRNG(c.Seed))
+	}
 	// The peak queue is the t = 0 burst's all-to-all exchange, n² + n + 1
 	// events on the federation workload (TestEventHeapReserve): sized once
 	// instead of doubling up to it.

@@ -1,7 +1,7 @@
 package cluster
 
 import (
-	"math"
+	"reflect"
 	"testing"
 
 	"dlion/internal/core"
@@ -19,7 +19,7 @@ import (
 func tinyConfig(sys core.Config) Config {
 	dc := data.Config{Name: "tc", NumClasses: 4, Train: 400, Test: 100,
 		Channels: 1, Height: 8, Width: 8, Noise: 0.5, Jitter: 1, Bumps: 3, Seed: 5}
-	comps := make([]*simcompute.Compute, 4)
+	comps := make([]simcompute.Compute, 4)
 	for i := range comps {
 		comps[i] = simcompute.New(simcompute.Constant(12),
 			simcompute.CostModel{Overhead: 0.05, PerSample: 0.5}, uint64(i))
@@ -80,29 +80,41 @@ func TestRunLearns(t *testing.T) {
 	}
 }
 
+// jitteredConfig is tinyConfig with 3 % compute jitter on every worker,
+// as the Table 3 environments have.
+func jitteredConfig(sys core.Config) Config {
+	cfg := tinyConfig(sys)
+	for i := range cfg.Computes {
+		cfg.Computes[i].Cost.Jitter = 0.03
+	}
+	return cfg
+}
+
+// TestRunDeterministic: a Config is a value. Running one Config twice, and
+// running a freshly built one, gives the same result, jitter included:
+// cluster.Run builds the jitter streams from the Computes' seeds.
 func TestRunDeterministic(t *testing.T) {
-	// Identical configs must produce identical timelines (fresh computes
-	// needed because jitter RNG state lives in them).
-	run := func() *Result {
-		res, err := Run(tinyConfig(systems.DLion()))
+	run := func(cfg Config) *Result {
+		res, err := Run(cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
 		return res
 	}
-	a, b := run(), run()
-	if len(a.Timeline) != len(b.Timeline) {
-		t.Fatalf("timeline lengths differ: %d vs %d", len(a.Timeline), len(b.Timeline))
-	}
-	for i := range a.Timeline {
-		if math.Abs(a.Timeline[i].Mean-b.Timeline[i].Mean) > 1e-12 {
-			t.Fatalf("nondeterministic at %d: %v vs %v",
-				i, a.Timeline[i].Mean, b.Timeline[i].Mean)
+	cfg := jitteredConfig(systems.DLion())
+	a, b, fresh := run(cfg), run(cfg), run(jitteredConfig(systems.DLion()))
+	for name, r := range map[string]*Result{"second run": b, "fresh config": fresh} {
+		if !reflect.DeepEqual(a.Timeline, r.Timeline) {
+			t.Errorf("%s: timeline differs:\n%v\n%v", name, a.Timeline, r.Timeline)
 		}
-	}
-	for i := range a.Iters {
-		if a.Iters[i] != b.Iters[i] {
-			t.Fatal("iteration counts differ across identical runs")
+		if !reflect.DeepEqual(a.Iters, r.Iters) {
+			t.Errorf("%s: iterations %v, first run %v", name, r.Iters, a.Iters)
+		}
+		if !reflect.DeepEqual(a.Stats, r.Stats) {
+			t.Errorf("%s: stats differ:\n%v\n%v", name, a.Stats, r.Stats)
+		}
+		if a.TotalBytes != r.TotalBytes {
+			t.Errorf("%s: %d bytes, first run %d", name, r.TotalBytes, a.TotalBytes)
 		}
 	}
 }
@@ -172,7 +184,7 @@ func TestNetworkBoundSlowsIterations(t *testing.T) {
 
 func TestHeterogeneousComputeSlowsSync(t *testing.T) {
 	cfg := tinyConfig(systems.Baseline())
-	comps := make([]*simcompute.Compute, 4)
+	comps := make([]simcompute.Compute, 4)
 	for i := range comps {
 		cap := 12.0
 		if i == 3 {
@@ -195,18 +207,7 @@ func TestHeterogeneousComputeSlowsSync(t *testing.T) {
 	}
 	// DLion's dynamic batching should recover most of the loss
 	dcfg := tinyConfig(systems.DLion())
-	dcfg.Computes = func() []*simcompute.Compute {
-		cs := make([]*simcompute.Compute, 4)
-		for i := range cs {
-			cap := 12.0
-			if i == 3 {
-				cap = 1
-			}
-			cs[i] = simcompute.New(simcompute.Constant(cap),
-				simcompute.CostModel{Overhead: 0.05, PerSample: 0.5}, uint64(i))
-		}
-		return cs
-	}()
+	dcfg.Computes = comps
 	dres, err := Run(dcfg)
 	if err != nil {
 		t.Fatal(err)

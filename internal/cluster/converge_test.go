@@ -1,16 +1,18 @@
 package cluster
 
 import (
+	"reflect"
 	"testing"
 
 	"dlion/internal/systems"
 )
 
 // TestRunUntilConvergedExtendsHorizon: with an unreachable plateau bar the
-// driver must keep doubling the horizon until maxTime, and the final run's
-// timeline must cover the extended horizon — not the initial one.
+// driver must keep doubling the horizon until maxTime, and return the run
+// at the final horizon: a fresh Run of it, though the discarded shorter
+// runs drew from the same jittered Computes first.
 func TestRunUntilConvergedExtendsHorizon(t *testing.T) {
-	cfg := tinyConfig(systems.Baseline())
+	cfg := jitteredConfig(systems.Baseline())
 	cfg.Horizon = 10
 	cfg.EvalPeriod = 5
 	// eps=0 cannot plateau (it would need two evaluations exactly equal
@@ -26,6 +28,14 @@ func TestRunUntilConvergedExtendsHorizon(t *testing.T) {
 	}
 	if convT <= 0 || convT > last {
 		t.Fatalf("convergence time %v outside the run (last eval %v)", convT, last)
+	}
+	cfg.Horizon = 40
+	fresh, err := Run(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(res.Timeline, fresh.Timeline) {
+		t.Fatalf("timeline differs from a fresh run at the final horizon:\n%v\n%v", res.Timeline, fresh.Timeline)
 	}
 }
 

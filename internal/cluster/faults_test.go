@@ -18,7 +18,7 @@ import (
 func chaosConfig(sys core.Config) Config {
 	dc := data.Config{Name: "chaos", NumClasses: 4, Train: 600, Test: 150,
 		Channels: 1, Height: 8, Width: 8, Noise: 0.5, Jitter: 1, Bumps: 3, Seed: 5}
-	comps := make([]*simcompute.Compute, 6)
+	comps := make([]simcompute.Compute, 6)
 	for i := range comps {
 		comps[i] = simcompute.New(simcompute.Constant(12),
 			simcompute.CostModel{Overhead: 0.05, PerSample: 0.5}, uint64(i))

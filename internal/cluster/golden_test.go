@@ -99,7 +99,7 @@ func TestRunGoldens(t *testing.T) {
 // virtual seconds over a 36-second horizon.
 func convergenceConfig(sys core.Config, caps ...float64) Config {
 	n := len(caps)
-	computes := make([]*simcompute.Compute, n)
+	computes := make([]simcompute.Compute, n)
 	for i, c := range caps {
 		computes[i] = simcompute.New(simcompute.Constant(c),
 			simcompute.CostModel{Overhead: 0.05, PerSample: 0.5}, uint64(i))

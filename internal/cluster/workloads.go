@@ -24,7 +24,7 @@ import (
 func SimEventsConfig(n int, churn bool) Config {
 	dc := data.Config{Name: "bench-events", NumClasses: 3, Train: 2048, Test: 256,
 		Channels: 1, Height: 8, Width: 8, Noise: 0.4, Jitter: 0, Bumps: 3, Seed: 11}
-	comps := make([]*simcompute.Compute, n)
+	comps := make([]simcompute.Compute, n)
 	for i := range comps {
 		comps[i] = simcompute.New(simcompute.Constant(12),
 			simcompute.CostModel{Overhead: 0.05, PerSample: 0.5}, uint64(i))

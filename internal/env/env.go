@@ -34,21 +34,16 @@ const (
 	RTTWan  = 0.05
 )
 
-// Cost model constants. The absolute values are calibrated so that the
-// paper's regimes hold in simulation (see DESIGN.md): on the CPU cluster a
-// 24-core worker takes ~2.7 virtual seconds for a 32-sample iteration, so
-// full 5 MB gradient exchange saturates WAN links but not the LAN; on the
-// GPU cluster computation is fast enough that even the LAN becomes the
-// bottleneck for MobileNet's 17 MB exchanges.
-func cpuCost() simcompute.CostModel {
-	return simcompute.CostModel{Overhead: 0.05, PerSample: 2.0, Jitter: 0.03}
-}
-
-func gpuCost() simcompute.CostModel {
-	// Same per-sample cost as the CPU model: GPU speed comes from capacity
-	// units (one GPU = 30 cores' worth), which keeps wall-clock cost per
-	// simulated sample uniform while preserving the paper's regime where
-	// GPU compute far outpaces the network.
+// cost returns every environment's cost model, CPU and GPU alike. The
+// absolute values are calibrated so that the paper's regimes hold in
+// simulation (see DESIGN.md): on the CPU cluster a 24-core worker takes
+// ~2.7 virtual seconds for a 32-sample iteration, so full 5 MB gradient
+// exchange saturates WAN links but not the LAN. GPU speed comes from
+// capacity units (one GPU = simcompute.GPUUnit cores' worth), which keeps
+// wall-clock cost per simulated sample uniform while preserving the
+// paper's regime where GPU compute far outpaces the network: even the LAN
+// becomes the bottleneck for MobileNet's 17 MB exchanges.
+func cost() simcompute.CostModel {
 	return simcompute.CostModel{Overhead: 0.05, PerSample: 2.0, Jitter: 0.03}
 }
 
@@ -56,25 +51,25 @@ func gpuCost() simcompute.CostModel {
 type Env struct {
 	Name     string
 	N        int
-	Computes []*simcompute.Compute
+	Computes []simcompute.Compute
 	Network  *simnet.Network
 	GPU      bool // GPU cluster (use MobileNetLite; Figure 12)
 }
 
 // coresEnv builds computes from constant per-worker core counts.
-func coresEnv(cost simcompute.CostModel, seed uint64, cores ...float64) []*simcompute.Compute {
-	out := make([]*simcompute.Compute, len(cores))
+func coresEnv(seed uint64, cores ...float64) []simcompute.Compute {
+	out := make([]simcompute.Compute, len(cores))
 	for i, c := range cores {
-		out[i] = simcompute.New(simcompute.Constant(c), cost, seed+uint64(i))
+		out[i] = simcompute.New(simcompute.Constant(c), cost(), seed+uint64(i))
 	}
 	return out
 }
 
 // schedEnv builds computes from explicit per-worker capacity schedules.
-func schedEnv(cost simcompute.CostModel, seed uint64, scheds []simcompute.Schedule) []*simcompute.Compute {
-	out := make([]*simcompute.Compute, len(scheds))
+func schedEnv(seed uint64, scheds []simcompute.Schedule) []simcompute.Compute {
+	out := make([]simcompute.Compute, len(scheds))
 	for i, s := range scheds {
-		out[i] = simcompute.New(s, cost, seed+uint64(i))
+		out[i] = simcompute.New(s, cost(), seed+uint64(i))
 	}
 	return out
 }
@@ -85,11 +80,6 @@ func egressNet(mbps ...float64) *simnet.Network {
 	for i, m := range mbps {
 		scheds[i] = simcompute.Constant(m)
 	}
-	return simnet.PerWorkerEgress(scheds, RTTWan)
-}
-
-// egressSchedNet builds a per-worker-egress WAN from bandwidth schedules.
-func egressSchedNet(scheds []simcompute.Schedule) *simnet.Network {
 	return simnet.PerWorkerEgress(scheds, RTTWan)
 }
 
@@ -106,8 +96,8 @@ func Names() []string {
 }
 
 // Get instantiates a Table 3 environment by name (case- and
-// space-insensitive, e.g. "heterosysa"). seed feeds the compute jitter
-// streams.
+// space-insensitive, e.g. "heterosysa"). seed + i is worker i's compute
+// jitter seed.
 func Get(name string, seed uint64) (*Env, error) {
 	canon := strings.ToLower(strings.ReplaceAll(name, " ", ""))
 	hetCores := []float64{24, 24, 12, 12, 6, 6}
@@ -116,46 +106,46 @@ func Get(name string, seed uint64) (*Env, error) {
 	switch canon {
 	case "homoa":
 		return &Env{Name: "Homo A", N: 6,
-			Computes: coresEnv(cpuCost(), seed, 24, 24, 24, 24, 24, 24),
+			Computes: coresEnv(seed, 24, 24, 24, 24, 24, 24),
 			Network:  simnet.Uniform(6, simcompute.Constant(LANMbps), RTTLan)}, nil
 	case "homob":
 		return &Env{Name: "Homo B", N: 6,
-			Computes: coresEnv(cpuCost(), seed, 24, 24, 24, 24, 24, 24),
+			Computes: coresEnv(seed, 24, 24, 24, 24, 24, 24),
 			Network:  egressNet(50, 50, 50, 50, 50, 50)}, nil
 	case "homoc":
 		g := simcompute.GPUUnit
 		return &Env{Name: "Homo C", N: 6, GPU: true,
-			Computes: coresEnv(gpuCost(), seed, g, g, g, g, g, g),
+			Computes: coresEnv(seed, g, g, g, g, g, g),
 			Network:  simnet.Uniform(6, simcompute.Constant(LANMbps), RTTLan)}, nil
 	case "heterocpua":
 		return &Env{Name: "Hetero CPU A", N: 6,
-			Computes: coresEnv(cpuCost(), seed, hetCores...),
+			Computes: coresEnv(seed, hetCores...),
 			Network:  simnet.Uniform(6, simcompute.Constant(LANMbps), RTTLan)}, nil
 	case "heterocpub":
 		return &Env{Name: "Hetero CPU B", N: 6,
-			Computes: coresEnv(cpuCost(), seed, 24, 24, 24, 24, 24, 4),
+			Computes: coresEnv(seed, 24, 24, 24, 24, 24, 4),
 			Network:  simnet.Uniform(6, simcompute.Constant(LANMbps), RTTLan)}, nil
 	case "heteroneta":
 		return &Env{Name: "Hetero NET A", N: 6,
-			Computes: coresEnv(cpuCost(), seed, 24, 24, 24, 24, 24, 24),
+			Computes: coresEnv(seed, 24, 24, 24, 24, 24, 24),
 			Network:  egressNet(hetNetA...)}, nil
 	case "heteronetb":
 		// Used by the Figure 17 deviation study: the inverse skew of NET A.
 		return &Env{Name: "Hetero NET B", N: 6,
-			Computes: coresEnv(cpuCost(), seed, 24, 24, 24, 24, 24, 24),
+			Computes: coresEnv(seed, 24, 24, 24, 24, 24, 24),
 			Network:  egressNet(hetNetB...)}, nil
 	case "heterosysa":
 		return &Env{Name: "Hetero SYS A", N: 6,
-			Computes: coresEnv(cpuCost(), seed, hetCores...),
+			Computes: coresEnv(seed, hetCores...),
 			Network:  egressNet(hetNetA...)}, nil
 	case "heterosysb":
 		return &Env{Name: "Hetero SYS B", N: 6,
-			Computes: coresEnv(cpuCost(), seed, hetCores...),
+			Computes: coresEnv(seed, hetCores...),
 			Network:  egressNet(hetNetB...)}, nil
 	case "heterosysc":
 		g := simcompute.GPUUnit
 		return &Env{Name: "Hetero SYS C", N: 6, GPU: true,
-			Computes: coresEnv(gpuCost(), seed, 8*g, 8*g, g, g, g, g),
+			Computes: coresEnv(seed, 8*g, 8*g, g, g, g, g),
 			Network:  egressNet(190, 190, 140, 140, 100, 100)}, nil
 	case "dynamicsysa":
 		return Dynamic("A", 500, seed), nil
@@ -163,7 +153,7 @@ func Get(name string, seed uint64) (*Env, error) {
 		return Dynamic("B", 500, seed), nil
 	case "table2wan":
 		return &Env{Name: "Table2 WAN", N: 6,
-			Computes: coresEnv(cpuCost(), seed, 24, 24, 24, 24, 24, 24),
+			Computes: coresEnv(seed, 24, 24, 24, 24, 24, 24),
 			Network:  simnet.FromMatrix(Table2, RTTWan)}, nil
 	}
 	return nil, fmt.Errorf("env: unknown environment %q", name)
@@ -191,14 +181,14 @@ func Dynamic(variant string, phaseLen float64, seed uint64) *Env {
 		}
 	}
 	return &Env{Name: "Dynamic SYS " + variant, N: 6,
-		Computes: schedEnv(cpuCost(), seed, comp),
-		Network:  egressSchedNet(net)}
+		Computes: schedEnv(seed, comp),
+		Network:  simnet.PerWorkerEgress(net, RTTWan)}
 }
 
 // Custom builds an environment from explicit per-worker capacity schedules
 // and an arbitrary network (used by the Figure 8/19/20 trace experiments).
 func Custom(name string, capacities []simcompute.Schedule, network *simnet.Network, seed uint64) *Env {
 	return &Env{Name: name, N: len(capacities),
-		Computes: schedEnv(cpuCost(), seed, capacities),
+		Computes: schedEnv(seed, capacities),
 		Network:  network}
 }

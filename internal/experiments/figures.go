@@ -97,16 +97,16 @@ func runFig9a(p Profile) (*Outcome, error) {
 	t := report.NewTable("Fig 9a: seconds to 60% accuracy vs DKT period (Homo B)",
 		"DKT period (iterations)", "Time (s)")
 	o := &Outcome{Notes: []string{"Times equal to the horizon mean the target was not reached."}}
+	e, err := env.Get("Homo B", p.Seed)
+	if err != nil {
+		return nil, err
+	}
 	for _, period := range []int64{1, p.DKTPeriod, p.DKTPeriod * 8, 0} {
 		label, sys := fmt.Sprint(period), systems.DLion()
 		if period == 0 {
 			label, sys.DKT.Enabled = "off", false
 		} else {
 			sys.DKT.Period, sys.DKT.Lambda = period, p.DKTLambda
-		}
-		e, err := env.Get("Homo B", p.Seed)
-		if err != nil {
-			return nil, err
 		}
 		cfg := p.clusterConfig(sys, e, 0)
 		cfg.System = sys // bypass profile DKT rescaling: the period IS the variable
@@ -227,13 +227,15 @@ func (p Profile) traces(sys core.Config, e *env.Env) ([]cluster.Trace, error) {
 func runFig21(p Profile) (*Outcome, error) {
 	t := report.NewTable("Fig 21: converged accuracy and time to convergence (Homo A)",
 		"System", "Final accuracy", "Convergence time (s)")
-	o := &Outcome{}
+	maxTime := 2 * p.Horizon
+	o := &Outcome{Notes: []string{fmt.Sprintf(
+		"Times equal to %.0f s (2x horizon) mean no plateau was found before that cap (censored).", maxTime)}}
+	e, err := env.Get("Homo A", p.Seed)
+	if err != nil {
+		return nil, err
+	}
 	for _, sys := range systems.All() {
-		e, err := env.Get("Homo A", p.Seed)
-		if err != nil {
-			return nil, err
-		}
-		res, convT, err := cluster.RunUntilConverged(p.clusterConfig(sys, e, 0), 3, 0.01, 2*p.Horizon)
+		res, convT, err := cluster.RunUntilConverged(p.clusterConfig(sys, e, 0), 3, 0.01, maxTime)
 		if err != nil {
 			return nil, err
 		}

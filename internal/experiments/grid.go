@@ -113,8 +113,8 @@ func (g grid) key(r row, envName string) string {
 }
 
 // cell runs row r in envName once per seed and returns each run's metric.
-// Environments are built per run because compute schedules carry RNG
-// state.
+// Each run builds its environment from its own seed, which keys the
+// workers' compute jitter.
 func (g grid) cell(p Profile, r row, envName string) ([]float64, error) {
 	if g.tune != nil {
 		g.tune(&p, r)

@@ -79,25 +79,25 @@ type CostModel struct {
 // p2.8xlarge ≈ 240 cores.
 const GPUUnit = 30.0
 
-// Compute is one worker's compute resource: a capacity schedule plus a cost
-// model and an optional noise stream.
+// Compute is one worker's compute resource: a capacity schedule, a cost
+// model and its jitter seed. A run builds the stream, stats.NewRNG(Seed).
 type Compute struct {
 	Capacity Schedule
 	Cost     CostModel
-	rng      *stats.RNG
+	Seed     uint64
 }
 
 // New builds a Compute with the given schedule and cost model. seed feeds
 // the jitter stream; workers should use distinct seeds.
-func New(capacity Schedule, cost CostModel, seed uint64) *Compute {
-	return &Compute{Capacity: capacity, Cost: cost, rng: stats.NewRNG(seed)}
+func New(capacity Schedule, cost CostModel, seed uint64) Compute {
+	return Compute{Capacity: capacity, Cost: cost, Seed: seed}
 }
 
 // IterTime returns the virtual seconds one training iteration over batch
-// samples takes at time t. batch must be >= 1; zero capacity is treated as
-// a minimal 0.01 units so a fully-stressed worker crawls instead of
-// dividing by zero.
-func (c *Compute) IterTime(batch int, t float64) float64 {
+// samples takes at time t, jitter drawn from rng (nil without jitter).
+// batch must be >= 1; zero capacity is treated as a minimal 0.01 units so
+// a fully-stressed worker crawls instead of dividing by zero.
+func (c Compute) IterTime(rng *stats.RNG, batch int, t float64) float64 {
 	if batch < 1 {
 		panic("simcompute: IterTime with batch < 1")
 	}
@@ -107,7 +107,7 @@ func (c *Compute) IterTime(batch int, t float64) float64 {
 	}
 	base := c.Cost.Overhead + c.Cost.PerSample*float64(batch)/cap
 	if c.Cost.Jitter > 0 {
-		n := c.rng.NormFloat64() * c.Cost.Jitter
+		n := rng.NormFloat64() * c.Cost.Jitter
 		if n > 0.5 {
 			n = 0.5
 		}
@@ -120,15 +120,15 @@ func (c *Compute) IterTime(batch int, t float64) float64 {
 }
 
 // Profile measures iteration time at each batch size in batches (at time
-// t), returning parallel slices suitable for linear regression. This is
-// the measurement the LBS controller performs instead of reading hardware
-// specs (§3.2).
-func (c *Compute) Profile(batches []int, t float64) (x, y []float64) {
+// t, jitter from rng), returning parallel slices suitable for linear
+// regression. This is the measurement the LBS controller performs instead
+// of reading hardware specs (§3.2).
+func (c Compute) Profile(rng *stats.RNG, batches []int, t float64) (x, y []float64) {
 	x = make([]float64, len(batches))
 	y = make([]float64, len(batches))
 	for i, b := range batches {
 		x[i] = float64(b)
-		y[i] = c.IterTime(b, t)
+		y[i] = c.IterTime(rng, b, t)
 	}
 	return x, y
 }

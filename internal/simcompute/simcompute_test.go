@@ -50,7 +50,7 @@ func TestIterTimeScalesWithCapacity(t *testing.T) {
 	cost := CostModel{Overhead: 0.01, PerSample: 0.002}
 	fast := New(Constant(24), cost, 1)
 	slow := New(Constant(4), cost, 2)
-	tf, ts := fast.IterTime(96, 0), slow.IterTime(96, 0)
+	tf, ts := fast.IterTime(nil, 96, 0), slow.IterTime(nil, 96, 0)
 	if ts <= tf {
 		t.Fatalf("slow worker should be slower: %v vs %v", ts, tf)
 	}
@@ -64,8 +64,8 @@ func TestIterTimeScalesWithCapacity(t *testing.T) {
 
 func TestIterTimeLinearInBatch(t *testing.T) {
 	c := New(Constant(10), CostModel{Overhead: 0.05, PerSample: 0.001}, 1)
-	t32 := c.IterTime(32, 0)
-	t64 := c.IterTime(64, 0)
+	t32 := c.IterTime(nil, 32, 0)
+	t64 := c.IterTime(nil, 64, 0)
 	if math.Abs((t64-0.05)-2*(t32-0.05)) > 1e-12 {
 		t.Fatalf("not linear: %v %v", t32, t64)
 	}
@@ -73,7 +73,7 @@ func TestIterTimeLinearInBatch(t *testing.T) {
 
 func TestIterTimeZeroCapacity(t *testing.T) {
 	c := New(Constant(0), CostModel{PerSample: 0.001}, 1)
-	got := c.IterTime(10, 0)
+	got := c.IterTime(nil, 10, 0)
 	if math.IsInf(got, 1) || math.IsNaN(got) {
 		t.Fatalf("zero capacity must not blow up: %v", got)
 	}
@@ -89,13 +89,13 @@ func TestIterTimeBadBatchPanics(t *testing.T) {
 			t.Fatal("want panic")
 		}
 	}()
-	c.IterTime(0, 0)
+	c.IterTime(nil, 0, 0)
 }
 
 func TestIterTimeDynamicSchedule(t *testing.T) {
 	c := New(Steps(0, 24, 100, 6), CostModel{PerSample: 0.001}, 1)
-	early := c.IterTime(240, 50)
-	late := c.IterTime(240, 150)
+	early := c.IterTime(nil, 240, 50)
+	late := c.IterTime(nil, 240, 150)
 	if math.Abs(late/early-4) > 1e-9 {
 		t.Fatalf("capacity drop not reflected: %v vs %v", early, late)
 	}
@@ -103,7 +103,7 @@ func TestIterTimeDynamicSchedule(t *testing.T) {
 
 func TestJitterPreservesTrend(t *testing.T) {
 	c := New(Constant(12), CostModel{Overhead: 0.02, PerSample: 0.001, Jitter: 0.05}, 3)
-	x, y := c.Profile([]int{16, 32, 64, 128, 256, 512}, 0)
+	x, y := c.Profile(stats.NewRNG(c.Seed), []int{16, 32, 64, 128, 256, 512}, 0)
 	fit, err := stats.LinearRegression(x, y)
 	if err != nil {
 		t.Fatal(err)
@@ -116,7 +116,7 @@ func TestJitterPreservesTrend(t *testing.T) {
 
 func TestProfileShapes(t *testing.T) {
 	c := New(Constant(2), CostModel{PerSample: 0.01}, 1)
-	x, y := c.Profile([]int{8, 16}, 0)
+	x, y := c.Profile(nil, []int{8, 16}, 0)
 	if len(x) != 2 || len(y) != 2 || x[1] != 16 {
 		t.Fatalf("profile %v %v", x, y)
 	}
@@ -125,7 +125,7 @@ func TestProfileShapes(t *testing.T) {
 func TestIterTimePositiveProperty(t *testing.T) {
 	f := func(seed uint64, batch uint8) bool {
 		c := New(Constant(float64(1+seed%32)), CostModel{Overhead: 0.01, PerSample: 0.001, Jitter: 0.2}, seed)
-		return c.IterTime(int(batch)+1, 0) > 0
+		return c.IterTime(stats.NewRNG(seed), int(batch)+1, 0) > 0
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
@@ -160,9 +160,9 @@ func TestScheduleBoundaries(t *testing.T) {
 // capacity recovers to the schedule on the other side.
 func TestIterTimeZeroCapacityWindow(t *testing.T) {
 	c := New(Steps(0, 12, 10, 0, 20, 12), CostModel{Overhead: 0.05, PerSample: 0.5}, 1)
-	before := c.IterTime(8, 5)
-	inside := c.IterTime(8, 15)
-	after := c.IterTime(8, 25)
+	before := c.IterTime(nil, 8, 5)
+	inside := c.IterTime(nil, 8, 15)
+	after := c.IterTime(nil, 8, 25)
 	if before != after {
 		t.Fatalf("capacity did not recover: %v vs %v", before, after)
 	}
@@ -174,10 +174,10 @@ func TestIterTimeZeroCapacityWindow(t *testing.T) {
 		t.Fatal("zero-capacity window must be slower than nominal capacity")
 	}
 	// The boundaries belong to the new value on the left edge.
-	if got := c.IterTime(8, 10); got != wantInside {
+	if got := c.IterTime(nil, 8, 10); got != wantInside {
 		t.Fatalf("IterTime at window-open boundary %v, want %v", got, wantInside)
 	}
-	if got := c.IterTime(8, 20); got != before {
+	if got := c.IterTime(nil, 8, 20); got != before {
 		t.Fatalf("IterTime at window-close boundary %v, want %v", got, before)
 	}
 }

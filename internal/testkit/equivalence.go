@@ -170,7 +170,7 @@ func RunSim(c EquivalenceConfig) (*EquivalenceResult, error) {
 	// constants below one SyncFull round is well under a virtual second,
 	// so the horizon leaves generous slack for Steps rounds.
 	horizon := float64(c.Steps)*2 + 20
-	computes := make([]*simcompute.Compute, c.N)
+	computes := make([]simcompute.Compute, c.N)
 	for i := range computes {
 		computes[i] = simcompute.New(simcompute.Constant(12),
 			simcompute.CostModel{Overhead: 0.05, PerSample: 0.5}, uint64(i))

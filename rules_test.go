@@ -18,7 +18,7 @@ import (
 	"testing/fstest"
 )
 
-// Rules gate (runs under `make test`, hence `make check` and CI): four
+// Rules gate (runs under `make test`, hence `make check` and CI): five
 // standing rules of the tree, checked over the type-checked module instead
 // of argued in DESIGN.md or grepped for by hand. The module's packages are
 // listed with go/build for the host platform, every non-test file is
@@ -33,7 +33,10 @@ import (
 //  3. one process shell: under cmd/, only cmd/internal/cli calls os.Exit,
 //     signal.Notify/NotifyContext or obs.ServeDebug;
 //  4. one level of parallelism: corePkgs start goroutines only in
-//     tensor/pool.go.
+//     tensor/pool.go;
+//  5. a cluster.Config is a value: no type reachable through its fields
+//     holds a stats.RNG (func-typed fields such as a selector factory are
+//     not descended), so running one Config twice gives one result.
 //
 // TestRulesCatchPlantedViolations feeds planted violations of each rule
 // through the same loader.
@@ -109,6 +112,15 @@ func TestRulesCatchPlantedViolations(t *testing.T) {
 			"cmd/x/main.go":     fmt.Sprintf(main, "fx/internal/nn", "nn.Run(func() {})"),
 		},
 		want: []string{"internal/nn/nn.go:3:22: go statement in fx/internal/nn"},
+	}, {
+		name: "stream in a cluster.Config",
+		files: map[string]string{
+			"internal/stats/rng.go":          "package stats\n\ntype RNG struct{ s uint64 }\n\nfunc NewRNG(s uint64) *RNG { return &RNG{s} }\n",
+			"internal/simcompute/compute.go": "package simcompute\n\nimport \"fx/internal/stats\"\n\ntype Compute struct {\n\tSeed uint64\n\trng  *stats.RNG\n}\n",
+			"internal/cluster/cluster.go":    "package cluster\n\nimport (\n\t\"fx/internal/simcompute\"\n\t\"fx/internal/stats\"\n)\n\ntype Config struct {\n\tComputes  []simcompute.Compute\n\tNewStream func(seed uint64) *stats.RNG\n}\n\nfunc Run(Config) {}\n",
+			"cmd/x/main.go":                  "package main\n\nimport (\n\t\"fx/internal/cluster\"\n\t\"fx/internal/stats\"\n)\n\nfunc main() { cluster.Run(cluster.Config{NewStream: stats.NewRNG}) }\n",
+		},
+		want: []string{"internal/simcompute/compute.go:7:2: simcompute.Compute.rng holds a *stats.RNG"},
 	}, {
 		name: "generic type used only through an instantiation",
 		files: map[string]string{
@@ -303,7 +315,7 @@ func isCore(p *pkg) bool {
 	return false
 }
 
-// check runs the four rules and returns one "file:line: message" finding
+// check runs the five rules and returns one "file:line: message" finding
 // per violation, sorted.
 func (m *module) check(allow map[string]string) []string {
 	var out []string
@@ -311,6 +323,7 @@ func (m *module) check(allow map[string]string) []string {
 		out = append(out, fmt.Sprintf("%s: %s", m.fset.Position(pos), fmt.Sprintf(format, args...)))
 	}
 	m.checkReach(allow, report)
+	m.checkConfigStreams(report)
 	for _, p := range m.sorted() {
 		cmd := strings.HasPrefix(p.path, m.path+"/cmd/") && !strings.HasSuffix(p.path, "/cmd/internal/cli")
 		for _, f := range p.files {
@@ -351,6 +364,53 @@ func (m *module) check(allow map[string]string) []string {
 	}
 	slices.Sort(out)
 	return out
+}
+
+// checkConfigStreams reports every field that holds a stats.RNG and is
+// reachable from internal/cluster.Config through struct fields, pointers,
+// slices, arrays, maps and channels of the module's types (rule 5): a
+// stream there is run state, so a second run of the Config would start
+// where the first left it. cluster.Run builds each stream from a seed.
+func (m *module) checkConfigStreams(report func(token.Pos, string, ...any)) {
+	p := m.pkgs[m.path+"/internal/cluster"]
+	if p == nil || p.types.Scope().Lookup("Config") == nil {
+		return
+	}
+	rng := m.path + "/internal/stats"
+	seen := map[*types.TypeName]bool{}
+	var visit func(t types.Type, field *types.Var, owner string)
+	visit = func(t types.Type, field *types.Var, owner string) {
+		switch t := types.Unalias(t).(type) {
+		case *types.Named:
+			obj := t.Obj()
+			if obj.Pkg() == nil || !strings.HasPrefix(obj.Pkg().Path(), m.path+"/") || seen[obj] {
+				return
+			}
+			if obj.Pkg().Path() == rng && obj.Name() == "RNG" {
+				report(field.Pos(), "%s.%s holds a %s and cluster.Config reaches it: a Config is a value, cluster.Run builds each stream from a seed",
+					owner, field.Name(), types.TypeString(field.Type(), (*types.Package).Name))
+				return
+			}
+			seen[obj] = true
+			visit(t.Underlying(), field, obj.Pkg().Name()+"."+obj.Name())
+		case *types.Struct:
+			for i := 0; i < t.NumFields(); i++ {
+				visit(t.Field(i).Type(), t.Field(i), owner)
+			}
+		case *types.Pointer:
+			visit(t.Elem(), field, owner)
+		case *types.Slice:
+			visit(t.Elem(), field, owner)
+		case *types.Array:
+			visit(t.Elem(), field, owner)
+		case *types.Map:
+			visit(t.Key(), field, owner)
+			visit(t.Elem(), field, owner)
+		case *types.Chan:
+			visit(t.Elem(), field, owner)
+		}
+	}
+	visit(p.types.Scope().Lookup("Config").Type(), nil, "")
 }
 
 // checkReach reports every package-level object and method of a non-test
